@@ -110,11 +110,18 @@ class CheckReport:
 
 
 def _inconclusive(check_id, kind, inputs, spec, reason) -> CheckReport:
+    """An inconclusive report; ``reason`` is a message or the exception raised.
+
+    An exception's witness point (``QuadratureFailure.point``) is kept as
+    ``quantities["witness"]``.
+    """
+    point = getattr(reason, "point", None)
+    quantities = {} if point is None else {"witness": np.atleast_1d(point)}
     return CheckReport(
         check_id=check_id,
         kind=kind,
         inputs=inputs,
-        quantities={},
+        quantities=quantities,
         tolerance=math.nan,
         passed=False,
         inconclusive=True,
@@ -127,6 +134,46 @@ def _inconclusive(check_id, kind, inputs, spec, reason) -> CheckReport:
 # inequality checks
 # ---------------------------------------------------------------------------
 
+def slsi_terms(
+    g: ScalarField,
+    mu: Density,
+    spec: QuadratureSpec,
+    allow_non_rotation_invariant: bool = False,
+) -> tuple[float, float, float, float]:
+    """The four numbers every sLSI verdict needs: (Ent, e_Ent, EE, e_EE).
+
+    EE is the dilation energy int E g dmu; e_* are the quadrature error
+    estimates.  Raises InvalidParameter for an uncertified field or a measure
+    that is not rotation-invariant, and QuadratureFailure when an integral
+    cannot be computed.
+    """
+    if g.certificate == "unverified":
+        raise InvalidParameter("check_slsi requires a certificate-carrying field")
+    if not mu.rotation_invariant and not allow_non_rotation_invariant:
+        raise InvalidParameter(
+            "the dilation energy is only known positive on the cone for "
+            "rotation-invariant measures; pass allow_non_rotation_invariant=True "
+            "to override"
+        )
+    ent, e_ent = entropy_with_error(g, mu, spec)
+    ee, e_ee = euler_energy_with_error(g, mu, spec)
+    return ent, e_ent, ee, e_ee
+
+
+def slsi_verdict(terms: tuple[float, float, float, float],
+                 c: float) -> tuple[float, float, bool]:
+    """(deficit, tol, passed) for the sLSI at constant c from :func:`slsi_terms`.
+
+    The deficit (c/2) EE - Ent is affine in c, so one set of terms serves
+    every c.
+    """
+    ent, e_ent, ee, e_ee = terms
+    deficit = (c / 2.0) * ee - ent
+    scale = max(1.0, abs(ent), abs(c / 2.0 * ee))
+    tol = INEQ_ABS * scale + NOISE_FACTOR * (e_ent + (c / 2.0) * e_ee)
+    return deficit, tol, bool(deficit >= -tol)
+
+
 def check_slsi(
     g: ScalarField,
     mu: Density,
@@ -138,22 +185,12 @@ def check_slsi(
     """Strong log-Sobolev deficit (c/2) int E g dmu - Ent(g), passing iff >= -tol."""
     spec = spec or default_spec(mu)
     inputs = {"field": g.label, "measure": mu.label, "c": c}
-    if g.certificate == "unverified":
-        raise InvalidParameter("check_slsi requires a certificate-carrying field")
-    if not mu.rotation_invariant and not allow_non_rotation_invariant:
-        raise InvalidParameter(
-            "the dilation energy is only known positive on the cone for "
-            "rotation-invariant measures; pass allow_non_rotation_invariant=True "
-            "to override"
-        )
     try:
-        ent, e_ent = entropy_with_error(g, mu, spec)
-        ee, e_ee = euler_energy_with_error(g, mu, spec)
+        terms = slsi_terms(g, mu, spec, allow_non_rotation_invariant)
     except QuadratureFailure as exc:
-        return _inconclusive(check_id, "slsi", inputs, spec, str(exc))
-    deficit = (c / 2.0) * ee - ent
-    scale = max(1.0, abs(ent), abs(c / 2.0 * ee))
-    tol = INEQ_ABS * scale + NOISE_FACTOR * (e_ent + (c / 2.0) * e_ee)
+        return _inconclusive(check_id, "slsi", inputs, spec, exc)
+    deficit, tol, passed = slsi_verdict(terms, c)
+    ent, _, ee, _ = terms
     return CheckReport(
         check_id=check_id,
         kind="slsi",
@@ -166,7 +203,7 @@ def check_slsi(
             "deficit": deficit,
         },
         tolerance=tol,
-        passed=bool(deficit >= -tol),
+        passed=passed,
         spec=spec.to_dict(),
     )
 
@@ -188,7 +225,7 @@ def check_shc(
     try:
         base, e_base = lp_norm_with_error(f, mu, 1.0, spec)
     except QuadratureFailure as exc:
-        return _inconclusive(check_id, "shc", inputs, spec, str(exc))
+        return _inconclusive(check_id, "shc", inputs, spec, exc)
 
     rows = []
     for r in r_grid:
@@ -257,7 +294,7 @@ def check_general_shc(
     try:
         base, e_base = lp_norm_with_error(f, mu, p, spec)
     except QuadratureFailure as exc:
-        return _inconclusive(check_id, "general_shc", inputs, spec, str(exc))
+        return _inconclusive(check_id, "general_shc", inputs, spec, exc)
     rows = []
     ok = True
     for r in (r_star, 0.9 * r_star, 0.75 * r_star):
@@ -304,7 +341,7 @@ def check_dilation_bound(
         lhs, e_lhs = lp_norm_with_error(dilate(f, r), mu, p, spec)
         fnorm, e_f = lp_norm_with_error(f, mu, p, spec)
     except QuadratureFailure as exc:
-        return _inconclusive(check_id, "dilation_bound", inputs, spec, str(exc))
+        return _inconclusive(check_id, "dilation_bound", inputs, spec, exc)
     factor = r ** (-mu.dim / p) * c_est ** (1.0 / p)
     rhs = factor * fnorm
     tol = INEQ_ABS * rhs + NOISE_FACTOR * (e_lhs + factor * e_f)
@@ -364,7 +401,7 @@ def check_dilated_convolution_bound(
         lhs, e_lhs = lp_norm_with_error(dilated_convolve(f, phi, r), mu, p, spec)
         fnorm, e_f = lp_norm_with_error(f, mu, p, spec)
     except QuadratureFailure as exc:
-        return _inconclusive(check_id, "dilated_convolution_bound", inputs, spec, str(exc))
+        return _inconclusive(check_id, "dilated_convolution_bound", inputs, spec, exc)
     factor = (
         r ** (-mu.dim / p) * c_est ** (1.0 / p) * phi.vol_support ** (1.0 / p) * phi_norm
     )
@@ -432,7 +469,7 @@ def check_density_approximation(
     try:
         base, _ = lp_norm_with_error(f, mu, p, spec)
     except QuadratureFailure as exc:
-        return _inconclusive(check_id, "density_approx", inputs, spec, str(exc))
+        return _inconclusive(check_id, "density_approx", inputs, spec, exc)
     target = eps_target if eps_target is not None else 0.01 * base
 
     k_max, r_max = max(k_list), max(r_list)
@@ -623,7 +660,13 @@ def best_constant(
 
     Inequality checks are monotone in c (the right-hand side scales with c),
     so bisection is valid.  If no c in the range passes, the range maximum is
-    returned; it is then only a lower bound for the true constant.
+    returned; it is then only a lower bound for the true constant.  Each step
+    stops at the first failing member; an inconclusive member fails at every c.
+
+    In sLSI mode each member is integrated at most once, the first time a step
+    reaches it: the deficit is affine in c, so later steps only re-run
+    :func:`slsi_verdict` on the cached (Ent, EE) terms.  In sHC mode every step
+    re-runs :func:`check_shc` on each member it reaches.
     """
     if mode not in ("slsi", "shc"):
         raise InvalidParameter("mode must be 'slsi' or 'shc'")
@@ -631,15 +674,23 @@ def best_constant(
         raise InvalidParameter("battery must be non-empty")
     spec = spec or default_spec(mu)
 
+    if mode == "slsi":
+        terms = {}  # battery index -> slsi_terms, or None if inconclusive
+
+        def member_passes(i: int, c: float) -> bool:
+            if i not in terms:
+                try:
+                    terms[i] = slsi_terms(battery[i], mu, spec)
+                except QuadratureFailure:
+                    terms[i] = None
+            return terms[i] is not None and slsi_verdict(terms[i], c)[2]
+    else:
+        def member_passes(i: int, c: float) -> bool:
+            rep = check_shc(battery[i], mu, c, r_grid, spec)
+            return not rep.inconclusive and rep.passed
+
     def passes(c: float) -> bool:
-        for f in battery:
-            if mode == "slsi":
-                rep = check_slsi(f, mu, c, spec)
-            else:
-                rep = check_shc(f, mu, c, r_grid, spec)
-            if rep.inconclusive or not rep.passed:
-                return False
-        return True
+        return all(member_passes(i, c) for i in range(len(battery)))
 
     lo, hi = float(c_range[0]), float(c_range[1])
     if passes(lo):

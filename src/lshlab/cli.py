@@ -65,6 +65,24 @@ def _cmd_run(args) -> int:
     return campaign_mod.run(args.config, output_dir=args.output_dir, jobs=args.jobs)
 
 
+#: the check kinds ``lshlab check`` runs; best_constant has its own subcommand
+_CHECKS = {
+    "slsi": lambda f, mu, spec, a: checks_mod.check_slsi(f, mu, a.c, spec),
+    "shc": lambda f, mu, spec, a: checks_mod.check_shc(f, mu, a.c, spec=spec),
+    "general_shc": lambda f, mu, spec, a: checks_mod.check_general_shc(
+        f, mu, a.c, a.p, a.q, spec),
+    "dilation_bound": lambda f, mu, spec, a: checks_mod.check_dilation_bound(
+        f, mu, a.p, a.r, spec),
+    "dilated_convolution_bound": lambda f, mu, spec, a: (
+        checks_mod.check_dilated_convolution_bound(
+            f, mu, a.p, fields_mod.mollifier(mu.dim, a.k), a.r, spec)),
+    "density_approx": lambda f, mu, spec, a: checks_mod.check_density_approximation(
+        f, mu, a.p, spec=spec),
+    "spherical_monotone": lambda f, mu, spec, a: checks_mod.check_spherical_monotonicity(f),
+    "radial_euler_scaling": lambda f, mu, spec, a: checks_mod.check_radial_euler_scaling(f),
+}
+
+
 def _cmd_check(args) -> int:
     mu = campaign_mod.build_measure(_measure_decl(args.measure, args.dim))
     config = campaign_mod.CampaignConfig.from_dict(
@@ -78,26 +96,7 @@ def _cmd_check(args) -> int:
     )
     f = campaign_mod.build_field(config.fields["f"])
     spec = campaign_mod.resolve_spec(config.quadrature, mu, args.seed)
-    kind = args.check
-    if kind == "slsi":
-        rep = checks_mod.check_slsi(f, mu, args.c, spec)
-    elif kind == "shc":
-        rep = checks_mod.check_shc(f, mu, args.c, spec=spec)
-    elif kind == "general_shc":
-        rep = checks_mod.check_general_shc(f, mu, args.c, args.p, args.q, spec)
-    elif kind == "dilation_bound":
-        rep = checks_mod.check_dilation_bound(f, mu, args.p, args.r, spec)
-    elif kind == "dilated_convolution_bound":
-        phi = fields_mod.mollifier(mu.dim, args.k)
-        rep = checks_mod.check_dilated_convolution_bound(f, mu, args.p, phi, args.r, spec)
-    elif kind == "density_approx":
-        rep = checks_mod.check_density_approximation(f, mu, args.p, spec=spec)
-    elif kind == "spherical_monotone":
-        rep = checks_mod.check_spherical_monotonicity(f)
-    elif kind == "radial_euler_scaling":
-        rep = checks_mod.check_radial_euler_scaling(f)
-    else:
-        raise LabError(f"unknown check {kind!r}")
+    rep = _CHECKS[args.check](f, mu, spec, args)
     print(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
     if rep.inconclusive:
         print("status: INCONCLUSIVE", file=sys.stderr)
@@ -160,7 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_check = sub.add_parser("check", help="run one check ad hoc from flags")
-    p_check.add_argument("--check", required=True, choices=sorted(campaign_mod.CHECK_KINDS))
+    p_check.add_argument(
+        "--check", required=True, choices=sorted(_CHECKS),
+        help="check kind; for the best constant use the best-c subcommand",
+    )
     p_check.add_argument("--measure", default="gaussian")
     p_check.add_argument("--field", default="log_linear:0.8")
     p_check.add_argument("--dim", type=int, default=1)

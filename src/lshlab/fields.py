@@ -560,22 +560,24 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
         raise InvalidParameter("field and mollifier dimensions differ")
     y, c, cg = _ball_nodes(phi)
 
-    def _eval_matrix(pts: Array) -> Array:
-        out = np.empty((pts.shape[0], y.shape[0]))
+    def _reduce(pts: Array, weights: Array) -> Array:
+        # f at x - y for one row block of points at a time, reduced against
+        # the node weights at once, so no (points, nodes) matrix is kept
+        out = np.empty((pts.shape[0],) + weights.shape[1:])
         block = max(1, 2_000_000 // max(1, y.shape[0]))
         for lo in range(0, pts.shape[0], block):
             chunk = pts[lo : lo + block]
             shifted = chunk[:, None, :] - y[None, :, :]
             out[lo : lo + chunk.shape[0]] = f(
                 shifted.reshape(-1, f.dim)
-            ).reshape(chunk.shape[0], y.shape[0])
+            ).reshape(chunk.shape[0], y.shape[0]) @ weights
         return out
 
     def val(pts):
-        return _eval_matrix(pts) @ c
+        return _reduce(pts, c)
 
     def grad(pts):
-        return _eval_matrix(pts) @ cg
+        return _reduce(pts, cg)
 
     return ScalarField(
         dim=f.dim,

@@ -7,6 +7,7 @@ import pytest
 
 import lshlab as L
 from lshlab.campaign import (
+    CHECK_KINDS,
     CampaignConfig,
     build_field,
     build_measure,
@@ -14,7 +15,7 @@ from lshlab.campaign import (
     preset,
     resolve_spec,
 )
-from lshlab.cli import main
+from lshlab.cli import _CHECKS, main
 from lshlab.errors import ConfigError
 
 
@@ -196,6 +197,17 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
+
+    def test_check_offers_only_handled_kinds(self, capsys):
+        # best_constant is a campaign check kind but has its own subcommand
+        assert set(_CHECKS) == set(CHECK_KINDS) - {"best_constant"}
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--check", "best_constant"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        assert "best-c" in capsys.readouterr().out
 
     def test_check_failure_exit_code(self, capsys):
         code = main(["check", "--check", "slsi", "--measure", "gaussian",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lshlab as L
+from lshlab import checks
 from lshlab.checks import SHC_NOTE
 from lshlab.errors import InvalidParameter
 
@@ -296,6 +297,115 @@ class TestBestConstant:
         battery = L.default_battery(1)
         certs = {f.certificate for f in battery}
         assert {"log_linear", "exp_subharmonic", "power", "product", "mollified"} <= certs
+
+
+def _reference_slsi_best_constant(battery, mu, c_range, spec, resolution=1e-3):
+    """Bisection that re-runs check_slsi on every member at every step."""
+    def passes(c):
+        for f in battery:
+            rep = L.check_slsi(f, mu, c, spec)
+            if rep.inconclusive or not rep.passed:
+                return False
+        return True
+
+    lo, hi = float(c_range[0]), float(c_range[1])
+    if passes(lo):
+        return lo
+    if not passes(hi):
+        return hi
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return round(0.5 * (lo + hi) / resolution) * resolution
+
+
+def _mollified():
+    return L.convolve(L.log_linear([0.8]), L.mollifier(1, 4))
+
+
+@pytest.fixture
+def entropy_calls(monkeypatch):
+    """Labels of the fields entropy_with_error integrates, in call order."""
+    calls = []
+    orig = checks.entropy_with_error
+
+    def counting(g, mu, spec):
+        calls.append(g.label)
+        return orig(g, mu, spec)
+
+    monkeypatch.setattr(checks, "entropy_with_error", counting)
+    return calls
+
+
+class TestBestConstantSlsiCache:
+    @pytest.mark.parametrize("battery, mu, c_range", [
+        ([L.log_linear([lam]) for lam in (0.4, 0.8, 1.2)], L.gaussian(1.0, 1),
+         checks.DEFAULT_C_RANGE),
+        (L.default_battery(1), L.gaussian(1.0, 1), checks.DEFAULT_C_RANGE),
+        ([L.log_linear([0.8])], L.gaussian(1.0, 1), (0.25, 0.5)),
+        ([L.constant(2.0, 1), L.constant(0.5, 1)], L.gaussian(1.0, 1),
+         checks.DEFAULT_C_RANGE),
+        ([L.log_linear([0.4]), _mollified(), L.cosh_field(0.8)],
+         L.gen_exponential(0.5, 2, 1), checks.DEFAULT_C_RANGE),
+    ], ids=["log_linear", "default_battery", "narrow_range", "constants", "inconclusive"])
+    def test_matches_reference_bisection(self, battery, mu, c_range):
+        spec = L.default_spec(mu)
+        expected = _reference_slsi_best_constant(battery, mu, c_range, spec)
+        assert L.best_constant(battery, mu, "slsi", c_range=c_range, spec=spec) == expected
+
+    def test_each_member_integrated_once(self, gauss1, gh_spec, entropy_calls):
+        battery = L.default_battery(1)
+        c_star = L.best_constant(battery, gauss1, "slsi", spec=gh_spec)
+        assert c_star == pytest.approx(1.0, abs=1e-3)
+        # passes(c_max) reaches every member, each integrated exactly once
+        assert entropy_calls == [f.label for f in battery]
+
+    @pytest.mark.parametrize("always_fails", ["below_range", "inconclusive"])
+    def test_member_after_always_failing_one_never_integrated(
+        self, always_fails, entropy_calls
+    ):
+        if always_fails == "below_range":
+            mu, first, c_range = L.gaussian(1.0, 1), L.log_linear([0.8]), (0.25, 0.5)
+        else:
+            mu, first, c_range = L.gen_exponential(0.5, 2, 1), _mollified(), (0.25, 4.0)
+        battery = [first, L.cosh_field(0.8)]
+        assert L.best_constant(battery, mu, "slsi", c_range=c_range) == c_range[1]
+        assert entropy_calls == [first.label]
+
+    def test_uncertified_member_rejected(self, gauss1, gh_spec):
+        raw = L.raw_field(lambda pts: np.exp(pts[:, 0]), 1, label="raw")
+        with pytest.raises(InvalidParameter):
+            L.best_constant([L.cosh_field(0.8), raw], gauss1, "slsi", spec=gh_spec)
+
+    def test_non_rotation_invariant_measure_rejected(self, gauss1):
+        with pytest.raises(InvalidParameter):
+            L.best_constant([L.cosh_field(0.5)], L.shift(gauss1, [0.4]), "slsi")
+
+    def test_check_slsi_is_terms_then_verdict(self, gauss1, gh_spec):
+        f = L.cosh_field(0.8)
+        terms = checks.slsi_terms(f, gauss1, gh_spec)
+        for c in (0.5, 1.0, 2.0):
+            rep = L.check_slsi(f, gauss1, c, gh_spec)
+            deficit, tol, passed = checks.slsi_verdict(terms, c)
+            assert (rep.quantities["deficit"], rep.tolerance, rep.passed) == (
+                deficit, tol, passed)
+
+
+class TestWitness:
+    def test_laplace_overflow_carries_witness(self):
+        # e^{0.8x} overflows far out on the Laplace line: inconclusive, with
+        # the point where the integrand went non-finite
+        rep = L.check_slsi(L.log_linear([0.8]), L.gen_exponential(1, 1, 1), 1.0)
+        assert rep.inconclusive and not rep.passed
+        witness = rep.to_dict()["quantities"]["witness"]
+        assert len(witness) == 1 and all(math.isfinite(x) for x in witness)
+
+    def test_conclusive_report_has_no_witness(self, gauss1, gh_spec):
+        rep = L.check_slsi(L.cosh_field(0.8), gauss1, 1.0, gh_spec)
+        assert "witness" not in rep.quantities
 
 
 class TestReportShape:

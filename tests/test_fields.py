@@ -213,6 +213,19 @@ class TestConvolve:
         with pytest.raises(InvalidParameter):
             L.convolve(L.log_linear([0.5]), L.mollifier(2, 2))
 
+    def test_many_points_match_slices(self):
+        # 70,000 points span three row blocks of the 64-node 1-D rule
+        g = L.convolve(L.cosh_field(0.8), L.mollifier(1, 4))
+        xs = np.linspace(-6.0, 6.0, 70_000).reshape(-1, 1)
+        slices = [xs[i : i + 1000] for i in range(0, len(xs), 1000)]
+        np.testing.assert_allclose(
+            g(xs), np.concatenate([g(s) for s in slices]), rtol=1e-12, atol=0
+        )
+        np.testing.assert_allclose(
+            g.gradient(xs), np.concatenate([g.gradient(s) for s in slices]),
+            rtol=1e-12, atol=1e-300,
+        )
+
 
 class TestDilatedConvolve:
     def test_identity_on_constants(self):
