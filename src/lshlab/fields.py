@@ -9,6 +9,10 @@ construction; the certificate records the construction route and ``is_lsh``
 provides the falsifiable numerical test (sub-mean inequality of ln f over
 spheres).
 
+``value_and_gradient`` returns f(x) and grad f(x) together.  A convolution,
+and any dilation of one, computes both from one sweep of the inner field over
+the mollifier nodes; every other field evaluates its two maps in turn.
+
 Point convention: a single point is a 1-D array of shape (dim,); a batch is a
 2-D array of shape (m, dim).  All value/gradient maps are vectorized over
 batches.  Fields are immutable after construction and safe to evaluate from
@@ -76,6 +80,8 @@ class ScalarField:
     _value: Callable[[Array], Array] = field(repr=False)
     _log_value: Optional[Callable[[Array], Array]] = field(repr=False, default=None)
     _gradient: Optional[Callable[[Array], Array]] = field(repr=False, default=None)
+    _value_and_gradient: Optional[Callable[[Array], tuple[Array, Array]]] = field(
+        repr=False, default=None)
 
     def __post_init__(self):
         if self.certificate not in CERTIFICATES:
@@ -115,6 +121,16 @@ class ScalarField:
                 f"field {self.label!r} has no gradient and is not flagged smooth"
             )
         return g[0] if single else g
+
+    def value_and_gradient(self, x):
+        """(f(x), grad f(x)), from one joint map when the field has one."""
+        pts, single = _batch(x, self.dim)
+        if self._value_and_gradient is not None:
+            v, g = self._value_and_gradient(pts)
+            v, g = np.asarray(v, dtype=float), np.asarray(g, dtype=float)
+        else:
+            v, g = self(pts), self.gradient(pts)
+        return (float(v[0]), g[0]) if single else (v, g)
 
     def _fd_gradient(self, pts: Array) -> Array:
         g = np.empty_like(pts)
@@ -363,6 +379,12 @@ def dilate(f: ScalarField, r: float) -> ScalarField:
     if f.has_gradient:
         grad = lambda pts: r * f.gradient(r * pts)
 
+    joint = None
+    if f._value_and_gradient is not None:
+        def joint(pts):
+            v, g = f.value_and_gradient(r * pts)
+            return v, r * g
+
     return ScalarField(
         dim=f.dim,
         certificate="dilation",
@@ -371,6 +393,7 @@ def dilate(f: ScalarField, r: float) -> ScalarField:
         _value=lambda pts: f(r * pts),
         _log_value=lambda pts: f.log_value(r * pts),
         _gradient=grad,
+        _value_and_gradient=joint,
     )
 
 
@@ -516,6 +539,9 @@ def _bump(dim: int, radius: float, scale_index: float | None = None) -> Mollifie
 #: diagnostics (accuracy; mass must come out 1 within 1e-8)
 _CONV_NODES = {1: 64, 2: 40, 3: 20}
 _NORM_NODES = {1: 320, 2: 96, 3: 64}
+#: point-node pairs per row block of a convolution sweep: the block's shifted
+#: points (16 bytes a pair in 2-D) stay a few MB, within cache reach
+_CONV_BLOCK_PAIRS = 200_000
 
 
 def _ball_nodes(phi: Mollifier, want_gradient: bool = True, raw: bool = False,
@@ -554,20 +580,28 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
     """Smoothing convolution (f * phi)(x) = integral of f(x - y) phi(y) dy.
 
     Preserves the log-subharmonic cone and yields a C-infinity field; the
-    gradient is computed as f * grad(phi).
+    gradient is computed as f * grad(phi).  ``value_and_gradient`` reduces
+    each sweep of f against the stacked weights [c | grad c], so value and
+    gradient cost one evaluation of f at every x - y.
     """
     if f.dim != phi.dim:
         raise InvalidParameter("field and mollifier dimensions differ")
     y, c, cg = _ball_nodes(phi)
+    c_cg = np.column_stack([c, cg])
 
     def _reduce(pts: Array, weights: Array) -> Array:
         # f at x - y for one row block of points at a time, reduced against
         # the node weights at once, so no (points, nodes) matrix is kept
         out = np.empty((pts.shape[0],) + weights.shape[1:])
-        block = max(1, 2_000_000 // max(1, y.shape[0]))
+        block = max(1, _CONV_BLOCK_PAIRS // max(1, y.shape[0]))
+        shifted = np.empty((min(block, pts.shape[0]), y.shape[0], f.dim))
         for lo in range(0, pts.shape[0], block):
             chunk = pts[lo : lo + block]
-            shifted = chunk[:, None, :] - y[None, :, :]
+            shifted = shifted[: chunk.shape[0]]
+            # one coordinate at a time: a broadcast over the length-dim last
+            # axis would run one short inner loop per point-node pair
+            for j in range(f.dim):
+                np.subtract(chunk[:, j, None], y[None, :, j], out=shifted[:, :, j])
             out[lo : lo + chunk.shape[0]] = f(
                 shifted.reshape(-1, f.dim)
             ).reshape(chunk.shape[0], y.shape[0]) @ weights
@@ -579,6 +613,10 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
     def grad(pts):
         return _reduce(pts, cg)
 
+    def joint(pts):
+        out = _reduce(pts, c_cg)
+        return out[:, 0], out[:, 1:]
+
     return ScalarField(
         dim=f.dim,
         certificate="mollified",
@@ -586,6 +624,7 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
         label=f"convolve({f.label}, k={phi.scale_index:g})",
         _value=val,
         _gradient=grad,
+        _value_and_gradient=joint,
     )
 
 

@@ -156,7 +156,10 @@ def measure_nodes(mu, spec: QuadratureSpec):
 
 
 def _check_finite(vals: Array, pts: Array):
+    # a row of an (m, K) integrand is bad when any of its columns is
     bad = ~np.isfinite(vals)
+    if bad.ndim == 2:
+        bad = bad.any(axis=1)
     if np.any(bad):
         raise QuadratureFailure(
             "non-finite integrand value inside the truncation region",
@@ -168,50 +171,70 @@ def _check_finite(vals: Array, pts: Array):
 # integration
 # ---------------------------------------------------------------------------
 
-def integrate(h, mu, spec: QuadratureSpec) -> tuple[float, float]:
+def integrate(h, mu, spec: QuadratureSpec):
     """Integral of h against mu, with an error estimate.
 
-    ``h`` is a ScalarField or any map vectorized over (m, dim) batches.
+    ``h`` is a ScalarField or any map vectorized over (m, dim) batches.  It
+    returns either m values, and the integral is (value, error) as floats, or
+    an (m, K) array of K integrands evaluated together, and the integral is
+    (values, errors) as arrays of shape (K,), column by column the same as
+    integrating each column on its own.  On grids each node set is evaluated
+    once for all columns; ``adaptive_1d`` runs one ``quad`` per column.
     """
     if spec.scheme == "adaptive_1d":
         return _integrate_adaptive(h, mu, spec)
     pts, logw = measure_nodes(mu, spec)
     vals = np.asarray(h(pts), dtype=float)
     _check_finite(vals, pts)
-    value = float(np.exp(logw) @ vals)
+    value = np.exp(logw) @ vals
     if spec.scheme == "monte_carlo":
-        err = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+        err = np.std(vals, axis=0, ddof=1) / math.sqrt(vals.shape[0])
     else:
         pts2, logw2 = measure_nodes(mu, spec.halved())
-        v2 = float(np.exp(logw2) @ np.asarray(h(pts2), dtype=float))
-        err = abs(value - v2)
-    return value, max(err, abs(value) * 1e-15)
+        err = np.abs(value - np.exp(logw2) @ np.asarray(h(pts2), dtype=float))
+    err = np.maximum(err, np.abs(value) * 1e-15)
+    if vals.ndim == 1:
+        return float(value), float(err)
+    return value, err
 
 
-def _integrate_adaptive(h, mu, spec: QuadratureSpec) -> tuple[float, float]:
+def _integrate_adaptive(h, mu, spec: QuadratureSpec):
     if mu.dim != 1:
         raise InvalidParameter("adaptive_1d requires a one-dimensional measure")
-    witness = []
+    width = None  # K of an (m, K) integrand, 0 for m values; set by the first call
 
-    def integrand(theta):
-        x = math.tan(theta)
-        pt = np.array([[x]])
-        v = float(np.asarray(h(pt))[0]) * float(mu.pdf(pt)[0])
-        v /= math.cos(theta) ** 2
-        if not math.isfinite(v):
-            witness.append(x)
-            return 0.0
-        return v
+    def column(j):
+        witness = []
 
-    value, err = sp_integrate.quad(
-        integrand, -math.pi / 2, math.pi / 2, limit=300, epsabs=1e-12,
-        epsrel=spec.target_rel_tol,
-    )
-    if witness:
-        raise QuadratureFailure(
-            "non-finite integrand value inside the truncation region", point=witness[0]
+        def integrand(theta):
+            nonlocal width
+            x = math.tan(theta)
+            pt = np.array([[x]])
+            hv = np.asarray(h(pt), dtype=float)
+            if width is None:
+                width = hv.shape[1] if hv.ndim == 2 else 0
+            v = float(hv.reshape(-1)[j]) * float(mu.pdf(pt)[0])
+            v /= math.cos(theta) ** 2
+            if not math.isfinite(v):
+                witness.append(x)
+                return 0.0
+            return v
+
+        value, err = sp_integrate.quad(
+            integrand, -math.pi / 2, math.pi / 2, limit=300, epsabs=1e-12,
+            epsrel=spec.target_rel_tol,
         )
-    return float(value), max(float(err), abs(value) * 1e-15)
+        if witness:
+            raise QuadratureFailure(
+                "non-finite integrand value inside the truncation region", point=witness[0]
+            )
+        return float(value), max(float(err), abs(value) * 1e-15)
+
+    first = column(0)
+    if not width:
+        return first
+    parts = [first] + [column(j) for j in range(1, width)]
+    return np.array([v for v, _ in parts]), np.array([e for _, e in parts])
 
 
 def adaptive_weighted(mu, spec: QuadratureSpec, log_g, factor=None) -> tuple[float, float]:

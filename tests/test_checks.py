@@ -7,6 +7,8 @@ import lshlab as L
 from lshlab import checks
 from lshlab.checks import SHC_NOTE
 from lshlab.errors import InvalidParameter
+from lshlab.fields import _ball_nodes
+from lshlab.quadrature import measure_nodes
 
 
 class TestSlsi:
@@ -235,6 +237,75 @@ class TestDensityApproximation:
             )
             gaps.append(math.sqrt(val))
         assert gaps[1] < gaps[0]
+
+
+def _reference_density_cells(f, mu, p, k_list, r_list, spec):
+    """Cells of check_density_approximation as three separate integrals each:
+    ||g - f||_p, ||E g||_p and, at the largest r, ||g - f_r||_p."""
+    def diff_norm(g, h):
+        val, err = L.integrate(lambda pts: np.abs(g(pts) - h(pts)) ** p, mu, spec)
+        val = max(val, 0.0)
+        norm = val ** (1.0 / p)
+        return norm, (err * norm / (p * val) if val > 0 else err ** (1.0 / p))
+
+    r_max = max(r_list)
+    cells, energies, split = {}, {}, {}
+    for k in k_list:
+        smoothed = L.convolve(f, L.mollifier(mu.dim, k))
+        for r in r_list:
+            g = L.dilate(smoothed, r)
+            cells[(k, r)] = diff_norm(g, f)
+            en, _ = L.integrate(lambda pts: np.abs(L.euler(g, pts)) ** p, mu, spec)
+            energies[(k, r)] = en ** (1.0 / p)
+            if r == r_max:
+                split[k] = diff_norm(g, L.dilate(f, r_max))[0]
+    return cells, energies, split
+
+
+class TestDensityApproximationWork:
+    def test_one_convolution_sweep_per_cell_and_node_set(self, gauss1, gh_spec):
+        batches = []
+
+        def u(pts):
+            batches.append(pts.shape[0])
+            return 0.25 * pts[:, 0]
+
+        f = L.exp_subharmonic(u, 1, grad_u=lambda pts: np.full_like(pts, 0.25),
+                              verify=False)
+        rep = L.check_density_approximation(f, gauss1, 2.0, k_list=(1, 2),
+                                            r_list=(0.9, 0.99), spec=gh_spec)
+        assert rep.passed
+        n = len(measure_nodes(gauss1, gh_spec)[0])
+        n_half = len(measure_nodes(gauss1, gh_spec.halved())[0])
+        inner = len(_ball_nodes(L.mollifier(1, 1))[0])
+        # direct evaluations of f come in batches of at most n points; every
+        # larger batch is the inner field of a convolution sweep
+        swept = sum(m for m in batches if m > n)
+        assert swept == 4 * (n + n_half) * inner
+
+    def test_adaptive_path_matches_separate_integrals(self):
+        mu = L.gen_exponential(0.5, 2, 1)
+        f = L.log_linear([0.25])
+        k_list, r_list = (1, 2), (0.9, 0.99)
+        spec = L.default_spec(mu)
+        assert spec.scheme == "adaptive_1d"
+        rep = L.check_density_approximation(f, mu, 1.0, k_list=k_list, r_list=r_list)
+        cells, energies, split = _reference_density_cells(f, mu, 1.0, k_list, r_list, spec)
+        q = rep.quantities
+        for cell in q["cells"]:
+            e, noise = cells[(cell["k"], cell["r"])]
+            assert not cell["skipped"]
+            assert cell["error"] == pytest.approx(e, rel=1e-9)
+            assert cell["noise"] == pytest.approx(noise, rel=1e-9, abs=1e-14)
+        for row in q["energy_norms"]:
+            assert row["value"] == pytest.approx(energies[(row["k"], row["r"])], rel=1e-9)
+        assert [row["error"] for row in q["split_errors_along_k"]] == pytest.approx(
+            [split[k] for k in k_list], rel=1e-9)
+        # the reference reaches the target and decreases strictly along r (at
+        # the largest k) and along k (split term): a PASS, as reported
+        assert min(e for e, _ in cells.values()) <= 0.01 * q["norm_p"]
+        assert cells[(2, 0.99)][0] < cells[(2, 0.9)][0] and split[2] < split[1]
+        assert rep.passed
 
 
 class TestMonotonicityChecks:

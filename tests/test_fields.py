@@ -214,7 +214,7 @@ class TestConvolve:
             L.convolve(L.log_linear([0.5]), L.mollifier(2, 2))
 
     def test_many_points_match_slices(self):
-        # 70,000 points span three row blocks of the 64-node 1-D rule
+        # 70,000 points span many row blocks of the 64-node 1-D rule
         g = L.convolve(L.cosh_field(0.8), L.mollifier(1, 4))
         xs = np.linspace(-6.0, 6.0, 70_000).reshape(-1, 1)
         slices = [xs[i : i + 1000] for i in range(0, len(xs), 1000)]
@@ -225,6 +225,37 @@ class TestConvolve:
             g.gradient(xs), np.concatenate([g.gradient(s) for s in slices]),
             rtol=1e-12, atol=1e-300,
         )
+
+
+def _joint_cases():
+    # 4,000 1-D points span two row blocks of the 64-node rule and 300 2-D
+    # points three of the 1,600-node rule
+    xs1 = np.linspace(-3.0, 3.0, 4_000).reshape(-1, 1)
+    xs2 = np.random.default_rng(3).standard_normal((300, 2))
+    f1, f2 = L.cosh_field(0.8), L.log_linear([0.5, -0.3])
+    phi1, phi2 = L.mollifier(1, 2), L.mollifier(2, 3)
+    cases = {
+        "convolve-1d": (L.convolve(f1, phi1), xs1),
+        "convolve-2d": (L.convolve(f2, phi2), xs2),
+        "dilate-convolve-1d": (L.dilate(L.convolve(f1, phi1), 0.9), xs1),
+        "dilate-convolve-2d": (L.dilate(L.convolve(f2, phi2), 0.9), xs2),
+        "dilated_convolve-1d": (L.dilated_convolve(f1, phi1, 0.95), xs1),
+        "dilated_convolve-2d": (L.dilated_convolve(f2, phi2, 0.95), xs2),
+        "cosh_field": (f1, xs1),
+    }
+    return [pytest.param(g, xs, id=name) for name, (g, xs) in cases.items()]
+
+
+class TestValueAndGradient:
+    @pytest.mark.parametrize("g, xs", _joint_cases())
+    def test_matches_separate_maps(self, g, xs):
+        v, grad = g.value_and_gradient(xs)
+        np.testing.assert_allclose(v, g(xs), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(grad, g.gradient(xs), rtol=1e-12,
+                                   atol=1e-14 * np.max(np.abs(grad)))
+        v0, g0 = g.value_and_gradient(xs[5])
+        assert isinstance(v0, float) and g0.shape == (g.dim,)
+        np.testing.assert_allclose(v0, v[5], rtol=1e-13)
 
 
 class TestDilatedConvolve:

@@ -5,7 +5,7 @@ import pytest
 
 import lshlab as L
 from lshlab.errors import InvalidParameter, QuadratureFailure
-from lshlab.quadrature import QuadratureSpec
+from lshlab.quadrature import QuadratureSpec, measure_nodes
 
 
 def ones(pts):
@@ -110,6 +110,48 @@ class TestIntegrate:
         # unnormalized full-line mass is 2, so the mean of |x| is 1
         value_abs, _ = L.integrate(lambda pts: np.abs(pts[:, 0]), mu, spec)
         assert value_abs == pytest.approx(1.0, rel=1e-8)
+
+
+def three_columns(pts):
+    x = pts[:, 0]
+    return np.stack([2.0 + np.cos(x), x * x, 1.0 / (1.0 + x * x)], axis=1)
+
+
+class TestVectorIntegrate:
+    @pytest.mark.parametrize("mu, spec", [
+        (L.gaussian(1.0, 1), QuadratureSpec(scheme="gauss_hermite")),
+        (L.gaussian(0.7, 1), QuadratureSpec(scheme="tensor_trapezoid")),
+        (L.gaussian(1.0, 1), QuadratureSpec(scheme="monte_carlo", mc_samples=50_000, seed=4)),
+        (L.gen_exponential(0.5, 2.0, 1), QuadratureSpec(scheme="adaptive_1d")),
+    ], ids=lambda v: getattr(v, "scheme", None) or v.label)
+    def test_columns_match_scalar_integrals(self, mu, spec):
+        values, errs = L.integrate(three_columns, mu, spec)
+        assert values.shape == errs.shape == (3,)
+        for j in range(3):
+            v, e = L.integrate(lambda pts: three_columns(pts)[:, j], mu, spec)
+            assert isinstance(v, float) and isinstance(e, float)
+            np.testing.assert_allclose(values[j], v, rtol=1e-13, atol=0)
+            # a node-doubling error is a difference of close sums: compare it
+            # on the scale of the integral it belongs to
+            np.testing.assert_allclose(errs[j], e, rtol=1e-13, atol=1e-13 * abs(v))
+
+    def test_single_column_stays_an_array(self, gauss1, gh_spec):
+        values, errs = L.integrate(lambda pts: pts[:, :1] ** 2, gauss1, gh_spec)
+        assert values.shape == errs.shape == (1,)
+        assert values[0] == pytest.approx(1.0, rel=1e-12)
+
+    def test_witness_is_the_row_of_the_bad_column(self, gauss1, gh_spec):
+        pts, _ = measure_nodes(gauss1, gh_spec)
+        bad_row = 37
+
+        def h(x):
+            out = np.ones((x.shape[0], 2))
+            out[np.all(x == pts[bad_row], axis=1), 1] = np.nan
+            return out
+
+        with pytest.raises(QuadratureFailure) as err:
+            L.integrate(h, gauss1, gh_spec)
+        np.testing.assert_array_equal(err.value.point, pts[bad_row])
 
 
 class TestLpNorm:
