@@ -244,6 +244,7 @@ def _check_jobs(config: CampaignConfig):
                     mode=entry.get("mode", "slsi"),
                     c_range=(entry.get("c_min", 0.25), entry.get("c_max", 4.0)),
                     spec=spec,
+                    r_grid=entry.get("r_grid", list(checks_mod.DEFAULT_R_GRID)),
                 )
                 return checks_mod.CheckReport(
                     check_id=check_id, kind="best_constant",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .fields import (
 )
 from .functionals import (
     DEFAULT_R_GRID,
-    alpha_with_error,
+    DilationNorms,
     entropy_with_error,
     euler_energy_with_error,
     q_of_r,
@@ -208,34 +208,35 @@ def check_slsi(
     )
 
 
-def check_shc(
-    f: ScalarField,
-    mu: Density,
-    c: float,
-    r_grid: Sequence[float] = DEFAULT_R_GRID,
-    spec: Optional[QuadratureSpec] = None,
-    check_id: str = "shc",
-) -> CheckReport:
-    """Strong hypercontractivity in L^1 form: ||f_r||_{q(r)} <= ||f||_1 and
-    ||f_r||_1 <= ||f||_1 on the r-grid, plus monotonicity of alpha(r)."""
-    spec = spec or default_spec(mu)
-    inputs = {"field": f.label, "measure": mu.label, "c": c, "r_grid": list(r_grid)}
+def _shc_norms(f: ScalarField, mu: Density, spec: QuadratureSpec) -> DilationNorms:
     if f.certificate == "unverified":
         raise InvalidParameter("check_shc requires a certificate-carrying field")
-    try:
-        base, e_base = lp_norm_with_error(f, mu, 1.0, spec)
-    except QuadratureFailure as exc:
-        return _inconclusive(check_id, "shc", inputs, spec, exc)
+    return DilationNorms(f, mu, spec)
 
-    rows = []
-    for r in r_grid:
-        row = {"r": float(r), "q_of_r": q_of_r(r, c)}
+
+def shc_rows(norms: DilationNorms, c: float,
+             r_grid: Sequence[float]) -> Iterator[tuple[dict, float]]:
+    """The r-grid rows of :func:`check_shc` at constant c, one at a time.
+
+    Yields (row, slack), where slack is how far the row's alpha falls below
+    the previous live row's beyond that row's tolerance (0.0 for a skipped
+    row and for the first live one).  A row whose norms fail to integrate, or
+    whose q(r) exceeds Q_GUARD, is skipped.  Raises QuadratureFailure when
+    ||f||_1 cannot be computed.
+    """
+    base, e_base = norms(1.0, 1.0)
+    # an r outside (0, 1] raises here, before any row, so it raises whether
+    # or not a verdict stops early
+    q_list = [q_of_r(r, c) for r in r_grid]
+    prev = None
+    for r, q in zip(r_grid, q_list):
+        row = {"r": float(r), "q_of_r": q}
         try:
-            a, e_a = alpha_with_error(f, mu, c, r, spec)
-            n1, e_n1 = lp_norm_with_error(dilate(f, r), mu, 1.0, spec)
+            a, e_a = norms.alpha(r, c)
+            n1, _ = norms(r, 1.0)
         except (QuadratureFailure, InvalidParameter) as exc:
             row.update({"skipped": True, "reason": str(exc)})
-            rows.append(row)
+            yield row, 0.0
             continue
         tol_rel = INEQ_ABS + NOISE_FACTOR * (e_a + e_base) / max(base, 1e-300)
         row.update(
@@ -249,17 +250,52 @@ def check_shc(
                 "tol_rel": tol_rel,
             }
         )
-        rows.append(row)
+        slack = 0.0 if prev is None else prev["alpha"] - a * (1.0 + prev["tol_rel"])
+        prev = row
+        yield row, slack
 
-    live = [row for row in rows if not row["skipped"]]
-    monotone = True
-    worst_drop = 0.0
-    for prev, nxt in zip(live, live[1:]):
-        slack = prev["alpha"] - nxt["alpha"] * (1.0 + prev["tol_rel"])
-        worst_drop = max(worst_drop, slack)
-        if slack > 0:
-            monotone = False
-    passed = bool(live) and all(row["row_passed"] for row in live) and monotone
+
+def shc_passed(rows: Iterable[tuple[dict, float]]) -> bool:
+    """The sHC verdict on (row, slack) pairs: some row is live, every live row
+    passes, and no slack is positive (alpha is monotone).
+
+    It stops at the first failing row or monotonicity break, so on the
+    generator :func:`shc_rows` no later norm is integrated.
+    """
+    live = False
+    for row, slack in rows:
+        if row["skipped"]:
+            continue
+        if not row["row_passed"] or slack > 0:
+            return False
+        live = True
+    return live
+
+
+def check_shc(
+    f: ScalarField,
+    mu: Density,
+    c: float,
+    r_grid: Sequence[float] = DEFAULT_R_GRID,
+    spec: Optional[QuadratureSpec] = None,
+    check_id: str = "shc",
+) -> CheckReport:
+    """Strong hypercontractivity in L^1 form: ||f_r||_{q(r)} <= ||f||_1 and
+    ||f_r||_1 <= ||f||_1 on the r-grid, plus monotonicity of alpha(r).
+
+    Every row is evaluated; the r = 1 row reuses ||f||_1.
+    """
+    spec = spec or default_spec(mu)
+    inputs = {"field": f.label, "measure": mu.label, "c": c, "r_grid": list(r_grid)}
+    norms = _shc_norms(f, mu, spec)
+    try:
+        base, _ = norms(1.0, 1.0)
+    except QuadratureFailure as exc:
+        return _inconclusive(check_id, "shc", inputs, spec, exc)
+
+    pairs = list(shc_rows(norms, c, r_grid))
+    rows = [row for row, _ in pairs]
+    worst_drop = max([0.0] + [slack for _, slack in pairs])
     return CheckReport(
         check_id=check_id,
         kind="shc",
@@ -267,12 +303,12 @@ def check_shc(
         quantities={
             "norm1": base,
             "rows": rows,
-            "alpha_monotone": monotone,
+            "alpha_monotone": not worst_drop > 0,
             "worst_monotonicity_drop": worst_drop,
-            "skipped_rows": len(rows) - len(live),
+            "skipped_rows": sum(row["skipped"] for row in rows),
         },
         tolerance=INEQ_ABS,
-        passed=passed,
+        passed=shc_passed(pairs),
         notes=[SHC_NOTE],
         spec=spec.to_dict(),
     )
@@ -674,8 +710,12 @@ def best_constant(
 
     In sLSI mode each member is integrated at most once, the first time a step
     reaches it: the deficit is affine in c, so later steps only re-run
-    :func:`slsi_verdict` on the cached (Ent, EE) terms.  In sHC mode every step
-    re-runs :func:`check_shc` on each member it reaches.
+    :func:`slsi_verdict` on the cached (Ent, EE) terms.  In sHC mode each
+    member keeps one :class:`DilationNorms` for the whole search, so ||f||_1
+    and the ||f_r||_1 are integrated once; a step integrates only the
+    alpha(r) at its new q(r), and :func:`shc_passed` stops a member at its
+    first failing row or monotonicity break.  The verdict is the one
+    :func:`check_shc` reports.
     """
     if mode not in ("slsi", "shc"):
         raise InvalidParameter("mode must be 'slsi' or 'shc'")
@@ -694,9 +734,15 @@ def best_constant(
                     terms[i] = None
             return terms[i] is not None and slsi_verdict(terms[i], c)[2]
     else:
+        norms = {}  # battery index -> DilationNorms, kept for the whole search
+
         def member_passes(i: int, c: float) -> bool:
-            rep = check_shc(battery[i], mu, c, r_grid, spec)
-            return not rep.inconclusive and rep.passed
+            if i not in norms:
+                norms[i] = _shc_norms(battery[i], mu, spec)
+            try:
+                return shc_passed(shc_rows(norms[i], c, r_grid))
+            except QuadratureFailure:
+                return False
 
     def passes(c: float) -> bool:
         return all(member_passes(i, c) for i in range(len(battery)))

@@ -29,7 +29,13 @@ from scipy.special import logsumexp
 
 from .errors import InvalidParameter, QuadratureFailure
 from .fields import LOG_FLOOR, VALUE_FLOOR, ScalarField, dilate, euler, power
-from .quadrature import QuadratureSpec, adaptive_weighted, integrate, measure_nodes
+from .quadrature import (
+    QuadratureSpec,
+    adaptive_weighted,
+    integrate,
+    lp_norm_with_error,
+    measure_nodes,
+)
 
 #: q(r) values beyond this guard are rejected (integrands would overflow)
 Q_GUARD = 1e4
@@ -152,13 +158,40 @@ def _checked_q(r: float, c: float) -> float:
     return q
 
 
+class DilationNorms:
+    """||f_r||_{L^q(mu)} of one field with its error estimate, memoised on (r, q).
+
+    ``norms(r, q)`` is ``lp_norm_with_error(dilate(f, r), mu, q, spec)``,
+    integrated the first time it is asked for; a QuadratureFailure is memoised
+    as well and raised again.  ``norms(1, 1)`` is ||f||_1, which is also
+    alpha(1) at every c, since q(1) = 1.
+    """
+
+    def __init__(self, f: ScalarField, mu, spec: QuadratureSpec):
+        self.f, self.mu, self.spec = f, mu, spec
+        self._memo = {}
+
+    def __call__(self, r: float, q: float) -> tuple[float, float]:
+        key = (float(r), float(q))
+        if key not in self._memo:
+            try:
+                self._memo[key] = lp_norm_with_error(dilate(self.f, r), self.mu, q, self.spec)
+            except QuadratureFailure as exc:
+                self._memo[key] = exc
+        hit = self._memo[key]
+        if isinstance(hit, QuadratureFailure):
+            raise hit
+        return hit
+
+    def alpha(self, r: float, c: float) -> tuple[float, float]:
+        """alpha(r) = ||f_r||_{q(r)}; InvalidParameter when q(r) exceeds Q_GUARD."""
+        return self(r, _checked_q(r, c))
+
+
 def alpha_with_error(f: ScalarField, mu, c: float, r: float,
                      spec: QuadratureSpec) -> tuple[float, float]:
     """alpha(r) = ||f_r||_{q(r)} with its quadrature error estimate."""
-    from .quadrature import lp_norm_with_error
-
-    q = _checked_q(r, c)
-    return lp_norm_with_error(dilate(f, r), mu, q, spec)
+    return DilationNorms(f, mu, spec).alpha(r, c)
 
 
 def alpha(f: ScalarField, mu, c: float, r: float, spec: QuadratureSpec) -> float:

@@ -210,10 +210,15 @@ def _integrate_adaptive(h, mu, spec: QuadratureSpec):
             nonlocal width
             x = math.tan(theta)
             pt = np.array([[x]])
+            pdf = float(mu.pdf(pt)[0])
+            if pdf == 0.0 and width is not None:
+                # h may overflow where the measure has no mass; the first
+                # call still evaluates h to learn the column width
+                return 0.0
             hv = np.asarray(h(pt), dtype=float)
             if width is None:
                 width = hv.shape[1] if hv.ndim == 2 else 0
-            v = float(hv.reshape(-1)[j]) * float(mu.pdf(pt)[0])
+            v = float(hv.reshape(-1)[j]) * pdf
             v /= math.cos(theta) ** 2
             if not math.isfinite(v):
                 witness.append(x)

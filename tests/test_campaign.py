@@ -149,6 +149,14 @@ class TestRun:
         )
         assert strip(d1) == strip(d2)
 
+    def test_best_constant_honours_r_grid(self, tmp_path):
+        # with only r = 1, alpha(1) = ||f||_1 and every row is met: c_min
+        raw = minimal_config(checks=[{"check": "best_constant", "measure": "g",
+                                      "fields": ["f"], "mode": "shc", "r_grid": [1.0]}])
+        L.run(CampaignConfig.from_dict(raw), output_dir=tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["checks"][0]["quantities"]["c_star"] == 0.25
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         d1, d2 = tmp_path / "serial", tmp_path / "par"
         L.run("gaussian-sharp", output_dir=d1, jobs=1)

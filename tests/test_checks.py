@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import lshlab as L
-from lshlab import checks
+from lshlab import checks, functionals, quadrature
 from lshlab.checks import SHC_NOTE
-from lshlab.errors import InvalidParameter
+from lshlab.errors import InvalidParameter, QuadratureFailure
 from lshlab.fields import _ball_nodes
 from lshlab.quadrature import measure_nodes
 
@@ -307,6 +307,17 @@ class TestDensityApproximationWork:
         assert cells[(2, 0.99)][0] < cells[(2, 0.9)][0] and split[2] < split[1]
         assert rep.passed
 
+    def test_adaptive_square_skips_tail_where_density_vanishes(self):
+        # |g - f|^2 overflows beyond x ~ 1420, where the N(0, 1) density is
+        # exactly 0; those points contribute 0 instead of a non-finite value
+        mu = L.gen_exponential(0.5, 2, 1)
+        rep = L.check_density_approximation(L.log_linear([0.25]), mu, 2.0,
+                                            k_list=(1, 2), r_list=(0.9, 0.99))
+        assert not rep.inconclusive and rep.passed
+        # ||e^{x/4}||_2 = (E e^{x/2})^{1/2} = e^{1/16}
+        assert rep.quantities["norm_p"] == pytest.approx(math.exp(0.0625), rel=1e-12)
+        assert not any(cell["skipped"] for cell in rep.quantities["cells"])
+
 
 class TestMonotonicityChecks:
     def test_squared_norm_euler_scaling(self):
@@ -463,6 +474,131 @@ class TestBestConstantSlsiCache:
             deficit, tol, passed = checks.slsi_verdict(terms, c)
             assert (rep.quantities["deficit"], rep.tolerance, rep.passed) == (
                 deficit, tol, passed)
+
+
+def _reference_shc_best_constant(battery, mu, c_range, spec, resolution=1e-3):
+    """Bisection that re-runs check_shc on every member at every step."""
+    def passes(c):
+        for f in battery:
+            rep = L.check_shc(f, mu, c, spec=spec)
+            if rep.inconclusive or not rep.passed:
+                return False
+        return True
+
+    lo, hi = float(c_range[0]), float(c_range[1])
+    if passes(lo):
+        return lo
+    if not passes(hi):
+        return hi
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return round(0.5 * (lo + hi) / resolution) * resolution
+
+
+def _reference_shc(f, mu, c, spec):
+    """check_shc's (quantities, passed) with alpha and ||f_r||_1 integrated
+    afresh on every row of the default r-grid, r = 1 included."""
+    base, e_base = quadrature.lp_norm_with_error(f, mu, 1.0, spec)
+    rows = []
+    for r in functionals.DEFAULT_R_GRID:
+        row = {"r": float(r), "q_of_r": L.q_of_r(r, c)}
+        try:
+            a, e_a = functionals.alpha_with_error(f, mu, c, r, spec)
+            n1, _ = quadrature.lp_norm_with_error(L.dilate(f, r), mu, 1.0, spec)
+        except (QuadratureFailure, InvalidParameter) as exc:
+            row.update({"skipped": True, "reason": str(exc)})
+            rows.append(row)
+            continue
+        tol_rel = checks.INEQ_ABS + checks.NOISE_FACTOR * (e_a + e_base) / max(base, 1e-300)
+        row.update({"skipped": False, "alpha": a, "norm1": n1, "deficit": base - a,
+                    "row_passed": bool(a <= base * (1.0 + tol_rel))
+                    and bool(n1 <= base * (1.0 + tol_rel)),
+                    "tol_rel": tol_rel})
+        rows.append(row)
+    live = [row for row in rows if not row["skipped"]]
+    monotone, worst_drop = True, 0.0
+    for prev, nxt in zip(live, live[1:]):
+        slack = prev["alpha"] - nxt["alpha"] * (1.0 + prev["tol_rel"])
+        worst_drop = max(worst_drop, slack)
+        monotone = monotone and not slack > 0
+    quantities = {"norm1": base, "rows": rows, "alpha_monotone": monotone,
+                  "worst_monotonicity_drop": worst_drop,
+                  "skipped_rows": len(rows) - len(live)}
+    return quantities, bool(live) and all(row["row_passed"] for row in live) and monotone
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """(field label, p) of every lp_norm_with_error call, in call order."""
+    calls = []
+    orig = quadrature.lp_norm_with_error
+
+    def counting(f, mu, p, spec):
+        calls.append((f.label, p))
+        return orig(f, mu, p, spec)
+
+    for mod in (quadrature, functionals, checks):
+        monkeypatch.setattr(mod, "lp_norm_with_error", counting, raising=False)
+    return calls
+
+
+class TestBestConstantShcNorms:
+    @pytest.mark.parametrize("battery, mu, c_range", [
+        (L.default_battery(1), L.gaussian(1.0, 1), checks.DEFAULT_C_RANGE),
+        ([L.log_linear([0.4]), L.log_linear([0.8])], L.gen_exponential(0.5, 2, 1),
+         checks.DEFAULT_C_RANGE),
+        ([L.log_linear([0.8]), L.cosh_field(0.5)], L.gaussian(1.0, 1), (0.1, 4.0)),
+        ([L.log_linear([0.4]), _mollified(), L.cosh_field(0.8)],
+         L.gen_exponential(0.5, 2, 1), checks.DEFAULT_C_RANGE),
+    ], ids=["default_battery", "adaptive", "q_guard_rows", "inconclusive"])
+    def test_matches_reference_bisection(self, battery, mu, c_range):
+        spec = L.default_spec(mu)
+        expected = _reference_shc_best_constant(battery, mu, c_range, spec)
+        assert L.best_constant(battery, mu, "shc", c_range=c_range, spec=spec) == expected
+
+    @pytest.mark.parametrize("battery, mu", [
+        (L.default_battery(1), L.gaussian(1.0, 1)),
+        ([L.log_linear([0.4]), L.log_linear([0.8])], L.gen_exponential(0.5, 2, 1)),
+    ], ids=["gauss_hermite", "adaptive"])
+    def test_each_norm_integrated_at_most_once(self, battery, mu, norm_calls):
+        c_star = L.best_constant(battery, mu, "shc")
+        assert c_star == pytest.approx(1.0, abs=1e-3)
+        assert len(set(norm_calls)) == len(norm_calls)
+        # passes(c_max) reaches every member: ||f||_1 of each is among them
+        assert {f.label for f in battery} <= {label for label, _ in norm_calls}
+
+    @pytest.mark.parametrize("f, mu, c", [
+        (L.log_linear([0.8]), L.gaussian(1.0, 1), 1.0),
+        (L.log_linear([0.8]), L.gaussian(1.0, 1), 0.5),
+        (L.cosh_field(0.8), L.gaussian(1.0, 1), 0.1),
+        (L.log_linear([0.4]), L.gen_exponential(0.5, 2, 1), 1.0),
+    ], ids=["pass", "fail", "q_guard_rows", "adaptive"])
+    def test_check_shc_report_unchanged_without_r1_integrals(self, f, mu, c, norm_calls):
+        spec = L.default_spec(mu)
+        expected = _reference_shc(f, mu, c, spec)
+        reference_calls = len(norm_calls)
+        del norm_calls[:]
+        rep = L.check_shc(f, mu, c, spec=spec)
+        assert (rep.quantities, rep.passed) == expected
+        # the r = 1 row is alpha(1) = ||f_1||_1 = ||f||_1, already integrated
+        assert len(norm_calls) == reference_calls - 2
+
+    def test_failure_memoised_and_raised_again(self, norm_calls):
+        mu = L.gen_exponential(0.5, 2, 1)
+        norms = functionals.DilationNorms(_mollified(), mu, L.default_spec(mu))
+        for _ in range(2):
+            with pytest.raises(QuadratureFailure):
+                norms(1.0, 1.0)
+        assert len(norm_calls) == 1
+
+    def test_uncertified_member_rejected(self, gauss1, gh_spec):
+        raw = L.raw_field(lambda pts: np.exp(pts[:, 0]), 1, label="raw")
+        with pytest.raises(InvalidParameter):
+            L.best_constant([L.cosh_field(0.8), raw], gauss1, "shc", spec=gh_spec)
 
 
 class TestWitness:
