@@ -34,7 +34,6 @@ from .fields import (
     squared_norm,
 )
 from .functionals import (
-    HCParams,
     alpha,
     alpha_prime_analytic,
     alpha_prime_fd,

@@ -16,6 +16,8 @@ Composite measures nest ({"op": "mix", "first": {...}, "second": {...},
 "t": 0.5}; ops: mix, product, convolve, shift) and fields compose the same
 way ({"builder": "power", "base": {...}, "exponent": 2}).  ``scheme: "auto"``
 resolves per target measure; the resolved spec is echoed in every report.
+Check kinds live in one table, ``CHECKS``: validation, the run, ``lshlab
+check`` and ``lshlab list`` all read each kind's call and entry keys from it.
 
 Outputs: report.json (all check reports; deterministic apart from the
 ``generated_at`` field), summary.txt, and one CSV of (r, alpha) rows per
@@ -31,42 +33,96 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
-
-import numpy as np
+from typing import Callable
 
 from . import checks as checks_mod
 from . import fields as fields_mod
 from . import measures as measures_mod
-from .errors import ConfigError, InvalidParameter, LabError
+from .errors import ConfigError, LabError
 from .quadrature import SCHEMES, QuadratureSpec, default_spec
 
-CHECK_KINDS = (
-    "best_constant",
-    "density_approx",
-    "dilated_convolution_bound",
-    "dilation_bound",
-    "general_shc",
-    "radial_euler_scaling",
-    "shc",
-    "slsi",
-    "spherical_monotone",
-)
+# ---------------------------------------------------------------------------
+# check kinds
+# ---------------------------------------------------------------------------
 
-MEASURE_OPS = ("mix", "product", "convolve", "shift")
+@dataclass(frozen=True)
+class CheckKind:
+    """How a check entry runs, and which entry keys it reads.
 
-FIELD_BUILDERS = (
-    "constant",
-    "cosh",
-    "dilate",
-    "exp_norm_sq",
-    "log_linear",
-    "modulus_holomorphic",
-    "mollified",
-    "power",
-    "product",
-    "squared_norm",
-)
+    ``row(target, mu, spec, entry, check_id)`` fills the entry's missing
+    ``defaults`` and calls ``run`` with it.  ``target`` is one field, or the
+    whole battery for an ``over_battery`` kind, which runs once per entry.
+    """
+
+    run: Callable
+    required: tuple = ()
+    defaults: dict = dc_field(default_factory=dict)
+    needs_measure: bool = True
+    over_battery: bool = False
+
+    def __call__(self, target, mu, spec, entry: dict, check_id: str):
+        return self.run(target, mu, spec, {**self.defaults, **entry}, check_id)
+
+
+def _best_constant(battery, mu, spec, e, check_id):
+    c_star = checks_mod.best_constant(
+        battery, mu, mode=e["mode"], c_range=(e["c_min"], e["c_max"]), spec=spec,
+        r_grid=e["r_grid"],
+    )
+    return checks_mod.CheckReport(
+        check_id=check_id, kind="best_constant",
+        inputs={"measure": mu.label, "mode": e["mode"],
+                "battery": [f.label for f in battery]},
+        quantities={"c_star": c_star},
+        tolerance=checks_mod.BISECTION_RESOLUTION,
+        passed=True, spec=spec.to_dict(),
+    )
+
+
+#: every campaign check kind; ``lshlab check`` runs the same rows
+CHECKS = {
+    "best_constant": CheckKind(
+        _best_constant, over_battery=True,
+        defaults={"mode": "slsi", "c_min": 0.25, "c_max": 4.0,
+                  "r_grid": list(checks_mod.DEFAULT_R_GRID)}),
+    "density_approx": CheckKind(
+        lambda f, mu, spec, e, cid: checks_mod.check_density_approximation(
+            f, mu, float(e["p"]), e["k_list"], e["r_list"], spec, e["eps_target"], cid),
+        defaults={"p": 1.0, "k_list": [1, 2, 4, 8, 16], "r_list": [0.9, 0.95, 0.99],
+                  "eps_target": None}),
+    "dilated_convolution_bound": CheckKind(
+        lambda f, mu, spec, e, cid: checks_mod.check_dilated_convolution_bound(
+            f, mu, float(e["p"]), fields_mod.mollifier(mu.dim, int(e["k"])), float(e["r"]),
+            spec, cid),
+        required=("p", "r"), defaults={"k": 4}),
+    "dilation_bound": CheckKind(
+        lambda f, mu, spec, e, cid: checks_mod.check_dilation_bound(
+            f, mu, float(e["p"]), float(e["r"]), spec, cid),
+        required=("p", "r")),
+    "general_shc": CheckKind(
+        lambda f, mu, spec, e, cid: checks_mod.check_general_shc(
+            f, mu, float(e["c"]), float(e["p"]), float(e["q"]), spec, cid),
+        required=("c", "p", "q")),
+    "radial_euler_scaling": CheckKind(
+        lambda f, mu, spec, e, cid: checks_mod.check_radial_euler_scaling(
+            f, tol=float(e["tol"]), check_id=cid),
+        defaults={"tol": 1e-7}, needs_measure=False),
+    "shc": CheckKind(
+        lambda f, mu, spec, e, cid: checks_mod.check_shc(
+            f, mu, float(e["c"]), e["r_grid"], spec, cid),
+        required=("c",), defaults={"r_grid": list(checks_mod.DEFAULT_R_GRID)}),
+    "slsi": CheckKind(
+        lambda f, mu, spec, e, cid: checks_mod.check_slsi(f, mu, float(e["c"]), spec, cid),
+        required=("c",)),
+    "spherical_monotone": CheckKind(
+        lambda f, mu, spec, e, cid: checks_mod.check_spherical_monotonicity(
+            f, tol=float(e["tol"]), check_id=cid),
+        defaults={"tol": 1e-7}, needs_measure=False),
+}
+CHECK_KINDS = tuple(sorted(CHECKS))
+
 
 PRESETS = ("gaussian-sharp",)
 
@@ -126,23 +182,23 @@ class CampaignConfig:
                 raise ConfigError(
                     f"checks[{idx}]: unknown check {kind!r}; choose from {CHECK_KINDS}"
                 )
+            row = CHECKS[kind]
+            where = f"checks[{idx}] ({kind})"
+            _require(entry, (("measure",) if row.needs_measure else ()) + row.required, where)
             measure = entry.get("measure")
-            if kind not in ("spherical_monotone", "radial_euler_scaling"):
-                if measure is None:
-                    raise ConfigError(f"checks[{idx}] ({kind}): missing 'measure'")
-                if measure not in self.measures:
-                    raise ConfigError(
-                        f"checks[{idx}] ({kind}): references undeclared measure {measure!r}"
-                    )
-            elif measure is not None and measure not in self.measures:
-                raise ConfigError(
-                    f"checks[{idx}] ({kind}): references undeclared measure {measure!r}"
-                )
+            if measure is not None and measure not in self.measures:
+                raise ConfigError(f"{where}: references undeclared measure {measure!r}")
             for fname in entry.get("fields", []):
                 if fname not in self.fields:
-                    raise ConfigError(
-                        f"checks[{idx}] ({kind}): references undeclared field {fname!r}"
-                    )
+                    raise ConfigError(f"{where}: references undeclared field {fname!r}")
+
+
+def _require(decl: dict, keys, where: str):
+    """ConfigError naming ``where`` and the first of ``keys`` that ``decl``
+    lacks or sets to null."""
+    for key in keys:
+        if decl.get(key) is None:
+            raise ConfigError(f"{where}: missing {key!r}")
 
 
 def load_config(path) -> CampaignConfig:
@@ -161,51 +217,66 @@ def dump_config(config: CampaignConfig) -> str:
 # declaration builders
 # ---------------------------------------------------------------------------
 
+#: measure op -> (required keys, build from the declaration)
+_MEASURE_OPS = {
+    "mix": (("first", "second", "t"), lambda d: measures_mod.mix(
+        build_measure(d["first"]), build_measure(d["second"]), float(d["t"]))),
+    "product": (("first", "second"), lambda d: measures_mod.product(
+        build_measure(d["first"]), build_measure(d["second"]))),
+    "convolve": (("first", "second"), lambda d: measures_mod.convolve_measures(
+        build_measure(d["first"]), build_measure(d["second"]))),
+    "shift": (("base", "offset"), lambda d: measures_mod.shift(
+        build_measure(d["base"]), d["offset"])),
+}
+MEASURE_OPS = tuple(_MEASURE_OPS)
+
+
+def _mollified(decl: dict) -> fields_mod.ScalarField:
+    base = build_field(decl["base"])
+    return fields_mod.convolve(base, fields_mod.mollifier(base.dim, int(decl.get("k", 4))))
+
+
+#: field builder -> (required keys, build from the declaration)
+_FIELD_BUILDERS = {
+    "constant": (("value",), lambda d: fields_mod.constant(
+        float(d["value"]), int(d.get("dim", 1)))),
+    "cosh": (("lam",), lambda d: fields_mod.cosh_field(float(d["lam"]))),
+    "dilate": (("base", "r"), lambda d: fields_mod.dilate(
+        build_field(d["base"]), float(d["r"]))),
+    "exp_norm_sq": (("lam",), lambda d: fields_mod.exp_norm_sq(
+        float(d["lam"]), int(d.get("dim", 1)))),
+    "log_linear": (("lam",), lambda d: fields_mod.log_linear(d["lam"])),
+    "modulus_holomorphic": (("coeffs",), lambda d: fields_mod.modulus_holomorphic(
+        [complex(re, im) for re, im in d["coeffs"]])),
+    "mollified": (("base",), _mollified),
+    "power": (("base", "exponent"), lambda d: fields_mod.power(
+        build_field(d["base"]), float(d["exponent"]))),
+    "product": (("first", "second"), lambda d: fields_mod.product_field(
+        build_field(d["first"]), build_field(d["second"]))),
+    "squared_norm": ((), lambda d: fields_mod.squared_norm(int(d.get("dim", 1)))),
+}
+FIELD_BUILDERS = tuple(sorted(_FIELD_BUILDERS))
+
+
 def build_measure(decl: dict) -> measures_mod.Density:
     if "family" in decl:
         params = {k: v for k, v in decl.items() if k not in ("family", "dim")}
         return measures_mod.make_builtin(decl["family"], params, int(decl.get("dim", 1)))
     op = decl.get("op")
-    if op == "mix":
-        return measures_mod.mix(
-            build_measure(decl["first"]), build_measure(decl["second"]), float(decl["t"])
-        )
-    if op == "product":
-        return measures_mod.product(build_measure(decl["first"]), build_measure(decl["second"]))
-    if op == "convolve":
-        return measures_mod.convolve_measures(
-            build_measure(decl["first"]), build_measure(decl["second"])
-        )
-    if op == "shift":
-        return measures_mod.shift(build_measure(decl["base"]), decl["offset"])
-    raise ConfigError(f"measure declaration needs 'family' or 'op' in {MEASURE_OPS}: {decl}")
+    if op not in MEASURE_OPS:
+        raise ConfigError(f"measure declaration needs 'family' or 'op' in {MEASURE_OPS}: {decl}")
+    required, build = _MEASURE_OPS[op]
+    _require(decl, required, f"measure declaration {decl}")
+    return build(decl)
 
 
 def build_field(decl: dict) -> fields_mod.ScalarField:
     builder = decl.get("builder")
-    if builder == "log_linear":
-        return fields_mod.log_linear(decl["lam"])
-    if builder == "constant":
-        return fields_mod.constant(float(decl["value"]), int(decl.get("dim", 1)))
-    if builder == "cosh":
-        return fields_mod.cosh_field(float(decl["lam"]))
-    if builder == "power":
-        return fields_mod.power(build_field(decl["base"]), float(decl["exponent"]))
-    if builder == "product":
-        return fields_mod.product_field(build_field(decl["first"]), build_field(decl["second"]))
-    if builder == "dilate":
-        return fields_mod.dilate(build_field(decl["base"]), float(decl["r"]))
-    if builder == "mollified":
-        base = build_field(decl["base"])
-        return fields_mod.convolve(base, fields_mod.mollifier(base.dim, int(decl.get("k", 4))))
-    if builder == "modulus_holomorphic":
-        coeffs = [complex(re, im) for re, im in decl["coeffs"]]
-        return fields_mod.modulus_holomorphic(coeffs)
-    if builder == "exp_norm_sq":
-        return fields_mod.exp_norm_sq(float(decl["lam"]), int(decl.get("dim", 1)))
-    if builder == "squared_norm":
-        return fields_mod.squared_norm(int(decl.get("dim", 1)))
-    raise ConfigError(f"unknown field builder {builder!r}; choose from {FIELD_BUILDERS}")
+    if builder not in FIELD_BUILDERS:
+        raise ConfigError(f"unknown field builder {builder!r}; choose from {FIELD_BUILDERS}")
+    required, build = _FIELD_BUILDERS[builder]
+    _require(decl, required, f"field declaration {decl}")
+    return build(decl)
 
 
 def resolve_spec(block: dict, mu, seed: int) -> QuadratureSpec:
@@ -224,76 +295,25 @@ def resolve_spec(block: dict, mu, seed: int) -> QuadratureSpec:
 # ---------------------------------------------------------------------------
 
 def _check_jobs(config: CampaignConfig):
-    """Materialize one thunk per (check entry, field) pair."""
+    """Materialize one thunk per (check entry, field) pair, or per entry for a
+    kind that runs over its battery."""
     measures = {name: build_measure(decl) for name, decl in config.measures.items()}
     fields = {name: build_field(decl) for name, decl in config.fields.items()}
     jobs = []
     for idx, entry in enumerate(config.checks):
         kind = entry["check"]
+        row = CHECKS[kind]
         mu = measures.get(entry.get("measure"))
         spec = resolve_spec(config.quadrature, mu, config.seed) if mu is not None else None
         fnames = entry.get("fields", [])
-
-        if kind == "best_constant":
-            check_id = f"{idx:03d}-best_constant-{entry.get('measure')}"
+        if row.over_battery:
             battery = [fields[n] for n in fnames] or checks_mod.default_battery(mu.dim)
-
-            def job(mu=mu, battery=battery, entry=entry, spec=spec, check_id=check_id):
-                c_star = checks_mod.best_constant(
-                    battery, mu,
-                    mode=entry.get("mode", "slsi"),
-                    c_range=(entry.get("c_min", 0.25), entry.get("c_max", 4.0)),
-                    spec=spec,
-                    r_grid=entry.get("r_grid", list(checks_mod.DEFAULT_R_GRID)),
-                )
-                return checks_mod.CheckReport(
-                    check_id=check_id, kind="best_constant",
-                    inputs={"measure": mu.label, "mode": entry.get("mode", "slsi"),
-                            "battery": [f.label for f in battery]},
-                    quantities={"c_star": c_star},
-                    tolerance=checks_mod.BISECTION_RESOLUTION,
-                    passed=True, spec=spec.to_dict(),
-                )
-
-            jobs.append((check_id, job))
-            continue
-
-        for fname in fnames:
-            f = fields[fname]
-            check_id = f"{idx:03d}-{kind}-{entry.get('measure', 'nomeasure')}-{fname}"
-
-            def job(kind=kind, f=f, mu=mu, entry=entry, spec=spec, check_id=check_id):
-                if kind == "slsi":
-                    return checks_mod.check_slsi(f, mu, float(entry["c"]), spec, check_id)
-                if kind == "shc":
-                    r_grid = entry.get("r_grid", list(checks_mod.DEFAULT_R_GRID))
-                    return checks_mod.check_shc(f, mu, float(entry["c"]), r_grid, spec, check_id)
-                if kind == "general_shc":
-                    return checks_mod.check_general_shc(
-                        f, mu, float(entry["c"]), float(entry["p"]), float(entry["q"]),
-                        spec, check_id)
-                if kind == "dilation_bound":
-                    return checks_mod.check_dilation_bound(
-                        f, mu, float(entry["p"]), float(entry["r"]), spec, check_id)
-                if kind == "dilated_convolution_bound":
-                    phi = fields_mod.mollifier(mu.dim, int(entry.get("k", 4)))
-                    return checks_mod.check_dilated_convolution_bound(
-                        f, mu, float(entry["p"]), phi, float(entry["r"]), spec, check_id)
-                if kind == "density_approx":
-                    return checks_mod.check_density_approximation(
-                        f, mu, float(entry.get("p", 1.0)),
-                        entry.get("k_list", [1, 2, 4, 8, 16]),
-                        entry.get("r_list", [0.9, 0.95, 0.99]),
-                        spec, entry.get("eps_target"), check_id)
-                if kind == "spherical_monotone":
-                    return checks_mod.check_spherical_monotonicity(
-                        f, tol=float(entry.get("tol", 1e-7)), check_id=check_id)
-                if kind == "radial_euler_scaling":
-                    return checks_mod.check_radial_euler_scaling(
-                        f, tol=float(entry.get("tol", 1e-7)), check_id=check_id)
-                raise ConfigError(f"unhandled check kind {kind!r}")
-
-            jobs.append((check_id, job))
+            targets = [(f"{idx:03d}-{kind}-{entry.get('measure')}", battery)]
+        else:
+            targets = [(f"{idx:03d}-{kind}-{entry.get('measure', 'nomeasure')}-{n}", fields[n])
+                       for n in fnames]
+        jobs += [(check_id, partial(row, target, mu, spec, entry, check_id))
+                 for check_id, target in targets]
     return jobs
 
 

@@ -17,7 +17,6 @@ import sys
 
 from . import campaign as campaign_mod
 from . import checks as checks_mod
-from . import fields as fields_mod
 from . import measures as measures_mod
 from .errors import LabError, TypeConditionViolation
 
@@ -65,38 +64,21 @@ def _cmd_run(args) -> int:
     return campaign_mod.run(args.config, output_dir=args.output_dir, jobs=args.jobs)
 
 
-#: the check kinds ``lshlab check`` runs; best_constant has its own subcommand
-_CHECKS = {
-    "slsi": lambda f, mu, spec, a: checks_mod.check_slsi(f, mu, a.c, spec),
-    "shc": lambda f, mu, spec, a: checks_mod.check_shc(f, mu, a.c, spec=spec),
-    "general_shc": lambda f, mu, spec, a: checks_mod.check_general_shc(
-        f, mu, a.c, a.p, a.q, spec),
-    "dilation_bound": lambda f, mu, spec, a: checks_mod.check_dilation_bound(
-        f, mu, a.p, a.r, spec),
-    "dilated_convolution_bound": lambda f, mu, spec, a: (
-        checks_mod.check_dilated_convolution_bound(
-            f, mu, a.p, fields_mod.mollifier(mu.dim, a.k), a.r, spec)),
-    "density_approx": lambda f, mu, spec, a: checks_mod.check_density_approximation(
-        f, mu, a.p, spec=spec),
-    "spherical_monotone": lambda f, mu, spec, a: checks_mod.check_spherical_monotonicity(f),
-    "radial_euler_scaling": lambda f, mu, spec, a: checks_mod.check_radial_euler_scaling(f),
-}
-
-
 def _cmd_check(args) -> int:
-    mu = campaign_mod.build_measure(_measure_decl(args.measure, args.dim))
     config = campaign_mod.CampaignConfig.from_dict(
         {
             "seed": args.seed,
             "quadrature": {"scheme": "auto"},
             "measures": {"m": _measure_decl(args.measure, args.dim)},
             "fields": {"f": _field_decl(args.field)},
-            "checks": [],
+            "checks": [{"check": args.check, "measure": "m", "fields": ["f"],
+                        **{key: getattr(args, key) for key in "cpqrk"}}],
         }
     )
+    mu = campaign_mod.build_measure(config.measures["m"])
     f = campaign_mod.build_field(config.fields["f"])
-    spec = campaign_mod.resolve_spec(config.quadrature, mu, args.seed)
-    rep = _CHECKS[args.check](f, mu, spec, args)
+    spec = campaign_mod.resolve_spec(config.quadrature, mu, config.seed)
+    rep = campaign_mod.CHECKS[args.check](f, mu, spec, config.checks[0], args.check)
     print(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
     if rep.inconclusive:
         print("status: INCONCLUSIVE", file=sys.stderr)
@@ -136,8 +118,12 @@ def _cmd_list(args) -> int:
     for name in sorted(campaign_mod.FIELD_BUILDERS):
         print(f"  {name}")
     print("checks:")
-    for name in sorted(campaign_mod.CHECK_KINDS):
-        print(f"  {name}")
+    for name in campaign_mod.CHECK_KINDS:
+        row = campaign_mod.CHECKS[name]
+        keys = list(row.required) + [f"[{k}={json.dumps(v)}]" for k, v in row.defaults.items()]
+        if not row.needs_measure:
+            keys.append("(no measure)")
+        print(f"  {name:26s} {' '.join(keys)}")
     print("presets:")
     for name in sorted(campaign_mod.PRESETS):
         print(f"  {name}")
@@ -160,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run one check ad hoc from flags")
     p_check.add_argument(
-        "--check", required=True, choices=sorted(_CHECKS),
+        "--check", required=True,
+        choices=[k for k in campaign_mod.CHECK_KINDS if not campaign_mod.CHECKS[k].over_battery],
         help="check kind; for the best constant use the best-c subcommand",
     )
     p_check.add_argument("--measure", default="gaussian")

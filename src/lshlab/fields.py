@@ -29,6 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParameter, SubharmonicityError
+from .quadrature import tensor_grid
 
 Array = np.ndarray
 
@@ -181,8 +182,11 @@ def log_linear(lam) -> ScalarField:
         raise InvalidParameter("log_linear requires a finite coefficient vector")
     dim = lam.shape[0]
 
+    # e^{lam . x} may overflow to inf; integrals turn that into a
+    # QuadratureFailure carrying the point, so the warning is redundant
     def val(pts):
-        return np.exp(pts @ lam)
+        with np.errstate(over="ignore"):
+            return np.exp(pts @ lam)
 
     return ScalarField(
         dim=dim,
@@ -191,7 +195,7 @@ def log_linear(lam) -> ScalarField:
         label=f"log_linear({np.array2string(lam, separator=',')})",
         _value=val,
         _log_value=lambda pts: pts @ lam,
-        _gradient=lambda pts: np.exp(pts @ lam)[:, None] * lam[None, :],
+        _gradient=lambda pts: val(pts)[:, None] * lam[None, :],
     )
 
 
@@ -439,15 +443,7 @@ def _unit_bump_mass(dim: int) -> float:
     """Integral of exp(-1/(1-|u|^2)) over the unit ball, by Gauss-Legendre."""
     n = {1: 400, 2: 160, 3: 96}[dim]
     t, w = np.polynomial.legendre.leggauss(n)
-    if dim == 1:
-        vals = np.exp(-1.0 / (1.0 - t**2))
-        return float(vals @ w)
-    grids = np.meshgrid(*([t] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wt = w
-    for _ in range(dim - 1):
-        wt = np.multiply.outer(wt, w)
-    wts = wt.ravel()
+    pts, wts = tensor_grid(t, dim, w)
     r2 = np.sum(pts * pts, axis=1)
     vals = np.zeros(pts.shape[0])
     inside = r2 < 1.0
@@ -556,16 +552,7 @@ def _ball_nodes(phi: Mollifier, want_gradient: bool = True, raw: bool = False,
     t, w = np.polynomial.legendre.leggauss(n1)
     t = t * s
     w = w * s
-    if phi.dim == 1:
-        y = t.reshape(-1, 1)
-        wts = w
-    else:
-        grids = np.meshgrid(*([t] * phi.dim), indexing="ij")
-        y = np.stack([g.ravel() for g in grids], axis=1)
-        wt = w
-        for _ in range(phi.dim - 1):
-            wt = np.multiply.outer(wt, w)
-        wts = wt.ravel()
+    y, wts = tensor_grid(t, phi.dim, w)
     vals = phi._values(y)
     c = wts * vals
     if raw:

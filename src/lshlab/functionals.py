@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -56,33 +54,6 @@ def r_of_pq(p: float, q: float, c: float) -> float:
     if not (0.0 < p <= q):
         raise InvalidParameter("require 0 < p <= q")
     return (p / q) ** (c / 2.0)
-
-
-@dataclass(frozen=True)
-class HCParams:
-    """Hypercontractivity parameters: constant c, r-grid, exponent pair."""
-
-    c: float
-    r_grid: tuple = DEFAULT_R_GRID
-    p: float = 1.0
-    q: float = 1.0
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise InvalidParameter("c must be positive")
-        rg = tuple(float(r) for r in self.r_grid)
-        if not rg or any(not (0 < r <= 1) for r in rg) or list(rg) != sorted(set(rg)):
-            raise InvalidParameter("r_grid must be a finite increasing list in (0, 1]")
-        if not (0 < self.p <= self.q):
-            raise InvalidParameter("require 0 < p <= q")
-        object.__setattr__(self, "r_grid", rg)
-
-    def q_of_r(self, r: float) -> float:
-        return q_of_r(r, self.c)
-
-    @property
-    def contraction_time(self) -> float:
-        return r_of_pq(self.p, self.q, self.c)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +184,9 @@ def _grad_log(fr: ScalarField, pts) -> np.ndarray:
         )
     out = np.zeros_like(e)
     ok = ~floored
-    out[ok] = e[ok] / vals[ok]
+    with np.errstate(invalid="ignore"):
+        # inf / inf where f_r overflows: the NaN fails the integral, with its witness
+        out[ok] = e[ok] / vals[ok]
     return out
 
 

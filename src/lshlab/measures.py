@@ -21,6 +21,7 @@ bounds are exercised by the check suite.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -28,6 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import interpolate, signal, special
 
+from . import quadrature
 from .errors import EvaluationFailure, InvalidParameter, TypeConditionViolation
 from .fields import _batch
 
@@ -113,7 +115,6 @@ def gaussian(sigma: float = 1.0, dim: int = 1) -> Density:
     if sigma <= 0:
         raise InvalidParameter("gaussian scale must be positive")
     _validate_dim(dim)
-    from . import quadrature
 
     mass_1d, _ = quadrature.line_mass(lambda x: -x * x / (2.0 * sigma**2))
     norm = mass_1d**dim
@@ -142,7 +143,6 @@ def gen_exponential(c: float = 1.0, a: float = 1.0, dim: int = 1) -> Density:
     if c <= 0 or a <= 0:
         raise InvalidParameter("gen_exponential requires c > 0 and a > 0")
     _validate_dim(dim)
-    from . import quadrature
 
     norm = quadrature.radial_mass(lambda t: -c * t**a, dim)
     # radius with tail mass below 1e-12, from the incomplete-gamma inverse
@@ -183,7 +183,6 @@ def poly_tail(alpha: float, dim: int = 1) -> Density:
         raise InvalidParameter("poly_tail requires alpha > 1/2 for integrability")
     if dim != 1:
         raise InvalidParameter("poly_tail is one-dimensional")
-    from . import quadrature
 
     norm, _ = quadrature.line_mass(lambda x: -alpha * np.log1p(x * x))
     nu = 2.0 * alpha - 1.0
@@ -259,6 +258,11 @@ def make_builtin(kind: str, params: dict, dim: int) -> Density:
     unknown = set(params) - set(names)
     if unknown:
         raise InvalidParameter(f"unexpected parameters {sorted(unknown)} for {kind}")
+    sig = inspect.signature(ctor).parameters
+    missing = [name for name in names
+               if name not in params and sig[name].default is sig[name].empty]
+    if missing:
+        raise InvalidParameter(f"{kind} needs parameter {missing[0]!r}")
     kwargs = {name: params[name] for name in names if name in params}
     return ctor(dim=dim, **kwargs)
 
@@ -374,11 +378,7 @@ def convolve_measures(
     L = _CONV_EXTENT_FACTOR * (mu1.truncation_radius + mu2.truncation_radius)
     axis = np.linspace(-L, L, M)
     h = axis[1] - axis[0]
-    if n == 1:
-        pts = axis.reshape(-1, 1)
-    else:
-        grids = np.meshgrid(*([axis] * n), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = quadrature.tensor_grid(axis, n)
     a = np.exp(np.maximum(mu1.log_pdf(pts), LOG_FLOOR)).reshape([M] * n)
     b = np.exp(np.maximum(mu2.log_pdf(pts), LOG_FLOOR)).reshape([M] * n)
     conv = signal.fftconvolve(a, b, mode="same") * h**n
@@ -496,8 +496,6 @@ def perturb(
 
 def _renormalized(mu: Density) -> Density:
     """Recompute norm_const by quadrature so the total mass is 1."""
-    from . import quadrature
-
     mass, _ = quadrature.raw_mass(mu._log_density, mu.dim, mu.truncation_radius)
     if not (mass > 0 and math.isfinite(mass)):
         raise EvaluationFailure(f"cannot normalize {mu.label!r}: mass {mass}")
@@ -510,11 +508,7 @@ def _renormalized(mu: Density) -> Density:
 # ---------------------------------------------------------------------------
 
 def _grid_points(dim: int, radius: float, nodes_per_axis: int) -> Array:
-    axis = np.linspace(-radius, radius, nodes_per_axis)
-    if dim == 1:
-        return axis.reshape(-1, 1)
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = quadrature.tensor_grid(np.linspace(-radius, radius, nodes_per_axis), dim)
     return pts[np.linalg.norm(pts, axis=1) <= radius * (1.0 + 1e-12)]
 
 
@@ -524,11 +518,7 @@ def _y_grid(dim: int, s: float, h: float) -> Array:
         return np.zeros((1, dim))
     steps = np.arange(-math.floor(s / h) * h, s + h / 2, h)
     vals = np.unique(np.concatenate([steps, [-s, 0.0, s]]))
-    vals = vals[np.abs(vals) <= s * (1.0 + 1e-12)]
-    if dim == 1:
-        return vals.reshape(-1, 1)
-    grids = np.meshgrid(*([vals] * dim), indexing="ij")
-    ys = np.stack([g.ravel() for g in grids], axis=1)
+    ys = quadrature.tensor_grid(vals, dim)
     return ys[np.linalg.norm(ys, axis=1) <= s * (1.0 + 1e-12)]
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -105,15 +105,24 @@ def _hermgauss(n: int):
     return t, w
 
 
-def _tensor(axis_pts: Array, axis_logw: Array, dim: int):
-    if dim == 1:
-        return axis_pts.reshape(-1, 1), axis_logw
-    grids = np.meshgrid(*([axis_pts] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    lw = axis_logw
-    for _ in range(dim - 1):
-        lw = np.add.outer(lw, axis_logw)
-    return pts, lw.ravel()
+def tensor_grid(axis: Array, dim: int, weights: Optional[Array] = None,
+                combine=np.multiply):
+    """The dim-fold tensor grid of ``axis`` as (m, dim) points, first coordinate
+    slowest.  With per-axis ``weights`` it also returns each point's weight,
+    their product; ``combine=np.add`` sums per-axis log-weights instead."""
+    pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    if weights is None:
+        return pts
+    return pts, reduce(combine.outer, [weights] * dim).ravel()
+
+
+def _trap_nodes(R: float, n: int, dim: int):
+    """Trapezoid tensor nodes on [-R, R]^dim and their log Lebesgue weights."""
+    axis = np.linspace(-R, R, n)
+    h = axis[1] - axis[0]
+    w = np.full(n, h)
+    w[0] = w[-1] = h / 2.0
+    return tensor_grid(axis, dim, np.log(w), np.add)
 
 
 def measure_nodes(mu, spec: QuadratureSpec):
@@ -136,17 +145,13 @@ def measure_nodes(mu, spec: QuadratureSpec):
             # weights underflowing double precision act as a hard truncation
             # at |x| ~ 37 sigma; the doubling estimate reports the effect
             logw_axis = np.log(w) - 0.5 * math.log(math.pi)
-        return _tensor(pts_axis, logw_axis, mu.dim)
+        return tensor_grid(pts_axis, mu.dim, logw_axis, np.add)
     if spec.scheme == "tensor_trapezoid":
         if mu.dim > 3:
             raise InvalidParameter("tensor_trapezoid caps at dim 3")
         R = spec.truncation_radius or mu.truncation_radius
         n = spec.nodes_per_axis or _TRAP_DEFAULT[mu.dim]
-        axis = np.linspace(-R, R, n)
-        h = axis[1] - axis[0]
-        w = np.full(n, h)
-        w[0] = w[-1] = h / 2.0
-        pts, logw_leb = _tensor(axis, np.log(w), mu.dim)
+        pts, logw_leb = _trap_nodes(R, n, mu.dim)
         return pts, logw_leb + mu.log_pdf(pts)
     if spec.scheme == "monte_carlo":
         rng = np.random.Generator(np.random.Philox(key=spec.seed))
@@ -377,10 +382,6 @@ def raw_mass(log_density_batch: Callable[[Array], Array], dim: int,
 
 
 def _trap_mass(log_density_batch, dim, R, n) -> float:
-    axis = np.linspace(-R, R, n)
-    h = axis[1] - axis[0]
-    w = np.full(n, h)
-    w[0] = w[-1] = h / 2.0
-    pts, logw = _tensor(axis, np.log(w), dim)
+    pts, logw = _trap_nodes(R, n, dim)
     lv = logw + np.asarray(log_density_batch(pts), dtype=float)
     return float(np.exp(logsumexp(lv[np.isfinite(lv)])))

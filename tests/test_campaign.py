@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import re
@@ -8,6 +9,7 @@ import pytest
 import lshlab as L
 from lshlab.campaign import (
     CHECK_KINDS,
+    CHECKS,
     CampaignConfig,
     build_field,
     build_measure,
@@ -15,8 +17,25 @@ from lshlab.campaign import (
     preset,
     resolve_spec,
 )
-from lshlab.cli import _CHECKS, main
+from lshlab.cli import build_parser, main
 from lshlab.errors import ConfigError
+
+
+#: the entry keys each check kind cannot run without
+REQUIRED_KEYS = {
+    "dilated_convolution_bound": ("p", "r"),
+    "dilation_bound": ("p", "r"),
+    "general_shc": ("c", "p", "q"),
+    "shc": ("c",),
+    "slsi": ("c",),
+}
+MEASURELESS = {"radial_euler_scaling", "spherical_monotone"}
+
+
+def check_choices():
+    """The kinds ``lshlab check --check`` offers."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices["check"]._actions if a.dest == "check")
 
 
 def minimal_config(**overrides):
@@ -66,6 +85,44 @@ class TestConfig:
         bad.write_text('{"seed": 3,,}')
         with pytest.raises(ConfigError, match=r"line \d+"):
             L.load_config(bad)
+
+    @pytest.mark.parametrize("kind, key", [(kind, key) for kind, keys in REQUIRED_KEYS.items()
+                                           for key in keys])
+    def test_missing_required_key_named(self, kind, key):
+        entry = {"check": kind, "measure": "g", "fields": ["f"],
+                 "c": 1.0, "p": 1.0, "q": 2.0, "r": 0.8}
+        del entry[key]
+        raw = minimal_config(checks=[{"check": "slsi", "measure": "g", "c": 1.0}, entry])
+        with pytest.raises(ConfigError, match=rf"checks\[1\] \({kind}\): missing '{key}'"):
+            CampaignConfig.from_dict(raw)
+
+    def test_validation_agrees_with_table(self):
+        assert CHECK_KINDS == tuple(sorted(CHECKS))
+        assert {k: CHECKS[k].required for k in CHECK_KINDS if CHECKS[k].required} == REQUIRED_KEYS
+        for kind in CHECK_KINDS:
+            params = {"c": 1.0, "p": 1.0, "q": 2.0, "r": 0.8}
+            raw = minimal_config(checks=[{"check": kind, "fields": ["f"], **params}])
+            if kind in MEASURELESS:
+                assert not CHECKS[kind].needs_measure
+                CampaignConfig.from_dict(raw)
+            else:
+                with pytest.raises(ConfigError, match=rf"\({kind}\): missing 'measure'"):
+                    CampaignConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("decl, key", [
+        ({"builder": "log_linear"}, "lam"),
+        ({"builder": "power", "base": {"builder": "cosh"}, "exponent": 2}, "lam"),
+        ({"builder": "dilate", "base": {"builder": "squared_norm"}}, "r"),
+    ])
+    def test_field_declaration_missing_key(self, decl, key):
+        with pytest.raises(ConfigError, match=rf"field declaration .*: missing '{key}'"):
+            build_field(decl)
+
+    def test_measure_declaration_missing_key(self):
+        decl = {"op": "mix", "first": {"family": "gaussian", "dim": 1},
+                "second": {"family": "gaussian", "dim": 1}}
+        with pytest.raises(ConfigError, match="measure declaration .*: missing 't'"):
+            build_measure(decl)
 
     def test_nested_measure_declarations(self):
         decl = {
@@ -208,7 +265,7 @@ class TestCli:
 
     def test_check_offers_only_handled_kinds(self, capsys):
         # best_constant is a campaign check kind but has its own subcommand
-        assert set(_CHECKS) == set(CHECK_KINDS) - {"best_constant"}
+        assert set(check_choices()) == set(CHECK_KINDS) - {"best_constant"}
         with pytest.raises(SystemExit) as exc:
             main(["check", "--check", "best_constant"])
         assert exc.value.code == 2
@@ -216,6 +273,51 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["check", "--help"])
         assert "best-c" in capsys.readouterr().out
+
+    def test_list_and_check_choices_read_the_table(self, capsys):
+        assert main(["list"]) == 0
+        block = capsys.readouterr().out.split("checks:")[1].split("presets:")[0]
+        lines = {line.split()[0]: line.split()[1:] for line in block.strip().splitlines()}
+        assert tuple(lines) == CHECK_KINDS
+        for kind, words in lines.items():
+            assert words[:len(REQUIRED_KEYS.get(kind, ()))] == list(REQUIRED_KEYS.get(kind, ()))
+            assert (words[-2:] == ["(no", "measure)"]) == (kind in MEASURELESS)
+        assert list(check_choices()) == [k for k in CHECK_KINDS if not CHECKS[k].over_battery]
+
+    @pytest.mark.parametrize("kind", [k for k in CHECK_KINDS if k != "best_constant"])
+    def test_check_report_is_the_campaign_report(self, kind, capsys):
+        # default flags: gaussian, log_linear:0.8, dim 1, c 1, p 1, q 2, r 0.8, k 4
+        main(["check", "--check", kind])
+        out = json.loads(capsys.readouterr().out)
+        raw = minimal_config(
+            seed=0, fields={"f": {"builder": "log_linear", "lam": [0.8]}},
+            measures={"g": {"family": "gaussian", "dim": 1}},
+            checks=[{"check": kind, "measure": "g", "fields": ["f"],
+                     "c": 1.0, "p": 1.0, "q": 2.0, "r": 0.8, "k": 4}])
+        reports, _, _ = L.run_campaign(CampaignConfig.from_dict(raw))
+        want = json.loads(json.dumps(reports[0].to_dict()))
+        assert out.pop("check_id") == kind and want.pop("check_id") == f"000-{kind}-g-f"
+        assert json.dumps(out, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    @pytest.mark.parametrize("entry", [
+        {"check": "slsi", "measure": "g", "fields": ["f"]},
+        {"check": "dilation_bound", "measure": "g", "fields": ["f"], "p": 1.0},
+    ])
+    def test_run_missing_check_key_exits_two(self, entry, tmp_path, capsys):
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(minimal_config(checks=[entry])))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, decl, key", [
+        ("fields", {"f": {"builder": "log_linear"}}, "lam"),
+        ("measures", {"g": {"family": "poly_tail", "dim": 1}}, "alpha"),
+    ])
+    def test_run_missing_declaration_key_exits_two(self, section, decl, key, tmp_path, capsys):
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(minimal_config(**{section: decl})))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
 
     def test_check_failure_exit_code(self, capsys):
         code = main(["check", "--check", "slsi", "--measure", "gaussian",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -609,6 +610,15 @@ class TestWitness:
         assert rep.inconclusive and not rep.passed
         witness = rep.to_dict()["quantities"]["witness"]
         assert len(witness) == 1 and all(math.isfinite(x) for x in witness)
+
+    def test_laplace_overflow_warns_nothing(self):
+        # the overflow becomes the witness, not a RuntimeWarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = L.check_slsi(L.log_linear([0.8]), L.gen_exponential(1, 1, 1), 1.0)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert rep.inconclusive
+        assert rep.quantities["witness"][0] == pytest.approx(1172.7, abs=0.1)
 
     def test_conclusive_report_has_no_witness(self, gauss1, gh_spec):
         rep = L.check_slsi(L.cosh_field(0.8), gauss1, 1.0, gh_spec)

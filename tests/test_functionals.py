@@ -6,7 +6,6 @@ import pytest
 import lshlab as L
 from lshlab.errors import InvalidParameter, QuadratureFailure
 from lshlab.functionals import (
-    HCParams,
     alpha_prime_with_error,
     alpha_with_error,
     hc_bracket_with_error,
@@ -31,16 +30,6 @@ class TestExponentLaws:
         for c, p, q in ((1.0, 1.0, 2.0), (0.7, 0.5, 3.0), (2.3, 2.0, 5.0)):
             r = L.r_of_pq(p, q, c)
             assert L.q_of_r(r, c) * p == pytest.approx(q, rel=1e-12)
-
-    def test_hcparams_validation(self):
-        with pytest.raises(InvalidParameter):
-            HCParams(c=-1.0)
-        with pytest.raises(InvalidParameter):
-            HCParams(c=1.0, r_grid=(0.5, 0.4))
-        with pytest.raises(InvalidParameter):
-            HCParams(c=1.0, p=2.0, q=1.0)
-        params = HCParams(c=1.0)
-        assert params.q_of_r(1.0) == 1.0
 
 
 class TestEntropy:

@@ -5,11 +5,24 @@ import pytest
 
 import lshlab as L
 from lshlab.errors import InvalidParameter, QuadratureFailure
-from lshlab.quadrature import QuadratureSpec, measure_nodes
+from lshlab.quadrature import QuadratureSpec, measure_nodes, tensor_grid
 
 
 def ones(pts):
     return np.ones(pts.shape[0])
+
+
+class TestTensorGrid:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_points_and_weights(self, dim):
+        axis, w = np.array([-1.0, 0.5, 2.0]), np.array([0.25, 0.5, 0.125])
+        pts, wts = tensor_grid(axis, dim, w)
+        idx = np.array(np.unravel_index(np.arange(3**dim), (3,) * dim)).T
+        assert np.array_equal(pts, axis[idx])  # first coordinate slowest
+        assert np.array_equal(wts, np.prod(w[idx], axis=1))
+        _, logw = tensor_grid(axis, dim, np.log(w), np.add)
+        assert np.allclose(np.exp(logw), wts, rtol=1e-15)
+        assert np.array_equal(tensor_grid(axis, dim), pts)
 
 
 class TestSpecValidation:
