@@ -185,6 +185,7 @@ class CampaignConfig:
             row = CHECKS[kind]
             where = f"checks[{idx}] ({kind})"
             _require(entry, (("measure",) if row.needs_measure else ()) + row.required, where)
+            _check_types(entry, row, where)
             measure = entry.get("measure")
             if measure is not None and measure not in self.measures:
                 raise ConfigError(f"{where}: references undeclared measure {measure!r}")
@@ -199,6 +200,24 @@ def _require(decl: dict, keys, where: str):
     for key in keys:
         if decl.get(key) is None:
             raise ConfigError(f"{where}: missing {key!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_types(entry: dict, row: CheckKind, where: str):
+    """ConfigError naming ``where`` and the first key of ``entry`` of the wrong
+    type: required keys and keys with numeric defaults take a number, keys
+    with list defaults a list of numbers."""
+    for key, value in entry.items():
+        default = row.defaults.get(key)
+        if key in row.required or _is_number(default):
+            if not _is_number(value):
+                raise ConfigError(f"{where}: {key!r} must be a number, got {value!r}")
+        elif isinstance(default, list):
+            if not (isinstance(value, list) and all(_is_number(v) for v in value)):
+                raise ConfigError(f"{where}: {key!r} must be a list of numbers, got {value!r}")
 
 
 def load_config(path) -> CampaignConfig:

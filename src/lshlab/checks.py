@@ -42,8 +42,7 @@ from .fields import (
 from .functionals import (
     DEFAULT_R_GRID,
     DilationNorms,
-    entropy_with_error,
-    euler_energy_with_error,
+    entropy_energy_with_error,
     q_of_r,
     r_of_pq,
 )
@@ -155,9 +154,7 @@ def slsi_terms(
             "rotation-invariant measures; pass allow_non_rotation_invariant=True "
             "to override"
         )
-    ent, e_ent = entropy_with_error(g, mu, spec)
-    ee, e_ee = euler_energy_with_error(g, mu, spec)
-    return ent, e_ent, ee, e_ee
+    return entropy_energy_with_error(g, mu, spec)
 
 
 def slsi_verdict(terms: tuple[float, float, float, float],

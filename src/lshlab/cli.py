@@ -18,7 +18,7 @@ import sys
 from . import campaign as campaign_mod
 from . import checks as checks_mod
 from . import measures as measures_mod
-from .errors import LabError, TypeConditionViolation
+from .errors import ConfigError, LabError, TypeConditionViolation
 
 _MEASURE_DEFAULTS = {
     "gaussian": {},
@@ -28,10 +28,19 @@ _MEASURE_DEFAULTS = {
 }
 
 
+def _json_decl(text: str, what: str) -> dict:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{what} {text!r}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+
+
 def _measure_decl(text: str, dim: int) -> dict:
     """A measure argument: either a JSON object or a bare family name."""
     if text.strip().startswith("{"):
-        return json.loads(text)
+        return _json_decl(text, "--measure")
     if text in _MEASURE_DEFAULTS:
         decl = {"family": text, "dim": dim}
         decl.update(_MEASURE_DEFAULTS[text])
@@ -45,7 +54,7 @@ def _measure_decl(text: str, dim: int) -> dict:
 def _field_decl(text: str) -> dict:
     """A field argument: JSON object, or shorthand builder:value."""
     if text.strip().startswith("{"):
-        return json.loads(text)
+        return _json_decl(text, "--field")
     if ":" in text:
         builder, arg = text.split(":", 1)
         if builder == "log_linear":

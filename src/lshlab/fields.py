@@ -175,6 +175,16 @@ def constant(value: float, dim: int = 1) -> ScalarField:
     )
 
 
+def _overflow_to_inf(fn: Callable[[Array], Array]) -> Callable[[Array], Array]:
+    """``fn`` with floating overflow giving inf silently: an integral turns the
+    inf into a QuadratureFailure carrying the point, so a warning is redundant."""
+    def quiet(pts):
+        with np.errstate(over="ignore"):
+            return fn(pts)
+
+    return quiet
+
+
 def log_linear(lam) -> ScalarField:
     """f(x) = exp(lam . x); ln f is linear, hence harmonic."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -182,12 +192,7 @@ def log_linear(lam) -> ScalarField:
         raise InvalidParameter("log_linear requires a finite coefficient vector")
     dim = lam.shape[0]
 
-    # e^{lam . x} may overflow to inf; integrals turn that into a
-    # QuadratureFailure carrying the point, so the warning is redundant
-    def val(pts):
-        with np.errstate(over="ignore"):
-            return np.exp(pts @ lam)
-
+    val = _overflow_to_inf(lambda pts: np.exp(pts @ lam))
     return ScalarField(
         dim=dim,
         certificate="log_linear",
@@ -212,9 +217,9 @@ def cosh_field(lam: float) -> ScalarField:
         certificate="exp_subharmonic",
         smooth=True,
         label=f"cosh_field({lam:g})",
-        _value=lambda pts: np.cosh(lam * pts[:, 0]),
+        _value=_overflow_to_inf(lambda pts: np.cosh(lam * pts[:, 0])),
         _log_value=logv,
-        _gradient=lambda pts: (lam * np.sinh(lam * pts[:, 0]))[:, None],
+        _gradient=_overflow_to_inf(lambda pts: (lam * np.sinh(lam * pts[:, 0]))[:, None]),
     )
 
 

@@ -23,21 +23,15 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidParameter, QuadratureFailure
-from .fields import LOG_FLOOR, VALUE_FLOOR, ScalarField, dilate, euler, power
-from .quadrature import (
-    QuadratureSpec,
-    adaptive_weighted,
-    integrate,
-    lp_norm_with_error,
-    measure_nodes,
-)
+from .fields import VALUE_FLOOR, ScalarField, dilate, power
+from .quadrature import QuadratureSpec, lp_norm_with_error, weighted_moments
 
 #: q(r) values beyond this guard are rejected (integrands would overflow)
 Q_GUARD = 1e4
 DEFAULT_R_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0)
+_LOG_VALUE_FLOOR = math.log(VALUE_FLOOR)
 
 
 def q_of_r(r: float, c: float) -> float:
@@ -60,41 +54,57 @@ def r_of_pq(p: float, q: float, c: float) -> float:
 # entropy and Euler energy
 # ---------------------------------------------------------------------------
 
-def _entropy_nodes(g: ScalarField, mu, spec: QuadratureSpec) -> float:
-    pts, logw = measure_nodes(mu, spec)
-    lg = g.log_value(pts)
-    s = logw + lg
-    log_a = float(logsumexp(s))
-    if not math.isfinite(log_a):
-        raise QuadratureFailure("||g||_1 is zero or divergent; entropy undefined")
-    if log_a > 700.0:
-        raise QuadratureFailure("||g||_1 overflows; entropy cannot be represented")
-    pi = np.exp(s - log_a)
-    mean_lg = float(pi @ lg)
-    return math.exp(log_a) * (mean_lg - log_a)
+def _log_weight(pts, lg):
+    """The factor ln g of a weight g, read from the values the weight passes."""
+    return lg
 
 
-def entropy_with_error(g: ScalarField, mu, spec: QuadratureSpec) -> tuple[float, float]:
-    """Ent(g) = int g ln(g / ||g||_1) dmu with a doubling error estimate."""
-    if spec.scheme == "adaptive_1d":
-        l1, e1 = adaptive_weighted(mu, spec, g.log_value)
-        if not (l1 > 0 and math.isfinite(l1)):
-            raise QuadratureFailure(f"||g||_1 = {l1}; entropy undefined")
-        log_l1 = math.log(l1)
-        val, err = adaptive_weighted(
-            mu, spec, g.log_value, factor=lambda pts: g.log_value(pts) - log_l1
-        )
-        err = err + abs(e1 / l1)
-    else:
-        val = _entropy_nodes(g, mu, spec)
-        val2 = _entropy_nodes(g, mu, spec.halved())
-        err = abs(val - val2)
+def _euler_log(g: ScalarField, exponent: float = 1.0):
+    """The factor x . grad(ln g) = (x . grad g) / g of the weight g^exponent,
+    with 1 / g taken from the weight's log values; where g is below
+    VALUE_FLOOR it is 0, with a RuntimeWarning."""
+    def factor(pts, lg):
+        log_g = lg / exponent
+        floored = log_g <= _LOG_VALUE_FLOOR
+        if np.any(floored):
+            warnings.warn(
+                "zero field values floored in a derivative integrand "
+                f"({int(np.count_nonzero(floored))} nodes)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            # inf * 0 where g overflows: the NaN fails the integral, with its witness
+            e = np.einsum("ij,ij->i", pts, g.gradient(pts)) * np.exp(-log_g)
+        return np.where(floored, 0.0, e)
+
+    return factor
+
+
+def _mass(log_mass: float) -> float:
+    if log_mass > 700.0:
+        raise QuadratureFailure(f"||g||_1 overflows; log value {log_mass:.3g}")
+    return math.exp(log_mass)
+
+
+def _entropy(log_mass: float, mean_lg: float) -> float:
+    """Ent(g) = ||g||_1 (E[ln g] - ln ||g||_1), the mean taken under g / ||g||_1."""
+    return _mass(log_mass) * (mean_lg - log_mass)
+
+
+def _checked_entropy(val: float, err: float) -> tuple[float, float]:
     scale = max(1.0, abs(val))
     if val < -(1e-6 * scale + 3.0 * err):
         raise QuadratureFailure(
             f"entropy {val:.3g} is negative beyond tolerance; quadrature breakdown"
         )
-    return val, max(err, 1e-15)
+    return float(val), max(float(err), 1e-15)
+
+
+def entropy_with_error(g: ScalarField, mu, spec: QuadratureSpec) -> tuple[float, float]:
+    """Ent(g) = int g ln(g / ||g||_1) dmu with its error estimate."""
+    return _checked_entropy(*weighted_moments(
+        g.log_value, [_log_weight], mu, spec, lambda lm, means: _entropy(lm, means[0])))
 
 
 def entropy(g: ScalarField, mu, spec: QuadratureSpec) -> float:
@@ -102,14 +112,21 @@ def entropy(g: ScalarField, mu, spec: QuadratureSpec) -> float:
 
 
 def euler_energy_with_error(g: ScalarField, mu, spec: QuadratureSpec) -> tuple[float, float]:
-    """int E g dmu, the dilation energy (no c/2 prefactor)."""
-    if spec.scheme == "adaptive_1d":
-        # factor through E g = g * (x . grad ln g) so the tail is weighted
-        # by the measure before the gradient is evaluated
-        return adaptive_weighted(
-            mu, spec, g.log_value, factor=lambda pts: _grad_log(g, pts)
-        )
-    return integrate(lambda pts: euler(g, pts), mu, spec)
+    """int E g dmu = ||g||_1 E[x . grad ln g], the dilation energy (no c/2 prefactor)."""
+    val, err = weighted_moments(g.log_value, [_euler_log(g)], mu, spec,
+                                lambda lm, means: _mass(lm) * means[0])
+    return float(val), max(float(err), 1e-15)
+
+
+def entropy_energy_with_error(g: ScalarField, mu,
+                              spec: QuadratureSpec) -> tuple[float, float, float, float]:
+    """(Ent(g), its error, int E g dmu, its error) from one weight g."""
+    def fn(lm, means):
+        return np.array([_entropy(lm, means[0]), _mass(lm) * means[1]])
+
+    (ent, ee), (e_ent, e_ee) = weighted_moments(
+        g.log_value, [_log_weight, _euler_log(g)], mu, spec, fn)
+    return (*_checked_entropy(ent, e_ent), float(ee), max(float(e_ee), 1e-15))
 
 
 def euler_energy(g: ScalarField, mu, spec: QuadratureSpec) -> float:
@@ -169,71 +186,27 @@ def alpha(f: ScalarField, mu, c: float, r: float, spec: QuadratureSpec) -> float
     return alpha_with_error(f, mu, c, r, spec)[0]
 
 
-def _grad_log(fr: ScalarField, pts) -> np.ndarray:
-    """x . grad(ln f_r)(x) = E f_r / f_r, with zero-value flooring reported."""
-    vals = fr(pts)
-    grad = fr.gradient(pts)
-    e = np.einsum("ij,ij->i", pts, grad)
-    floored = vals < VALUE_FLOOR
-    if np.any(floored):
-        warnings.warn(
-            "zero field values floored in a derivative integrand "
-            f"({int(np.count_nonzero(floored))} nodes)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    out = np.zeros_like(e)
-    ok = ~floored
-    with np.errstate(invalid="ignore"):
-        # inf / inf where f_r overflows: the NaN fails the integral, with its witness
-        out[ok] = e[ok] / vals[ok]
-    return out
-
-
-def _alpha_prime_nodes(f, mu, c, r, q, spec) -> float:
-    fr = dilate(f, r)
-    pts, logw = measure_nodes(mu, spec)
-    lfr = fr.log_value(pts)
-    s = logw + q * lfr
-    log_a = float(logsumexp(s))
-    if not math.isfinite(log_a):
-        raise QuadratureFailure("||f_r||_q^q diverges in the derivative formula")
-    pi = np.exp(s - log_a)
-    mean_lfr = float(pi @ lfr)
-    mean_elog = float(pi @ _grad_log(fr, pts))
-    bracket = log_a - q * mean_lfr + (c * q / 2.0) * mean_elog
-    alpha_r = math.exp(log_a / q)
-    return (2.0 / (c * r * q)) * alpha_r * bracket
-
-
 def alpha_prime_with_error(f: ScalarField, mu, c: float, r: float,
                            spec: QuadratureSpec) -> tuple[float, float]:
-    """Analytic derivative of alpha at r, from the closed-form bracket."""
+    """Analytic derivative of alpha at r, from the closed-form bracket.
+
+    With g = f_r^q the bracket is ln A - E[ln g] + (c q / 2) E[x . grad ln f_r],
+    the means taken under g / A, A = ||g||_1 = alpha(r)^q.
+    """
     if not f.has_gradient and not f.smooth:
         raise InvalidParameter("derivative formula needs a smooth field with gradient")
     q = _checked_q(r, c)
-    if spec.scheme == "adaptive_1d":
-        fr = dilate(f, r)
-        log_g = lambda pts: q * fr.log_value(pts)
-        a_val, ea = adaptive_weighted(mu, spec, log_g)
-        if not (a_val > 0 and math.isfinite(a_val)):
-            raise QuadratureFailure("||f_r||_q^q diverges in the derivative formula")
-        b_val, eb = adaptive_weighted(
-            mu, spec, log_g, factor=lambda pts: q * fr.log_value(pts)
-        )
-        c_val, ec = adaptive_weighted(
-            mu, spec, log_g, factor=lambda pts: _grad_log(fr, pts)
-        )
-        alpha_r = a_val ** (1.0 / q)
-        bracket = math.log(a_val) - b_val / a_val + (c * q / 2.0) * c_val / a_val
-        val = (2.0 / (c * r * q)) * alpha_r * bracket
-        err = (2.0 / (c * r * q)) * alpha_r * (
-            ea / a_val + eb / a_val + (c * q / 2.0) * ec / a_val
-        )
-        return val, max(err, 1e-15)
-    val = _alpha_prime_nodes(f, mu, c, r, q, spec)
-    val2 = _alpha_prime_nodes(f, mu, c, r, q, spec.halved())
-    return val, max(abs(val - val2), 1e-15)
+    fr = dilate(f, r)
+
+    def fn(log_a, means):
+        if log_a / q > 700.0:
+            raise QuadratureFailure(f"alpha(r) overflows; log value {log_a / q:.3g}")
+        bracket = log_a - means[0] + (c * q / 2.0) * means[1]
+        return (2.0 / (c * r * q)) * math.exp(log_a / q) * bracket
+
+    val, err = weighted_moments(lambda pts: q * fr.log_value(pts),
+                                [_log_weight, _euler_log(fr, q)], mu, spec, fn)
+    return float(val), max(float(err), 1e-15)
 
 
 def alpha_prime_analytic(f: ScalarField, mu, c: float, r: float,
@@ -256,8 +229,7 @@ def hc_bracket_with_error(f: ScalarField, mu, c: float, r: float,
     """-Ent(f_r^q) + (c/2) int E(f_r^q) dmu; at r = 1 this is the sLSI deficit."""
     q = _checked_q(r, c)
     g = power(dilate(f, r), q) if q != 1.0 else dilate(f, r)
-    ent, e1 = entropy_with_error(g, mu, spec)
-    ee, e2 = euler_energy_with_error(g, mu, spec)
+    ent, e1, ee, e2 = entropy_energy_with_error(g, mu, spec)
     return -ent + (c / 2.0) * ee, e1 + (c / 2.0) * e2
 
 

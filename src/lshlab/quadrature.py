@@ -10,9 +10,13 @@ monte_carlo       importance sampling with the measure itself as sampler;
                   streams are keyed by the spec seed (counter-based), so
                   parallel and serial runs agree bit for bit.
 
-Every integral returns (value, error_estimate): node-doubling differences for
-grids, standard error for Monte Carlo.  Positive integrands can be integrated
-entirely in log-space (``integrate_log``) to avoid overflow of large powers.
+Every integral is one call to ``weighted_moments``.  For a weight g = e^{ln g}
+it forms ln int g dmu and the means of factor columns under g dmu / int g dmu
+in log space, so large powers never overflow, and returns a function ``fn``
+of them with an error estimate from one rule: |fn(spec) - fn(spec.halved())|
+(half the nodes per axis, or the first half of the samples) on node schemes,
+and on ``adaptive_1d`` the first-order change of fn when each of its ``quad``
+integrals moves by that ``quad``'s own error estimate.
 """
 
 from __future__ import annotations
@@ -126,12 +130,7 @@ def _trap_nodes(R: float, n: int, dim: int):
 
 
 def measure_nodes(mu, spec: QuadratureSpec):
-    """Nodes and log-weights such that int h dmu ~= sum exp(logw) h(pts).
-
-    Returns None for the adaptive scheme, which is function-based.
-    """
-    if spec.scheme == "adaptive_1d":
-        return None
+    """Nodes and log-weights such that int h dmu ~= sum exp(logw) h(pts)."""
     if spec.scheme == "gauss_hermite":
         if mu.family != "gaussian":
             raise InvalidParameter(
@@ -157,12 +156,11 @@ def measure_nodes(mu, spec: QuadratureSpec):
         rng = np.random.Generator(np.random.Philox(key=spec.seed))
         pts = mu.sample(rng, spec.mc_samples)
         return pts, np.full(spec.mc_samples, -math.log(spec.mc_samples))
-    raise InvalidParameter(f"unknown scheme {spec.scheme!r}")
+    raise InvalidParameter(f"{spec.scheme} has no fixed node set")
 
 
-def _check_finite(vals: Array, pts: Array):
+def _fail_at_first(bad: Array, pts: Array):
     # a row of an (m, K) integrand is bad when any of its columns is
-    bad = ~np.isfinite(vals)
     if bad.ndim == 2:
         bad = bad.any(axis=1)
     if np.any(bad):
@@ -176,83 +174,81 @@ def _check_finite(vals: Array, pts: Array):
 # integration
 # ---------------------------------------------------------------------------
 
-def integrate(h, mu, spec: QuadratureSpec):
-    """Integral of h against mu, with an error estimate.
+def weighted_moments(log_g, factors, mu, spec: QuadratureSpec, fn):
+    """(fn(log_mass, means), its error) for the weight g = exp(log_g).
 
-    ``h`` is a ScalarField or any map vectorized over (m, dim) batches.  It
-    returns either m values, and the integral is (value, error) as floats, or
-    an (m, K) array of K integrands evaluated together, and the integral is
-    (values, errors) as arrays of shape (K,), column by column the same as
-    integrating each column on its own.  On grids each node set is evaluated
-    once for all columns; ``adaptive_1d`` runs one ``quad`` per column.
+    ``log_mass`` is ln int g dmu and ``means`` the 1-D array of the means of
+    all factor columns under g dmu / int g dmu.  ``log_g`` maps (m, dim)
+    points to ln g, or is None for g = 1, whose mass is exactly 1 (the means
+    are then plain integrals).  A factor maps (points, ln g there) to m values
+    or an (m, k) array.  Node schemes evaluate each map once per node set;
+    ``adaptive_1d`` runs one ``quad`` for the mass and one per column.
     """
     if spec.scheme == "adaptive_1d":
-        return _integrate_adaptive(h, mu, spec)
+        return _adaptive_moments(log_g, factors, mu, spec, fn)
+    value = fn(*_node_moments(log_g, factors, mu, spec))
+    return value, np.abs(value - fn(*_node_moments(log_g, factors, mu, spec.halved())))
+
+
+def _node_moments(log_g, factors, mu, spec: QuadratureSpec):
     pts, logw = measure_nodes(mu, spec)
-    vals = np.asarray(h(pts), dtype=float)
-    _check_finite(vals, pts)
-    value = np.exp(logw) @ vals
-    if spec.scheme == "monte_carlo":
-        err = np.std(vals, axis=0, ddof=1) / math.sqrt(vals.shape[0])
+    if log_g is None:
+        lg, log_mass, pi = None, 0.0, np.exp(logw)
     else:
-        pts2, logw2 = measure_nodes(mu, spec.halved())
-        err = np.abs(value - np.exp(logw2) @ np.asarray(h(pts2), dtype=float))
-    err = np.maximum(err, np.abs(value) * 1e-15)
-    if vals.ndim == 1:
-        return float(value), float(err)
+        lg = np.asarray(log_g(pts), dtype=float)
+        _fail_at_first(np.isnan(lg) | (lg == math.inf), pts)
+        s = logw + lg
+        log_mass = float(logsumexp(s))
+        if not math.isfinite(log_mass):
+            raise QuadratureFailure("the weight integrates to zero or diverges")
+        pi = np.exp(s - log_mass)
+    means = []
+    for factor in factors:
+        vals = np.asarray(factor(pts, lg), dtype=float)
+        _fail_at_first(~np.isfinite(vals), pts)
+        means.append(np.atleast_1d(pi @ vals))
+    return log_mass, np.concatenate(means) if means else np.empty(0)
+
+
+def _adaptive_moments(log_g, factors, mu, spec: QuadratureSpec, fn):
+    mass, e_mass = (1.0, 0.0) if log_g is None else adaptive_weighted(mu, spec, log_g)
+    if not (mass > 0.0 and math.isfinite(mass)):
+        raise QuadratureFailure(f"the weight integrates to {mass}")
+    parts = [part for factor in factors for part in _adaptive_columns(factor, mu, spec, log_g)]
+    ints = np.array([v for v, _ in parts])
+    value = fn(math.log(mass), ints / mass)
+    err = np.abs(fn(math.log(mass + e_mass), ints / (mass + e_mass)) - value)
+    for j, (_, e) in enumerate(parts):
+        moved = ints.copy()
+        moved[j] += e
+        err = err + np.abs(fn(math.log(mass), moved / mass) - value)
     return value, err
 
 
-def _integrate_adaptive(h, mu, spec: QuadratureSpec):
-    if mu.dim != 1:
-        raise InvalidParameter("adaptive_1d requires a one-dimensional measure")
-    width = None  # K of an (m, K) integrand, 0 for m values; set by the first call
+def _adaptive_columns(factor, mu, spec: QuadratureSpec, log_g) -> list:
+    """(integral, error) of g times each column of ``factor``, one ``quad`` each."""
+    width = 1  # columns of the factor; set by its first evaluation
 
     def column(j):
-        witness = []
-
-        def integrand(theta):
+        def value(pt, lg):
             nonlocal width
-            x = math.tan(theta)
-            pt = np.array([[x]])
-            pdf = float(mu.pdf(pt)[0])
-            if pdf == 0.0 and width is not None:
-                # h may overflow where the measure has no mass; the first
-                # call still evaluates h to learn the column width
-                return 0.0
-            hv = np.asarray(h(pt), dtype=float)
-            if width is None:
-                width = hv.shape[1] if hv.ndim == 2 else 0
-            v = float(hv.reshape(-1)[j]) * pdf
-            v /= math.cos(theta) ** 2
-            if not math.isfinite(v):
-                witness.append(x)
-                return 0.0
-            return v
+            v = np.asarray(factor(pt, lg), dtype=float)
+            width = v.shape[1] if v.ndim == 2 else 1
+            return float(v.reshape(-1)[j])
 
-        value, err = sp_integrate.quad(
-            integrand, -math.pi / 2, math.pi / 2, limit=300, epsabs=1e-12,
-            epsrel=spec.target_rel_tol,
-        )
-        if witness:
-            raise QuadratureFailure(
-                "non-finite integrand value inside the truncation region", point=witness[0]
-            )
-        return float(value), max(float(err), abs(value) * 1e-15)
+        return adaptive_weighted(mu, spec, log_g, value)
 
     first = column(0)
-    if not width:
-        return first
-    parts = [first] + [column(j) for j in range(1, width)]
-    return np.array([v for v, _ in parts]), np.array([e for _, e in parts])
+    return [first] + [column(j) for j in range(1, width)]
 
 
 def adaptive_weighted(mu, spec: QuadratureSpec, log_g, factor=None) -> tuple[float, float]:
-    """Full-line adaptive integral of exp(log_g(x)) * factor(x) against mu.
+    """Full-line adaptive integral of g * factor against mu, g = exp(log_g) or 1.
 
-    The log of the positive part and the log-density are summed before
-    exponentiation, so large powers never overflow when the product with the
-    measure is moderate.
+    ``factor(pt, ln g(pt))`` gives one float at the (1, 1) point ``pt``; it is
+    skipped where the weight is negligible.  ln g and the log-density are
+    summed before exponentiation, so large powers never overflow when the
+    product with the measure is moderate.
     """
     if mu.dim != 1:
         raise InvalidParameter("adaptive_1d requires a one-dimensional measure")
@@ -262,12 +258,14 @@ def adaptive_weighted(mu, spec: QuadratureSpec, log_g, factor=None) -> tuple[flo
     def integrand(theta):
         x = math.tan(theta)
         pt = np.array([[x]])
-        expo = float(np.asarray(log_g(pt))[0]) + float(
-            np.asarray(mu._log_density(pt))[0]
-        ) - log_norm
+        expo, lg = float(np.asarray(mu._log_density(pt))[0]), None
+        if log_g is not None:
+            lg = np.asarray(log_g(pt), dtype=float)
+            expo = float(lg[0]) + expo
+        expo -= log_norm
         if expo < -700.0:
             return 0.0
-        fac = float(np.asarray(factor(pt))[0]) if factor is not None else 1.0
+        fac = factor(pt, lg) if factor is not None else 1.0
         v = math.exp(min(expo, 709.0)) * fac / math.cos(theta) ** 2
         if not math.isfinite(v) or expo > 700.0:
             witness.append(x)
@@ -285,50 +283,49 @@ def adaptive_weighted(mu, spec: QuadratureSpec, log_g, factor=None) -> tuple[flo
     return float(value), max(float(err), abs(value) * 1e-15)
 
 
+def integrate(h, mu, spec: QuadratureSpec):
+    """Integral of h against mu, with an error estimate.
+
+    ``h`` is a ScalarField or any map vectorized over (m, dim) batches.  It
+    returns either m values, and the integral is (value, error) as floats, or
+    an (m, K) array of K integrands evaluated together, and the integral is
+    (values, errors) as arrays of shape (K,), column by column the same as
+    integrating each column on its own.  On grids each node set is evaluated
+    once for all columns; ``adaptive_1d`` runs one ``quad`` per column.
+    """
+    ndim = []
+
+    def factor(pts, _):
+        vals = np.asarray(h(pts), dtype=float)
+        ndim.append(vals.ndim)
+        return vals
+
+    value, err = weighted_moments(None, [factor], mu, spec, lambda _, means: means)
+    err = np.maximum(err, np.abs(value) * 1e-15)
+    if ndim[0] == 1:
+        return float(value[0]), float(err[0])
+    return value, err
+
+
 def integrate_log(logh, mu, spec: QuadratureSpec) -> tuple[float, float]:
     """log of the integral of exp(logh) against mu; overflow-safe.
 
     Returns (log_value, log_error) where log_error estimates the error on the
     log scale (roughly the relative error of the integral).
     """
-    if spec.scheme == "adaptive_1d":
-        v, e = adaptive_weighted(mu, spec, logh)
-        if v <= 0:
-            raise QuadratureFailure("positive integrand integrated to a non-positive value")
-        return math.log(v), e / v
-    pts, logw = measure_nodes(mu, spec)
-    lv = np.asarray(logh(pts), dtype=float)
-    bad = np.isnan(lv) | (lv == math.inf)
-    if np.any(bad):
-        raise QuadratureFailure(
-            "non-finite integrand value inside the truncation region",
-            point=pts[int(np.argmax(bad))],
-        )
-    logv = float(logsumexp(logw + lv))
-    if spec.scheme == "monte_carlo":
-        # delta-method standard error on the log scale
-        w = np.exp(lv - np.max(lv[np.isfinite(lv)]))
-        err = float(np.std(w, ddof=1) / (math.sqrt(w.size) * max(np.mean(w), 1e-300)))
-    else:
-        pts2, logw2 = measure_nodes(mu, spec.halved())
-        logv2 = float(logsumexp(logw2 + np.asarray(logh(pts2), dtype=float)))
-        err = abs(logv - logv2)
-    return logv, max(err, 1e-15)
+    logv, err = weighted_moments(logh, (), mu, spec, lambda log_mass, _: log_mass)
+    return logv, max(float(err), 1e-15)
 
 
 def lp_norm(f, mu, p: float, spec: QuadratureSpec) -> float:
-    """(int f^p dmu)^(1/p) for p > 0; for p < 1 this is only a quasi-norm."""
+    """(int f^p dmu)^(1/p) of a field, p > 0; for p < 1 only a quasi-norm."""
     return lp_norm_with_error(f, mu, p, spec)[0]
 
 
 def lp_norm_with_error(f, mu, p: float, spec: QuadratureSpec) -> tuple[float, float]:
     if p <= 0:
         raise InvalidParameter("lp_norm requires p > 0")
-    if hasattr(f, "log_value"):
-        logh = lambda pts: p * f.log_value(pts)
-    else:
-        logh = lambda pts: p * np.log(np.maximum(np.asarray(f(pts), dtype=float), 1e-300))
-    logv, logerr = integrate_log(logh, mu, spec)
+    logv, logerr = integrate_log(lambda pts: p * f.log_value(pts), mu, spec)
     if logv / p > 709.0:
         raise QuadratureFailure(f"L^{p:g} norm overflows (log value {logv / p:.3g})")
     norm = math.exp(logv / p)

@@ -319,6 +319,32 @@ class TestCli:
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, key", [
+        ({"check": "slsi", "c": "x"}, "c"),
+        ({"check": "slsi", "c": True}, "c"),
+        ({"check": "dilated_convolution_bound", "p": 1.0, "r": 0.8, "k": "4"}, "k"),
+        ({"check": "shc", "c": 1.0, "r_grid": [0.5, "1"]}, "r_grid"),
+        ({"check": "density_approx", "k_list": 4}, "k_list"),
+        ({"check": "spherical_monotone", "tol": None}, "tol"),
+    ])
+    def test_run_wrong_key_type_exits_two(self, entry, key, tmp_path, capsys):
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(minimal_config(
+            checks=[{"measure": "g", "fields": ["f"], **entry}])))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"checks[0] ({entry['check']}): '{key}'" in err
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--measure", '{"family": gaussian}'),
+        ("--field", '{"builder": "log_linear", "lam": [0.4]'),
+    ])
+    def test_check_bad_json_exits_two(self, flag, text, capsys):
+        assert main(["check", "--check", "slsi", flag, text]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "line 1, column" in err
+
     def test_check_failure_exit_code(self, capsys):
         code = main(["check", "--check", "slsi", "--measure", "gaussian",
                      "--field", "log_linear:1.2", "--c", "0.9"])

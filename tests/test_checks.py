@@ -411,15 +411,15 @@ def _mollified():
 
 @pytest.fixture
 def entropy_calls(monkeypatch):
-    """Labels of the fields entropy_with_error integrates, in call order."""
+    """Labels of the fields entropy_energy_with_error integrates, in call order."""
     calls = []
-    orig = checks.entropy_with_error
+    orig = checks.entropy_energy_with_error
 
     def counting(g, mu, spec):
         calls.append(g.label)
         return orig(g, mu, spec)
 
-    monkeypatch.setattr(checks, "entropy_with_error", counting)
+    monkeypatch.setattr(checks, "entropy_energy_with_error", counting)
     return calls
 
 
@@ -616,6 +616,15 @@ class TestWitness:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rep = L.check_slsi(L.log_linear([0.8]), L.gen_exponential(1, 1, 1), 1.0)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert rep.inconclusive
+        assert rep.quantities["witness"][0] == pytest.approx(1172.7, abs=0.1)
+
+    def test_laplace_cosh_overflow_warns_nothing(self):
+        # cosh and sinh overflow where e^{0.8|x|} does
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = L.check_slsi(L.cosh_field(0.8), L.gen_exponential(1, 1, 1), 1.0)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert rep.inconclusive
         assert rep.quantities["witness"][0] == pytest.approx(1172.7, abs=0.1)

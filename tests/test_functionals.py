@@ -161,6 +161,26 @@ class TestAlphaPrime:
         fd = fd_reference(f, mu, 1.0, 0.8, spec)
         assert analytic == pytest.approx(fd, rel=1e-3)
 
+    # e^{lam x} underflows on the far negative nodes; those carry no weight
+    @pytest.mark.filterwarnings("ignore:zero field values floored:RuntimeWarning")
+    @pytest.mark.parametrize("lam, point", [(40.0, 18.24), (60.0, 11.97)])
+    def test_overflowing_factor_fails_with_witness(self, gauss1, gh_spec, lam, point):
+        # x . grad f is inf where e^{lam x} overflows, so x . grad ln f is not finite
+        with pytest.raises(QuadratureFailure) as err:
+            alpha_prime_with_error(L.log_linear([lam]), gauss1, 1.0, 1.0, gh_spec)
+        assert err.value.point[0] == pytest.approx(point, abs=0.01)
+
+    def test_overflowing_alpha_fails(self, gauss1, gh_spec):
+        # ln f = 1000 is finite and x . grad ln f = 0, but alpha = f is not a double
+        f = L.ScalarField(
+            dim=1, certificate="log_linear", smooth=True, label="constant(e^1000)",
+            _value=lambda pts: np.full(pts.shape[0], math.inf),
+            _log_value=lambda pts: np.full(pts.shape[0], 1000.0),
+            _gradient=np.zeros_like,
+        )
+        with pytest.raises(QuadratureFailure, match="overflows"):
+            alpha_prime_with_error(f, gauss1, 1.0, 1.0, gh_spec)
+
 
 class TestHcBracket:
     def test_r_one_is_slsi_deficit(self, gauss1, gh_spec):

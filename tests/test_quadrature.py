@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import lshlab as L
+from lshlab import quadrature
 from lshlab.errors import InvalidParameter, QuadratureFailure
-from lshlab.quadrature import QuadratureSpec, measure_nodes, tensor_grid
+from lshlab.quadrature import QuadratureSpec, measure_nodes, tensor_grid, weighted_moments
 
 
 def ones(pts):
@@ -165,6 +166,40 @@ class TestVectorIntegrate:
         with pytest.raises(QuadratureFailure) as err:
             L.integrate(h, gauss1, gh_spec)
         np.testing.assert_array_equal(err.value.point, pts[bad_row])
+
+
+class TestWeightedMoments:
+    # under g = e^{lam x} the Gaussian's mass is e^{lam^2 / 2} and x has mean lam
+    @pytest.mark.parametrize("mu", [L.gaussian(1.0, 1), L.gen_exponential(0.5, 2.0, 1)],
+                             ids=("gauss_hermite", "adaptive_1d"))
+    def test_mass_and_means_of_a_tilted_gaussian(self, mu):
+        lam = 0.7
+        spec = L.default_spec(mu)
+        value, err = weighted_moments(
+            lambda pts: lam * pts[:, 0],
+            [lambda pts, lg: lg, lambda pts, lg: np.stack([pts[:, 0], pts[:, 0] ** 2], 1)],
+            mu, spec, lambda log_mass, means: np.concatenate([[log_mass], means]))
+        want = [lam * lam / 2, lam * lam, lam, 1 + lam * lam]
+        assert value == pytest.approx(want, rel=1e-8)
+        assert np.all(err < 1e-6)
+
+    def test_unit_weight_means_are_integrals(self, gauss1, gh_spec):
+        value, _ = weighted_moments(None, [lambda pts, lg: pts[:, 0] ** 2], gauss1, gh_spec,
+                                    lambda log_mass, means: np.array([log_mass, means[0]]))
+        assert value[0] == 0.0 and value[1] == pytest.approx(1.0, rel=1e-12)
+
+    def test_adaptive_error_is_first_order_change(self):
+        # fn = means[0] * e^{log_mass} is int g x dmu; its error is that integral's own
+        mu = L.gen_exponential(0.5, 2.0, 1)
+        spec = L.default_spec(mu)
+        lam = 0.7
+        direct = quadrature.adaptive_weighted(
+            mu, spec, lambda pts: lam * pts[:, 0], lambda pt, lg: float(pt[0, 0]))
+        value, err = weighted_moments(lambda pts: lam * pts[:, 0],
+                                      [lambda pts, lg: pts[:, 0]], mu, spec,
+                                      lambda log_mass, means: math.exp(log_mass) * means[0])
+        assert value == pytest.approx(direct[0], rel=1e-14)
+        assert err == pytest.approx(direct[1], rel=1e-6)
 
 
 class TestLpNorm:
