@@ -328,8 +328,7 @@ def power(f: ScalarField, p: float) -> ScalarField:
     if p <= 0:
         raise InvalidParameter("power exponent must be > 0")
 
-    def val(pts):
-        return np.exp(np.clip(p * f.log_value(pts), LOG_FLOOR, None))
+    val = _overflow_to_inf(lambda pts: np.exp(np.clip(p * f.log_value(pts), LOG_FLOOR, None)))
 
     grad = None
     if f.has_gradient:
@@ -543,6 +542,12 @@ _NORM_NODES = {1: 320, 2: 96, 3: 64}
 #: point-node pairs per row block of a convolution sweep: the block's shifted
 #: points (16 bytes a pair in 2-D) stay a few MB, within cache reach
 _CONV_BLOCK_PAIRS = 200_000
+#: point-node pairs one convolution sweep may take (about 2 s at the 1e8
+#: pairs/s of a 2-core machine).  The largest sweep in the tests and the
+#: benchmark is 1.6e7 (101^2 Gauss-Hermite points x 1,600 nodes in 2-D); the
+#: 2-D trapezoid default, 257^2 x 1,600 = 1.1e8, fits, and every 3-D default
+#: (at least 65^3 x 8,000 = 2.2e9) is refused before any work
+CONV_MAX_PAIRS = 200_000_000
 
 
 def _ball_nodes(phi: Mollifier, want_gradient: bool = True, raw: bool = False,
@@ -584,6 +589,11 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
     def _reduce(pts: Array, weights: Array) -> Array:
         # f at x - y for one row block of points at a time, reduced against
         # the node weights at once, so no (points, nodes) matrix is kept
+        if pts.shape[0] * y.shape[0] > CONV_MAX_PAIRS:
+            raise InvalidParameter(
+                f"convolution sweep of {pts.shape[0]} points x {y.shape[0]} nodes = "
+                f"{pts.shape[0] * y.shape[0]:.3g} pairs exceeds CONV_MAX_PAIRS = "
+                f"{CONV_MAX_PAIRS:.3g}; integrate on fewer nodes")
         out = np.empty((pts.shape[0],) + weights.shape[1:])
         block = max(1, _CONV_BLOCK_PAIRS // max(1, y.shape[0]))
         shifted = np.empty((min(block, pts.shape[0]), y.shape[0], f.dim))

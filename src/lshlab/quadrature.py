@@ -5,7 +5,11 @@ Schemes
 gauss_hermite     Gaussian measures only; probabilists' nodes per axis.
 tensor_trapezoid  uniform tensor grid over the truncation box.
 adaptive_1d       full-line adaptive quadrature via the x = tan(theta)
-                  substitution (handles algebraic tails); dim 1 only.
+                  substitution (handles algebraic tails); dim 1 only.  A
+                  globally adaptive 21-point Gauss-Kronrod rule (QUADPACK's
+                  qk21 and its error formula) bisects every interval above
+                  its share of the tolerance and sends the nodes of all new
+                  intervals to the measure and the integrand in one batch.
 monte_carlo       importance sampling with the measure itself as sampler;
                   streams are keyed by the spec seed (counter-based), so
                   parallel and serial runs agree bit for bit.
@@ -15,8 +19,9 @@ it forms ln int g dmu and the means of factor columns under g dmu / int g dmu
 in log space, so large powers never overflow, and returns a function ``fn``
 of them with an error estimate from one rule: |fn(spec) - fn(spec.halved())|
 (half the nodes per axis, or the first half of the samples) on node schemes,
-and on ``adaptive_1d`` the first-order change of fn when each of its ``quad``
-integrals moves by that ``quad``'s own error estimate.
+and on ``adaptive_1d`` the first-order change of fn when each of its adaptive
+integrals moves by that integral's own error estimate.  ``quad`` remains only
+in the normalisation helpers ``line_mass`` and ``radial_mass``.
 """
 
 from __future__ import annotations
@@ -82,7 +87,8 @@ class QuadratureSpec:
 
 def default_spec(mu, **overrides) -> QuadratureSpec:
     """Scheme selection per measure family: Gauss-Hermite for Gaussians,
-    adaptive full-line quadrature in one dimension, tensor trapezoid up to
+    batched adaptive Gauss-Kronrod on the whole line in one dimension
+    (``adaptive_1d``, refined to ``target_rel_tol``), tensor trapezoid up to
     dim 3, Monte Carlo beyond."""
     if mu.family == "gaussian":
         base = dict(scheme="gauss_hermite", nodes_per_axis=_GH_DEFAULT)
@@ -182,7 +188,7 @@ def weighted_moments(log_g, factors, mu, spec: QuadratureSpec, fn):
     points to ln g, or is None for g = 1, whose mass is exactly 1 (the means
     are then plain integrals).  A factor maps (points, ln g there) to m values
     or an (m, k) array.  Node schemes evaluate each map once per node set;
-    ``adaptive_1d`` runs one ``quad`` for the mass and one per column.
+    ``adaptive_1d`` runs one adaptive loop for the mass and one per column.
     """
     if spec.scheme == "adaptive_1d":
         return _adaptive_moments(log_g, factors, mu, spec, fn)
@@ -226,15 +232,16 @@ def _adaptive_moments(log_g, factors, mu, spec: QuadratureSpec, fn):
 
 
 def _adaptive_columns(factor, mu, spec: QuadratureSpec, log_g) -> list:
-    """(integral, error) of g times each column of ``factor``, one ``quad`` each."""
+    """(integral, error) of g times each column of ``factor``, one adaptive
+    loop each, so every column refines as it would on its own."""
     width = 1  # columns of the factor; set by its first evaluation
 
     def column(j):
-        def value(pt, lg):
+        def value(pts, lg):
             nonlocal width
-            v = np.asarray(factor(pt, lg), dtype=float)
+            v = np.asarray(factor(pts, lg), dtype=float)
             width = v.shape[1] if v.ndim == 2 else 1
-            return float(v.reshape(-1)[j])
+            return v[:, j] if v.ndim == 2 else v
 
         return adaptive_weighted(mu, spec, log_g, value)
 
@@ -242,45 +249,127 @@ def _adaptive_columns(factor, mu, spec: QuadratureSpec, log_g) -> list:
     return [first] + [column(j) for j in range(1, width)]
 
 
+# QUADPACK's qk21 (Piessens et al. 1983): the 21 Kronrod abscissae on
+# [-1, 1], their weights, and the weights of the embedded 10-point Gauss rule
+# (0 at the Kronrod-only abscissae)
+_XK_HALF = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+])
+_WK_HALF = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077548032407009, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+])
+_WG_HALF = np.array([
+    0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338,
+])
+_GK_X = np.concatenate([-_XK_HALF, [0.0], _XK_HALF[::-1]])
+_GK_WK = np.concatenate([_WK_HALF, [0.149445554002916905664936468389821], _WK_HALF[::-1]])
+_GK_WG = np.concatenate([_WG_HALF, [0.0], _WG_HALF[::-1]])
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+#: intervals of the adaptive rule, and its absolute error target
+_ADAPTIVE_LIMIT = 300
+_ADAPTIVE_EPSABS = 1e-12
+
+
+def _gk21(lo: Array, hi: Array, integrand) -> tuple[Array, Array]:
+    """qk21 on each interval [lo_i, hi_i]: (integrals, QUADPACK error estimates).
+
+    ``integrand`` gets the (m, 21) abscissae of all intervals in one array.
+    """
+    center, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    f = integrand(center[:, None] + half[:, None] * _GK_X)
+    resk = f @ _GK_WK
+    mean = resk / 2.0
+    resabs = np.abs(half) * (np.abs(f) @ _GK_WK)
+    resasc = np.abs(half) * (np.abs(f - mean[:, None]) @ _GK_WK)
+    err = np.abs((resk - f @ _GK_WG) * half)
+    scaled = resasc * np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5)
+    err = np.where((resasc != 0) & (err != 0), scaled, err)
+    err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
+    return resk * half, err
+
+
 def adaptive_weighted(mu, spec: QuadratureSpec, log_g, factor=None) -> tuple[float, float]:
     """Full-line adaptive integral of g * factor against mu, g = exp(log_g) or 1.
 
-    ``factor(pt, ln g(pt))`` gives one float at the (1, 1) point ``pt``; it is
-    skipped where the weight is negligible.  ln g and the log-density are
-    summed before exponentiation, so large powers never overflow when the
-    product with the measure is moderate.
+    x = tan(theta) maps the line to (-pi/2, pi/2), where a globally adaptive
+    21-point Gauss-Kronrod rule runs: each round evaluates the 21 nodes of
+    every new interval in one (m, 1) batch, then bisects every interval whose
+    error is above its share (by length) of the tolerance
+    max(1e-12, spec.target_rel_tol * |value|), until the summed error meets
+    it or there are 300 intervals; the returned error is then the sum, above
+    the tolerance, with no warning.
+
+    ``factor(pts, ln g(pts))`` gives one value per row of the (m, 1) ``pts``
+    (``ln g`` is None for g = 1); it is evaluated only at nodes where the
+    weight is not negligible.  ln g and the log-density are summed before
+    exponentiation, so large powers never overflow when the product with the
+    measure is moderate.  A node whose exponent exceeds 700 or whose value is
+    not finite raises QuadratureFailure at once, with the largest such x of
+    that round as its point.
     """
     if mu.dim != 1:
         raise InvalidParameter("adaptive_1d requires a one-dimensional measure")
     log_norm = math.log(mu.norm_const)
-    witness = []
 
-    def integrand(theta):
-        x = math.tan(theta)
-        pt = np.array([[x]])
-        expo, lg = float(np.asarray(mu._log_density(pt))[0]), None
+    def integrand(theta: Array) -> Array:
+        pts = np.tan(theta).reshape(-1, 1)
+        expo, lg = np.asarray(mu._log_density(pts), dtype=float) - log_norm, None
         if log_g is not None:
-            lg = np.asarray(log_g(pt), dtype=float)
-            expo = float(lg[0]) + expo
-        expo -= log_norm
-        if expo < -700.0:
-            return 0.0
-        fac = factor(pt, lg) if factor is not None else 1.0
-        v = math.exp(min(expo, 709.0)) * fac / math.cos(theta) ** 2
-        if not math.isfinite(v) or expo > 700.0:
-            witness.append(x)
-            return 0.0
-        return v
+            lg = np.asarray(log_g(pts), dtype=float)
+            expo = lg + expo
+        live = ~(expo < -700.0)
+        v = np.zeros(expo.shape)
+        if np.any(live):
+            fac = 1.0 if factor is None else factor(pts[live], None if lg is None else lg[live])
+            with np.errstate(over="ignore", invalid="ignore"):
+                v[live] = (np.exp(np.minimum(expo[live], 709.0)) * fac
+                           / np.cos(theta.ravel()[live]) ** 2)
+        bad = live & ((expo > 700.0) | ~np.isfinite(expo) | ~np.isfinite(v))
+        if np.any(bad):
+            raise QuadratureFailure(
+                "non-finite integrand value inside the truncation region",
+                point=float(pts[bad, 0].max()),
+            )
+        return v.reshape(theta.shape)
 
-    value, err = sp_integrate.quad(
-        integrand, -math.pi / 2, math.pi / 2, limit=300, epsabs=1e-12,
-        epsrel=spec.target_rel_tol,
-    )
-    if witness:
-        raise QuadratureFailure(
-            "non-finite integrand value inside the truncation region", point=witness[0]
-        )
-    return float(value), max(float(err), abs(value) * 1e-15)
+    lo, hi = np.array([-math.pi / 2]), np.array([math.pi / 2])
+    res, err = _gk21(lo, hi, integrand)
+    while True:
+        value, total_err = float(res.sum()), float(err.sum())
+        tol = max(_ADAPTIVE_EPSABS, spec.target_rel_tol * abs(value))
+        room = _ADAPTIVE_LIMIT - lo.size
+        if total_err <= tol or room <= 0:
+            break
+        mid = (lo + hi) / 2.0
+        # QUADPACK's round-off guard: a bisection must leave both halves wider
+        # than about 100 ulps of the midpoint
+        ulp_floor = (1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _TINY)
+        split = (err > tol * (hi - lo) / math.pi) & (np.maximum(np.abs(lo), np.abs(hi)) > ulp_floor)
+        idx = np.flatnonzero(split)
+        if idx.size == 0:
+            break
+        if idx.size > room:
+            idx = idx[np.argsort(-err[idx], kind="stable")[:room]]
+        keep = np.ones(lo.size, dtype=bool)
+        keep[idx] = False
+        new_lo = np.concatenate([lo[idx], mid[idx]])
+        new_hi = np.concatenate([mid[idx], hi[idx]])
+        new_res, new_err = _gk21(new_lo, new_hi, integrand)
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        res, err = np.concatenate([res[keep], new_res]), np.concatenate([err[keep], new_err])
+    return value, max(total_err, abs(value) * 1e-15)
 
 
 def integrate(h, mu, spec: QuadratureSpec):
@@ -291,7 +380,7 @@ def integrate(h, mu, spec: QuadratureSpec):
     an (m, K) array of K integrands evaluated together, and the integral is
     (values, errors) as arrays of shape (K,), column by column the same as
     integrating each column on its own.  On grids each node set is evaluated
-    once for all columns; ``adaptive_1d`` runs one ``quad`` per column.
+    once for all columns; ``adaptive_1d`` runs one adaptive loop per column.
     """
     ndim = []
 

@@ -60,6 +60,12 @@ class TestBuilders:
         f = L.exp_subharmonic(lambda pts: pts[:, 0] ** 2, dim=1)
         assert f.certificate == "exp_subharmonic"
 
+    def test_power_overflow_is_silent_inf(self):
+        # e^{2 ln 1e300} overflows; an integral reports the inf with its point,
+        # so the value map warns nothing (the suite turns lshlab warnings into errors)
+        f = L.power(L.constant(1e300, 1), 2.0)
+        assert f(np.array([0.0])) == math.inf
+
     def test_power_requires_positive_exponent(self):
         with pytest.raises(InvalidParameter):
             L.power(L.log_linear([0.5]), 0.0)
@@ -225,6 +231,20 @@ class TestConvolve:
             g.gradient(xs), np.concatenate([g.gradient(s) for s in slices]),
             rtol=1e-12, atol=1e-300,
         )
+
+
+    def test_sweep_over_budget_is_refused(self, monkeypatch):
+        g = L.convolve(L.cosh_field(0.8), L.mollifier(1, 4))  # 64 nodes
+        monkeypatch.setattr(L.fields, "CONV_MAX_PAIRS", 64 * 100)
+        assert g(np.zeros((100, 1))) == pytest.approx(np.full(100, g(np.zeros(1))))
+        with pytest.raises(InvalidParameter, match="101 points x 64 nodes"):
+            g.value_and_gradient(np.zeros((101, 1)))
+
+    def test_3d_check_is_refused_before_the_sweep(self):
+        # 101^3 Gauss-Hermite points against 20^3 mollifier nodes: 8.2e9 pairs
+        g = L.convolve(L.log_linear([0.8, 0.0, 0.0]), L.mollifier(3, 4))
+        with pytest.raises(InvalidParameter, match="1030301 points x 8000 nodes"):
+            L.check_slsi(g, L.gaussian(1.0, 3), 1.0)
 
 
 def _joint_cases():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,80 @@ class TestIntegrate:
         assert value_abs == pytest.approx(1.0, rel=1e-8)
 
 
+def _laplace():
+    return L.gen_exponential(1.0, 1.0, 1)
+
+
+# (measure, h, closed form of int h dmu): Laplace and its shift have a kink of
+# the density at 0 and 0.37, and poly_tail(2) has an algebraic tail
+_CLOSED_FORMS = {
+    "laplace-kink": (_laplace, lambda pts: np.exp(0.3 * pts[:, 0]), 1.0 / (1.0 - 0.09)),
+    "shifted-kink": (lambda: L.shift(_laplace(), [0.37]), lambda pts: np.exp(0.3 * pts[:, 0]),
+                     math.exp(0.3 * 0.37) / (1.0 - 0.09)),
+    "poly-tail": (lambda: L.poly_tail(2.0, 1), lambda pts: pts[:, 0] ** 2, 1.0),
+}
+
+
+class TestAdaptiveRule:
+    def test_kronrod_table_is_exact_to_degree_31(self):
+        # 21 Kronrod nodes integrate degree 31 exactly and the embedded
+        # 10-point Gauss rule degree 19, so the error estimate vanishes there
+        lo, hi = np.array([-1.0, 0.0]), np.array([1.0, 2.0])
+        for k in (0, 1, 18, 19, 30, 31):
+            res, err = quadrature._gk21(lo, hi, lambda t, k=k: t ** k)
+            want = [(1 - (-1) ** (k + 1)) / (k + 1), 2.0 ** (k + 1) / (k + 1)]
+            np.testing.assert_allclose(res, want, rtol=1e-13, atol=1e-15)
+            if k <= 19:
+                assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("case", sorted(_CLOSED_FORMS))
+    def test_error_covers_the_closed_form(self, case):
+        make_mu, h, want = _CLOSED_FORMS[case]
+        mu = make_mu()
+        spec = L.default_spec(mu)
+        assert spec.scheme == "adaptive_1d"
+        value, err = L.integrate(h, mu, spec)
+        assert abs(value - want) <= err
+        assert err <= 1e-6 * want
+
+    @pytest.mark.parametrize("case", ["laplace-kink", "shifted-kink"])
+    def test_log_space_weight_matches_the_factor(self, case):
+        # the same integral with e^{0.3x} as log_g instead of a factor
+        make_mu, _, want = _CLOSED_FORMS[case]
+        mu = make_mu()
+        value, err = quadrature.adaptive_weighted(mu, L.default_spec(mu),
+                                                  lambda pts: 0.3 * pts[:, 0])
+        assert abs(value - want) <= err
+
+    def test_interval_cap_reports_a_large_error_without_warning(self):
+        # sign(sin 40x) jumps about 130 times where N(0, 1) has mass; each jump
+        # needs ~25 bisections for 1e-8, so the 300 intervals run out
+        mu = L.shift(L.gaussian(1.0, 1), [0.1])
+        spec = L.default_spec(mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, err = quadrature.adaptive_weighted(
+                mu, spec, None, lambda pts, lg: np.sign(np.sin(40.0 * pts[:, 0])))
+        assert math.isfinite(value)
+        assert err > max(1e-12, spec.target_rel_tol * abs(value))
+
+    def test_weighted_moments_never_calls_quad(self, monkeypatch):
+        class NoQuad:
+            def quad(self, *args, **kwargs):
+                raise AssertionError("quad reached from the weighted-integral path")
+
+        mu = L.mix(L.gaussian(0.8, 1), L.gaussian(1.25, 1), 0.7)  # normalised by quad
+        monkeypatch.setattr(quadrature, "sp_integrate", NoQuad())
+        spec = L.default_spec(mu)
+        f = L.log_linear([0.5])
+        norm = L.lp_norm(f, mu, 2.0, spec)
+        # int e^{lam x} dN(0, s^2) = e^{lam^2 s^2 / 2}
+        want = math.sqrt(0.3 * math.exp(0.5 * 0.64) + 0.7 * math.exp(0.5 * 1.5625))
+        assert norm == pytest.approx(want, rel=1e-8)
+        assert L.integrate(f, mu, spec)[0] == pytest.approx(
+            0.3 * math.exp(0.125 * 0.64) + 0.7 * math.exp(0.125 * 1.5625), rel=1e-8)
+
+
 def three_columns(pts):
     x = pts[:, 0]
     return np.stack([2.0 + np.cos(x), x * x, 1.0 / (1.0 + x * x)], axis=1)
@@ -194,7 +269,7 @@ class TestWeightedMoments:
         spec = L.default_spec(mu)
         lam = 0.7
         direct = quadrature.adaptive_weighted(
-            mu, spec, lambda pts: lam * pts[:, 0], lambda pt, lg: float(pt[0, 0]))
+            mu, spec, lambda pts: lam * pts[:, 0], lambda pts, lg: pts[:, 0])
         value, err = weighted_moments(lambda pts: lam * pts[:, 0],
                                       [lambda pts, lg: pts[:, 0]], mu, spec,
                                       lambda log_mass, means: math.exp(log_mass) * means[0])
