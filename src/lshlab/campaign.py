@@ -31,6 +31,7 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 from functools import partial
@@ -145,8 +146,10 @@ class CampaignConfig:
         unknown = set(raw) - {"seed", "output_dir", "quadrature", "measures", "fields", "checks"}
         if unknown:
             raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
+        with config_errors("seed"):
+            seed = int(raw.get("seed", 0))
         cfg = cls(
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
             output_dir=str(raw.get("output_dir", "")),
             quadrature=dict(raw.get("quadrature", {"scheme": "auto"})),
             measures=dict(raw.get("measures", {})),
@@ -192,6 +195,16 @@ class CampaignConfig:
             for fname in entry.get("fields", []):
                 if fname not in self.fields:
                     raise ConfigError(f"{where}: references undeclared field {fname!r}")
+
+
+@contextmanager
+def config_errors(where: str):
+    """Turn the TypeError or ValueError of a malformed value into a ConfigError
+    naming ``where``."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _require(decl: dict, keys, where: str):
@@ -278,15 +291,18 @@ FIELD_BUILDERS = tuple(sorted(_FIELD_BUILDERS))
 
 
 def build_measure(decl: dict) -> measures_mod.Density:
+    where = f"measure declaration {decl}"
     if "family" in decl:
         params = {k: v for k, v in decl.items() if k not in ("family", "dim")}
-        return measures_mod.make_builtin(decl["family"], params, int(decl.get("dim", 1)))
+        with config_errors(where):
+            return measures_mod.make_builtin(decl["family"], params, int(decl.get("dim", 1)))
     op = decl.get("op")
     if op not in MEASURE_OPS:
         raise ConfigError(f"measure declaration needs 'family' or 'op' in {MEASURE_OPS}: {decl}")
     required, build = _MEASURE_OPS[op]
-    _require(decl, required, f"measure declaration {decl}")
-    return build(decl)
+    _require(decl, required, where)
+    with config_errors(where):
+        return build(decl)
 
 
 def build_field(decl: dict) -> fields_mod.ScalarField:
@@ -294,19 +310,21 @@ def build_field(decl: dict) -> fields_mod.ScalarField:
     if builder not in FIELD_BUILDERS:
         raise ConfigError(f"unknown field builder {builder!r}; choose from {FIELD_BUILDERS}")
     required, build = _FIELD_BUILDERS[builder]
-    _require(decl, required, f"field declaration {decl}")
-    return build(decl)
+    where = f"field declaration {decl}"
+    _require(decl, required, where)
+    with config_errors(where):
+        return build(decl)
 
 
 def resolve_spec(block: dict, mu, seed: int) -> QuadratureSpec:
     kwargs = {k: v for k, v in block.items() if k != "scheme"}
     kwargs.setdefault("seed", seed)
     scheme = block.get("scheme", "auto")
-    if scheme == "auto":
-        if mu is None:
-            raise ConfigError("auto quadrature needs a target measure")
-        return default_spec(mu, **kwargs)
-    return QuadratureSpec(scheme=scheme, **kwargs)
+    if scheme == "auto" and mu is None:
+        raise ConfigError("auto quadrature needs a target measure")
+    with config_errors(f"quadrature block {block}"):
+        return default_spec(mu, **kwargs) if scheme == "auto" else \
+            QuadratureSpec(scheme=scheme, **kwargs)
 
 
 # ---------------------------------------------------------------------------

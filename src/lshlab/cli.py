@@ -57,12 +57,13 @@ def _field_decl(text: str) -> dict:
         return _json_decl(text, "--field")
     if ":" in text:
         builder, arg = text.split(":", 1)
-        if builder == "log_linear":
-            return {"builder": "log_linear", "lam": [float(arg)]}
-        if builder == "cosh":
-            return {"builder": "cosh", "lam": float(arg)}
-        if builder == "constant":
-            return {"builder": "constant", "value": float(arg)}
+        with campaign_mod.config_errors(f"--field {text!r}"):
+            if builder == "log_linear":
+                return {"builder": "log_linear", "lam": [float(arg)]}
+            if builder == "cosh":
+                return {"builder": "cosh", "lam": float(arg)}
+            if builder == "constant":
+                return {"builder": "constant", "value": float(arg)}
     raise LabError(
         f"cannot parse field {text!r}: use JSON or shorthand "
         "log_linear:LAM | cosh:LAM | constant:VALUE"

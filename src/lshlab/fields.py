@@ -1,22 +1,31 @@
 """Scalar fields with log-subharmonicity certificates.
 
-A :class:`ScalarField` is an immutable composition tree over R^n exposing a
-vectorized value map, an optional analytic gradient, and an optional stable
-log-value map.  Fields constructed through the certified builders
-(``log_linear``, ``exp_subharmonic``, ``modulus_holomorphic``, ``power``,
-``product_field``, ``dilate``, ``convolve``) are log-subharmonic by
-construction; the certificate records the construction route and ``is_lsh``
-provides the falsifiable numerical test (sub-mean inequality of ln f over
-spheres).
+A :class:`ScalarField` is an immutable composition tree over R^n.  The paper
+works on the cone of log-subharmonic functions, so a certified field is
+defined by one map in log space: a batch of points goes to (ln f, grad ln f),
+with the gradient computed only when asked.  The certified builders give it
+directly: ``constant``, ``log_linear``, ``cosh_field``, ``exp_subharmonic``
+and ``exp_norm_sq``, ``modulus_holomorphic`` (grad ln|P| = (Re P'/P,
+-Im P'/P), 0 at zeros of P), ``power`` (p times), ``product_field`` (a sum),
+``dilate`` (r grad ln f(r x)) and ``convolve``.  ``ScalarField`` derives the
+value f = e^{ln f}, ``log_value``, the gradient f grad ln f and
+``value_and_gradient`` from that map in one place.  Certified fields are
+log-subharmonic by construction; the certificate records the construction
+route and ``is_lsh`` provides the falsifiable numerical test (sub-mean
+inequality of ln f over spheres).  Unverified fields (``raw_field``,
+``squared_norm``, ``spherical_average``) may be signed, so they alone keep a
+value map, with an optional gradient map.
 
-``value_and_gradient`` returns f(x) and grad f(x) together.  A convolution,
-and any dilation of one, computes both from one sweep of the inner field over
-the mollifier nodes; every other field evaluates its two maps in turn.
+A convolution sweeps the inner field over the mollifier nodes once for both
+ln(f * phi) and grad ln(f * phi) = sum_i cg_i f(x - y_i) / sum_i c_i f(x - y_i).
+The sweep sums the linear values of f; only rows whose sum is not a finite
+positive number (f overflows or underflows there) are summed again from
+ln f, each shifted by its largest value (log-sum-exp).
 
 Point convention: a single point is a 1-D array of shape (dim,); a batch is a
-2-D array of shape (m, dim).  All value/gradient maps are vectorized over
-batches.  Fields are immutable after construction and safe to evaluate from
-concurrent contexts.
+2-D array of shape (m, dim).  All maps are vectorized over batches.  Fields
+are immutable after construction and safe to evaluate from concurrent
+contexts.
 """
 
 from __future__ import annotations
@@ -32,6 +41,8 @@ from .errors import InvalidParameter, SubharmonicityError
 from .quadrature import tensor_grid
 
 Array = np.ndarray
+#: (points, grad) -> (ln f, grad ln f or None): the map that defines a certified field
+LogMap = Callable[[Array, bool], tuple[Array, Optional[Array]]]
 
 #: values below this floor are treated as exact zeros (0 * ln 0 = 0 convention)
 VALUE_FLOOR = 1e-300
@@ -64,94 +75,108 @@ def _batch(x, dim: int) -> tuple[Array, bool]:
     raise InvalidParameter(f"expected shape (m, {dim}) or ({dim},), got {pts.shape}")
 
 
+def _central_differences(fn: Callable[[Array], Array], pts: Array) -> Array:
+    """Gradient of a vectorized map by central differences, one axis at a time."""
+    g = np.empty_like(pts)
+    for j in range(pts.shape[1]):
+        h = _FD_STEP * np.maximum(1.0, np.abs(pts[:, j]))
+        up = pts.copy()
+        dn = pts.copy()
+        up[:, j] += h
+        dn[:, j] -= h
+        g[:, j] = (np.asarray(fn(up), dtype=float) - np.asarray(fn(dn), dtype=float)) / (2.0 * h)
+    return g
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """A non-negative scalar field on R^n.
 
     ``certificate`` is the construction tag; everything except "unverified"
-    is log-subharmonic by construction and must pass :func:`is_lsh` at random
-    probes.  ``smooth`` permits finite-difference derivatives when no analytic
-    gradient is attached.
+    is log-subharmonic by construction, must pass :func:`is_lsh` at random
+    probes, and is defined by its log map ``_log``.  An unverified field is
+    defined by its value map ``_value`` and an optional ``_gradient``;
+    ``smooth`` permits finite-difference derivatives when it has none.
     """
 
     dim: int
     certificate: str
     smooth: bool
     label: str
-    _value: Callable[[Array], Array] = field(repr=False)
-    _log_value: Optional[Callable[[Array], Array]] = field(repr=False, default=None)
+    _log: Optional[LogMap] = field(repr=False, default=None)
+    _value: Optional[Callable[[Array], Array]] = field(repr=False, default=None)
     _gradient: Optional[Callable[[Array], Array]] = field(repr=False, default=None)
-    _value_and_gradient: Optional[Callable[[Array], tuple[Array, Array]]] = field(
-        repr=False, default=None)
 
     def __post_init__(self):
         if self.certificate not in CERTIFICATES:
             raise InvalidParameter(f"unknown certificate tag {self.certificate!r}")
         if self.dim < 1:
             raise InvalidParameter("dim must be a positive integer")
+        if (self._log is None) != (self.certificate == "unverified"):
+            raise InvalidParameter(
+                "a certified field is defined by its log map, an unverified one by its values")
 
     def __call__(self, x):
         pts, single = _batch(x, self.dim)
-        v = np.asarray(self._value(pts), dtype=float)
+        if self._log is None:
+            v = np.asarray(self._value(pts), dtype=float)
+        else:
+            # an overflow gives inf silently: an integral turns it into a
+            # QuadratureFailure carrying the point
+            with np.errstate(over="ignore"):
+                v = np.exp(self._log(pts, False)[0])
         return float(v[0]) if single else v
 
-    def log_value(self, x):
-        """ln f(x), with -inf-safe flooring at ``LOG_FLOOR``."""
-        pts, single = _batch(x, self.dim)
-        if self._log_value is not None:
-            lv = np.asarray(self._log_value(pts), dtype=float)
-        else:
-            v = np.asarray(self._value(pts), dtype=float)
-            lv = np.log(np.maximum(v, VALUE_FLOOR))
-        lv = np.maximum(lv, LOG_FLOOR)
-        return float(lv[0]) if single else lv
+    def log_value(self, x, grad: bool = False):
+        """ln f(x), floored at ``LOG_FLOOR``; with ``grad``, (ln f(x), grad ln f(x)).
 
-    @property
-    def has_gradient(self) -> bool:
-        return self._gradient is not None
+        An unverified field takes both from its values, floored at VALUE_FLOOR.
+        """
+        pts, single = _batch(x, self.dim)
+        if self._log is not None:
+            lv, dlv = self._log(pts, grad)
+        else:
+            v = np.maximum(np.asarray(self._value(pts), dtype=float), VALUE_FLOOR)
+            lv, dlv = np.log(v), (self._linear_gradient(pts) / v[:, None] if grad else None)
+        lv = np.maximum(lv, LOG_FLOOR)
+        if single:
+            return (float(lv[0]), dlv[0]) if grad else float(lv[0])
+        return (lv, dlv) if grad else lv
 
     def gradient(self, x):
-        """Analytic gradient when attached, else central differences (smooth fields)."""
+        """grad f(x): f grad ln f for a certified field; for an unverified one
+        its gradient map, else central differences (smooth fields only)."""
         pts, single = _batch(x, self.dim)
-        if self._gradient is not None:
-            g = np.asarray(self._gradient(pts), dtype=float)
-        elif self.smooth:
-            g = self._fd_gradient(pts)
-        else:
-            raise InvalidParameter(
-                f"field {self.label!r} has no gradient and is not flagged smooth"
-            )
+        g = self.value_and_gradient(pts)[1]
         return g[0] if single else g
 
     def value_and_gradient(self, x):
-        """(f(x), grad f(x)), from one joint map when the field has one."""
+        """(f(x), grad f(x)) from one evaluation of the log map."""
         pts, single = _batch(x, self.dim)
-        if self._value_and_gradient is not None:
-            v, g = self._value_and_gradient(pts)
-            v, g = np.asarray(v, dtype=float), np.asarray(g, dtype=float)
+        if self._log is None:
+            v, g = np.asarray(self._value(pts), dtype=float), self._linear_gradient(pts)
         else:
-            v, g = self(pts), self.gradient(pts)
+            lv, dlv = self._log(pts, True)
+            # inf * 0 where f overflows: the NaN fails an integral, with its witness
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = np.exp(lv)
+                g = v[:, None] * dlv
         return (float(v[0]), g[0]) if single else (v, g)
 
-    def _fd_gradient(self, pts: Array) -> Array:
-        g = np.empty_like(pts)
-        for j in range(self.dim):
-            h = _FD_STEP * np.maximum(1.0, np.abs(pts[:, j]))
-            up = pts.copy()
-            dn = pts.copy()
-            up[:, j] += h
-            dn[:, j] -= h
-            g[:, j] = (self._value(up) - self._value(dn)) / (2.0 * h)
-        return g
+    def _linear_gradient(self, pts: Array) -> Array:
+        if self._gradient is not None:
+            return np.asarray(self._gradient(pts), dtype=float)
+        if self.smooth:
+            return _central_differences(self._value, pts)
+        raise InvalidParameter(
+            f"field {self.label!r} has no gradient and is not flagged smooth"
+        )
 
 
 def euler(f: ScalarField, x):
     """Euler operator Ef(x) = x . grad f(x), the dilation-semigroup generator."""
     pts, single = _batch(x, f.dim)
-    if not f.has_gradient and not f.smooth:
-        raise InvalidParameter("Euler operator needs an analytic gradient or a smooth field")
-    g = f.gradient(pts)
-    e = np.einsum("ij,ij->i", pts, g)
+    e = np.einsum("ij,ij->i", pts, f.gradient(pts))
     return float(e[0]) if single else e
 
 
@@ -159,30 +184,24 @@ def euler(f: ScalarField, x):
 # builders
 # ---------------------------------------------------------------------------
 
+def _certified(label: str, dim: int, certificate: str, log: LogMap) -> ScalarField:
+    return ScalarField(dim=dim, certificate=certificate, smooth=True, label=label, _log=log)
+
+
+def _needs_log_map(*fs: ScalarField):
+    for f in fs:
+        if f.certificate == "unverified":
+            raise InvalidParameter(
+                f"field {f.label!r} is unverified; compositions need a certified field")
+
+
 def constant(value: float, dim: int = 1) -> ScalarField:
     if value < 0:
         raise InvalidParameter("constant fields must be non-negative")
     c = float(value)
     logc = math.log(c) if c > 0 else LOG_FLOOR
-    return ScalarField(
-        dim=dim,
-        certificate="log_linear",
-        smooth=True,
-        label=f"constant({c:g})",
-        _value=lambda pts: np.full(pts.shape[0], c),
-        _log_value=lambda pts: np.full(pts.shape[0], logc),
-        _gradient=lambda pts: np.zeros_like(pts),
-    )
-
-
-def _overflow_to_inf(fn: Callable[[Array], Array]) -> Callable[[Array], Array]:
-    """``fn`` with floating overflow giving inf silently: an integral turns the
-    inf into a QuadratureFailure carrying the point, so a warning is redundant."""
-    def quiet(pts):
-        with np.errstate(over="ignore"):
-            return fn(pts)
-
-    return quiet
+    return _certified(f"constant({c:g})", dim, "log_linear", lambda pts, grad: (
+        np.full(pts.shape[0], logc), np.zeros_like(pts) if grad else None))
 
 
 def log_linear(lam) -> ScalarField:
@@ -190,37 +209,21 @@ def log_linear(lam) -> ScalarField:
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if not np.all(np.isfinite(lam)):
         raise InvalidParameter("log_linear requires a finite coefficient vector")
-    dim = lam.shape[0]
-
-    val = _overflow_to_inf(lambda pts: np.exp(pts @ lam))
-    return ScalarField(
-        dim=dim,
-        certificate="log_linear",
-        smooth=True,
-        label=f"log_linear({np.array2string(lam, separator=',')})",
-        _value=val,
-        _log_value=lambda pts: pts @ lam,
-        _gradient=lambda pts: val(pts)[:, None] * lam[None, :],
-    )
+    return _certified(
+        f"log_linear({np.array2string(lam, separator=',')})", lam.shape[0], "log_linear",
+        lambda pts, grad: (pts @ lam, np.tile(lam, (pts.shape[0], 1)) if grad else None))
 
 
 def cosh_field(lam: float) -> ScalarField:
     """f(x) = cosh(lam x) on R; (ln cosh)'' = lam^2 sech^2 > 0, so ln f is convex."""
     lam = float(lam)
 
-    def logv(pts):
+    def log(pts, grad):
         t = lam * pts[:, 0]
-        return np.logaddexp(t, -t) - math.log(2.0)
+        return (np.logaddexp(t, -t) - math.log(2.0),
+                (lam * np.tanh(t))[:, None] if grad else None)
 
-    return ScalarField(
-        dim=1,
-        certificate="exp_subharmonic",
-        smooth=True,
-        label=f"cosh_field({lam:g})",
-        _value=_overflow_to_inf(lambda pts: np.cosh(lam * pts[:, 0])),
-        _log_value=logv,
-        _gradient=_overflow_to_inf(lambda pts: (lam * np.sinh(lam * pts[:, 0]))[:, None]),
-    )
+    return _certified(f"cosh_field({lam:g})", 1, "exp_subharmonic", log)
 
 
 def exp_subharmonic(
@@ -234,9 +237,10 @@ def exp_subharmonic(
 ) -> ScalarField:
     """f = exp(u) for a (numerically verified) subharmonic u.
 
-    ``u`` must be vectorized over (m, dim) batches.  Construction is rejected,
-    with a witness point, when u fails the sphere sub-mean test at random
-    probes.
+    ``u`` must be vectorized over (m, dim) batches; grad ln f = grad u comes
+    from ``grad_u``, or from central differences of u without it.
+    Construction is rejected, with a witness point, when u fails the sphere
+    sub-mean test at random probes.
     """
     if verify:
         rep = _sub_mean_test(u, dim, seed=seed)
@@ -247,24 +251,9 @@ def exp_subharmonic(
                 f"mean {mean:.6g} < value {center:.6g}",
                 witness=x,
             )
-
-    def val(pts):
-        return np.exp(np.asarray(u(pts), dtype=float))
-
-    grad = None
-    if grad_u is not None:
-        def grad(pts):
-            return np.exp(np.asarray(u(pts), dtype=float))[:, None] * np.asarray(grad_u(pts))
-
-    return ScalarField(
-        dim=dim,
-        certificate="exp_subharmonic",
-        smooth=True,
-        label=label,
-        _value=val,
-        _log_value=lambda pts: np.asarray(u(pts), dtype=float),
-        _gradient=grad,
-    )
+    du = grad_u or (lambda pts: _central_differences(u, pts))
+    return _certified(label, dim, "exp_subharmonic", lambda pts, grad: (
+        np.asarray(u(pts), dtype=float), np.asarray(du(pts), dtype=float) if grad else None))
 
 
 def exp_norm_sq(lam: float, dim: int) -> ScalarField:
@@ -272,54 +261,41 @@ def exp_norm_sq(lam: float, dim: int) -> ScalarField:
     lam = float(lam)
     if lam < 0:
         raise InvalidParameter("exp_norm_sq requires lam >= 0")
-    sq = lambda pts: np.sum(pts * pts, axis=1)
-    f = exp_subharmonic(
-        lambda pts: lam * sq(pts),
+    return exp_subharmonic(
+        lambda pts: lam * np.sum(pts * pts, axis=1),
         dim,
         grad_u=lambda pts: 2.0 * lam * pts,
         label=f"exp_norm_sq({lam:g})",
         verify=False,
     )
-    return f
 
 
 def modulus_holomorphic(coeffs: Sequence[complex]) -> ScalarField:
     """f(x, y) = |P(x + iy)| for a polynomial P; ln|P| is subharmonic on R^2.
 
-    ``coeffs`` are ascending-order polynomial coefficients.  The gradient is
-    analytic away from zeros of P (and reported as 0 exactly at them).
+    ``coeffs`` are ascending-order polynomial coefficients.  grad ln|P| is
+    (Re P'/P, -Im P'/P), and 0 where |P| is below VALUE_FLOOR.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise InvalidParameter("coeffs must be a non-empty 1-D sequence")
     dcoeffs = np.polynomial.polynomial.polyder(coeffs)
 
-    def _w(pts):
-        z = pts[:, 0] + 1j * pts[:, 1]
-        return np.polynomial.polynomial.polyval(z, coeffs)
-
-    def val(pts):
-        return np.abs(_w(pts))
-
-    def grad(pts):
+    def log(pts, grad):
         z = pts[:, 0] + 1j * pts[:, 1]
         w = np.polynomial.polynomial.polyval(z, coeffs)
-        wp = np.polynomial.polynomial.polyval(z, dcoeffs) if dcoeffs.size else np.zeros_like(z)
         aw = np.abs(w)
-        safe = np.maximum(aw, VALUE_FLOOR)
-        prod = np.conj(w) * wp
-        g = np.stack([prod.real / safe, -prod.imag / safe], axis=1)
-        g[aw < VALUE_FLOOR] = 0.0
-        return g
+        with np.errstate(divide="ignore"):
+            lv = np.log(aw)
+        if not grad:
+            return lv, None
+        zero = aw < VALUE_FLOOR
+        wp = np.polynomial.polynomial.polyval(z, dcoeffs) if dcoeffs.size else np.zeros_like(z)
+        ratio = np.where(zero, 0.0, wp / np.where(zero, 1.0, w))
+        return lv, np.stack([ratio.real, -ratio.imag], axis=1)
 
-    return ScalarField(
-        dim=2,
-        certificate="modulus_holomorphic",
-        smooth=True,
-        label=f"modulus_holomorphic(deg={coeffs.size - 1})",
-        _value=val,
-        _gradient=grad,
-    )
+    return _certified(f"modulus_holomorphic(deg={coeffs.size - 1})", 2,
+                      "modulus_holomorphic", log)
 
 
 def power(f: ScalarField, p: float) -> ScalarField:
@@ -327,47 +303,30 @@ def power(f: ScalarField, p: float) -> ScalarField:
     p = float(p)
     if p <= 0:
         raise InvalidParameter("power exponent must be > 0")
+    _needs_log_map(f)
 
-    val = _overflow_to_inf(lambda pts: np.exp(np.clip(p * f.log_value(pts), LOG_FLOOR, None)))
+    def log(pts, grad):
+        if not grad:
+            return p * f.log_value(pts), None
+        lv, dlv = f.log_value(pts, grad=True)
+        return p * lv, p * dlv
 
-    grad = None
-    if f.has_gradient:
-        def grad(pts):
-            lv = f.log_value(pts)
-            fac = np.exp(np.clip((p - 1.0) * lv, LOG_FLOOR, 709.0))
-            fac[lv <= LOG_FLOOR] = 0.0
-            return p * fac[:, None] * f.gradient(pts)
-
-    return ScalarField(
-        dim=f.dim,
-        certificate="power",
-        smooth=f.smooth,
-        label=f"power({f.label}, {p:g})",
-        _value=val,
-        _log_value=lambda pts: p * f.log_value(pts),
-        _gradient=grad,
-    )
+    return _certified(f"power({f.label}, {p:g})", f.dim, "power", log)
 
 
 def product_field(f: ScalarField, g: ScalarField) -> ScalarField:
     """Pointwise product; ln(fg) = ln f + ln g stays subharmonic."""
     if f.dim != g.dim:
         raise InvalidParameter("product factors must share a dimension")
+    _needs_log_map(f, g)
 
-    grad = None
-    if f.has_gradient and g.has_gradient:
-        def grad(pts):
-            return f(pts)[:, None] * g.gradient(pts) + g(pts)[:, None] * f.gradient(pts)
+    def log(pts, grad):
+        if not grad:
+            return f.log_value(pts) + g.log_value(pts), None
+        (lf, dlf), (lg, dlg) = f.log_value(pts, grad=True), g.log_value(pts, grad=True)
+        return lf + lg, dlf + dlg
 
-    return ScalarField(
-        dim=f.dim,
-        certificate="product",
-        smooth=f.smooth and g.smooth,
-        label=f"product({f.label}, {g.label})",
-        _value=lambda pts: f(pts) * g(pts),
-        _log_value=lambda pts: f.log_value(pts) + g.log_value(pts),
-        _gradient=grad,
-    )
+    return _certified(f"product({f.label}, {g.label})", f.dim, "product", log)
 
 
 def scale(f: ScalarField, t: float) -> ScalarField:
@@ -382,27 +341,15 @@ def dilate(f: ScalarField, r: float) -> ScalarField:
         raise InvalidParameter(f"dilation factor must lie in (0, 1], got {r}")
     if r == 1.0:
         return f
+    _needs_log_map(f)
 
-    grad = None
-    if f.has_gradient:
-        grad = lambda pts: r * f.gradient(r * pts)
+    def log(pts, grad):
+        if not grad:
+            return f.log_value(r * pts), None
+        lv, dlv = f.log_value(r * pts, grad=True)
+        return lv, r * dlv
 
-    joint = None
-    if f._value_and_gradient is not None:
-        def joint(pts):
-            v, g = f.value_and_gradient(r * pts)
-            return v, r * g
-
-    return ScalarField(
-        dim=f.dim,
-        certificate="dilation",
-        smooth=f.smooth,
-        label=f"dilate({f.label}, {r:g})",
-        _value=lambda pts: f(r * pts),
-        _log_value=lambda pts: f.log_value(r * pts),
-        _gradient=grad,
-        _value_and_gradient=joint,
-    )
+    return _certified(f"dilate({f.label}, {r:g})", f.dim, "dilation", log)
 
 
 def raw_field(
@@ -576,25 +523,29 @@ def _ball_nodes(phi: Mollifier, want_gradient: bool = True, raw: bool = False,
 def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
     """Smoothing convolution (f * phi)(x) = integral of f(x - y) phi(y) dy.
 
-    Preserves the log-subharmonic cone and yields a C-infinity field; the
-    gradient is computed as f * grad(phi).  ``value_and_gradient`` reduces
-    each sweep of f against the stacked weights [c | grad c], so value and
-    gradient cost one evaluation of f at every x - y.
+    Preserves the log-subharmonic cone and yields a C-infinity field.  With
+    c_i = w_i phi(y_i) and cg_i = w_i grad phi(y_i) on the mollifier nodes y_i,
+    ln(f * phi)(x) = ln sum_i c_i f(x - y_i) and grad ln(f * phi)(x) =
+    sum_i cg_i f(x - y_i) / sum_i c_i f(x - y_i), both from one sweep of f
+    against the stacked weights [c | cg].  The sweep sums values of f; a row
+    whose sum is not a finite positive number is summed again from ln f,
+    shifted by its largest value over the nodes where c_i > 0.
     """
     if f.dim != phi.dim:
         raise InvalidParameter("field and mollifier dimensions differ")
+    _needs_log_map(f)
     y, c, cg = _ball_nodes(phi)
     c_cg = np.column_stack([c, cg])
+    live = c > 0
 
-    def _reduce(pts: Array, weights: Array) -> Array:
-        # f at x - y for one row block of points at a time, reduced against
-        # the node weights at once, so no (points, nodes) matrix is kept
+    def blocks(pts: Array):
+        # x - y for one row block of points at a time, so no (points, nodes)
+        # matrix is kept: (first row, rows, the block's points as (rows * nodes, dim))
         if pts.shape[0] * y.shape[0] > CONV_MAX_PAIRS:
             raise InvalidParameter(
                 f"convolution sweep of {pts.shape[0]} points x {y.shape[0]} nodes = "
                 f"{pts.shape[0] * y.shape[0]:.3g} pairs exceeds CONV_MAX_PAIRS = "
                 f"{CONV_MAX_PAIRS:.3g}; integrate on fewer nodes")
-        out = np.empty((pts.shape[0],) + weights.shape[1:])
         block = max(1, _CONV_BLOCK_PAIRS // max(1, y.shape[0]))
         shifted = np.empty((min(block, pts.shape[0]), y.shape[0], f.dim))
         for lo in range(0, pts.shape[0], block):
@@ -604,30 +555,36 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
             # axis would run one short inner loop per point-node pair
             for j in range(f.dim):
                 np.subtract(chunk[:, j, None], y[None, :, j], out=shifted[:, :, j])
-            out[lo : lo + chunk.shape[0]] = f(
-                shifted.reshape(-1, f.dim)
-            ).reshape(chunk.shape[0], y.shape[0]) @ weights
+            yield lo, chunk.shape[0], shifted.reshape(-1, f.dim)
+
+    def sweep(pts: Array, weights: Array) -> Array:
+        out = np.empty((pts.shape[0],) + weights.shape[1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, rows, shifted in blocks(pts):
+                out[lo : lo + rows] = f(shifted).reshape(rows, -1) @ weights
         return out
 
-    def val(pts):
-        return _reduce(pts, c)
+    def log_sweep(pts: Array, weights: Array) -> tuple[Array, Array]:
+        # (top, sums): the sums of the sweep times e^{-top}, top the row's largest ln f
+        top = np.empty(pts.shape[0])
+        out = np.empty((pts.shape[0],) + weights.shape[1:])
+        for lo, rows, shifted in blocks(pts):
+            lf = np.where(live, f.log_value(shifted).reshape(rows, -1), -np.inf)
+            top[lo : lo + rows] = lf.max(axis=1)
+            out[lo : lo + rows] = np.exp(lf - top[lo : lo + rows, None]) @ weights
+        return top, out
 
-    def grad(pts):
-        return _reduce(pts, cg)
+    def log(pts, grad):
+        weights = c_cg if grad else c
+        sums = sweep(pts, weights).reshape(pts.shape[0], -1)
+        top = np.zeros(pts.shape[0])
+        redo = ~(np.isfinite(sums).all(axis=1) & (sums[:, 0] > 0))
+        if np.any(redo):
+            top[redo], again = log_sweep(pts[redo], weights)
+            sums[redo] = again.reshape(-1, sums.shape[1])
+        return top + np.log(sums[:, 0]), (sums[:, 1:] / sums[:, :1] if grad else None)
 
-    def joint(pts):
-        out = _reduce(pts, c_cg)
-        return out[:, 0], out[:, 1:]
-
-    return ScalarField(
-        dim=f.dim,
-        certificate="mollified",
-        smooth=True,
-        label=f"convolve({f.label}, k={phi.scale_index:g})",
-        _value=val,
-        _gradient=grad,
-        _value_and_gradient=joint,
-    )
+    return _certified(f"convolve({f.label}, k={phi.scale_index:g})", f.dim, "mollified", log)
 
 
 def dilated_convolve(f: ScalarField, phi: Mollifier, r: float) -> ScalarField:

@@ -13,25 +13,26 @@ and the derivative of alpha admits the closed form
 
 with A = ||f_r||_q^q.  All entropy-type integrands are evaluated in log-space
 (probability weights pi_i proportional to w_i f_r^q) so large exponents never
-overflow.  Functions come in plain and ``*_with_error`` forms; the latter
+overflow.  The Euler factor lives in the same coordinate: E g / g = x . grad ln g,
+read with ln g from one evaluation of the field's log map, so int E g dmu is
+||g||_1 times the mean of x . grad ln g under g / ||g||_1 and nothing divides
+by g.  Functions come in plain and ``*_with_error`` forms; the latter
 propagate the quadrature error estimates used by the check suite.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 from .errors import InvalidParameter, QuadratureFailure
-from .fields import VALUE_FLOOR, ScalarField, dilate, power
+from .fields import ScalarField, dilate, power
 from .quadrature import QuadratureSpec, lp_norm_with_error, weighted_moments
 
 #: q(r) values beyond this guard are rejected (integrands would overflow)
 Q_GUARD = 1e4
 DEFAULT_R_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0)
-_LOG_VALUE_FLOOR = math.log(VALUE_FLOOR)
 
 
 def q_of_r(r: float, c: float) -> float:
@@ -54,31 +55,24 @@ def r_of_pq(p: float, q: float, c: float) -> float:
 # entropy and Euler energy
 # ---------------------------------------------------------------------------
 
-def _log_weight(pts, lg):
-    """The factor ln g of a weight g, read from the values the weight passes."""
-    return lg
+def _log_and_euler(g: ScalarField, exponent: float = 1.0):
+    """pts -> the (m, 2) columns [exponent * ln g | x . grad ln g]: the log of
+    the weight g^exponent and the Euler factor E g / g, from one evaluation of g."""
+    def columns(pts):
+        lg, dlg = g.log_value(pts, grad=True)
+        return np.column_stack([exponent * lg, np.einsum("ij,ij->i", pts, dlg)])
+
+    return columns
 
 
-def _euler_log(g: ScalarField, exponent: float = 1.0):
-    """The factor x . grad(ln g) = (x . grad g) / g of the weight g^exponent,
-    with 1 / g taken from the weight's log values; where g is below
-    VALUE_FLOOR it is 0, with a RuntimeWarning."""
-    def factor(pts, lg):
-        log_g = lg / exponent
-        floored = log_g <= _LOG_VALUE_FLOOR
-        if np.any(floored):
-            warnings.warn(
-                "zero field values floored in a derivative integrand "
-                f"({int(np.count_nonzero(floored))} nodes)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        with np.errstate(over="ignore", invalid="ignore"):
-            # inf * 0 where g overflows: the NaN fails the integral, with its witness
-            e = np.einsum("ij,ij->i", pts, g.gradient(pts)) * np.exp(-log_g)
-        return np.where(floored, 0.0, e)
+def _log_weight(pts, columns):
+    """The factor ln(weight), column 0 of what the weight passes."""
+    return columns[:, 0]
 
-    return factor
+
+def _euler(pts, columns):
+    """The factor E g / g = x . grad ln g, column 1 from ``_log_and_euler``."""
+    return columns[:, 1]
 
 
 def _mass(log_mass: float) -> float:
@@ -104,7 +98,8 @@ def _checked_entropy(val: float, err: float) -> tuple[float, float]:
 def entropy_with_error(g: ScalarField, mu, spec: QuadratureSpec) -> tuple[float, float]:
     """Ent(g) = int g ln(g / ||g||_1) dmu with its error estimate."""
     return _checked_entropy(*weighted_moments(
-        g.log_value, [_log_weight], mu, spec, lambda lm, means: _entropy(lm, means[0])))
+        lambda pts: g.log_value(pts)[:, None], [_log_weight], mu, spec,
+        lambda lm, means: _entropy(lm, means[0])))
 
 
 def entropy(g: ScalarField, mu, spec: QuadratureSpec) -> float:
@@ -113,7 +108,7 @@ def entropy(g: ScalarField, mu, spec: QuadratureSpec) -> float:
 
 def euler_energy_with_error(g: ScalarField, mu, spec: QuadratureSpec) -> tuple[float, float]:
     """int E g dmu = ||g||_1 E[x . grad ln g], the dilation energy (no c/2 prefactor)."""
-    val, err = weighted_moments(g.log_value, [_euler_log(g)], mu, spec,
+    val, err = weighted_moments(_log_and_euler(g), [_euler], mu, spec,
                                 lambda lm, means: _mass(lm) * means[0])
     return float(val), max(float(err), 1e-15)
 
@@ -125,7 +120,7 @@ def entropy_energy_with_error(g: ScalarField, mu,
         return np.array([_entropy(lm, means[0]), _mass(lm) * means[1]])
 
     (ent, ee), (e_ent, e_ee) = weighted_moments(
-        g.log_value, [_log_weight, _euler_log(g)], mu, spec, fn)
+        _log_and_euler(g), [_log_weight, _euler], mu, spec, fn)
     return (*_checked_entropy(ent, e_ent), float(ee), max(float(e_ee), 1e-15))
 
 
@@ -193,10 +188,7 @@ def alpha_prime_with_error(f: ScalarField, mu, c: float, r: float,
     With g = f_r^q the bracket is ln A - E[ln g] + (c q / 2) E[x . grad ln f_r],
     the means taken under g / A, A = ||g||_1 = alpha(r)^q.
     """
-    if not f.has_gradient and not f.smooth:
-        raise InvalidParameter("derivative formula needs a smooth field with gradient")
     q = _checked_q(r, c)
-    fr = dilate(f, r)
 
     def fn(log_a, means):
         if log_a / q > 700.0:
@@ -204,8 +196,8 @@ def alpha_prime_with_error(f: ScalarField, mu, c: float, r: float,
         bracket = log_a - means[0] + (c * q / 2.0) * means[1]
         return (2.0 / (c * r * q)) * math.exp(log_a / q) * bracket
 
-    val, err = weighted_moments(lambda pts: q * fr.log_value(pts),
-                                [_log_weight, _euler_log(fr, q)], mu, spec, fn)
+    val, err = weighted_moments(_log_and_euler(dilate(f, r), q), [_log_weight, _euler],
+                                mu, spec, fn)
     return float(val), max(float(err), 1e-15)
 
 

@@ -65,13 +65,22 @@ class QuadratureSpec:
         if self.target_rel_tol <= 0:
             raise InvalidParameter("target_rel_tol must be positive")
 
+    def resolved(self, dim: int) -> "QuadratureSpec":
+        """This spec with a grid scheme's default node count on R^dim filled in."""
+        grid = ("gauss_hermite", "tensor_trapezoid")
+        if self.nodes_per_axis is not None or self.scheme not in grid:
+            return self
+        n = _GH_DEFAULT if self.scheme == "gauss_hermite" else _TRAP_DEFAULT.get(dim)
+        return replace(self, nodes_per_axis=n)
+
     def halved(self) -> "QuadratureSpec":
-        """Companion spec at roughly half resolution, for error estimates."""
+        """Companion spec at roughly half resolution, for error estimates; a
+        grid scheme's node count must be set (see ``resolved``)."""
         if self.scheme == "monte_carlo":
             return replace(self, mc_samples=max(2, self.mc_samples // 2))
         n = self.nodes_per_axis
         if n is None:
-            return replace(self, nodes_per_axis=None)
+            raise InvalidParameter(f"{self.scheme} spec has no node count to halve")
         return replace(self, nodes_per_axis=max(3, (n - 1) // 2 + 1))
 
     def to_dict(self) -> dict:
@@ -143,8 +152,7 @@ def measure_nodes(mu, spec: QuadratureSpec):
                 "gauss_hermite is only valid for gaussian target measures"
             )
         sigma = mu.params[0]
-        n = spec.nodes_per_axis or _GH_DEFAULT
-        t, w = _hermgauss(n)
+        t, w = _hermgauss(spec.resolved(mu.dim).nodes_per_axis)
         pts_axis = math.sqrt(2.0) * sigma * t
         with np.errstate(divide="ignore"):
             # weights underflowing double precision act as a hard truncation
@@ -155,8 +163,7 @@ def measure_nodes(mu, spec: QuadratureSpec):
         if mu.dim > 3:
             raise InvalidParameter("tensor_trapezoid caps at dim 3")
         R = spec.truncation_radius or mu.truncation_radius
-        n = spec.nodes_per_axis or _TRAP_DEFAULT[mu.dim]
-        pts, logw_leb = _trap_nodes(R, n, mu.dim)
+        pts, logw_leb = _trap_nodes(R, spec.resolved(mu.dim).nodes_per_axis, mu.dim)
         return pts, logw_leb + mu.log_pdf(pts)
     if spec.scheme == "monte_carlo":
         rng = np.random.Generator(np.random.Philox(key=spec.seed))
@@ -185,13 +192,17 @@ def weighted_moments(log_g, factors, mu, spec: QuadratureSpec, fn):
 
     ``log_mass`` is ln int g dmu and ``means`` the 1-D array of the means of
     all factor columns under g dmu / int g dmu.  ``log_g`` maps (m, dim)
-    points to ln g, or is None for g = 1, whose mass is exactly 1 (the means
-    are then plain integrals).  A factor maps (points, ln g there) to m values
-    or an (m, k) array.  Node schemes evaluate each map once per node set;
+    points to ln g, or to an (m, 1 + j) array whose first column is ln g and
+    whose other columns ride along to the factors (one evaluation of a field
+    gives both), or is None for g = 1, whose mass is exactly 1 (the means are
+    then plain integrals).  A factor maps (points, what ``log_g`` gave there)
+    to m values or an (m, k) array.  Node schemes evaluate each map once per
+    node set, the default node count resolved before it is halved;
     ``adaptive_1d`` runs one adaptive loop for the mass and one per column.
     """
     if spec.scheme == "adaptive_1d":
         return _adaptive_moments(log_g, factors, mu, spec, fn)
+    spec = spec.resolved(mu.dim)
     value = fn(*_node_moments(log_g, factors, mu, spec))
     return value, np.abs(value - fn(*_node_moments(log_g, factors, mu, spec.halved())))
 
@@ -202,8 +213,9 @@ def _node_moments(log_g, factors, mu, spec: QuadratureSpec):
         lg, log_mass, pi = None, 0.0, np.exp(logw)
     else:
         lg = np.asarray(log_g(pts), dtype=float)
-        _fail_at_first(np.isnan(lg) | (lg == math.inf), pts)
-        s = logw + lg
+        lw = _first_column(lg)
+        _fail_at_first(np.isnan(lw) | (lw == math.inf), pts)
+        s = logw + lw
         log_mass = float(logsumexp(s))
         if not math.isfinite(log_mass):
             raise QuadratureFailure("the weight integrates to zero or diverges")
@@ -214,6 +226,11 @@ def _node_moments(log_g, factors, mu, spec: QuadratureSpec):
         _fail_at_first(~np.isfinite(vals), pts)
         means.append(np.atleast_1d(pi @ vals))
     return log_mass, np.concatenate(means) if means else np.empty(0)
+
+
+def _first_column(lg: Array) -> Array:
+    """ln g from what a weight map returned: the values, or their first column."""
+    return lg if lg.ndim == 1 else lg[:, 0]
 
 
 def _adaptive_moments(log_g, factors, mu, spec: QuadratureSpec, fn):
@@ -311,8 +328,8 @@ def adaptive_weighted(mu, spec: QuadratureSpec, log_g, factor=None) -> tuple[flo
     it or there are 300 intervals; the returned error is then the sum, above
     the tolerance, with no warning.
 
-    ``factor(pts, ln g(pts))`` gives one value per row of the (m, 1) ``pts``
-    (``ln g`` is None for g = 1); it is evaluated only at nodes where the
+    ``factor(pts, log_g(pts))`` gives one value per row of the (m, 1) ``pts``
+    (``log_g(pts)`` is None for g = 1); it is evaluated only at nodes where the
     weight is not negligible.  ln g and the log-density are summed before
     exponentiation, so large powers never overflow when the product with the
     measure is moderate.  A node whose exponent exceeds 700 or whose value is
@@ -328,7 +345,7 @@ def adaptive_weighted(mu, spec: QuadratureSpec, log_g, factor=None) -> tuple[flo
         expo, lg = np.asarray(mu._log_density(pts), dtype=float) - log_norm, None
         if log_g is not None:
             lg = np.asarray(log_g(pts), dtype=float)
-            expo = lg + expo
+            expo = _first_column(lg) + expo
         live = ~(expo < -700.0)
         v = np.zeros(expo.shape)
         if np.any(live):

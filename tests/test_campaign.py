@@ -336,6 +336,25 @@ class TestCli:
         assert err.count("\n") == 1
         assert f"checks[0] ({entry['check']}): '{key}'" in err
 
+    @pytest.mark.parametrize("argv, where", [
+        (["run", {"quadrature": {"scheme": "auto", "nodes": 5}}], "quadrature block"),
+        (["run", {"seed": "abc"}], "seed"),
+        (["run", {"fields": {"f": {"builder": "cosh", "lam": "x"}}}], "field declaration"),
+        (["run", {"fields": {"f": {"builder": "log_linear", "lam": ["x"]}}}],
+         "field declaration"),
+        (["run", {"measures": {"g": {"family": "gaussian", "sigma": "x", "dim": 1}}}],
+         "measure declaration"),
+        (["check", "--check", "slsi", "--field", "log_linear:abc"], "--field"),
+    ], ids=["quadrature-key", "seed", "cosh-lam", "log_linear-lam", "sigma", "field-shorthand"])
+    def test_malformed_value_exits_two(self, argv, where, tmp_path, capsys):
+        if argv[0] == "run":
+            cfg = tmp_path / "campaign.json"
+            cfg.write_text(json.dumps(minimal_config(**argv[1])))
+            argv = ["run", str(cfg), "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {where}")
+
     @pytest.mark.parametrize("flag, text", [
         ("--measure", '{"family": gaussian}'),
         ("--field", '{"builder": "log_linear", "lam": [0.4]'),

@@ -40,6 +40,43 @@ class TestSlsi:
         for earlier, later in zip(outcomes, outcomes[1:]):
             assert later or not earlier
 
+    def test_laplace_terms_match_closed_form(self):
+        # on the Laplace measure, f = e^{lam x} with |lam| < 1 has ||f||_1 =
+        # 1/(1-lam^2), int E f = 2 lam^2/(1-lam^2)^2 and Ent = int E f -
+        # ||f||_1 ln ||f||_1, so sLSI at c = 1 fails; e^{lam x} overflows far
+        # out on the line, while its Euler factor x . grad ln f = lam x does not
+        lam = 0.8
+        norm = 1.0 / (1.0 - lam * lam)
+        ee = 2.0 * lam * lam * norm * norm
+        rep = L.check_slsi(L.log_linear([lam]), L.gen_exponential(1, 1, 1), 1.0)
+        assert not rep.inconclusive and not rep.passed
+        assert rep.quantities["entropy"] == pytest.approx(ee - norm * math.log(norm), rel=1e-9)
+        assert rep.quantities["euler_energy"] == pytest.approx(ee, rel=1e-9)
+        assert ee == pytest.approx(9.876543209877, abs=1e-12)
+
+    def test_mollified_field_conclusive_on_adaptive_path(self):
+        # the convolution sweep overflows far out on the line; its log-space
+        # rows keep the sLSI terms finite, and sLSI at c = 1 holds on the Gaussian
+        mu = L.gen_exponential(0.5, 2, 1)
+        rep = L.check_slsi(L.convolve(L.log_linear([0.8]), L.mollifier(1, 4)), mu, 1.0)
+        assert not rep.inconclusive and rep.passed
+
+    def test_mollified_terms_cost_one_sweep_per_node_set(self, gauss1, gh_spec, monkeypatch):
+        inner = L.log_linear([0.8])
+        g = L.convolve(inner, L.mollifier(1, 4))
+        sweeps = []
+        for name in ("__call__", "log_value"):
+            def counting(field, x, *args, orig=getattr(L.ScalarField, name), name=name, **kw):
+                if field is inner:
+                    sweeps.append((name, len(x)))
+                return orig(field, x, *args, **kw)
+
+            monkeypatch.setattr(L.ScalarField, name, counting)
+        checks.slsi_terms(g, gauss1, gh_spec)
+        # Ent and int E g from one sweep of the 64 mollifier nodes over the 101
+        # Gauss-Hermite nodes and one over the 51 of the half-resolution estimate
+        assert sweeps == [("__call__", 101 * 64), ("__call__", 51 * 64)]
+
     def test_uncertified_field_rejected(self, gauss1, gh_spec):
         f = L.raw_field(lambda pts: np.exp(pts[:, 0]), 1, label="raw")
         with pytest.raises(InvalidParameter):
@@ -405,8 +442,10 @@ def _reference_slsi_best_constant(battery, mu, c_range, spec, resolution=1e-3):
     return round(0.5 * (lo + hi) / resolution) * resolution
 
 
-def _mollified():
-    return L.convolve(L.log_linear([0.8]), L.mollifier(1, 4))
+def _inconclusive_member():
+    # e^{40 x} has mass e^800 under the standard Gaussian, which is not a
+    # double, so every integral of it fails and every check on it is inconclusive
+    return L.log_linear([40.0])
 
 
 @pytest.fixture
@@ -431,7 +470,7 @@ class TestBestConstantSlsiCache:
         ([L.log_linear([0.8])], L.gaussian(1.0, 1), (0.25, 0.5)),
         ([L.constant(2.0, 1), L.constant(0.5, 1)], L.gaussian(1.0, 1),
          checks.DEFAULT_C_RANGE),
-        ([L.log_linear([0.4]), _mollified(), L.cosh_field(0.8)],
+        ([L.log_linear([0.4]), _inconclusive_member(), L.cosh_field(0.8)],
          L.gen_exponential(0.5, 2, 1), checks.DEFAULT_C_RANGE),
     ], ids=["log_linear", "default_battery", "narrow_range", "constants", "inconclusive"])
     def test_matches_reference_bisection(self, battery, mu, c_range):
@@ -453,7 +492,7 @@ class TestBestConstantSlsiCache:
         if always_fails == "below_range":
             mu, first, c_range = L.gaussian(1.0, 1), L.log_linear([0.8]), (0.25, 0.5)
         else:
-            mu, first, c_range = L.gen_exponential(0.5, 2, 1), _mollified(), (0.25, 4.0)
+            mu, first, c_range = L.gen_exponential(0.5, 2, 1), _inconclusive_member(), (0.25, 4.0)
         battery = [first, L.cosh_field(0.8)]
         assert L.best_constant(battery, mu, "slsi", c_range=c_range) == c_range[1]
         assert entropy_calls == [first.label]
@@ -553,7 +592,7 @@ class TestBestConstantShcNorms:
         ([L.log_linear([0.4]), L.log_linear([0.8])], L.gen_exponential(0.5, 2, 1),
          checks.DEFAULT_C_RANGE),
         ([L.log_linear([0.8]), L.cosh_field(0.5)], L.gaussian(1.0, 1), (0.1, 4.0)),
-        ([L.log_linear([0.4]), _mollified(), L.cosh_field(0.8)],
+        ([L.log_linear([0.4]), _inconclusive_member(), L.cosh_field(0.8)],
          L.gen_exponential(0.5, 2, 1), checks.DEFAULT_C_RANGE),
     ], ids=["default_battery", "adaptive", "q_guard_rows", "inconclusive"])
     def test_matches_reference_bisection(self, battery, mu, c_range):
@@ -590,7 +629,7 @@ class TestBestConstantShcNorms:
 
     def test_failure_memoised_and_raised_again(self, norm_calls):
         mu = L.gen_exponential(0.5, 2, 1)
-        norms = functionals.DilationNorms(_mollified(), mu, L.default_spec(mu))
+        norms = functionals.DilationNorms(_inconclusive_member(), mu, L.default_spec(mu))
         for _ in range(2):
             with pytest.raises(QuadratureFailure):
                 norms(1.0, 1.0)
@@ -604,9 +643,9 @@ class TestBestConstantShcNorms:
 
 class TestWitness:
     def test_laplace_overflow_carries_witness(self):
-        # e^{0.8x} overflows far out on the Laplace line: inconclusive, with
-        # the point where the integrand went non-finite
-        rep = L.check_slsi(L.log_linear([0.8]), L.gen_exponential(1, 1, 1), 1.0)
+        # e^{1.2x} outgrows the Laplace density e^{-|x|}, so the integral
+        # diverges: inconclusive, with the point where the integrand went non-finite
+        rep = L.check_slsi(L.log_linear([1.2]), L.gen_exponential(1, 1, 1), 1.0)
         assert rep.inconclusive and not rep.passed
         witness = rep.to_dict()["quantities"]["witness"]
         assert len(witness) == 1 and all(math.isfinite(x) for x in witness)
@@ -615,19 +654,19 @@ class TestWitness:
         # the overflow becomes the witness, not a RuntimeWarning
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rep = L.check_slsi(L.log_linear([0.8]), L.gen_exponential(1, 1, 1), 1.0)
+            rep = L.check_slsi(L.log_linear([1.2]), L.gen_exponential(1, 1, 1), 1.0)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert rep.inconclusive
-        assert rep.quantities["witness"][0] == pytest.approx(1172.7, abs=0.1)
+        assert rep.quantities["witness"][0] == pytest.approx(4690.9, abs=0.1)
 
     def test_laplace_cosh_overflow_warns_nothing(self):
-        # cosh and sinh overflow where e^{0.8|x|} does
+        # cosh overflows where e^{1.2|x|} does
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rep = L.check_slsi(L.cosh_field(0.8), L.gen_exponential(1, 1, 1), 1.0)
+            rep = L.check_slsi(L.cosh_field(1.2), L.gen_exponential(1, 1, 1), 1.0)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert rep.inconclusive
-        assert rep.quantities["witness"][0] == pytest.approx(1172.7, abs=0.1)
+        assert rep.quantities["witness"][0] == pytest.approx(4690.9, abs=0.1)
 
     def test_conclusive_report_has_no_witness(self, gauss1, gh_spec):
         rep = L.check_slsi(L.cosh_field(0.8), gauss1, 1.0, gh_spec)

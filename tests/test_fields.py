@@ -109,6 +109,71 @@ class TestGradients:
         assert np.max(np.abs(analytic - fd) / scale) <= 1e-5
 
 
+def _log_gradient_cases():
+    f1, f2 = L.cosh_field(0.7), L.modulus_holomorphic([1, 0, 1])
+    cases = [
+        L.constant(2.0, 2),
+        L.log_linear([0.8, -0.3]),
+        L.cosh_field(0.9),
+        L.exp_subharmonic(lambda pts: np.sum(pts**2, axis=1), 2, label="exp(|x|^2), fd"),
+        L.exp_norm_sq(0.3, 2),
+        f2,
+        L.power(f1, 1.5),
+        L.product_field(L.log_linear([0.4]), f1),
+        L.dilate(f2, 0.7),
+        L.convolve(f1, L.mollifier(1, 3)),
+        L.convolve(L.log_linear([0.5, -0.3]), L.mollifier(2, 3)),
+        L.dilated_convolve(f1, L.mollifier(1, 2), 0.8),
+    ]
+    return [pytest.param(f, id=f.label) for f in cases]
+
+
+class TestLogMap:
+    @pytest.mark.parametrize("field", _log_gradient_cases())
+    def test_log_gradient_matches_central_differences(self, field, rng):
+        pts = rng.standard_normal((12, field.dim))
+        lv, dlv = field.log_value(pts, grad=True)
+        np.testing.assert_allclose(lv, field.log_value(pts), rtol=1e-13, atol=1e-15)
+        fd = np.empty_like(dlv)
+        for j in range(field.dim):
+            h = np.zeros(field.dim)
+            h[j] = 1e-5
+            fd[:, j] = (field.log_value(pts + h) - field.log_value(pts - h)) / 2e-5
+        # the 2-D mollifier's 40-node rule integrates grad phi to about 1e-5
+        tol = 1e-5 if field.certificate == "mollified" and field.dim == 2 else 1e-6
+        assert np.max(np.abs(dlv - fd) / np.maximum(1.0, np.abs(dlv))) <= tol
+
+    @pytest.mark.parametrize("compose", [
+        lambda f: L.power(f, 2.0), lambda f: L.product_field(f, f),
+        lambda f: L.dilate(f, 0.5), lambda f: L.convolve(f, L.mollifier(1, 2)),
+    ], ids=["power", "product", "dilate", "convolve"])
+    def test_compositions_refuse_unverified_fields(self, compose):
+        # a signed field has no logarithm for a composition to read
+        with pytest.raises(InvalidParameter, match="unverified"):
+            compose(L.raw_field(lambda pts: pts[:, 0], 1, label="x"))
+
+    def test_convolution_where_the_inner_field_overflows(self):
+        # (e^{lam .} * phi)(x) = e^{lam x} M(lam s): at x = 1000, e^{lam x} and
+        # every term of the linear sweep overflow, and the log-space rows give
+        # ln(f * phi) = lam x + ln M(lam s) and grad ln(f * phi) = lam
+        lam = 0.8
+        phi = L.mollifier(1, 4)
+        s = phi.support_radius
+        bump = lambda u: math.exp(-1.0 / (1.0 - u * u))
+        m = (scipy.integrate.quad(lambda u: math.exp(lam * s * u) * bump(u), -1, 1)[0]
+             / scipy.integrate.quad(bump, -1, 1)[0])
+        g = L.convolve(L.log_linear([lam]), phi)
+        xs = np.array([[1000.0], [-1000.0], [0.5]])
+        lv, dlv = g.log_value(xs, grad=True)
+        # the 64-node Gauss-Legendre rule of the sweep gives M to about 1e-12
+        np.testing.assert_allclose(lv[[0, 2]], lam * xs[[0, 2], 0] + math.log(m),
+                                   rtol=0, atol=1e-10)
+        # e^{-800} is below the floor, where a field counts as zero
+        assert lv[1] == pytest.approx(L.fields.LOG_FLOOR, abs=1e-9)
+        np.testing.assert_allclose(dlv[[0, 2], 0], lam, rtol=1e-9)
+        assert g(xs[0]) == math.inf
+
+
 class TestDilation:
     def test_identity_returns_same_object(self):
         f = L.cosh_field(0.6)

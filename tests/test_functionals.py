@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,23 +162,22 @@ class TestAlphaPrime:
         fd = fd_reference(f, mu, 1.0, 0.8, spec)
         assert analytic == pytest.approx(fd, rel=1e-3)
 
-    # e^{lam x} underflows on the far negative nodes; those carry no weight
-    @pytest.mark.filterwarnings("ignore:zero field values floored:RuntimeWarning")
-    @pytest.mark.parametrize("lam, point", [(40.0, 18.24), (60.0, 11.97)])
-    def test_overflowing_factor_fails_with_witness(self, gauss1, gh_spec, lam, point):
-        # x . grad f is inf where e^{lam x} overflows, so x . grad ln f is not finite
-        with pytest.raises(QuadratureFailure) as err:
-            alpha_prime_with_error(L.log_linear([lam]), gauss1, 1.0, 1.0, gh_spec)
-        assert err.value.point[0] == pytest.approx(point, abs=0.01)
+    def test_large_lambda_fails_as_alpha_overflow(self, gauss1, gh_spec):
+        # x . grad ln f = 60 x is finite at every node; what fails is the mass
+        # of f = e^{60 x}, which is not a double
+        with pytest.raises(QuadratureFailure, match=r"alpha\(r\) overflows"):
+            alpha_prime_with_error(L.log_linear([60.0]), gauss1, 1.0, 1.0, gh_spec)
+
+    def test_truncated_mass_carried_in_error(self, gauss1, gh_spec):
+        # e^{40 x} dgamma peaks at x = 40, beyond the last Gauss-Hermite node
+        # whose weight is a double (about 37): the value is finite, and the
+        # half-resolution error estimate is as large as it
+        val, err = alpha_prime_with_error(L.log_linear([40.0]), gauss1, 1.0, 1.0, gh_spec)
+        assert math.isfinite(val) and err >= abs(val)
 
     def test_overflowing_alpha_fails(self, gauss1, gh_spec):
         # ln f = 1000 is finite and x . grad ln f = 0, but alpha = f is not a double
-        f = L.ScalarField(
-            dim=1, certificate="log_linear", smooth=True, label="constant(e^1000)",
-            _value=lambda pts: np.full(pts.shape[0], math.inf),
-            _log_value=lambda pts: np.full(pts.shape[0], 1000.0),
-            _gradient=np.zeros_like,
-        )
+        f = L.power(L.constant(math.e, 1), 1000.0)
         with pytest.raises(QuadratureFailure, match="overflows"):
             alpha_prime_with_error(f, gauss1, 1.0, 1.0, gh_spec)
 
@@ -213,8 +213,14 @@ class TestHcBracket:
         b2 = L.hc_bracket(L.scale(f, 4.0), gauss1, 1.0, 0.8, gh_spec)
         assert math.copysign(1, b1) == math.copysign(1, b2)
 
-    def test_zero_field_values_floored_and_reported(self, gauss2):
+    def test_zero_of_modulus_contributes_nothing(self, gauss2):
         f = L.modulus_holomorphic([0, 1])  # |z| vanishes at the origin grid node
         spec = L.QuadratureSpec(scheme="tensor_trapezoid", nodes_per_axis=31)
-        with pytest.warns(RuntimeWarning, match="floored"):
-            L.alpha_prime_analytic(f, gauss2, 1.0, 1.0, spec)
+        lv, dlv = f.log_value(np.zeros(2), grad=True)
+        assert lv == L.fields.LOG_FLOOR and np.all(dlv == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # E|z| = |z|: the Euler energy is the plain integral, zero node and all
+            ee = L.euler_energy(f, gauss2, spec)
+            assert ee == pytest.approx(L.integrate(f, gauss2, spec)[0], rel=1e-12)
+            assert math.isfinite(L.alpha_prime_analytic(f, gauss2, 1.0, 1.0, spec))

@@ -38,6 +38,16 @@ class TestSpecValidation:
         with pytest.raises(InvalidParameter):
             QuadratureSpec(scheme="tensor_trapezoid", nodes_per_axis=2)
 
+    @pytest.mark.parametrize("scheme, n", [("gauss_hermite", 101), ("tensor_trapezoid", 2049)])
+    def test_default_node_count_resolved_before_halving(self, gauss1, scheme, n):
+        # an unset count is the scheme's default, and its error estimate is
+        # that of the default count, not |value - value| = 0
+        f = L.log_linear([3.0])
+        unset = L.integrate(f, gauss1, QuadratureSpec(scheme=scheme))
+        assert unset == L.integrate(f, gauss1, QuadratureSpec(scheme=scheme, nodes_per_axis=n))
+        with pytest.raises(InvalidParameter, match="no node count"):
+            QuadratureSpec(scheme=scheme).halved()
+
     def test_gauss_hermite_only_for_gaussians(self):
         mu = L.gen_exponential(1.0, 1.0, 1)
         with pytest.raises(InvalidParameter):
