@@ -9,12 +9,13 @@ and ``exp_norm_sq``, ``modulus_holomorphic`` (grad ln|P| = (Re P'/P,
 -Im P'/P), 0 at zeros of P), ``power`` (p times), ``product_field`` (a sum),
 ``dilate`` (r grad ln f(r x)) and ``convolve``.  ``ScalarField`` derives the
 value f = e^{ln f}, ``log_value``, the gradient f grad ln f and
-``value_and_gradient`` from that map in one place.  Certified fields are
-log-subharmonic by construction; the certificate records the construction
-route and ``is_lsh`` provides the falsifiable numerical test (sub-mean
-inequality of ln f over spheres).  Unverified fields (``raw_field``,
-``squared_norm``, ``spherical_average``) may be signed, so they alone keep a
-value map, with an optional gradient map.
+``value_and_gradient`` from that map in one place; compositions read the
+inner map itself, so only the public ``log_value`` floors ln f at
+``LOG_FLOOR``.  Certified fields are log-subharmonic by construction; the
+certificate records the construction route and ``is_lsh`` provides the
+falsifiable numerical test (sub-mean inequality of ln f over spheres).
+Unverified fields (``raw_field``, ``squared_norm``, ``spherical_average``)
+may be signed, so they alone keep a value map, with an optional gradient map.
 
 A convolution sweeps the inner field over the mollifier nodes once for both
 ln(f * phi) and grad ln(f * phi) = sum_i cg_i f(x - y_i) / sum_i c_i f(x - y_i).
@@ -306,10 +307,8 @@ def power(f: ScalarField, p: float) -> ScalarField:
     _needs_log_map(f)
 
     def log(pts, grad):
-        if not grad:
-            return p * f.log_value(pts), None
-        lv, dlv = f.log_value(pts, grad=True)
-        return p * lv, p * dlv
+        lv, dlv = f._log(pts, grad)
+        return p * lv, (p * dlv if grad else None)
 
     return _certified(f"power({f.label}, {p:g})", f.dim, "power", log)
 
@@ -321,10 +320,8 @@ def product_field(f: ScalarField, g: ScalarField) -> ScalarField:
     _needs_log_map(f, g)
 
     def log(pts, grad):
-        if not grad:
-            return f.log_value(pts) + g.log_value(pts), None
-        (lf, dlf), (lg, dlg) = f.log_value(pts, grad=True), g.log_value(pts, grad=True)
-        return lf + lg, dlf + dlg
+        (lf, dlf), (lg, dlg) = f._log(pts, grad), g._log(pts, grad)
+        return lf + lg, (dlf + dlg if grad else None)
 
     return _certified(f"product({f.label}, {g.label})", f.dim, "product", log)
 
@@ -344,10 +341,8 @@ def dilate(f: ScalarField, r: float) -> ScalarField:
     _needs_log_map(f)
 
     def log(pts, grad):
-        if not grad:
-            return f.log_value(r * pts), None
-        lv, dlv = f.log_value(r * pts, grad=True)
-        return lv, r * dlv
+        lv, dlv = f._log(r * pts, grad)
+        return lv, (r * dlv if grad else None)
 
     return _certified(f"dilate({f.label}, {r:g})", f.dim, "dilation", log)
 
@@ -569,7 +564,7 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
         top = np.empty(pts.shape[0])
         out = np.empty((pts.shape[0],) + weights.shape[1:])
         for lo, rows, shifted in blocks(pts):
-            lf = np.where(live, f.log_value(shifted).reshape(rows, -1), -np.inf)
+            lf = np.where(live, f._log(shifted, False)[0].reshape(rows, -1), -np.inf)
             top[lo : lo + rows] = lf.max(axis=1)
             out[lo : lo + rows] = np.exp(lf - top[lo : lo + rows, None]) @ weights
         return top, out

@@ -1,9 +1,10 @@
 """Probability densities on R^n and their Euclidean-regularity constants.
 
 A :class:`Density` wraps a (possibly unnormalized) log-density together with
-the normalization constant computed by the quadrature module, a truncation
-radius beyond which mass is negligible, and construction metadata.  Densities
-are immutable and safe to evaluate concurrently.
+its normalization constant (in closed form for the built-in families, by the
+quadrature module otherwise), a truncation radius beyond which mass is
+negligible, and construction metadata.  Densities are immutable and safe to
+evaluate concurrently.
 
 The regularity constant of exponential type p is
 
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import interpolate, signal, special
 
 from . import quadrature
 from .errors import EvaluationFailure, InvalidParameter, TypeConditionViolation
@@ -116,8 +116,7 @@ def gaussian(sigma: float = 1.0, dim: int = 1) -> Density:
         raise InvalidParameter("gaussian scale must be positive")
     _validate_dim(dim)
 
-    mass_1d, _ = quadrature.line_mass(lambda x: -x * x / (2.0 * sigma**2))
-    norm = mass_1d**dim
+    norm = (math.sqrt(2.0 * math.pi) * sigma) ** dim
 
     def logd(pts):
         return -np.sum(pts * pts, axis=1) / (2.0 * sigma**2)
@@ -144,9 +143,17 @@ def gen_exponential(c: float = 1.0, a: float = 1.0, dim: int = 1) -> Density:
         raise InvalidParameter("gen_exponential requires c > 0 and a > 0")
     _validate_dim(dim)
 
-    norm = quadrature.radial_mass(lambda t: -c * t**a, dim)
+    from scipy.special import gammainccinv
+
+    # |S^{n-1}| Gamma(n/a) / (a c^{n/a}), |S^{n-1}| = n |B^n|, in logs:
+    # Gamma(n/a) overflows for small a
+    k = dim / a
+    log_norm = math.log(k * _ball_volume(dim, 1.0)) + math.lgamma(k) - k * math.log(c)
+    if log_norm > _EXP_OVERFLOW:
+        raise InvalidParameter(f"gen_exponential(c={c:g}, a={a:g}) has mass e^{log_norm:.4g}")
+    norm = math.exp(log_norm)
     # radius with tail mass below 1e-12, from the incomplete-gamma inverse
-    trunc = (special.gammainccinv(dim / a, 1e-12) / c) ** (1.0 / a)
+    trunc = (gammainccinv(k, 1e-12) / c) ** (1.0 / a)
 
     def logd(pts):
         return -c * np.linalg.norm(pts, axis=1) ** a
@@ -184,7 +191,8 @@ def poly_tail(alpha: float, dim: int = 1) -> Density:
     if dim != 1:
         raise InvalidParameter("poly_tail is one-dimensional")
 
-    norm, _ = quadrature.line_mass(lambda x: -alpha * np.log1p(x * x))
+    # sqrt(pi) Gamma(alpha - 1/2) / Gamma(alpha), in logs for large alpha
+    norm = math.sqrt(math.pi) * math.exp(math.lgamma(alpha - 0.5) - math.lgamma(alpha))
     nu = 2.0 * alpha - 1.0
 
     def sampler(rng, size):
@@ -361,6 +369,10 @@ def convolve_measures(
 ) -> Density:
     """Convolution mu1 * mu2 via FFT on a cached grid with log-linear interpolation.
 
+    Each axis of the FFT is zero-padded to the smallest 5-smooth length of at
+    least 2M - 1 (M grid nodes), so the circular convolution is the linear one
+    and the transform length has no large prime factor.
+
     Deterministic quadrature caps at dim 3; higher dimensions are rejected
     with advice to use Monte Carlo sampling of sums instead.
     """
@@ -381,7 +393,12 @@ def convolve_measures(
     pts = quadrature.tensor_grid(axis, n)
     a = np.exp(np.maximum(mu1.log_pdf(pts), LOG_FLOOR)).reshape([M] * n)
     b = np.exp(np.maximum(mu2.log_pdf(pts), LOG_FLOOR)).reshape([M] * n)
-    conv = signal.fftconvolve(a, b, mode="same") * h**n
+    size = (_fft_length(2 * M - 1),) * n
+    axes = tuple(range(n))
+    spectrum = np.fft.rfftn(a, s=size, axes=axes) * np.fft.rfftn(b, s=size, axes=axes)
+    full = np.fft.irfftn(spectrum, s=size, axes=axes)
+    # the M central samples of the 2M - 1 of the linear convolution, per axis
+    conv = full[(slice((M - 1) // 2, (M - 1) // 2 + M),) * n] * h**n
     conv = np.maximum(conv, 0.0)
     mass = float(conv.sum() * h**n)
     if not (mass > 0 and math.isfinite(mass)):
@@ -401,7 +418,9 @@ def convolve_measures(
         def logd(qts):
             return np.interp(qts[:, 0], axis, logc, left=LOG_FLOOR, right=LOG_FLOOR)
     else:
-        interp = interpolate.RegularGridInterpolator(
+        from scipy.interpolate import RegularGridInterpolator
+
+        interp = RegularGridInterpolator(
             (axis,) * n, logc, method="linear", bounds_error=False, fill_value=LOG_FLOOR
         )
 
@@ -423,6 +442,18 @@ def convolve_measures(
         _log_density=logd,
         _sampler=sampler if mu1.has_sampler and mu2.has_sampler else None,
     )
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 2^i 3^j 5^k >= n: an FFT length with only small prime factors."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def shift(mu: Density, offset) -> Density:

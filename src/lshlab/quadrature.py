@@ -20,20 +20,25 @@ in log space, so large powers never overflow, and returns a function ``fn``
 of them with an error estimate from one rule: |fn(spec) - fn(spec.halved())|
 (half the nodes per axis, or the first half of the samples) on node schemes,
 and on ``adaptive_1d`` the first-order change of fn when each of its adaptive
-integrals moves by that integral's own error estimate.  ``quad`` remains only
-in the normalisation helpers ``line_mass`` and ``radial_mass``.
+integrals moves by that integral's own error estimate.
+
+The module needs numpy only.  SciPy's ``quad`` normalises a raw 1-D density
+(``line_mass``, reached from ``raw_mass``); ``scipy.integrate`` is imported on
+that first use and is read through the module attribute ``sp_integrate``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate as sp_integrate
-from scipy.special import logsumexp, roots_hermite
+# imported here, not on the first Gauss-Hermite rule, so that the import of
+# numpy.polynomial falls into set-up rather than into a timed integral
+from numpy.polynomial.hermite import hermgauss
 
 from .errors import InvalidParameter, QuadratureFailure
 
@@ -44,6 +49,15 @@ SCHEMES = ("gauss_hermite", "tensor_trapezoid", "adaptive_1d", "monte_carlo")
 _TRAP_DEFAULT = {1: 2049, 2: 257, 3: 65}
 _GH_DEFAULT = 101
 _MC_DEFAULT = 200_000
+
+
+def __getattr__(name):
+    # ``sp_integrate`` is scipy.integrate, imported on first access; it may be
+    # replaced by assignment (tests and tracers do)
+    if name == "sp_integrate":
+        from scipy import integrate
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -118,10 +132,18 @@ def default_spec(mu, **overrides) -> QuadratureSpec:
 # node construction
 # ---------------------------------------------------------------------------
 
+def _logsumexp(v: Array) -> float:
+    """ln sum e^v, shifted by the largest entry; -inf when v is empty or all -inf."""
+    top = float(np.max(v, initial=-math.inf))
+    if top == -math.inf:
+        return top
+    return top + math.log(float(np.sum(np.exp(v - top))))
+
+
 @lru_cache(maxsize=64)
 def _hermgauss(n: int):
-    t, w = roots_hermite(n)
-    return t, w
+    """Physicists' Gauss-Hermite nodes and weights (weight e^{-t^2}) of order n."""
+    return hermgauss(n)
 
 
 def tensor_grid(axis: Array, dim: int, weights: Optional[Array] = None,
@@ -216,7 +238,7 @@ def _node_moments(log_g, factors, mu, spec: QuadratureSpec):
         lw = _first_column(lg)
         _fail_at_first(np.isnan(lw) | (lw == math.inf), pts)
         s = logw + lw
-        log_mass = float(logsumexp(s))
+        log_mass = _logsumexp(s)
         if not math.isfinite(log_mass):
             raise QuadratureFailure("the weight integrates to zero or diverges")
         pi = np.exp(s - log_mass)
@@ -452,19 +474,12 @@ def line_mass(log_density_scalar: Callable[[float], float]) -> tuple[float, floa
             return 0.0
         return math.exp(ld) / math.cos(theta) ** 2
 
-    value, err = sp_integrate.quad(integrand, -math.pi / 2, math.pi / 2, limit=300)
+    # QUADPACK's extrapolation copes with integrable endpoint singularities
+    # such as (1 + x^2)^(-3/4) at theta = +-pi/2, where the batched rule
+    # stalls.  Read through the module, so that a replaced sp_integrate is used
+    quad = sys.modules[__name__].sp_integrate.quad
+    value, err = quad(integrand, -math.pi / 2, math.pi / 2, limit=300)
     return float(value), float(err)
-
-
-def radial_mass(log_profile: Callable[[float], float], dim: int) -> float:
-    """Mass of a rotation-invariant density exp(log_profile(|x|)) on R^n."""
-    surface = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-
-    def integrand(t):
-        return math.exp(float(log_profile(t))) * t ** (dim - 1)
-
-    value, _ = sp_integrate.quad(integrand, 0.0, math.inf, limit=300)
-    return surface * float(value)
 
 
 def raw_mass(log_density_batch: Callable[[Array], Array], dim: int,
@@ -487,4 +502,4 @@ def raw_mass(log_density_batch: Callable[[Array], Array], dim: int,
 def _trap_mass(log_density_batch, dim, R, n) -> float:
     pts, logw = _trap_nodes(R, n, dim)
     lv = logw + np.asarray(log_density_batch(pts), dtype=float)
-    return float(np.exp(logsumexp(lv[np.isfinite(lv)])))
+    return float(np.exp(_logsumexp(lv[np.isfinite(lv)])))

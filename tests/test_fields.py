@@ -173,6 +173,26 @@ class TestLogMap:
         np.testing.assert_allclose(dlv[[0, 2], 0], lam, rtol=1e-9)
         assert g(xs[0]) == math.inf
 
+    def test_convolution_reads_the_unfloored_inner_field(self):
+        # at x = -1000 every node's ln f = 0.8 (x - y) is far below LOG_FLOOR;
+        # a floored inner field would be flat there, with gradient 0
+        g = L.convolve(L.log_linear([0.8]), L.mollifier(1, 4))
+        lv, dlv = g.log_value(np.array([[-1000.0]]), grad=True)
+        assert lv[0] == L.fields.LOG_FLOOR
+        assert dlv[0, 0] == pytest.approx(0.8, rel=1e-9)
+
+    @pytest.mark.parametrize("compose", [
+        lambda f: L.power(f, 0.01),
+        lambda f: L.product_field(f, L.log_linear([-0.99])),
+        lambda f: L.power(L.dilate(f, 0.8), 0.0125),
+    ], ids=["power", "product", "dilate"])
+    def test_compositions_read_the_unfloored_inner_field(self, compose):
+        # ln f(-1000) = -1000 and ln f(-800) are below LOG_FLOOR, while each
+        # composition is 0.01 x = -10 there: only the outer value is floored
+        lv, dlv = compose(L.log_linear([1.0])).log_value(np.array([[-1000.0]]), grad=True)
+        assert lv[0] == pytest.approx(-10.0, rel=1e-12)
+        assert dlv[0, 0] == pytest.approx(0.01, rel=1e-12)
+
 
 class TestDilation:
     def test_identity_returns_same_object(self):

@@ -19,6 +19,14 @@ def mass(mu, **spec_overrides):
     return value
 
 
+def _quad_mass(density, lo):
+    """int_lo^inf density, lo = -inf or 0, by QUADPACK at a 2e-14 relative tolerance."""
+    value, err = scipy.integrate.quad(density, lo, math.inf, epsabs=0.0, epsrel=2e-14,
+                                      limit=500)
+    assert err <= 1e-13 * value
+    return value
+
+
 class TestBuiltins:
     def test_gaussian_normalization(self, gauss1):
         assert gauss1.norm_const == pytest.approx(math.sqrt(2 * math.pi), rel=1e-12)
@@ -40,6 +48,25 @@ class TestBuiltins:
         assert mu.norm_const == pytest.approx(math.pi, rel=1e-10)
         assert mass(mu) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("sigma, dim", [(1.0, 1), (0.7, 2), (1.3, 3)])
+    def test_gaussian_norm_const_against_quad(self, sigma, dim):
+        line = _quad_mass(lambda x: math.exp(-x * x / (2.0 * sigma**2)), -math.inf)
+        assert L.gaussian(sigma, dim).norm_const == pytest.approx(line**dim, rel=1e-13)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("a", [1.0, 2.0, 4.0])
+    def test_gen_exponential_norm_const_against_quad(self, a, dim):
+        c = 0.7
+        sphere = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+        radial = _quad_mass(lambda t: t ** (dim - 1) * math.exp(-c * t**a), 0.0)
+        assert L.gen_exponential(c, a, dim).norm_const == pytest.approx(sphere * radial,
+                                                                        rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.0, 3.0])
+    def test_poly_tail_norm_const_against_quad(self, alpha):
+        want = _quad_mass(lambda x: (1.0 + x * x) ** -alpha, -math.inf)
+        assert L.poly_tail(alpha).norm_const == pytest.approx(want, rel=1e-13)
+
     def test_uniform_ball_mass(self):
         mu = L.uniform_ball(1.5, dim=1)
         assert mass(mu) == pytest.approx(1.0, abs=1e-10)
@@ -53,6 +80,7 @@ class TestBuiltins:
             ("gaussian", {"sigma": 0.0}, 1),
             ("gen_exponential", {"c": -2.0, "a": 1.0}, 1),
             ("uniform_ball", {"radius": 0.0}, 1),
+            ("gen_exponential", {"c": 1.0, "a": 0.005}, 1),  # mass e^864
         ],
     )
     def test_out_of_range_parameters_rejected(self, kind, params, dim):
@@ -259,6 +287,28 @@ class TestConvolution:
         assert mass(conv, scheme="tensor_trapezoid", nodes_per_axis=2049) == pytest.approx(
             1.0, abs=1e-6
         )
+
+    @pytest.mark.parametrize("dim, s1, s2, rtol", [
+        (1, 1.0, 1.0, 2e-6), (1, 0.5, 1.5, 2e-6), (2, 0.7, 1.2, 2e-3),
+    ])
+    def test_gaussians_inside_eval_radius(self, dim, s1, s2, rtol):
+        # N(0, s1^2) * N(0, s2^2) = N(0, s1^2 + s2^2).  The bound is that of
+        # linear interpolation of the log-density, about h^2 / (8 v) per axis
+        # on the cache's spacing h (0.0025 in 1-D, 0.11 in 2-D).  The FFT's
+        # round-off, about 1e-16 of the peak, is what the density is near
+        # eval_radius, so logs are compared only above 1e-10 of the peak
+        conv = L.convolve_measures(L.gaussian(s1, dim), L.gaussian(s2, dim))
+        v = s1**2 + s2**2
+        R = conv.eval_radius
+        assert R >= 12.0
+        axis = np.linspace(-R, R, 4001 if dim == 1 else 161)
+        xs = L.quadrature.tensor_grid(axis, dim)
+        xs = xs[np.linalg.norm(xs, axis=1) < R]
+        log_exact = -np.sum(xs * xs, axis=1) / (2.0 * v) - dim / 2.0 * math.log(2.0 * math.pi * v)
+        peak = (2.0 * math.pi * v) ** (-dim / 2.0)
+        assert np.max(np.abs(conv.pdf(xs) - np.exp(log_exact))) <= rtol * peak
+        near = log_exact >= math.log(1e-10 * peak)
+        assert np.max(np.abs(conv.log_pdf(xs[near]) - log_exact[near])) <= rtol
 
     def test_approximate_identity(self, gauss1):
         narrow = L.gaussian(0.05, 1)

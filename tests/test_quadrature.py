@@ -27,6 +27,28 @@ class TestTensorGrid:
         assert np.array_equal(tensor_grid(axis, dim), pts)
 
 
+class TestHermiteNodes:
+    @pytest.mark.parametrize("n", [26, 51, 101])
+    def test_against_scipy_roots_hermite(self, n):
+        from scipy.special import roots_hermite
+
+        t, w = quadrature._hermgauss(n)
+        t_ref, w_ref = roots_hermite(n)
+        np.testing.assert_allclose(t, t_ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0)
+
+
+class TestLogSumExp:
+    def test_shifted_sum(self):
+        v = np.array([-1000.0, -1001.0, -np.inf])
+        assert quadrature._logsumexp(v) == pytest.approx(-1000.0 + math.log1p(math.exp(-1.0)),
+                                                         rel=1e-15)
+
+    @pytest.mark.parametrize("v", [np.empty(0), np.full(3, -np.inf)], ids=["empty", "all -inf"])
+    def test_no_mass_is_minus_infinity(self, v):
+        assert quadrature._logsumexp(v) == -math.inf
+
+
 class TestSpecValidation:
     def test_unknown_scheme(self):
         with pytest.raises(InvalidParameter):
