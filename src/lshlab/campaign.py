@@ -129,6 +129,9 @@ PRESETS = ("gaussian-sharp",)
 
 ENV_OUTPUT_DIR = "LSHLAB_OUTPUT_DIR"
 
+#: the top-level sections of a config and the JSON type of each
+_SECTIONS = {"quadrature": dict, "measures": dict, "fields": dict, "checks": list}
+
 
 @dataclass
 class CampaignConfig:
@@ -143,14 +146,22 @@ class CampaignConfig:
     def from_dict(cls, raw: dict) -> "CampaignConfig":
         if not isinstance(raw, dict):
             raise ConfigError("campaign config must be a JSON object")
-        unknown = set(raw) - {"seed", "output_dir", "quadrature", "measures", "fields", "checks"}
+        unknown = set(raw) - {"seed", "output_dir", *_SECTIONS}
         if unknown:
             raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
+        for key, kind in _SECTIONS.items():
+            if key in raw and not isinstance(raw[key], kind):
+                what = "an object" if kind is dict else "a list"
+                raise ConfigError(f"{key!r} must be {what}, got {raw[key]!r}")
         with config_errors("seed"):
             seed = int(raw.get("seed", 0))
+        # null, like "", means the default output directory
+        output_dir = raw.get("output_dir") or ""
+        if not isinstance(output_dir, str):
+            raise ConfigError(f"'output_dir' must be a string, got {output_dir!r}")
         cfg = cls(
             seed=seed,
-            output_dir=str(raw.get("output_dir", "")),
+            output_dir=output_dir,
             quadrature=dict(raw.get("quadrature", {"scheme": "auto"})),
             measures=dict(raw.get("measures", {})),
             fields=dict(raw.get("fields", {})),
@@ -180,6 +191,8 @@ class CampaignConfig:
             if not isinstance(decl, dict):
                 raise ConfigError(f"field {name!r} must be an object")
         for idx, entry in enumerate(self.checks):
+            if not isinstance(entry, dict):
+                raise ConfigError(f"checks[{idx}] must be an object, got {entry!r}")
             kind = entry.get("check")
             if kind not in CHECK_KINDS:
                 raise ConfigError(
@@ -190,10 +203,13 @@ class CampaignConfig:
             _require(entry, (("measure",) if row.needs_measure else ()) + row.required, where)
             _check_types(entry, row, where)
             measure = entry.get("measure")
-            if measure is not None and measure not in self.measures:
+            if measure is not None and not (isinstance(measure, str) and measure in self.measures):
                 raise ConfigError(f"{where}: references undeclared measure {measure!r}")
-            for fname in entry.get("fields", []):
-                if fname not in self.fields:
+            fnames = entry.get("fields", [])
+            if not isinstance(fnames, list):
+                raise ConfigError(f"{where}: 'fields' must be a list of names, got {fnames!r}")
+            for fname in fnames:
+                if not (isinstance(fname, str) and fname in self.fields):
                     raise ConfigError(f"{where}: references undeclared field {fname!r}")
 
 

@@ -1,10 +1,16 @@
 """Probability densities on R^n and their Euclidean-regularity constants.
 
 A :class:`Density` wraps a (possibly unnormalized) log-density together with
-its normalization constant (in closed form for the built-in families, by the
-quadrature module otherwise), a truncation radius beyond which mass is
+its normalization constant, a truncation radius beyond which mass is
 negligible, and construction metadata.  Densities are immutable and safe to
 evaluate concurrently.
+
+Every Density is normalized when it is built, and only a closure that changes
+the mass integrates anything: the built-in families have closed-form
+constants; ``mix``, ``shift`` and ``product`` combine normalized log-densities,
+so their mass is exactly 1; ``perturb`` pays for one ``integrate_log`` of its
+weight against the normalized base; ``convolve_measures`` normalizes its FFT
+cache.
 
 The regularity constant of exponential type p is
 
@@ -30,7 +36,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import quadrature
-from .errors import EvaluationFailure, InvalidParameter, TypeConditionViolation
+from .errors import (EvaluationFailure, InvalidParameter, QuadratureFailure,
+                     TypeConditionViolation)
 from .fields import _batch
 
 Array = np.ndarray
@@ -92,8 +99,6 @@ class Density:
             )
         v = np.exp(np.maximum(lv, LOG_FLOOR))
         return float(v[0]) if single else v
-
-    eval = pdf
 
     @property
     def has_sampler(self) -> bool:
@@ -302,12 +307,10 @@ def mix(mu1: Density, mu2: Density, t: float) -> Density:
             return parts[0]
         return np.logaddexp(parts[0], parts[1])
 
-    dim = mu1.dim
-    trunc = max(mu1.truncation_radius, mu2.truncation_radius)
-    mu = Density(
-        dim=dim,
+    return Density(
+        dim=mu1.dim,
         norm_const=1.0,
-        truncation_radius=trunc,
+        truncation_radius=max(mu1.truncation_radius, mu2.truncation_radius),
         rotation_invariant=mu1.rotation_invariant and mu2.rotation_invariant,
         provenance="mixture",
         strictly_positive=(t < 1.0 and mu1.strictly_positive)
@@ -317,7 +320,6 @@ def mix(mu1: Density, mu2: Density, t: float) -> Density:
         _log_density=logd,
         _sampler=_mixture_sampler(mu1, mu2, t),
     )
-    return _renormalized(mu)
 
 
 def _mixture_sampler(mu1, mu2, t):
@@ -462,7 +464,7 @@ def shift(mu: Density, offset) -> Density:
     if offset.shape[0] != mu.dim:
         raise InvalidParameter("offset dimension mismatch")
 
-    mu_s = Density(
+    return Density(
         dim=mu.dim,
         norm_const=1.0,
         truncation_radius=mu.truncation_radius + float(np.linalg.norm(offset)),
@@ -476,7 +478,6 @@ def shift(mu: Density, offset) -> Density:
         if mu.has_sampler
         else None,
     )
-    return _renormalized(mu_s)
 
 
 def perturb(
@@ -490,14 +491,18 @@ def perturb(
     """Reweighted measure with density proportional to rho(x) * exp(log_weight(x)).
 
     When the weight is bounded (C <= w <= D), regularity constants of the
-    result are controlled by (D/C) times those of the base measure.
+    result are controlled by (D/C) times those of the base measure.  The
+    normalizer Z = int e^w dmu is one ``integrate_log`` against mu with mu's
+    default deterministic scheme, so dim is capped at 3.
     """
-    if weight_bound is None and mu.dim <= 3:
+    if mu.dim > 3:
+        raise InvalidParameter("normalization quadrature caps at dim 3")
+    if weight_bound is None:
         probe = _grid_points(mu.dim, mu.truncation_radius, {1: 4097, 2: 101, 3: 31}[mu.dim])
         weight_bound = float(np.exp(np.max(log_weight(probe)))) * 1.5
 
     sampler = None
-    if mu.has_sampler and weight_bound is not None:
+    if mu.has_sampler:
         def sampler(rng, size):
             out = np.empty((size, mu.dim))
             filled = 0
@@ -510,28 +515,25 @@ def perturb(
                 filled += take.shape[0]
             return out
 
-    mu_p = Density(
+    label = f"perturb({mu.label}, {label})"
+    try:
+        log_mass, _ = quadrature.integrate_log(log_weight, mu, quadrature.default_spec(mu))
+    except QuadratureFailure as exc:
+        raise EvaluationFailure(f"cannot normalize {label!r}: {exc}") from exc
+    if not log_mass < _EXP_OVERFLOW:
+        raise EvaluationFailure(f"cannot normalize {label!r}: mass e^{log_mass:.4g}")
+    return Density(
         dim=mu.dim,
-        norm_const=1.0,
+        norm_const=math.exp(log_mass),
         truncation_radius=mu.truncation_radius,
         rotation_invariant=rotation_invariant,
         provenance="perturbation",
         strictly_positive=mu.strictly_positive,
-        label=f"perturb({mu.label}, {label})",
+        label=label,
         eval_radius=mu.eval_radius,
         _log_density=lambda pts: mu.log_pdf(pts) + np.asarray(log_weight(pts), dtype=float),
         _sampler=sampler,
     )
-    return _renormalized(mu_p)
-
-
-def _renormalized(mu: Density) -> Density:
-    """Recompute norm_const by quadrature so the total mass is 1."""
-    mass, _ = quadrature.raw_mass(mu._log_density, mu.dim, mu.truncation_radius)
-    if not (mass > 0 and math.isfinite(mass)):
-        raise EvaluationFailure(f"cannot normalize {mu.label!r}: mass {mass}")
-    object.__setattr__(mu, "norm_const", mu.norm_const * mass)
-    return mu
 
 
 # ---------------------------------------------------------------------------
@@ -652,12 +654,6 @@ class RegularityConstants:
     @property
     def numerically_type_p(self) -> bool:
         return not self.violations and self.uniform_near_one is not None
-
-    def estimate(self, a: float, s: float) -> Optional[float]:
-        for aa, ss, v in self.entries:
-            if aa == a and ss == s:
-                return v
-        return None
 
     def to_dict(self) -> dict:
         return {

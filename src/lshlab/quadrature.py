@@ -21,19 +21,14 @@ of them with an error estimate from one rule: |fn(spec) - fn(spec.halved())|
 (half the nodes per axis, or the first half of the samples) on node schemes,
 and on ``adaptive_1d`` the first-order change of fn when each of its adaptive
 integrals moves by that integral's own error estimate.
-
-The module needs numpy only.  SciPy's ``quad`` normalises a raw 1-D density
-(``line_mass``, reached from ``raw_mass``); ``scipy.integrate`` is imported on
-that first use and is read through the module attribute ``sp_integrate``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 # imported here, not on the first Gauss-Hermite rule, so that the import of
@@ -50,14 +45,8 @@ _TRAP_DEFAULT = {1: 2049, 2: 257, 3: 65}
 _GH_DEFAULT = 101
 _MC_DEFAULT = 200_000
 
-
-def __getattr__(name):
-    # ``sp_integrate`` is scipy.integrate, imported on first access; it may be
-    # replaced by assignment (tests and tracers do)
-    if name == "sp_integrate":
-        from scipy import integrate
-        return integrate
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+#: unused here; benchmarks/tracer.py reads and replaces it when it installs
+sp_integrate = None
 
 
 @dataclass(frozen=True)
@@ -458,48 +447,3 @@ def lp_norm_with_error(f, mu, p: float, spec: QuadratureSpec) -> tuple[float, fl
         raise QuadratureFailure(f"L^{p:g} norm overflows (log value {logv / p:.3g})")
     norm = math.exp(logv / p)
     return norm, norm * logerr / p
-
-
-# ---------------------------------------------------------------------------
-# normalization helpers used at Density construction time
-# ---------------------------------------------------------------------------
-
-def line_mass(log_density_scalar: Callable[[float], float]) -> tuple[float, float]:
-    """Full-line mass of exp(log_density) via the tan substitution."""
-
-    def integrand(theta):
-        x = math.tan(theta)
-        ld = float(log_density_scalar(x))
-        if ld == -math.inf:
-            return 0.0
-        return math.exp(ld) / math.cos(theta) ** 2
-
-    # QUADPACK's extrapolation copes with integrable endpoint singularities
-    # such as (1 + x^2)^(-3/4) at theta = +-pi/2, where the batched rule
-    # stalls.  Read through the module, so that a replaced sp_integrate is used
-    quad = sys.modules[__name__].sp_integrate.quad
-    value, err = quad(integrand, -math.pi / 2, math.pi / 2, limit=300)
-    return float(value), float(err)
-
-
-def raw_mass(log_density_batch: Callable[[Array], Array], dim: int,
-             truncation_radius: float) -> tuple[float, float]:
-    """Mass of exp(log_density) for an arbitrary (batch) log-density.
-
-    Dim 1 integrates the full line adaptively; dims 2-3 use the tensor
-    trapezoid over the truncation box.
-    """
-    if dim == 1:
-        return line_mass(lambda x: float(log_density_batch(np.array([[x]]))[0]))
-    if dim > 3:
-        raise InvalidParameter("normalization quadrature caps at dim 3")
-    n = _TRAP_DEFAULT[dim]
-    value = _trap_mass(log_density_batch, dim, truncation_radius, n)
-    v2 = _trap_mass(log_density_batch, dim, truncation_radius, (n - 1) // 2 + 1)
-    return value, abs(value - v2)
-
-
-def _trap_mass(log_density_batch, dim, R, n) -> float:
-    pts, logw = _trap_nodes(R, n, dim)
-    lv = logw + np.asarray(log_density_batch(pts), dtype=float)
-    return float(np.exp(_logsumexp(lv[np.isfinite(lv)])))

@@ -355,6 +355,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {where}")
 
+    @pytest.mark.parametrize("overrides, where", [
+        ({"quadrature": None}, "'quadrature'"),
+        ({"quadrature": ["auto"]}, "'quadrature'"),
+        ({"measures": [1, 2]}, "'measures'"),
+        ({"fields": None}, "'fields'"),
+        ({"checks": {"a": 1}}, "'checks'"),
+        ({"checks": None}, "'checks'"),
+        ({"checks": [5]}, "checks[0]"),
+        ({"checks": [{"check": "slsi", "measure": ["g"], "fields": ["f"], "c": 1.0}]},
+         "checks[0] (slsi)"),
+        ({"checks": [{"check": "slsi", "measure": "g", "fields": 5, "c": 1.0}]},
+         "checks[0] (slsi)"),
+        ({"output_dir": 5}, "'output_dir'"),
+        ({"output_dir": None}, None),
+    ], ids=["quadrature-null", "quadrature-list", "measures-list", "fields-null",
+            "checks-object", "checks-null", "check-entry-number", "measure-list",
+            "fields-number", "output_dir-number", "output_dir-null"])
+    def test_top_level_types(self, overrides, where, tmp_path, monkeypatch, capsys):
+        # a malformed section is a ConfigError (exit 2); a null output_dir is the default
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("LSHLAB_OUTPUT_DIR", str(tmp_path / "default"))
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(minimal_config(**overrides)))
+        code = main(["run", str(cfg)])
+        err = capsys.readouterr().err
+        if where is None:
+            assert code == 0 and (tmp_path / "default" / "report.json").is_file()
+            assert not (tmp_path / "None").exists()
+        else:
+            assert code == 2 and err.count("\n") == 1 and err.startswith(f"error: {where}")
+
     @pytest.mark.parametrize("flag, text", [
         ("--measure", '{"family": gaussian}'),
         ("--field", '{"builder": "log_linear", "lam": [0.4]'),

@@ -251,6 +251,21 @@ class TestMix:
         with pytest.raises(InvalidParameter):
             L.mix(gauss1, gauss1, 1.5)
 
+    def test_mix_and_shift_mass_is_exact(self, gauss1):
+        laplace = L.gen_exponential(1.0, 1.0, 2)
+        for mu in (L.mix(gauss1, L.poly_tail(0.75), 0.4), L.shift(L.poly_tail(0.75), [2.0]),
+                   L.mix(L.gaussian(1.0, 2), laplace, 0.3), L.shift(laplace, [0.3, -0.1])):
+            assert mu.norm_const == 1.0
+
+    def test_four_dimensional_mix_and_shift(self, rng):
+        g1, g2 = L.gaussian(1.0, 4), L.gaussian(2.0, 4)
+        offset = np.array([0.5, -1.0, 0.0, 2.0])
+        x = rng.standard_normal((9, 4))
+        mixed = L.mix(g1, g2, 0.25)
+        assert mixed.pdf(x) == pytest.approx(0.75 * g1.pdf(x) + 0.25 * g2.pdf(x), rel=1e-13)
+        shifted = L.shift(g1, offset)
+        assert shifted.pdf(x) == pytest.approx(g1.pdf(x - offset), rel=1e-13)
+
 
 class TestProduct:
     def test_gaussian_factorization(self, gauss1, rng):
@@ -372,6 +387,25 @@ class TestPerturbation:
     def test_perturbation_mass_renormalized(self, gauss1):
         weighted = L.perturb(gauss1, lambda pts: 0.3 * np.sin(pts[:, 0]), label="sin")
         assert mass(weighted) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_tilted_gaussian_normalizer(self, dim):
+        # int e^{lam x_1} dN(0, sigma^2 I) = e^{lam^2 sigma^2 / 2}
+        sigma, lam = 1.3, 0.7
+        tilted = L.perturb(L.gaussian(sigma, dim), lambda pts: lam * pts[:, 0])
+        assert tilted.norm_const == pytest.approx(math.exp(lam**2 * sigma**2 / 2), rel=1e-12)
+
+    def test_laplace_reweighted_normalizer(self):
+        # e^{-|x|} / 2 times e^{|x| / 2} integrates to 2
+        mu = L.perturb(L.gen_exponential(1.0, 1.0, 1), lambda pts: 0.5 * np.abs(pts[:, 0]))
+        assert mu.norm_const == pytest.approx(2.0, rel=1e-10)
+
+    def test_four_dimensional_perturbation_rejected(self):
+        def weight(pts):
+            raise AssertionError("weight probed before the dimension check")
+
+        with pytest.raises(InvalidParameter):
+            L.perturb(L.gaussian(1.0, 4), weight)
 
     def test_rejection_sampler_matches_density(self, gauss1):
         weighted = L.perturb(

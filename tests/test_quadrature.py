@@ -219,19 +219,30 @@ class TestAdaptiveRule:
     def test_weighted_moments_never_calls_quad(self, monkeypatch):
         class NoQuad:
             def quad(self, *args, **kwargs):
-                raise AssertionError("quad reached from the weighted-integral path")
+                raise AssertionError("quad reached from a closure or an integral")
 
-        mu = L.mix(L.gaussian(0.8, 1), L.gaussian(1.25, 1), 0.7)  # normalised by quad
+        # the closures are built with quad unavailable, too
         monkeypatch.setattr(quadrature, "sp_integrate", NoQuad())
-        spec = L.default_spec(mu)
-        f = L.log_linear([0.5])
-        norm = L.lp_norm(f, mu, 2.0, spec)
-        # int e^{lam x} dN(0, s^2) = e^{lam^2 s^2 / 2}
-        want = math.sqrt(0.3 * math.exp(0.5 * 0.64) + 0.7 * math.exp(0.5 * 1.5625))
-        assert norm == pytest.approx(want, rel=1e-8)
-        assert L.integrate(f, mu, spec)[0] == pytest.approx(
-            0.3 * math.exp(0.125 * 0.64) + 0.7 * math.exp(0.125 * 1.5625), rel=1e-8)
-
+        lam = 0.5
+        for dim in (1, 2):
+            e1 = np.eye(dim)[0]
+            f = L.log_linear(lam * e1)
+            # int e^{lam x_1} dN(m e_1, s^2 I) = e^{lam m + lam^2 s^2 / 2}; the
+            # tilt e^{0.3 x_1} moves N(0, I) to N(0.3 e_1, I)
+            cases = [
+                (L.mix(L.gaussian(0.8, dim), L.gaussian(1.25, dim), 0.7),
+                 0.3 * math.exp(lam**2 * 0.64 / 2) + 0.7 * math.exp(lam**2 * 1.5625 / 2)),
+                (L.shift(L.gaussian(1.0, dim), 0.4 * e1), math.exp(0.4 * lam + lam**2 / 2)),
+                (L.perturb(L.gaussian(1.0, dim), lambda pts: 0.3 * pts[:, 0]),
+                 math.exp(0.3 * lam + lam**2 / 2)),
+            ]
+            for mu, want in cases:
+                spec = L.default_spec(mu)
+                assert spec.scheme == ("adaptive_1d" if dim == 1 else "tensor_trapezoid")
+                assert L.integrate(f, mu, spec)[0] == pytest.approx(want, rel=1e-8), mu.label
+                # lp_norm squares f, so lam doubles
+                assert L.lp_norm(f, mu, 2.0, spec) ** 2 == pytest.approx(
+                    L.integrate(L.log_linear(2.0 * lam * e1), mu, spec)[0], rel=1e-8)
 
 def three_columns(pts):
     x = pts[:, 0]
