@@ -19,9 +19,11 @@ may be signed, so they alone keep a value map, with an optional gradient map.
 
 A convolution sweeps the inner field over the mollifier nodes once for both
 ln(f * phi) and grad ln(f * phi) = sum_i cg_i f(x - y_i) / sum_i c_i f(x - y_i).
-The sweep sums the linear values of f; only rows whose sum is not a finite
-positive number (f overflows or underflows there) are summed again from
-ln f, each shifted by its largest value (log-sum-exp).
+The nodes are one polar rule on the unit ball (Gauss-Legendre radii times
+sphere directions), which also normalises the bump and gives its norms as
+radial sums.  The sweep sums the linear values of f; only rows whose sum is
+not a finite positive number (f overflows or underflows there) are summed
+again from ln f, each shifted by its largest value (log-sum-exp).
 
 Point convention: a single point is a 1-D array of shape (dim,); a batch is a
 2-D array of shape (m, dim).  All maps are vectorized over batches.  Fields
@@ -39,7 +41,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParameter, SubharmonicityError
-from .quadrature import tensor_grid
 
 Array = np.ndarray
 #: (points, grad) -> (ln f, grad ln f or None): the map that defines a certified field
@@ -384,17 +385,40 @@ def squared_norm(dim: int) -> ScalarField:
 # mollifiers and convolution
 # ---------------------------------------------------------------------------
 
+#: Gauss-Legendre nodes of the radial part of the unit-ball rule
+_BALL_RADII = 32
+#: directions of the unit-ball rule (see _unit_sphere_rule): the two endpoints
+#: in 1-D, 16 angles in 2-D, 5 polar angles times 10 azimuths in 3-D
+_BALL_DIRECTIONS = {1: 2, 2: 16, 3: 5}
+
+
+def _ball_volume(dim: int, radius: float = 1.0) -> float:
+    """Lebesgue volume of the ball of the given radius in R^dim."""
+    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * radius**dim
+
+
 @lru_cache(maxsize=None)
-def _unit_bump_mass(dim: int) -> float:
-    """Integral of exp(-1/(1-|u|^2)) over the unit ball, by Gauss-Legendre."""
-    n = {1: 400, 2: 160, 3: 96}[dim]
-    t, w = np.polynomial.legendre.leggauss(n)
-    pts, wts = tensor_grid(t, dim, w)
-    r2 = np.sum(pts * pts, axis=1)
-    vals = np.zeros(pts.shape[0])
-    inside = r2 < 1.0
-    vals[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-    return float(vals @ wts)
+def _unit_ball_rule(dim: int) -> tuple[Array, Array, Array, Array]:
+    """Polar rule on the unit ball: (rho, w, dirs, dw), so that the integral
+    of F over |y| < 1 is ~= sum_ij w_i dw_j F(rho_i dirs_j).
+
+    sum_j dw_j = 1 and w carries the sphere area and the rho^{n-1} Jacobian,
+    so a radial integrand needs the radial sum alone.  The radial part is
+    exact for rho^{n-1} times a polynomial in rho^2 of degree below 64: the
+    positive half of 64-node Gauss-Legendre in rho in odd dimension (the
+    integrand is even), 32-node Gauss-Legendre in u = rho^2 in even dimension.
+    """
+    if dim not in _BALL_DIRECTIONS:
+        raise InvalidParameter("mollifiers are implemented for dim <= 3")
+    if dim % 2:
+        t, w = np.polynomial.legendre.leggauss(2 * _BALL_RADII)
+        rho, w = t[_BALL_RADII:], w[_BALL_RADII:] * t[_BALL_RADII:] ** (dim - 1)
+    else:
+        t, w = np.polynomial.legendre.leggauss(_BALL_RADII)
+        u = (t + 1.0) / 2.0
+        rho, w = np.sqrt(u), w / 4.0 * u ** (dim / 2.0 - 1.0)
+    dirs, dw = _unit_sphere_rule(dim, _BALL_DIRECTIONS[dim])
+    return rho, dim * _ball_volume(dim) * w, dirs, dw
 
 
 @dataclass(frozen=True)
@@ -402,8 +426,8 @@ class Mollifier:
     """Smooth unit-mass bump supported in the ball of radius ``support_radius``.
 
     The profile is the standard bump amplitude * exp(-1/(1 - |x/s|^2)), with
-    the amplitude fixed so the total mass is 1.  The family is closed under
-    the mass-preserving rescaling s -> s/k, which keeps
+    the amplitude fixed so that its mass on the unit-ball rule is 1.  The
+    family is closed under the mass-preserving rescaling s -> s/k, which keeps
     Vol(supp) * ||.||_{p'}^p constant across scales.
     """
 
@@ -412,50 +436,47 @@ class Mollifier:
     support_radius: float
     amplitude: float
 
+    def _profile(self, pts: Array) -> tuple[Array, Array]:
+        """(phi, 1 - |x/s|^2 inside the support and 1 outside) at a batch."""
+        t = np.sum((pts / self.support_radius) ** 2, axis=1)
+        one_m = np.where(t < 1.0, 1.0 - t, 1.0)
+        return np.where(t < 1.0, self.amplitude * np.exp(-1.0 / one_m), 0.0), one_m
+
     def __call__(self, x):
         pts, single = _batch(x, self.dim)
-        v = self._values(pts)
+        v = self._profile(pts)[0]
         return float(v[0]) if single else v
-
-    def _values(self, pts: Array) -> Array:
-        t = np.sum((pts / self.support_radius) ** 2, axis=1)
-        out = np.zeros(pts.shape[0])
-        inside = t < 1.0
-        out[inside] = self.amplitude * np.exp(-1.0 / (1.0 - t[inside]))
-        return out
 
     def gradient(self, x):
         pts, single = _batch(x, self.dim)
-        s2 = self.support_radius**2
-        t = np.sum(pts * pts, axis=1) / s2
-        g = np.zeros_like(pts)
-        inside = t < 1.0
-        if np.any(inside):
-            one_m = 1.0 - t[inside]
-            base = self.amplitude * np.exp(-1.0 / one_m)
-            g[inside] = base[:, None] * (-2.0 * pts[inside] / s2) / (one_m**2)[:, None]
+        v, one_m = self._profile(pts)
+        g = (-2.0 * v / (self.support_radius * one_m) ** 2)[:, None] * pts
         return g[0] if single else g
 
     @property
     def vol_support(self) -> float:
-        n = self.dim
-        return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * self.support_radius**n
+        return _ball_volume(self.dim, self.support_radius)
 
     @property
     def sup_value(self) -> float:
         return self.amplitude * math.exp(-1.0)
 
+    def _radial(self) -> tuple[Array, Array]:
+        """(w, phi): the unit-ball rule's radial weights on the support, phi at its radii."""
+        rho, w, _, _ = _unit_ball_rule(self.dim)
+        return self.support_radius**self.dim * w, self.amplitude * np.exp(-1.0 / (1.0 - rho**2))
+
     def mass(self) -> float:
-        """Total mass by quadrature over the support (should be 1)."""
-        _, c = _ball_nodes(self, want_gradient=False, accurate=True)
-        return float(np.sum(c))
+        """Total mass on the unit-ball rule (1 up to round-off)."""
+        w, v = self._radial()
+        return float(w @ v)
 
     def lebesgue_norm(self, p: float) -> float:
         """(integral of phi^p dx)^(1/p) against Lebesgue measure; p = inf -> sup."""
         if p == math.inf:
             return self.sup_value
-        y, c, w, vals = _ball_nodes(self, want_gradient=False, raw=True, accurate=True)
-        return float(np.sum(w * vals**p) ** (1.0 / p))
+        w, v = self._radial()
+        return float((w @ v**p) ** (1.0 / p))
 
 
 def mollifier(dim: int, k: int, base_radius: float = 1.0) -> Mollifier:
@@ -468,70 +489,56 @@ def mollifier(dim: int, k: int, base_radius: float = 1.0) -> Mollifier:
 def _bump(dim: int, radius: float, scale_index: float | None = None) -> Mollifier:
     if radius <= 0:
         raise InvalidParameter("support radius must be positive")
-    amplitude = 1.0 / (_unit_bump_mass(dim) * radius**dim)
-    return Mollifier(
-        dim=dim,
-        scale_index=scale_index if scale_index is not None else 1.0 / radius,
-        support_radius=radius,
-        amplitude=amplitude,
-    )
+    unit = Mollifier(dim=dim, scale_index=scale_index if scale_index is not None else 1.0 / radius,
+                     support_radius=radius, amplitude=1.0)
+    return replace(unit, amplitude=1.0 / unit.mass())
 
 
-#: per-axis nodes for convolution evaluation (speed) and for norm/mass
-#: diagnostics (accuracy; mass must come out 1 within 1e-8)
-_CONV_NODES = {1: 64, 2: 40, 3: 20}
-_NORM_NODES = {1: 320, 2: 96, 3: 64}
 #: point-node pairs per row block of a convolution sweep: the block's shifted
 #: points (16 bytes a pair in 2-D) stay a few MB, within cache reach
 _CONV_BLOCK_PAIRS = 200_000
 #: point-node pairs one convolution sweep may take (about 2 s at the 1e8
 #: pairs/s of a 2-core machine).  The largest sweep in the tests and the
-#: benchmark is 1.6e7 (101^2 Gauss-Hermite points x 1,600 nodes in 2-D); the
-#: 2-D trapezoid default, 257^2 x 1,600 = 1.1e8, fits, and every 3-D default
-#: (at least 65^3 x 8,000 = 2.2e9) is refused before any work
+#: benchmark is 5.2e6 (101^2 Gauss-Hermite points x 512 nodes in 2-D); the
+#: 2-D trapezoid default, 257^2 x 512 = 3.4e7, fits, and every 3-D default
+#: (at least 65^3 x 1,600 = 4.4e8) is refused before any work
 CONV_MAX_PAIRS = 200_000_000
 
 
-def _ball_nodes(phi: Mollifier, want_gradient: bool = True, raw: bool = False,
-                accurate: bool = False):
-    """Gauss-Legendre tensor nodes on the support box of ``phi``.
+def _ball_nodes(phi: Mollifier) -> tuple[Array, Array, Array]:
+    """The unit-ball rule on the support of ``phi``: (y, c, cg).
 
-    Returns (y, c[, cg]) with c_i = w_i * phi(y_i) so that
-    (f * phi)(x) ~= sum_i c_i f(x - y_i); cg_i = w_i * grad phi(y_i).
+    c_i = w_i * phi(y_i) and cg_i = w_i * grad phi(y_i), so that
+    (f * phi)(x) ~= sum_i c_i f(x - y_i) and sum_i c_i = 1 up to round-off.
+    Nodes whose weight underflows to 0 near the edge of the support are
+    dropped, so every c_i is positive.
     """
+    rho, w, dirs, dw = _unit_ball_rule(phi.dim)
     s = phi.support_radius
-    n1 = (_NORM_NODES if accurate else _CONV_NODES)[phi.dim]
-    t, w = np.polynomial.legendre.leggauss(n1)
-    t = t * s
-    w = w * s
-    y, wts = tensor_grid(t, phi.dim, w)
-    vals = phi._values(y)
-    c = wts * vals
-    if raw:
-        return y, c, wts, vals
-    if not want_gradient:
-        return y, c
-    cg = wts[:, None] * phi.gradient(y)
-    return y, c, cg
+    y = (s * rho[:, None, None] * dirs[None]).reshape(-1, phi.dim)
+    wts = s**phi.dim * np.outer(w, dw).ravel()
+    c = wts * phi(y)
+    keep = c > 0
+    return y[keep], c[keep], wts[keep, None] * phi.gradient(y[keep])
 
 
 def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
     """Smoothing convolution (f * phi)(x) = integral of f(x - y) phi(y) dy.
 
     Preserves the log-subharmonic cone and yields a C-infinity field.  With
-    c_i = w_i phi(y_i) and cg_i = w_i grad phi(y_i) on the mollifier nodes y_i,
+    c_i = w_i phi(y_i) and cg_i = w_i grad phi(y_i) on the polar nodes y_i of
+    :func:`_ball_nodes` (64 in 1-D, 512 in 2-D, 1,600 in 3-D),
     ln(f * phi)(x) = ln sum_i c_i f(x - y_i) and grad ln(f * phi)(x) =
     sum_i cg_i f(x - y_i) / sum_i c_i f(x - y_i), both from one sweep of f
     against the stacked weights [c | cg].  The sweep sums values of f; a row
     whose sum is not a finite positive number is summed again from ln f,
-    shifted by its largest value over the nodes where c_i > 0.
+    shifted by its largest value over the nodes.
     """
     if f.dim != phi.dim:
         raise InvalidParameter("field and mollifier dimensions differ")
     _needs_log_map(f)
     y, c, cg = _ball_nodes(phi)
     c_cg = np.column_stack([c, cg])
-    live = c > 0
 
     def blocks(pts: Array):
         # x - y for one row block of points at a time, so no (points, nodes)
@@ -564,7 +571,7 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
         top = np.empty(pts.shape[0])
         out = np.empty((pts.shape[0],) + weights.shape[1:])
         for lo, rows, shifted in blocks(pts):
-            lf = np.where(live, f._log(shifted, False)[0].reshape(rows, -1), -np.inf)
+            lf = f._log(shifted, False)[0].reshape(rows, -1)
             top[lo : lo + rows] = lf.max(axis=1)
             out[lo : lo + rows] = np.exp(lf - top[lo : lo + rows, None]) @ weights
         return top, out
@@ -633,36 +640,28 @@ def _rotations(dim: int, count: Optional[int] = None) -> Array:
 
 
 @lru_cache(maxsize=None)
-def _unit_sphere_rule(dim: int, refine: int = 1) -> tuple[Array, Array]:
+def _unit_sphere_rule(dim: int, count: int) -> tuple[Array, Array]:
     """Directions and weights for mean values over the unit sphere.
 
-    dim 1: the two endpoints; dim 2: a uniform angular grid (trapezoid rule,
-    spectrally accurate for periodic integrands); dim 3: Gauss-Legendre in
-    cos(theta) times a uniform azimuthal grid.  Weights sum to 1.
+    dim 1: the two endpoints (``count`` is ignored); dim 2: ``count`` uniform
+    angles (trapezoid rule, spectrally accurate for periodic integrands); dim
+    3: ``count``-node Gauss-Legendre in cos(theta) times 2 * ``count`` uniform
+    azimuths.  Weights sum to 1.
     """
     if dim == 1:
         return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
     if dim == 2:
-        count = _DIM2_ANGLES * refine
         th = 2.0 * math.pi * np.arange(count) / count
         dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
         return dirs, np.full(count, 1.0 / count)
     if dim == 3:
-        n_theta = 16 * refine
-        n_phi = 2 * n_theta
-        t, w = np.polynomial.legendre.leggauss(n_theta)  # t = cos(theta)
+        n_phi = 2 * count
+        t, w = np.polynomial.legendre.leggauss(count)  # t = cos(theta)
         phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
         s = np.sqrt(1.0 - t**2)
-        dirs = np.stack(
-            [
-                np.outer(s, np.cos(phi)).ravel(),
-                np.outer(s, np.sin(phi)).ravel(),
-                np.outer(t, np.ones(n_phi)).ravel(),
-            ],
-            axis=1,
-        )
-        wts = np.outer(w / 2.0, np.full(n_phi, 1.0 / n_phi)).ravel()
-        return dirs, wts
+        dirs = np.stack(np.broadcast_arrays(
+            np.outer(s, np.cos(phi)), np.outer(s, np.sin(phi)), t[:, None]), axis=-1)
+        return dirs.reshape(-1, 3), np.outer(w / 2.0, np.full(n_phi, 1.0 / n_phi)).ravel()
     raise InvalidParameter("sphere rules are implemented for dim <= 3")
 
 
@@ -670,13 +669,13 @@ def spherical_average(f: ScalarField) -> ScalarField:
     """Average of f over the rotation orbit of each point.
 
     dim 1: (f(x) + f(-x))/2; higher dimensions: the weighted sphere rule of
-    :func:`_unit_sphere_rule` applied at radius |x| (the orbit average only
+    :func:`sphere_rule` applied at radius |x| (the orbit average only
     depends on |x|).  The result is rotation-invariant by construction up to
     discretization and carries no certificate.
     """
     if f.dim > 3:
         raise InvalidParameter("spherical averaging is implemented for dim <= 3")
-    dirs, wts = _unit_sphere_rule(f.dim)
+    dirs, wts = sphere_rule(f.dim, np.zeros(f.dim), 1.0)
 
     def val(pts):
         radii = np.linalg.norm(pts, axis=1)
@@ -698,7 +697,8 @@ def sphere_rule(dim: int, center, radius: float, refine: int = 1) -> tuple[Array
     averaging.  ``refine`` multiplies the node count (used to adjudicate
     candidate violations sitting within discretization error)."""
     center = np.asarray(center, dtype=float)
-    dirs, wts = _unit_sphere_rule(dim, refine)
+    # 64 angles in 2-D, 16 polar angles in 3-D
+    dirs, wts = _unit_sphere_rule(dim, refine * (16 if dim == 3 else _DIM2_ANGLES))
     return center[None, :] + radius * dirs, wts
 
 

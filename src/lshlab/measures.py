@@ -38,11 +38,10 @@ import numpy as np
 from . import quadrature
 from .errors import (EvaluationFailure, InvalidParameter, QuadratureFailure,
                      TypeConditionViolation)
-from .fields import _batch
+from .fields import LOG_FLOOR, _ball_volume, _batch
 
 Array = np.ndarray
 
-LOG_FLOOR = -750.0
 _EXP_OVERFLOW = 709.0
 #: ratios above this guard are reported as type-condition violations
 LOG_RATIO_GUARD = math.log(1e100)
@@ -57,10 +56,6 @@ _CONV_CACHE_NODES = {1: 16385, 2: 513, 3: 129}
 _CONV_EXTENT_FACTOR = 1.3
 #: cached convolution values below peak * this factor are treated as unreliable
 _CONV_RELIABLE = 1e-26
-
-
-def _ball_volume(dim: int, radius: float) -> float:
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * radius**dim
 
 
 @dataclass(frozen=True)
@@ -153,7 +148,7 @@ def gen_exponential(c: float = 1.0, a: float = 1.0, dim: int = 1) -> Density:
     # |S^{n-1}| Gamma(n/a) / (a c^{n/a}), |S^{n-1}| = n |B^n|, in logs:
     # Gamma(n/a) overflows for small a
     k = dim / a
-    log_norm = math.log(k * _ball_volume(dim, 1.0)) + math.lgamma(k) - k * math.log(c)
+    log_norm = math.log(k * _ball_volume(dim)) + math.lgamma(k) - k * math.log(c)
     if log_norm > _EXP_OVERFLOW:
         raise InvalidParameter(f"gen_exponential(c={c:g}, a={a:g}) has mass e^{log_norm:.4g}")
     norm = math.exp(log_norm)

@@ -309,6 +309,15 @@ class TestCli:
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert "missing" in capsys.readouterr().err
 
+    def test_run_four_dimensional_mollified_field_exits_two(self, tmp_path, capsys):
+        fields = {"f": {"builder": "mollified",
+                        "base": {"builder": "log_linear", "lam": [0.8, 0.0, 0.0, 0.0]}}}
+        measures = {"g": {"family": "gaussian", "sigma": 1.0, "dim": 4}}
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(minimal_config(fields=fields, measures=measures)))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "dim <= 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, decl, key", [
         ("fields", {"f": {"builder": "log_linear"}}, "lam"),
         ("measures", {"g": {"family": "poly_tail", "dim": 1}}, "alpha"),

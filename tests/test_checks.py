@@ -54,6 +54,15 @@ class TestSlsi:
         assert rep.quantities["euler_energy"] == pytest.approx(ee, rel=1e-9)
         assert ee == pytest.approx(9.876543209877, abs=1e-12)
 
+    def test_mollified_member_is_an_equality_case(self):
+        # the battery's mollified member is e^{0.8 x_1} * phi = M e^{0.8 x_1}, on
+        # the equality family of the Gaussian sLSI: Ent = EE / 2
+        mu = L.gaussian(1.0, 2)
+        g = L.default_battery(2)[-1]
+        assert g.certificate == "mollified"
+        ent, _, ee, _ = checks.slsi_terms(g, mu, L.default_spec(mu))
+        assert ent == pytest.approx(ee / 2.0, rel=1e-8)
+
     def test_mollified_field_conclusive_on_adaptive_path(self):
         # the convolution sweep overflows far out on the line; its log-space
         # rows keep the sLSI terms finite, and sLSI at c = 1 holds on the Gaussian

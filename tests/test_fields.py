@@ -6,7 +6,7 @@ import scipy.integrate
 
 import lshlab as L
 from lshlab.errors import InvalidParameter, SubharmonicityError
-from lshlab.fields import _bump, default_probes
+from lshlab.fields import _ball_nodes, _bump, default_probes
 
 
 def second_difference(fn, x, h=1e-4):
@@ -139,9 +139,7 @@ class TestLogMap:
             h = np.zeros(field.dim)
             h[j] = 1e-5
             fd[:, j] = (field.log_value(pts + h) - field.log_value(pts - h)) / 2e-5
-        # the 2-D mollifier's 40-node rule integrates grad phi to about 1e-5
-        tol = 1e-5 if field.certificate == "mollified" and field.dim == 2 else 1e-6
-        assert np.max(np.abs(dlv - fd) / np.maximum(1.0, np.abs(dlv))) <= tol
+        assert np.max(np.abs(dlv - fd) / np.maximum(1.0, np.abs(dlv))) <= 1e-6
 
     @pytest.mark.parametrize("compose", [
         lambda f: L.power(f, 2.0), lambda f: L.product_field(f, f),
@@ -268,6 +266,21 @@ class TestMollifier:
         with pytest.raises(InvalidParameter):
             L.mollifier(1, 0)
 
+    def test_four_dimensions_refused(self):
+        with pytest.raises(InvalidParameter, match="dim <= 3"):
+            L.mollifier(4, 1)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_radial_sums_match_the_polar_nodes(self, dim):
+        # the bump is radial: Mollifier.mass and lebesgue_norm sum over radii
+        # alone, and agree with the full sums over the convolution nodes
+        phi = L.mollifier(dim, 2)
+        y, c, _ = _ball_nodes(phi)
+        assert len(c) == {1: 64, 2: 512, 3: 1600}[dim]
+        assert phi.mass() == pytest.approx(1.0, abs=1e-14)
+        assert np.sum(c) == pytest.approx(1.0, abs=1e-14)
+        assert phi.lebesgue_norm(2.0) ** 2 == pytest.approx(c @ phi(y), rel=1e-12)
+
     def test_gradient_matches_differences(self, rng):
         phi = L.mollifier(1, 2)
         xs = 0.4 * phi.support_radius * rng.standard_normal((10, 1))
@@ -325,18 +338,26 @@ class TestConvolve:
         with pytest.raises(InvalidParameter, match="101 points x 64 nodes"):
             g.value_and_gradient(np.zeros((101, 1)))
 
+    @pytest.mark.parametrize("lam", [[0.5], [0.5, -0.3], [0.5, -0.3, 0.2]],
+                             ids=["1d", "2d", "3d"])
+    def test_log_linear_gradient_is_exact(self, lam, rng):
+        # f * phi = M(lam) e^{lam . x}, so grad ln(f * phi) = lam everywhere
+        g = L.convolve(L.log_linear(lam), L.mollifier(len(lam), 3))
+        _, dlv = g.log_value(rng.standard_normal((20, len(lam))), grad=True)
+        np.testing.assert_allclose(dlv, np.tile(lam, (20, 1)), rtol=1e-8, atol=0)
+
     def test_3d_check_is_refused_before_the_sweep(self):
-        # 101^3 Gauss-Hermite points against 20^3 mollifier nodes: 8.2e9 pairs
+        # 101^3 Gauss-Hermite points against 32 x 50 polar mollifier nodes: 1.6e9 pairs
         g = L.convolve(L.log_linear([0.8, 0.0, 0.0]), L.mollifier(3, 4))
-        with pytest.raises(InvalidParameter, match="1030301 points x 8000 nodes"):
+        with pytest.raises(InvalidParameter, match="1030301 points x 1600 nodes"):
             L.check_slsi(g, L.gaussian(1.0, 3), 1.0)
 
 
 def _joint_cases():
-    # 4,000 1-D points span two row blocks of the 64-node rule and 300 2-D
-    # points three of the 1,600-node rule
+    # 4,000 1-D points span two row blocks of the 64-node rule and 1,200 2-D
+    # points four of the 512-node rule (390 rows a block)
     xs1 = np.linspace(-3.0, 3.0, 4_000).reshape(-1, 1)
-    xs2 = np.random.default_rng(3).standard_normal((300, 2))
+    xs2 = np.random.default_rng(3).standard_normal((1_200, 2))
     f1, f2 = L.cosh_field(0.8), L.log_linear([0.5, -0.3])
     phi1, phi2 = L.mollifier(1, 2), L.mollifier(2, 3)
     cases = {
