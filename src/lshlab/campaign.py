@@ -86,7 +86,8 @@ def _best_constant(battery, mu, spec, e, check_id):
 CHECKS = {
     "best_constant": CheckKind(
         _best_constant, over_battery=True,
-        defaults={"mode": "slsi", "c_min": 0.25, "c_max": 4.0,
+        defaults={"mode": "slsi", "c_min": checks_mod.DEFAULT_C_RANGE[0],
+                  "c_max": checks_mod.DEFAULT_C_RANGE[1],
                   "r_grid": list(checks_mod.DEFAULT_R_GRID)}),
     "density_approx": CheckKind(
         lambda f, mu, spec, e, cid: checks_mod.check_density_approximation(
@@ -97,7 +98,7 @@ CHECKS = {
         lambda f, mu, spec, e, cid: checks_mod.check_dilated_convolution_bound(
             f, mu, float(e["p"]), fields_mod.mollifier(mu.dim, int(e["k"])), float(e["r"]),
             spec, cid),
-        required=("p", "r"), defaults={"k": 4}),
+        required=("p", "r"), defaults={"k": checks_mod.DEFAULT_MOLLIFIER_SCALE}),
     "dilation_bound": CheckKind(
         lambda f, mu, spec, e, cid: checks_mod.check_dilation_bound(
             f, mu, float(e["p"]), float(e["r"]), spec, cid),
@@ -109,7 +110,7 @@ CHECKS = {
     "radial_euler_scaling": CheckKind(
         lambda f, mu, spec, e, cid: checks_mod.check_radial_euler_scaling(
             f, tol=float(e["tol"]), check_id=cid),
-        defaults={"tol": 1e-7}, needs_measure=False),
+        defaults={"tol": checks_mod.LEMMA_TOL}, needs_measure=False),
     "shc": CheckKind(
         lambda f, mu, spec, e, cid: checks_mod.check_shc(
             f, mu, float(e["c"]), e["r_grid"], spec, cid),
@@ -120,7 +121,7 @@ CHECKS = {
     "spherical_monotone": CheckKind(
         lambda f, mu, spec, e, cid: checks_mod.check_spherical_monotonicity(
             f, tol=float(e["tol"]), check_id=cid),
-        defaults={"tol": 1e-7}, needs_measure=False),
+        defaults={"tol": checks_mod.LEMMA_TOL}, needs_measure=False),
 }
 CHECK_KINDS = tuple(sorted(CHECKS))
 
@@ -238,15 +239,21 @@ def _is_number(value) -> bool:
 def _check_types(entry: dict, row: CheckKind, where: str):
     """ConfigError naming ``where`` and the first key of ``entry`` of the wrong
     type: required keys and keys with numeric defaults take a number, keys
-    with list defaults a list of numbers."""
+    with a null default a number or null, keys with list defaults a non-empty
+    list of numbers.  Other keys are not checked here."""
     for key, value in entry.items():
-        default = row.defaults.get(key)
+        default = row.defaults.get(key, "unchecked")
         if key in row.required or _is_number(default):
-            if not _is_number(value):
-                raise ConfigError(f"{where}: {key!r} must be a number, got {value!r}")
+            want, ok = "a number", _is_number(value)
+        elif default is None:
+            want, ok = "a number or null", value is None or _is_number(value)
         elif isinstance(default, list):
-            if not (isinstance(value, list) and all(_is_number(v) for v in value)):
-                raise ConfigError(f"{where}: {key!r} must be a list of numbers, got {value!r}")
+            want = "a non-empty list of numbers"
+            ok = isinstance(value, list) and bool(value) and all(map(_is_number, value))
+        else:
+            continue
+        if not ok:
+            raise ConfigError(f"{where}: {key!r} must be {want}, got {value!r}")
 
 
 def load_config(path) -> CampaignConfig:
@@ -281,7 +288,8 @@ MEASURE_OPS = tuple(_MEASURE_OPS)
 
 def _mollified(decl: dict) -> fields_mod.ScalarField:
     base = build_field(decl["base"])
-    return fields_mod.convolve(base, fields_mod.mollifier(base.dim, int(decl.get("k", 4))))
+    return fields_mod.convolve(base, fields_mod.mollifier(
+        base.dim, int(decl.get("k", checks_mod.DEFAULT_MOLLIFIER_SCALE))))
 
 
 #: field builder -> (required keys, build from the declaration)

@@ -2,10 +2,11 @@
 
 Each check returns a :class:`CheckReport` carrying the full input echo, the
 computed quantities (lhs, rhs, deficits, witnesses), the tolerance used, and
-the verdict.  Tolerance hierarchy: identity checks use 1e-6 relative error;
-inequality checks accept a deficit down to -(1e-6 * scale + 3 * quadrature
-error estimate), so integration noise can never fail an inequality that holds
-with equality.
+the verdict.  Tolerance hierarchy: inequality checks accept a deficit down to
+-(INEQ_ABS * scale + NOISE_FACTOR * quadrature error estimate), so
+integration noise can never fail an inequality that holds with equality; the
+pointwise monotonicity lemmas, which integrate nothing, allow a drop of
+LEMMA_TOL relative to max(1, |value|).
 
 Reports never raise on a mathematical violation (that is a *failed* check,
 with witnesses); they only go *inconclusive* when a required quantity cannot
@@ -35,6 +36,7 @@ from .fields import (
     is_subharmonic,
     log_linear,
     mollifier,
+    orbit_values,
     power,
     product_field,
     spherical_average,
@@ -49,11 +51,15 @@ from .functionals import (
 from .measures import Density, regularity_constant
 from .quadrature import QuadratureSpec, default_spec, integrate, lp_norm_with_error
 
-IDENTITY_RTOL = 1e-6
 INEQ_ABS = 1e-6
 NOISE_FACTOR = 3.0
+LEMMA_TOL = 1e-7
 DEFAULT_C_RANGE = (0.25, 4.0)
 BISECTION_RESOLUTION = 1e-3
+#: the mollifier scale k of the battery member and of the checks that take one
+DEFAULT_MOLLIFIER_SCALE = 4
+#: the radii r at which the monotonicity lemmas compare r x with the probes x
+LEMMA_R_GRID = tuple(0.1 * i for i in range(1, 11))
 
 #: caveat attached to every strong-hypercontractivity report
 SHC_NOTE = (
@@ -282,6 +288,8 @@ def check_shc(
 
     Every row is evaluated; the r = 1 row reuses ||f||_1.
     """
+    if len(r_grid) == 0:
+        raise InvalidParameter("r_grid must be non-empty")
     spec = spec or default_spec(mu)
     inputs = {"field": f.label, "measure": mu.label, "c": c, "r_grid": list(r_grid)}
     norms = _shc_norms(f, mu, spec)
@@ -352,6 +360,45 @@ def check_general_shc(
     )
 
 
+def _operator_bound(kind, check_id, inputs, f, mu, p, r, spec, phi=None) -> CheckReport:
+    """The rule both operator bounds share: ||(f * phi)_r||_p against the
+    right-hand side of :func:`check_dilated_convolution_bound`, or, without
+    ``phi``, ||f_r||_p against that of :func:`check_dilation_bound` (s = 0,
+    the mollifier terms 1).  Inconclusive when C or a norm is unavailable."""
+    spec = spec or default_spec(mu)
+    s = 0.0 if phi is None else phi.support_radius
+    try:
+        c_est = regularity_constant(mu, 0.0, 1.0 / r, s / r)
+    except (InvalidParameter, TypeConditionViolation) as exc:
+        return _inconclusive(check_id, kind, inputs, spec,
+                             f"regularity constant unavailable: {exc}")
+    if phi is None:
+        tf, vol, phi_norm = dilate(f, r), 1.0, 1.0
+    else:
+        tf, vol = dilated_convolve(f, phi, r), phi.vol_support
+        phi_norm = phi.sup_value if p == 1.0 else phi.lebesgue_norm(p / (p - 1.0))
+    try:
+        lhs, e_lhs = lp_norm_with_error(tf, mu, p, spec)
+        fnorm, e_f = lp_norm_with_error(f, mu, p, spec)
+    except QuadratureFailure as exc:
+        return _inconclusive(check_id, kind, inputs, spec, exc)
+    factor = r ** (-mu.dim / p) * c_est ** (1.0 / p) * vol ** (1.0 / p) * phi_norm
+    rhs = factor * fnorm
+    tol = INEQ_ABS * rhs + NOISE_FACTOR * (e_lhs + factor * e_f)
+    terms = ({"norm_p": fnorm} if phi is None
+             else {"mollifier_norm": phi_norm, "vol_support": vol})
+    return CheckReport(
+        check_id=check_id,
+        kind=kind,
+        inputs=inputs,
+        quantities={"lhs": lhs, "rhs": rhs, "slack": rhs - lhs,
+                    "regularity_constant": c_est, **terms},
+        tolerance=tol,
+        passed=bool(lhs <= rhs + tol),
+        spec=spec.to_dict(),
+    )
+
+
 def check_dilation_bound(
     f: ScalarField,
     mu: Density,
@@ -361,38 +408,10 @@ def check_dilation_bound(
     check_id: str = "dilation_bound",
 ) -> CheckReport:
     """Dilation operator bound ||f_r||_p <= r^(-n/p) C(1/r, 0)^(1/p) ||f||_p."""
-    spec = spec or default_spec(mu)
-    inputs = {"field": f.label, "measure": mu.label, "p": p, "r": r}
     if not (0.0 < r <= 1.0):
         raise InvalidParameter("r must lie in (0, 1]")
-    try:
-        c_est = regularity_constant(mu, 0.0, 1.0 / r, 0.0)
-    except (InvalidParameter, TypeConditionViolation) as exc:
-        return _inconclusive(check_id, "dilation_bound", inputs, spec,
-                             f"regularity constant unavailable: {exc}")
-    try:
-        lhs, e_lhs = lp_norm_with_error(dilate(f, r), mu, p, spec)
-        fnorm, e_f = lp_norm_with_error(f, mu, p, spec)
-    except QuadratureFailure as exc:
-        return _inconclusive(check_id, "dilation_bound", inputs, spec, exc)
-    factor = r ** (-mu.dim / p) * c_est ** (1.0 / p)
-    rhs = factor * fnorm
-    tol = INEQ_ABS * rhs + NOISE_FACTOR * (e_lhs + factor * e_f)
-    return CheckReport(
-        check_id=check_id,
-        kind="dilation_bound",
-        inputs=inputs,
-        quantities={
-            "lhs": lhs,
-            "rhs": rhs,
-            "slack": rhs - lhs,
-            "regularity_constant": c_est,
-            "norm_p": fnorm,
-        },
-        tolerance=tol,
-        passed=bool(lhs <= rhs + tol),
-        spec=spec.to_dict(),
-    )
+    inputs = {"field": f.label, "measure": mu.label, "p": p, "r": r}
+    return _operator_bound("dilation_bound", check_id, inputs, f, mu, p, r, spec)
 
 
 def check_dilated_convolution_bound(
@@ -411,51 +430,14 @@ def check_dilated_convolution_bound(
 
     with K = supp phi, s its radius, and p' the Hoelder conjugate of p >= 1.
     """
-    spec = spec or default_spec(mu)
-    inputs = {
-        "field": f.label,
-        "measure": mu.label,
-        "p": p,
-        "r": r,
-        "mollifier_scale": phi.scale_index,
-    }
     if p < 1.0:
         raise InvalidParameter("the dilated convolution bound needs p >= 1")
     if not (0.0 < r < 1.0):
         raise InvalidParameter("r must lie in (0, 1)")
-    s = phi.support_radius
-    try:
-        c_est = regularity_constant(mu, 0.0, 1.0 / r, s / r)
-    except (InvalidParameter, TypeConditionViolation) as exc:
-        return _inconclusive(check_id, "dilated_convolution_bound", inputs, spec,
-                             f"regularity constant unavailable: {exc}")
-    phi_norm = phi.sup_value if p == 1.0 else phi.lebesgue_norm(p / (p - 1.0))
-    try:
-        lhs, e_lhs = lp_norm_with_error(dilated_convolve(f, phi, r), mu, p, spec)
-        fnorm, e_f = lp_norm_with_error(f, mu, p, spec)
-    except QuadratureFailure as exc:
-        return _inconclusive(check_id, "dilated_convolution_bound", inputs, spec, exc)
-    factor = (
-        r ** (-mu.dim / p) * c_est ** (1.0 / p) * phi.vol_support ** (1.0 / p) * phi_norm
-    )
-    rhs = factor * fnorm
-    tol = INEQ_ABS * rhs + NOISE_FACTOR * (e_lhs + factor * e_f)
-    return CheckReport(
-        check_id=check_id,
-        kind="dilated_convolution_bound",
-        inputs=inputs,
-        quantities={
-            "lhs": lhs,
-            "rhs": rhs,
-            "slack": rhs - lhs,
-            "regularity_constant": c_est,
-            "mollifier_norm": phi_norm,
-            "vol_support": phi.vol_support,
-        },
-        tolerance=tol,
-        passed=bool(lhs <= rhs + tol),
-        spec=spec.to_dict(),
-    )
+    inputs = {"field": f.label, "measure": mu.label, "p": p, "r": r,
+              "mollifier_scale": phi.scale_index}
+    return _operator_bound("dilated_convolution_bound", check_id, inputs, f, mu, p, r,
+                           spec, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -584,47 +566,15 @@ def check_density_approximation(
 # monotonicity lemmas
 # ---------------------------------------------------------------------------
 
-def check_spherical_monotonicity(
-    f: ScalarField,
-    probes: Optional[np.ndarray] = None,
-    r_grid: Optional[Sequence[float]] = None,
-    tol: float = 1e-7,
-    check_id: str = "spherical_monotone",
-    verify_subharmonic: bool = True,
-) -> CheckReport:
-    """r -> (spherical average of f)(r x) is non-decreasing for subharmonic f."""
-    inputs = {"field": f.label, "tol": tol}
-    if probes is None:
-        probes = default_probes(f.dim, count=64, seed=13)
-    if r_grid is None:
-        r_grid = [0.1 * i for i in range(1, 11)]
-    if verify_subharmonic:
-        rep = is_subharmonic(f, seed=29)
-        if not rep.passed:
-            worst = rep.worst_violation()
-            return _inconclusive(
-                check_id, "spherical_monotone", inputs, None,
-                f"field is not numerically subharmonic (witness {worst[0]})",
-            )
-    favg = spherical_average(f)
-    violations = []
-    for x in probes:
-        pts = np.array([r * x for r in r_grid])
-        vals = favg(pts)
-        for i in range(len(r_grid) - 1):
-            local = tol * max(1.0, abs(vals[i]))
-            if vals[i + 1] < vals[i] - local:
-                violations.append(
-                    {"x": x, "r_low": r_grid[i], "r_high": r_grid[i + 1],
-                     "drop": vals[i] - vals[i + 1]}
-                )
+def _lemma_report(check_id, kind, inputs, probes, violations, tol) -> CheckReport:
+    """The report of a monotonicity lemma scanned at ``probes`` over LEMMA_R_GRID."""
     return CheckReport(
         check_id=check_id,
-        kind="spherical_monotone",
+        kind=kind,
         inputs=inputs,
         quantities={
             "probes": int(len(probes)),
-            "grid_points": int(len(r_grid)),
+            "grid_points": len(LEMMA_R_GRID),
             "violations": violations[:8],
             "violation_count": len(violations),
         },
@@ -633,36 +583,59 @@ def check_spherical_monotonicity(
     )
 
 
+def check_spherical_monotonicity(
+    f: ScalarField,
+    tol: float = LEMMA_TOL,
+    check_id: str = "spherical_monotone",
+) -> CheckReport:
+    """r -> (spherical average of f)(r x) is non-decreasing for subharmonic f."""
+    kind = "spherical_monotone"
+    inputs = {"field": f.label, "tol": tol}
+    rep = is_subharmonic(f, seed=29)
+    if not rep.passed:
+        return _inconclusive(
+            check_id, kind, inputs, None,
+            f"field is not numerically subharmonic (witness {rep.worst_violation()[0]})",
+        )
+    probes = default_probes(f.dim, count=64, seed=13)
+    favg = spherical_average(f)
+    violations = []
+    for x in probes:
+        vals = favg(np.array([r * x for r in LEMMA_R_GRID]))
+        for i in range(len(LEMMA_R_GRID) - 1):
+            if vals[i + 1] < vals[i] - tol * max(1.0, abs(vals[i])):
+                violations.append(
+                    {"x": x, "r_low": LEMMA_R_GRID[i], "r_high": LEMMA_R_GRID[i + 1],
+                     "drop": vals[i] - vals[i + 1]}
+                )
+    return _lemma_report(check_id, kind, inputs, probes, violations, tol)
+
+
 def check_radial_euler_scaling(
     k: ScalarField,
-    probes: Optional[np.ndarray] = None,
-    r_grid: Optional[Sequence[float]] = None,
-    tol: float = 1e-7,
+    tol: float = LEMMA_TOL,
     check_id: str = "radial_euler_scaling",
-    verify_invariance: bool = True,
 ) -> CheckReport:
-    """E k(r x) <= r^(2 - n) E k(x) for smooth rotation-invariant subharmonic k."""
-    inputs = {"field": k.label, "tol": tol}
-    if probes is None:
-        probes = default_probes(k.dim, count=64, seed=17)
-    if r_grid is None:
-        r_grid = [0.1 * i for i in range(1, 11)]
-    if verify_invariance:
-        from .fields import _rotations
+    """E k(r x) <= r^(2 - n) E k(x) for smooth rotation-invariant subharmonic k.
 
-        sample = probes[:8]
-        vals = k(sample)
-        for u in _rotations(k.dim)[::max(1, len(_rotations(k.dim)) // 4)]:
-            rotated = k(sample @ u.T)
-            if np.max(np.abs(rotated - vals)) > 1e-6 * max(1.0, float(np.max(np.abs(vals)))):
-                return _inconclusive(
-                    check_id, "radial_euler_scaling", inputs, None,
-                    "field is not rotation-invariant at probes",
-                )
+    Invariance gate: at each of the first eight probes x, k must match k(x)
+    to 1e-6 relative on its :func:`orbit_values` (the sphere-rule orbit
+    |x| dirs); otherwise the report is inconclusive.
+    """
+    kind = "radial_euler_scaling"
+    inputs = {"field": k.label, "tol": tol}
     n = k.dim
+    probes = default_probes(n, count=64, seed=17)
+    sample = probes[:8]
+    vals = k(sample)
+    orbits, _ = orbit_values(k, sample)
+    # written as "not <=" so that a NaN on an orbit fails the gate
+    if not np.max(np.abs(orbits - vals[:, None])) <= 1e-6 * max(1.0, float(np.max(np.abs(vals)))):
+        return _inconclusive(check_id, kind, inputs, None,
+                             "field is not rotation-invariant at probes")
     base = euler(k, probes)
     violations = []
-    for r in r_grid:
+    for r in LEMMA_R_GRID:
         lhs = euler(k, r * probes)
         rhs = r ** (2 - n) * base
         bad = lhs > rhs + tol * np.maximum(1.0, np.abs(rhs))
@@ -670,19 +643,7 @@ def check_radial_euler_scaling(
             violations.append(
                 {"x": probes[idx], "r": r, "lhs": float(lhs[idx]), "rhs": float(rhs[idx])}
             )
-    return CheckReport(
-        check_id=check_id,
-        kind="radial_euler_scaling",
-        inputs=inputs,
-        quantities={
-            "probes": int(len(probes)),
-            "grid_points": int(len(r_grid)),
-            "violations": violations[:8],
-            "violation_count": len(violations),
-        },
-        tolerance=tol,
-        passed=not violations,
-    )
+    return _lemma_report(check_id, kind, inputs, probes, violations, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +657,6 @@ def best_constant(
     c_range: tuple[float, float] = DEFAULT_C_RANGE,
     spec: Optional[QuadratureSpec] = None,
     r_grid: Sequence[float] = DEFAULT_R_GRID,
-    resolution: float = BISECTION_RESOLUTION,
 ) -> float:
     """Bisection for the smallest c at which the whole battery passes.
 
@@ -718,6 +678,8 @@ def best_constant(
         raise InvalidParameter("mode must be 'slsi' or 'shc'")
     if not battery:
         raise InvalidParameter("battery must be non-empty")
+    if mode == "shc" and len(r_grid) == 0:
+        raise InvalidParameter("r_grid must be non-empty")
     spec = spec or default_spec(mu)
 
     if mode == "slsi":
@@ -749,18 +711,18 @@ def best_constant(
         return lo
     if not passes(hi):
         return hi
-    while hi - lo > resolution:
+    while hi - lo > BISECTION_RESOLUTION:
         mid = 0.5 * (lo + hi)
         if passes(mid):
             hi = mid
         else:
             lo = mid
     # snap the bracket midpoint to the resolution grid
-    return round(0.5 * (lo + hi) / resolution) * resolution
+    return round(0.5 * (lo + hi) / BISECTION_RESOLUTION) * BISECTION_RESOLUTION
 
 
-def default_battery(dim: int = 1, lam_values: Sequence[float] = (0.4, 0.8, 1.2),
-                    mollifier_scale: int = 4) -> list[ScalarField]:
+def default_battery(dim: int = 1,
+                    lam_values: Sequence[float] = (0.4, 0.8, 1.2)) -> list[ScalarField]:
     """Shipped test battery: constants, the equality family, strictly convex
     log-profiles, power/product compositions, and one mollified field."""
     def lam_vec(lam):
@@ -777,5 +739,5 @@ def default_battery(dim: int = 1, lam_values: Sequence[float] = (0.4, 0.8, 1.2),
     battery.append(convex)
     battery.append(power(convex, 1.5))
     battery.append(product_field(log_linear(lam_vec(0.4)), convex))
-    battery.append(convolve(log_linear(lam_vec(0.8)), mollifier(dim, mollifier_scale)))
+    battery.append(convolve(log_linear(lam_vec(0.8)), mollifier(dim, DEFAULT_MOLLIFIER_SCALE)))
     return battery

@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--p", type=float, default=1.0)
     p_check.add_argument("--q", type=float, default=2.0)
     p_check.add_argument("--r", type=float, default=0.8)
-    p_check.add_argument("--k", type=int, default=4)
+    p_check.add_argument("--k", type=int, default=checks_mod.DEFAULT_MOLLIFIER_SCALE)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=_cmd_check)
 
@@ -183,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_best.add_argument("--measure", required=True)
     p_best.add_argument("--dim", type=int, default=1)
     p_best.add_argument("--mode", choices=("slsi", "shc"), default="slsi")
-    p_best.add_argument("--c-min", type=float, default=0.25)
-    p_best.add_argument("--c-max", type=float, default=4.0)
+    p_best.add_argument("--c-min", type=float, default=checks_mod.DEFAULT_C_RANGE[0])
+    p_best.add_argument("--c-max", type=float, default=checks_mod.DEFAULT_C_RANGE[1])
     p_best.set_defaults(func=_cmd_best_c)
 
     p_list = sub.add_parser("list", help="enumerate builders and checks")

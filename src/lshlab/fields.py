@@ -603,40 +603,6 @@ def dilated_convolve(f: ScalarField, phi: Mollifier, r: float) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 _DIM2_ANGLES = 64
-_DIM3_ROTATIONS = 256
-_DIM3_SEED = 20240517
-
-
-@lru_cache(maxsize=None)
-def _rotations(dim: int, count: Optional[int] = None) -> Array:
-    """A fixed discretization of the rotation group: (K, dim, dim) matrices."""
-    if dim == 1:
-        return np.array([[[1.0]], [[-1.0]]])
-    if dim == 2:
-        count = count or _DIM2_ANGLES
-        th = 2.0 * math.pi * np.arange(count) / count
-        return np.stack(
-            [np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]) for a in th]
-        )
-    if dim == 3:
-        rng = np.random.default_rng(_DIM3_SEED)
-        mats = []
-        for _ in range(count or _DIM3_ROTATIONS):
-            # uniform rotation from a random quaternion
-            q = rng.standard_normal(4)
-            q /= np.linalg.norm(q)
-            a, b, c, d = q
-            mats.append(
-                np.array(
-                    [
-                        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
-                        [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
-                        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
-                    ]
-                )
-            )
-        return np.stack(mats)
-    raise InvalidParameter("rotation sampling is implemented for dim <= 3")
 
 
 @lru_cache(maxsize=None)
@@ -675,21 +641,21 @@ def spherical_average(f: ScalarField) -> ScalarField:
     """
     if f.dim > 3:
         raise InvalidParameter("spherical averaging is implemented for dim <= 3")
-    dirs, wts = sphere_rule(f.dim, np.zeros(f.dim), 1.0)
-
-    def val(pts):
-        radii = np.linalg.norm(pts, axis=1)
-        spheres = radii[:, None, None] * dirs[None, :, :]
-        vals = f(spheres.reshape(-1, f.dim)).reshape(pts.shape[0], dirs.shape[0])
-        return vals @ wts
-
     return ScalarField(
         dim=f.dim,
         certificate="unverified",
         smooth=f.smooth,
         label=f"spherical_average({f.label})",
-        _value=val,
+        _value=lambda pts: np.matmul(*orbit_values(f, pts)),
     )
+
+
+def orbit_values(f: ScalarField, pts: Array) -> tuple[Array, Array]:
+    """f on the :func:`sphere_rule` orbit |x| dirs of each point x, as a
+    (points, directions) array, and the rule's weights."""
+    dirs, wts = sphere_rule(f.dim, np.zeros(f.dim), 1.0)
+    spheres = np.linalg.norm(pts, axis=1)[:, None, None] * dirs[None, :, :]
+    return f(spheres.reshape(-1, f.dim)).reshape(pts.shape[0], dirs.shape[0]), wts
 
 
 def sphere_rule(dim: int, center, radius: float, refine: int = 1) -> tuple[Array, Array]:
@@ -757,17 +723,9 @@ def _sub_mean_test(
     )
 
 
-def is_subharmonic(
-    f, dim: Optional[int] = None, probes=None, radii=(0.05, 0.1, 0.2, 0.4), tol=1e-7, seed=11
-) -> MeanValueReport:
+def is_subharmonic(f: ScalarField, seed: int = 11) -> MeanValueReport:
     """Sphere sub-mean test applied to the field values themselves."""
-    if isinstance(f, ScalarField):
-        fn, dim = (lambda pts: f(pts)), f.dim
-    else:
-        if dim is None:
-            raise InvalidParameter("dim required for bare callables")
-        fn = f
-    return _sub_mean_test(fn, dim, probes=probes, radii=radii, tol=tol, seed=seed)
+    return _sub_mean_test(f, f.dim, seed=seed)
 
 
 def is_lsh(

@@ -109,6 +109,12 @@ class TestConfig:
                 with pytest.raises(ConfigError, match=rf"\({kind}\): missing 'measure'"):
                     CampaignConfig.from_dict(raw)
 
+    def test_eps_target_takes_a_number_or_null(self):
+        for eps in (0.05, 1, None):
+            CampaignConfig.from_dict(minimal_config(checks=[
+                {"check": "density_approx", "measure": "g", "fields": ["f"],
+                 "eps_target": eps}]))
+
     @pytest.mark.parametrize("decl, key", [
         ({"builder": "log_linear"}, "lam"),
         ({"builder": "power", "base": {"builder": "cosh"}, "exponent": 2}, "lam"),
@@ -335,6 +341,11 @@ class TestCli:
         ({"check": "shc", "c": 1.0, "r_grid": [0.5, "1"]}, "r_grid"),
         ({"check": "density_approx", "k_list": 4}, "k_list"),
         ({"check": "spherical_monotone", "tol": None}, "tol"),
+        ({"check": "density_approx", "eps_target": "x"}, "eps_target"),
+        ({"check": "density_approx", "k_list": []}, "k_list"),
+        ({"check": "density_approx", "r_list": []}, "r_list"),
+        ({"check": "shc", "c": 1.0, "r_grid": []}, "r_grid"),
+        ({"check": "best_constant", "mode": "shc", "r_grid": []}, "r_grid"),
     ])
     def test_run_wrong_key_type_exits_two(self, entry, key, tmp_path, capsys):
         cfg = tmp_path / "campaign.json"

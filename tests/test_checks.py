@@ -135,6 +135,15 @@ class TestShc:
                 math.exp(lam**2 / (2 * r**2)), rel=1e-6
             )
 
+    def test_empty_r_grid_rejected(self, gauss1, gh_spec):
+        # an empty grid has no live row, which best_constant would read as
+        # "fails at every c" and report the range maximum
+        f = L.log_linear([0.8])
+        with pytest.raises(InvalidParameter, match="r_grid"):
+            L.check_shc(f, gauss1, 1.0, r_grid=[], spec=gh_spec)
+        with pytest.raises(InvalidParameter, match="r_grid"):
+            L.best_constant([f], gauss1, "shc", spec=gh_spec, r_grid=[])
+
     def test_row_skipped_on_overflowing_exponent(self, gauss1, gh_spec):
         rep = L.check_shc(
             L.log_linear([1.0]), gauss1, 0.05, r_grid=(0.5, 1.0), spec=gh_spec
@@ -213,8 +222,11 @@ class TestDilationBound:
 
     def test_compact_support_inconclusive(self, gh_spec):
         ball = L.uniform_ball(1.0, 1)
-        rep = L.check_dilation_bound(L.cosh_field(0.5), ball, 2.0, 0.8)
-        assert rep.inconclusive and not rep.passed
+        for rep in (L.check_dilation_bound(L.cosh_field(0.5), ball, 2.0, 0.8),
+                    L.check_dilated_convolution_bound(
+                        L.cosh_field(0.5), ball, 2.0, L.mollifier(1, 4), 0.8)):
+            assert rep.inconclusive and not rep.passed
+            assert "regularity constant unavailable" in rep.notes[0]
 
 
 class TestDilatedConvolutionBound:
@@ -368,7 +380,7 @@ class TestDensityApproximationWork:
 
 class TestMonotonicityChecks:
     def test_squared_norm_euler_scaling(self):
-        for dim in (2, 3):
+        for dim in (1, 2, 3):
             rep = L.check_radial_euler_scaling(L.squared_norm(dim))
             assert rep.passed
 
@@ -387,9 +399,16 @@ class TestMonotonicityChecks:
         assert rep.inconclusive
 
     def test_non_invariant_is_inconclusive(self):
-        f = L.log_linear([1.0, 0.0])
-        rep = L.check_radial_euler_scaling(f)
-        assert rep.inconclusive
+        # x^4 + y^4 has the symmetry of the square, so quarter turns alone
+        # would not expose it
+        quartic = L.raw_field(lambda pts: np.sum(pts**4, axis=1), 2,
+                              grad=lambda pts: 4 * pts**3, label="x^4 + y^4")
+        # undefined (NaN) on half the plane: no comparison can show invariance
+        half = L.raw_field(lambda pts: np.where(pts[:, 0] < 0, np.nan, np.sum(pts**2, axis=1)),
+                           2, grad=lambda pts: 2 * pts, label="|x|^2 on x > 0")
+        for f in (L.log_linear([1.0, 0.0]), quartic, half):
+            rep = L.check_radial_euler_scaling(f)
+            assert rep.inconclusive
 
     def test_averaged_field_satisfies_euler_scaling(self):
         favg = L.spherical_average(L.log_linear([0.8, 0.0]))
@@ -660,13 +679,19 @@ class TestWitness:
         assert len(witness) == 1 and all(math.isfinite(x) for x in witness)
 
     def test_laplace_overflow_warns_nothing(self):
-        # the overflow becomes the witness, not a RuntimeWarning
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rep = L.check_slsi(L.log_linear([1.2]), L.gen_exponential(1, 1, 1), 1.0)
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert rep.inconclusive
-        assert rep.quantities["witness"][0] == pytest.approx(4690.9, abs=0.1)
+        # the overflow becomes the witness, not a RuntimeWarning, in the sLSI
+        # and in both operator bounds
+        f, mu = L.log_linear([1.2]), L.gen_exponential(1, 1, 1)
+        for check in (lambda: L.check_slsi(f, mu, 1.0),
+                      lambda: L.check_dilation_bound(f, mu, 1.0, 0.8),
+                      lambda: L.check_dilated_convolution_bound(
+                          f, mu, 1.0, L.mollifier(1, 4), 0.8)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rep = check()
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert rep.inconclusive
+            assert rep.quantities["witness"][0] == pytest.approx(4690.9, abs=0.1)
 
     def test_laplace_cosh_overflow_warns_nothing(self):
         # cosh overflows where e^{1.2|x|} does

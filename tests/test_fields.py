@@ -494,11 +494,10 @@ class TestSubharmonicityHelper:
 class TestRotationCommutation:
     def test_euler_commutes_with_rotations(self, rng):
         # E(k o u)(y) = (E k)(u y) for sampled rotations u
-        from lshlab.fields import _rotations
-
         k = L.modulus_holomorphic([1, 1])  # |z + 1|, not rotation-invariant
         pts = rng.standard_normal((12, 2))
-        for u in _rotations(2)[::13]:
+        for a in 2.0 * math.pi * np.array([0, 13, 26, 39, 52]) / 64:
+            u = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
             composed = L.raw_field(
                 lambda p, u=u: k(p @ u.T),
                 2,
