@@ -12,10 +12,12 @@ value f = e^{ln f}, ``log_value``, the gradient f grad ln f and
 ``value_and_gradient`` from that map in one place; compositions read the
 inner map itself, so only the public ``log_value`` floors ln f at
 ``LOG_FLOOR``.  Certified fields are log-subharmonic by construction; the
-certificate records the construction route and ``is_lsh`` provides the
-falsifiable numerical test (sub-mean inequality of ln f over spheres).
-Unverified fields (``raw_field``, ``squared_norm``, ``spherical_average``)
-may be signed, so they alone keep a value map, with an optional gradient map.
+certificate records the construction route and ``is_lsh`` is the falsifiable
+test, the sphere sub-mean scan on the unfloored log map.  One scan, with one
+skip and NaN rule, serves ``is_lsh``, ``is_subharmonic`` and the check of
+``exp_subharmonic``.  Unverified fields (``raw_field``, ``squared_norm``,
+``spherical_average``) may be signed, so they alone keep a value map, with an
+optional gradient map.
 
 A convolution sweeps the inner field over the mollifier nodes once for both
 ln(f * phi) and grad ln(f * phi) = sum_i cg_i f(x - y_i) / sum_i c_i f(x - y_i).
@@ -599,7 +601,7 @@ def dilated_convolve(f: ScalarField, phi: Mollifier, r: float) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# spherical averaging and the subharmonicity tests
+# spherical averaging and the sub-mean scan
 # ---------------------------------------------------------------------------
 
 _DIM2_ANGLES = 64
@@ -631,6 +633,12 @@ def _unit_sphere_rule(dim: int, count: int) -> tuple[Array, Array]:
     raise InvalidParameter("sphere rules are implemented for dim <= 3")
 
 
+def sphere_rule(dim: int, refine: int = 1) -> tuple[Array, Array]:
+    """Unit directions and weights shared by averaging and the sub-mean scan:
+    64 angles in 2-D, 16 polar angles in 3-D, times ``refine``."""
+    return _unit_sphere_rule(dim, refine * (16 if dim == 3 else _DIM2_ANGLES))
+
+
 def spherical_average(f: ScalarField) -> ScalarField:
     """Average of f over the rotation orbit of each point.
 
@@ -641,37 +649,16 @@ def spherical_average(f: ScalarField) -> ScalarField:
     """
     if f.dim > 3:
         raise InvalidParameter("spherical averaging is implemented for dim <= 3")
-    return ScalarField(
-        dim=f.dim,
-        certificate="unverified",
-        smooth=f.smooth,
-        label=f"spherical_average({f.label})",
-        _value=lambda pts: np.matmul(*orbit_values(f, pts)),
-    )
+    return raw_field(lambda pts: np.matmul(*orbit_values(f, pts)), f.dim, smooth=f.smooth,
+                     label=f"spherical_average({f.label})")
 
 
 def orbit_values(f: ScalarField, pts: Array) -> tuple[Array, Array]:
     """f on the :func:`sphere_rule` orbit |x| dirs of each point x, as a
     (points, directions) array, and the rule's weights."""
-    dirs, wts = sphere_rule(f.dim, np.zeros(f.dim), 1.0)
+    dirs, wts = sphere_rule(f.dim)
     spheres = np.linalg.norm(pts, axis=1)[:, None, None] * dirs[None, :, :]
     return f(spheres.reshape(-1, f.dim)).reshape(pts.shape[0], dirs.shape[0]), wts
-
-
-def sphere_rule(dim: int, center, radius: float, refine: int = 1) -> tuple[Array, Array]:
-    """Weighted nodes on the sphere around ``center``; same discretization as
-    averaging.  ``refine`` multiplies the node count (used to adjudicate
-    candidate violations sitting within discretization error)."""
-    center = np.asarray(center, dtype=float)
-    # 64 angles in 2-D, 16 polar angles in 3-D
-    dirs, wts = _unit_sphere_rule(dim, refine * (16 if dim == 3 else _DIM2_ANGLES))
-    return center[None, :] + radius * dirs, wts
-
-
-def sphere_mean(fn: Callable[[Array], Array], dim: int, center, radius: float) -> float:
-    """Weighted mean of ``fn`` over the discretized sphere around ``center``."""
-    pts, wts = sphere_rule(dim, center, radius)
-    return float(np.asarray(fn(pts), dtype=float) @ wts)
 
 
 @dataclass
@@ -707,20 +694,61 @@ def _sub_mean_test(
     tol: float = 1e-7,
     seed: int = 11,
 ) -> MeanValueReport:
-    if probes is None:
-        probes = default_probes(dim, seed=seed)
-    violations = []
-    checked = 0
-    for x in probes:
-        cv = float(np.asarray(fn(x.reshape(1, -1)))[0])
-        for r in radii:
-            m = sphere_mean(fn, dim, x, r)
-            checked += 1
-            if m < cv - tol * max(1.0, abs(cv)):
-                violations.append((x.copy(), float(r), m, cv))
-    return MeanValueReport(
-        passed=not violations, checked=checked, skipped=0, tolerance=tol, violations=violations
-    )
+    """The sphere sub-mean scan: the mean of ``fn`` over each sphere of the
+    given radii around each probe must be >= fn(probe) - tol * max(1, |fn(probe)|).
+
+    ``fn`` is evaluated on the probes, then on the probe x radius x direction
+    nodes one probe's spheres a call (one sphere on the finer rule), so a
+    costly map such as a 3-D convolution sees no more points a call than one
+    probe needs.  -inf (ln f at a zero of f) is the one value set aside: a
+    probe where fn is -inf is skipped, counted once; -inf nodes are dropped
+    from their sphere's mean, and a sphere that loses over 10% of its weight
+    is skipped.  A NaN is a violation; a center that overflowed to +inf
+    passes, as no float mean can fall below it.  In dim > 1 a candidate
+    violation is re-taken on the 8x finer rule, so discretization error near
+    a log singularity cannot fail the test.
+    """
+    probes = default_probes(dim, seed=seed) if probes is None else np.asarray(probes, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    cv = np.asarray(fn(probes), dtype=float)
+    live = np.flatnonzero(cv != -np.inf)
+    # one sphere per live probe and radius, probe-major
+    x = np.repeat(probes[live], radii.shape[0], axis=0)
+    r = np.tile(radii, live.shape[0])
+    c = np.repeat(cv[live], radii.shape[0])
+    # nodes of one probe's spheres on the base rule: the most fn sees a call
+    per_call = radii.shape[0] * sphere_rule(dim)[1].shape[0]
+
+    def means(idx, refine):
+        # (mean over each sphere idx with its -inf nodes dropped, weight kept)
+        dirs, wts = sphere_rule(dim, refine)
+        sums = np.empty((2, idx.shape[0]))
+        block = max(1, per_call // wts.shape[0])
+        for lo in range(0, idx.shape[0], block):
+            i = idx[lo : lo + block]
+            nodes = (x[i, None, :] + r[i, None, None] * dirs).reshape(-1, dim)
+            vals = np.asarray(fn(nodes), dtype=float).reshape(i.shape[0], -1)
+            zero = vals == -np.inf
+            sums[:, lo : lo + block] = np.where(zero, 0.0, vals) @ wts, ~zero @ wts
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return sums[0] / sums[1], sums[1]
+
+    with np.errstate(invalid="ignore"):
+        floor = c - tol * np.maximum(1.0, np.abs(c))
+    m, kept = means(np.arange(c.shape[0]), 1)
+    # written as "not >=" so that a NaN fails
+    bad = (kept >= 0.9) & ~(m >= floor) & (c != np.inf)
+    checked = int((kept >= 0.9).sum())
+    skipped = probes.shape[0] - live.shape[0] + c.shape[0] - checked
+    if dim > 1 and bad.any():
+        idx = np.flatnonzero(bad)
+        m[idx], kept = means(idx, 8)
+        skipped += int((kept < 0.9).sum())
+        bad[idx] = (kept >= 0.9) & ~(m[idx] >= floor[idx]) & (c[idx] != np.inf)
+    violations = [(x[i].copy(), float(r[i]), float(m[i]), float(c[i]))
+                  for i in np.flatnonzero(bad)]
+    return MeanValueReport(passed=not violations, checked=checked, skipped=skipped,
+                           tolerance=tol, violations=violations)
 
 
 def is_subharmonic(f: ScalarField, seed: int = 11) -> MeanValueReport:
@@ -735,53 +763,19 @@ def is_lsh(
     tol: float = 1e-7,
     seed: int = 11,
 ) -> MeanValueReport:
-    """Numerical log-subharmonicity test.
+    """Numerical log-subharmonicity test: the sub-mean scan of
+    :func:`_sub_mean_test` on ln f, so probes on zeros of f are skipped and
+    sphere nodes on zeros dropped.
 
-    For each probe x and radius r the sphere mean of ln f must exceed
-    ln f(x) - tol (scaled by the local magnitude of ln f).  Probes where f
-    falls below the value floor are skipped and counted: ln f = -inf there
-    satisfies the sub-mean inequality vacuously.  Sphere nodes landing on
-    zeros are dropped; a probe with more than 10% dropped nodes is skipped.
-    A candidate violation is confirmed on an 8x finer sphere rule before it
-    is reported, so discretization error near log singularities cannot
-    produce a false failure.
+    A certified field is scanned on its log map, unfloored: ln f never goes
+    through f = e^{ln f}, which overflows or underflows far from 0.  An
+    unverified field is scanned on the log of its values, a value below
+    ``VALUE_FLOOR`` counting as a zero (ln f = -inf).
     """
-    if probes is None:
-        probes = default_probes(f.dim, seed=seed)
-    violations = []
-    checked = 0
-    skipped = 0
-
-    def log_sphere_mean(x, r, refine):
-        pts, wts = sphere_rule(f.dim, x, r, refine=refine)
-        vals = f(pts)
-        ok = vals >= VALUE_FLOOR
-        kept = float(wts[ok].sum())
-        if kept < 0.9:
-            return None
-        return float((wts[ok] @ np.log(vals[ok])) / kept)
-
-    for x in probes:
-        cv = f(x)
-        if cv < VALUE_FLOOR:
-            skipped += 1
-            continue
-        lc = math.log(cv)
-        for r in radii:
-            m = log_sphere_mean(x, r, refine=1)
-            if m is None:
-                skipped += 1
-                continue
-            checked += 1
-            local = tol * max(1.0, abs(lc))
-            if m < lc - local and f.dim > 1:
-                m = log_sphere_mean(x, r, refine=8)
-                if m is None:
-                    skipped += 1
-                    continue
-            if m < lc - local:
-                violations.append((x.copy(), float(r), m, lc))
-    return MeanValueReport(
-        passed=not violations, checked=checked, skipped=skipped, tolerance=tol,
-        violations=violations,
-    )
+    def log(pts):
+        if f._log is not None:
+            return f._log(pts, False)[0]
+        v = f(pts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(v < VALUE_FLOOR, -np.inf, np.log(v))
+    return _sub_mean_test(log, f.dim, probes, radii, tol, seed)

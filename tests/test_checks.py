@@ -393,10 +393,31 @@ class TestMonotonicityChecks:
             assert L.check_spherical_monotonicity(f).passed
             assert L.check_radial_euler_scaling(f).passed
 
-    def test_non_subharmonic_is_inconclusive(self):
-        f = L.raw_field(lambda pts: np.exp(-np.sum(pts**2, axis=1)), 2, label="bump")
+    def test_overflowed_values_pass(self):
+        # e^{200 |x|^2} is +inf wherever |x|^2 > 3.55, at many probes: an
+        # overflowed center or grid value is not a violation, as a NaN is
+        f = L.exp_norm_sq(200.0, 2)
+        rep = L.is_subharmonic(f)
+        assert (rep.passed, rep.checked, rep.skipped, len(rep.violations)) == (True, 256, 0, 0)
+        assert L.check_spherical_monotonicity(f).passed
+
+    def test_mollified_field_is_averaged_one_probe_per_call(self, monkeypatch):
+        # one probe's r grid is 10 orbits of 64 points, each swept against the
+        # 512 mollifier nodes; the sweep refuses anything larger
+        f = L.convolve(L.log_linear([0.5, 0.0]), L.mollifier(2, 4))
+        nodes = len(_ball_nodes(L.mollifier(2, 4))[0])
+        monkeypatch.setattr(L.fields, "CONV_MAX_PAIRS", 10 * 64 * nodes)
         rep = L.check_spherical_monotonicity(f)
-        assert rep.inconclusive
+        assert rep.passed and not rep.inconclusive
+
+    def test_non_subharmonic_is_inconclusive(self):
+        bump = L.raw_field(lambda pts: np.exp(-np.sum(pts**2, axis=1)), 2, label="bump")
+        # NaN on half the plane: the sub-mean gate counts a NaN as a violation
+        half = L.raw_field(lambda pts: np.where(pts[:, 0] < 0, np.nan, np.sum(pts**2, axis=1)),
+                           2, label="|x|^2 on x > 0")
+        for f in (bump, half):
+            rep = L.check_spherical_monotonicity(f)
+            assert rep.inconclusive and not rep.passed
 
     def test_non_invariant_is_inconclusive(self):
         # x^4 + y^4 has the symmetry of the square, so quarter turns alone
@@ -409,6 +430,21 @@ class TestMonotonicityChecks:
         for f in (L.log_linear([1.0, 0.0]), quartic, half):
             rep = L.check_radial_euler_scaling(f)
             assert rep.inconclusive
+
+    def test_nan_fails_radial_lemma(self):
+        # rotation-invariant, and NaN only beyond the largest of the eight gate
+        # probes (|x| = 2.342), so the gate passes; E k is NaN at the 10 probes
+        # beyond it, so is r^(2-n) E k(x) at every r: 10 x 10 violations
+        k = L.raw_field(lambda pts: np.where(np.linalg.norm(pts, axis=1) > 2.343, np.nan,
+                                             np.sum(pts**2, axis=1)), 2, label="|x|^2 inside")
+        rep = L.check_radial_euler_scaling(k)
+        assert not rep.inconclusive and not rep.passed
+        assert rep.quantities["violation_count"] == 100
+        # E k = -inf there instead (an overflowed bound) is not a violation
+        k = L.raw_field(lambda pts: np.sum(pts**2, axis=1), 2, label="|x|^2",
+                        grad=lambda pts: np.where(np.linalg.norm(pts, axis=1) > 2.343,
+                                                  -np.inf, 2.0)[:, None] * pts)
+        assert L.check_radial_euler_scaling(k).passed
 
     def test_averaged_field_satisfies_euler_scaling(self):
         favg = L.spherical_average(L.log_linear([0.8, 0.0]))

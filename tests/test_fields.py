@@ -467,19 +467,52 @@ class TestIsLsh:
         assert rep.passed
         assert rep.skipped >= 1
 
+    def test_mollified_3d_field_is_scanned_one_probe_per_call(self, monkeypatch):
+        # one probe's spheres are 4 x 512 nodes, each swept against the 1,600
+        # mollifier nodes; the sweep refuses anything larger, so a scan that
+        # handed it two probes at once would raise
+        g = L.convolve(L.log_linear([0.3, 0.0, 0.0]), L.mollifier(3, 4))
+        nodes = len(_ball_nodes(L.mollifier(3, 4))[0])
+        monkeypatch.setattr(L.fields, "CONV_MAX_PAIRS", 4 * 512 * nodes)
+        rep = L.is_lsh(g, probes=default_probes(3, count=3, seed=41))
+        assert (rep.passed, rep.checked, rep.skipped, len(rep.violations)) == (True, 12, 0, 0)
+
+    @pytest.mark.parametrize("c", [1000.0, -1000.0])
+    def test_log_map_is_scanned_unfloored(self, c):
+        # ln f = c - |x|^2 is superharmonic; e^{ln f} overflows (c = 1000) or
+        # underflows below VALUE_FLOOR (c = -1000) at every probe, so only the
+        # log map itself shows the violations
+        f = L.exp_subharmonic(lambda pts: c - np.sum(pts**2, axis=1), 2, verify=False)
+        rep = L.is_lsh(f)
+        assert (rep.passed, rep.checked, rep.skipped, len(rep.violations)) == (False, 256, 0, 256)
+
     @pytest.mark.parametrize(
-        "field",
+        "field, zero, expected",
         [
-            L.power(L.modulus_holomorphic([1, 1]), 1.7),
-            L.product_field(L.log_linear([0.5, 0.0]), L.modulus_holomorphic([1, 1])),
-            L.dilate(L.modulus_holomorphic([1, 1]), 0.6),
-            L.convolve(L.log_linear([0.7]), L.mollifier(1, 2)),
+            pytest.param(L.power(L.modulus_holomorphic([1, 1]), 1.7), None,
+                         (True, 128, 0, 0), id="power"),
+            pytest.param(L.product_field(L.log_linear([0.5, 0.0]), L.modulus_holomorphic([1, 1])),
+                         None, (True, 128, 0, 0), id="product"),
+            pytest.param(L.dilate(L.modulus_holomorphic([1, 1]), 0.6), None,
+                         (True, 128, 0, 0), id="dilation"),
+            pytest.param(L.convolve(L.log_linear([0.7]), L.mollifier(1, 2)), None,
+                         (True, 128, 0, 0), id="mollified"),
+            # the probe on the zero (0, 1) of 1 + z^2 is skipped, once
+            pytest.param(L.modulus_holomorphic([1, 0, 1]), [0.0, 1.0],
+                         (True, 128, 1, 0), id="modulus_zero"),
+            # ln f = 100 |x|^2 exceeds 709, where e^{ln f} overflows, near the
+            # outer probes
+            pytest.param(L.power(L.exp_norm_sq(0.05, 2), 2000), None,
+                         (True, 128, 0, 0), id="power_overflow"),
+            pytest.param(L.exp_norm_sq(0.2, 3), None, (True, 128, 0, 0), id="exp_norm_sq_3d"),
         ],
-        ids=lambda f: f.certificate,
     )
-    def test_closure_constructions_stay_lsh(self, field):
-        rep = L.is_lsh(field, probes=default_probes(field.dim, count=32, seed=41))
-        assert rep.passed
+    def test_closure_constructions_stay_lsh(self, field, zero, expected):
+        probes = default_probes(field.dim, count=32, seed=41)
+        if zero is not None:
+            probes = np.vstack([probes, [zero]])
+        rep = L.is_lsh(field, probes=probes)
+        assert (rep.passed, rep.checked, rep.skipped, len(rep.violations)) == expected
 
 
 class TestSubharmonicityHelper:
