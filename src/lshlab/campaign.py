@@ -96,7 +96,7 @@ CHECKS = {
                   "eps_target": None}),
     "dilated_convolution_bound": CheckKind(
         lambda f, mu, spec, e, cid: checks_mod.check_dilated_convolution_bound(
-            f, mu, float(e["p"]), fields_mod.mollifier(mu.dim, int(e["k"])), float(e["r"]),
+            f, mu, float(e["p"]), fields_mod.mollifier(mu.dim, e["k"]), float(e["r"]),
             spec, cid),
         required=("p", "r"), defaults={"k": checks_mod.DEFAULT_MOLLIFIER_SCALE}),
     "dilation_bound": CheckKind(
@@ -289,7 +289,7 @@ MEASURE_OPS = tuple(_MEASURE_OPS)
 def _mollified(decl: dict) -> fields_mod.ScalarField:
     base = build_field(decl["base"])
     return fields_mod.convolve(base, fields_mod.mollifier(
-        base.dim, int(decl.get("k", checks_mod.DEFAULT_MOLLIFIER_SCALE))))
+        base.dim, decl.get("k", checks_mod.DEFAULT_MOLLIFIER_SCALE)))
 
 
 #: field builder -> (required keys, build from the declaration)

@@ -152,8 +152,8 @@ def slsi_terms(
     that is not rotation-invariant, and QuadratureFailure when an integral
     cannot be computed.
     """
-    if g.certificate == "unverified":
-        raise InvalidParameter("check_slsi requires a certificate-carrying field")
+    if not g.certified:
+        raise InvalidParameter("check_slsi requires a certified field")
     if not mu.rotation_invariant and not allow_non_rotation_invariant:
         raise InvalidParameter(
             "the dilation energy is only known positive on the cone for "
@@ -212,8 +212,8 @@ def check_slsi(
 
 
 def _shc_norms(f: ScalarField, mu: Density, spec: QuadratureSpec) -> DilationNorms:
-    if f.certificate == "unverified":
-        raise InvalidParameter("check_shc requires a certificate-carrying field")
+    if not f.certified:
+        raise InvalidParameter("check_shc requires a certified field")
     return DilationNorms(f, mu, spec)
 
 
@@ -473,6 +473,8 @@ def check_density_approximation(
     ``value_and_gradient`` sweep of (f * phi_k)_r per node set:
     |g - f|^p, |E g|^p and, at r = max(r_list), |g - f_r|^p.
     """
+    if len(k_list) == 0 or len(r_list) == 0:
+        raise InvalidParameter("k_list and r_list must be non-empty")
     spec = spec or default_spec(mu)
     inputs = {
         "field": f.label,
@@ -623,8 +625,10 @@ def check_radial_euler_scaling(
     """E k(r x) <= r^(2 - n) E k(x) for smooth rotation-invariant subharmonic k.
 
     Invariance gate: at each of the first eight probes x, k must match k(x)
-    to 1e-6 relative on its :func:`orbit_values` (the sphere-rule orbit
-    |x| dirs); otherwise the report is inconclusive.
+    to 1e-6 max(1, |k(x)|) on its :func:`orbit_values` (the sphere-rule orbit
+    |x| dirs); otherwise the report is inconclusive.  An orbit value equal to
+    k(x) has no spread, an overflowed +inf included, and the bound of an
+    infinite k(x) is 1e-6, so it needs an orbit equal to it.
     """
     kind = "radial_euler_scaling"
     inputs = {"field": k.label, "tol": tol}
@@ -633,8 +637,11 @@ def check_radial_euler_scaling(
     sample = probes[:8]
     vals = k(sample)
     orbits, _ = orbit_values(k, sample)
+    bound = 1e-6 * np.maximum(1.0, np.where(np.isfinite(vals), np.abs(vals), 0.0))
+    with np.errstate(invalid="ignore"):
+        spread = np.where(orbits == vals[:, None], 0.0, np.abs(orbits - vals[:, None]))
     # written as "not <=" so that a NaN on an orbit fails the gate
-    if not np.max(np.abs(orbits - vals[:, None])) <= 1e-6 * max(1.0, float(np.max(np.abs(vals)))):
+    if not np.all(spread <= bound[:, None]):
         return _inconclusive(check_id, kind, inputs, None,
                              "field is not rotation-invariant at probes")
     # E k at the probes (scale 1) and at r x for every r of the grid, in one batch
@@ -683,6 +690,9 @@ def best_constant(
         raise InvalidParameter("battery must be non-empty")
     if mode == "shc" and len(r_grid) == 0:
         raise InvalidParameter("r_grid must be non-empty")
+    lo, hi = float(c_range[0]), float(c_range[1])
+    if not 0.0 < lo < hi:
+        raise InvalidParameter(f"c_range must satisfy 0 < c_min < c_max, got {tuple(c_range)}")
     spec = spec or default_spec(mu)
 
     if mode == "slsi":
@@ -709,7 +719,6 @@ def best_constant(
     def passes(c: float) -> bool:
         return all(member_passes(i, c) for i in range(len(battery)))
 
-    lo, hi = float(c_range[0]), float(c_range[1])
     if passes(lo):
         return lo
     if not passes(hi):

@@ -1,4 +1,4 @@
-"""Scalar fields with log-subharmonicity certificates.
+"""Scalar fields, certified log-subharmonic by construction.
 
 A :class:`ScalarField` is an immutable composition tree over R^n.  The paper
 works on the cone of log-subharmonic functions, so a certified field is
@@ -11,13 +11,14 @@ and ``exp_norm_sq``, ``modulus_holomorphic`` (grad ln|P| = (Re P'/P,
 value f = e^{ln f}, ``log_value``, the gradient f grad ln f and
 ``value_and_gradient`` from that map in one place; compositions read the
 inner map itself, so only the public ``log_value`` floors ln f at
-``LOG_FLOOR``.  Certified fields are log-subharmonic by construction; the
-certificate records the construction route and ``is_lsh`` is the falsifiable
-test, the sphere sub-mean scan on the unfloored log map.  One scan, with one
-skip and NaN rule, serves ``is_lsh``, ``is_subharmonic`` and the check of
-``exp_subharmonic``.  Unverified fields (``raw_field``, ``squared_norm``,
-``spherical_average``) may be signed, so they alone keep a value map, with an
-optional gradient map.
+``LOG_FLOOR``.  A field is certified exactly when it has a log map
+(``ScalarField.certified``); certified fields are log-subharmonic by
+construction, their ``label`` records that construction, and ``is_lsh`` is
+the falsifiable test, the sphere sub-mean scan on the unfloored log map.  One
+scan, with one skip and NaN rule, serves ``is_lsh``, ``is_subharmonic`` and
+the check of ``exp_subharmonic``.  Unverified fields (``raw_field``,
+``squared_norm``, ``spherical_average``) may be signed, so they alone keep a
+value map, with an optional gradient map (central differences without one).
 
 A convolution sweeps the inner field over the mollifier nodes once for both
 ln(f * phi) and grad ln(f * phi) = sum_i cg_i f(x - y_i) / sum_i c_i f(x - y_i).
@@ -54,18 +55,6 @@ VALUE_FLOOR = 1e-300
 LOG_FLOOR = -750.0
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
-CERTIFICATES = (
-    "log_linear",
-    "exp_subharmonic",
-    "modulus_holomorphic",
-    "power",
-    "product",
-    "dilation",
-    "convolution",
-    "mollified",
-    "unverified",
-)
-
 
 def _batch(x, dim: int) -> tuple[Array, bool]:
     """Normalize a point or batch of points to shape (m, dim)."""
@@ -96,29 +85,29 @@ def _central_differences(fn: Callable[[Array], Array], pts: Array) -> Array:
 class ScalarField:
     """A non-negative scalar field on R^n.
 
-    ``certificate`` is the construction tag; everything except "unverified"
-    is log-subharmonic by construction, must pass :func:`is_lsh` at random
-    probes, and is defined by its log map ``_log``.  An unverified field is
-    defined by its value map ``_value`` and an optional ``_gradient``;
-    ``smooth`` permits finite-difference derivatives when it has none.
+    A certified field is defined by its log map ``_log``; it is
+    log-subharmonic by construction and must pass :func:`is_lsh` at random
+    probes.  An unverified field is defined by its value map ``_value`` and an
+    optional ``_gradient``, central differences of the values without one.
     """
 
     dim: int
-    certificate: str
-    smooth: bool
     label: str
     _log: Optional[LogMap] = field(repr=False, default=None)
     _value: Optional[Callable[[Array], Array]] = field(repr=False, default=None)
     _gradient: Optional[Callable[[Array], Array]] = field(repr=False, default=None)
 
     def __post_init__(self):
-        if self.certificate not in CERTIFICATES:
-            raise InvalidParameter(f"unknown certificate tag {self.certificate!r}")
         if self.dim < 1:
             raise InvalidParameter("dim must be a positive integer")
-        if (self._log is None) != (self.certificate == "unverified"):
+        if (self._log is None) == (self._value is None):
             raise InvalidParameter(
-                "a certified field is defined by its log map, an unverified one by its values")
+                "a field is defined by either its log map (certified) or its values")
+
+    @property
+    def certified(self) -> bool:
+        """Log-subharmonic by construction: the field has a log map."""
+        return self._log is not None
 
     def __call__(self, x):
         pts, single = _batch(x, self.dim)
@@ -149,7 +138,7 @@ class ScalarField:
 
     def gradient(self, x):
         """grad f(x): f grad ln f for a certified field; for an unverified one
-        its gradient map, else central differences (smooth fields only)."""
+        its gradient map, else central differences."""
         pts, single = _batch(x, self.dim)
         g = self.value_and_gradient(pts)[1]
         return g[0] if single else g
@@ -170,11 +159,7 @@ class ScalarField:
     def _linear_gradient(self, pts: Array) -> Array:
         if self._gradient is not None:
             return np.asarray(self._gradient(pts), dtype=float)
-        if self.smooth:
-            return _central_differences(self._value, pts)
-        raise InvalidParameter(
-            f"field {self.label!r} has no gradient and is not flagged smooth"
-        )
+        return _central_differences(self._value, pts)
 
 
 def euler(f: ScalarField, x):
@@ -188,13 +173,13 @@ def euler(f: ScalarField, x):
 # builders
 # ---------------------------------------------------------------------------
 
-def _certified(label: str, dim: int, certificate: str, log: LogMap) -> ScalarField:
-    return ScalarField(dim=dim, certificate=certificate, smooth=True, label=label, _log=log)
+def _certified(label: str, dim: int, log: LogMap) -> ScalarField:
+    return ScalarField(dim=dim, label=label, _log=log)
 
 
 def _needs_log_map(*fs: ScalarField):
     for f in fs:
-        if f.certificate == "unverified":
+        if not f.certified:
             raise InvalidParameter(
                 f"field {f.label!r} is unverified; compositions need a certified field")
 
@@ -204,7 +189,7 @@ def constant(value: float, dim: int = 1) -> ScalarField:
         raise InvalidParameter("constant fields must be non-negative")
     c = float(value)
     logc = math.log(c) if c > 0 else LOG_FLOOR
-    return _certified(f"constant({c:g})", dim, "log_linear", lambda pts, grad: (
+    return _certified(f"constant({c:g})", dim, lambda pts, grad: (
         np.full(pts.shape[0], logc), np.zeros_like(pts) if grad else None))
 
 
@@ -214,7 +199,7 @@ def log_linear(lam) -> ScalarField:
     if not np.all(np.isfinite(lam)):
         raise InvalidParameter("log_linear requires a finite coefficient vector")
     return _certified(
-        f"log_linear({np.array2string(lam, separator=',')})", lam.shape[0], "log_linear",
+        f"log_linear({np.array2string(lam, separator=',')})", lam.shape[0],
         lambda pts, grad: (pts @ lam, np.tile(lam, (pts.shape[0], 1)) if grad else None))
 
 
@@ -227,7 +212,7 @@ def cosh_field(lam: float) -> ScalarField:
         return (np.logaddexp(t, -t) - math.log(2.0),
                 (lam * np.tanh(t))[:, None] if grad else None)
 
-    return _certified(f"cosh_field({lam:g})", 1, "exp_subharmonic", log)
+    return _certified(f"cosh_field({lam:g})", 1, log)
 
 
 def exp_subharmonic(
@@ -237,7 +222,6 @@ def exp_subharmonic(
     label: str = "exp_subharmonic(u)",
     *,
     verify: bool = True,
-    seed: int = 7,
 ) -> ScalarField:
     """f = exp(u) for a (numerically verified) subharmonic u.
 
@@ -247,7 +231,7 @@ def exp_subharmonic(
     sub-mean test at random probes.
     """
     if verify:
-        rep = _sub_mean_test(u, dim, seed=seed)
+        rep = _sub_mean_test(u, dim, seed=7)
         if not rep.passed:
             x, r, mean, center = rep.violations[0]
             raise SubharmonicityError(
@@ -256,7 +240,7 @@ def exp_subharmonic(
                 witness=x,
             )
     du = grad_u or (lambda pts: _central_differences(u, pts))
-    return _certified(label, dim, "exp_subharmonic", lambda pts, grad: (
+    return _certified(label, dim, lambda pts, grad: (
         np.asarray(u(pts), dtype=float), np.asarray(du(pts), dtype=float) if grad else None))
 
 
@@ -298,8 +282,7 @@ def modulus_holomorphic(coeffs: Sequence[complex]) -> ScalarField:
         ratio = np.where(zero, 0.0, wp / np.where(zero, 1.0, w))
         return lv, np.stack([ratio.real, -ratio.imag], axis=1)
 
-    return _certified(f"modulus_holomorphic(deg={coeffs.size - 1})", 2,
-                      "modulus_holomorphic", log)
+    return _certified(f"modulus_holomorphic(deg={coeffs.size - 1})", 2, log)
 
 
 def power(f: ScalarField, p: float) -> ScalarField:
@@ -313,7 +296,7 @@ def power(f: ScalarField, p: float) -> ScalarField:
         lv, dlv = f._log(pts, grad)
         return p * lv, (p * dlv if grad else None)
 
-    return _certified(f"power({f.label}, {p:g})", f.dim, "power", log)
+    return _certified(f"power({f.label}, {p:g})", f.dim, log)
 
 
 def product_field(f: ScalarField, g: ScalarField) -> ScalarField:
@@ -326,7 +309,7 @@ def product_field(f: ScalarField, g: ScalarField) -> ScalarField:
         (lf, dlf), (lg, dlg) = f._log(pts, grad), g._log(pts, grad)
         return lf + lg, (dlf + dlg if grad else None)
 
-    return _certified(f"product({f.label}, {g.label})", f.dim, "product", log)
+    return _certified(f"product({f.label}, {g.label})", f.dim, log)
 
 
 def scale(f: ScalarField, t: float) -> ScalarField:
@@ -347,26 +330,24 @@ def dilate(f: ScalarField, r: float) -> ScalarField:
         lv, dlv = f._log(r * pts, grad)
         return lv, (r * dlv if grad else None)
 
-    return _certified(f"dilate({f.label}, {r:g})", f.dim, "dilation", log)
+    return _certified(f"dilate({f.label}, {r:g})", f.dim, log)
 
 
 def raw_field(
     fn: Callable[[Array], Array],
     dim: int,
     grad: Optional[Callable[[Array], Array]] = None,
-    smooth: bool = True,
     label: str = "raw_field",
 ) -> ScalarField:
-    """Wrap an arbitrary vectorized map with certificate "unverified".
+    """Wrap an arbitrary vectorized map as an unverified field.
 
     No non-negativity or subharmonicity is asserted; such fields are only
-    accepted where the operation at hand does not require a certificate
-    (spherical averaging, ad-hoc probing).
+    accepted where the operation at hand does not require a certified field
+    (spherical averaging, ad-hoc probing).  Without ``grad`` the gradient is
+    taken by central differences.
     """
     return ScalarField(
         dim=dim,
-        certificate="unverified",
-        smooth=smooth,
         label=label,
         _value=lambda pts: np.asarray(fn(pts), dtype=float),
         _gradient=grad,
@@ -481,18 +462,12 @@ class Mollifier:
         return float((w @ v**p) ** (1.0 / p))
 
 
-def mollifier(dim: int, k: int, base_radius: float = 1.0) -> Mollifier:
-    """Scale-k member of the mollifier family: support radius base_radius / k."""
-    if k < 1:
-        raise InvalidParameter("scale index k must be a positive integer")
-    return _bump(dim, float(base_radius) / float(k), scale_index=float(k))
-
-
-def _bump(dim: int, radius: float, scale_index: float | None = None) -> Mollifier:
-    if radius <= 0:
-        raise InvalidParameter("support radius must be positive")
-    unit = Mollifier(dim=dim, scale_index=scale_index if scale_index is not None else 1.0 / radius,
-                     support_radius=radius, amplitude=1.0)
+def mollifier(dim: int, k: float) -> Mollifier:
+    """Scale-k member of the mollifier family, for any real k >= 1: the
+    unit-mass bump supported in the ball of radius 1 / k."""
+    if not k >= 1:
+        raise InvalidParameter(f"scale index k must be a number >= 1, got {k}")
+    unit = Mollifier(dim=dim, scale_index=float(k), support_radius=1.0 / k, amplitude=1.0)
     return replace(unit, amplitude=1.0 / unit.mass())
 
 
@@ -588,7 +563,7 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
             sums[redo] = again.reshape(-1, sums.shape[1])
         return top + np.log(sums[:, 0]), (sums[:, 1:] / sums[:, :1] if grad else None)
 
-    return _certified(f"convolve({f.label}, k={phi.scale_index:g})", f.dim, "mollified", log)
+    return _certified(f"convolve({f.label}, k={phi.scale_index:g})", f.dim, log)
 
 
 def dilated_convolve(f: ScalarField, phi: Mollifier, r: float) -> ScalarField:
@@ -596,8 +571,7 @@ def dilated_convolve(f: ScalarField, phi: Mollifier, r: float) -> ScalarField:
     r = float(r)
     if not (0.0 < r < 1.0):
         raise InvalidParameter(f"dilated convolution requires r in (0, 1), got {r}")
-    g = dilate(convolve(f, phi), r)
-    return replace(g, certificate="mollified")
+    return dilate(convolve(f, phi), r)
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +619,11 @@ def spherical_average(f: ScalarField) -> ScalarField:
     dim 1: (f(x) + f(-x))/2; higher dimensions: the weighted sphere rule of
     :func:`sphere_rule` applied at radius |x| (the orbit average only
     depends on |x|).  The result is rotation-invariant by construction up to
-    discretization and carries no certificate.
+    discretization and is unverified.
     """
     if f.dim > 3:
         raise InvalidParameter("spherical averaging is implemented for dim <= 3")
-    return raw_field(lambda pts: np.matmul(*orbit_values(f, pts)), f.dim, smooth=f.smooth,
+    return raw_field(lambda pts: np.matmul(*orbit_values(f, pts)), f.dim,
                      label=f"spherical_average({f.label})")
 
 
@@ -677,12 +651,12 @@ class MeanValueReport:
         return min(self.violations, key=lambda v: v[2] - v[3])
 
 
-def default_probes(dim: int, count: int = 64, seed: int = 11, radius: float = 2.5) -> Array:
-    """Reproducible probe cloud inside the ball of the given radius."""
+def default_probes(dim: int, count: int = 64, seed: int = 11) -> Array:
+    """Reproducible probe cloud inside the ball of radius 2.5."""
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((count, dim))
     norms = np.linalg.norm(pts, axis=1, keepdims=True)
-    scales = radius * rng.random((count, 1)) ** (1.0 / dim)
+    scales = 2.5 * rng.random((count, 1)) ** (1.0 / dim)
     return pts / np.maximum(norms, 1e-12) * scales
 
 
@@ -690,12 +664,11 @@ def _sub_mean_test(
     fn: Callable[[Array], Array],
     dim: int,
     probes: Optional[Array] = None,
-    radii: Sequence[float] = (0.05, 0.1, 0.2, 0.4),
-    tol: float = 1e-7,
     seed: int = 11,
 ) -> MeanValueReport:
-    """The sphere sub-mean scan: the mean of ``fn`` over each sphere of the
-    given radii around each probe must be >= fn(probe) - tol * max(1, |fn(probe)|).
+    """The sphere sub-mean scan: the mean of ``fn`` over each sphere of radius
+    0.05, 0.1, 0.2 and 0.4 around each probe must be >= fn(probe) - tol *
+    max(1, |fn(probe)|), tol = 1e-7.
 
     ``fn`` is evaluated on the probes, then on the probe x radius x direction
     nodes one probe's spheres a call (one sphere on the finer rule), so a
@@ -709,7 +682,7 @@ def _sub_mean_test(
     a log singularity cannot fail the test.
     """
     probes = default_probes(dim, seed=seed) if probes is None else np.asarray(probes, dtype=float)
-    radii = np.asarray(radii, dtype=float)
+    radii, tol = np.array([0.05, 0.1, 0.2, 0.4]), 1e-7
     cv = np.asarray(fn(probes), dtype=float)
     live = np.flatnonzero(cv != -np.inf)
     # one sphere per live probe and radius, probe-major
@@ -756,13 +729,7 @@ def is_subharmonic(f: ScalarField, seed: int = 11) -> MeanValueReport:
     return _sub_mean_test(f, f.dim, seed=seed)
 
 
-def is_lsh(
-    f: ScalarField,
-    probes: Optional[Array] = None,
-    radii: Sequence[float] = (0.05, 0.1, 0.2, 0.4),
-    tol: float = 1e-7,
-    seed: int = 11,
-) -> MeanValueReport:
+def is_lsh(f: ScalarField, probes: Optional[Array] = None, seed: int = 11) -> MeanValueReport:
     """Numerical log-subharmonicity test: the sub-mean scan of
     :func:`_sub_mean_test` on ln f, so probes on zeros of f are skipped and
     sphere nodes on zeros dropped.
@@ -773,9 +740,9 @@ def is_lsh(
     ``VALUE_FLOOR`` counting as a zero (ln f = -inf).
     """
     def log(pts):
-        if f._log is not None:
+        if f.certified:
             return f._log(pts, False)[0]
         v = f(pts)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(v < VALUE_FLOOR, -np.inf, np.log(v))
-    return _sub_mean_test(log, f.dim, probes, radii, tol, seed)
+    return _sub_mean_test(log, f.dim, probes, seed)

@@ -2,8 +2,8 @@
 
 A :class:`Density` wraps a (possibly unnormalized) log-density together with
 its normalization constant, a truncation radius beyond which mass is
-negligible, and construction metadata.  Densities are immutable and safe to
-evaluate concurrently.
+negligible, and a label recording its construction.  Densities are immutable
+and safe to evaluate concurrently.
 
 Every Density is normalized when it is built, and only a closure that changes
 the mass integrates anything: the built-in families have closed-form
@@ -66,7 +66,6 @@ class Density:
     norm_const: float
     truncation_radius: float
     rotation_invariant: bool
-    provenance: str
     strictly_positive: bool
     label: str
     family: Optional[str] = None
@@ -126,7 +125,6 @@ def gaussian(sigma: float = 1.0, dim: int = 1) -> Density:
         norm_const=norm,
         truncation_radius=8.0 * sigma * math.sqrt(dim),
         rotation_invariant=True,
-        provenance="builtin",
         strictly_positive=True,
         label=f"gaussian(sigma={sigma:g}, dim={dim})",
         family="gaussian",
@@ -173,7 +171,6 @@ def gen_exponential(c: float = 1.0, a: float = 1.0, dim: int = 1) -> Density:
         norm_const=norm,
         truncation_radius=float(trunc),
         rotation_invariant=True,
-        provenance="builtin",
         strictly_positive=True,
         label=f"gen_exponential(c={c:g}, a={a:g}, dim={dim})",
         family="gen_exponential",
@@ -204,7 +201,6 @@ def poly_tail(alpha: float, dim: int = 1) -> Density:
         # grid-search radius only; integrals use the full-line adaptive scheme
         truncation_radius=100.0,
         rotation_invariant=True,
-        provenance="builtin",
         strictly_positive=True,
         label=f"poly_tail(alpha={alpha:g})",
         family="poly_tail",
@@ -238,7 +234,6 @@ def uniform_ball(radius: float = 1.0, dim: int = 1) -> Density:
         norm_const=norm,
         truncation_radius=radius,
         rotation_invariant=True,
-        provenance="builtin",
         strictly_positive=False,
         label=f"uniform_ball(R={radius:g}, dim={dim})",
         family="uniform_ball",
@@ -307,7 +302,6 @@ def mix(mu1: Density, mu2: Density, t: float) -> Density:
         norm_const=1.0,
         truncation_radius=max(mu1.truncation_radius, mu2.truncation_radius),
         rotation_invariant=mu1.rotation_invariant and mu2.rotation_invariant,
-        provenance="mixture",
         strictly_positive=(t < 1.0 and mu1.strictly_positive)
         or (t > 0.0 and mu2.strictly_positive),
         label=f"mix({mu1.label}, {mu2.label}, t={t:g})",
@@ -352,7 +346,6 @@ def product(mu1: Density, mu2: Density) -> Density:
         norm_const=1.0,
         truncation_radius=math.hypot(mu1.truncation_radius, mu2.truncation_radius),
         rotation_invariant=rot,
-        provenance="product",
         strictly_positive=mu1.strictly_positive and mu2.strictly_positive,
         label=f"product({mu1.label}, {mu2.label})",
         eval_radius=min(mu1.eval_radius, mu2.eval_radius),
@@ -361,14 +354,13 @@ def product(mu1: Density, mu2: Density) -> Density:
     )
 
 
-def convolve_measures(
-    mu1: Density, mu2: Density, nodes_per_axis: Optional[int] = None
-) -> Density:
+def convolve_measures(mu1: Density, mu2: Density) -> Density:
     """Convolution mu1 * mu2 via FFT on a cached grid with log-linear interpolation.
 
-    Each axis of the FFT is zero-padded to the smallest 5-smooth length of at
-    least 2M - 1 (M grid nodes), so the circular convolution is the linear one
-    and the transform length has no large prime factor.
+    The grid has M = ``_CONV_CACHE_NODES[dim]`` nodes per axis (odd, so 0 is a
+    node).  Each axis of the FFT is zero-padded to the smallest 5-smooth length
+    of at least 2M - 1, so the circular convolution is the linear one and the
+    transform length has no large prime factor.
 
     Deterministic quadrature caps at dim 3; higher dimensions are rejected
     with advice to use Monte Carlo sampling of sums instead.
@@ -381,9 +373,7 @@ def convolve_measures(
             "deterministic convolution quadrature caps at dim 3; "
             "use monte_carlo sampling of component sums instead"
         )
-    M = nodes_per_axis or _CONV_CACHE_NODES[n]
-    if M % 2 == 0:
-        M += 1
+    M = _CONV_CACHE_NODES[n]
     L = _CONV_EXTENT_FACTOR * (mu1.truncation_radius + mu2.truncation_radius)
     axis = np.linspace(-L, L, M)
     h = axis[1] - axis[0]
@@ -432,7 +422,6 @@ def convolve_measures(
         norm_const=1.0,
         truncation_radius=mu1.truncation_radius + mu2.truncation_radius,
         rotation_invariant=mu1.rotation_invariant and mu2.rotation_invariant,
-        provenance="convolution",
         strictly_positive=mu1.strictly_positive or mu2.strictly_positive,
         label=f"convolve({mu1.label}, {mu2.label})",
         eval_radius=reliable_radius,
@@ -464,7 +453,6 @@ def shift(mu: Density, offset) -> Density:
         norm_const=1.0,
         truncation_radius=mu.truncation_radius + float(np.linalg.norm(offset)),
         rotation_invariant=False,
-        provenance="perturbation",
         strictly_positive=mu.strictly_positive,
         label=f"shift({mu.label}, {np.array2string(offset, separator=',')})",
         eval_radius=mu.eval_radius,
@@ -479,8 +467,6 @@ def perturb(
     mu: Density,
     log_weight: Callable[[Array], Array],
     *,
-    rotation_invariant: bool = False,
-    weight_bound: Optional[float] = None,
     label: str = "w",
 ) -> Density:
     """Reweighted measure with density proportional to rho(x) * exp(log_weight(x)).
@@ -488,13 +474,14 @@ def perturb(
     When the weight is bounded (C <= w <= D), regularity constants of the
     result are controlled by (D/C) times those of the base measure.  The
     normalizer Z = int e^w dmu is one ``integrate_log`` against mu with mu's
-    default deterministic scheme, so dim is capped at 3.
+    default deterministic scheme, so dim is capped at 3.  The result is not
+    taken to be rotation-invariant; its sampler accepts mu's samples against
+    1.5 times the largest weight on a grid over the truncation ball.
     """
     if mu.dim > 3:
         raise InvalidParameter("normalization quadrature caps at dim 3")
-    if weight_bound is None:
-        probe = _grid_points(mu.dim, mu.truncation_radius, {1: 4097, 2: 101, 3: 31}[mu.dim])
-        weight_bound = float(np.exp(np.max(log_weight(probe)))) * 1.5
+    probe = _grid_points(mu.dim, mu.truncation_radius, {1: 4097, 2: 101, 3: 31}[mu.dim])
+    envelope = float(np.exp(np.max(log_weight(probe)))) * 1.5
 
     sampler = None
     if mu.has_sampler:
@@ -504,7 +491,7 @@ def perturb(
             while filled < size:
                 m = max(2 * (size - filled), 256)
                 xs = mu.sample(rng, m)
-                accept = rng.random(m) < np.exp(log_weight(xs)) / weight_bound
+                accept = rng.random(m) < np.exp(log_weight(xs)) / envelope
                 take = xs[accept][: size - filled]
                 out[filled : filled + take.shape[0]] = take
                 filled += take.shape[0]
@@ -521,8 +508,7 @@ def perturb(
         dim=mu.dim,
         norm_const=math.exp(log_mass),
         truncation_radius=mu.truncation_radius,
-        rotation_invariant=rotation_invariant,
-        provenance="perturbation",
+        rotation_invariant=False,
         strictly_positive=mu.strictly_positive,
         label=label,
         eval_radius=mu.eval_radius,
@@ -572,16 +558,15 @@ def regularity_constant(
     p: float,
     a: float,
     s: float = 0.0,
-    *,
-    nodes_per_axis: Optional[int] = None,
-    radius: Optional[float] = None,
 ) -> float:
     """Grid estimate of the type-p constant C_p(a, s).
 
-    The estimate is the maximum of the ratio over the search grid, hence a
-    lower bound of the true sup.  Raises :class:`TypeConditionViolation`
-    (with the witness point) when the ratio exceeds the overflow guard or is
-    still increasing at the grid boundary.
+    The search grid has ``GRID_NODES[dim]`` nodes per axis on the ball of
+    radius ``truncation_radius`` (less where ``eval_radius`` requires).  The
+    estimate is the maximum of the ratio over the grid, hence a lower bound of
+    the true sup.  Raises :class:`TypeConditionViolation` (with the witness
+    point) when the ratio exceeds the overflow guard or is still increasing at
+    the grid boundary.
     """
     if a < 1.0:
         raise InvalidParameter("regularity constants are defined for a >= 1")
@@ -595,12 +580,12 @@ def regularity_constant(
     if mu.dim > 3:
         raise InvalidParameter("regularity grid search is implemented for dim <= 3")
 
-    R = mu.truncation_radius if radius is None else float(radius)
+    R = mu.truncation_radius
     if math.isfinite(mu.eval_radius):
         R = min(R, (mu.eval_radius - s) / a)
     if R <= 0:
         raise InvalidParameter("search radius collapsed; density cache too small")
-    nax = nodes_per_axis or GRID_NODES[mu.dim]
+    nax = GRID_NODES[mu.dim]
     xs = _grid_points(mu.dim, R, nax)
     h = 2.0 * R / (nax - 1)
     ys = _y_grid(mu.dim, s, h)
@@ -673,7 +658,6 @@ def type_report(
     a_list: Sequence[float],
     s_list: Sequence[float] = (0.0,),
     eps: float = NEAR_ONE_EPS,
-    nodes_per_axis: Optional[int] = None,
 ) -> RegularityConstants:
     """Tabulate regularity constants over an (a, s) grid.
 
@@ -688,27 +672,26 @@ def type_report(
     for a in a_list:
         for s in s_list:
             try:
-                entries.append((a, s, regularity_constant(mu, p, a, s, nodes_per_axis=nodes_per_axis)))
+                entries.append((a, s, regularity_constant(mu, p, a, s)))
             except TypeConditionViolation as exc:
                 violations.append((a, s, exc.witness))
 
     uniform = None
     try:
         vals = [
-            regularity_constant(mu, 0.0, 1.0 + eps * (i + 1) / NEAR_ONE_COUNT, 0.0,
-                                nodes_per_axis=nodes_per_axis)
+            regularity_constant(mu, 0.0, 1.0 + eps * (i + 1) / NEAR_ONE_COUNT, 0.0)
             for i in range(NEAR_ONE_COUNT)
         ]
         uniform = float(max(vals))
     except TypeConditionViolation as exc:
         violations.append((f"near-one sweep (eps={eps:g})", 0.0, exc.witness))
 
-    nax = nodes_per_axis or GRID_NODES[mu.dim]
     return RegularityConstants(
         p=p,
         entries=entries,
         violations=violations,
         uniform_near_one=uniform,
         near_one_eps=eps,
-        grid_spec={"dim": mu.dim, "nodes_per_axis": nax, "radius": mu.truncation_radius},
+        grid_spec={"dim": mu.dim, "nodes_per_axis": GRID_NODES[mu.dim],
+                   "radius": mu.truncation_radius},
     )

@@ -135,15 +135,14 @@ def _hermgauss(n: int):
     return hermgauss(n)
 
 
-def tensor_grid(axis: Array, dim: int, weights: Optional[Array] = None,
-                combine=np.multiply):
+def tensor_grid(axis: Array, dim: int, log_weights: Optional[Array] = None):
     """The dim-fold tensor grid of ``axis`` as (m, dim) points, first coordinate
-    slowest.  With per-axis ``weights`` it also returns each point's weight,
-    their product; ``combine=np.add`` sums per-axis log-weights instead."""
+    slowest.  With per-axis ``log_weights`` it also returns each point's
+    log-weight, their sum."""
     pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    if weights is None:
+    if log_weights is None:
         return pts
-    return pts, reduce(combine.outer, [weights] * dim).ravel()
+    return pts, reduce(np.add.outer, [log_weights] * dim).ravel()
 
 
 def _trap_nodes(R: float, n: int, dim: int):
@@ -152,7 +151,7 @@ def _trap_nodes(R: float, n: int, dim: int):
     h = axis[1] - axis[0]
     w = np.full(n, h)
     w[0] = w[-1] = h / 2.0
-    return tensor_grid(axis, dim, np.log(w), np.add)
+    return tensor_grid(axis, dim, np.log(w))
 
 
 def measure_nodes(mu, spec: QuadratureSpec):
@@ -169,7 +168,7 @@ def measure_nodes(mu, spec: QuadratureSpec):
             # weights underflowing double precision act as a hard truncation
             # at |x| ~ 37 sigma; the doubling estimate reports the effect
             logw_axis = np.log(w) - 0.5 * math.log(math.pi)
-        return tensor_grid(pts_axis, mu.dim, logw_axis, np.add)
+        return tensor_grid(pts_axis, mu.dim, logw_axis)
     if spec.scheme == "tensor_trapezoid":
         if mu.dim > 3:
             raise InvalidParameter("tensor_trapezoid caps at dim 3")

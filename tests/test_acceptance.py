@@ -216,10 +216,10 @@ def test_09_structural_suites(gauss1, gauss2, gh_spec, rng):
             L.convolve(L.cosh_field(0.7), L.mollifier(1, 3)),
         )
         for f in closures:
-            assert L.is_lsh(f, probes=fresh, tol=1e-7).passed
+            assert L.is_lsh(f, probes=fresh).passed
         fresh2 = L.fields.default_probes(2, count=32, seed=998)
         assert L.is_lsh(
-            L.power(L.modulus_holomorphic([1, 1]), 1.5), probes=fresh2, tol=1e-7
+            L.power(L.modulus_holomorphic([1, 1]), 1.5), probes=fresh2
         ).passed
 
 

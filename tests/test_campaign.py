@@ -139,7 +139,7 @@ class TestConfig:
             "t": 0.25,
         }
         mu = build_measure(decl)
-        assert mu.provenance == "mixture"
+        assert mu.label.startswith("mix(")
 
     def test_nested_field_declarations(self):
         decl = {
@@ -149,7 +149,7 @@ class TestConfig:
             "exponent": 2,
         }
         f = build_field(decl)
-        assert f.dim == 1 and f.certificate == "power"
+        assert f.dim == 1 and f.certified and f.label.startswith("power(")
 
     def test_auto_scheme_resolution(self, gauss1):
         spec = resolve_spec({"scheme": "auto"}, gauss1, seed=5)
@@ -230,6 +230,20 @@ class TestRun:
         )
         assert strip(d1) == strip(d2)
 
+    def test_mollifier_scale_not_truncated(self, tmp_path):
+        # k = 2.7 runs as 2.7, in the check row and in the mollified builder
+        raw = minimal_config(
+            fields={"f": {"builder": "log_linear", "lam": [0.5]},
+                    "m": {"builder": "mollified", "base": {"builder": "log_linear",
+                                                           "lam": [0.5]}, "k": 2.7}},
+            checks=[{"check": "dilated_convolution_bound", "measure": "g", "fields": ["f"],
+                     "p": 1.0, "r": 0.8, "k": 2.7},
+                    {"check": "slsi", "measure": "g", "fields": ["m"], "c": 1.0}])
+        L.run(CampaignConfig.from_dict(raw), output_dir=tmp_path)
+        bound, slsi = json.loads((tmp_path / "report.json").read_text())["checks"]
+        assert bound["inputs"]["mollifier_scale"] == 2.7
+        assert slsi["inputs"]["field"].endswith("k=2.7)")
+
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LSHLAB_OUTPUT_DIR", str(tmp_path / "envout"))
         config = CampaignConfig.from_dict(minimal_config(checks=[]))
@@ -261,6 +275,10 @@ class TestCli:
         code = main(["best-c", "--measure", "gaussian", "--mode", "slsi"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "1.000"
+
+    def test_best_c_rejects_bad_range(self, capsys):
+        assert main(["best-c", "--measure", "gaussian", "--c-min", "3", "--c-max", "1"]) == 2
+        assert "c_range" in capsys.readouterr().err
 
     def test_check_subcommand(self, capsys):
         code = main(["check", "--check", "slsi", "--measure", "gaussian",

@@ -59,7 +59,7 @@ class TestSlsi:
         # the equality family of the Gaussian sLSI: Ent = EE / 2
         mu = L.gaussian(1.0, 2)
         g = L.default_battery(2)[-1]
-        assert g.certificate == "mollified"
+        assert g.certified and g.label.startswith("convolve(")
         ent, _, ee, _ = checks.slsi_terms(g, mu, L.default_spec(mu))
         assert ent == pytest.approx(ee / 2.0, rel=1e-8)
 
@@ -297,6 +297,12 @@ class TestDensityApproximation:
             gaps.append(math.sqrt(val))
         assert gaps[1] < gaps[0]
 
+    @pytest.mark.parametrize("lists", [{"k_list": []}, {"r_list": ()}])
+    def test_empty_lists_rejected(self, gauss1, gh_spec, lists):
+        with pytest.raises(InvalidParameter):
+            L.check_density_approximation(L.log_linear([0.25]), gauss1, 1.0, spec=gh_spec,
+                                          **lists)
+
 
 def _reference_density_cells(f, mu, p, k_list, r_list, spec):
     """Cells of check_density_approximation as three separate integrals each:
@@ -431,6 +437,23 @@ class TestMonotonicityChecks:
             rep = L.check_radial_euler_scaling(f)
             assert rep.inconclusive
 
+    def test_overflowed_invariant_field_passes_gate(self):
+        # exp(200 |x|^2) overflows to +inf at the four gate probes with
+        # |x| > 1.88; an orbit value equal to its +inf center has no spread
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = L.check_radial_euler_scaling(L.exp_norm_sq(200, 2))
+        assert not rep.inconclusive and rep.passed
+
+    def test_gate_bound_is_per_probe(self):
+        # x^4 + y^4, +inf beyond |x| = 2.3: the orbits of the two gate probes
+        # out there are all +inf, and their bound does not lift the others'
+        quartic = L.raw_field(
+            lambda pts: np.where(np.linalg.norm(pts, axis=1) > 2.3, np.inf,
+                                 np.sum(pts**4, axis=1)), 2, label="x^4 + y^4, inf outside")
+        rep = L.check_radial_euler_scaling(quartic)
+        assert rep.inconclusive and "rotation-invariant" in rep.notes[0]
+
     def test_nan_fails_radial_lemma(self):
         # rotation-invariant, and NaN only beyond the largest of the eight gate
         # probes (|x| = 2.342), so the gate passes; E k is NaN at the 10 probes
@@ -477,10 +500,17 @@ class TestBestConstant:
         with pytest.raises(InvalidParameter):
             L.best_constant([], gauss1, "slsi")
 
+    @pytest.mark.parametrize("c_range", [(3.0, 1.0), (2.0, 2.0), (0.0, 1.0), (-1.0, 2.0)])
+    def test_bad_c_range_rejected(self, gauss1, c_range):
+        # (3, 1) would otherwise come back as 3.0, as if it were the constant
+        with pytest.raises(InvalidParameter):
+            L.best_constant([L.log_linear([0.5])], gauss1, c_range=c_range)
+
     def test_default_battery_composition(self):
         battery = L.default_battery(1)
-        certs = {f.certificate for f in battery}
-        assert {"log_linear", "exp_subharmonic", "power", "product", "mollified"} <= certs
+        assert all(f.certified for f in battery)
+        builders = {f.label.split("(")[0] for f in battery}
+        assert {"constant", "log_linear", "cosh_field", "power", "product", "convolve"} <= builders
 
 
 def _reference_slsi_best_constant(battery, mu, c_range, spec, resolution=1e-3):

@@ -112,7 +112,6 @@ class TestEval:
             norm_const=1.0,
             truncation_radius=8.0,
             rotation_invariant=True,
-            provenance="builtin",
             strictly_positive=True,
             label="spiked",
             _log_density=lambda pts: 1600.0 * np.exp(-1e6 * pts[:, 0] ** 2),

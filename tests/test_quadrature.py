@@ -18,12 +18,10 @@ class TestTensorGrid:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_points_and_weights(self, dim):
         axis, w = np.array([-1.0, 0.5, 2.0]), np.array([0.25, 0.5, 0.125])
-        pts, wts = tensor_grid(axis, dim, w)
+        pts, logw = tensor_grid(axis, dim, np.log(w))
         idx = np.array(np.unravel_index(np.arange(3**dim), (3,) * dim)).T
         assert np.array_equal(pts, axis[idx])  # first coordinate slowest
-        assert np.array_equal(wts, np.prod(w[idx], axis=1))
-        _, logw = tensor_grid(axis, dim, np.log(w), np.add)
-        assert np.allclose(np.exp(logw), wts, rtol=1e-15)
+        assert np.allclose(np.exp(logw), np.prod(w[idx], axis=1), rtol=1e-15)
         assert np.array_equal(tensor_grid(axis, dim), pts)
 
 
