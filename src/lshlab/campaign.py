@@ -203,6 +203,13 @@ class CampaignConfig:
             where = f"checks[{idx}] ({kind})"
             _require(entry, (("measure",) if row.needs_measure else ()) + row.required, where)
             _check_types(entry, row, where)
+            if kind == "best_constant":
+                e = {**row.defaults, **entry}
+                if e["mode"] not in ("slsi", "shc"):
+                    raise ConfigError(f"{where}: 'mode' must be 'slsi' or 'shc', got {e['mode']!r}")
+                if not 0 < e["c_min"] < e["c_max"]:
+                    raise ConfigError(f"{where}: need 0 < c_min < c_max, got "
+                                      f"c_min {e['c_min']!r}, c_max {e['c_max']!r}")
             measure = entry.get("measure")
             if measure is not None and not (isinstance(measure, str) and measure in self.measures):
                 raise ConfigError(f"{where}: references undeclared measure {measure!r}")

@@ -49,7 +49,7 @@ from .functionals import (
     r_of_pq,
 )
 from .measures import Density, regularity_constant
-from .quadrature import QuadratureSpec, default_spec, integrate, lp_norm_with_error
+from .quadrature import QuadratureSpec, default_spec, lp_norm_with_error, weighted_moments
 
 INEQ_ABS = 1e-6
 NOISE_FACTOR = 3.0
@@ -469,9 +469,12 @@ def check_density_approximation(
     convolution factor can partially cancel that gap.)  Every approximant
     must also have a finite dilation-energy norm ||E (f * phi_k)_r||_p.
 
-    Each cell is one integral of up to three integrands, formed from one
-    ``value_and_gradient`` sweep of (f * phi_k)_r per node set:
-    |g - f|^p, |E g|^p and, at r = max(r_list), |g - f_r|^p.
+    Each cell is one ``weighted_moments`` call in log space, from one sweep
+    of g = (f * phi_k)_r per node set: the weight g^p with the factors
+    |expm1(ln f - ln g)|^p, |x . grad ln g|^p and, at r = max(r_list),
+    |expm1(ln f_r - ln g)|^p, so each factor times the weight is |g - f|^p,
+    |E g|^p or |g - f_r|^p; the p-th roots are taken in log space, so a
+    large ||f||_p never overflows.
     """
     if len(k_list) == 0 or len(r_list) == 0:
         raise InvalidParameter("k_list and r_list must be non-empty")
@@ -490,6 +493,13 @@ def check_density_approximation(
     target = eps_target if eps_target is not None else 0.01 * base
 
     k_max, r_max = max(k_list), max(r_list)
+
+    def lp_norms(log_mass, means):
+        # (int g^p * factor dmu)^(1/p), the p-th root taken in log space; a
+        # norm beyond the double range is inf, and energies_finite reports it
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.exp((log_mass + np.log(means)) / p)
+
     cells = {}
     energy_norms = {}
     split_k = {}
@@ -500,28 +510,22 @@ def check_density_approximation(
         for r in r_list:
             g = dilate(smoothed, r)
 
-            def integrands(pts, g=g, split=(r == r_max)):
-                gv, gg = g.value_and_gradient(pts)
-                cols = [gv - f(pts), np.einsum("ij,ij->i", pts, gg)]
+            def columns(pts, g=g, split=(r == r_max)):
+                lg, dlg = g.log_value(pts, grad=True)
+                factors = [np.expm1(f.log_value(pts) - lg), np.einsum("ij,ij->i", pts, dlg)]
                 if split:
-                    cols.append(gv - f_rmax(pts))
-                return np.abs(np.stack(cols, axis=1)) ** p
+                    factors.append(np.expm1(f_rmax.log_value(pts) - lg))
+                return np.column_stack([p * lg, np.abs(np.column_stack(factors)) ** p])
 
             try:
-                vals, errs = integrate(integrands, mu, spec)
+                norms, noises = weighted_moments(columns, mu, spec, lp_norms)
             except QuadratureFailure as exc:
                 cells[(k, r)] = {"skipped": True, "reason": str(exc)}
                 continue
-            # ||.||_p of the difference columns, with the error carried through
-            # the p-th root; the energy column keeps its raw integral
-            diff = np.maximum(vals, 0.0)
-            norms = diff ** (1.0 / p)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                noises = np.where(diff > 0, errs * norms / (p * diff), errs ** (1.0 / p))
             cells[(k, r)] = {"skipped": False, "error": float(norms[0]),
                              "noise": float(noises[0])}
-            energy_norms[(k, r)] = float(vals[1] ** (1.0 / p))
-            if len(vals) > 2:
+            energy_norms[(k, r)] = float(norms[1])
+            if len(norms) > 2:
                 split_k[k] = (float(norms[2]), float(noises[2]))
 
     live = {key: cell for key, cell in cells.items() if not cell["skipped"]}

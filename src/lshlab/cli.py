@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--p", type=float, default=1.0)
     p_check.add_argument("--q", type=float, default=2.0)
     p_check.add_argument("--r", type=float, default=0.8)
-    p_check.add_argument("--k", type=int, default=checks_mod.DEFAULT_MOLLIFIER_SCALE)
+    p_check.add_argument("--k", type=float, default=checks_mod.DEFAULT_MOLLIFIER_SCALE)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=_cmd_check)
 

@@ -8,10 +8,10 @@ directly: ``constant``, ``log_linear``, ``cosh_field``, ``exp_subharmonic``
 and ``exp_norm_sq``, ``modulus_holomorphic`` (grad ln|P| = (Re P'/P,
 -Im P'/P), 0 at zeros of P), ``power`` (p times), ``product_field`` (a sum),
 ``dilate`` (r grad ln f(r x)) and ``convolve``.  ``ScalarField`` derives the
-value f = e^{ln f}, ``log_value``, the gradient f grad ln f and
-``value_and_gradient`` from that map in one place; compositions read the
-inner map itself, so only the public ``log_value`` floors ln f at
-``LOG_FLOOR``.  A field is certified exactly when it has a log map
+value f = e^{ln f}, ``log_value`` (with ``grad``, ln f and grad ln f from one
+evaluation) and the gradient f grad ln f from that map in one place;
+compositions read the inner map itself, so only the public ``log_value``
+floors ln f at ``LOG_FLOOR``.  A field is certified exactly when it has a log map
 (``ScalarField.certified``); certified fields are log-subharmonic by
 construction, their ``label`` records that construction, and ``is_lsh`` is
 the falsifiable test, the sphere sub-mean scan on the unfloored log map.  One
@@ -140,21 +140,14 @@ class ScalarField:
         """grad f(x): f grad ln f for a certified field; for an unverified one
         its gradient map, else central differences."""
         pts, single = _batch(x, self.dim)
-        g = self.value_and_gradient(pts)[1]
-        return g[0] if single else g
-
-    def value_and_gradient(self, x):
-        """(f(x), grad f(x)) from one evaluation of the log map."""
-        pts, single = _batch(x, self.dim)
         if self._log is None:
-            v, g = np.asarray(self._value(pts), dtype=float), self._linear_gradient(pts)
+            g = self._linear_gradient(pts)
         else:
             lv, dlv = self._log(pts, True)
             # inf * 0 where f overflows: the NaN fails an integral, with its witness
             with np.errstate(over="ignore", invalid="ignore"):
-                v = np.exp(lv)
-                g = v[:, None] * dlv
-        return (float(v[0]), g[0]) if single else (v, g)
+                g = np.exp(lv)[:, None] * dlv
+        return g[0] if single else g
 
     def _linear_gradient(self, pts: Array) -> Array:
         if self._gradient is not None:

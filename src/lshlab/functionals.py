@@ -13,11 +13,12 @@ and the derivative of alpha admits the closed form
 
 with A = ||f_r||_q^q.  All entropy-type integrands are evaluated in log-space
 (probability weights pi_i proportional to w_i f_r^q) so large exponents never
-overflow.  The Euler factor lives in the same coordinate: E g / g = x . grad ln g,
-read with ln g from one evaluation of the field's log map, so int E g dmu is
-||g||_1 times the mean of x . grad ln g under g / ||g||_1 and nothing divides
-by g.  Functions come in plain and ``*_with_error`` forms; the latter
-propagate the quadrature error estimates used by the check suite.
+overflow.  The Euler factor lives in the same coordinate: E g / g =
+x . grad ln g is a factor column next to ln g in one column map, which
+evaluates the field's log map once, so int E g dmu is ||g||_1 times the mean
+of x . grad ln g under g / ||g||_1 and nothing divides by g.  Functions come
+in plain and ``*_with_error`` forms; the latter propagate the quadrature
+error estimates used by the check suite.
 """
 
 from __future__ import annotations
@@ -55,24 +56,20 @@ def r_of_pq(p: float, q: float, c: float) -> float:
 # entropy and Euler energy
 # ---------------------------------------------------------------------------
 
-def _log_and_euler(g: ScalarField, exponent: float = 1.0):
-    """pts -> the (m, 2) columns [exponent * ln g | x . grad ln g]: the log of
-    the weight g^exponent and the Euler factor E g / g, from one evaluation of g."""
+def _weight_columns(g: ScalarField, exponent: float = 1.0, log: bool = True,
+                    euler: bool = True):
+    """pts -> the columns of the weight g^exponent for ``weighted_moments``,
+    from one evaluation of g: its log, then the factors that log (with
+    ``log``) and E g / g = x . grad ln g (with ``euler``)."""
     def columns(pts):
-        lg, dlg = g.log_value(pts, grad=True)
-        return np.column_stack([exponent * lg, np.einsum("ij,ij->i", pts, dlg)])
+        lg, dlg = g.log_value(pts, grad=True) if euler else (g.log_value(pts), None)
+        lw = exponent * lg
+        cols = [lw, lw] if log else [lw]
+        if euler:
+            cols.append(np.einsum("ij,ij->i", pts, dlg))
+        return np.column_stack(cols)
 
     return columns
-
-
-def _log_weight(pts, columns):
-    """The factor ln(weight), column 0 of what the weight passes."""
-    return columns[:, 0]
-
-
-def _euler(pts, columns):
-    """The factor E g / g = x . grad ln g, column 1 from ``_log_and_euler``."""
-    return columns[:, 1]
 
 
 def _mass(log_mass: float) -> float:
@@ -98,8 +95,7 @@ def _checked_entropy(val: float, err: float) -> tuple[float, float]:
 def entropy_with_error(g: ScalarField, mu, spec: QuadratureSpec) -> tuple[float, float]:
     """Ent(g) = int g ln(g / ||g||_1) dmu with its error estimate."""
     return _checked_entropy(*weighted_moments(
-        lambda pts: g.log_value(pts)[:, None], [_log_weight], mu, spec,
-        lambda lm, means: _entropy(lm, means[0])))
+        _weight_columns(g, euler=False), mu, spec, lambda lm, means: _entropy(lm, means[0])))
 
 
 def entropy(g: ScalarField, mu, spec: QuadratureSpec) -> float:
@@ -108,7 +104,7 @@ def entropy(g: ScalarField, mu, spec: QuadratureSpec) -> float:
 
 def euler_energy_with_error(g: ScalarField, mu, spec: QuadratureSpec) -> tuple[float, float]:
     """int E g dmu = ||g||_1 E[x . grad ln g], the dilation energy (no c/2 prefactor)."""
-    val, err = weighted_moments(_log_and_euler(g), [_euler], mu, spec,
+    val, err = weighted_moments(_weight_columns(g, log=False), mu, spec,
                                 lambda lm, means: _mass(lm) * means[0])
     return float(val), max(float(err), 1e-15)
 
@@ -119,8 +115,7 @@ def entropy_energy_with_error(g: ScalarField, mu,
     def fn(lm, means):
         return np.array([_entropy(lm, means[0]), _mass(lm) * means[1]])
 
-    (ent, ee), (e_ent, e_ee) = weighted_moments(
-        _log_and_euler(g), [_log_weight, _euler], mu, spec, fn)
+    (ent, ee), (e_ent, e_ee) = weighted_moments(_weight_columns(g), mu, spec, fn)
     return (*_checked_entropy(ent, e_ent), float(ee), max(float(e_ee), 1e-15))
 
 
@@ -196,8 +191,7 @@ def alpha_prime_with_error(f: ScalarField, mu, c: float, r: float,
         bracket = log_a - means[0] + (c * q / 2.0) * means[1]
         return (2.0 / (c * r * q)) * math.exp(log_a / q) * bracket
 
-    val, err = weighted_moments(_log_and_euler(dilate(f, r), q), [_log_weight, _euler],
-                                mu, spec, fn)
+    val, err = weighted_moments(_weight_columns(dilate(f, r), q), mu, spec, fn)
     return float(val), max(float(err), 1e-15)
 
 

@@ -14,13 +14,16 @@ monte_carlo       importance sampling with the measure itself as sampler;
                   streams are keyed by the spec seed (counter-based), so
                   parallel and serial runs agree bit for bit.
 
-Every integral is one call to ``weighted_moments``.  For a weight g = e^{ln g}
-it forms ln int g dmu and the means of factor columns under g dmu / int g dmu
-in log space, so large powers never overflow, and returns a function ``fn``
-of them with an error estimate from one rule: |fn(spec) - fn(spec.halved())|
-(half the nodes per axis, or the first half of the samples) on node schemes,
-and on ``adaptive_1d`` the first-order change of fn when each of its adaptive
-integrals moves by that integral's own error estimate.
+Every integral is one call to ``weighted_moments`` with one column map:
+points to the columns [ln g | factors], evaluated once per node set (or per
+adaptive batch).  For the weight g = e^{ln g} it forms ln int g dmu and the
+means of the factors under g dmu / int g dmu in log space, so large powers
+never overflow, and returns a function ``fn`` of them with an error estimate
+from one rule: |fn(spec) - fn(spec.halved())| (half the nodes per axis, or
+the first half of the samples) on node schemes, and on ``adaptive_1d`` the
+first-order change of fn when each of its adaptive integrals moves by that
+integral's own error estimate.  ``integrate`` is the weight ln g = 0 with
+the integrand as its factors.
 """
 
 from __future__ import annotations
@@ -197,57 +200,58 @@ def _fail_at_first(bad: Array, pts: Array):
 # integration
 # ---------------------------------------------------------------------------
 
-def weighted_moments(log_g, factors, mu, spec: QuadratureSpec, fn):
-    """(fn(log_mass, means), its error) for the weight g = exp(log_g).
+def weighted_moments(columns, mu, spec: QuadratureSpec, fn):
+    """(fn(log_mass, means), its error) for the weight g = exp(ln g).
 
-    ``log_mass`` is ln int g dmu and ``means`` the 1-D array of the means of
-    all factor columns under g dmu / int g dmu.  ``log_g`` maps (m, dim)
-    points to ln g, or to an (m, 1 + j) array whose first column is ln g and
-    whose other columns ride along to the factors (one evaluation of a field
-    gives both), or is None for g = 1, whose mass is exactly 1 (the means are
-    then plain integrals).  A factor maps (points, what ``log_g`` gave there)
-    to m values or an (m, k) array.  Node schemes evaluate each map once per
-    node set, the default node count resolved before it is halved;
-    ``adaptive_1d`` runs one adaptive loop for the mass and one per column.
+    ``columns`` maps (m, dim) points to an (m, 1 + k) array: column 0 is ln g
+    and the other k columns are factors, all from one evaluation (m values
+    are ln g alone, k = 0).  ``log_mass`` is ln int g dmu and ``means`` the
+    k means of the factors under g dmu / int g dmu.  Node schemes evaluate
+    the map once per node set, the default node count resolved before it is
+    halved; ``adaptive_1d`` runs one adaptive loop for the mass and one per
+    factor, each on its own batches, and the mass loop's batches give k.
     """
     if spec.scheme == "adaptive_1d":
-        return _adaptive_moments(log_g, factors, mu, spec, fn)
+        return _adaptive_moments(columns, mu, spec, fn)
     spec = spec.resolved(mu.dim)
-    value = fn(*_node_moments(log_g, factors, mu, spec))
-    return value, np.abs(value - fn(*_node_moments(log_g, factors, mu, spec.halved())))
+    value = fn(*_node_moments(columns, mu, spec))
+    return value, np.abs(value - fn(*_node_moments(columns, mu, spec.halved())))
 
 
-def _node_moments(log_g, factors, mu, spec: QuadratureSpec):
+def _columns_at(columns, pts: Array) -> Array:
+    """What ``columns`` gives at pts, as an (m, 1 + k) array.  An overflow
+    there prints no warning: where it matters, the integral fails with its
+    point."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(columns(pts), dtype=float).reshape(pts.shape[0], -1)
+
+
+def _node_moments(columns, mu, spec: QuadratureSpec):
     pts, logw = measure_nodes(mu, spec)
-    if log_g is None:
-        lg, log_mass, pi = None, 0.0, np.exp(logw)
-    else:
-        lg = np.asarray(log_g(pts), dtype=float)
-        lw = _first_column(lg)
-        _fail_at_first(np.isnan(lw) | (lw == math.inf), pts)
-        s = logw + lw
-        log_mass = _logsumexp(s)
-        if not math.isfinite(log_mass):
-            raise QuadratureFailure("the weight integrates to zero or diverges")
-        pi = np.exp(s - log_mass)
-    means = []
-    for factor in factors:
-        vals = np.asarray(factor(pts, lg), dtype=float)
-        _fail_at_first(~np.isfinite(vals), pts)
-        means.append(np.atleast_1d(pi @ vals))
-    return log_mass, np.concatenate(means) if means else np.empty(0)
+    cols = _columns_at(columns, pts)
+    _fail_at_first(np.isnan(cols[:, 0]) | (cols[:, 0] == math.inf), pts)
+    s = logw + cols[:, 0]
+    log_mass = _logsumexp(s)
+    if not math.isfinite(log_mass):
+        raise QuadratureFailure("the weight integrates to zero or diverges")
+    factors = cols[:, 1:]
+    _fail_at_first(~np.isfinite(factors), pts)
+    return log_mass, np.exp(s - log_mass) @ factors
 
 
-def _first_column(lg: Array) -> Array:
-    """ln g from what a weight map returned: the values, or their first column."""
-    return lg if lg.ndim == 1 else lg[:, 0]
+def _adaptive_moments(columns, mu, spec: QuadratureSpec, fn):
+    widths = []
 
+    def mass_columns(pts):
+        cols = _columns_at(columns, pts)
+        widths.append(cols.shape[1])
+        return cols
 
-def _adaptive_moments(log_g, factors, mu, spec: QuadratureSpec, fn):
-    mass, e_mass = (1.0, 0.0) if log_g is None else adaptive_weighted(mu, spec, log_g)
+    mass, e_mass = adaptive_weighted(mu, spec, mass_columns)
     if not (mass > 0.0 and math.isfinite(mass)):
         raise QuadratureFailure(f"the weight integrates to {mass}")
-    parts = [part for factor in factors for part in _adaptive_columns(factor, mu, spec, log_g)]
+    # one loop per factor, so every factor refines as it would on its own
+    parts = [adaptive_weighted(mu, spec, columns, j) for j in range(1, widths[0])]
     ints = np.array([v for v, _ in parts])
     value = fn(math.log(mass), ints / mass)
     err = np.abs(fn(math.log(mass + e_mass), ints / (mass + e_mass)) - value)
@@ -256,24 +260,6 @@ def _adaptive_moments(log_g, factors, mu, spec: QuadratureSpec, fn):
         moved[j] += e
         err = err + np.abs(fn(math.log(mass), moved / mass) - value)
     return value, err
-
-
-def _adaptive_columns(factor, mu, spec: QuadratureSpec, log_g) -> list:
-    """(integral, error) of g times each column of ``factor``, one adaptive
-    loop each, so every column refines as it would on its own."""
-    width = 1  # columns of the factor; set by its first evaluation
-
-    def column(j):
-        def value(pts, lg):
-            nonlocal width
-            v = np.asarray(factor(pts, lg), dtype=float)
-            width = v.shape[1] if v.ndim == 2 else 1
-            return v[:, j] if v.ndim == 2 else v
-
-        return adaptive_weighted(mu, spec, log_g, value)
-
-    first = column(0)
-    return [first] + [column(j) for j in range(1, width)]
 
 
 # QUADPACK's qk21 (Piessens et al. 1983): the 21 Kronrod abscissae on
@@ -327,24 +313,25 @@ def _gk21(lo: Array, hi: Array, integrand) -> tuple[Array, Array]:
     return resk * half, err
 
 
-def adaptive_weighted(mu, spec: QuadratureSpec, log_g, factor=None) -> tuple[float, float]:
-    """Full-line adaptive integral of g * factor against mu, g = exp(log_g) or 1.
+def adaptive_weighted(mu, spec: QuadratureSpec, columns, column: int = 0) -> tuple[float, float]:
+    """Full-line adaptive integral against mu of g = exp(ln g) times column
+    ``column`` of ``columns`` (see ``weighted_moments``); column 0 is ln g
+    itself, so ``column=0`` integrates g alone.
 
     x = tan(theta) maps the line to (-pi/2, pi/2), where a globally adaptive
-    21-point Gauss-Kronrod rule runs: each round evaluates the 21 nodes of
-    every new interval in one (m, 1) batch, then bisects every interval whose
-    error is above its share (by length) of the tolerance
-    max(1e-12, spec.target_rel_tol * |value|), until the summed error meets
-    it or there are 300 intervals; the returned error is then the sum, above
-    the tolerance, with no warning.
+    21-point Gauss-Kronrod rule runs: each round evaluates the column map at
+    the 21 nodes of every new interval in one (m, 1) batch, then bisects
+    every interval whose error is above its share (by length) of the
+    tolerance max(1e-12, spec.target_rel_tol * |value|), until the summed
+    error meets it or there are 300 intervals; the returned error is then
+    the sum, above the tolerance, with no warning.
 
-    ``factor(pts, log_g(pts))`` gives one value per row of the (m, 1) ``pts``
-    (``log_g(pts)`` is None for g = 1); it is evaluated only at nodes where the
-    weight is not negligible.  ln g and the log-density are summed before
-    exponentiation, so large powers never overflow when the product with the
-    measure is moderate.  A node whose exponent exceeds 700 or whose value is
-    not finite raises QuadratureFailure at once, with the largest such x of
-    that round as its point.
+    ln g and the log-density are summed before exponentiation, so large
+    powers never overflow when the product with the measure is moderate.  A
+    node whose exponent is below -700 contributes 0, whatever its factor.  A
+    node whose exponent exceeds 700 or whose value is not finite raises
+    QuadratureFailure at once, with the largest such x of that round as its
+    point.
     """
     if mu.dim != 1:
         raise InvalidParameter("adaptive_1d requires a one-dimensional measure")
@@ -352,14 +339,12 @@ def adaptive_weighted(mu, spec: QuadratureSpec, log_g, factor=None) -> tuple[flo
 
     def integrand(theta: Array) -> Array:
         pts = np.tan(theta).reshape(-1, 1)
-        expo, lg = np.asarray(mu._log_density(pts), dtype=float) - log_norm, None
-        if log_g is not None:
-            lg = np.asarray(log_g(pts), dtype=float)
-            expo = _first_column(lg) + expo
+        cols = _columns_at(columns, pts)
+        expo = cols[:, 0] + (np.asarray(mu._log_density(pts), dtype=float) - log_norm)
         live = ~(expo < -700.0)
         v = np.zeros(expo.shape)
         if np.any(live):
-            fac = 1.0 if factor is None else factor(pts[live], None if lg is None else lg[live])
+            fac = 1.0 if column == 0 else cols[live, column]
             with np.errstate(over="ignore", invalid="ignore"):
                 v[live] = (np.exp(np.minimum(expo[live], 709.0)) * fac
                            / np.cos(theta.ravel()[live]) ** 2)
@@ -406,17 +391,21 @@ def integrate(h, mu, spec: QuadratureSpec):
     returns either m values, and the integral is (value, error) as floats, or
     an (m, K) array of K integrands evaluated together, and the integral is
     (values, errors) as arrays of shape (K,), column by column the same as
-    integrating each column on its own.  On grids each node set is evaluated
-    once for all columns; ``adaptive_1d`` runs one adaptive loop per column.
+    integrating each column on its own.  This is ``weighted_moments`` with
+    the weight ln g = 0 and h as its factor columns: h is evaluated at every
+    node, once per node set on grids and on every batch of each adaptive
+    loop, and an adaptive node where the measure's density underflows
+    contributes 0.
     """
     ndim = []
 
-    def factor(pts, _):
+    def columns(pts):
         vals = np.asarray(h(pts), dtype=float)
         ndim.append(vals.ndim)
-        return vals
+        return np.column_stack([np.zeros(pts.shape[0]), vals])
 
-    value, err = weighted_moments(None, [factor], mu, spec, lambda _, means: means)
+    value, err = weighted_moments(columns, mu, spec,
+                                  lambda log_mass, means: math.exp(log_mass) * means)
     err = np.maximum(err, np.abs(value) * 1e-15)
     if ndim[0] == 1:
         return float(value[0]), float(err[0])
@@ -429,7 +418,7 @@ def integrate_log(logh, mu, spec: QuadratureSpec) -> tuple[float, float]:
     Returns (log_value, log_error) where log_error estimates the error on the
     log scale (roughly the relative error of the integral).
     """
-    logv, err = weighted_moments(logh, (), mu, spec, lambda log_mass, _: log_mass)
+    logv, err = weighted_moments(logh, mu, spec, lambda log_mass, _: log_mass)
     return logv, max(float(err), 1e-15)
 
 

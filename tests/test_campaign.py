@@ -151,6 +151,14 @@ class TestConfig:
         f = build_field(decl)
         assert f.dim == 1 and f.certified and f.label.startswith("power(")
 
+    @pytest.mark.parametrize("bad", [{"c_min": 3, "c_max": 1}, {"c_min": 2, "c_max": 2},
+                                     {"c_min": 0}, {"c_min": -1}, {"mode": "foo"}])
+    def test_best_constant_range_and_mode_checked(self, bad):
+        entry = {"check": "best_constant", "measure": "g", "fields": ["f"], **bad}
+        raw = minimal_config(checks=[{"check": "slsi", "measure": "g", "c": 1.0}, entry])
+        with pytest.raises(ConfigError, match=r"checks\[1\] \(best_constant\)"):
+            CampaignConfig.from_dict(raw)
+
     def test_auto_scheme_resolution(self, gauss1):
         spec = resolve_spec({"scheme": "auto"}, gauss1, seed=5)
         assert spec.scheme == "gauss_hermite" and spec.seed == 5
@@ -332,6 +340,19 @@ class TestCli:
         cfg.write_text(json.dumps(minimal_config(checks=[entry])))
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert "missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [{"c_min": 3, "c_max": 1}, {"mode": "foo"}])
+    def test_run_bad_best_constant_entry_exits_two(self, bad, tmp_path, capsys):
+        entry = {"check": "best_constant", "measure": "g", "fields": ["f"], **bad}
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(minimal_config(checks=[entry])))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "checks[0] (best_constant)" in capsys.readouterr().err
+
+    def test_check_takes_a_real_mollifier_scale(self, capsys):
+        assert main(["check", "--check", "dilated_convolution_bound", "--k", "2.7"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["inputs"]["mollifier_scale"] == 2.7 and out["passed"]
 
     def test_run_four_dimensional_mollified_field_exits_two(self, tmp_path, capsys):
         fields = {"f": {"builder": "mollified",

@@ -383,6 +383,33 @@ class TestDensityApproximationWork:
         assert rep.quantities["norm_p"] == pytest.approx(math.exp(0.0625), rel=1e-12)
         assert not any(cell["skipped"] for cell in rep.quantities["cells"])
 
+    def test_steep_power_integrates_in_log_space(self):
+        # ||e^{3x}||_10 on N(0, 1) is (E e^{30x})^{1/10} = e^{45}; the cells'
+        # |g - f|^10 reach e^{450} near x = 30, beyond what linear space holds
+        rep = L.check_density_approximation(L.log_linear([3.0]), L.gen_exponential(0.5, 2, 1),
+                                            10.0, k_list=(1, 4), r_list=(0.99, 0.999))
+        assert not rep.inconclusive
+        assert rep.quantities["norm_p"] == pytest.approx(math.exp(45.0), rel=1e-12)
+        cells = rep.quantities["cells"]
+        assert len(cells) == 4 and not any(cell["skipped"] for cell in cells)
+
+    def test_slsi_column_map_runs_once_per_node_set(self, gauss1, gh_spec, monkeypatch):
+        # one Gauss-Hermite sLSI is one weighted_moments call: its column map
+        # is evaluated on the 101 nodes and on the 51 of the halved spec
+        calls = []
+        weighted_moments = functionals.weighted_moments
+
+        def counting(columns, mu, spec, fn):
+            def counted(pts):
+                calls.append(pts.shape[0])
+                return columns(pts)
+
+            return weighted_moments(counted, mu, spec, fn)
+
+        monkeypatch.setattr(functionals, "weighted_moments", counting)
+        assert L.check_slsi(L.log_linear([0.8]), gauss1, 1.0, spec=gh_spec).passed
+        assert calls == [101, 51]
+
 
 class TestMonotonicityChecks:
     def test_squared_norm_euler_scaling(self):

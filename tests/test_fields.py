@@ -331,7 +331,7 @@ class TestConvolve:
         monkeypatch.setattr(L.fields, "CONV_MAX_PAIRS", 64 * 100)
         assert g(np.zeros((100, 1))) == pytest.approx(np.full(100, g(np.zeros(1))))
         with pytest.raises(InvalidParameter, match="101 points x 64 nodes"):
-            g.value_and_gradient(np.zeros((101, 1)))
+            g.log_value(np.zeros((101, 1)), grad=True)
 
     @pytest.mark.parametrize("lam", [[0.5], [0.5, -0.3], [0.5, -0.3, 0.2]],
                              ids=["1d", "2d", "3d"])
@@ -368,15 +368,19 @@ def _joint_cases():
 
 
 class TestValueAndGradient:
+    # ln f and grad ln f from one evaluation of the log map agree with the
+    # separate value and gradient maps
     @pytest.mark.parametrize("g, xs", _joint_cases())
     def test_matches_separate_maps(self, g, xs):
-        v, grad = g.value_and_gradient(xs)
-        np.testing.assert_allclose(v, g(xs), rtol=1e-13, atol=0)
+        lv, dlv = g.log_value(xs, grad=True)
+        # an absolute bound on ln f is a relative bound on f
+        np.testing.assert_allclose(lv, g.log_value(xs), rtol=0, atol=1e-13)
+        grad = np.exp(lv)[:, None] * dlv
         np.testing.assert_allclose(grad, g.gradient(xs), rtol=1e-12,
                                    atol=1e-14 * np.max(np.abs(grad)))
-        v0, g0 = g.value_and_gradient(xs[5])
-        assert isinstance(v0, float) and g0.shape == (g.dim,)
-        np.testing.assert_allclose(v0, v[5], rtol=1e-13)
+        lv0, dlv0 = g.log_value(xs[5], grad=True)
+        assert isinstance(lv0, float) and dlv0.shape == (g.dim,)
+        np.testing.assert_allclose(lv0, lv[5], rtol=0, atol=1e-13)
 
 
 class TestDilatedConvolve:

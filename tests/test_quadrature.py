@@ -210,7 +210,8 @@ class TestAdaptiveRule:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value, err = quadrature.adaptive_weighted(
-                mu, spec, None, lambda pts, lg: np.sign(np.sin(40.0 * pts[:, 0])))
+                mu, spec, lambda pts: np.column_stack(
+                    [np.zeros(len(pts)), np.sign(np.sin(40.0 * pts[:, 0]))]), 1)
         assert math.isfinite(value)
         assert err > max(1e-12, spec.target_rel_tol * abs(value))
 
@@ -292,30 +293,54 @@ class TestWeightedMoments:
         lam = 0.7
         spec = L.default_spec(mu)
         value, err = weighted_moments(
-            lambda pts: lam * pts[:, 0],
-            [lambda pts, lg: lg, lambda pts, lg: np.stack([pts[:, 0], pts[:, 0] ** 2], 1)],
+            lambda pts: np.column_stack(
+                [lam * pts[:, 0], lam * pts[:, 0], pts[:, 0], pts[:, 0] ** 2]),
             mu, spec, lambda log_mass, means: np.concatenate([[log_mass], means]))
         want = [lam * lam / 2, lam * lam, lam, 1 + lam * lam]
         assert value == pytest.approx(want, rel=1e-8)
         assert np.all(err < 1e-6)
 
     def test_unit_weight_means_are_integrals(self, gauss1, gh_spec):
-        value, _ = weighted_moments(None, [lambda pts, lg: pts[:, 0] ** 2], gauss1, gh_spec,
-                                    lambda log_mass, means: np.array([log_mass, means[0]]))
-        assert value[0] == 0.0 and value[1] == pytest.approx(1.0, rel=1e-12)
+        # ln g = 0: the Gauss-Hermite weights sum to 1 up to round-off
+        value, _ = weighted_moments(
+            lambda pts: np.column_stack([np.zeros(len(pts)), pts[:, 0] ** 2]), gauss1, gh_spec,
+            lambda log_mass, means: np.array([log_mass, means[0]]))
+        assert abs(value[0]) <= 1e-15 and value[1] == pytest.approx(1.0, rel=1e-12)
 
     def test_adaptive_error_is_first_order_change(self):
         # fn = means[0] * e^{log_mass} is int g x dmu; its error is that integral's own
         mu = L.gen_exponential(0.5, 2.0, 1)
         spec = L.default_spec(mu)
         lam = 0.7
-        direct = quadrature.adaptive_weighted(
-            mu, spec, lambda pts: lam * pts[:, 0], lambda pts, lg: pts[:, 0])
-        value, err = weighted_moments(lambda pts: lam * pts[:, 0],
-                                      [lambda pts, lg: pts[:, 0]], mu, spec,
+        columns = lambda pts: np.column_stack([lam * pts[:, 0], pts[:, 0]])
+        direct = quadrature.adaptive_weighted(mu, spec, columns, 1)
+        value, err = weighted_moments(columns, mu, spec,
                                       lambda log_mass, means: math.exp(log_mass) * means[0])
         assert value == pytest.approx(direct[0], rel=1e-14)
         assert err == pytest.approx(direct[1], rel=1e-6)
+
+
+    def test_adaptive_evaluates_only_its_loops_batches(self, monkeypatch):
+        # the mass loop and one loop per factor; every column-map call is one
+        # batch of one of those loops, so the mass loop's calls give the width
+        mu = L.gen_exponential(0.5, 2.0, 1)
+        rounds = []
+        gk21 = quadrature._gk21
+
+        def counting(lo, hi, integrand):
+            rounds.append(21 * lo.size)
+            return gk21(lo, hi, integrand)
+
+        monkeypatch.setattr(quadrature, "_gk21", counting)
+        batches = []
+
+        def columns(pts):
+            batches.append(pts.shape[0])
+            return np.column_stack([0.7 * pts[:, 0], pts[:, 0], pts[:, 0] ** 2])
+
+        weighted_moments(columns, mu, L.default_spec(mu), lambda log_mass, means: means)
+        assert batches == rounds
+        assert rounds.count(21) == 3  # each loop starts from one interval
 
 
 class TestLpNorm:
