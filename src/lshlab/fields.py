@@ -44,6 +44,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParameter, SubharmonicityError
+from .quadrature import _unit_sphere_rule
 
 Array = np.ndarray
 #: (points, grad) -> (ln f, grad ln f or None): the map that defines a certified field
@@ -468,10 +469,10 @@ def mollifier(dim: int, k: float) -> Mollifier:
 #: points (16 bytes a pair in 2-D) stay a few MB, within cache reach
 _CONV_BLOCK_PAIRS = 200_000
 #: point-node pairs one convolution sweep may take (about 2 s at the 1e8
-#: pairs/s of a 2-core machine).  The largest sweep in the tests and the
-#: benchmark is 5.2e6 (101^2 Gauss-Hermite points x 512 nodes in 2-D); the
-#: 2-D trapezoid default, 257^2 x 512 = 3.4e7, fits, and every 3-D default
-#: (at least 65^3 x 1,600 = 4.4e8) is refused before any work
+#: pairs/s of a 2-core machine).  The polar Gauss-Hermite defaults fit: 1,700
+#: points x 512 nodes = 8.7e5 in 2-D and 28,900 x 1,600 = 4.6e7 in 3-D; so
+#: does the 2-D trapezoid default, 257^2 x 512 = 3.4e7, while the 3-D
+#: trapezoid default (65^3 x 1,600 = 4.4e8) is refused before any work
 CONV_MAX_PAIRS = 200_000_000
 
 
@@ -572,32 +573,6 @@ def dilated_convolve(f: ScalarField, phi: Mollifier, r: float) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 _DIM2_ANGLES = 64
-
-
-@lru_cache(maxsize=None)
-def _unit_sphere_rule(dim: int, count: int) -> tuple[Array, Array]:
-    """Directions and weights for mean values over the unit sphere.
-
-    dim 1: the two endpoints (``count`` is ignored); dim 2: ``count`` uniform
-    angles (trapezoid rule, spectrally accurate for periodic integrands); dim
-    3: ``count``-node Gauss-Legendre in cos(theta) times 2 * ``count`` uniform
-    azimuths.  Weights sum to 1.
-    """
-    if dim == 1:
-        return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
-    if dim == 2:
-        th = 2.0 * math.pi * np.arange(count) / count
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-        return dirs, np.full(count, 1.0 / count)
-    if dim == 3:
-        n_phi = 2 * count
-        t, w = np.polynomial.legendre.leggauss(count)  # t = cos(theta)
-        phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-        s = np.sqrt(1.0 - t**2)
-        dirs = np.stack(np.broadcast_arrays(
-            np.outer(s, np.cos(phi)), np.outer(s, np.sin(phi)), t[:, None]), axis=-1)
-        return dirs.reshape(-1, 3), np.outer(w / 2.0, np.full(n_phi, 1.0 / n_phi)).ravel()
-    raise InvalidParameter("sphere rules are implemented for dim <= 3")
 
 
 def sphere_rule(dim: int, refine: int = 1) -> tuple[Array, Array]:

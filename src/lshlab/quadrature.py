@@ -2,7 +2,13 @@
 
 Schemes
 -------
-gauss_hermite     Gaussian measures only; probabilists' nodes per axis.
+gauss_hermite     Gaussian measures up to dim 3, one polar rule: m =
+                  nodes_per_axis // 2 generalised Gauss-Laguerre radii in
+                  u = |x|^2 / (2 sigma^2) (Golub-Welsch) times the sphere
+                  rule's directions: +-1 in 1-D, where it is Gauss-Hermite
+                  with 2m nodes; 2 ceil(m/3) angles in 2-D; ceil(m/3) polar
+                  angles times twice as many azimuths in 3-D.  100, 1,700
+                  and 28,900 nodes at the default 101.
 tensor_trapezoid  uniform tensor grid over the truncation box.
 adaptive_1d       full-line adaptive quadrature via the x = tan(theta)
                   substitution (handles algebraic tails); dim 1 only.  A
@@ -19,8 +25,9 @@ points to the columns [ln g | factors], evaluated once per node set (or per
 adaptive batch).  For the weight g = e^{ln g} it forms ln int g dmu and the
 means of the factors under g dmu / int g dmu in log space, so large powers
 never overflow, and returns a function ``fn`` of them with an error estimate
-from one rule: |fn(spec) - fn(spec.halved())| (half the nodes per axis, or
-the first half of the samples) on node schemes, and on ``adaptive_1d`` the
+from one rule: |fn(spec) - fn(spec.halved())| (half the nodes per axis,
+which on gauss_hermite halves the radii and the angles together, or the
+first half of the samples) on node schemes, and on ``adaptive_1d`` the
 first-order change of fn when each of its adaptive integrals moves by that
 integral's own error estimate.  ``integrate`` is the weight ln g = 0 with
 the integrand as its factors.
@@ -34,9 +41,9 @@ from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
-# imported here, not on the first Gauss-Hermite rule, so that the import of
+# imported here, not on the first sphere rule, so that the import of
 # numpy.polynomial falls into set-up rather than into a timed integral
-from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidParameter, QuadratureFailure
 
@@ -101,11 +108,11 @@ class QuadratureSpec:
 
 
 def default_spec(mu, **overrides) -> QuadratureSpec:
-    """Scheme selection per measure family: Gauss-Hermite for Gaussians,
-    batched adaptive Gauss-Kronrod on the whole line in one dimension
-    (``adaptive_1d``, refined to ``target_rel_tol``), tensor trapezoid up to
-    dim 3, Monte Carlo beyond."""
-    if mu.family == "gaussian":
+    """Scheme selection per measure family: the polar Gauss-Hermite rule for
+    Gaussians up to dim 3, batched adaptive Gauss-Kronrod on the whole line
+    in one dimension (``adaptive_1d``, refined to ``target_rel_tol``), tensor
+    trapezoid up to dim 3, Monte Carlo beyond."""
+    if mu.family == "gaussian" and mu.dim <= 3:
         base = dict(scheme="gauss_hermite", nodes_per_axis=_GH_DEFAULT)
     elif mu.family == "uniform_ball" and mu.dim <= 3:
         # grid aligned to the support treats the boundary exactly
@@ -132,10 +139,74 @@ def _logsumexp(v: Array) -> float:
     return top + math.log(float(np.sum(np.exp(v - top))))
 
 
+@lru_cache(maxsize=None)
+def _unit_sphere_rule(dim: int, count: int) -> tuple[Array, Array]:
+    """Directions and weights for mean values over the unit sphere.
+
+    dim 1: the two endpoints (``count`` is ignored); dim 2: ``count`` uniform
+    angles (trapezoid rule, spectrally accurate for periodic integrands); dim
+    3: ``count``-node Gauss-Legendre in cos(theta) times 2 * ``count`` uniform
+    azimuths.  Weights sum to 1.
+    """
+    if dim == 1:
+        return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
+    if dim == 2:
+        th = 2.0 * math.pi * np.arange(count) / count
+        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+        return dirs, np.full(count, 1.0 / count)
+    if dim == 3:
+        n_phi = 2 * count
+        t, w = leggauss(count)  # t = cos(theta)
+        phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+        s = np.sqrt(1.0 - t**2)
+        dirs = np.stack(np.broadcast_arrays(
+            np.outer(s, np.cos(phi)), np.outer(s, np.sin(phi)), t[:, None]), axis=-1)
+        return dirs.reshape(-1, 3), np.outer(w / 2.0, np.full(n_phi, 1.0 / n_phi)).ravel()
+    raise InvalidParameter("sphere rules are implemented for dim <= 3")
+
+
+def _laguerre_rule(m: int, alpha: float) -> tuple[Array, Array]:
+    """Nodes u_i and log-weights of m-node generalised Gauss-Laguerre for the
+    weight u^alpha e^{-u} on (0, inf), the weights normalised to sum to 1.
+
+    Golub & Welsch (1969): the nodes are the eigenvalues of the Jacobi matrix
+    of the three-term recurrence (diagonal 2k + alpha + 1, off-diagonal
+    sqrt(k (k + alpha))).  The weights are the Christoffel function
+    1 / sum_k p_k(u_i)^2 of the orthonormal polynomials, run up the same
+    recurrence and rescaled at every step, so a tail weight far below the
+    smallest double keeps its relative accuracy in log space.
+    """
+    k = np.arange(m)
+    diag, off = 2.0 * k + alpha + 1.0, np.sqrt(k * (k + alpha))
+    u = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
+    # p_{j+1} off_{j+1} = (u - diag_j) p_j - off_j p_{j-1}, with p_0 = 1 and
+    # off_0 = 0; after each step p_j, p_{j+1} and the running sum are divided
+    # by a common scale
+    prev, cur, total, log_scale = np.zeros(m), np.ones(m), np.ones(m), np.zeros(m)
+    for j in range(m - 1):
+        nxt = ((u - diag[j]) * cur - off[j] * prev) / off[j + 1]
+        scale = np.hypot(cur, nxt)
+        prev, cur = cur / scale, nxt / scale
+        total = total / scale**2 + cur**2
+        log_scale += 2.0 * np.log(scale)
+    logw = -(np.log(total) + log_scale)
+    return u, logw - _logsumexp(logw)
+
+
 @lru_cache(maxsize=64)
-def _hermgauss(n: int):
-    """Physicists' Gauss-Hermite nodes and weights (weight e^{-t^2}) of order n."""
-    return hermgauss(n)
+def _polar_gauss_rule(dim: int, m: int) -> tuple[Array, Array]:
+    """Nodes and log-weights of N(0, I) on R^dim, dim <= 3: the m radii
+    sqrt(2 u_i) of Gauss-Laguerre with alpha = dim/2 - 1 times the
+    directions of the sphere rule (2 ceil(m/3) angles in 2-D, ceil(m/3)
+    polar angles in 3-D), radius slowest.  The sphere rule is antipodal, so
+    the angular mean is even in |x| and smooth in u."""
+    u, logw = _laguerre_rule(m, dim / 2.0 - 1.0)
+    count = math.ceil(m / 3)
+    dirs, dw = _unit_sphere_rule(dim, 2 * count if dim == 2 else count)
+    pts = (np.sqrt(2.0 * u)[:, None, None] * dirs[None]).reshape(-1, dim)
+    logw = (logw[:, None] + np.log(dw)[None]).ravel()
+    logw.flags.writeable = False
+    return pts, logw
 
 
 def tensor_grid(axis: Array, dim: int, log_weights: Optional[Array] = None):
@@ -164,14 +235,12 @@ def measure_nodes(mu, spec: QuadratureSpec):
             raise InvalidParameter(
                 "gauss_hermite is only valid for gaussian target measures"
             )
-        sigma = mu.params[0]
-        t, w = _hermgauss(spec.resolved(mu.dim).nodes_per_axis)
-        pts_axis = math.sqrt(2.0) * sigma * t
-        with np.errstate(divide="ignore"):
-            # weights underflowing double precision act as a hard truncation
-            # at |x| ~ 37 sigma; the doubling estimate reports the effect
-            logw_axis = np.log(w) - 0.5 * math.log(math.pi)
-        return tensor_grid(pts_axis, mu.dim, logw_axis)
+        if mu.dim > 3:
+            raise InvalidParameter(
+                f"gauss_hermite is implemented for dim <= 3, not dim {mu.dim}; "
+                "use monte_carlo")
+        pts, logw = _polar_gauss_rule(mu.dim, spec.resolved(mu.dim).nodes_per_axis // 2)
+        return mu.params[0] * pts, logw
     if spec.scheme == "tensor_trapezoid":
         if mu.dim > 3:
             raise InvalidParameter("tensor_trapezoid caps at dim 3")

@@ -82,9 +82,9 @@ class TestSlsi:
 
             monkeypatch.setattr(L.ScalarField, name, counting)
         checks.slsi_terms(g, gauss1, gh_spec)
-        # Ent and int E g from one sweep of the 64 mollifier nodes over the 101
-        # Gauss-Hermite nodes and one over the 51 of the half-resolution estimate
-        assert sweeps == [("__call__", 101 * 64), ("__call__", 51 * 64)]
+        # Ent and int E g from one sweep of the 64 mollifier nodes over the 100
+        # Gauss-Hermite nodes and one over the 50 of the half-resolution estimate
+        assert sweeps == [("__call__", 100 * 64), ("__call__", 50 * 64)]
 
     def test_uncertified_field_rejected(self, gauss1, gh_spec):
         f = L.raw_field(lambda pts: np.exp(pts[:, 0]), 1, label="raw")
@@ -395,7 +395,7 @@ class TestDensityApproximationWork:
 
     def test_slsi_column_map_runs_once_per_node_set(self, gauss1, gh_spec, monkeypatch):
         # one Gauss-Hermite sLSI is one weighted_moments call: its column map
-        # is evaluated on the 101 nodes and on the 51 of the halved spec
+        # is evaluated on the 100 nodes and on the 50 of the halved spec
         calls = []
         weighted_moments = functionals.weighted_moments
 
@@ -408,7 +408,7 @@ class TestDensityApproximationWork:
 
         monkeypatch.setattr(functionals, "weighted_moments", counting)
         assert L.check_slsi(L.log_linear([0.8]), gauss1, 1.0, spec=gh_spec).passed
-        assert calls == [101, 51]
+        assert calls == [100, 50]
 
 
 class TestMonotonicityChecks:

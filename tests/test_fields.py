@@ -342,10 +342,18 @@ class TestConvolve:
         np.testing.assert_allclose(dlv, np.tile(lam, (20, 1)), rtol=1e-8, atol=0)
 
     def test_3d_check_is_refused_before_the_sweep(self):
-        # 101^3 Gauss-Hermite points against 32 x 50 polar mollifier nodes: 1.6e9 pairs
+        # the default 65^3 trapezoid points against 32 x 50 polar mollifier
+        # nodes: 4.4e8 pairs
         g = L.convolve(L.log_linear([0.8, 0.0, 0.0]), L.mollifier(3, 4))
-        with pytest.raises(InvalidParameter, match="1030301 points x 1600 nodes"):
-            L.check_slsi(g, L.gaussian(1.0, 3), 1.0)
+        with pytest.raises(InvalidParameter, match="274625 points x 1600 nodes"):
+            L.check_slsi(g, L.gen_exponential(1.0, 4.0, 3), 1.0)
+
+    def test_3d_gaussian_check_fits_the_budget(self):
+        # 28,900 polar Gauss-Hermite points x 1,600 nodes = 4.6e7 pairs; sLSI
+        # at c = 1 holds for every LSH field on the Gaussian
+        rep = L.check_slsi(L.default_battery(3)[-1], L.gaussian(1.0, 3), 1.0)
+        assert rep.spec["scheme"] == "gauss_hermite"
+        assert rep.passed and not rep.inconclusive
 
 
 def _joint_cases():

@@ -25,15 +25,99 @@ class TestTensorGrid:
         assert np.array_equal(tensor_grid(axis, dim), pts)
 
 
-class TestHermiteNodes:
-    @pytest.mark.parametrize("n", [26, 51, 101])
-    def test_against_scipy_roots_hermite(self, n):
-        from scipy.special import roots_hermite
+def _tensor_hermite(dim, n):
+    # the reference: n-node Gauss-Hermite per axis for N(0, I), as points and log-weights
+    from numpy.polynomial.hermite import hermgauss
 
-        t, w = quadrature._hermgauss(n)
-        t_ref, w_ref = roots_hermite(n)
-        np.testing.assert_allclose(t, t_ref, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0)
+    t, w = hermgauss(n)
+    return tensor_grid(math.sqrt(2.0) * t, dim, np.log(w) - 0.5 * math.log(math.pi))
+
+
+def _mass_ent_ee(f, pts, logw):
+    # int f dmu, Ent(f) and int x . grad f dmu on one node set, in log space
+    lf, grad = f.log_value(pts, grad=True)
+    s = logw + lf
+    log_mass = quadrature._logsumexp(s)
+    p = np.exp(s - log_mass)
+    mass = math.exp(log_mass)
+    return np.array([mass, mass * (p @ lf - log_mass), mass * (p @ np.sum(pts * grad, axis=1))])
+
+
+def _rule_field(name, dim):
+    lam = lambda a: [a] + [0.0] * (dim - 1)
+    return {
+        "exp(1.2x1)": lambda: L.log_linear(lam(1.2)),
+        "exp_norm_sq": lambda: L.exp_norm_sq(0.05, dim),
+        "exp_norm_sq^1.5": lambda: L.power(L.exp_norm_sq(0.05, dim), 1.5),
+        "mollified": lambda: L.convolve(L.log_linear(lam(0.8)), L.mollifier(dim, 4)),
+    }[name]()
+
+
+class TestPolarGaussRule:
+    @pytest.mark.parametrize("m", [25, 50])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+    def test_laguerre_against_scipy_roots_genlaguerre(self, alpha, m):
+        from scipy.special import roots_genlaguerre
+
+        u, logw = quadrature._laguerre_rule(m, alpha)
+        u_ref, w_ref = roots_genlaguerre(m, alpha)
+        np.testing.assert_allclose(u, u_ref, rtol=1e-13, atol=0)
+        # tail weights down to 1e-78 of the largest keep their relative accuracy
+        np.testing.assert_allclose(np.exp(logw), w_ref / w_ref.sum(), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [26, 51, 101])
+    def test_1d_is_gauss_hermite(self, n):
+        # n // 2 radii times the directions +-1 are the 2 (n // 2) Hermite nodes
+        from numpy.polynomial.hermite import hermgauss
+
+        pts, logw = measure_nodes(L.gaussian(1.0, 1),
+                                  QuadratureSpec(scheme="gauss_hermite", nodes_per_axis=n))
+        order = np.argsort(pts[:, 0])
+        t, w = hermgauss(2 * (n // 2))
+        # 1e-13 relative in u = t^2 is 5e-14 relative in t
+        np.testing.assert_allclose(pts[order, 0], math.sqrt(2.0) * t, rtol=5e-14, atol=0)
+        np.testing.assert_allclose(np.exp(logw[order]), w / math.sqrt(math.pi),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dim, full, half", [(1, 100, 50), (2, 1700, 450),
+                                                 (3, 28900, 4050)])
+    def test_node_counts_halve_radii_and_angles(self, dim, full, half):
+        spec = L.default_spec(L.gaussian(1.0, dim))
+        assert len(measure_nodes(L.gaussian(1.0, dim), spec)[0]) == full
+        assert len(measure_nodes(L.gaussian(1.0, dim), spec.halved())[0]) == half
+
+    @pytest.mark.parametrize("field", ["exp(1.2x1)", "exp_norm_sq", "exp_norm_sq^1.5",
+                                       "mollified"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_tensor_gauss_hermite(self, dim, field):
+        f = _rule_field(field, dim)
+        # 25^3 reference nodes keep the 3-D mollified sweep at 2.5e7 pairs
+        n = 101 if dim == 2 else 25 if field == "mollified" else 41
+        mu = L.gaussian(1.0, dim)
+        got = _mass_ent_ee(f, *measure_nodes(mu, L.default_spec(mu)))
+        np.testing.assert_allclose(got, _mass_ent_ee(f, *_tensor_hermite(dim, n)),
+                                   rtol=0, atol=1e-13)
+
+    @staticmethod
+    def _forbid_node_rules(monkeypatch):
+        def no_nodes(*args):
+            raise AssertionError("a node rule was built")
+
+        monkeypatch.setattr(quadrature, "_laguerre_rule", no_nodes)
+        monkeypatch.setattr(quadrature, "tensor_grid", no_nodes)
+
+    def test_refused_above_dim_3_before_any_node(self, monkeypatch):
+        self._forbid_node_rules(monkeypatch)
+        with pytest.raises(InvalidParameter, match="not dim 4"):
+            measure_nodes(L.gaussian(1.0, 4), QuadratureSpec(scheme="gauss_hermite"))
+
+    def test_default_above_dim_3_is_monte_carlo(self, monkeypatch):
+        self._forbid_node_rules(monkeypatch)
+        mu = L.gaussian(1.0, 4)
+        assert L.default_spec(mu).scheme == "monte_carlo"
+        rep = L.check_slsi(L.log_linear([0.8, 0.0, 0.0, 0.0]), mu, 1.0)
+        assert rep.spec["scheme"] == "monte_carlo"
+        assert rep.passed and not rep.inconclusive
 
 
 class TestLogSumExp:
@@ -144,9 +228,12 @@ class TestIntegrate:
         assert v1 != v2
 
     def test_non_finite_integrand_reports_witness(self, gauss1, gh_spec):
+        # the pole sits on a node of the rule (0 is not one: the node count is even)
+        node = measure_nodes(gauss1, gh_spec)[0][7]
         with pytest.raises(QuadratureFailure) as err, np.errstate(divide="ignore"):
-            L.integrate(lambda pts: 1.0 / pts[:, 0], gauss1, gh_spec)
+            L.integrate(lambda pts: 1.0 / (pts[:, 0] - node[0]), gauss1, gh_spec)
         assert err.value.point is not None
+        np.testing.assert_array_equal(err.value.point, node)
 
     def test_adaptive_poly_tail_moment(self):
         mu = L.poly_tail(1.5)
@@ -301,7 +388,8 @@ class TestWeightedMoments:
         assert np.all(err < 1e-6)
 
     def test_unit_weight_means_are_integrals(self, gauss1, gh_spec):
-        # ln g = 0: the Gauss-Hermite weights sum to 1 up to round-off
+        # ln g = 0: the polar rule's weights are normalised, so they sum to 1
+        # up to round-off
         value, _ = weighted_moments(
             lambda pts: np.column_stack([np.zeros(len(pts)), pts[:, 0] ** 2]), gauss1, gh_spec,
             lambda log_mass, means: np.array([log_mass, means[0]]))
