@@ -24,9 +24,11 @@ A convolution sweeps the inner field over the mollifier nodes once for both
 ln(f * phi) and grad ln(f * phi) = sum_i cg_i f(x - y_i) / sum_i c_i f(x - y_i).
 The nodes are one polar rule on the unit ball (Gauss-Legendre radii times
 sphere directions), which also normalises the bump and gives its norms as
-radial sums.  The sweep sums the linear values of f; only rows whose sum is
-not a finite positive number (f overflows or underflows there) are summed
-again from ln f, each shifted by its largest value (log-sum-exp).
+radial sums.  The sweep is one log-sum-exp per point: it reads the inner
+log map, unfloored, at the shifted nodes x - y_i, subtracts the row's largest
+value t(x) and sums e^{ln f - t} against the weights, so ln(f * phi) = t +
+ln sum_i c_i e^{ln f(x - y_i) - t} keeps full precision where f itself
+would overflow or be subnormal.
 
 Point convention: a single point is a 1-D array of shape (dim,); a batch is a
 2-D array of shape (m, dim).  All maps are vectorized over batches.  Fields
@@ -44,10 +46,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParameter, SubharmonicityError
-from .quadrature import _unit_sphere_rule
+from .quadrature import _logsumexp, _unit_sphere_rule
 
 Array = np.ndarray
-#: (points, grad) -> (ln f, grad ln f or None): the map that defines a certified field
+#: (points, grad) -> (ln f, grad ln f or None): the map that defines a certified
+#: field.  It returns new arrays, which the caller may overwrite
 LogMap = Callable[[Array, bool], tuple[Array, Optional[Array]]]
 
 #: values below this floor are treated as exact zeros (0 * ln 0 = 0 convention)
@@ -219,7 +222,8 @@ def exp_subharmonic(
 ) -> ScalarField:
     """f = exp(u) for a (numerically verified) subharmonic u.
 
-    ``u`` must be vectorized over (m, dim) batches; grad ln f = grad u comes
+    ``u`` must be vectorized over (m, dim) batches and return an array the
+    caller may overwrite (see ``LogMap``); grad ln f = grad u comes
     from ``grad_u``, or from central differences of u without it.
     Construction is rejected, with a witness point, when u fails the sphere
     sub-mean test at random probes.
@@ -438,22 +442,22 @@ class Mollifier:
     def sup_value(self) -> float:
         return self.amplitude * math.exp(-1.0)
 
-    def _radial(self) -> tuple[Array, Array]:
-        """(w, phi): the unit-ball rule's radial weights on the support, phi at its radii."""
+    def _log_norm(self, p: float) -> float:
+        """ln of the integral of phi^p dx, a log-sum-exp over the unit-ball
+        rule's radii, so phi^p neither overflows nor underflows at large p."""
         rho, w, _, _ = _unit_ball_rule(self.dim)
-        return self.support_radius**self.dim * w, self.amplitude * np.exp(-1.0 / (1.0 - rho**2))
+        return _logsumexp(np.log(self.support_radius**self.dim * w)
+                          + p * (math.log(self.amplitude) - 1.0 / (1.0 - rho**2)))
 
     def mass(self) -> float:
         """Total mass on the unit-ball rule (1 up to round-off)."""
-        w, v = self._radial()
-        return float(w @ v)
+        return math.exp(self._log_norm(1.0))
 
     def lebesgue_norm(self, p: float) -> float:
         """(integral of phi^p dx)^(1/p) against Lebesgue measure; p = inf -> sup."""
         if p == math.inf:
             return self.sup_value
-        w, v = self._radial()
-        return float((w @ v**p) ** (1.0 / p))
+        return math.exp(self._log_norm(p) / p)
 
 
 def mollifier(dim: int, k: float) -> Mollifier:
@@ -468,8 +472,9 @@ def mollifier(dim: int, k: float) -> Mollifier:
 #: point-node pairs per row block of a convolution sweep: the block's shifted
 #: points (16 bytes a pair in 2-D) stay a few MB, within cache reach
 _CONV_BLOCK_PAIRS = 200_000
-#: point-node pairs one convolution sweep may take (about 2 s at the 1e8
-#: pairs/s of a 2-core machine).  The polar Gauss-Hermite defaults fit: 1,700
+#: point-node pairs one convolution sweep may take (2-3 s at the 0.7-1.1e8
+#: pairs/s of a log-linear inner field in 2-D and 3-D on a 2-core machine
+#: with one BLAS thread).  The polar Gauss-Hermite defaults fit: 1,700
 #: points x 512 nodes = 8.7e5 in 2-D and 28,900 x 1,600 = 4.6e7 in 3-D; so
 #: does the 2-D trapezoid default, 257^2 x 512 = 3.4e7, while the 3-D
 #: trapezoid default (65^3 x 1,600 = 4.4e8) is refused before any work
@@ -501,60 +506,43 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
     :func:`_ball_nodes` (64 in 1-D, 512 in 2-D, 1,600 in 3-D),
     ln(f * phi)(x) = ln sum_i c_i f(x - y_i) and grad ln(f * phi)(x) =
     sum_i cg_i f(x - y_i) / sum_i c_i f(x - y_i), both from one sweep of f
-    against the stacked weights [c | cg].  The sweep sums values of f; a row
-    whose sum is not a finite positive number is summed again from ln f,
-    shifted by its largest value over the nodes.
+    against the stacked weights [c | cg].  The sweep works in log space: with
+    t(x) the largest ln f(x - y_i) of the row, it sums e^{ln f(x - y_i) - t},
+    so ln(f * phi) = t + ln of the first sum and the gradient is the ratio of
+    the sums, whatever the size of f.  A sweep over ``CONV_MAX_PAIRS``
+    point-node pairs is refused before any work.
     """
     if f.dim != phi.dim:
         raise InvalidParameter("field and mollifier dimensions differ")
     _needs_log_map(f)
     y, c, cg = _ball_nodes(phi)
     c_cg = np.column_stack([c, cg])
+    block = max(1, _CONV_BLOCK_PAIRS // y.shape[0])
 
-    def blocks(pts: Array):
-        # x - y for one row block of points at a time, so no (points, nodes)
-        # matrix is kept: (first row, rows, the block's points as (rows * nodes, dim))
+    def log(pts, grad):
         if pts.shape[0] * y.shape[0] > CONV_MAX_PAIRS:
             raise InvalidParameter(
                 f"convolution sweep of {pts.shape[0]} points x {y.shape[0]} nodes = "
                 f"{pts.shape[0] * y.shape[0]:.3g} pairs exceeds CONV_MAX_PAIRS = "
                 f"{CONV_MAX_PAIRS:.3g}; integrate on fewer nodes")
-        block = max(1, _CONV_BLOCK_PAIRS // max(1, y.shape[0]))
+        weights = c_cg if grad else c[:, None]
+        top = np.empty(pts.shape[0])
+        sums = np.empty((pts.shape[0], weights.shape[1]))
+        # x - y for one row block of points at a time, so no (points, nodes)
+        # matrix is kept
         shifted = np.empty((min(block, pts.shape[0]), y.shape[0], f.dim))
         for lo in range(0, pts.shape[0], block):
             chunk = pts[lo : lo + block]
-            shifted = shifted[: chunk.shape[0]]
+            rows = chunk.shape[0]
+            shifted = shifted[:rows]
             # one coordinate at a time: a broadcast over the length-dim last
             # axis would run one short inner loop per point-node pair
             for j in range(f.dim):
                 np.subtract(chunk[:, j, None], y[None, :, j], out=shifted[:, :, j])
-            yield lo, chunk.shape[0], shifted.reshape(-1, f.dim)
-
-    def sweep(pts: Array, weights: Array) -> Array:
-        out = np.empty((pts.shape[0],) + weights.shape[1:])
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo, rows, shifted in blocks(pts):
-                out[lo : lo + rows] = f(shifted).reshape(rows, -1) @ weights
-        return out
-
-    def log_sweep(pts: Array, weights: Array) -> tuple[Array, Array]:
-        # (top, sums): the sums of the sweep times e^{-top}, top the row's largest ln f
-        top = np.empty(pts.shape[0])
-        out = np.empty((pts.shape[0],) + weights.shape[1:])
-        for lo, rows, shifted in blocks(pts):
-            lf = f._log(shifted, False)[0].reshape(rows, -1)
+            lf = f._log(shifted.reshape(-1, f.dim), False)[0].reshape(rows, -1)
             top[lo : lo + rows] = lf.max(axis=1)
-            out[lo : lo + rows] = np.exp(lf - top[lo : lo + rows, None]) @ weights
-        return top, out
-
-    def log(pts, grad):
-        weights = c_cg if grad else c
-        sums = sweep(pts, weights).reshape(pts.shape[0], -1)
-        top = np.zeros(pts.shape[0])
-        redo = ~(np.isfinite(sums).all(axis=1) & (sums[:, 0] > 0))
-        if np.any(redo):
-            top[redo], again = log_sweep(pts[redo], weights)
-            sums[redo] = again.reshape(-1, sums.shape[1])
+            lf -= top[lo : lo + rows, None]
+            sums[lo : lo + rows] = np.exp(lf, out=lf) @ weights
         return top + np.log(sums[:, 0]), (sums[:, 1:] / sums[:, :1] if grad else None)
 
     return _certified(f"convolve({f.label}, k={phi.scale_index:g})", f.dim, log)

@@ -56,18 +56,14 @@ def r_of_pq(p: float, q: float, c: float) -> float:
 # entropy and Euler energy
 # ---------------------------------------------------------------------------
 
-def _weight_columns(g: ScalarField, exponent: float = 1.0, log: bool = True,
-                    euler: bool = True):
-    """pts -> the columns of the weight g^exponent for ``weighted_moments``,
-    from one evaluation of g: its log, then the factors that log (with
-    ``log``) and E g / g = x . grad ln g (with ``euler``)."""
+def _weight_columns(g: ScalarField, exponent: float = 1.0):
+    """pts -> the columns [ln g^exponent | ln g^exponent | x . grad ln g] of the
+    weight g^exponent for ``weighted_moments``, from one evaluation of g: its
+    log, then the factors that log and E g / g = x . grad ln g."""
     def columns(pts):
-        lg, dlg = g.log_value(pts, grad=True) if euler else (g.log_value(pts), None)
+        lg, dlg = g.log_value(pts, grad=True)
         lw = exponent * lg
-        cols = [lw, lw] if log else [lw]
-        if euler:
-            cols.append(np.einsum("ij,ij->i", pts, dlg))
-        return np.column_stack(cols)
+        return np.column_stack([lw, lw, np.einsum("ij,ij->i", pts, dlg)])
 
     return columns
 
@@ -92,23 +88,6 @@ def _checked_entropy(val: float, err: float) -> tuple[float, float]:
     return float(val), max(float(err), 1e-15)
 
 
-def entropy_with_error(g: ScalarField, mu, spec: QuadratureSpec) -> tuple[float, float]:
-    """Ent(g) = int g ln(g / ||g||_1) dmu with its error estimate."""
-    return _checked_entropy(*weighted_moments(
-        _weight_columns(g, euler=False), mu, spec, lambda lm, means: _entropy(lm, means[0])))
-
-
-def entropy(g: ScalarField, mu, spec: QuadratureSpec) -> float:
-    return entropy_with_error(g, mu, spec)[0]
-
-
-def euler_energy_with_error(g: ScalarField, mu, spec: QuadratureSpec) -> tuple[float, float]:
-    """int E g dmu = ||g||_1 E[x . grad ln g], the dilation energy (no c/2 prefactor)."""
-    val, err = weighted_moments(_weight_columns(g, log=False), mu, spec,
-                                lambda lm, means: _mass(lm) * means[0])
-    return float(val), max(float(err), 1e-15)
-
-
 def entropy_energy_with_error(g: ScalarField, mu,
                               spec: QuadratureSpec) -> tuple[float, float, float, float]:
     """(Ent(g), its error, int E g dmu, its error) from one weight g."""
@@ -117,6 +96,20 @@ def entropy_energy_with_error(g: ScalarField, mu,
 
     (ent, ee), (e_ent, e_ee) = weighted_moments(_weight_columns(g), mu, spec, fn)
     return (*_checked_entropy(ent, e_ent), float(ee), max(float(e_ee), 1e-15))
+
+
+def entropy_with_error(g: ScalarField, mu, spec: QuadratureSpec) -> tuple[float, float]:
+    """Ent(g) = int g ln(g / ||g||_1) dmu with its error estimate."""
+    return entropy_energy_with_error(g, mu, spec)[:2]
+
+
+def entropy(g: ScalarField, mu, spec: QuadratureSpec) -> float:
+    return entropy_with_error(g, mu, spec)[0]
+
+
+def euler_energy_with_error(g: ScalarField, mu, spec: QuadratureSpec) -> tuple[float, float]:
+    """int E g dmu = ||g||_1 E[x . grad ln g], the dilation energy (no c/2 prefactor)."""
+    return entropy_energy_with_error(g, mu, spec)[2:]
 
 
 def euler_energy(g: ScalarField, mu, spec: QuadratureSpec) -> float:

@@ -63,10 +63,8 @@ sp_integrate = None
 class QuadratureSpec:
     scheme: str
     nodes_per_axis: Optional[int] = None
-    truncation_radius: Optional[float] = None
     mc_samples: int = _MC_DEFAULT
     seed: int = 0
-    target_rel_tol: float = 1e-8
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -75,8 +73,6 @@ class QuadratureSpec:
             raise InvalidParameter("nodes_per_axis must be at least 3")
         if self.mc_samples < 2:
             raise InvalidParameter("mc_samples must be at least 2")
-        if self.target_rel_tol <= 0:
-            raise InvalidParameter("target_rel_tol must be positive")
 
     def resolved(self, dim: int) -> "QuadratureSpec":
         """This spec with a grid scheme's default node count on R^dim filled in."""
@@ -100,17 +96,15 @@ class QuadratureSpec:
         return {
             "scheme": self.scheme,
             "nodes_per_axis": self.nodes_per_axis,
-            "truncation_radius": self.truncation_radius,
             "mc_samples": self.mc_samples,
             "seed": self.seed,
-            "target_rel_tol": self.target_rel_tol,
         }
 
 
 def default_spec(mu, **overrides) -> QuadratureSpec:
     """Scheme selection per measure family: the polar Gauss-Hermite rule for
     Gaussians up to dim 3, batched adaptive Gauss-Kronrod on the whole line
-    in one dimension (``adaptive_1d``, refined to ``target_rel_tol``), tensor
+    in one dimension (``adaptive_1d``, refined to ``_ADAPTIVE_RTOL``), tensor
     trapezoid up to dim 3, Monte Carlo beyond."""
     if mu.family == "gaussian" and mu.dim <= 3:
         base = dict(scheme="gauss_hermite", nodes_per_axis=_GH_DEFAULT)
@@ -244,8 +238,8 @@ def measure_nodes(mu, spec: QuadratureSpec):
     if spec.scheme == "tensor_trapezoid":
         if mu.dim > 3:
             raise InvalidParameter("tensor_trapezoid caps at dim 3")
-        R = spec.truncation_radius or mu.truncation_radius
-        pts, logw_leb = _trap_nodes(R, spec.resolved(mu.dim).nodes_per_axis, mu.dim)
+        pts, logw_leb = _trap_nodes(mu.truncation_radius,
+                                    spec.resolved(mu.dim).nodes_per_axis, mu.dim)
         return pts, logw_leb + mu.log_pdf(pts)
     if spec.scheme == "monte_carlo":
         rng = np.random.Generator(np.random.Philox(key=spec.seed))
@@ -359,9 +353,10 @@ _GK_WG = np.concatenate([_WG_HALF, [0.0], _WG_HALF[::-1]])
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-#: intervals of the adaptive rule, and its absolute error target
+#: intervals of the adaptive rule, and its absolute and relative error targets
 _ADAPTIVE_LIMIT = 300
 _ADAPTIVE_EPSABS = 1e-12
+_ADAPTIVE_RTOL = 1e-8
 
 
 def _gk21(lo: Array, hi: Array, integrand) -> tuple[Array, Array]:
@@ -385,15 +380,17 @@ def _gk21(lo: Array, hi: Array, integrand) -> tuple[Array, Array]:
 def adaptive_weighted(mu, spec: QuadratureSpec, columns, column: int = 0) -> tuple[float, float]:
     """Full-line adaptive integral against mu of g = exp(ln g) times column
     ``column`` of ``columns`` (see ``weighted_moments``); column 0 is ln g
-    itself, so ``column=0`` integrates g alone.
+    itself, so ``column=0`` integrates g alone.  The rule's tolerances are
+    fixed, so ``spec`` (an ``adaptive_1d`` spec) sets nothing here; the
+    benchmark tracer reads the scheme from it.
 
     x = tan(theta) maps the line to (-pi/2, pi/2), where a globally adaptive
     21-point Gauss-Kronrod rule runs: each round evaluates the column map at
     the 21 nodes of every new interval in one (m, 1) batch, then bisects
     every interval whose error is above its share (by length) of the
-    tolerance max(1e-12, spec.target_rel_tol * |value|), until the summed
-    error meets it or there are 300 intervals; the returned error is then
-    the sum, above the tolerance, with no warning.
+    tolerance max(1e-12, 1e-8 |value|), until the summed error meets it or
+    there are 300 intervals; the returned error is then the sum, above the
+    tolerance, with no warning.
 
     ln g and the log-density are summed before exponentiation, so large
     powers never overflow when the product with the measure is moderate.  A
@@ -429,7 +426,7 @@ def adaptive_weighted(mu, spec: QuadratureSpec, columns, column: int = 0) -> tup
     res, err = _gk21(lo, hi, integrand)
     while True:
         value, total_err = float(res.sum()), float(err.sum())
-        tol = max(_ADAPTIVE_EPSABS, spec.target_rel_tol * abs(value))
+        tol = max(_ADAPTIVE_EPSABS, _ADAPTIVE_RTOL * abs(value))
         room = _ADAPTIVE_LIMIT - lo.size
         if total_err <= tol or room <= 0:
             break

@@ -163,6 +163,17 @@ class TestConfig:
         spec = resolve_spec({"scheme": "auto"}, gauss1, seed=5)
         assert spec.scheme == "gauss_hermite" and spec.seed == 5
 
+    @pytest.mark.parametrize("block", [
+        {"scheme": "tensor_trapezoid", "truncation_radius": 6.0},
+        {"scheme": "auto", "target_rel_tol": 1e-6},
+    ], ids=["truncation_radius", "target_rel_tol"])
+    def test_removed_quadrature_keys_are_config_errors(self, block, gauss1):
+        # the trapezoid box is the measure's truncation radius and the
+        # adaptive tolerance is fixed, so neither key is a spec field
+        key = next(k for k in block if k != "scheme")
+        with pytest.raises(ConfigError, match=rf"quadrature block .*{key}"):
+            resolve_spec(block, gauss1, seed=0)
+
 
 class TestRun:
     def test_empty_check_list_exits_zero(self, tmp_path):

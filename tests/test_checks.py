@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import warnings
 
@@ -71,20 +73,19 @@ class TestSlsi:
         assert not rep.inconclusive and rep.passed
 
     def test_mollified_terms_cost_one_sweep_per_node_set(self, gauss1, gh_spec, monkeypatch):
-        inner = L.log_linear([0.8])
-        g = L.convolve(inner, L.mollifier(1, 4))
+        base = L.log_linear([0.8])
         sweeps = []
-        for name in ("__call__", "log_value"):
-            def counting(field, x, *args, orig=getattr(L.ScalarField, name), name=name, **kw):
-                if field is inner:
-                    sweeps.append((name, len(x)))
-                return orig(field, x, *args, **kw)
 
-            monkeypatch.setattr(L.ScalarField, name, counting)
+        def counting(pts, grad):
+            sweeps.append((len(pts), grad))
+            return base._log(pts, grad)
+
+        g = L.convolve(dataclasses.replace(base, _log=counting), L.mollifier(1, 4))
         checks.slsi_terms(g, gauss1, gh_spec)
-        # Ent and int E g from one sweep of the 64 mollifier nodes over the 100
-        # Gauss-Hermite nodes and one over the 50 of the half-resolution estimate
-        assert sweeps == [("__call__", 100 * 64), ("__call__", 50 * 64)]
+        # Ent and int E g from one sweep of the inner log map over the 100
+        # Gauss-Hermite nodes times the 64 mollifier nodes, and one over the 50
+        # nodes of the half-resolution estimate
+        assert sweeps == [(100 * 64, False), (50 * 64, False)]
 
     def test_uncertified_field_rejected(self, gauss1, gh_spec):
         f = L.raw_field(lambda pts: np.exp(pts[:, 0]), 1, label="raw")
@@ -251,6 +252,25 @@ class TestDilatedConvolutionBound:
             L.check_dilated_convolution_bound(
                 L.cosh_field(0.5), gauss1, 0.5, L.mollifier(1, 2), 0.8, gh_spec
             )
+
+    def test_p_near_one_has_a_finite_right_hand_side(self, gauss1):
+        # p' = 1001: phi^{p'} overflows a linear sum, which would make rhs and
+        # the tolerance inf; the report must hold finite numbers (strict JSON)
+        rep = L.check_dilated_convolution_bound(
+            L.log_linear([0.8]), gauss1, 1.001, L.mollifier(1, 4), 0.8)
+        assert rep.passed and not rep.inconclusive
+        assert rep.quantities["mollifier_norm"] == pytest.approx(3.3001, abs=1e-4)
+        assert rep.quantities["rhs"] == pytest.approx(3.100, abs=1e-3)
+        json.dumps(rep.to_dict(), allow_nan=False)
+
+    def test_p_near_one_with_a_sup_below_one(self, gauss1):
+        # sup phi = 0.829 for k = 1, so phi^{5001} underflows at every node of a
+        # linear sum, which would make rhs 0 and fail a bound that holds
+        rep = L.check_dilated_convolution_bound(
+            L.log_linear([0.8]), gauss1, 1.0002, L.mollifier(1, 1), 0.8)
+        assert rep.passed and not rep.inconclusive
+        assert rep.quantities["mollifier_norm"] == pytest.approx(0.828, abs=1e-3)
+        assert rep.quantities["rhs"] == pytest.approx(11.42, abs=1e-2)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_rescaling_quantity_constant_across_scales(self, p):

@@ -276,6 +276,17 @@ class TestMollifier:
         assert np.sum(c) == pytest.approx(1.0, abs=1e-14)
         assert phi.lebesgue_norm(2.0) ** 2 == pytest.approx(c @ phi(y), rel=1e-12)
 
+    @pytest.mark.parametrize("dim, k", [(1, 4), (2, 4), (3, 16)])
+    def test_norm_rises_to_the_sup_at_large_exponents(self, dim, k):
+        # a linear sum of phi^{p'} overflows from p' = 300 for (2, 4) and from
+        # 100 for (3, 16); Vol(supp) < 1, so the norm increases with p'
+        phi = L.mollifier(dim, k)
+        norms = [phi.lebesgue_norm(p) for p in (2, 10, 100, 300, 1001, 1e4, 1e5)]
+        assert all(math.isfinite(n) for n in norms)
+        assert all(a < b for a, b in zip(norms, norms[1:]))
+        assert norms[-1] < phi.sup_value
+        assert norms[-1] == pytest.approx(phi.sup_value, rel=2e-3)
+
     def test_gradient_matches_differences(self, rng):
         phi = L.mollifier(1, 2)
         xs = 0.4 * phi.support_radius * rng.standard_normal((10, 1))
@@ -325,6 +336,15 @@ class TestConvolve:
             rtol=1e-12, atol=1e-300,
         )
 
+    def test_subnormal_rows_keep_full_precision(self):
+        # f * phi = M e^x, so ln(f * phi)(x) - x and grad ln(f * phi) take the
+        # same value at every x; at x = -740 every e^{x - y_i} is subnormal,
+        # which a sum of linear values of f loses
+        g = L.convolve(L.log_linear([1.0]), L.mollifier(1, 4))
+        xs = np.array([[0.0], [-735.0], [-740.0]])
+        lv, dlv = g.log_value(xs, grad=True)
+        np.testing.assert_allclose(lv - xs[:, 0], np.full(3, lv[0]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dlv, np.full((3, 1), dlv[0, 0]), rtol=0, atol=1e-12)
 
     def test_sweep_over_budget_is_refused(self, monkeypatch):
         g = L.convolve(L.cosh_field(0.8), L.mollifier(1, 4))  # 64 nodes
