@@ -396,7 +396,7 @@ def run_campaign(config: CampaignConfig, jobs: int = 1):
         except LabError as exc:
             return checks_mod.CheckReport(
                 check_id=check_id, kind="error", inputs={}, quantities={},
-                tolerance=float("nan"), passed=False, inconclusive=True,
+                tolerance=None, passed=False, inconclusive=True,
                 notes=[f"inconclusive: {exc}"],
             )
 

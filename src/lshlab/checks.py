@@ -92,7 +92,7 @@ class CheckReport:
     kind: str
     inputs: dict
     quantities: dict
-    tolerance: float
+    tolerance: Optional[float]  # None when inconclusive
     passed: bool
     inconclusive: bool = False
     notes: list = dc_field(default_factory=list)
@@ -127,7 +127,7 @@ def _inconclusive(check_id, kind, inputs, spec, reason) -> CheckReport:
         kind=kind,
         inputs=inputs,
         quantities=quantities,
-        tolerance=math.nan,
+        tolerance=None,
         passed=False,
         inconclusive=True,
         notes=[f"inconclusive: {reason}"],

@@ -201,16 +201,24 @@ class TestRun:
         assert "FAIL" in summary
 
     def test_inconclusive_counted_but_not_failing(self, tmp_path):
+        # an inconclusive check, and a check that raises (sLSI on a shifted
+        # measure): both are inconclusive, and report.json is strict JSON
         raw = minimal_config(
-            measures={"ball": {"family": "uniform_ball", "radius": 1.0, "dim": 1}},
+            measures={"ball": {"family": "uniform_ball", "radius": 1.0, "dim": 1},
+                      "moved": {"op": "shift", "offset": [0.5], "base": {
+                          "family": "gaussian", "sigma": 1.0, "dim": 1}}},
             fields={"f": {"builder": "cosh", "lam": 0.5}},
             checks=[{"check": "dilation_bound", "measure": "ball", "fields": ["f"],
-                      "p": 2.0, "r": 0.8}],
+                      "p": 2.0, "r": 0.8},
+                    {"check": "slsi", "measure": "moved", "fields": ["f"], "c": 1.0}],
         )
         code = L.run(CampaignConfig.from_dict(raw), output_dir=tmp_path)
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["summary"]["inconclusive"] == 1
+        assert report["summary"]["inconclusive"] == 2
+        assert [rep["kind"] for rep in report["checks"]] == ["dilation_bound", "error"]
+        assert [rep["tolerance"] for rep in report["checks"]] == [None, None]
+        json.dumps(report, allow_nan=False)
 
     def test_shc_csv_columns(self, tmp_path):
         L.run("gaussian-sharp", output_dir=tmp_path)

@@ -228,6 +228,8 @@ class TestDilationBound:
                         L.cosh_field(0.5), ball, 2.0, L.mollifier(1, 4), 0.8)):
             assert rep.inconclusive and not rep.passed
             assert "regularity constant unavailable" in rep.notes[0]
+            assert rep.tolerance is None
+            json.dumps(rep.to_dict(), allow_nan=False)
 
 
 class TestDilatedConvolutionBound:

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from scipy.interpolate import RegularGridInterpolator
+from scipy.special import gammainccinv
 
 import lshlab as L
+from lshlab import measures
 from lshlab.errors import (
     EvaluationFailure,
     InvalidParameter,
     TypeConditionViolation,
 )
+from lshlab.fields import LOG_FLOOR
 from lshlab.measures import Density
 
 
@@ -86,6 +90,24 @@ class TestBuiltins:
     def test_out_of_range_parameters_rejected(self, kind, params, dim):
         with pytest.raises(InvalidParameter):
             L.make_builtin(kind, params, dim)
+
+    @pytest.mark.parametrize("k", [1e-3, 1e-2, 0.5, 1, 3, 30, 150, 1e3, 1e4, 1e5, 1e6])
+    def test_gamma_tail_inverse_against_scipy(self, k):
+        assert measures._gammainccinv(k, 1e-12) == pytest.approx(gammainccinv(k, 1e-12),
+                                                                  rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("c, a, dim", [(1.0, 1.0, 1), (0.5 / 1.6**2, 2.0, 1),
+                                           (0.7, 4.0, 3), (2.0, 0.5, 2)])
+    def test_gen_exponential_truncation_radius(self, c, a, dim):
+        want = (gammainccinv(dim / a, 1e-12) / c) ** (1.0 / a)
+        got = L.gen_exponential(c, a, dim).truncation_radius
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_overflowing_truncation_radius_rejected(self):
+        # the normalising constant e^-51 is fine, the radius (x / c)^(1 / a) is e^10640
+        with pytest.raises(InvalidParameter,
+                           match=r"c=3700, a=0.0001\) has truncation radius e\^1.064e\+04"):
+            L.gen_exponential(3700.0, 1e-4, 1)
 
     def test_make_builtin_dispatch(self):
         mu = L.make_builtin("gaussian", {"sigma": 2.0}, 1)
@@ -323,6 +345,30 @@ class TestConvolution:
         assert np.max(np.abs(conv.pdf(xs) - np.exp(log_exact))) <= rtol * peak
         near = log_exact >= math.log(1e-10 * peak)
         assert np.max(np.abs(conv.log_pdf(xs[near]) - log_exact[near])) <= rtol
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_interpolation_against_scipy(self, dim, rng):
+        # the cache of N(0, 1) * N(0, 0.7^2), read back at its own nodes; past
+        # eval_radius it holds FFT round-off, so neighbours differ by up to 650
+        conv = L.convolve_measures(L.gaussian(1.0, dim), L.gaussian(0.7, dim))
+        M = measures._CONV_CACHE_NODES[dim]
+        ext = measures._CONV_EXTENT_FACTOR * conv.truncation_radius
+        axis = np.linspace(-ext, ext, M)
+        logc = conv.log_pdf(L.quadrature.tensor_grid(axis, dim)).reshape([M] * dim)
+        pts = rng.uniform(-1.1 * ext, 1.1 * ext, size=(3000, dim))
+        pts[:200] = axis[rng.integers(0, M, size=(200, dim))]
+        pts[200:300, 0] = axis[0]
+        pts[300:400, -1] = axis[-1]
+        outside = np.any(np.abs(pts) > ext, axis=1)
+        assert 0 < np.count_nonzero(outside) < pts.shape[0] - 400
+        if dim == 1:
+            want = np.interp(pts[:, 0], axis, logc, left=LOG_FLOOR, right=LOG_FLOOR)
+        else:
+            want = RegularGridInterpolator((axis,) * dim, logc, bounds_error=False,
+                                           fill_value=LOG_FLOOR)(pts)
+        got = conv.log_pdf(pts)
+        assert np.all(got[outside] == LOG_FLOOR)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_approximate_identity(self, gauss1):
         narrow = L.gaussian(0.05, 1)
