@@ -524,7 +524,7 @@ def check_density_approximation(
                 continue
             cells[(k, r)] = {"skipped": False, "error": float(norms[0]),
                              "noise": float(noises[0])}
-            energy_norms[(k, r)] = float(norms[1])
+            energy_norms[(k, r)] = {"value": float(norms[1]), "noise": float(noises[1])}
             if len(norms) > 2:
                 split_k[k] = (float(norms[2]), float(noises[2]))
 
@@ -545,7 +545,7 @@ def check_density_approximation(
     along_r = [(live[(k_max, r)]["error"], live[(k_max, r)]["noise"])
                for r in sorted(r_list) if (k_max, r) in live]
     decreasing = _monotone(along_k) and _monotone(along_r)
-    energies_finite = all(math.isfinite(v) for v in energy_norms.values())
+    energies_finite = all(math.isfinite(e["value"]) for e in energy_norms.values())
 
     return CheckReport(
         check_id=check_id,
@@ -562,7 +562,7 @@ def check_density_approximation(
                 {"k": k, "error": split_k[k][0]} for k in sorted(split_k)
             ],
             "energy_norms": [
-                {"k": k, "r": r, "value": v} for (k, r), v in sorted(energy_norms.items())
+                {"k": k, "r": r, **e} for (k, r), e in sorted(energy_norms.items())
             ],
             "decreasing": decreasing,
             "energies_finite": energies_finite,

@@ -146,7 +146,7 @@ def gen_exponential(c: float = 1.0, a: float = 1.0, dim: int = 1) -> Density:
     # Gamma(n/a) overflows for small a
     k = dim / a
     log_norm = math.log(k * _ball_volume(dim)) + math.lgamma(k) - k * math.log(c)
-    if log_norm > _EXP_OVERFLOW:
+    if abs(log_norm) > _EXP_OVERFLOW:
         raise InvalidParameter(f"gen_exponential(c={c:g}, a={a:g}) has mass e^{log_norm:.4g}")
     norm = math.exp(log_norm)
     # radius with tail mass below 1e-12, from the incomplete-gamma inverse

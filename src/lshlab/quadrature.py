@@ -11,26 +11,25 @@ gauss_hermite     Gaussian measures up to dim 3, one polar rule: m =
                   and 28,900 nodes at the default 101.
 tensor_trapezoid  uniform tensor grid over the truncation box.
 adaptive_1d       full-line adaptive quadrature via the x = tan(theta)
-                  substitution (handles algebraic tails); dim 1 only.  A
-                  globally adaptive 21-point Gauss-Kronrod rule (QUADPACK's
-                  qk21 and its error formula) bisects every interval above
-                  its share of the tolerance and sends the nodes of all new
-                  intervals to the measure and the integrand in one batch.
+                  substitution (handles algebraic tails); dim 1 only.  One
+                  globally adaptive 21-point Gauss-Kronrod loop (QUADPACK's
+                  qk21) for the weight and every factor, summed in log
+                  space with a running shift; see ``adaptive_weighted``.
 monte_carlo       importance sampling with the measure itself as sampler;
                   streams are keyed by the spec seed (counter-based), so
                   parallel and serial runs agree bit for bit.
 
 Every integral is one call to ``weighted_moments`` with one column map:
 points to the columns [ln g | factors], evaluated once per node set (or per
-adaptive batch).  For the weight g = e^{ln g} it forms ln int g dmu and the
+adaptive round).  For the weight g = e^{ln g} it forms ln int g dmu and the
 means of the factors under g dmu / int g dmu in log space, so large powers
 never overflow, and returns a function ``fn`` of them with an error estimate
 from one rule: |fn(spec) - fn(spec.halved())| (half the nodes per axis,
 which on gauss_hermite halves the radii and the angles together, or the
 first half of the samples) on node schemes, and on ``adaptive_1d`` the
-first-order change of fn when each of its adaptive integrals moves by that
-integral's own error estimate.  ``integrate`` is the weight ln g = 0 with
-the integrand as its factors.
+first-order change of fn when each column's integral moves by its own error
+estimate.  ``integrate`` is the weight ln g = 0 with the integrand as its
+factors.
 """
 
 from __future__ import annotations
@@ -249,9 +248,6 @@ def measure_nodes(mu, spec: QuadratureSpec):
 
 
 def _fail_at_first(bad: Array, pts: Array):
-    # a row of an (m, K) integrand is bad when any of its columns is
-    if bad.ndim == 2:
-        bad = bad.any(axis=1)
     if np.any(bad):
         raise QuadratureFailure(
             "non-finite integrand value inside the truncation region",
@@ -271,58 +267,54 @@ def weighted_moments(columns, mu, spec: QuadratureSpec, fn):
     are ln g alone, k = 0).  ``log_mass`` is ln int g dmu and ``means`` the
     k means of the factors under g dmu / int g dmu.  Node schemes evaluate
     the map once per node set, the default node count resolved before it is
-    halved; ``adaptive_1d`` runs one adaptive loop for the mass and one per
-    factor, each on its own batches, and the mass loop's batches give k.
+    halved; ``adaptive_1d`` runs one adaptive loop for the weight and every
+    factor.  A QuadratureFailure raised while the quantity is formed (the
+    weight integrating to 0, a norm beyond the double range) carries the
+    node of largest weight as its point.
     """
+    return _weighted_moments(columns, mu, spec, fn)[:2]
+
+
+def _weighted_moments(columns, mu, spec: QuadratureSpec, fn):
+    """``weighted_moments`` and the node of largest weight."""
     if spec.scheme == "adaptive_1d":
-        return _adaptive_moments(columns, mu, spec, fn)
-    spec = spec.resolved(mu.dim)
-    value = fn(*_node_moments(columns, mu, spec))
-    return value, np.abs(value - fn(*_node_moments(columns, mu, spec.halved())))
+        shift, values, errors, peak = adaptive_weighted(mu, spec, columns)
+        at = lambda v: fn(shift + math.log(v[0]), v[1:] / v[0])
+        # each column's integral moved by its own error estimate
+        moved = values + np.diag(errors)
+    else:
+        spec = spec.resolved(mu.dim)
+        *values, peak = _node_moments(columns, mu, spec)
+        at = lambda v: fn(v[0], v[1])
+        moved = [_node_moments(columns, mu, spec.halved())]
+    try:
+        value = at(values)
+        return value, sum(np.abs(at(v) - value) for v in moved), peak
+    except QuadratureFailure as exc:  # raised by fn, which knows no point
+        exc.point = peak
+        raise
 
 
 def _columns_at(columns, pts: Array) -> Array:
-    """What ``columns`` gives at pts, as an (m, 1 + k) array.  An overflow
-    there prints no warning: where it matters, the integral fails with its
-    point."""
+    """What ``columns`` gives at pts, as an (m, 1 + k) array, with no warning
+    on overflow: where it matters, the integral fails with its point."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.asarray(columns(pts), dtype=float).reshape(pts.shape[0], -1)
 
 
 def _node_moments(columns, mu, spec: QuadratureSpec):
+    """(ln int g dmu, the factors' means, the node of largest weight)."""
     pts, logw = measure_nodes(mu, spec)
     cols = _columns_at(columns, pts)
     _fail_at_first(np.isnan(cols[:, 0]) | (cols[:, 0] == math.inf), pts)
     s = logw + cols[:, 0]
+    peak = pts[int(np.argmax(s))].copy()  # not a view that keeps pts alive
     log_mass = _logsumexp(s)
     if not math.isfinite(log_mass):
-        raise QuadratureFailure("the weight integrates to zero or diverges")
-    factors = cols[:, 1:]
-    _fail_at_first(~np.isfinite(factors), pts)
-    return log_mass, np.exp(s - log_mass) @ factors
-
-
-def _adaptive_moments(columns, mu, spec: QuadratureSpec, fn):
-    widths = []
-
-    def mass_columns(pts):
-        cols = _columns_at(columns, pts)
-        widths.append(cols.shape[1])
-        return cols
-
-    mass, e_mass = adaptive_weighted(mu, spec, mass_columns)
-    if not (mass > 0.0 and math.isfinite(mass)):
-        raise QuadratureFailure(f"the weight integrates to {mass}")
-    # one loop per factor, so every factor refines as it would on its own
-    parts = [adaptive_weighted(mu, spec, columns, j) for j in range(1, widths[0])]
-    ints = np.array([v for v, _ in parts])
-    value = fn(math.log(mass), ints / mass)
-    err = np.abs(fn(math.log(mass + e_mass), ints / (mass + e_mass)) - value)
-    for j, (_, e) in enumerate(parts):
-        moved = ints.copy()
-        moved[j] += e
-        err = err + np.abs(fn(math.log(mass), moved / mass) - value)
-    return value, err
+        raise QuadratureFailure("the weight integrates to zero or diverges", point=peak)
+    # a node is bad when any of its factors is
+    _fail_at_first(~np.isfinite(cols[:, 1:]).all(axis=1), pts)
+    return log_mass, np.exp(s - log_mass) @ cols[:, 1:], peak
 
 
 # QUADPACK's qk21 (Piessens et al. 1983): the 21 Kronrod abscissae on
@@ -357,97 +349,109 @@ _TINY = float(np.finfo(float).tiny)
 _ADAPTIVE_LIMIT = 300
 _ADAPTIVE_EPSABS = 1e-12
 _ADAPTIVE_RTOL = 1e-8
+#: a final adaptive interval's mean weight must reach this fraction of the largest sampled
+_PEAK_KEPT = 1e-6
 
 
-def _gk21(lo: Array, hi: Array, integrand) -> tuple[Array, Array]:
-    """qk21 on each interval [lo_i, hi_i]: (integrals, QUADPACK error estimates).
-
-    ``integrand`` gets the (m, 21) abscissae of all intervals in one array.
-    """
-    center, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    f = integrand(center[:, None] + half[:, None] * _GK_X)
+def _gk21(f: Array) -> tuple[Array, Array]:
+    """qk21 from an integrand's values at the 21 abscissae (last axis) of
+    intervals, each times its interval's half-width: (integrals, QUADPACK
+    error estimates), of shape f.shape[:-1]."""
+    shape, f = f.shape[:-1], f.reshape(-1, _GK_X.size)
     resk = f @ _GK_WK
-    mean = resk / 2.0
-    resabs = np.abs(half) * (np.abs(f) @ _GK_WK)
-    resasc = np.abs(half) * (np.abs(f - mean[:, None]) @ _GK_WK)
-    err = np.abs((resk - f @ _GK_WG) * half)
+    resabs = np.abs(f) @ _GK_WK
+    resasc = np.abs(f - resk[:, None] / 2.0) @ _GK_WK
+    err = np.abs(resk - f @ _GK_WG)
     scaled = resasc * np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5)
     err = np.where((resasc != 0) & (err != 0), scaled, err)
     err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
-    return resk * half, err
+    return resk.reshape(shape), err.reshape(shape)
 
 
-def adaptive_weighted(mu, spec: QuadratureSpec, columns, column: int = 0) -> tuple[float, float]:
-    """Full-line adaptive integral against mu of g = exp(ln g) times column
-    ``column`` of ``columns`` (see ``weighted_moments``); column 0 is ln g
-    itself, so ``column=0`` integrates g alone.  The rule's tolerances are
-    fixed, so ``spec`` (an ``adaptive_1d`` spec) sets nothing here; the
-    benchmark tracer reads the scheme from it.
+def adaptive_weighted(mu, spec: QuadratureSpec, columns):
+    """(shift, values, errors, peak): e^shift values[j] is the integral
+    against mu of g = exp(ln g) times column j of ``columns`` (column 0: g
+    alone), e^shift errors[j] its error, and peak the node of largest
+    weight.  ``spec`` sets nothing; the benchmark tracer reads it.
 
-    x = tan(theta) maps the line to (-pi/2, pi/2), where a globally adaptive
-    21-point Gauss-Kronrod rule runs: each round evaluates the column map at
-    the 21 nodes of every new interval in one (m, 1) batch, then bisects
-    every interval whose error is above its share (by length) of the
-    tolerance max(1e-12, 1e-8 |value|), until the summed error meets it or
-    there are 300 intervals; the returned error is then the sum, above the
-    tolerance, with no warning.
-
-    ln g and the log-density are summed before exponentiation, so large
-    powers never overflow when the product with the measure is moderate.  A
-    node whose exponent is below -700 contributes 0, whatever its factor.  A
-    node whose exponent exceeds 700 or whose value is not finite raises
-    QuadratureFailure at once, with the largest such x of that round as its
-    point.
+    On x = tan(theta), each round of one globally adaptive 21-point
+    Gauss-Kronrod loop calls the column map once, at the nodes of all new
+    intervals, and sums e^{expo - shift} times each column: expo is ln g
+    plus the log-density and log-Jacobian, the shift the largest expo so
+    far.  It bisects where any column's error is above its share (by
+    length) of max(1e-12, 1e-8 |value|) in unshifted units, until all meet
+    it or 300 intervals (then the worst error over tolerance goes first).
+    A node whose shifted weight underflows adds 0 whatever its factors; a
+    NaN or +inf expo, or a non-finite factor of positive weight, fails, and
+    so do a weight that is 0 at every node and a peak lost between the final
+    nodes (no final interval's mean weight within ``_PEAK_KEPT`` of the
+    largest weight sampled), which every sum would understate.
     """
     if mu.dim != 1:
         raise InvalidParameter("adaptive_1d requires a one-dimensional measure")
     log_norm = math.log(mu.norm_const)
+    # the lowest double, so that weights are 0 while every expo is -inf;
+    # eps_abs is the absolute tolerance in shifted units, at least _TINY
+    shift, peak, eps_abs = -float(np.finfo(float).max), None, math.inf
 
-    def integrand(theta: Array) -> Array:
-        pts = np.tan(theta).reshape(-1, 1)
+    def round_(lo: Array, hi: Array) -> tuple[Array, Array]:
+        # the K columns' integrals on [lo_i, hi_i] and their errors, (K, n) each
+        nonlocal shift, peak, eps_abs
+        half = (hi - lo) / 2.0
+        pts = np.tan(((lo + hi) / 2.0)[:, None] + half[:, None] * _GK_X).reshape(-1, 1)
         cols = _columns_at(columns, pts)
-        expo = cols[:, 0] + (np.asarray(mu._log_density(pts), dtype=float) - log_norm)
-        live = ~(expo < -700.0)
-        v = np.zeros(expo.shape)
-        if np.any(live):
-            fac = 1.0 if column == 0 else cols[live, column]
-            with np.errstate(over="ignore", invalid="ignore"):
-                v[live] = (np.exp(np.minimum(expo[live], 709.0)) * fac
-                           / np.cos(theta.ravel()[live]) ** 2)
-        bad = live & ((expo > 700.0) | ~np.isfinite(expo) | ~np.isfinite(v))
-        if np.any(bad):
-            raise QuadratureFailure(
-                "non-finite integrand value inside the truncation region",
-                point=float(pts[bad, 0].max()),
-            )
-        return v.reshape(theta.shape)
+        expo = (cols[:, 0] + np.asarray(mu._log_density(pts), dtype=float)
+                + (np.log1p(pts[:, 0] * pts[:, 0]) - log_norm))  # dx = (1 + x^2) dtheta
+        if not (top := expo.max()) < math.inf:
+            _fail_at_first(np.isnan(expo) | (expo == math.inf), pts)
+        if peak is None or top > shift:
+            shift, peak = max(shift, float(top)), pts[np.argmax(expo)].copy()
+            eps_abs = max(_ADAPTIVE_EPSABS * float(np.exp(-shift)), _TINY)
+        w = np.exp(expo - shift)
+        f = w[None]
+        if cols.shape[1] > 1:
+            f = np.multiply(cols.T, w, order="C")
+            f[0] = w
+            bad = ~np.isfinite(f)
+            if np.any(bad):
+                _fail_at_first(bad.any(axis=0) & (w > 0.0), pts)
+                f[bad] = 0.0
+        return _gk21(f.reshape(len(f), half.size, -1) * half[:, None])
 
     lo, hi = np.array([-math.pi / 2]), np.array([math.pi / 2])
-    res, err = _gk21(lo, hi, integrand)
-    while True:
-        value, total_err = float(res.sum()), float(err.sum())
-        tol = max(_ADAPTIVE_EPSABS, _ADAPTIVE_RTOL * abs(value))
-        room = _ADAPTIVE_LIMIT - lo.size
-        if total_err <= tol or room <= 0:
-            break
-        mid = (lo + hi) / 2.0
-        # QUADPACK's round-off guard: a bisection must leave both halves wider
-        # than about 100 ulps of the midpoint
-        ulp_floor = (1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _TINY)
-        split = (err > tol * (hi - lo) / math.pi) & (np.maximum(np.abs(lo), np.abs(hi)) > ulp_floor)
-        idx = np.flatnonzero(split)
-        if idx.size == 0:
-            break
-        if idx.size > room:
-            idx = idx[np.argsort(-err[idx], kind="stable")[:room]]
-        keep = np.ones(lo.size, dtype=bool)
-        keep[idx] = False
-        new_lo = np.concatenate([lo[idx], mid[idx]])
-        new_hi = np.concatenate([mid[idx], hi[idx]])
-        new_res, new_err = _gk21(new_lo, new_hi, integrand)
-        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
-        res, err = np.concatenate([res[keep], new_res]), np.concatenate([err[keep], new_err])
-    return value, max(total_err, abs(value) * 1e-15)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res, err = round_(lo, hi)
+        while True:
+            ratio = err / np.maximum(eps_abs, _ADAPTIVE_RTOL * np.abs(res.sum(axis=1)))[:, None]
+            room = _ADAPTIVE_LIMIT - lo.size
+            if ratio.sum(axis=1).max() <= 1.0 or room <= 0:
+                break
+            worst = ratio.max(axis=0)
+            mid = (lo + hi) / 2.0
+            # QUADPACK's round-off guard: a bisection must leave both halves
+            # wider than about 100 ulps of the midpoint
+            ulp_floor = (1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _TINY)
+            split = (worst > (hi - lo) / math.pi) & (np.maximum(np.abs(lo), np.abs(hi)) > ulp_floor)
+            idx = np.flatnonzero(split)
+            if idx.size == 0:
+                break
+            if idx.size > room:
+                idx = idx[np.argsort(-worst[idx], kind="stable")[:room]]
+            keep = np.flatnonzero(np.bincount(idx, minlength=lo.size) == 0)  # not split
+            lo = np.concatenate([lo[keep], lo[idx], mid[idx]])
+            hi = np.concatenate([hi[keep], mid[idx], hi[idx]])
+            old_shift = shift
+            new = round_(lo[-2 * idx.size:], hi[-2 * idx.size:])
+            res, err = res.take(keep, axis=1), err.take(keep, axis=1)
+            if shift > old_shift:  # rescale the kept intervals to the new shift
+                res, err = res * math.exp(old_shift - shift), err * math.exp(old_shift - shift)
+            res, err = (np.concatenate([a, b], axis=1) for a, b in zip((res, err), new))
+    # the weight is >= 0, so res[0] / (hi - lo), an interval's mean weight, is
+    # at least 1/171 of the largest weight of its nodes
+    if (res[0] / (hi - lo)).max() < _PEAK_KEPT:
+        raise QuadratureFailure("the weight integrates to 0 or its peak was lost", point=peak)
+    values = res.sum(axis=1)
+    return shift, values, np.maximum(err.sum(axis=1), np.abs(values) * 1e-15), peak
 
 
 def integrate(h, mu, spec: QuadratureSpec):
@@ -456,12 +460,13 @@ def integrate(h, mu, spec: QuadratureSpec):
     ``h`` is a ScalarField or any map vectorized over (m, dim) batches.  It
     returns either m values, and the integral is (value, error) as floats, or
     an (m, K) array of K integrands evaluated together, and the integral is
-    (values, errors) as arrays of shape (K,), column by column the same as
-    integrating each column on its own.  This is ``weighted_moments`` with
-    the weight ln g = 0 and h as its factor columns: h is evaluated at every
-    node, once per node set on grids and on every batch of each adaptive
-    loop, and an adaptive node where the measure's density underflows
-    contributes 0.
+    (values, errors) as arrays of shape (K,): on node schemes column by
+    column the same as integrating each column on its own, on
+    ``adaptive_1d`` refined until every column meets its tolerance.  This is
+    ``weighted_moments`` with the weight ln g = 0 and h as its factor
+    columns: h is evaluated at every node, once per node set on grids and
+    once per round of the adaptive loop, and an adaptive node where the
+    measure's density underflows contributes 0.
     """
     ndim = []
 
@@ -479,11 +484,8 @@ def integrate(h, mu, spec: QuadratureSpec):
 
 
 def integrate_log(logh, mu, spec: QuadratureSpec) -> tuple[float, float]:
-    """log of the integral of exp(logh) against mu; overflow-safe.
-
-    Returns (log_value, log_error) where log_error estimates the error on the
-    log scale (roughly the relative error of the integral).
-    """
+    """(ln of the integral of exp(logh) against mu, its error on the log
+    scale), the error being about the integral's relative error."""
     logv, err = weighted_moments(logh, mu, spec, lambda log_mass, _: log_mass)
     return logv, max(float(err), 1e-15)
 
@@ -496,8 +498,10 @@ def lp_norm(f, mu, p: float, spec: QuadratureSpec) -> float:
 def lp_norm_with_error(f, mu, p: float, spec: QuadratureSpec) -> tuple[float, float]:
     if p <= 0:
         raise InvalidParameter("lp_norm requires p > 0")
-    logv, logerr = integrate_log(lambda pts: p * f.log_value(pts), mu, spec)
+    logv, logerr, peak = _weighted_moments(lambda pts: p * f.log_value(pts), mu, spec,
+                                           lambda log_mass, _: log_mass)
+    # on the reported value only, not on the halved or moved ones of its error
     if logv / p > 709.0:
-        raise QuadratureFailure(f"L^{p:g} norm overflows (log value {logv / p:.3g})")
+        raise QuadratureFailure(f"L^{p:g} norm overflows (log value {logv / p:.3g})", point=peak)
     norm = math.exp(logv / p)
-    return norm, norm * logerr / p
+    return norm, norm * max(float(logerr), 1e-15) / p

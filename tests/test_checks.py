@@ -151,6 +151,18 @@ class TestShc:
         )
         assert rep.quantities["skipped_rows"] >= 1
 
+    def test_steep_row_integrates_in_log_space(self):
+        # at c = 0.25, q(0.6) = 0.6^-8 and alpha(0.6) = e^{0.72 * 0.6^-6}; the
+        # integrand e^{42.9 x - x^2 / 2} peaks at e^{919}, beyond a double
+        rep = L.check_shc(L.log_linear([1.2]), L.gen_exponential(0.5, 2, 1), 0.25)
+        row = next(row for row in rep.quantities["rows"] if row["r"] == 0.6)
+        assert not row["skipped"]
+        assert row["alpha"] == pytest.approx(math.exp(0.72 * 0.6 ** -6), rel=1e-10)
+        # at r = 0.5 the peak falls between the adaptive nodes: a skipped row
+        # that says so, not a weight integrating to 0
+        row = next(row for row in rep.quantities["rows"] if row["r"] == 0.5)
+        assert row["skipped"] and "its peak was lost" in row["reason"]
+
     def test_monotone_in_c(self, gauss1, gh_spec):
         f = L.log_linear([1.0])
         outcomes = [
@@ -294,6 +306,17 @@ class TestDensityApproximation:
             assert rep.quantities["best_error"] <= 0.01 * rep.quantities["norm_p"]
             assert rep.quantities["energies_finite"]
 
+    def test_energy_norms_carry_the_halving_noise(self, gauss1, gh_spec):
+        f = L.log_linear([0.8])
+        rep = L.check_density_approximation(f, gauss1, 1.0, k_list=(1, 4), r_list=(0.9, 0.99),
+                                            spec=gh_spec)
+        for row in rep.quantities["energy_norms"]:
+            g = L.dilate(L.convolve(f, L.mollifier(1, row["k"])), row["r"])
+            full, half = (L.integrate(lambda pts: np.abs(L.euler(g, pts)), gauss1, s)[0]
+                          for s in (gh_spec, gh_spec.halved()))
+            assert row["value"] == pytest.approx(full, rel=1e-12)
+            assert row["noise"] == pytest.approx(abs(full - half), rel=1e-9)
+
     def test_constant_field_zero_error(self, gauss1, gh_spec):
         rep = L.check_density_approximation(
             L.constant(1.0, 1), gauss1, 2.0, k_list=(1, 2), r_list=(0.9, 0.99),
@@ -349,6 +372,24 @@ def _reference_density_cells(f, mu, p, k_list, r_list, spec):
     return cells, energies, split
 
 
+def _one_loop_cell_noise(f, mu, k, r, r_max):
+    """At p = 1, the noise of a cell's ||g - f||_1 from one adaptive loop over
+    the weight g and the factors |g - f| / g, |E g| / g and, at r_max,
+    |g - f_r| / g: the error of the integral of |g - f|."""
+    g = L.dilate(L.convolve(f, L.mollifier(mu.dim, k)), r)
+    f_r = L.dilate(f, r_max)
+
+    def columns(pts):
+        lg, dlg = g.log_value(pts, grad=True)
+        factors = [1.0 - np.exp(f.log_value(pts) - lg), pts[:, 0] * dlg[:, 0]]
+        if r == r_max:
+            factors.append(1.0 - np.exp(f_r.log_value(pts) - lg))
+        return np.column_stack([lg, np.abs(np.column_stack(factors))])
+
+    shift, _, errors, _ = quadrature.adaptive_weighted(mu, L.default_spec(mu), columns)
+    return math.exp(shift) * errors[1]
+
+
 class TestDensityApproximationWork:
     def test_one_convolution_sweep_per_cell_and_node_set(self, gauss1, gh_spec):
         batches = []
@@ -380,10 +421,11 @@ class TestDensityApproximationWork:
         cells, energies, split = _reference_density_cells(f, mu, 1.0, k_list, r_list, spec)
         q = rep.quantities
         for cell in q["cells"]:
-            e, noise = cells[(cell["k"], cell["r"])]
+            e, _ = cells[(cell["k"], cell["r"])]
             assert not cell["skipped"]
             assert cell["error"] == pytest.approx(e, rel=1e-9)
-            assert cell["noise"] == pytest.approx(noise, rel=1e-9, abs=1e-14)
+            noise = _one_loop_cell_noise(f, mu, cell["k"], cell["r"], max(r_list))
+            assert cell["noise"] == pytest.approx(noise, rel=1e-6, abs=1e-14)
         for row in q["energy_norms"]:
             assert row["value"] == pytest.approx(energies[(row["k"], row["r"])], rel=1e-9)
         assert [row["error"] for row in q["split_errors_along_k"]] == pytest.approx(
@@ -785,13 +827,17 @@ class TestBestConstantShcNorms:
 
 
 class TestWitness:
+    # e^{1.2x} outgrows the Laplace density e^{-|x|}, so the integral
+    # diverges: the adaptive loop bisects towards theta = pi/2, where its last
+    # node rounds to pi/2 itself, at x = tan(pi/2) = 1.633e16 in double
+    # precision; there the weight is largest, and ||g||_1 (or the L^1 norm)
+    # overflows
     def test_laplace_overflow_carries_witness(self):
-        # e^{1.2x} outgrows the Laplace density e^{-|x|}, so the integral
-        # diverges: inconclusive, with the point where the integrand went non-finite
         rep = L.check_slsi(L.log_linear([1.2]), L.gen_exponential(1, 1, 1), 1.0)
         assert rep.inconclusive and not rep.passed
+        assert "overflows" in rep.notes[0]
         witness = rep.to_dict()["quantities"]["witness"]
-        assert len(witness) == 1 and all(math.isfinite(x) for x in witness)
+        assert witness == [math.tan(math.pi / 2)] and math.isfinite(witness[0])
 
     def test_laplace_overflow_warns_nothing(self):
         # the overflow becomes the witness, not a RuntimeWarning, in the sLSI
@@ -806,16 +852,17 @@ class TestWitness:
                 rep = check()
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
             assert rep.inconclusive
-            assert rep.quantities["witness"][0] == pytest.approx(4690.9, abs=0.1)
+            assert rep.quantities["witness"][0] == math.tan(math.pi / 2)
 
     def test_laplace_cosh_overflow_warns_nothing(self):
-        # cosh overflows where e^{1.2|x|} does
+        # cosh overflows where e^{1.2|x|} does; the exponents at x = +-tan(pi/2)
+        # tie, and the first node found with the largest one is the witness
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rep = L.check_slsi(L.cosh_field(1.2), L.gen_exponential(1, 1, 1), 1.0)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert rep.inconclusive
-        assert rep.quantities["witness"][0] == pytest.approx(4690.9, abs=0.1)
+        assert rep.quantities["witness"][0] == -math.tan(math.pi / 2)
 
     def test_conclusive_report_has_no_witness(self, gauss1, gh_spec):
         rep = L.check_slsi(L.cosh_field(0.8), gauss1, 1.0, gh_spec)

@@ -109,6 +109,12 @@ class TestBuiltins:
                            match=r"c=3700, a=0.0001\) has truncation radius e\^1.064e\+04"):
             L.gen_exponential(3700.0, 1e-4, 1)
 
+    def test_underflowing_mass_rejected(self):
+        # the normalising constant 4 c^-2 is e^-1380 and the radius is 0.0 in
+        # double precision; the density's log_pdf would take ln 0
+        with pytest.raises(InvalidParameter, match=r"c=1e\+300, a=0.5\) has mass e\^-1380"):
+            L.gen_exponential(1e300, 0.5, 1)
+
     def test_make_builtin_dispatch(self):
         mu = L.make_builtin("gaussian", {"sigma": 2.0}, 1)
         assert mu.params == (2.0,)

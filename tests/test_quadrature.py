@@ -262,9 +262,10 @@ class TestAdaptiveRule:
     def test_kronrod_table_is_exact_to_degree_31(self):
         # 21 Kronrod nodes integrate degree 31 exactly and the embedded
         # 10-point Gauss rule degree 19, so the error estimate vanishes there
-        lo, hi = np.array([-1.0, 0.0]), np.array([1.0, 2.0])
+        center, half = np.array([0.0, 1.0]), np.array([1.0, 1.0])
+        t = center[:, None] + half[:, None] * quadrature._GK_X
         for k in (0, 1, 18, 19, 30, 31):
-            res, err = quadrature._gk21(lo, hi, lambda t, k=k: t ** k)
+            res, err = quadrature._gk21(half[:, None] * t ** k)
             want = [(1 - (-1) ** (k + 1)) / (k + 1), 2.0 ** (k + 1) / (k + 1)]
             np.testing.assert_allclose(res, want, rtol=1e-13, atol=1e-15)
             if k <= 19:
@@ -285,9 +286,19 @@ class TestAdaptiveRule:
         # the same integral with e^{0.3x} as log_g instead of a factor
         make_mu, _, want = _CLOSED_FORMS[case]
         mu = make_mu()
-        value, err = quadrature.adaptive_weighted(mu, L.default_spec(mu),
-                                                  lambda pts: 0.3 * pts[:, 0])
-        assert abs(value - want) <= err
+        shift, values, errors, _ = quadrature.adaptive_weighted(
+            mu, L.default_spec(mu), lambda pts: 0.3 * pts[:, 0])
+        assert abs(math.exp(shift) * values[0] - want) <= math.exp(shift) * errors[0]
+
+    def test_lost_peak_fails_with_its_node(self):
+        # E e^{153.6x} on N(0, 1) is e^{11796}: the integrand peaks at x = 153.6,
+        # about 4e-5 wide in theta; the first round's node at x = 146.6 sets the
+        # shift, but neither half of its interval has a node near the peak and
+        # every later sum underflows, so the loop fails rather than reading 0
+        mu = L.gen_exponential(0.5, 2.0, 1)
+        with pytest.raises(QuadratureFailure, match="its peak was lost") as err:
+            quadrature.adaptive_weighted(mu, L.default_spec(mu), lambda pts: 153.6 * pts[:, 0])
+        assert err.value.point[0] == pytest.approx(146.588, abs=1e-3)
 
     def test_interval_cap_reports_a_large_error_without_warning(self):
         # sign(sin 40x) jumps about 130 times where N(0, 1) has mass; each jump
@@ -296,9 +307,10 @@ class TestAdaptiveRule:
         spec = L.default_spec(mu)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, err = quadrature.adaptive_weighted(
+            shift, values, errors, _ = quadrature.adaptive_weighted(
                 mu, spec, lambda pts: np.column_stack(
-                    [np.zeros(len(pts)), np.sign(np.sin(40.0 * pts[:, 0]))]), 1)
+                    [np.zeros(len(pts)), np.sign(np.sin(40.0 * pts[:, 0]))]))
+        value, err = math.exp(shift) * values[1], math.exp(shift) * errors[1]
         assert math.isfinite(value)
         assert err > max(quadrature._ADAPTIVE_EPSABS, quadrature._ADAPTIVE_RTOL * abs(value))
 
@@ -401,23 +413,25 @@ class TestWeightedMoments:
         spec = L.default_spec(mu)
         lam = 0.7
         columns = lambda pts: np.column_stack([lam * pts[:, 0], pts[:, 0]])
-        direct = quadrature.adaptive_weighted(mu, spec, columns, 1)
+        shift, values, errors, _ = quadrature.adaptive_weighted(mu, spec, columns)
         value, err = weighted_moments(columns, mu, spec,
                                       lambda log_mass, means: math.exp(log_mass) * means[0])
-        assert value == pytest.approx(direct[0], rel=1e-14)
-        assert err == pytest.approx(direct[1], rel=1e-6)
+        assert value == pytest.approx(math.exp(shift) * values[1], rel=1e-14)
+        # the mass's own error moves e^{log_mass} means[0] by round-off only
+        assert err == pytest.approx(math.exp(shift) * errors[1], rel=1e-6)
 
 
     def test_adaptive_evaluates_only_its_loops_batches(self, monkeypatch):
-        # the mass loop and one loop per factor; every column-map call is one
-        # batch of one of those loops, so the mass loop's calls give the width
+        # every column-map call is the batch of one round of the loop: the 21
+        # nodes of each of that round's new intervals, for every column
         mu = L.gen_exponential(0.5, 2.0, 1)
         rounds = []
         gk21 = quadrature._gk21
 
-        def counting(lo, hi, integrand):
-            rounds.append(21 * lo.size)
-            return gk21(lo, hi, integrand)
+        def counting(f):
+            assert f.shape[0] == 3
+            rounds.append(f[0].size)
+            return gk21(f)
 
         monkeypatch.setattr(quadrature, "_gk21", counting)
         batches = []
@@ -428,7 +442,29 @@ class TestWeightedMoments:
 
         weighted_moments(columns, mu, L.default_spec(mu), lambda log_mass, means: means)
         assert batches == rounds
-        assert rounds.count(21) == 3  # each loop starts from one interval
+
+    def test_column_map_runs_once_per_adaptive_round(self, monkeypatch):
+        # one loop for the weight and both factors: it starts from one
+        # interval, so only its first round has 21 nodes, and it evaluates the
+        # map once per round
+        mu = L.gen_exponential(0.5, 2.0, 1)
+        rounds = []
+        gk21 = quadrature._gk21
+
+        def counting(f):
+            rounds.append(f.shape[1])
+            return gk21(f)
+
+        monkeypatch.setattr(quadrature, "_gk21", counting)
+        batches = []
+
+        def columns(pts):
+            batches.append(pts.shape[0])
+            return np.column_stack([0.7 * pts[:, 0], pts[:, 0], pts[:, 0] ** 2])
+
+        weighted_moments(columns, mu, L.default_spec(mu), lambda log_mass, means: means)
+        assert len(batches) == len(rounds) > 1
+        assert batches[0] == 21 and 21 not in batches[1:]
 
 
 class TestLpNorm:
@@ -464,6 +500,41 @@ class TestLpNorm:
             scheme="gauss_hermite", nodes_per_axis=101))
         assert math.isfinite(val)
         assert err / val > 1.0
+
+    def test_adaptive_norm_beyond_linear_range(self):
+        # ||e^{3x}||_20 on N(0, 1) is (E e^{60x})^{1/20} = e^{90}; the
+        # integrand e^{60x - x^2/2} peaks at e^{1800}, far beyond a double
+        from lshlab.quadrature import lp_norm_with_error
+
+        mu = L.gen_exponential(0.5, 2.0, 1)
+        val, err = lp_norm_with_error(L.log_linear([3.0]), mu, 20.0, L.default_spec(mu))
+        assert abs(val - math.exp(90.0)) <= err
+        assert err <= 1e-8 * val
+
+    def test_norm_just_below_the_overflow_limit_is_returned(self):
+        # ln E e^{20x} = 200 on N(0, 1); p puts ln ||f||_p half its log-error
+        # below 709, so the mass moved by its error would cross the limit: only
+        # the reported value is checked, and the norm comes back finite
+        from lshlab.quadrature import lp_norm_with_error
+
+        mu = L.gen_exponential(0.5, 2.0, 1)
+        spec = L.default_spec(mu)
+        log_mass, log_err = weighted_moments(lambda pts: 20.0 * pts[:, 0], mu, spec,
+                                             lambda log_mass, _: log_mass)
+        p = log_mass / (709.0 - 0.5 * log_err * 709.0 / log_mass)
+        val, err = lp_norm_with_error(L.log_linear([20.0 / p]), mu, p, spec)
+        assert math.log(val) < 709.0 < math.log(val) + log_err / p
+        assert math.isfinite(err)
+
+    def test_node_overflow_carries_the_node_of_largest_weight(self, gauss1, gh_spec):
+        # ||e^{40x}||_30 on N(0, 1) is e^{24000}: the norm overflows, and the
+        # failure names the node where logw + 1200 x is largest
+        from lshlab.quadrature import lp_norm_with_error
+
+        with pytest.raises(QuadratureFailure, match="norm overflows") as err:
+            lp_norm_with_error(L.log_linear([40.0]), gauss1, 30.0, gh_spec)
+        pts, logw = measure_nodes(gauss1, gh_spec)
+        np.testing.assert_array_equal(err.value.point, pts[np.argmax(logw + 1200.0 * pts[:, 0])])
 
     def test_large_power_accurate_in_check_regime(self, gauss1, gh_spec):
         # exponents the inequality checks actually reach (q(r) <= ~16)
