@@ -394,11 +394,7 @@ def run_campaign(config: CampaignConfig, jobs: int = 1):
         try:
             return thunk()
         except LabError as exc:
-            return checks_mod.CheckReport(
-                check_id=check_id, kind="error", inputs={}, quantities={},
-                tolerance=None, passed=False, inconclusive=True,
-                notes=[f"inconclusive: {exc}"],
-            )
+            return checks_mod._inconclusive(check_id, "error", {}, None, exc)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, QuadratureFailure, TypeConditionViolation
+from .errors import InvalidParameter, LabError, QuadratureFailure, TypeConditionViolation
 from .fields import (
     Mollifier,
     ScalarField,
@@ -115,13 +115,11 @@ class CheckReport:
 
 
 def _inconclusive(check_id, kind, inputs, spec, reason) -> CheckReport:
-    """An inconclusive report; ``reason`` is a message or the exception raised.
-
-    An exception's witness point (``QuadratureFailure.point``) is kept as
-    ``quantities["witness"]``.
-    """
-    point = getattr(reason, "point", None)
-    quantities = {} if point is None else {"witness": np.atleast_1d(point)}
+    """The one builder of an inconclusive report; ``reason`` is a message or
+    the :class:`LabError` that made the verdict impossible, whose witness, if
+    any, is kept as ``quantities["witness"]``."""
+    witness = getattr(reason, "witness", None)
+    quantities = {} if witness is None else {"witness": np.atleast_1d(witness)}
     return CheckReport(
         check_id=check_id,
         kind=kind,
@@ -375,8 +373,8 @@ def _operator_bound(kind, check_id, inputs, f, mu, p, r, spec, phi=None) -> Chec
     try:
         c_est = regularity_constant(mu, 0.0, 1.0 / r, s / r)
     except (InvalidParameter, TypeConditionViolation) as exc:
-        return _inconclusive(check_id, kind, inputs, spec,
-                             f"regularity constant unavailable: {exc}")
+        return _inconclusive(check_id, kind, inputs, spec, LabError(
+            f"regularity constant unavailable: {exc}", witness=exc.witness))
     if phi is None:
         tf, vol, phi_norm = dilate(f, r), 1.0, 1.0
     else:
@@ -604,10 +602,8 @@ def check_spherical_monotonicity(
     inputs = {"field": f.label, "tol": tol}
     rep = is_subharmonic(f, seed=29)
     if not rep.passed:
-        return _inconclusive(
-            check_id, kind, inputs, None,
-            f"field is not numerically subharmonic (witness {rep.worst_violation()[0]})",
-        )
+        return _inconclusive(check_id, kind, inputs, None, LabError(
+            "field is not numerically subharmonic", witness=rep.worst_violation()[0]))
     probes = default_probes(f.dim, count=64, seed=13)
     # one probe's r grid a call, so a 3-D convolution sweeps 10 orbits at once
     favg, grid = spherical_average(f), np.asarray(LEMMA_R_GRID)[:, None]
@@ -645,9 +641,10 @@ def check_radial_euler_scaling(
     with np.errstate(invalid="ignore"):
         spread = np.where(orbits == vals[:, None], 0.0, np.abs(orbits - vals[:, None]))
     # written as "not <=" so that a NaN on an orbit fails the gate
-    if not np.all(spread <= bound[:, None]):
-        return _inconclusive(check_id, kind, inputs, None,
-                             "field is not rotation-invariant at probes")
+    off = ~np.all(spread <= bound[:, None], axis=1)
+    if np.any(off):
+        return _inconclusive(check_id, kind, inputs, None, LabError(
+            "field is not rotation-invariant at probes", witness=sample[np.argmax(off)]))
     # E k at the probes (scale 1) and at r x for every r of the grid, in one batch
     scales = np.array((1.0,) + LEMMA_R_GRID)
     e = euler(k, (scales[:, None, None] * probes).reshape(-1, n)).reshape(len(scales), -1)

@@ -1,14 +1,21 @@
 """Exception hierarchy shared across the laboratory.
 
-Every rejection carries enough context (parameter names, witness points) to
-reproduce the failure; nothing is reported as a silent NaN or infinity.
+Every rejection carries enough context to reproduce the failure; nothing is
+reported as a silent NaN or infinity.  One witness rule: every error is built
+as ``LabError(message, witness=None)``, ``witness`` being the point where the
+failure was found (a quadrature node, a grid point, a probe) or None, and an
+inconclusive report keeps it as ``quantities["witness"]``.
 """
 
 from __future__ import annotations
 
 
 class LabError(Exception):
-    """Base class for all laboratory errors."""
+    """Base class for all laboratory errors; ``witness`` is the point that caused it."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class InvalidParameter(LabError):
@@ -18,37 +25,17 @@ class InvalidParameter(LabError):
 class EvaluationFailure(LabError):
     """Pointwise evaluation failed (overflow in exp, undefined value)."""
 
-    def __init__(self, message: str, point=None):
-        super().__init__(message)
-        self.point = point
-
 
 class QuadratureFailure(LabError):
     """An integral could not be computed (non-finite integrand, divergence)."""
-
-    def __init__(self, message: str, point=None):
-        super().__init__(message)
-        self.point = point
 
 
 class SubharmonicityError(LabError):
     """A field construction was rejected by the numerical subharmonicity test."""
 
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class TypeConditionViolation(LabError):
-    """The Euclidean-regularity sup diverges (or exceeds the overflow guard).
-
-    ``witness`` is the grid point at which the violation was detected.
-    """
-
-    def __init__(self, message: str, witness=None, log_ratio: float | None = None):
-        super().__init__(message)
-        self.witness = witness
-        self.log_ratio = log_ratio
+    """The Euclidean-regularity sup diverges (or exceeds the overflow guard)."""
 
 
 class ConfigError(LabError):

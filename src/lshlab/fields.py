@@ -119,7 +119,7 @@ class ScalarField:
             v = np.asarray(self._value(pts), dtype=float)
         else:
             # an overflow gives inf silently: an integral turns it into a
-            # QuadratureFailure carrying the point
+            # QuadratureFailure whose witness is the point
             with np.errstate(over="ignore"):
                 v = np.exp(self._log(pts, False)[0])
         return float(v[0]) if single else v

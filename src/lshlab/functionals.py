@@ -16,9 +16,10 @@ with A = ||f_r||_q^q.  All entropy-type integrands are evaluated in log-space
 overflow.  The Euler factor lives in the same coordinate: E g / g =
 x . grad ln g is a factor column next to ln g in one column map, which
 evaluates the field's log map once, so int E g dmu is ||g||_1 times the mean
-of x . grad ln g under g / ||g||_1 and nothing divides by g.  Functions come
-in plain and ``*_with_error`` forms; the latter propagate the quadrature
-error estimates used by the check suite.
+of x . grad ln g under g / ||g||_1 and nothing divides by g.  Only what no
+double holds overflows (QuadratureFailure): ||g||_1 or alpha(r) above
+e^709.78, or an infinite Ent(g), int E g dmu or alpha'(r).  Functions come in
+plain and ``*_with_error`` forms, the latter with quadrature error estimates.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .quadrature import QuadratureSpec, lp_norm_with_error, weighted_moments
 
 #: q(r) values beyond this guard are rejected (integrands would overflow)
 Q_GUARD = 1e4
+#: ln of the largest double: a norm whose log exceeds it overflows
+LOG_MAX = math.log(np.finfo(float).max)
 DEFAULT_R_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0)
 
 
@@ -68,15 +71,15 @@ def _weight_columns(g: ScalarField, exponent: float = 1.0):
     return columns
 
 
-def _mass(log_mass: float) -> float:
-    if log_mass > 700.0:
-        raise QuadratureFailure(f"||g||_1 overflows; log value {log_mass:.3g}")
-    return math.exp(log_mass)
-
-
-def _entropy(log_mass: float, mean_lg: float) -> float:
-    """Ent(g) = ||g||_1 (E[ln g] - ln ||g||_1), the mean taken under g / ||g||_1."""
-    return _mass(log_mass) * (mean_lg - log_mass)
+def _times_exp(log_scale: float, value: float, scale: str, what: str) -> float:
+    """``what`` = e^log_scale * value; QuadratureFailure when the ``scale``
+    e^log_scale or the product is beyond the largest double."""
+    if log_scale > LOG_MAX:
+        raise QuadratureFailure(f"{scale} overflows; log value {log_scale:.3g}")
+    out = math.exp(log_scale) * float(value)
+    if not math.isfinite(out):
+        raise QuadratureFailure(f"{what} overflows")
+    return out
 
 
 def _checked_entropy(val: float, err: float) -> tuple[float, float]:
@@ -91,8 +94,9 @@ def _checked_entropy(val: float, err: float) -> tuple[float, float]:
 def entropy_energy_with_error(g: ScalarField, mu,
                               spec: QuadratureSpec) -> tuple[float, float, float, float]:
     """(Ent(g), its error, int E g dmu, its error) from one weight g."""
-    def fn(lm, means):
-        return np.array([_entropy(lm, means[0]), _mass(lm) * means[1]])
+    def fn(lm, means):  # Ent(g) = ||g||_1 (E[ln g] - ln ||g||_1), E under g / ||g||_1
+        return np.array([_times_exp(lm, means[0] - lm, "||g||_1", "Ent(g)"),
+                         _times_exp(lm, means[1], "||g||_1", "int E g dmu")])
 
     (ent, ee), (e_ent, e_ee) = weighted_moments(_weight_columns(g), mu, spec, fn)
     return (*_checked_entropy(ent, e_ent), float(ee), max(float(e_ee), 1e-15))
@@ -179,10 +183,8 @@ def alpha_prime_with_error(f: ScalarField, mu, c: float, r: float,
     q = _checked_q(r, c)
 
     def fn(log_a, means):
-        if log_a / q > 700.0:
-            raise QuadratureFailure(f"alpha(r) overflows; log value {log_a / q:.3g}")
         bracket = log_a - means[0] + (c * q / 2.0) * means[1]
-        return (2.0 / (c * r * q)) * math.exp(log_a / q) * bracket
+        return _times_exp(log_a / q, (2.0 / (c * r * q)) * bracket, "alpha(r)", "alpha'(r)")
 
     val, err = weighted_moments(_weight_columns(dilate(f, r), q), mu, spec, fn)
     return float(val), max(float(err), 1e-15)

@@ -9,8 +9,9 @@ Every Density is normalized when it is built, and only a closure that changes
 the mass integrates anything: the built-in families have closed-form
 constants; ``mix``, ``shift`` and ``product`` combine normalized log-densities,
 so their mass is exactly 1; ``perturb`` pays for one ``integrate_log`` of its
-weight against the normalized base; ``convolve_measures`` normalizes its FFT
-cache.  The module needs numpy only, SciPy serves the tests as an oracle.
+weight against the normalized base; ``convolve_measures`` normalizes the
+density it evaluates by its own mass.  The module needs numpy only, SciPy
+serves the tests as an oracle.
 
 The regularity constant of exponential type p is
 
@@ -90,7 +91,7 @@ class Density:
         bad = lv > _EXP_OVERFLOW
         if np.any(bad):
             raise EvaluationFailure(
-                "density evaluation overflows exp", point=pts[np.argmax(lv)]
+                "density evaluation overflows exp", witness=pts[np.argmax(lv)]
             )
         v = np.exp(np.maximum(lv, LOG_FLOOR))
         return float(v[0]) if single else v
@@ -388,6 +389,10 @@ def product(mu1: Density, mu2: Density) -> Density:
 def convolve_measures(mu1: Density, mu2: Density) -> Density:
     """Convolution mu1 * mu2 via FFT on a cached grid with log-linear interpolation.
 
+    It evaluates e^u, u the multilinear interpolant of the cache's log, and
+    is normalized by the mass of e^u, which for log-concave data is below
+    the cache's node sum (by 1.1e-3 in 2-D, 3.8e-2 in 3-D).
+
     The grid has M = ``_CONV_CACHE_NODES[dim]`` nodes per axis (odd, so 0 is a
     node), one numpy interpolator in every dimension.  Each axis of the FFT is
     zero-padded to the smallest 5-smooth length of at least 2M - 1, so the
@@ -419,11 +424,10 @@ def convolve_measures(mu1: Density, mu2: Density) -> Density:
     # the M central samples of the 2M - 1 of the linear convolution, per axis
     conv = full[(slice((M - 1) // 2, (M - 1) // 2 + M),) * n] * h**n
     conv = np.maximum(conv, 0.0)
-    mass = float(conv.sum() * h**n)
-    if not (mass > 0 and math.isfinite(mass)):
+    if not 0.0 < conv.sum() < math.inf:
         raise EvaluationFailure("convolution cache has no mass")
-    conv /= mass
     logc = np.log(np.maximum(conv, 1e-300))
+    logc -= _log_interpolant_mass(logc, h)
 
     peak = conv.max()
     unreliable = conv < peak * _CONV_RELIABLE
@@ -462,6 +466,22 @@ def convolve_measures(mu1: Density, mu2: Density) -> Density:
         _log_density=logd,
         _sampler=sampler if mu1.has_sampler and mu2.has_sampler else None,
     )
+
+
+def _log_interpolant_mass(logc: Array, h: float) -> float:
+    """ln int e^u over the grid box, u the multilinear interpolant of the log
+    table ``logc`` on spacing h: the 2-point Gauss-Legendre rule in every
+    cell, u at each of its 2^n nodes summed from the 2^n shifted views."""
+    n, m = logc.ndim, logc.shape[0] - 1
+    views = {corner: logc[tuple(slice(c, m + c) for c in corner)]
+             for corner in itertools.product((0, 1), repeat=n)}
+    total = 0.0
+    for t in itertools.product((0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)),
+                               repeat=n):
+        u = sum(math.prod(ti if c else 1.0 - ti for ti, c in zip(t, corner)) * view
+                for corner, view in views.items())
+        total += float(np.exp(u).sum())
+    return math.log(total) + n * math.log(h / 2.0)
 
 
 def _fft_length(n: int) -> int:
@@ -535,7 +555,8 @@ def perturb(
     try:
         log_mass, _ = quadrature.integrate_log(log_weight, mu, quadrature.default_spec(mu))
     except QuadratureFailure as exc:
-        raise EvaluationFailure(f"cannot normalize {label!r}: {exc}") from exc
+        raise EvaluationFailure(f"cannot normalize {label!r}: {exc}",
+                                witness=exc.witness) from exc
     if not log_mass < _EXP_OVERFLOW:
         raise EvaluationFailure(f"cannot normalize {label!r}: mass e^{log_mass:.4g}")
     return Density(
@@ -570,7 +591,7 @@ def _y_grid(dim: int, s: float, h: float) -> Array:
     return ys[np.linalg.norm(ys, axis=1) <= s * (1.0 + 1e-12)]
 
 
-def _best_log_ratio(mu: Density, p: float, a: float, xs: Array, ys: Array) -> Array:
+def _ln_best_ratio(mu: Density, p: float, a: float, xs: Array, ys: Array) -> Array:
     """max over y of p log|x| + log rho(a x + y) - log rho(x), per x row."""
     log_x = np.full(xs.shape[0], -math.inf)
     nrm = np.linalg.norm(xs, axis=1)
@@ -624,15 +645,12 @@ def regularity_constant(
     h = 2.0 * R / (nax - 1)
     ys = _y_grid(mu.dim, s, h)
 
-    lr = _best_log_ratio(mu, p, a, xs, ys)
+    lr = _ln_best_ratio(mu, p, a, xs, ys)
     top = float(np.max(lr))
     if top > LOG_RATIO_GUARD:
-        raise TypeConditionViolation(
-            f"type-{p:g} condition violated at x={xs[int(np.argmax(lr))]}: "
-            "ratio exceeds the overflow guard",
-            witness=xs[int(np.argmax(lr))],
-            log_ratio=top,
-        )
+        x = xs[int(np.argmax(lr))]
+        raise TypeConditionViolation(f"type-{p:g} condition violated at x={x}: "
+                                     "ratio exceeds the overflow guard", witness=x)
 
     nrm = np.linalg.norm(xs, axis=1)
     boundary = nrm >= 0.9 * R
@@ -642,15 +660,12 @@ def regularity_constant(
             idx = np.flatnonzero(boundary)[int(np.argmax(lr[boundary]))]
             xb = xs[idx : idx + 1]
             inner = 0.97 * xb
-            lr_b = float(_best_log_ratio(mu, p, a, xb, ys)[0])
-            lr_in = float(_best_log_ratio(mu, p, a, inner, ys)[0])
+            lr_b = float(_ln_best_ratio(mu, p, a, xb, ys)[0])
+            lr_in = float(_ln_best_ratio(mu, p, a, inner, ys)[0])
             if lr_b > lr_in + 1e-9:
-                raise TypeConditionViolation(
-                    f"type-{p:g} condition violated at x={xb[0]}: "
-                    "ratio increases toward the grid boundary",
-                    witness=xb[0],
-                    log_ratio=lr_b,
-                )
+                raise TypeConditionViolation(f"type-{p:g} condition violated at x={xb[0]}: "
+                                             "ratio increases toward the grid boundary",
+                                             witness=xb[0])
     return float(np.exp(top))
 
 

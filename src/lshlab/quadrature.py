@@ -251,7 +251,7 @@ def _fail_at_first(bad: Array, pts: Array):
     if np.any(bad):
         raise QuadratureFailure(
             "non-finite integrand value inside the truncation region",
-            point=pts[int(np.argmax(bad))],
+            witness=pts[int(np.argmax(bad))],
         )
 
 
@@ -270,7 +270,7 @@ def weighted_moments(columns, mu, spec: QuadratureSpec, fn):
     halved; ``adaptive_1d`` runs one adaptive loop for the weight and every
     factor.  A QuadratureFailure raised while the quantity is formed (the
     weight integrating to 0, a norm beyond the double range) carries the
-    node of largest weight as its point.
+    node of largest weight as its witness.
     """
     return _weighted_moments(columns, mu, spec, fn)[:2]
 
@@ -291,13 +291,13 @@ def _weighted_moments(columns, mu, spec: QuadratureSpec, fn):
         value = at(values)
         return value, sum(np.abs(at(v) - value) for v in moved), peak
     except QuadratureFailure as exc:  # raised by fn, which knows no point
-        exc.point = peak
+        exc.witness = peak
         raise
 
 
 def _columns_at(columns, pts: Array) -> Array:
     """What ``columns`` gives at pts, as an (m, 1 + k) array, with no warning
-    on overflow: where it matters, the integral fails with its point."""
+    on overflow: where it matters, the integral fails with its witness."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.asarray(columns(pts), dtype=float).reshape(pts.shape[0], -1)
 
@@ -311,7 +311,7 @@ def _node_moments(columns, mu, spec: QuadratureSpec):
     peak = pts[int(np.argmax(s))].copy()  # not a view that keeps pts alive
     log_mass = _logsumexp(s)
     if not math.isfinite(log_mass):
-        raise QuadratureFailure("the weight integrates to zero or diverges", point=peak)
+        raise QuadratureFailure("the weight integrates to zero or diverges", witness=peak)
     # a node is bad when any of its factors is
     _fail_at_first(~np.isfinite(cols[:, 1:]).all(axis=1), pts)
     return log_mass, np.exp(s - log_mass) @ cols[:, 1:], peak
@@ -449,7 +449,7 @@ def adaptive_weighted(mu, spec: QuadratureSpec, columns):
     # the weight is >= 0, so res[0] / (hi - lo), an interval's mean weight, is
     # at least 1/171 of the largest weight of its nodes
     if (res[0] / (hi - lo)).max() < _PEAK_KEPT:
-        raise QuadratureFailure("the weight integrates to 0 or its peak was lost", point=peak)
+        raise QuadratureFailure("the weight integrates to 0 or its peak was lost", witness=peak)
     values = res.sum(axis=1)
     return shift, values, np.maximum(err.sum(axis=1), np.abs(values) * 1e-15), peak
 
@@ -502,6 +502,6 @@ def lp_norm_with_error(f, mu, p: float, spec: QuadratureSpec) -> tuple[float, fl
                                            lambda log_mass, _: log_mass)
     # on the reported value only, not on the halved or moved ones of its error
     if logv / p > 709.0:
-        raise QuadratureFailure(f"L^{p:g} norm overflows (log value {logv / p:.3g})", point=peak)
+        raise QuadratureFailure(f"L^{p:g} norm overflows (log value {logv / p:.3g})", witness=peak)
     norm = math.exp(logv / p)
     return norm, norm * max(float(logerr), 1e-15) / p

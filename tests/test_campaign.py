@@ -218,6 +218,9 @@ class TestRun:
         assert report["summary"]["inconclusive"] == 2
         assert [rep["kind"] for rep in report["checks"]] == ["dilation_bound", "error"]
         assert [rep["tolerance"] for rep in report["checks"]] == [None, None]
+        error = report["checks"][1]
+        assert (error["inputs"], error["quantities"], error["spec"]) == ({}, {}, {})
+        assert error["notes"][0].startswith("inconclusive: ")
         json.dumps(report, allow_nan=False)
 
     def test_shc_csv_columns(self, tmp_path):

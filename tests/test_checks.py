@@ -10,7 +10,7 @@ import lshlab as L
 from lshlab import checks, functionals, quadrature
 from lshlab.checks import SHC_NOTE
 from lshlab.errors import InvalidParameter, QuadratureFailure
-from lshlab.fields import _ball_nodes
+from lshlab.fields import _ball_nodes, default_probes
 from lshlab.quadrature import measure_nodes
 
 
@@ -30,6 +30,17 @@ class TestSlsi:
         rep = L.check_slsi(L.constant(3.0, 1), gauss1, 1.0, gh_spec)
         assert rep.passed
         assert rep.quantities["deficit"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("value", [1e300, 1e305, 1e307])
+    def test_huge_constant_passes(self, gauss1, value):
+        # ||g||_1 = value is a finite double, and Ent = int E g dmu = 0: only a
+        # norm beyond the largest double (log value 709.78) is an overflow
+        f = L.constant(value)
+        rep = L.check_slsi(f, gauss1, 1.0)
+        assert rep.passed and not rep.inconclusive
+        assert math.isfinite(rep.quantities["entropy"])
+        assert abs(L.alpha_prime_analytic(f, gauss1, 1.0, 0.8, L.default_spec(gauss1))) \
+            <= 1e-9 * value
 
     def test_below_sharp_constant_fails(self, gauss1, gh_spec):
         rep = L.check_slsi(L.log_linear([1.2]), gauss1, 0.9, gh_spec)
@@ -863,6 +874,36 @@ class TestWitness:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert rep.inconclusive
         assert rep.quantities["witness"][0] == -math.tan(math.pi / 2)
+
+    def test_type_condition_witness_reaches_the_report(self):
+        # the mixture's density ratio overflows its guard between the two
+        # components, at x = 2.4998 on the regularity grid
+        mu = L.mix(L.gaussian(0.1), L.shift(L.gaussian(0.1), [5.0]), 0.5)
+        rep = L.check_dilation_bound(L.log_linear([0.5]), mu, 1.0, 0.5)
+        assert rep.inconclusive
+        assert "regularity constant unavailable" in rep.notes[0]
+        assert rep.quantities["witness"] == pytest.approx([2.4998], abs=1e-9)
+
+    def test_lemma_gates_carry_witness(self):
+        quartic = L.raw_field(lambda pts: np.sum(pts**4, axis=1), 2, label="x^4 + y^4")
+        rep = L.check_radial_euler_scaling(quartic)
+        assert rep.inconclusive
+        # the first gate probe is off its orbit
+        np.testing.assert_array_equal(rep.quantities["witness"],
+                                      default_probes(2, count=64, seed=17)[0])
+        concave = L.raw_field(lambda pts: -np.sum(pts**2, axis=1), 2, label="-|x|^2")
+        rep = L.check_spherical_monotonicity(concave)
+        assert rep.inconclusive
+        assert rep.quantities["witness"].shape == (2,)
+        assert "subharmonic" in rep.notes[0]
+
+    @pytest.mark.parametrize("cls", [L.LabError, InvalidParameter, QuadratureFailure,
+                                     L.EvaluationFailure, L.SubharmonicityError,
+                                     L.TypeConditionViolation, L.ConfigError])
+    def test_every_error_takes_a_witness(self, cls):
+        assert cls("message").witness is None
+        assert str(cls("message", witness=[1.0])) == "message"
+        assert cls("message", witness=[1.0]).witness == [1.0]
 
     def test_conclusive_report_has_no_witness(self, gauss1, gh_spec):
         rep = L.check_slsi(L.cosh_field(0.8), gauss1, 1.0, gh_spec)

@@ -146,7 +146,7 @@ class TestEval:
         )
         with pytest.raises(EvaluationFailure) as err:
             spiked.pdf(np.array([0.0]))
-        assert err.value.point is not None
+        assert err.value.witness is not None
 
     def test_non_finite_point_rejected(self, gauss1):
         with pytest.raises(InvalidParameter):
@@ -376,6 +376,29 @@ class TestConvolution:
         assert np.all(got[outside] == LOG_FLOOR)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("first, second", [
+        (L.gaussian(1.0), L.gaussian(0.5)),
+        (L.poly_tail(3.0), L.gaussian(0.5)),
+        (L.gaussian(1.0, 2), L.gaussian(0.7, 2)),
+    ])
+    def test_evaluated_density_has_mass_one(self, first, second):
+        # e^{interpolated log} lies below the cache's nodes, so a node-sum
+        # normalization left 1 - 2.4e-7, 1 - 4.1e-5 and 1 - 1.07e-3 here
+        conv = L.convolve_measures(first, second)
+        m, err = L.integrate(lambda pts: np.ones(pts.shape[0]), conv, L.default_spec(conv))
+        assert abs(m - 1.0) <= err
+
+    @pytest.mark.parametrize("first, second", [
+        (L.poly_tail(3.0), L.gaussian(0.5)),
+        (L.gaussian(1.0, 2), L.gaussian(0.7, 2)),
+    ])
+    def test_constant_field_is_an_equality_case(self, first, second):
+        # Ent(1.5) = int E 1.5 dmu = 0 and ||f_r||_q = 1.5 on a probability measure
+        conv = L.convolve_measures(first, second)
+        f = L.constant(1.5, conv.dim)
+        for rep in (L.check_slsi(f, conv, 1.0), L.check_shc(f, conv, 1.0)):
+            assert rep.passed and not rep.inconclusive
+
     def test_approximate_identity(self, gauss1):
         narrow = L.gaussian(0.05, 1)
         conv = L.convolve_measures(narrow, gauss1)
@@ -415,7 +438,30 @@ class TestConvolution:
             L.convolve_measures(gauss1, gauss2)
 
 
+@pytest.mark.parametrize("build, want", [
+    (lambda: L.gen_exponential(1.0, 1.0, 4), 20.0),
+    (lambda: L.uniform_ball(1.0, 4), 2.0 / 3.0),
+    (lambda: L.poly_tail(3.0), 1.0 / 3.0),
+    (lambda: L.mix(L.gaussian(1.0, 4), L.gaussian(2.0, 4), 0.3), 7.6),
+    (lambda: L.product(L.gaussian(1.0, 2), L.gen_exponential(1.0, 1.0, 2)), 8.0),
+    (lambda: L.convolve_measures(L.gaussian(1.0), L.gaussian(0.5)), 1.25),
+], ids=["gen_exponential", "uniform_ball", "poly_tail", "mix", "product", "convolve"])
+def test_sampler_second_moment(build, want):
+    # Monte Carlo E|x|^2 from the measure's own sampler against its closed
+    # form, within 5 times the estimate's halving error
+    spec = L.QuadratureSpec(scheme="monte_carlo", mc_samples=200_000, seed=3)
+    got, err = L.integrate(lambda pts: np.sum(pts * pts, axis=1), build(), spec)
+    assert abs(got - want) <= 5.0 * err
+
+
 class TestPerturbation:
+    def test_normalizer_failure_carries_witness(self, gauss1):
+        # the NaN weight beyond x = 1 fails the normalizing integral at a node
+        # there, and the EvaluationFailure keeps that node as its witness
+        with pytest.raises(EvaluationFailure) as err:
+            L.perturb(gauss1, lambda pts: np.where(pts[:, 0] > 1.0, np.nan, 0.0))
+        assert err.value.witness[0] > 1.0
+
     def test_bounded_weight_controls_constants(self, gauss1):
         # w(x) = 1 + 0.5 cos(x) has bounds C = 0.5, D = 1.5
         weighted = L.perturb(

@@ -232,8 +232,8 @@ class TestIntegrate:
         node = measure_nodes(gauss1, gh_spec)[0][7]
         with pytest.raises(QuadratureFailure) as err, np.errstate(divide="ignore"):
             L.integrate(lambda pts: 1.0 / (pts[:, 0] - node[0]), gauss1, gh_spec)
-        assert err.value.point is not None
-        np.testing.assert_array_equal(err.value.point, node)
+        assert err.value.witness is not None
+        np.testing.assert_array_equal(err.value.witness, node)
 
     def test_adaptive_poly_tail_moment(self):
         mu = L.poly_tail(1.5)
@@ -298,7 +298,7 @@ class TestAdaptiveRule:
         mu = L.gen_exponential(0.5, 2.0, 1)
         with pytest.raises(QuadratureFailure, match="its peak was lost") as err:
             quadrature.adaptive_weighted(mu, L.default_spec(mu), lambda pts: 153.6 * pts[:, 0])
-        assert err.value.point[0] == pytest.approx(146.588, abs=1e-3)
+        assert err.value.witness[0] == pytest.approx(146.588, abs=1e-3)
 
     def test_interval_cap_reports_a_large_error_without_warning(self):
         # sign(sin 40x) jumps about 130 times where N(0, 1) has mass; each jump
@@ -381,7 +381,7 @@ class TestVectorIntegrate:
 
         with pytest.raises(QuadratureFailure) as err:
             L.integrate(h, gauss1, gh_spec)
-        np.testing.assert_array_equal(err.value.point, pts[bad_row])
+        np.testing.assert_array_equal(err.value.witness, pts[bad_row])
 
 
 class TestWeightedMoments:
@@ -534,7 +534,7 @@ class TestLpNorm:
         with pytest.raises(QuadratureFailure, match="norm overflows") as err:
             lp_norm_with_error(L.log_linear([40.0]), gauss1, 30.0, gh_spec)
         pts, logw = measure_nodes(gauss1, gh_spec)
-        np.testing.assert_array_equal(err.value.point, pts[np.argmax(logw + 1200.0 * pts[:, 0])])
+        np.testing.assert_array_equal(err.value.witness, pts[np.argmax(logw + 1200.0 * pts[:, 0])])
 
     def test_large_power_accurate_in_check_regime(self, gauss1, gh_spec):
         # exponents the inequality checks actually reach (q(r) <= ~16)
