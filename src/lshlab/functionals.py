@@ -30,12 +30,10 @@ import numpy as np
 
 from .errors import InvalidParameter, QuadratureFailure
 from .fields import ScalarField, dilate, power
-from .quadrature import QuadratureSpec, lp_norm_with_error, weighted_moments
+from .quadrature import LOG_MAX, QuadratureSpec, lp_norm_with_error, weighted_moments
 
 #: q(r) values beyond this guard are rejected (integrands would overflow)
 Q_GUARD = 1e4
-#: ln of the largest double: a norm whose log exceeds it overflows
-LOG_MAX = math.log(np.finfo(float).max)
 DEFAULT_R_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0)
 
 

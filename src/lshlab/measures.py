@@ -9,9 +9,9 @@ Every Density is normalized when it is built, and only a closure that changes
 the mass integrates anything: the built-in families have closed-form
 constants; ``mix``, ``shift`` and ``product`` combine normalized log-densities,
 so their mass is exactly 1; ``perturb`` pays for one ``integrate_log`` of its
-weight against the normalized base; ``convolve_measures`` normalizes the
-density it evaluates by its own mass.  The module needs numpy only, SciPy
-serves the tests as an oracle.
+weight against the normalized base; ``convolve_measures`` normalizes what it
+evaluates (its FFT cache on trusted cells, tangent lines past them) by its own
+mass.  The module needs numpy only, SciPy serves the tests as an oracle.
 
 The regularity constant of exponential type p is
 
@@ -29,6 +29,7 @@ bounds are exercised by the check suite.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import math
@@ -41,10 +42,10 @@ from . import quadrature
 from .errors import (EvaluationFailure, InvalidParameter, QuadratureFailure,
                      TypeConditionViolation)
 from .fields import LOG_FLOOR, _ball_volume, _batch
+from .quadrature import LOG_MAX
 
 Array = np.ndarray
 
-_EXP_OVERFLOW = 709.0
 #: ratios above this guard are reported as type-condition violations
 LOG_RATIO_GUARD = math.log(1e100)
 
@@ -56,8 +57,13 @@ NEAR_ONE_COUNT = 16
 
 _CONV_CACHE_NODES = {1: 16385, 2: 513, 3: 129}
 _CONV_EXTENT_FACTOR = 1.3
-#: cached convolution values below peak * this factor are treated as unreliable
-_CONV_RELIABLE = 1e-26
+#: the cache is trusted where it is at least this fraction of its peak; the
+#: FFT's round-off is about 1e-16 of the peak (Wilson & Keich 2016)
+_CONV_RELIABLE = 1e-12
+#: the tail's slope is the finite difference over this many cells inward
+_CONV_SLOPE_CELLS = 4
+#: the rays of the tail's table pass through K^(dim-1) cells of each face
+_CONV_DIRECTION_BINS = {1: 2, 2: 128, 3: 32}
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,6 @@ class Density:
     label: str
     family: Optional[str] = None
     params: tuple = ()
-    eval_radius: float = math.inf
     _log_density: Callable[[Array], Array] = field(repr=False, default=None)
     _sampler: Optional[Callable] = field(repr=False, default=None)
 
@@ -84,17 +89,14 @@ class Density:
 
     def pdf(self, x):
         """Normalized density value; raises on exp overflow, never returns inf."""
-        pts, single = _batch(x, self.dim)
-        if not np.all(np.isfinite(pts)):
+        if not np.all(np.isfinite(x)):
             raise InvalidParameter("evaluation point must be finite")
-        lv = np.asarray(self._log_density(pts), dtype=float) - math.log(self.norm_const)
-        bad = lv > _EXP_OVERFLOW
-        if np.any(bad):
-            raise EvaluationFailure(
-                "density evaluation overflows exp", witness=pts[np.argmax(lv)]
-            )
-        v = np.exp(np.maximum(lv, LOG_FLOOR))
-        return float(v[0]) if single else v
+        lv = self.log_pdf(x)
+        if np.any(lv > LOG_MAX):
+            pts = np.reshape(x, (-1, self.dim))
+            raise EvaluationFailure("density evaluation overflows exp",
+                                    witness=pts[np.argmax(lv)])
+        return np.exp(lv)
 
     @property
     def has_sampler(self) -> bool:
@@ -147,13 +149,13 @@ def gen_exponential(c: float = 1.0, a: float = 1.0, dim: int = 1) -> Density:
     # Gamma(n/a) overflows for small a
     k = dim / a
     log_norm = math.log(k * _ball_volume(dim)) + math.lgamma(k) - k * math.log(c)
-    if abs(log_norm) > _EXP_OVERFLOW:
+    if abs(log_norm) > LOG_MAX:
         raise InvalidParameter(f"gen_exponential(c={c:g}, a={a:g}) has mass e^{log_norm:.4g}")
     norm = math.exp(log_norm)
     # radius with tail mass below 1e-12, from the incomplete-gamma inverse
     tail = _gammainccinv(k, 1e-12)
     log_trunc = math.log(tail / c) / a
-    if log_trunc > _EXP_OVERFLOW:
+    if log_trunc > LOG_MAX:
         raise InvalidParameter(
             f"gen_exponential(c={c:g}, a={a:g}) has truncation radius e^{log_trunc:.4g}")
     trunc = (tail / c) ** (1.0 / a)
@@ -337,7 +339,6 @@ def mix(mu1: Density, mu2: Density, t: float) -> Density:
         strictly_positive=(t < 1.0 and mu1.strictly_positive)
         or (t > 0.0 and mu2.strictly_positive),
         label=f"mix({mu1.label}, {mu2.label}, t={t:g})",
-        eval_radius=min(mu1.eval_radius, mu2.eval_radius),
         _log_density=logd,
         _sampler=_mixture_sampler(mu1, mu2, t),
     )
@@ -380,24 +381,30 @@ def product(mu1: Density, mu2: Density) -> Density:
         rotation_invariant=rot,
         strictly_positive=mu1.strictly_positive and mu2.strictly_positive,
         label=f"product({mu1.label}, {mu2.label})",
-        eval_radius=min(mu1.eval_radius, mu2.eval_radius),
         _log_density=logd,
         _sampler=sampler if mu1.has_sampler and mu2.has_sampler else None,
     )
 
 
 def convolve_measures(mu1: Density, mu2: Density) -> Density:
-    """Convolution mu1 * mu2 via FFT on a cached grid with log-linear interpolation.
+    """Convolution mu1 * mu2 via FFT on a cached grid, read in log space.
 
-    It evaluates e^u, u the multilinear interpolant of the cache's log, and
-    is normalized by the mass of e^u, which for log-concave data is below
-    the cache's node sum (by 1.1e-3 in 2-D, 3.8e-2 in 3-D).
+    It evaluates e^u, u the multilinear interpolant of a log table on the
+    grid box.  The table holds the cache's log where it is trusted, at least
+    ``_CONV_RELIABLE`` of the peak.  Past the outermost trusted point R on
+    the ray from the mode c, it holds, as does the reader off the box, the
+    line ln rho(c + R u) + (|x - c| - R) s of slope s <= 0, above a
+    log-concave ln rho; past R a heavy factor, one whose tail the grid cuts
+    off, bounds the decay from below.  R, ln rho there and s come from a
+    table of rays through the cells of the cube's faces.  The mass of e^u,
+    and in 1-D of the reader past the box, normalizes it.
 
     The grid has M = ``_CONV_CACHE_NODES[dim]`` nodes per axis (odd, so 0 is a
     node), one numpy interpolator in every dimension.  Each axis of the FFT is
     zero-padded to the smallest 5-smooth length of at least 2M - 1, so the
     circular convolution is the linear one and the transform length has no
-    large prime factor.
+    large prime factor.  The truncation radius is the factors' summed; in
+    1-D, at most the largest |x| of a trusted node.
 
     Deterministic quadrature caps at dim 3; higher dimensions are rejected
     with advice to use Monte Carlo sampling of sums instead.
@@ -415,8 +422,8 @@ def convolve_measures(mu1: Density, mu2: Density) -> Density:
     axis = np.linspace(-L, L, M)
     h = axis[1] - axis[0]
     pts = quadrature.tensor_grid(axis, n)
-    a = np.exp(np.maximum(mu1.log_pdf(pts), LOG_FLOOR)).reshape([M] * n)
-    b = np.exp(np.maximum(mu2.log_pdf(pts), LOG_FLOOR)).reshape([M] * n)
+    logs = [mu1.log_pdf(pts), mu2.log_pdf(pts)]
+    a, b = (np.exp(np.maximum(lv, LOG_FLOOR)).reshape([M] * n) for lv in logs)
     size = (_fft_length(2 * M - 1),) * n
     axes = tuple(range(n))
     spectrum = np.fft.rfftn(a, s=size, axes=axes) * np.fft.rfftn(b, s=size, axes=axes)
@@ -427,30 +434,90 @@ def convolve_measures(mu1: Density, mu2: Density) -> Density:
     if not 0.0 < conv.sum() < math.inf:
         raise EvaluationFailure("convolution cache has no mass")
     logc = np.log(np.maximum(conv, 1e-300))
-    logc -= _log_interpolant_mass(logc, h)
+    table = logc.reshape(-1)  # a view: filling it fills logc
 
-    peak = conv.max()
-    unreliable = conv < peak * _CONV_RELIABLE
-    if np.any(unreliable):
-        radii = np.linalg.norm(pts, axis=1).reshape([M] * n)
-        reliable_radius = float(radii[unreliable].min())
-    else:
-        reliable_radius = float(L)
+    # a factor whose ln rho is convex at the box's faces, its slope flattening
+    # outward, is heavy: its tail lies above every line, and the grid cuts it
+    # off, so the cache misses mass beyond L - T of the other (poly_tail(1) *
+    # N(0, 1) read a slope of -0.77 for -0.015).  Past R, ln rho decays no
+    # faster than ln of a heavy factor
+    reach, heavy = L - h, []
+    for lv, mu, other in ((logs[0], mu1, mu2), (logs[1], mu2, mu1)):
+        grid = lv.reshape([M] * n)
+        with np.errstate(invalid="ignore"):  # -inf - -inf off a support
+            convex = [np.take(grid, e, axis=k) - 2.0 * np.take(grid, e + d, axis=k)
+                      + np.take(grid, e + 2 * d, axis=k) > 0.0
+                      for k in range(n) for e, d in ((0, 1), (-1, -1))]
+        if np.any(convex):
+            reach = min(reach, L - other.truncation_radius - h)
+            heavy.append((mu, lv))
+    level = math.log(conv.max() * _CONV_RELIABLE)
+    ok = ((logc >= level) & functools.reduce(np.logical_and.outer, [np.abs(axis) <= reach] * n)).ravel()
+    corners = list(itertools.product((0, 1), repeat=n))
 
-    h, corners = 2.0 * L / (M - 1), list(itertools.product((0, 1), repeat=n))
+    def interpolate(x):
+        """Multilinear on the 2^n corners of each point's cell."""
+        cell = np.clip(np.floor((x + L) / h), 0, M - 2).astype(int)
+        # weights from the cell's own nodes, which are off by up to 1e-12 h
+        w = (x - axis[cell]) / (axis[cell + 1] - axis[cell])
+        return sum(np.prod(np.where(corner, w, 1.0 - w), axis=1)
+                   * logc[tuple((cell + corner).T)] for corner in corners)
+
+    # on each ray of the table, R is where the cache's interpolant last
+    # crosses the trusted level inside the reach: found on steps of h / 2
+    # and placed between the last two linearly, so that R, and the line far
+    # out, vary smoothly with the ray.  E is ln rho at R, S the slope over
+    # the last few cells
+    c, K = pts[np.argmax(conv)], _CONV_DIRECTION_BINS[n]
+    u = _cube_directions(n, K)
+    ts = np.arange(0.0, np.linalg.norm(pts[ok] - c, axis=1).max() + 2.0 * math.sqrt(n) * h, h / 2.0)
+    p = c + ts[:, None, None] * u
+    v = np.where(np.abs(p).max(axis=2) <= reach, interpolate(p.reshape(-1, n)).reshape(p.shape[:2]),
+                 -math.inf)
+    i = ts.size - 2 - np.argmax(v[-2::-1] >= level, axis=0)  # c, the peak, is on every ray
+    inner, outer = v[i, np.arange(u.shape[0])], v[i + 1, np.arange(u.shape[0])]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = ts[i] + 0.5 * h * np.where(outer < level, (inner - level) / (inner - outer), 0.0)
+    edge, step = c + R[:, None] * u, _CONV_SLOPE_CELLS * h
+    E = interpolate(edge)
+    S = np.minimum(E - interpolate(edge - step * u), 0.0) / step
+    F = [mu.log_pdf(edge) for mu, _ in heavy]
+
+    def line(x, lfs):
+        """The line on each point's ray and whether the point lies past R;
+        with a heavy factor of log ln f, at least ln rho(c + R u) + ln f(x)
+        - ln f(c + R u), and at most ln rho(c + R u)."""
+        d = x - c
+        k, r = _cube_bin(d, K), np.sqrt(np.einsum("ij,ij->i", d, d))
+        out = E[k] + (r - R[k]) * S[k]
+        for lf, Fi in zip(lfs, F):
+            out = np.maximum(out, E[k] + np.minimum(lf - Fi[k], 0.0))
+        return out, r > R[k]
+
+    # in blocks of nodes, to bound the temporaries of a 3-D grid
+    for far in np.array_split(np.flatnonzero(~ok), max(1, M**n // 2**18)):
+        values, past = line(pts[far], [lv[far] for _, lv in heavy])
+        table[far[past]] = values[past]
 
     def logd(qts):
-        """Multilinear on the 2^n corners of each point's cell; LOG_FLOOR off the grid."""
-        out = np.full(qts.shape[0], LOG_FLOOR)
-        inside = np.all(np.abs(qts) <= L, axis=1)
-        x = qts[inside]
-        cell = np.minimum(np.floor((x + L) / h).astype(int), M - 2)
-        # weights from the cell's own nodes, not h: nodes are off by up to
-        # 1e-12 h, and past eval_radius neighbouring values differ by hundreds
-        w = (x - axis[cell]) / (axis[cell + 1] - axis[cell])
-        out[inside] = sum(np.prod(np.where(corner, w, 1.0 - w), axis=1)
-                          * logc[tuple((cell + corner).T)] for corner in corners)
+        """The table's interpolant on the box, the lines off it."""
+        out = interpolate(qts)
+        off = np.any(np.abs(qts) > L, axis=1)
+        if np.any(off):
+            out[off] = line(qts[off], [mu.log_pdf(qts[off]) for mu, _ in heavy])[0]
         return out
+
+    mass, radius = [_log_interpolant_mass(logc, h)], mu1.truncation_radius + mu2.truncation_radius
+    if n == 1:
+        # integrals run on the whole line, so the radius only bounds the
+        # regularity search, which must read trusted nodes.  In 2-D and 3-D
+        # it is also the trapezoid's box, and that rule's halving estimate
+        # misses aliasing of the interpolant's kinks at some radii
+        mass += [_log_line_tail(logd, side * L) for side in (-1.0, 1.0)]
+        radius = min(radius, float(np.abs(pts[ok]).max()))
+    # the table and the lines off the box, in place
+    logc -= np.logaddexp.reduce(mass)
+    E -= np.logaddexp.reduce(mass)
 
     def sampler(rng, size):
         return mu1.sample(rng, size) + mu2.sample(rng, size)
@@ -458,14 +525,55 @@ def convolve_measures(mu1: Density, mu2: Density) -> Density:
     return Density(
         dim=n,
         norm_const=1.0,
-        truncation_radius=mu1.truncation_radius + mu2.truncation_radius,
+        truncation_radius=radius,
         rotation_invariant=mu1.rotation_invariant and mu2.rotation_invariant,
         strictly_positive=mu1.strictly_positive or mu2.strictly_positive,
         label=f"convolve({mu1.label}, {mu2.label})",
-        eval_radius=reliable_radius,
         _log_density=logd,
         _sampler=sampler if mu1.has_sampler and mu2.has_sampler else None,
     )
+
+
+def _cube_directions(n: int, K: int) -> Array:
+    """Unit vectors through the centres of the K^(n-1) cells on each of the
+    2n faces of the cube [-1, 1]^n, in the order ``_cube_bin`` numbers them."""
+    face, rest = np.divmod(np.arange(2 * n * K ** (n - 1)), K ** (n - 1))
+    q = rest[:, None] // K ** np.arange(n - 2, -1, -1) % K
+    pick = np.arange(n) == (face // 2)[:, None]
+    f = np.empty((face.size, n))
+    f[pick] = np.where(face % 2, 1.0, -1.0)
+    f[~pick] = ((q + 0.5) * (2.0 / K) - 1.0).ravel()
+    return f / np.linalg.norm(f, axis=1, keepdims=True)
+
+
+def _cube_bin(v: Array, K: int) -> Array:
+    """The number of the face cell that each nonzero row of v points through."""
+    m, n = v.shape
+    j = np.argmax(np.abs(v), axis=1)
+    top = v[np.arange(m), j]
+    q = np.minimum((v / np.abs(top)[:, None] + 1.0) * (K / 2.0), K - 1).astype(int)
+    # the cell's digits are q on the axes other than j, first axis first
+    digits = np.array([[0 if i == k else K ** (n - 2 - i + (i > k)) for i in range(n)]
+                       for k in range(n)])
+    return (2 * j + (top > 0)) * K ** (n - 1) + np.einsum("ij,ij->i", q, digits[j])
+
+
+def _log_line_tail(logd, x0: float) -> float:
+    """ln of the integral of e^logd on the half-line beyond x0 (on its far
+    side from 0): exact for ln rho piecewise linear on the geometric nodes
+    x0 e^{k / 32}, k <= 2048, and past the last of them the power law of
+    the last step's log-log slope beta, rho(X) X / (beta - 1)."""
+    x = x0 * np.exp(np.arange(2049) / 32.0)
+    lv = logd(x[:, None])
+    d, dx = np.diff(lv), np.diff(x)
+    beta = -d[-1] * 32.0
+    if not beta > 1.0:
+        raise EvaluationFailure("convolution has a tail that does not decay")
+    # e^a (e^d - 1) / d per step, 1 at d = 0
+    ratio = np.divide(np.expm1(d), d, out=np.ones_like(d), where=d != 0)
+    logs = np.append(lv[:-1] + np.log(np.abs(dx) * ratio),
+                     lv[-1] + math.log(abs(x[-1]) / (beta - 1.0)))
+    return float(np.logaddexp.reduce(logs))
 
 
 def _log_interpolant_mass(logc: Array, h: float) -> float:
@@ -509,7 +617,6 @@ def shift(mu: Density, offset) -> Density:
         rotation_invariant=False,
         strictly_positive=mu.strictly_positive,
         label=f"shift({mu.label}, {np.array2string(offset, separator=',')})",
-        eval_radius=mu.eval_radius,
         _log_density=lambda pts: mu.log_pdf(pts - offset[None, :]),
         _sampler=(lambda rng, size: mu.sample(rng, size) + offset[None, :])
         if mu.has_sampler
@@ -557,7 +664,7 @@ def perturb(
     except QuadratureFailure as exc:
         raise EvaluationFailure(f"cannot normalize {label!r}: {exc}",
                                 witness=exc.witness) from exc
-    if not log_mass < _EXP_OVERFLOW:
+    if not log_mass < LOG_MAX:
         raise EvaluationFailure(f"cannot normalize {label!r}: mass e^{log_mass:.4g}")
     return Density(
         dim=mu.dim,
@@ -566,7 +673,6 @@ def perturb(
         rotation_invariant=False,
         strictly_positive=mu.strictly_positive,
         label=label,
-        eval_radius=mu.eval_radius,
         _log_density=lambda pts: mu.log_pdf(pts) + np.asarray(log_weight(pts), dtype=float),
         _sampler=sampler,
     )
@@ -617,11 +723,10 @@ def regularity_constant(
     """Grid estimate of the type-p constant C_p(a, s).
 
     The search grid has ``GRID_NODES[dim]`` nodes per axis on the ball of
-    radius ``truncation_radius`` (less where ``eval_radius`` requires).  The
-    estimate is the maximum of the ratio over the grid, hence a lower bound of
-    the true sup.  Raises :class:`TypeConditionViolation` (with the witness
-    point) when the ratio exceeds the overflow guard or is still increasing at
-    the grid boundary.
+    radius ``truncation_radius``.  The estimate is the maximum of the ratio
+    over the grid, hence a lower bound of the true sup.  Raises
+    :class:`TypeConditionViolation` (with the witness point) when the ratio
+    exceeds the overflow guard or is still increasing at the grid boundary.
     """
     if a < 1.0:
         raise InvalidParameter("regularity constants are defined for a >= 1")
@@ -636,10 +741,6 @@ def regularity_constant(
         raise InvalidParameter("regularity grid search is implemented for dim <= 3")
 
     R = mu.truncation_radius
-    if math.isfinite(mu.eval_radius):
-        R = min(R, (mu.eval_radius - s) / a)
-    if R <= 0:
-        raise InvalidParameter("search radius collapsed; density cache too small")
     nax = GRID_NODES[mu.dim]
     xs = _grid_points(mu.dim, R, nax)
     h = 2.0 * R / (nax - 1)
@@ -660,9 +761,8 @@ def regularity_constant(
             idx = np.flatnonzero(boundary)[int(np.argmax(lr[boundary]))]
             xb = xs[idx : idx + 1]
             inner = 0.97 * xb
-            lr_b = float(_ln_best_ratio(mu, p, a, xb, ys)[0])
             lr_in = float(_ln_best_ratio(mu, p, a, inner, ys)[0])
-            if lr_b > lr_in + 1e-9:
+            if lr[idx] > lr_in + 1e-9:
                 raise TypeConditionViolation(f"type-{p:g} condition violated at x={xb[0]}: "
                                              "ratio increases toward the grid boundary",
                                              witness=xb[0])

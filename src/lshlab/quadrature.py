@@ -53,6 +53,8 @@ SCHEMES = ("gauss_hermite", "tensor_trapezoid", "adaptive_1d", "monte_carlo")
 _TRAP_DEFAULT = {1: 2049, 2: 257, 3: 65}
 _GH_DEFAULT = 101
 _MC_DEFAULT = 200_000
+#: ln of the largest double: a value whose log exceeds it overflows
+LOG_MAX = math.log(np.finfo(float).max)
 
 #: unused here; benchmarks/tracer.py reads and replaces it when it installs
 sp_integrate = None
@@ -501,7 +503,7 @@ def lp_norm_with_error(f, mu, p: float, spec: QuadratureSpec) -> tuple[float, fl
     logv, logerr, peak = _weighted_moments(lambda pts: p * f.log_value(pts), mu, spec,
                                            lambda log_mass, _: log_mass)
     # on the reported value only, not on the halved or moved ones of its error
-    if logv / p > 709.0:
+    if logv / p > LOG_MAX:
         raise QuadratureFailure(f"L^{p:g} norm overflows (log value {logv / p:.3g})", witness=peak)
     norm = math.exp(logv / p)
     return norm, norm * max(float(logerr), 1e-15) / p

@@ -31,13 +31,16 @@ class TestSlsi:
         assert rep.passed
         assert rep.quantities["deficit"] == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("value", [1e300, 1e305, 1e307])
+    @pytest.mark.parametrize("value", [1e300, 1e305, 1e307, 1.5e308])
     def test_huge_constant_passes(self, gauss1, value):
         # ||g||_1 = value is a finite double, and Ent = int E g dmu = 0: only a
-        # norm beyond the largest double (log value 709.78) is an overflow
+        # norm beyond the largest double (log value 709.78) is an overflow, in
+        # the sLSI and the sHC alike
         f = L.constant(value)
         rep = L.check_slsi(f, gauss1, 1.0)
         assert rep.passed and not rep.inconclusive
+        shc = L.check_shc(f, gauss1, 1.0)
+        assert shc.passed and not shc.inconclusive
         assert math.isfinite(rep.quantities["entropy"])
         assert abs(L.alpha_prime_analytic(f, gauss1, 1.0, 0.8, L.default_spec(gauss1))) \
             <= 1e-9 * value

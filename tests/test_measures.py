@@ -13,7 +13,6 @@ from lshlab.errors import (
     InvalidParameter,
     TypeConditionViolation,
 )
-from lshlab.fields import LOG_FLOOR
 from lshlab.measures import Density
 
 
@@ -333,48 +332,67 @@ class TestConvolution:
     @pytest.mark.parametrize("dim, s1, s2, rtol", [
         (1, 1.0, 1.0, 2e-6), (1, 0.5, 1.5, 2e-6), (2, 0.7, 1.2, 2e-3),
     ])
-    def test_gaussians_inside_eval_radius(self, dim, s1, s2, rtol):
+    def test_gaussians_against_closed_form(self, dim, s1, s2, rtol):
         # N(0, s1^2) * N(0, s2^2) = N(0, s1^2 + s2^2).  The bound is that of
         # linear interpolation of the log-density, about h^2 / (8 v) per axis
         # on the cache's spacing h (0.0025 in 1-D, 0.11 in 2-D).  The FFT's
-        # round-off, about 1e-16 of the peak, is what the density is near
-        # eval_radius, so logs are compared only above 1e-10 of the peak
-        conv = L.convolve_measures(L.gaussian(s1, dim), L.gaussian(s2, dim))
+        # round-off is about 1e-16 of the peak, so on the whole grid box logs
+        # are compared only where the density is above 1e-10 of the peak
+        first, second = L.gaussian(s1, dim), L.gaussian(s2, dim)
+        conv = L.convolve_measures(first, second)
         v = s1**2 + s2**2
-        R = conv.eval_radius
-        assert R >= 12.0
-        axis = np.linspace(-R, R, 4001 if dim == 1 else 161)
+        T = first.truncation_radius + second.truncation_radius
+        axis = np.linspace(-1.5 * T, 1.5 * T, 6001 if dim == 1 else 241)
         xs = L.quadrature.tensor_grid(axis, dim)
-        xs = xs[np.linalg.norm(xs, axis=1) < R]
         log_exact = -np.sum(xs * xs, axis=1) / (2.0 * v) - dim / 2.0 * math.log(2.0 * math.pi * v)
         peak = (2.0 * math.pi * v) ** (-dim / 2.0)
-        assert np.max(np.abs(conv.pdf(xs) - np.exp(log_exact))) <= rtol * peak
+        got = conv.log_pdf(xs)
+        box = np.all(np.abs(xs) <= measures._CONV_EXTENT_FACTOR * T, axis=1)
+        assert np.max(np.abs(conv.pdf(xs[box]) - np.exp(log_exact[box]))) <= rtol * peak
         near = log_exact >= math.log(1e-10 * peak)
-        assert np.max(np.abs(conv.log_pdf(xs[near]) - log_exact[near])) <= rtol
+        assert np.max(np.abs(got[near] - log_exact[near])) <= rtol
+        # past the trusted level ln rho continues along its tangent line, which
+        # lies above a log-concave density: out to 1.5 T, T the factors' radii
+        # summed, it is finite and lies below the closed form by at most 1e-4
+        # more than the interpolant does in the bulk (1.2e-6 in 1-D; 5.1e-4 in
+        # 2-D, mid-cell)
+        assert np.all(np.isfinite(got))
+        bulk_low = min(0.0, float(np.min(got[near] - log_exact[near])))
+        assert np.min(got - log_exact) >= bulk_low - 1e-4
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_interpolation_against_scipy(self, dim, rng):
-        # the cache of N(0, 1) * N(0, 0.7^2), read back at its own nodes; past
-        # eval_radius it holds FFT round-off, so neighbours differ by up to 650
-        conv = L.convolve_measures(L.gaussian(1.0, dim), L.gaussian(0.7, dim))
+        # the cache of N(0, 1) * N(0, 0.7^2), read back at its own nodes: on
+        # the whole grid box the reader is the multilinear interpolant of
+        # those values, the cache's on trusted nodes and the lines past them
+        first, second = L.gaussian(1.0, dim), L.gaussian(0.7, dim)
+        conv = L.convolve_measures(first, second)
         M = measures._CONV_CACHE_NODES[dim]
-        ext = measures._CONV_EXTENT_FACTOR * conv.truncation_radius
+        ext = measures._CONV_EXTENT_FACTOR * (first.truncation_radius + second.truncation_radius)
         axis = np.linspace(-ext, ext, M)
         logc = conv.log_pdf(L.quadrature.tensor_grid(axis, dim)).reshape([M] * dim)
-        pts = rng.uniform(-1.1 * ext, 1.1 * ext, size=(3000, dim))
+        pts = rng.uniform(-ext, ext, size=(3000, dim))
         pts[:200] = axis[rng.integers(0, M, size=(200, dim))]
         pts[200:300, 0] = axis[0]
         pts[300:400, -1] = axis[-1]
-        outside = np.any(np.abs(pts) > ext, axis=1)
-        assert 0 < np.count_nonzero(outside) < pts.shape[0] - 400
         if dim == 1:
-            want = np.interp(pts[:, 0], axis, logc, left=LOG_FLOOR, right=LOG_FLOOR)
+            want = np.interp(pts[:, 0], axis, logc)
         else:
-            want = RegularGridInterpolator((axis,) * dim, logc, bounds_error=False,
-                                           fill_value=LOG_FLOOR)(pts)
-        got = conv.log_pdf(pts)
-        assert np.all(got[outside] == LOG_FLOOR)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            want = RegularGridInterpolator((axis,) * dim, logc)(pts)
+        np.testing.assert_allclose(conv.log_pdf(pts), want, rtol=1e-12, atol=0)
+        # the table and the line read off the box are normalized alike
+        faces = np.zeros((2, dim))
+        faces[:, 0] = ext - 1e-9, ext + 1e-9
+        inside, outside = conv.log_pdf(faces)
+        assert outside == pytest.approx(inside, abs=1e-6)
+        # past the trusted level, 1e-12 of the peak, and past the grid, ln rho
+        # does not increase along any ray from the mode
+        u = rng.standard_normal((50, dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        radii = np.linspace(math.sqrt(2.0 * 1.49 * math.log(1e12)), 1.5 * ext, 400)
+        rays = conv.log_pdf((radii[None, :, None] * u[:, None, :]).reshape(-1, dim))
+        assert np.all(np.isfinite(rays))
+        assert np.all(np.diff(rays.reshape(50, -1), axis=1) <= 0.0)
 
     @pytest.mark.parametrize("first, second", [
         (L.gaussian(1.0), L.gaussian(0.5)),
@@ -390,14 +408,112 @@ class TestConvolution:
 
     @pytest.mark.parametrize("first, second", [
         (L.poly_tail(3.0), L.gaussian(0.5)),
+        (L.poly_tail(1.0), L.gaussian(1.0)),
         (L.gaussian(1.0, 2), L.gaussian(0.7, 2)),
     ])
     def test_constant_field_is_an_equality_case(self, first, second):
-        # Ent(1.5) = int E 1.5 dmu = 0 and ||f_r||_q = 1.5 on a probability measure
+        # Ent(1.5) = int E 1.5 dmu = 0 and ||f_r||_q = 1.5 on a probability
+        # measure; on poly_tail(1) * N(0, 1) the tangent lines past the grid
+        # hold 2.2e-3 of the mass, so the normalization must count them
         conv = L.convolve_measures(first, second)
         f = L.constant(1.5, conv.dim)
         for rep in (L.check_slsi(f, conv, 1.0), L.check_shc(f, conv, 1.0)):
             assert rep.passed and not rep.inconclusive
+
+    def test_compact_factors_keep_their_support(self):
+        # U[-1, 1] * U[-1, 1] has the density (2 - |x|) / 4 on [-2, 2].  Both
+        # factors lie inside the grid, so nothing caps the trusted cells short
+        # of the support's edge; past it the tangent of ln((2 - |x|) / 4) at
+        # the last trusted cell, of slope about -1 / h, drops to 0
+        conv = L.convolve_measures(L.uniform_ball(1.0), L.uniform_ball(1.0))
+        xs = np.linspace(-1.99, 1.99, 4001).reshape(-1, 1)
+        assert np.max(np.abs(conv.pdf(xs) - (2.0 - np.abs(xs[:, 0])) / 4.0)) <= 1e-4
+        assert np.all(conv.pdf(np.array([[-2.01], [2.01]])) <= 1e-9)
+        assert conv.pdf(np.array([3.0])) == 0.0
+        m, err = L.integrate(lambda pts: np.ones(pts.shape[0]), conv, L.default_spec(conv))
+        assert abs(m - 1.0) <= err
+
+    def test_shifted_factor_is_read_about_its_mode(self):
+        # shift(N(0, 0.5^2), 8) * N(0, 0.5^2) = N(8, 0.5).  Its cache is below
+        # 1e-12 of the peak at the origin, so the rays start at the mode, 8
+        conv = L.convolve_measures(L.shift(L.gaussian(0.5), [8.0]), L.gaussian(0.5))
+        T = conv.truncation_radius
+        xs = np.linspace(8.0 - 1.5 * T, 8.0 + 1.5 * T, 6001).reshape(-1, 1)
+        log_exact = -(xs[:, 0] - 8.0) ** 2 - 0.5 * math.log(math.pi)
+        got = conv.log_pdf(xs)
+        near = log_exact >= math.log(1e-10 / math.sqrt(math.pi))
+        assert np.max(np.abs(got[near] - log_exact[near])) <= 2e-6
+        assert np.min(got - log_exact) >= -1e-4
+
+    def test_separated_modes_keep_the_outer_tail(self):
+        # (N(0, 0.1^2) + N(8, 0.1^2)) / 2 * N(0, 0.1^2): the cache falls below
+        # 1e-12 of the peak between the modes, so each ray's line starts at
+        # the outermost trusted point on it, past the second mode, and lies
+        # above the closed form there
+        mixed = L.mix(L.gaussian(0.1), L.shift(L.gaussian(0.1), [8.0]), 0.5)
+        conv = L.convolve_measures(mixed, L.gaussian(0.1))
+        xs = np.array([[0.0], [8.0], [9.0], [10.0], [12.0], [-2.0]])
+        v = 0.02
+        log_exact = (np.log(0.5 * np.exp(-xs[:, 0] ** 2 / (2 * v))
+                            + 0.5 * np.exp(-(xs[:, 0] - 8.0) ** 2 / (2 * v)))
+                     - 0.5 * math.log(2 * math.pi * v))
+        got = conv.log_pdf(xs)
+        assert np.max(np.abs(got[:3] - log_exact[:3])) <= 1e-4
+        assert np.all(got[3:] >= log_exact[3:])
+
+    @pytest.mark.parametrize("first, second, lam", [
+        (L.poly_tail(1.0), L.gaussian(1.0), 0.3),
+        (L.poly_tail(1.0), L.gaussian(1.0), 0.05),
+        (L.poly_tail(1.0), L.gaussian(1.0), 0.01),
+        (L.poly_tail(3.0), L.gaussian(0.5), 0.05),
+    ])
+    def test_heavy_tail_tilt_stays_inconclusive(self, first, second, lam):
+        # poly_tail(alpha) * N(0, s^2) decays like x^{-2 alpha}, so int e^{lam
+        # x} dmu diverges for every lam > 0.  A tangent line at the last
+        # trusted point (slope -2 alpha / x, -0.06 at x = 100 for alpha = 3)
+        # would make small tilts converge; past it ln rho decays as the heavy
+        # factor does, so every tilt still diverges
+        conv = L.convolve_measures(first, second)
+        rep = L.check_slsi(L.log_linear([lam]), conv, 1.0)
+        assert rep.inconclusive and not rep.passed
+
+    def test_heavy_tail_keeps_its_power_law(self):
+        # far out, poly_tail(alpha) * N(0, 1) is the poly_tail density; the
+        # grid holds two thirds of the mass of poly_tail(0.6) * N(0, 1), so
+        # the normalization counts the mass past it
+        conv = L.convolve_measures(L.poly_tail(0.6), L.gaussian(1.0))
+        xs = np.array([[50.0], [500.0], [5e4]])
+        np.testing.assert_allclose(conv.log_pdf(xs), L.poly_tail(0.6).log_pdf(xs), atol=1e-3)
+        # rho(0) = int (1 + y^2)^{-0.6} phi(y) dy / Z, Z = sqrt(pi) G(0.1) / G(0.6)
+        z = math.sqrt(2.0 * math.pi ** 2) * math.exp(math.lgamma(0.1) - math.lgamma(0.6))
+        at0 = scipy.integrate.quad(lambda y: (1.0 + y * y) ** -0.6 * math.exp(-0.5 * y * y),
+                                   -40.0, 40.0)[0] / z
+        assert conv.log_pdf(np.array([0.0])) == pytest.approx(math.log(at0), abs=1e-4)
+
+    def test_regularity_search_stays_on_trusted_cells(self):
+        # on N(0, 0.02) the type-0 ratio with a = 1.1, s = 0.5 peaks at |x| =
+        # 2.62 (8.6e12), where the density is e^{-171} of its peak: far below
+        # the FFT's round-off.  The search stops at the trusted radius, about
+        # 1.05, where the ratio still increases: a violation, not C0 = 2e8
+        conv = L.convolve_measures(L.gaussian(0.1), L.gaussian(0.1))
+        assert conv.truncation_radius == pytest.approx(math.sqrt(0.04 * math.log(1e12)), abs=0.01)
+        rep = L.type_report(conv, 0.0, [1.1], [0.5])
+        assert not rep.entries and len(rep.violations) == 1
+
+    def test_heavy_tail_is_not_type_one(self):
+        # poly_tail(3) * N(0, 0.5^2): |x| rho(2x + y) / rho(x) grows like |x|
+        conv = L.convolve_measures(L.poly_tail(3.0), L.gaussian(0.5))
+        rep = L.type_report(conv, 1.0, [2.0], [0.5])
+        assert not rep.entries and len(rep.violations) == 1
+
+    def test_tilted_gaussian_entropy_closed_form(self):
+        # on N(0, v), v = 1 + 0.8^2, Ent(e^{lam x}) = (s^2 / 2) e^{s^2 / 2} with
+        # s^2 = lam^2 v; the adaptive loop reads ln rho far past the grid
+        conv = L.convolve_measures(L.gaussian(1.0), L.gaussian(0.8))
+        rep = L.check_slsi(L.log_linear([0.9]), conv, 1.0)
+        s2 = 0.81 * 1.64
+        assert rep.passed and not rep.inconclusive
+        assert abs(rep.quantities["entropy"] - 0.5 * s2 * math.exp(0.5 * s2)) <= rep.tolerance
 
     def test_approximate_identity(self, gauss1):
         narrow = L.gaussian(0.05, 1)

@@ -513,17 +513,18 @@ class TestLpNorm:
 
     def test_norm_just_below_the_overflow_limit_is_returned(self):
         # ln E e^{20x} = 200 on N(0, 1); p puts ln ||f||_p half its log-error
-        # below 709, so the mass moved by its error would cross the limit: only
-        # the reported value is checked, and the norm comes back finite
-        from lshlab.quadrature import lp_norm_with_error
+        # below LOG_MAX = ln(max double), so the mass moved by its error would
+        # cross the limit: only the reported value is checked, and the norm
+        # comes back finite
+        from lshlab.quadrature import LOG_MAX, lp_norm_with_error
 
         mu = L.gen_exponential(0.5, 2.0, 1)
         spec = L.default_spec(mu)
         log_mass, log_err = weighted_moments(lambda pts: 20.0 * pts[:, 0], mu, spec,
                                              lambda log_mass, _: log_mass)
-        p = log_mass / (709.0 - 0.5 * log_err * 709.0 / log_mass)
+        p = log_mass / (LOG_MAX - 0.5 * log_err * LOG_MAX / log_mass)
         val, err = lp_norm_with_error(L.log_linear([20.0 / p]), mu, p, spec)
-        assert math.log(val) < 709.0 < math.log(val) + log_err / p
+        assert math.log(val) < LOG_MAX < math.log(val) + log_err / p
         assert math.isfinite(err)
 
     def test_node_overflow_carries_the_node_of_largest_weight(self, gauss1, gh_spec):
