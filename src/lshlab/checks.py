@@ -211,7 +211,7 @@ def check_slsi(
 
 def _shc_norms(f: ScalarField, mu: Density, spec: QuadratureSpec) -> DilationNorms:
     if not f.certified:
-        raise InvalidParameter("check_shc requires a certified field")
+        raise InvalidParameter("an sHC check requires a certified field")
     return DilationNorms(f, mu, spec)
 
 
@@ -335,7 +335,7 @@ def check_general_shc(
     spec = spec or default_spec(mu)
     inputs = {"field": f.label, "measure": mu.label, "c": c, "p": p, "q": q}
     r_star = r_of_pq(p, q, c)
-    norms = DilationNorms(f, mu, spec)
+    norms = _shc_norms(f, mu, spec)
     try:
         base, e_base = norms(1.0, p)
     except QuadratureFailure as exc:
@@ -674,7 +674,8 @@ def best_constant(
     Inequality checks are monotone in c (the right-hand side scales with c),
     so bisection is valid.  If no c in the range passes, the range maximum is
     returned; it is then only a lower bound for the true constant.  Each step
-    stops at the first failing member; an inconclusive member fails at every c.
+    stops at the first failing member.  An inconclusive member makes the search
+    inconclusive: its QuadratureFailure is raised, label in front, witness kept.
 
     In sLSI mode each member is integrated at most once, the first time a step
     reaches it: the deficit is affine in c, so later steps only re-run
@@ -697,28 +698,21 @@ def best_constant(
     spec = spec or default_spec(mu)
 
     if mode == "slsi":
-        terms = {}  # battery index -> slsi_terms, or None if inconclusive
-
-        def member_passes(i: int, c: float) -> bool:
-            if i not in terms:
-                try:
-                    terms[i] = slsi_terms(battery[i], mu, spec)
-                except QuadratureFailure:
-                    terms[i] = None
-            return terms[i] is not None and slsi_verdict(terms[i], c)[2]
+        build, verdict = slsi_terms, lambda terms, c: slsi_verdict(terms, c)[2]
     else:
-        norms = {}  # battery index -> DilationNorms, kept for the whole search
-
-        def member_passes(i: int, c: float) -> bool:
-            if i not in norms:
-                norms[i] = _shc_norms(battery[i], mu, spec)
-            try:
-                return shc_passed(shc_rows(norms[i], c, r_grid))
-            except QuadratureFailure:
-                return False
+        build, verdict = _shc_norms, lambda norms, c: shc_passed(shc_rows(norms, c, r_grid))
+    members = {}  # battery index -> its slsi_terms or DilationNorms, built once
 
     def passes(c: float) -> bool:
-        return all(member_passes(i, c) for i in range(len(battery)))
+        for i, f in enumerate(battery):
+            try:
+                if i not in members:
+                    members[i] = build(f, mu, spec)
+                if not verdict(members[i], c):
+                    return False
+            except QuadratureFailure as exc:
+                raise QuadratureFailure(f"{f.label}: {exc}", witness=exc.witness) from exc
+        return True
 
     if passes(lo):
         return lo

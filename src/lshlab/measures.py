@@ -18,9 +18,10 @@ The regularity constant of exponential type p is
     C_p(a, s) = sup_x sup_{|y| <= s} |x|^p rho(a x + y) / rho(x),
 
 estimated by grid search over the ball of radius ``truncation_radius`` (so
-the estimate is a lower bound of the true sup by construction).  If the
-log-ratio is still increasing at the grid boundary, or exceeds the overflow
-guard, the sup is reported as divergent with a witness point.
+the estimate is a lower bound of the true sup by construction): on the e_1
+line for a rotation-invariant measure, in any dimension, else on a tensor grid
+(dim <= 3).  If the log-ratio is still increasing at the grid boundary, or
+exceeds the overflow guard, the sup is reported as divergent with a witness.
 
 Closure operations (bounded perturbation, mixture, product, convolution)
 build new densities whose constants obey explicit combination bounds; those
@@ -401,10 +402,11 @@ def convolve_measures(mu1: Density, mu2: Density) -> Density:
 
     The grid has M = ``_CONV_CACHE_NODES[dim]`` nodes per axis (odd, so 0 is a
     node), one numpy interpolator in every dimension.  Each axis of the FFT is
-    zero-padded to the smallest 5-smooth length of at least 2M - 1, so the
-    circular convolution is the linear one and the transform length has no
-    large prime factor.  The truncation radius is the factors' summed; in
-    1-D, at most the largest |x| of a trusted node.
+    zero-padded to the smallest 5-smooth length of at least 3(M - 1)/2 + 1:
+    wrap-around then misses the M kept samples, so they are those of the
+    linear convolution, and the length has no large prime factor.  The
+    truncation radius is the factors' summed; in 1-D, at most the largest |x|
+    of a trusted node.
 
     Deterministic quadrature caps at dim 3; higher dimensions are rejected
     with advice to use Monte Carlo sampling of sums instead.
@@ -424,10 +426,8 @@ def convolve_measures(mu1: Density, mu2: Density) -> Density:
     pts = quadrature.tensor_grid(axis, n)
     logs = [mu1.log_pdf(pts), mu2.log_pdf(pts)]
     a, b = (np.exp(np.maximum(lv, LOG_FLOOR)).reshape([M] * n) for lv in logs)
-    size = (_fft_length(2 * M - 1),) * n
-    axes = tuple(range(n))
-    spectrum = np.fft.rfftn(a, s=size, axes=axes) * np.fft.rfftn(b, s=size, axes=axes)
-    full = np.fft.irfftn(spectrum, s=size, axes=axes)
+    size, axes = (_fft_length(3 * (M - 1) // 2 + 1),) * n, tuple(range(n))
+    full = np.fft.irfftn(np.fft.rfftn(a, size, axes) * np.fft.rfftn(b, size, axes), size, axes)
     # the M central samples of the 2M - 1 of the linear convolution, per axis
     conv = full[(slice((M - 1) // 2, (M - 1) // 2 + M),) * n] * h**n
     conv = np.maximum(conv, 0.0)
@@ -689,8 +689,6 @@ def _grid_points(dim: int, radius: float, nodes_per_axis: int) -> Array:
 
 def _y_grid(dim: int, s: float, h: float) -> Array:
     """Grid on the ball |y| <= s with spacing matching the x-grid."""
-    if s == 0.0:
-        return np.zeros((1, dim))
     steps = np.arange(-math.floor(s / h) * h, s + h / 2, h)
     vals = np.unique(np.concatenate([steps, [-s, 0.0, s]]))
     ys = quadrature.tensor_grid(vals, dim)
@@ -722,11 +720,16 @@ def regularity_constant(
 ) -> float:
     """Grid estimate of the type-p constant C_p(a, s).
 
-    The search grid has ``GRID_NODES[dim]`` nodes per axis on the ball of
-    radius ``truncation_radius``.  The estimate is the maximum of the ratio
-    over the grid, hence a lower bound of the true sup.  Raises
-    :class:`TypeConditionViolation` (with the witness point) when the ratio
-    exceeds the overflow guard or is still increasing at the grid boundary.
+    x runs over ``GRID_NODES[d]`` nodes per axis on the ball of radius
+    ``truncation_radius`` in R^d, y over the ball |y| <= s at the same spacing,
+    both zero-padded to R^dim.  d = 1 for a rotation-invariant measure: there
+    {|a x + y| : |y| <= s} = [(a|x| - s)+, a|x| + s] depends on |x| alone, so
+    the e_1 line with shifts along e_1 is exact in every dimension.  Any other
+    measure is searched on its own tensor grid, d = dim <= 3.  The estimate is
+    the maximum of the ratio over the grid, hence a lower bound of the true
+    sup.  Raises :class:`TypeConditionViolation` (with the witness point) when
+    the ratio exceeds the overflow guard or is still increasing at the grid
+    boundary.
     """
     if a < 1.0:
         raise InvalidParameter("regularity constants are defined for a >= 1")
@@ -737,14 +740,15 @@ def regularity_constant(
             f"{mu.label!r} vanishes on part of space; regularity estimation "
             "requires a strictly positive density"
         )
-    if mu.dim > 3:
+    d = 1 if mu.rotation_invariant else mu.dim
+    if d > 3:
         raise InvalidParameter("regularity grid search is implemented for dim <= 3")
 
     R = mu.truncation_radius
-    nax = GRID_NODES[mu.dim]
-    xs = _grid_points(mu.dim, R, nax)
+    nax = GRID_NODES[d]
     h = 2.0 * R / (nax - 1)
-    ys = _y_grid(mu.dim, s, h)
+    xs, ys = (np.pad(pts, ((0, 0), (0, mu.dim - d)))
+              for pts in (_grid_points(d, R, nax), _y_grid(d, s, h)))
 
     lr = _ln_best_ratio(mu, p, a, xs, ys)
     top = float(np.max(lr))
@@ -835,12 +839,12 @@ def type_report(
     except TypeConditionViolation as exc:
         violations.append((f"near-one sweep (eps={eps:g})", 0.0, exc.witness))
 
+    d = 1 if mu.rotation_invariant else mu.dim  # as regularity_constant searches
     return RegularityConstants(
         p=p,
         entries=entries,
         violations=violations,
         uniform_near_one=uniform,
         near_one_eps=eps,
-        grid_spec={"dim": mu.dim, "nodes_per_axis": GRID_NODES[mu.dim],
-                   "radius": mu.truncation_radius},
+        grid_spec={"dim": d, "nodes_per_axis": GRID_NODES[d], "radius": mu.truncation_radius},
     )

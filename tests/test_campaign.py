@@ -250,6 +250,18 @@ class TestRun:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["checks"][0]["quantities"]["c_star"] == 0.25
 
+    def test_best_constant_with_inconclusive_member_is_inconclusive(self, tmp_path):
+        # e^{1.2x} diverges against the Laplace measure: an inconclusive
+        # report with the member's witness, never a PASS at c_max
+        raw = minimal_config(
+            measures={"lap": {"family": "gen_exponential", "c": 1.0, "a": 1.0, "dim": 1}},
+            checks=[{"check": "best_constant", "measure": "lap", "fields": []}])
+        L.run(CampaignConfig.from_dict(raw), output_dir=tmp_path)
+        (rep,) = json.loads((tmp_path / "report.json").read_text())["checks"]
+        assert rep["inconclusive"] and not rep["passed"] and rep["kind"] == "error"
+        assert rep["notes"][0].startswith("inconclusive: log_linear([1.2]): ")
+        assert "witness" in rep["quantities"]
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         d1, d2 = tmp_path / "serial", tmp_path / "par"
         L.run("gaussian-sharp", output_dir=d1, jobs=1)
@@ -309,6 +321,16 @@ class TestCli:
     def test_best_c_rejects_bad_range(self, capsys):
         assert main(["best-c", "--measure", "gaussian", "--c-min", "3", "--c-max", "1"]) == 2
         assert "c_range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["slsi", "shc"])
+    def test_best_c_inconclusive_battery_exits_two(self, mode, capsys):
+        # e^{1.2x} is not integrable against the Laplace measure e^{-|x|}: the
+        # search is inconclusive, not the range maximum 4.000
+        code = main(["best-c", "--measure", '{"family":"gen_exponential","c":1,"a":1}',
+                     "--mode", mode])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "log_linear([1.2]): " in err
 
     def test_check_subcommand(self, capsys):
         code = main(["check", "--check", "slsi", "--measure", "gaussian",

@@ -225,6 +225,12 @@ class TestGeneralShc:
         with pytest.raises(InvalidParameter):
             L.check_general_shc(L.cosh_field(0.5), gauss1, 1.0, 2.0, 1.0, gh_spec)
 
+    def test_uncertified_field_rejected_before_any_norm(self, gauss1, gh_spec, norm_calls):
+        f = L.raw_field(lambda pts: np.exp(pts[:, 0] / 2.0), 1, label="raw")
+        with pytest.raises(InvalidParameter, match="certified"):
+            L.check_general_shc(f, gauss1, 1.0, 1.0, 2.0, gh_spec)
+        assert norm_calls == []
+
 
 class TestDilationBound:
     @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -618,12 +624,29 @@ class TestBestConstant:
         assert {"constant", "log_linear", "cosh_field", "power", "product", "convolve"} <= builders
 
 
+def _raise_inconclusive(f, rep):
+    """The QuadratureFailure best_constant raises for a member whose check is
+    inconclusive: the report's reason, after the member's label."""
+    if rep.inconclusive:
+        raise QuadratureFailure(f"{f.label}: {rep.notes[0].removeprefix('inconclusive: ')}",
+                                witness=rep.quantities.get("witness"))
+
+
+def _outcome(search, *args, **kwargs):
+    """c* of a best-constant search, or the message and witness it raises."""
+    try:
+        return search(*args, **kwargs)
+    except QuadratureFailure as exc:
+        return str(exc), np.atleast_1d(exc.witness).tolist()
+
+
 def _reference_slsi_best_constant(battery, mu, c_range, spec, resolution=1e-3):
     """Bisection that re-runs check_slsi on every member at every step."""
     def passes(c):
         for f in battery:
             rep = L.check_slsi(f, mu, c, spec)
-            if rep.inconclusive or not rep.passed:
+            _raise_inconclusive(f, rep)
+            if not rep.passed:
                 return False
         return True
 
@@ -674,8 +697,9 @@ class TestBestConstantSlsiCache:
     ], ids=["log_linear", "default_battery", "narrow_range", "constants", "inconclusive"])
     def test_matches_reference_bisection(self, battery, mu, c_range):
         spec = L.default_spec(mu)
-        expected = _reference_slsi_best_constant(battery, mu, c_range, spec)
-        assert L.best_constant(battery, mu, "slsi", c_range=c_range, spec=spec) == expected
+        expected = _outcome(_reference_slsi_best_constant, battery, mu, c_range, spec)
+        assert _outcome(L.best_constant, battery, mu, "slsi", c_range=c_range,
+                        spec=spec) == expected
 
     def test_each_member_integrated_once(self, gauss1, gh_spec, entropy_calls):
         battery = L.default_battery(1)
@@ -693,7 +717,13 @@ class TestBestConstantSlsiCache:
         else:
             mu, first, c_range = L.gen_exponential(0.5, 2, 1), _inconclusive_member(), (0.25, 4.0)
         battery = [first, L.cosh_field(0.8)]
-        assert L.best_constant(battery, mu, "slsi", c_range=c_range) == c_range[1]
+        if always_fails == "below_range":
+            assert L.best_constant(battery, mu, "slsi", c_range=c_range) == c_range[1]
+        else:
+            # an inconclusive member makes the search inconclusive, not c_max
+            with pytest.raises(QuadratureFailure, match=r"^log_linear\(\[40\.\]\): ") as err:
+                L.best_constant(battery, mu, "slsi", c_range=c_range)
+            assert err.value.witness is not None
         assert entropy_calls == [first.label]
 
     def test_uncertified_member_rejected(self, gauss1, gh_spec):
@@ -720,7 +750,8 @@ def _reference_shc_best_constant(battery, mu, c_range, spec, resolution=1e-3):
     def passes(c):
         for f in battery:
             rep = L.check_shc(f, mu, c, spec=spec)
-            if rep.inconclusive or not rep.passed:
+            _raise_inconclusive(f, rep)
+            if not rep.passed:
                 return False
         return True
 
@@ -796,8 +827,9 @@ class TestBestConstantShcNorms:
     ], ids=["default_battery", "adaptive", "q_guard_rows", "inconclusive"])
     def test_matches_reference_bisection(self, battery, mu, c_range):
         spec = L.default_spec(mu)
-        expected = _reference_shc_best_constant(battery, mu, c_range, spec)
-        assert L.best_constant(battery, mu, "shc", c_range=c_range, spec=spec) == expected
+        expected = _outcome(_reference_shc_best_constant, battery, mu, c_range, spec)
+        assert _outcome(L.best_constant, battery, mu, "shc", c_range=c_range,
+                        spec=spec) == expected
 
     @pytest.mark.parametrize("battery, mu", [
         (L.default_battery(1), L.gaussian(1.0, 1)),

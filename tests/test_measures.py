@@ -208,6 +208,33 @@ class TestRegularityConstant:
         with pytest.raises(InvalidParameter):
             L.regularity_constant(gauss1, 0, 0.9, 0.0)
 
+    @pytest.mark.parametrize("a, s", [(1.25, 0.3125), (1.5, 1.0)])
+    @pytest.mark.parametrize("sigma", [1.0, 0.7])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_gaussian_c0_closed_form_in_every_dimension(self, dim, sigma, a, s):
+        # the sup of exp(|x|^2/(2 sigma^2) - (a|x| - s)^2/(2 sigma^2)) is at
+        # |x| = a s/(a^2 - 1); the line's spacing 2R/2000 bounds the miss
+        expected = math.exp(s * s / (2.0 * sigma**2 * (a * a - 1.0)))
+        value = L.regularity_constant(L.gaussian(sigma, dim), 0, a, s)
+        assert value == pytest.approx(expected, rel=1e-4)
+        assert value <= expected * (1.0 + 1e-12)
+
+    def test_gaussian_c1_closed_form_in_3d(self):
+        # ln t + t^2/2 - (1.25 t - 0.5)^2/2 peaks at t = 2 with value ln 2
+        value = L.regularity_constant(L.gaussian(1.0, 3), 1, 1.25, 0.5)
+        assert value == pytest.approx(2.0, rel=1e-4)
+        assert value <= 2.0 * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("mu, p, a, s, expected", [
+        (L.mix(L.gaussian(0.8), L.gaussian(1.25), 0.3), 0, 1.1, 0.5, 1.791220972742594),
+        (L.mix(L.gaussian(0.8), L.gaussian(1.25), 0.3), 1, 1.25, 0.3125, 1.384046214334323),
+        (L.gen_exponential(1.0, 4.0, 1), 2, 1.5, 1.0, 39.65869549331915),
+        (L.gen_exponential(0.5, 2.0, 1), 1, 2.0, 0.5, 0.6030737071768074),
+    ], ids=["mixture_c0", "mixture_c1", "quartic_c2", "gen_gauss_c1"])
+    def test_one_dimensional_constants_unchanged(self, mu, p, a, s, expected):
+        # values of the 2001-node line search, pinned: a 1-D search is unchanged
+        assert L.regularity_constant(mu, p, a, s) == expected
+
 
 class TestTypeReport:
     def test_gaussian_type1(self, gauss1):
@@ -242,6 +269,17 @@ class TestTypeReport:
         rep = L.type_report(gauss1, 0.0, [1.5], [0.0])
         d = rep.to_dict()
         assert d["numerically_type_p"] and d["grid_spec"]["dim"] == 1
+
+    @pytest.mark.parametrize("mu, searched", [
+        (L.gaussian(1.0, 3), (1, 2001)),
+        (L.product(L.gaussian(1.0), L.gaussian(1.0)), (1, 2001)),
+        (L.shift(L.gaussian(1.0, 2), [0.5, 0.0]), (2, 201)),
+    ], ids=["gaussian_3d", "product_of_equal_gaussians", "shifted_2d"])
+    def test_grid_spec_records_the_searched_dimension(self, mu, searched):
+        # a rotation-invariant measure is searched on the e_1 line, any other
+        # on the tensor grid of its own dimension
+        spec = L.type_report(mu, 1.0, [1.25], [0.5]).grid_spec
+        assert (spec["dim"], spec["nodes_per_axis"]) == searched
 
 
 class TestMix:
