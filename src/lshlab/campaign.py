@@ -92,8 +92,8 @@ CHECKS = {
     "density_approx": CheckKind(
         lambda f, mu, spec, e, cid: checks_mod.check_density_approximation(
             f, mu, float(e["p"]), e["k_list"], e["r_list"], spec, e["eps_target"], cid),
-        defaults={"p": 1.0, "k_list": [1, 2, 4, 8, 16], "r_list": [0.9, 0.95, 0.99],
-                  "eps_target": None}),
+        defaults={"p": 1.0, "k_list": list(checks_mod.APPROX_K_LIST),
+                  "r_list": list(checks_mod.APPROX_R_LIST), "eps_target": None}),
     "dilated_convolution_bound": CheckKind(
         lambda f, mu, spec, e, cid: checks_mod.check_dilated_convolution_bound(
             f, mu, float(e["p"]), fields_mod.mollifier(mu.dim, e["k"]), float(e["r"]),

@@ -43,6 +43,8 @@ from .fields import (
 )
 from .functionals import (
     DEFAULT_R_GRID,
+    INEQ_ABS,
+    NOISE_FACTOR,
     DilationNorms,
     entropy_energy_with_error,
     q_of_r,
@@ -51,13 +53,15 @@ from .functionals import (
 from .measures import Density, regularity_constant
 from .quadrature import QuadratureSpec, default_spec, lp_norm_with_error, weighted_moments
 
-INEQ_ABS = 1e-6
-NOISE_FACTOR = 3.0
 LEMMA_TOL = 1e-7
 DEFAULT_C_RANGE = (0.25, 4.0)
 BISECTION_RESOLUTION = 1e-3
 #: the mollifier scale k of the battery member and of the checks that take one
 DEFAULT_MOLLIFIER_SCALE = 4
+#: the mollifier scales k and dilations r that check_density_approximation
+#: tabulates by default
+APPROX_K_LIST = (1, 2, 4, 8, 16)
+APPROX_R_LIST = (0.9, 0.95, 0.99)
 #: the radii r at which the monotonicity lemmas compare r x with the probes x
 LEMMA_R_GRID = tuple(0.1 * i for i in range(1, 11))
 
@@ -451,8 +455,8 @@ def check_density_approximation(
     f: ScalarField,
     mu: Density,
     p: float,
-    k_list: Sequence[int] = (1, 2, 4, 8, 16),
-    r_list: Sequence[float] = (0.9, 0.95, 0.99),
+    k_list: Sequence[int] = APPROX_K_LIST,
+    r_list: Sequence[float] = APPROX_R_LIST,
     spec: Optional[QuadratureSpec] = None,
     eps_target: Optional[float] = None,
     check_id: str = "density_approx",

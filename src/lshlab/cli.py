@@ -20,12 +20,8 @@ from . import checks as checks_mod
 from . import measures as measures_mod
 from .errors import ConfigError, LabError, TypeConditionViolation
 
-_MEASURE_DEFAULTS = {
-    "gaussian": {},
-    "gen_exponential": {},
-    "poly_tail": {"alpha": 1.0},
-    "uniform_ball": {},
-}
+#: parameters a bare family name takes beyond its builder's defaults
+_MEASURE_DEFAULTS = {"poly_tail": {"alpha": 1.0}}
 
 
 def _json_decl(text: str, what: str) -> dict:
@@ -41,13 +37,11 @@ def _measure_decl(text: str, dim: int) -> dict:
     """A measure argument: either a JSON object or a bare family name."""
     if text.strip().startswith("{"):
         return _json_decl(text, "--measure")
-    if text in _MEASURE_DEFAULTS:
-        decl = {"family": text, "dim": dim}
-        decl.update(_MEASURE_DEFAULTS[text])
-        return decl
+    if text in measures_mod._FAMILIES:
+        return {"family": text, "dim": dim, **_MEASURE_DEFAULTS.get(text, {})}
     raise LabError(
         f"cannot parse measure {text!r}: use a family name "
-        f"({', '.join(sorted(_MEASURE_DEFAULTS))}) or a JSON object"
+        f"({', '.join(sorted(measures_mod._FAMILIES))}) or a JSON object"
     )
 
 

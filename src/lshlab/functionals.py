@@ -34,6 +34,11 @@ from .quadrature import LOG_MAX, QuadratureSpec, lp_norm_with_error, weighted_mo
 
 #: q(r) values beyond this guard are rejected (integrands would overflow)
 Q_GUARD = 1e4
+#: a deficit that should be >= 0 may reach -(INEQ_ABS * scale + NOISE_FACTOR
+#: * its quadrature error): the tolerance of every inequality in ``checks``
+#: and of the entropy's sign here
+INEQ_ABS = 1e-6
+NOISE_FACTOR = 3.0
 DEFAULT_R_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0)
 
 
@@ -82,7 +87,7 @@ def _times_exp(log_scale: float, value: float, scale: str, what: str) -> float:
 
 def _checked_entropy(val: float, err: float) -> tuple[float, float]:
     scale = max(1.0, abs(val))
-    if val < -(1e-6 * scale + 3.0 * err):
+    if val < -(INEQ_ABS * scale + NOISE_FACTOR * err):
         raise QuadratureFailure(
             f"entropy {val:.3g} is negative beyond tolerance; quadrature breakdown"
         )

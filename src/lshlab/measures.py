@@ -1,17 +1,18 @@
 """Probability densities on R^n and their Euclidean-regularity constants.
 
-A :class:`Density` wraps a (possibly unnormalized) log-density together with
-its normalization constant, a truncation radius beyond which mass is
-negligible, and a label recording its construction.  Densities are immutable
-and safe to evaluate concurrently.
+A :class:`Density` wraps its normalized log-density, a sampler, a truncation
+radius beyond which mass is negligible, and a label recording its
+construction.  Densities are immutable and safe to evaluate concurrently.
 
-Every Density is normalized when it is built, and only a closure that changes
-the mass integrates anything: the built-in families have closed-form
-constants; ``mix``, ``shift`` and ``product`` combine normalized log-densities,
-so their mass is exactly 1; ``perturb`` pays for one ``integrate_log`` of its
-weight against the normalized base; ``convolve_measures`` normalizes what it
-evaluates (its FFT cache on trusted cells, tangent lines past them) by its own
-mass.  The module needs numpy only, SciPy serves the tests as an oracle.
+Every log map is normalized when it is built, and only a closure that changes
+the mass integrates anything: the built-in families fold their closed-form
+constants into the map; ``mix``, ``shift`` and ``product`` combine normalized
+log-densities, so their mass is exactly 1; ``perturb`` pays for one
+``integrate_log`` of its weight against the normalized base;
+``convolve_measures`` normalizes what it evaluates (its FFT cache on trusted
+cells, tangent lines past them) by its own mass.  Every closure composes its
+factors' samplers; sampling a Density built without one raises.  The module
+needs numpy only, SciPy serves the tests as an oracle.
 
 The regularity constant of exponential type p is
 
@@ -69,10 +70,10 @@ _CONV_DIRECTION_BINS = {1: 2, 2: 128, 3: 32}
 
 @dataclass(frozen=True)
 class Density:
-    """A probability density on R^n with log-density evaluation."""
+    """A probability density on R^n: its normalized log-density map and,
+    optionally, a sampler."""
 
     dim: int
-    norm_const: float
     truncation_radius: float
     rotation_invariant: bool
     strictly_positive: bool
@@ -85,7 +86,7 @@ class Density:
     def log_pdf(self, x):
         """Normalized log-density; -inf outside the support."""
         pts, single = _batch(x, self.dim)
-        lv = np.asarray(self._log_density(pts), dtype=float) - math.log(self.norm_const)
+        lv = self._log_density(pts)
         return float(lv[0]) if single else lv
 
     def pdf(self, x):
@@ -98,10 +99,6 @@ class Density:
             raise EvaluationFailure("density evaluation overflows exp",
                                     witness=pts[np.argmax(lv)])
         return np.exp(lv)
-
-    @property
-    def has_sampler(self) -> bool:
-        return self._sampler is not None
 
     def sample(self, rng: np.random.Generator, size: int) -> Array:
         if self._sampler is None:
@@ -120,14 +117,13 @@ def gaussian(sigma: float = 1.0, dim: int = 1) -> Density:
         raise InvalidParameter("gaussian scale must be positive")
     _validate_dim(dim)
 
-    norm = (math.sqrt(2.0 * math.pi) * sigma) ** dim
+    log_norm = math.log((math.sqrt(2.0 * math.pi) * sigma) ** dim)
 
     def logd(pts):
-        return -np.sum(pts * pts, axis=1) / (2.0 * sigma**2)
+        return -np.sum(pts * pts, axis=1) / (2.0 * sigma**2) - log_norm
 
     return Density(
         dim=dim,
-        norm_const=norm,
         truncation_radius=8.0 * sigma * math.sqrt(dim),
         rotation_invariant=True,
         strictly_positive=True,
@@ -152,7 +148,9 @@ def gen_exponential(c: float = 1.0, a: float = 1.0, dim: int = 1) -> Density:
     log_norm = math.log(k * _ball_volume(dim)) + math.lgamma(k) - k * math.log(c)
     if abs(log_norm) > LOG_MAX:
         raise InvalidParameter(f"gen_exponential(c={c:g}, a={a:g}) has mass e^{log_norm:.4g}")
-    norm = math.exp(log_norm)
+    # ln of the mass rounded to a double: pinned regularity constants and
+    # reports depend on this float to the last bit
+    log_norm = math.log(math.exp(log_norm))
     # radius with tail mass below 1e-12, from the incomplete-gamma inverse
     tail = _gammainccinv(k, 1e-12)
     log_trunc = math.log(tail / c) / a
@@ -162,7 +160,7 @@ def gen_exponential(c: float = 1.0, a: float = 1.0, dim: int = 1) -> Density:
     trunc = (tail / c) ** (1.0 / a)
 
     def logd(pts):
-        return -c * np.linalg.norm(pts, axis=1) ** a
+        return -c * np.linalg.norm(pts, axis=1) ** a - log_norm
 
     def sampler(rng, size):
         u = rng.gamma(dim / a, 1.0, size=size)
@@ -176,7 +174,6 @@ def gen_exponential(c: float = 1.0, a: float = 1.0, dim: int = 1) -> Density:
 
     return Density(
         dim=dim,
-        norm_const=norm,
         truncation_radius=float(trunc),
         rotation_invariant=True,
         strictly_positive=True,
@@ -223,8 +220,10 @@ def poly_tail(alpha: float, dim: int = 1) -> Density:
     if dim != 1:
         raise InvalidParameter("poly_tail is one-dimensional")
 
-    # sqrt(pi) Gamma(alpha - 1/2) / Gamma(alpha), in logs for large alpha
-    norm = math.sqrt(math.pi) * math.exp(math.lgamma(alpha - 0.5) - math.lgamma(alpha))
+    # ln of sqrt(pi) Gamma(alpha - 1/2) / Gamma(alpha), the gammas in logs for
+    # large alpha
+    log_norm = math.log(math.sqrt(math.pi)
+                        * math.exp(math.lgamma(alpha - 0.5) - math.lgamma(alpha)))
     nu = 2.0 * alpha - 1.0
 
     def sampler(rng, size):
@@ -232,7 +231,6 @@ def poly_tail(alpha: float, dim: int = 1) -> Density:
 
     return Density(
         dim=1,
-        norm_const=norm,
         # grid-search radius only; integrals use the full-line adaptive scheme
         truncation_radius=100.0,
         rotation_invariant=True,
@@ -240,7 +238,7 @@ def poly_tail(alpha: float, dim: int = 1) -> Density:
         label=f"poly_tail(alpha={alpha:g})",
         family="poly_tail",
         params=(alpha,),
-        _log_density=lambda pts: -alpha * np.log1p(pts[:, 0] ** 2),
+        _log_density=lambda pts: -alpha * np.log1p(pts[:, 0] ** 2) - log_norm,
         _sampler=sampler,
     )
 
@@ -251,10 +249,10 @@ def uniform_ball(radius: float = 1.0, dim: int = 1) -> Density:
     if radius <= 0:
         raise InvalidParameter("uniform_ball radius must be positive")
     _validate_dim(dim)
-    norm = _ball_volume(dim, radius)
+    log_norm = math.log(_ball_volume(dim, radius))
 
     def logd(pts):
-        out = np.zeros(pts.shape[0])
+        out = np.full(pts.shape[0], -log_norm)
         out[np.linalg.norm(pts, axis=1) > radius] = -math.inf
         return out
 
@@ -266,7 +264,6 @@ def uniform_ball(radius: float = 1.0, dim: int = 1) -> Density:
 
     return Density(
         dim=dim,
-        norm_const=norm,
         truncation_radius=radius,
         rotation_invariant=True,
         strictly_positive=False,
@@ -332,23 +329,6 @@ def mix(mu1: Density, mu2: Density, t: float) -> Density:
             return parts[0]
         return np.logaddexp(parts[0], parts[1])
 
-    return Density(
-        dim=mu1.dim,
-        norm_const=1.0,
-        truncation_radius=max(mu1.truncation_radius, mu2.truncation_radius),
-        rotation_invariant=mu1.rotation_invariant and mu2.rotation_invariant,
-        strictly_positive=(t < 1.0 and mu1.strictly_positive)
-        or (t > 0.0 and mu2.strictly_positive),
-        label=f"mix({mu1.label}, {mu2.label}, t={t:g})",
-        _log_density=logd,
-        _sampler=_mixture_sampler(mu1, mu2, t),
-    )
-
-
-def _mixture_sampler(mu1, mu2, t):
-    if not (mu1.has_sampler and mu2.has_sampler):
-        return None
-
     def sampler(rng, size):
         pick = rng.random(size) < t
         out = mu1.sample(rng, size)
@@ -357,7 +337,16 @@ def _mixture_sampler(mu1, mu2, t):
             out[pick] = mu2.sample(rng, n2)
         return out
 
-    return sampler
+    return Density(
+        dim=mu1.dim,
+        truncation_radius=max(mu1.truncation_radius, mu2.truncation_radius),
+        rotation_invariant=mu1.rotation_invariant and mu2.rotation_invariant,
+        strictly_positive=(t < 1.0 and mu1.strictly_positive)
+        or (t > 0.0 and mu2.strictly_positive),
+        label=f"mix({mu1.label}, {mu2.label}, t={t:g})",
+        _log_density=logd,
+        _sampler=sampler,
+    )
 
 
 def product(mu1: Density, mu2: Density) -> Density:
@@ -377,13 +366,12 @@ def product(mu1: Density, mu2: Density) -> Density:
     )
     return Density(
         dim=mu1.dim + mu2.dim,
-        norm_const=1.0,
         truncation_radius=math.hypot(mu1.truncation_radius, mu2.truncation_radius),
         rotation_invariant=rot,
         strictly_positive=mu1.strictly_positive and mu2.strictly_positive,
         label=f"product({mu1.label}, {mu2.label})",
         _log_density=logd,
-        _sampler=sampler if mu1.has_sampler and mu2.has_sampler else None,
+        _sampler=sampler,
     )
 
 
@@ -524,13 +512,12 @@ def convolve_measures(mu1: Density, mu2: Density) -> Density:
 
     return Density(
         dim=n,
-        norm_const=1.0,
         truncation_radius=radius,
         rotation_invariant=mu1.rotation_invariant and mu2.rotation_invariant,
         strictly_positive=mu1.strictly_positive or mu2.strictly_positive,
         label=f"convolve({mu1.label}, {mu2.label})",
         _log_density=logd,
-        _sampler=sampler if mu1.has_sampler and mu2.has_sampler else None,
+        _sampler=sampler,
     )
 
 
@@ -612,15 +599,12 @@ def shift(mu: Density, offset) -> Density:
 
     return Density(
         dim=mu.dim,
-        norm_const=1.0,
         truncation_radius=mu.truncation_radius + float(np.linalg.norm(offset)),
         rotation_invariant=False,
         strictly_positive=mu.strictly_positive,
         label=f"shift({mu.label}, {np.array2string(offset, separator=',')})",
         _log_density=lambda pts: mu.log_pdf(pts - offset[None, :]),
-        _sampler=(lambda rng, size: mu.sample(rng, size) + offset[None, :])
-        if mu.has_sampler
-        else None,
+        _sampler=lambda rng, size: mu.sample(rng, size) + offset[None, :],
     )
 
 
@@ -637,26 +621,25 @@ def perturb(
     normalizer Z = int e^w dmu is one ``integrate_log`` against mu with mu's
     default deterministic scheme, so dim is capped at 3.  The result is not
     taken to be rotation-invariant; its sampler accepts mu's samples against
-    1.5 times the largest weight on a grid over the truncation ball.
+    1.5 times the largest weight on a grid over the truncation ball, probed
+    when it samples.
     """
     if mu.dim > 3:
         raise InvalidParameter("normalization quadrature caps at dim 3")
-    probe = _grid_points(mu.dim, mu.truncation_radius, {1: 4097, 2: 101, 3: 31}[mu.dim])
-    envelope = float(np.exp(np.max(log_weight(probe)))) * 1.5
 
-    sampler = None
-    if mu.has_sampler:
-        def sampler(rng, size):
-            out = np.empty((size, mu.dim))
-            filled = 0
-            while filled < size:
-                m = max(2 * (size - filled), 256)
-                xs = mu.sample(rng, m)
-                accept = rng.random(m) < np.exp(log_weight(xs)) / envelope
-                take = xs[accept][: size - filled]
-                out[filled : filled + take.shape[0]] = take
-                filled += take.shape[0]
-            return out
+    def sampler(rng, size):
+        probe = _grid_points(mu.dim, mu.truncation_radius, {1: 4097, 2: 101, 3: 31}[mu.dim])
+        envelope = float(np.exp(np.max(log_weight(probe)))) * 1.5
+        out = np.empty((size, mu.dim))
+        filled = 0
+        while filled < size:
+            m = max(2 * (size - filled), 256)
+            xs = mu.sample(rng, m)
+            accept = rng.random(m) < np.exp(log_weight(xs)) / envelope
+            take = xs[accept][: size - filled]
+            out[filled : filled + take.shape[0]] = take
+            filled += take.shape[0]
+        return out
 
     label = f"perturb({mu.label}, {label})"
     try:
@@ -664,16 +647,17 @@ def perturb(
     except QuadratureFailure as exc:
         raise EvaluationFailure(f"cannot normalize {label!r}: {exc}",
                                 witness=exc.witness) from exc
+    # the sampler's envelope, e^w in linear space, would overflow with it
     if not log_mass < LOG_MAX:
         raise EvaluationFailure(f"cannot normalize {label!r}: mass e^{log_mass:.4g}")
     return Density(
         dim=mu.dim,
-        norm_const=math.exp(log_mass),
         truncation_radius=mu.truncation_radius,
         rotation_invariant=False,
         strictly_positive=mu.strictly_positive,
         label=label,
-        _log_density=lambda pts: mu.log_pdf(pts) + np.asarray(log_weight(pts), dtype=float),
+        _log_density=lambda pts: (mu.log_pdf(pts) + np.asarray(log_weight(pts), dtype=float)
+                                  - log_mass),
         _sampler=sampler,
     )
 

@@ -55,6 +55,10 @@ _GH_DEFAULT = 101
 _MC_DEFAULT = 200_000
 #: ln of the largest double: a value whose log exceeds it overflows
 LOG_MAX = math.log(np.finfo(float).max)
+#: nodes one node set may hold: 48 MB of points in 3-D, each column the
+#: integrand evaluates 16 MB more.  The largest defaults fit, the 65^3 =
+#: 274,625-node trapezoid and 200,000 Monte Carlo samples
+MAX_NODES = 2_000_000
 
 #: unused here; benchmarks/tracer.py reads and replaces it when it installs
 sp_integrate = None
@@ -223,8 +227,17 @@ def _trap_nodes(R: float, n: int, dim: int):
     return tensor_grid(axis, dim, np.log(w))
 
 
+def _bounded(count: int, spec: QuadratureSpec):
+    """Refuse a node set of more than ``MAX_NODES`` before it is built."""
+    if count > MAX_NODES:
+        raise InvalidParameter(
+            f"{spec.scheme} node set of {count:,} nodes exceeds MAX_NODES = {MAX_NODES:,}; "
+            "integrate on fewer nodes")
+
+
 def measure_nodes(mu, spec: QuadratureSpec):
-    """Nodes and log-weights such that int h dmu ~= sum exp(logw) h(pts)."""
+    """Nodes and log-weights such that int h dmu ~= sum exp(logw) h(pts); a
+    set of more than ``MAX_NODES`` is refused before any array is built."""
     if spec.scheme == "gauss_hermite":
         if mu.family != "gaussian":
             raise InvalidParameter(
@@ -234,15 +247,20 @@ def measure_nodes(mu, spec: QuadratureSpec):
             raise InvalidParameter(
                 f"gauss_hermite is implemented for dim <= 3, not dim {mu.dim}; "
                 "use monte_carlo")
-        pts, logw = _polar_gauss_rule(mu.dim, spec.resolved(mu.dim).nodes_per_axis // 2)
+        m = spec.resolved(mu.dim).nodes_per_axis // 2
+        k = math.ceil(m / 3)  # the sphere rule's directions: 2, 2k, k x 2k
+        _bounded(m * (2, 2 * k, 2 * k * k)[mu.dim - 1], spec)
+        pts, logw = _polar_gauss_rule(mu.dim, m)
         return mu.params[0] * pts, logw
     if spec.scheme == "tensor_trapezoid":
         if mu.dim > 3:
             raise InvalidParameter("tensor_trapezoid caps at dim 3")
-        pts, logw_leb = _trap_nodes(mu.truncation_radius,
-                                    spec.resolved(mu.dim).nodes_per_axis, mu.dim)
+        n = spec.resolved(mu.dim).nodes_per_axis
+        _bounded(n**mu.dim, spec)
+        pts, logw_leb = _trap_nodes(mu.truncation_radius, n, mu.dim)
         return pts, logw_leb + mu.log_pdf(pts)
     if spec.scheme == "monte_carlo":
+        _bounded(spec.mc_samples, spec)
         rng = np.random.Generator(np.random.Philox(key=spec.seed))
         pts = mu.sample(rng, spec.mc_samples)
         return pts, np.full(spec.mc_samples, -math.log(spec.mc_samples))
@@ -391,7 +409,6 @@ def adaptive_weighted(mu, spec: QuadratureSpec, columns):
     """
     if mu.dim != 1:
         raise InvalidParameter("adaptive_1d requires a one-dimensional measure")
-    log_norm = math.log(mu.norm_const)
     # the lowest double, so that weights are 0 while every expo is -inf;
     # eps_abs is the absolute tolerance in shifted units, at least _TINY
     shift, peak, eps_abs = -float(np.finfo(float).max), None, math.inf
@@ -403,7 +420,7 @@ def adaptive_weighted(mu, spec: QuadratureSpec, columns):
         pts = np.tan(((lo + hi) / 2.0)[:, None] + half[:, None] * _GK_X).reshape(-1, 1)
         cols = _columns_at(columns, pts)
         expo = (cols[:, 0] + np.asarray(mu._log_density(pts), dtype=float)
-                + (np.log1p(pts[:, 0] * pts[:, 0]) - log_norm))  # dx = (1 + x^2) dtheta
+                + np.log1p(pts[:, 0] * pts[:, 0]))  # dx = (1 + x^2) dtheta
         if not (top := expo.max()) < math.inf:
             _fail_at_first(np.isnan(expo) | (expo == math.inf), pts)
         if peak is None or top > shift:

@@ -223,6 +223,19 @@ class TestRun:
         assert error["notes"][0].startswith("inconclusive: ")
         json.dumps(report, allow_nan=False)
 
+    def test_oversized_node_set_is_an_inconclusive_error(self, tmp_path):
+        # 801^3 trapezoid nodes would take 3.8 GiB per coordinate: refused
+        # before any array is built, and reported, not a MemoryError
+        raw = minimal_config(
+            quadrature={"scheme": "tensor_trapezoid", "nodes_per_axis": 801},
+            measures={"e3": {"family": "gen_exponential", "c": 1.0, "a": 1.0, "dim": 3}},
+            fields={"f": {"builder": "log_linear", "lam": [0.3, 0.0, 0.0]}},
+            checks=[{"check": "slsi", "measure": "e3", "fields": ["f"], "c": 1.0}])
+        assert L.run(CampaignConfig.from_dict(raw), output_dir=tmp_path) == 0
+        (rep,) = json.loads((tmp_path / "report.json").read_text())["checks"]
+        assert rep["inconclusive"] and rep["kind"] == "error"
+        assert "513,922,401 nodes exceeds MAX_NODES" in rep["notes"][0]
+
     def test_shc_csv_columns(self, tmp_path):
         L.run("gaussian-sharp", output_dir=tmp_path)
         csv_files = sorted(tmp_path.glob("*.csv"))

@@ -231,6 +231,14 @@ class TestGeneralShc:
             L.check_general_shc(f, gauss1, 1.0, 1.0, 2.0, gh_spec)
         assert norm_calls == []
 
+    def test_overflowing_base_norm_is_inconclusive_with_witness(self):
+        # ||e^{40x}||_1 on N(0, 1) is e^{800}, beyond the largest double
+        rep = L.check_general_shc(L.log_linear([40.0]), L.gen_exponential(0.5, 2.0, 1),
+                                  1.0, 1.0, 2.0)
+        assert rep.inconclusive and not rep.passed
+        assert rep.notes[0] == "inconclusive: L^1 norm overflows (log value 800)"
+        assert "witness" in rep.quantities
+
 
 class TestDilationBound:
     @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -367,6 +375,14 @@ class TestDensityApproximation:
         with pytest.raises(InvalidParameter):
             L.check_density_approximation(L.log_linear([0.25]), gauss1, 1.0, spec=gh_spec,
                                           **lists)
+
+    def test_overflowing_base_norm_is_inconclusive_with_witness(self):
+        # ||e^{40x}||_1 on N(0, 1) is e^{800}, beyond the largest double
+        rep = L.check_density_approximation(L.log_linear([40.0]),
+                                            L.gen_exponential(0.5, 2.0, 1), 1.0)
+        assert rep.inconclusive and not rep.passed
+        assert rep.notes[0] == "inconclusive: L^1 norm overflows (log value 800)"
+        assert "witness" in rep.quantities
 
 
 def _reference_density_cells(f, mu, p, k_list, r_list, spec):

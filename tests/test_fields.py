@@ -191,6 +191,16 @@ class TestLogMap:
         assert lv[0] == pytest.approx(-10.0, rel=1e-12)
         assert dlv[0, 0] == pytest.approx(0.01, rel=1e-12)
 
+    def test_unverified_field_log_map_is_floored_log_of_its_values(self):
+        # a field with no log map takes ln f from its values, floored at
+        # VALUE_FLOOR = 1e-300, and grad ln f = grad f / f from differences
+        f = L.raw_field(lambda pts: np.sum(pts * pts, axis=1), 1)
+        np.testing.assert_allclose(f.log_value([[0.0], [2.0]]),
+                                   [math.log(1e-300), math.log(4.0)], rtol=1e-15)
+        lv, dlv = f.log_value([2.0], grad=True)
+        assert lv == pytest.approx(math.log(4.0), rel=1e-15)
+        assert dlv[0] == pytest.approx(1.0, rel=1e-6)
+
 
 class TestDilation:
     def test_identity_returns_same_object(self):

@@ -32,7 +32,9 @@ def _quad_mass(density, lo):
 
 class TestBuiltins:
     def test_gaussian_normalization(self, gauss1):
-        assert gauss1.norm_const == pytest.approx(math.sqrt(2 * math.pi), rel=1e-12)
+        # the normalizing constant Z = 1 / rho(0)
+        assert math.exp(-gauss1.log_pdf([0.0])) == pytest.approx(math.sqrt(2 * math.pi),
+                                                                 rel=1e-12)
         assert mass(gauss1) == pytest.approx(1.0, abs=1e-10)
 
     def test_two_sided_exponential(self):
@@ -48,13 +50,14 @@ class TestBuiltins:
         for X in (1.0, 10.0, 250.0):
             val, _ = scipy.integrate.quad(lambda x: 1.0 / (1.0 + x * x), -X, X)
             assert val == pytest.approx(2.0 * math.atan(X), rel=1e-10)
-        assert mu.norm_const == pytest.approx(math.pi, rel=1e-10)
+        assert math.exp(-mu.log_pdf([0.0])) == pytest.approx(math.pi, rel=1e-10)
         assert mass(mu) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("sigma, dim", [(1.0, 1), (0.7, 2), (1.3, 3)])
     def test_gaussian_norm_const_against_quad(self, sigma, dim):
         line = _quad_mass(lambda x: math.exp(-x * x / (2.0 * sigma**2)), -math.inf)
-        assert L.gaussian(sigma, dim).norm_const == pytest.approx(line**dim, rel=1e-13)
+        log_z = -L.gaussian(sigma, dim).log_pdf(np.zeros(dim))
+        assert math.exp(log_z) == pytest.approx(line**dim, rel=1e-13)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("a", [1.0, 2.0, 4.0])
@@ -62,13 +65,13 @@ class TestBuiltins:
         c = 0.7
         sphere = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
         radial = _quad_mass(lambda t: t ** (dim - 1) * math.exp(-c * t**a), 0.0)
-        assert L.gen_exponential(c, a, dim).norm_const == pytest.approx(sphere * radial,
-                                                                        rel=1e-13)
+        log_z = -L.gen_exponential(c, a, dim).log_pdf(np.zeros(dim))
+        assert math.exp(log_z) == pytest.approx(sphere * radial, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.75, 1.0, 3.0])
     def test_poly_tail_norm_const_against_quad(self, alpha):
         want = _quad_mass(lambda x: (1.0 + x * x) ** -alpha, -math.inf)
-        assert L.poly_tail(alpha).norm_const == pytest.approx(want, rel=1e-13)
+        assert math.exp(-L.poly_tail(alpha).log_pdf([0.0])) == pytest.approx(want, rel=1e-13)
 
     def test_uniform_ball_mass(self):
         mu = L.uniform_ball(1.5, dim=1)
@@ -136,7 +139,6 @@ class TestEval:
     def test_overflow_reported_not_silent(self, gauss1):
         spiked = Density(
             dim=1,
-            norm_const=1.0,
             truncation_radius=8.0,
             rotation_invariant=True,
             strictly_positive=True,
@@ -261,6 +263,15 @@ class TestTypeReport:
         rep_p = L.type_report(mu, 1.0, [1.5, 2.0], [0.0, 0.5])
         assert rep_q.numerically_type_p and rep_p.numerically_type_p
 
+    def test_divergent_near_one_sweep_is_a_violation(self):
+        # two modes 5 apart, each of width 0.05: between them rho(a x) / rho(x)
+        # exceeds the overflow guard for every a in the near-one window
+        mu = L.mix(L.gaussian(0.05), L.shift(L.gaussian(0.05), [5.0]), 0.5)
+        rep = L.type_report(mu, 0.0, [1.1], [0.0])
+        assert rep.uniform_near_one is None and not rep.numerically_type_p
+        label, s, witness = rep.violations[-1]
+        assert label == "near-one sweep (eps=0.25)" and s == 0.0 and witness is not None
+
     def test_empty_lists_rejected(self, gauss1):
         with pytest.raises(InvalidParameter):
             L.type_report(gauss1, 0.0, [], [0.0])
@@ -315,11 +326,18 @@ class TestMix:
         with pytest.raises(InvalidParameter):
             L.mix(gauss1, gauss1, 1.5)
 
-    def test_mix_and_shift_mass_is_exact(self, gauss1):
+    def test_mix_and_shift_mass_is_exact(self, gauss1, rng):
+        # the maps combine normalized log-densities and subtract no constant
         laplace = L.gen_exponential(1.0, 1.0, 2)
-        for mu in (L.mix(gauss1, L.poly_tail(0.75), 0.4), L.shift(L.poly_tail(0.75), [2.0]),
-                   L.mix(L.gaussian(1.0, 2), laplace, 0.3), L.shift(laplace, [0.3, -0.1])):
-            assert mu.norm_const == 1.0
+        for mu1, mu2, t in ((gauss1, L.poly_tail(0.75), 0.4),
+                            (L.gaussian(1.0, 2), laplace, 0.3)):
+            x = 3.0 * rng.standard_normal((9, mu1.dim))
+            want = np.logaddexp(math.log(1.0 - t) + mu1.log_pdf(x), math.log(t) + mu2.log_pdf(x))
+            assert np.array_equal(L.mix(mu1, mu2, t).log_pdf(x), want)
+        for mu, offset in ((L.poly_tail(0.75), np.array([2.0])),
+                           (laplace, np.array([0.3, -0.1]))):
+            x = 3.0 * rng.standard_normal((9, mu.dim))
+            assert np.array_equal(L.shift(mu, offset).log_pdf(x), mu.log_pdf(x - offset))
 
     def test_four_dimensional_mix_and_shift(self, rng):
         g1, g2 = L.gaussian(1.0, 4), L.gaussian(2.0, 4)
@@ -608,6 +626,19 @@ def test_sampler_second_moment(build, want):
     assert abs(got - want) <= 5.0 * err
 
 
+def test_closures_of_a_samplerless_density_build_and_refuse_to_sample(gauss1):
+    # closures compose their factors' samplers, so a factor without one is
+    # refused when the closure samples, not when it is built
+    bare = Density(dim=1, truncation_radius=8.0, rotation_invariant=True,
+                   strictly_positive=True, label="bare", _log_density=gauss1.log_pdf)
+    rng = np.random.default_rng(0)
+    for mu in (bare, L.mix(gauss1, bare, 0.5), L.product(bare, gauss1), L.shift(bare, [1.0]),
+               L.convolve_measures(gauss1, bare), L.perturb(bare, lambda pts: 0.1 * pts[:, 0])):
+        with pytest.raises(InvalidParameter, match="'bare' has no direct sampler"):
+            mu.sample(rng, 10)
+    assert L.mix(gauss1, bare, 0.0).sample(rng, 10).shape == (10, 1)
+
+
 class TestPerturbation:
     def test_normalizer_failure_carries_witness(self, gauss1):
         # the NaN weight beyond x = 1 fails the normalizing integral at a node
@@ -644,12 +675,16 @@ class TestPerturbation:
         # int e^{lam x_1} dN(0, sigma^2 I) = e^{lam^2 sigma^2 / 2}
         sigma, lam = 1.3, 0.7
         tilted = L.perturb(L.gaussian(sigma, dim), lambda pts: lam * pts[:, 0])
-        assert tilted.norm_const == pytest.approx(math.exp(lam**2 * sigma**2 / 2), rel=1e-12)
+        # the normalizer Z = rho(0) / rho_tilted(0)
+        origin = np.zeros(dim)
+        log_z = L.gaussian(sigma, dim).log_pdf(origin) - tilted.log_pdf(origin)
+        assert math.exp(log_z) == pytest.approx(math.exp(lam**2 * sigma**2 / 2), rel=1e-12)
 
     def test_laplace_reweighted_normalizer(self):
         # e^{-|x|} / 2 times e^{|x| / 2} integrates to 2
-        mu = L.perturb(L.gen_exponential(1.0, 1.0, 1), lambda pts: 0.5 * np.abs(pts[:, 0]))
-        assert mu.norm_const == pytest.approx(2.0, rel=1e-10)
+        base = L.gen_exponential(1.0, 1.0, 1)
+        mu = L.perturb(base, lambda pts: 0.5 * np.abs(pts[:, 0]))
+        assert math.exp(base.log_pdf([0.0]) - mu.log_pdf([0.0])) == pytest.approx(2.0, rel=1e-10)
 
     def test_four_dimensional_perturbation_rejected(self):
         def weight(pts):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -156,6 +157,26 @@ class TestSpecValidation:
         mu = L.gen_exponential(1.0, 1.0, 1)
         with pytest.raises(InvalidParameter):
             L.integrate(ones, mu, QuadratureSpec(scheme="gauss_hermite"))
+
+    @pytest.mark.parametrize("mu, spec, count", [
+        (L.gen_exponential(1.0, 1.0, 3),
+         QuadratureSpec(scheme="tensor_trapezoid", nodes_per_axis=801), "513,922,401"),
+        (L.gaussian(1.0, 3), QuadratureSpec(scheme="gauss_hermite", nodes_per_axis=801),
+         "14,364,800"),
+        (L.gaussian(1.0, 2), QuadratureSpec(scheme="monte_carlo", mc_samples=10**10),
+         "10,000,000,000"),
+    ])
+    def test_oversized_node_set_refused_before_it_is_built(self, mu, spec, count):
+        # a job too large for memory is a LabError naming its size, raised
+        # before any array is allocated, not numpy's MemoryError
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameter, match=f"{count} nodes exceeds MAX_NODES"):
+                measure_nodes(mu, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestIntegrate:
