@@ -54,7 +54,9 @@ class CheckKind:
 
     ``row(target, mu, spec, entry, check_id)`` fills the entry's missing
     ``defaults`` and calls ``run`` with it.  ``target`` is one field, or the
-    whole battery for an ``over_battery`` kind, which runs once per entry.
+    entry's list of fields for an ``over_battery`` kind, which runs once per
+    entry; ``best_constant`` builds the default battery for an empty list when
+    it runs, so a battery that cannot be built fails that entry alone.
     """
 
     run: Callable
@@ -68,6 +70,7 @@ class CheckKind:
 
 
 def _best_constant(battery, mu, spec, e, check_id):
+    battery = battery or checks_mod.default_battery(mu.dim)
     c_star = checks_mod.best_constant(
         battery, mu, mode=e["mode"], c_range=(e["c_min"], e["c_max"]), spec=spec,
         r_grid=e["r_grid"],
@@ -375,8 +378,7 @@ def _check_jobs(config: CampaignConfig):
         spec = resolve_spec(config.quadrature, mu, config.seed) if mu is not None else None
         fnames = entry.get("fields", [])
         if row.over_battery:
-            battery = [fields[n] for n in fnames] or checks_mod.default_battery(mu.dim)
-            targets = [(f"{idx:03d}-{kind}-{entry.get('measure')}", battery)]
+            targets = [(f"{idx:03d}-{kind}-{entry.get('measure')}", [fields[n] for n in fnames])]
         else:
             targets = [(f"{idx:03d}-{kind}-{entry.get('measure', 'nomeasure')}-{n}", fields[n])
                        for n in fnames]

@@ -9,20 +9,24 @@ the mass integrates anything: the built-in families fold their closed-form
 constants into the map; ``mix``, ``shift`` and ``product`` combine normalized
 log-densities, so their mass is exactly 1; ``perturb`` pays for one
 ``integrate_log`` of its weight against the normalized base;
-``convolve_measures`` normalizes what it evaluates (its FFT cache on trusted
-cells, tangent lines past them) by its own mass.  Every closure composes its
-factors' samplers; sampling a Density built without one raises.  The module
-needs numpy only, SciPy serves the tests as an oracle.
+``convolve_measures`` normalizes what it evaluates (its FFT cache's e_1 line
+on trusted nodes, tangent lines past them, read at t = x_1 in 1-D and at |x|
+in 2-D and 3-D, where it takes rotation-invariant factors only) by its own
+mass.  Every closure composes its factors' samplers; sampling a Density built
+without one raises.  The module needs numpy only, SciPy serves the tests as an
+oracle.
 
 The regularity constant of exponential type p is
 
     C_p(a, s) = sup_x sup_{|y| <= s} |x|^p rho(a x + y) / rho(x),
 
 estimated by grid search over the ball of radius ``truncation_radius`` (so
-the estimate is a lower bound of the true sup by construction): on the e_1
-line for a rotation-invariant measure, in any dimension, else on a tensor grid
-(dim <= 3).  If the log-ratio is still increasing at the grid boundary, or
-exceeds the overflow guard, the sup is reported as divergent with a witness.
+the estimate is a lower bound of the sup of the density as evaluated, not of
+the measure's: a convolution's reader error can lift it above the closed
+form): on the e_1 line for a rotation-invariant measure, in any dimension,
+else on a tensor grid (dim <= 3).  If the log-ratio is still increasing at the
+grid boundary, or exceeds the overflow guard, the sup is reported as divergent
+with a witness.
 
 Closure operations (bounded perturbation, mixture, product, convolution)
 build new densities whose constants obey explicit combination bounds; those
@@ -31,9 +35,7 @@ bounds are exercised by the check suite.
 
 from __future__ import annotations
 
-import functools
 import inspect
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -64,8 +66,6 @@ _CONV_EXTENT_FACTOR = 1.3
 _CONV_RELIABLE = 1e-12
 #: the tail's slope is the finite difference over this many cells inward
 _CONV_SLOPE_CELLS = 4
-#: the rays of the tail's table pass through K^(dim-1) cells of each face
-_CONV_DIRECTION_BINS = {1: 2, 2: 128, 3: 32}
 
 
 @dataclass(frozen=True)
@@ -376,25 +376,26 @@ def product(mu1: Density, mu2: Density) -> Density:
 
 
 def convolve_measures(mu1: Density, mu2: Density) -> Density:
-    """Convolution mu1 * mu2 via FFT on a cached grid, read in log space.
+    """Convolution mu1 * mu2 via FFT on a cached grid, read in log space on one line.
 
-    It evaluates e^u, u the multilinear interpolant of a log table on the
-    grid box.  The table holds the cache's log where it is trusted, at least
-    ``_CONV_RELIABLE`` of the peak.  Past the outermost trusted point R on
-    the ray from the mode c, it holds, as does the reader off the box, the
-    line ln rho(c + R u) + (|x - c| - R) s of slope s <= 0, above a
-    log-concave ln rho; past R a heavy factor, one whose tail the grid cuts
-    off, bounds the decay from below.  R, ln rho there and s come from a
-    table of rays through the cells of the cube's faces.  The mass of e^u,
-    and in 1-D of the reader past the box, normalizes it.
+    The FFT runs on the grid box and keeps the cache's line through 0 along
+    e_1.  In 2-D and 3-D both factors must be rotation-invariant: their
+    convolution is then a profile of |x|, which that line holds.  The reader
+    evaluates e^u(t), u the linear interpolant of a log table on the line, at
+    t = x_1 in 1-D and t = |x| in 2-D and 3-D.  The table holds the cache's log
+    where it is trusted, at least ``_CONV_RELIABLE`` of the peak.  Past the
+    outermost trusted point R on either side of the mode c, it holds, as does
+    the reader off the box, the line ln rho(c +- R) + (|t - c| - R) s of slope
+    s <= 0, above a log-concave ln rho; past R a heavy factor, one whose tail
+    the grid cuts off, bounds the decay from below.  The mass of the reader,
+    (|S^(n-1)| / 2) int |t|^(n-1) e^u dt on the box and past it, normalizes it.
 
     The grid has M = ``_CONV_CACHE_NODES[dim]`` nodes per axis (odd, so 0 is a
-    node), one numpy interpolator in every dimension.  Each axis of the FFT is
-    zero-padded to the smallest 5-smooth length of at least 3(M - 1)/2 + 1:
-    wrap-around then misses the M kept samples, so they are those of the
-    linear convolution, and the length has no large prime factor.  The
-    truncation radius is the factors' summed; in 1-D, at most the largest |x|
-    of a trusted node.
+    node).  Each axis of the FFT is zero-padded to the smallest 5-smooth length
+    of at least 3(M - 1)/2 + 1: wrap-around then misses the M kept samples, so
+    they are those of the linear convolution, and the length has no large
+    prime factor.  The truncation radius is the factors' summed; in 1-D, at
+    most the largest |x| of a trusted node.
 
     Deterministic quadrature caps at dim 3; higher dimensions are rejected
     with advice to use Monte Carlo sampling of sums instead.
@@ -407,13 +408,22 @@ def convolve_measures(mu1: Density, mu2: Density) -> Density:
             "deterministic convolution quadrature caps at dim 3; "
             "use monte_carlo sampling of component sums instead"
         )
+    if n > 1 and not (mu1.rotation_invariant and mu2.rotation_invariant):
+        odd = mu2 if mu1.rotation_invariant else mu1
+        raise InvalidParameter(f"convolution in dim {n} is read at |x| and needs "
+                               f"rotation-invariant factors; {odd.label!r} is not")
     M = _CONV_CACHE_NODES[n]
     L = _CONV_EXTENT_FACTOR * (mu1.truncation_radius + mu2.truncation_radius)
     axis = np.linspace(-L, L, M)
     h = axis[1] - axis[0]
+    # only the e_1 line through 0 of the cache and of the factors' logs is
+    # kept, copied out; the n-D points and logs are freed before the FFT
+    e1 = (slice(None),) + ((M - 1) // 2,) * (n - 1)
     pts = quadrature.tensor_grid(axis, n)
-    logs = [mu1.log_pdf(pts), mu2.log_pdf(pts)]
-    a, b = (np.exp(np.maximum(lv, LOG_FLOOR)).reshape([M] * n) for lv in logs)
+    logs = [mu1.log_pdf(pts).reshape([M] * n), mu2.log_pdf(pts).reshape([M] * n)]
+    lines = [lv[e1].copy() for lv in logs]
+    a, b = (np.exp(np.maximum(lv, LOG_FLOOR)) for lv in logs)
+    del pts, logs
     size, axes = (_fft_length(3 * (M - 1) // 2 + 1),) * n, tuple(range(n))
     full = np.fft.irfftn(np.fft.rfftn(a, size, axes) * np.fft.rfftn(b, size, axes), size, axes)
     # the M central samples of the 2M - 1 of the linear convolution, per axis
@@ -421,91 +431,92 @@ def convolve_measures(mu1: Density, mu2: Density) -> Density:
     conv = np.maximum(conv, 0.0)
     if not 0.0 < conv.sum() < math.inf:
         raise EvaluationFailure("convolution cache has no mass")
-    logc = np.log(np.maximum(conv, 1e-300))
-    table = logc.reshape(-1)  # a view: filling it fills logc
+    level = math.log(conv.max() * _CONV_RELIABLE)
+    c = axis[np.argmax(conv[e1])]
+    logc = np.log(np.maximum(conv[e1], 1e-300))
 
-    # a factor whose ln rho is convex at the box's faces, its slope flattening
+    def on_line(t):
+        return np.pad(t[:, None], ((0, 0), (0, n - 1)))
+
+    # a factor whose ln rho is convex at the line's ends, its slope flattening
     # outward, is heavy: its tail lies above every line, and the grid cuts it
     # off, so the cache misses mass beyond L - T of the other (poly_tail(1) *
     # N(0, 1) read a slope of -0.77 for -0.015).  Past R, ln rho decays no
     # faster than ln of a heavy factor
     reach, heavy = L - h, []
-    for lv, mu, other in ((logs[0], mu1, mu2), (logs[1], mu2, mu1)):
-        grid = lv.reshape([M] * n)
+    for lv, mu, other in ((lines[0], mu1, mu2), (lines[1], mu2, mu1)):
         with np.errstate(invalid="ignore"):  # -inf - -inf off a support
-            convex = [np.take(grid, e, axis=k) - 2.0 * np.take(grid, e + d, axis=k)
-                      + np.take(grid, e + 2 * d, axis=k) > 0.0
-                      for k in range(n) for e, d in ((0, 1), (-1, -1))]
-        if np.any(convex):
+            convex = [lv[e] - 2.0 * lv[e + d] + lv[e + 2 * d] > 0.0 for e, d in ((0, 1), (-1, -1))]
+        if any(convex):
             reach = min(reach, L - other.truncation_radius - h)
             heavy.append((mu, lv))
-    level = math.log(conv.max() * _CONV_RELIABLE)
-    ok = ((logc >= level) & functools.reduce(np.logical_and.outer, [np.abs(axis) <= reach] * n)).ravel()
-    corners = list(itertools.product((0, 1), repeat=n))
+    ok = (logc >= level) & (np.abs(axis) <= reach)
 
-    def interpolate(x):
-        """Multilinear on the 2^n corners of each point's cell."""
-        cell = np.clip(np.floor((x + L) / h), 0, M - 2).astype(int)
+    def interpolate(t):
+        """Linear between the nodes of each point's cell."""
+        cell = np.clip(np.floor((t + L) / h), 0, M - 2).astype(int)
         # weights from the cell's own nodes, which are off by up to 1e-12 h
-        w = (x - axis[cell]) / (axis[cell + 1] - axis[cell])
-        return sum(np.prod(np.where(corner, w, 1.0 - w), axis=1)
-                   * logc[tuple((cell + corner).T)] for corner in corners)
+        w = (t - axis[cell]) / (axis[cell + 1] - axis[cell])
+        return (1.0 - w) * logc[cell] + w * logc[cell + 1]
 
-    # on each ray of the table, R is where the cache's interpolant last
-    # crosses the trusted level inside the reach: found on steps of h / 2
-    # and placed between the last two linearly, so that R, and the line far
-    # out, vary smoothly with the ray.  E is ln rho at R, S the slope over
-    # the last few cells
-    c, K = pts[np.argmax(conv)], _CONV_DIRECTION_BINS[n]
-    u = _cube_directions(n, K)
-    ts = np.arange(0.0, np.linalg.norm(pts[ok] - c, axis=1).max() + 2.0 * math.sqrt(n) * h, h / 2.0)
-    p = c + ts[:, None, None] * u
-    v = np.where(np.abs(p).max(axis=2) <= reach, interpolate(p.reshape(-1, n)).reshape(p.shape[:2]),
-                 -math.inf)
-    i = ts.size - 2 - np.argmax(v[-2::-1] >= level, axis=0)  # c, the peak, is on every ray
-    inner, outer = v[i, np.arange(u.shape[0])], v[i + 1, np.arange(u.shape[0])]
+    # on each side u of the mode, R is where the interpolant last crosses the
+    # trusted level inside the reach: found on steps of h / 2 and placed
+    # between the last two linearly.  E is ln rho at R, S the slope over the
+    # last few cells
+    u = np.array([-1.0, 1.0])
+    ts = np.arange(0.0, np.abs(axis[ok] - c).max() + 2.0 * h, h / 2.0)
+    p = c + ts[:, None] * u
+    v = np.where(np.abs(p) <= reach, interpolate(p.ravel()).reshape(p.shape), -math.inf)
+    i = ts.size - 2 - np.argmax(v[-2::-1] >= level, axis=0)  # c, the peak, is on both sides
+    inner, outer = v[i, [0, 1]], v[i + 1, [0, 1]]
     with np.errstate(divide="ignore", invalid="ignore"):
         R = ts[i] + 0.5 * h * np.where(outer < level, (inner - level) / (inner - outer), 0.0)
-    edge, step = c + R[:, None] * u, _CONV_SLOPE_CELLS * h
+    edge, step = c + R * u, _CONV_SLOPE_CELLS * h
     E = interpolate(edge)
     S = np.minimum(E - interpolate(edge - step * u), 0.0) / step
-    F = [mu.log_pdf(edge) for mu, _ in heavy]
+    F = [mu.log_pdf(on_line(edge)) for mu, _ in heavy]
 
-    def line(x, lfs):
-        """The line on each point's ray and whether the point lies past R;
-        with a heavy factor of log ln f, at least ln rho(c + R u) + ln f(x)
-        - ln f(c + R u), and at most ln rho(c + R u)."""
-        d = x - c
-        k, r = _cube_bin(d, K), np.sqrt(np.einsum("ij,ij->i", d, d))
+    def line(t, lfs):
+        """The line on each point's side of the mode and whether the point lies
+        past R; with a heavy factor of log ln f, at least ln rho(c +- R) +
+        ln f(t) - ln f(c +- R), and at most ln rho(c +- R)."""
+        d = t - c
+        k, r = (d > 0).astype(int), np.abs(d)
         out = E[k] + (r - R[k]) * S[k]
         for lf, Fi in zip(lfs, F):
             out = np.maximum(out, E[k] + np.minimum(lf - Fi[k], 0.0))
         return out, r > R[k]
 
-    # in blocks of nodes, to bound the temporaries of a 3-D grid
-    for far in np.array_split(np.flatnonzero(~ok), max(1, M**n // 2**18)):
-        values, past = line(pts[far], [lv[far] for _, lv in heavy])
-        table[far[past]] = values[past]
+    far = np.flatnonzero(~ok)
+    values, past = line(axis[far], [lv[far] for _, lv in heavy])
+    logc[far[past]] = values[past]
 
     def logd(qts):
         """The table's interpolant on the box, the lines off it."""
-        out = interpolate(qts)
-        off = np.any(np.abs(qts) > L, axis=1)
+        t = qts[:, 0] if n == 1 else np.linalg.norm(qts, axis=1)
+        out = interpolate(t)
+        off = np.abs(t) > L
         if np.any(off):
-            out[off] = line(qts[off], [mu.log_pdf(qts[off]) for mu, _ in heavy])[0]
+            out[off] = line(t[off], [mu.log_pdf(qts[off]) for mu, _ in heavy])[0]
         return out
 
-    mass, radius = [_log_interpolant_mass(logc, h)], mu1.truncation_radius + mu2.truncation_radius
+    # the reader's mass on R^n is (|S^(n-1)| / 2) int |t|^(n-1) e^u dt, on the
+    # box and on the two half-lines past it; |S^(n-1)| / 2 = pi^(n/2) /
+    # Gamma(n/2) is exactly 1 in 1-D
+    mass = [_log_interpolant_mass(logc, axis, n)]
+    mass += [_log_line_tail(lambda t: logd(on_line(t)) + (n - 1) * np.log(np.abs(t)), side * L)
+             for side in (-1.0, 1.0)]
+    log_mass = np.logaddexp.reduce(mass) + math.log(math.pi ** (n / 2) / math.gamma(n / 2))
+    # the table and the lines off the box, in place
+    logc -= log_mass
+    E -= log_mass
+    radius = mu1.truncation_radius + mu2.truncation_radius
     if n == 1:
         # integrals run on the whole line, so the radius only bounds the
         # regularity search, which must read trusted nodes.  In 2-D and 3-D
         # it is also the trapezoid's box, and that rule's halving estimate
         # misses aliasing of the interpolant's kinks at some radii
-        mass += [_log_line_tail(logd, side * L) for side in (-1.0, 1.0)]
-        radius = min(radius, float(np.abs(pts[ok]).max()))
-    # the table and the lines off the box, in place
-    logc -= np.logaddexp.reduce(mass)
-    E -= np.logaddexp.reduce(mass)
+        radius = min(radius, float(np.abs(axis[ok]).max()))
 
     def sampler(rng, size):
         return mu1.sample(rng, size) + mu2.sample(rng, size)
@@ -521,37 +532,13 @@ def convolve_measures(mu1: Density, mu2: Density) -> Density:
     )
 
 
-def _cube_directions(n: int, K: int) -> Array:
-    """Unit vectors through the centres of the K^(n-1) cells on each of the
-    2n faces of the cube [-1, 1]^n, in the order ``_cube_bin`` numbers them."""
-    face, rest = np.divmod(np.arange(2 * n * K ** (n - 1)), K ** (n - 1))
-    q = rest[:, None] // K ** np.arange(n - 2, -1, -1) % K
-    pick = np.arange(n) == (face // 2)[:, None]
-    f = np.empty((face.size, n))
-    f[pick] = np.where(face % 2, 1.0, -1.0)
-    f[~pick] = ((q + 0.5) * (2.0 / K) - 1.0).ravel()
-    return f / np.linalg.norm(f, axis=1, keepdims=True)
-
-
-def _cube_bin(v: Array, K: int) -> Array:
-    """The number of the face cell that each nonzero row of v points through."""
-    m, n = v.shape
-    j = np.argmax(np.abs(v), axis=1)
-    top = v[np.arange(m), j]
-    q = np.minimum((v / np.abs(top)[:, None] + 1.0) * (K / 2.0), K - 1).astype(int)
-    # the cell's digits are q on the axes other than j, first axis first
-    digits = np.array([[0 if i == k else K ** (n - 2 - i + (i > k)) for i in range(n)]
-                       for k in range(n)])
-    return (2 * j + (top > 0)) * K ** (n - 1) + np.einsum("ij,ij->i", q, digits[j])
-
-
 def _log_line_tail(logd, x0: float) -> float:
     """ln of the integral of e^logd on the half-line beyond x0 (on its far
-    side from 0): exact for ln rho piecewise linear on the geometric nodes
-    x0 e^{k / 32}, k <= 2048, and past the last of them the power law of
-    the last step's log-log slope beta, rho(X) X / (beta - 1)."""
+    side from 0), logd a map of 1-D arrays: exact for logd piecewise linear on
+    the geometric nodes x0 e^{k / 32}, k <= 2048, and past the last of them
+    the power law of the last step's log-log slope beta, e^logd(X) X / (beta - 1)."""
     x = x0 * np.exp(np.arange(2049) / 32.0)
-    lv = logd(x[:, None])
+    lv = logd(x)
     d, dx = np.diff(lv), np.diff(x)
     beta = -d[-1] * 32.0
     if not beta > 1.0:
@@ -563,20 +550,16 @@ def _log_line_tail(logd, x0: float) -> float:
     return float(np.logaddexp.reduce(logs))
 
 
-def _log_interpolant_mass(logc: Array, h: float) -> float:
-    """ln int e^u over the grid box, u the multilinear interpolant of the log
-    table ``logc`` on spacing h: the 2-point Gauss-Legendre rule in every
-    cell, u at each of its 2^n nodes summed from the 2^n shifted views."""
-    n, m = logc.ndim, logc.shape[0] - 1
-    views = {corner: logc[tuple(slice(c, m + c) for c in corner)]
-             for corner in itertools.product((0, 1), repeat=n)}
+def _log_interpolant_mass(table: Array, axis: Array, n: int) -> float:
+    """ln int |t|^(n-1) e^u dt over the nodes' span, u the linear interpolant
+    of the log table on the uniform nodes ``axis``: the 2-point Gauss-Legendre
+    rule in every cell."""
+    h = axis[1] - axis[0]
     total = 0.0
-    for t in itertools.product((0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)),
-                               repeat=n):
-        u = sum(math.prod(ti if c else 1.0 - ti for ti, c in zip(t, corner)) * view
-                for corner, view in views.items())
-        total += float(np.exp(u).sum())
-    return math.log(total) + n * math.log(h / 2.0)
+    for g in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)):
+        u = (1.0 - g) * table[:-1] + g * table[1:]
+        total += float((np.abs(axis[:-1] + g * h) ** (n - 1) * np.exp(u)).sum())
+    return math.log(total) + math.log(h / 2.0)
 
 
 def _fft_length(n: int) -> int:
@@ -710,10 +693,12 @@ def regularity_constant(
     {|a x + y| : |y| <= s} = [(a|x| - s)+, a|x| + s] depends on |x| alone, so
     the e_1 line with shifts along e_1 is exact in every dimension.  Any other
     measure is searched on its own tensor grid, d = dim <= 3.  The estimate is
-    the maximum of the ratio over the grid, hence a lower bound of the true
-    sup.  Raises :class:`TypeConditionViolation` (with the witness point) when
-    the ratio exceeds the overflow guard or is still increasing at the grid
-    boundary.
+    the maximum of the ratio over the grid, hence a lower bound of the sup of
+    the ratio of ``log_pdf`` as evaluated; where ``log_pdf`` approximates the
+    measure, as a convolution's line table does, it can exceed the measure's
+    own sup.  Raises :class:`TypeConditionViolation` (with the witness point)
+    when the ratio exceeds the overflow guard or is still increasing at the
+    grid boundary.
     """
     if a < 1.0:
         raise InvalidParameter("regularity constants are defined for a >= 1")

@@ -236,6 +236,38 @@ class TestRun:
         assert rep["inconclusive"] and rep["kind"] == "error"
         assert "513,922,401 nodes exceeds MAX_NODES" in rep["notes"][0]
 
+    def test_unbuildable_default_battery_fails_its_own_entry(self, tmp_path):
+        # mollifiers stop at dim 3, so the 4-D default battery cannot be
+        # built: that best_constant entry is an inconclusive error, and the
+        # 1-D sLSI entry beside it still runs and is written out
+        raw = minimal_config(
+            measures={"g1": {"family": "gaussian", "dim": 1},
+                      "g4": {"family": "gaussian", "dim": 4}},
+            checks=[{"check": "slsi", "measure": "g1", "fields": ["f"], "c": 1.0},
+                    {"check": "best_constant", "measure": "g4"}])
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+        checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+        assert [(c["check_id"], c["kind"], c["passed"], c["inconclusive"]) for c in checks] == [
+            ("000-slsi-g1-f", "slsi", True, False),
+            ("001-best_constant-g4", "error", False, True)]
+        assert "dim <= 3" in checks[1]["notes"][0]
+
+    def test_non_invariant_convolution_exits_two(self, tmp_path, capsys):
+        # in 2-D a convolution is read at |x|, so a shifted factor is refused
+        # when the campaign builds its measures
+        gauss2 = {"family": "gaussian", "dim": 2}
+        measures = {"g": {"op": "convolve", "second": gauss2,
+                          "first": {"op": "shift", "offset": [1.0, 0.0], "base": gauss2}}}
+        fields = {"f": {"builder": "log_linear", "lam": [0.8, 0.0]}}
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(minimal_config(measures=measures, fields=fields)))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "rotation-invariant" in err
+        assert not (tmp_path / "out").exists()
+
     def test_shc_csv_columns(self, tmp_path):
         L.run("gaussian-sharp", output_dir=tmp_path)
         csv_files = sorted(tmp_path.glob("*.csv"))

@@ -1,9 +1,10 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
-from scipy.interpolate import RegularGridInterpolator
 from scipy.special import gammainccinv
 
 import lshlab as L
@@ -418,15 +419,17 @@ class TestConvolution:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_interpolation_against_scipy(self, dim, rng):
-        # the cache of N(0, 1) * N(0, 0.7^2), read back at its own nodes: on
-        # the whole grid box the reader is the multilinear interpolant of
-        # those values, the cache's on trusted nodes and the lines past them
+        # the cache of N(0, 1) * N(0, 0.7^2), read back at its own nodes on
+        # the e_1 line: on the line's box the reader is the linear interpolant
+        # of those values, the cache's on trusted nodes and the lines past
+        # them, at x_1 in 1-D and, the pair being rotation-invariant, at |x|
+        # in 2-D and 3-D
         first, second = L.gaussian(1.0, dim), L.gaussian(0.7, dim)
         conv = L.convolve_measures(first, second)
         M = measures._CONV_CACHE_NODES[dim]
         ext = measures._CONV_EXTENT_FACTOR * (first.truncation_radius + second.truncation_radius)
         axis = np.linspace(-ext, ext, M)
-        logc = conv.log_pdf(L.quadrature.tensor_grid(axis, dim)).reshape([M] * dim)
+        logc = conv.log_pdf(np.pad(axis[:, None], ((0, 0), (0, dim - 1))))
         pts = rng.uniform(-ext, ext, size=(3000, dim))
         pts[:200] = axis[rng.integers(0, M, size=(200, dim))]
         pts[200:300, 0] = axis[0]
@@ -434,7 +437,8 @@ class TestConvolution:
         if dim == 1:
             want = np.interp(pts[:, 0], axis, logc)
         else:
-            want = RegularGridInterpolator((axis,) * dim, logc)(pts)
+            r = np.linalg.norm(pts, axis=1)
+            pts, want = pts[r <= ext], np.interp(r[r <= ext], axis, logc)
         np.testing.assert_allclose(conv.log_pdf(pts), want, rtol=1e-12, atol=0)
         # the table and the line read off the box are normalized alike
         faces = np.zeros((2, dim))
@@ -599,6 +603,26 @@ class TestConvolution:
             )
         )
         assert lhs <= rhs * (1.0 + 1e-6)
+
+    def test_non_invariant_factors_are_refused_in_two_dimensions(self):
+        # in 2-D and 3-D the convolution is read on the e_1 line at |x|, which
+        # holds it only for a rotation-invariant pair; 1-D pairs of any kind
+        # build (see the shifted and separated-mode tests above)
+        with pytest.raises(InvalidParameter, match="rotation-invariant"):
+            L.convolve_measures(L.shift(L.gaussian(1.0, 2), [1.0, 0.0]), L.gaussian(1.0, 2))
+
+    def test_build_keeps_only_line_tables(self):
+        # the 3-D build transforms 129^3 grids (a 51 MB point grid among
+        # them), but the Density keeps only tables on its e_1 line
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            conv = L.convolve_measures(L.gaussian(1.0, 3), L.gen_exponential(1.0, 1.0, 3))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert conv.dim == 3 and retained < 2**20
 
     def test_dim_cap_advises_monte_carlo(self):
         mu4 = L.product(L.gaussian(1.0, 2), L.gaussian(1.0, 2))
