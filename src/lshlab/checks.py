@@ -266,11 +266,13 @@ def shc_rows(norms: DilationNorms, c: float,
 
 
 def shc_passed(rows: Iterable[tuple[dict, float]]) -> bool:
-    """The sHC verdict on (row, slack) pairs: some row is live, every live row
-    passes, and no slack is positive (alpha is monotone).
+    """The sHC verdict on (row, slack) pairs: some row with r < 1 is live,
+    every live row passes, and no slack is positive (alpha is monotone).
 
-    It stops at the first failing row or monotonicity break, so on the
-    generator :func:`shc_rows` no later norm is integrated.
+    The r = 1 row alone is no evidence: alpha(1) = ||f||_1 meets it by
+    construction at every c.  The verdict stops at the first failing row or
+    monotonicity break, so on the generator :func:`shc_rows` no later norm is
+    integrated.
     """
     live = False
     for row, slack in rows:
@@ -278,7 +280,7 @@ def shc_passed(rows: Iterable[tuple[dict, float]]) -> bool:
             continue
         if not row["row_passed"] or slack > 0:
             return False
-        live = True
+        live = live or row["r"] < 1.0
     return live
 
 
@@ -335,7 +337,11 @@ def check_general_shc(
     spec: Optional[QuadratureSpec] = None,
     check_id: str = "general_shc",
 ) -> CheckReport:
-    """||f_r||_q <= ||f||_p at the contraction time r = (p/q)^(c/2) and below."""
+    """||f_r||_q <= ||f||_p at the contraction time r = (p/q)^(c/2) and below.
+
+    It passes only when the row at r* is live: the rows below r* cannot stand
+    in for the inequality at r*, where ||f_r||_q is largest.
+    """
     spec = spec or default_spec(mu)
     inputs = {"field": f.label, "measure": mu.label, "c": c, "p": p, "q": q}
     r_star = r_of_pq(p, q, c)
@@ -361,7 +367,7 @@ def check_general_shc(
         inputs=inputs,
         quantities={"r_star": r_star, "norm_p": base, "rows": rows},
         tolerance=INEQ_ABS,
-        passed=ok and any(not row["skipped"] for row in rows),
+        passed=ok and not rows[0]["skipped"],
         notes=[SHC_NOTE],
         spec=spec.to_dict(),
     )

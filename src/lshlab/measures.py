@@ -657,7 +657,9 @@ def _grid_points(dim: int, radius: float, nodes_per_axis: int) -> Array:
 def _y_grid(dim: int, s: float, h: float) -> Array:
     """Grid on the ball |y| <= s with spacing matching the x-grid."""
     steps = np.arange(-math.floor(s / h) * h, s + h / 2, h)
-    vals = np.unique(np.concatenate([steps, [-s, 0.0, s]]))
+    # sorted and deduplicated as np.unique would, without its numpy.ma import
+    vals = np.sort(np.concatenate([steps, [-s, 0.0, s]]))
+    vals = vals[np.concatenate([[True], np.diff(vals) > 0])]
     ys = quadrature.tensor_grid(vals, dim)
     return ys[np.linalg.norm(ys, axis=1) <= s * (1.0 + 1e-12)]
 

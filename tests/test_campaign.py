@@ -288,12 +288,14 @@ class TestRun:
         assert strip(d1) == strip(d2)
 
     def test_best_constant_honours_r_grid(self, tmp_path):
-        # with only r = 1, alpha(1) = ||f||_1 and every row is met: c_min
+        # with only r = 1, alpha(1) = ||f||_1 meets its row at every c, which
+        # is no evidence: no c passes and the search returns c_max, where the
+        # default grid gives the sharp constant 1
         raw = minimal_config(checks=[{"check": "best_constant", "measure": "g",
                                       "fields": ["f"], "mode": "shc", "r_grid": [1.0]}])
         L.run(CampaignConfig.from_dict(raw), output_dir=tmp_path)
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["checks"][0]["quantities"]["c_star"] == 0.25
+        assert report["checks"][0]["quantities"]["c_star"] == 4.0
 
     def test_best_constant_with_inconclusive_member_is_inconclusive(self, tmp_path):
         # e^{1.2x} diverges against the Laplace measure: an inconclusive

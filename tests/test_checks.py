@@ -221,6 +221,17 @@ class TestGeneralShc:
         assert rep.kind == "general_shc"
         assert rep.passed
 
+    def test_skipped_r_star_row_is_no_pass(self):
+        # ||f_r||_2 of e^{0.8x} on the Laplace measure diverges at r* and
+        # 0.9 r*; the live row at 0.75 r* cannot stand in for the inequality
+        # at r*
+        rep = L.check_general_shc(L.log_linear([0.8]), L.gen_exponential(1.0, 1.0, 1),
+                                  1.0, 1.0, 2.0)
+        rows = rep.quantities["rows"]
+        assert [row["skipped"] for row in rows] == [True, True, False]
+        assert rows[2]["passed"]
+        assert not rep.passed and not rep.inconclusive
+
     def test_invalid_exponent_order(self, gauss1, gh_spec):
         with pytest.raises(InvalidParameter):
             L.check_general_shc(L.cosh_field(0.5), gauss1, 1.0, 2.0, 1.0, gh_spec)
@@ -613,6 +624,21 @@ class TestBestConstant:
         c_star = L.best_constant(battery, gauss1, "shc", spec=gh_spec)
         assert c_star == pytest.approx(1.0, abs=1e-3)
 
+    def test_shc_needs_a_live_row_below_r1(self):
+        # on the Laplace measure at c = 0.25, ||f_r||_q(r) of e^{0.8x} diverges
+        # at every r < 1; the r = 1 row, alpha(1) = ||f||_1, is met at every c
+        # and is no evidence, so c_min fails.  sHC implies the sLSI with the
+        # same constant, so c*(sHC) >= c*(sLSI)
+        battery, lap = [L.log_linear([0.8])], L.gen_exponential(1.0, 1.0, 1)
+        rep = L.check_shc(battery[0], lap, 0.25)
+        assert all(row["skipped"] for row in rep.quantities["rows"] if row["r"] < 1.0)
+        assert not rep.passed and not rep.inconclusive
+        c_shc = L.best_constant(battery, lap, "shc")
+        c_slsi = L.best_constant(battery, lap, "slsi")
+        assert c_shc == pytest.approx(1.642, abs=1e-9)
+        assert c_slsi == pytest.approx(1.425, abs=1e-9)
+        assert c_shc >= c_slsi
+
     def test_constants_battery_vacuous(self, gauss1, gh_spec):
         c_star = L.best_constant([L.constant(2.0, 1)], gauss1, "slsi", spec=gh_spec)
         assert c_star == 0.25
@@ -814,7 +840,8 @@ def _reference_shc(f, mu, c, spec):
     quantities = {"norm1": base, "rows": rows, "alpha_monotone": monotone,
                   "worst_monotonicity_drop": worst_drop,
                   "skipped_rows": len(rows) - len(live)}
-    return quantities, bool(live) and all(row["row_passed"] for row in live) and monotone
+    below_1 = any(row["r"] < 1.0 for row in live)
+    return quantities, below_1 and all(row["row_passed"] for row in live) and monotone
 
 
 @pytest.fixture
@@ -840,7 +867,8 @@ class TestBestConstantShcNorms:
         ([L.log_linear([0.8]), L.cosh_field(0.5)], L.gaussian(1.0, 1), (0.1, 4.0)),
         ([L.log_linear([0.4]), _inconclusive_member(), L.cosh_field(0.8)],
          L.gen_exponential(0.5, 2, 1), checks.DEFAULT_C_RANGE),
-    ], ids=["default_battery", "adaptive", "q_guard_rows", "inconclusive"])
+        ([L.log_linear([0.8])], L.gen_exponential(1.0, 1.0, 1), checks.DEFAULT_C_RANGE),
+    ], ids=["default_battery", "adaptive", "q_guard_rows", "inconclusive", "r1_row_alone"])
     def test_matches_reference_bisection(self, battery, mu, c_range):
         spec = L.default_spec(mu)
         expected = _outcome(_reference_shc_best_constant, battery, mu, c_range, spec)
@@ -863,7 +891,8 @@ class TestBestConstantShcNorms:
         (L.log_linear([0.8]), L.gaussian(1.0, 1), 0.5),
         (L.cosh_field(0.8), L.gaussian(1.0, 1), 0.1),
         (L.log_linear([0.4]), L.gen_exponential(0.5, 2, 1), 1.0),
-    ], ids=["pass", "fail", "q_guard_rows", "adaptive"])
+        (L.log_linear([0.8]), L.gen_exponential(1.0, 1.0, 1), 0.25),
+    ], ids=["pass", "fail", "q_guard_rows", "adaptive", "r1_row_alone"])
     def test_check_shc_report_unchanged_without_r1_integrals(self, f, mu, c, norm_calls):
         spec = L.default_spec(mu)
         expected = _reference_shc(f, mu, c, spec)

@@ -1,4 +1,11 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,9 +393,79 @@ class TestConvolve:
         assert rep.passed and not rep.inconclusive
 
 
+class TestSweepPool:
+    # a sweep of more than one row block runs its blocks on the sweep pool
+
+    def test_nested_convolution_finishes(self):
+        # each of the outer sweep's 6 blocks (1,562 rows) sweeps 100,000 inner
+        # points in 64 blocks; in a pool worker those run inline, where
+        # queued behind the outer blocks they would wait forever.  A fresh
+        # interpreter with a timeout, so that a deadlocked pool cannot stall
+        # the later sweeps of this one.  (f * phi) * phi = M^2 e^{lam x}, with
+        # M = (f * phi)(0)
+        code = """
+import numpy as np
+import lshlab as L
+lam, phi = 0.8, L.mollifier(1, 4)
+inner = L.convolve(L.log_linear([lam]), phi)
+xs = np.linspace(-3.0, 3.0, 8_000).reshape(-1, 1)
+lv = L.convolve(inner, phi).log_value(xs)
+print(np.max(np.abs(lv - lam * xs[:, 0] - 2.0 * inner.log_value(np.zeros(1)))))
+"""
+        src = str(Path(L.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert float(out.stdout) <= 1e-14
+
+    def test_blocks_run_under_the_callers_error_state(self):
+        # ln f = 1e306 x^2 overflows for |x| > 13.4: silenced by the caller in
+        # each of the three blocks, where a worker's own state would warn
+        g = L.convolve(L.exp_norm_sq(1e306, 1), L.mollifier(1, 4))
+        xs = np.linspace(10.0, 20.0, 4_000).reshape(-1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                g.log_value(xs)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                g.log_value(xs)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_pool(self):
+        # the parent's pool has worker threads; a child has none of them
+        g = L.convolve(L.cosh_field(0.8), L.mollifier(1, 4))
+        xs = np.linspace(-3.0, 3.0, 4_000).reshape(-1, 1)
+        want = g.log_value(xs)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(g.log_value(xs), want) else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 120
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_pooled_sweep_matches_inline_sweep_bit_for_bit(self, rng):
+        # 1,200 2-D points are seven blocks of 195 rows, on the pool here and
+        # inline inside a pool worker
+        g = L.convolve(L.log_linear([0.5, -0.3]), L.mollifier(2, 3))
+        xs = rng.standard_normal((1_200, 2))
+        lv, dlv = g.log_value(xs, grad=True)
+        inline_lv, inline_dlv = L.fields._pool().submit(g.log_value, xs, True).result(timeout=60)
+        assert np.array_equal(lv, inline_lv) and np.array_equal(dlv, inline_dlv)
+
+
 def _joint_cases():
-    # 4,000 1-D points span two row blocks of the 64-node rule and 1,200 2-D
-    # points four of the 512-node rule (390 rows a block)
+    # 4,000 1-D points span three row blocks of the 64-node rule and 1,200
+    # 2-D points seven of the 512-node rule (195 rows a block)
     xs1 = np.linspace(-3.0, 3.0, 4_000).reshape(-1, 1)
     xs2 = np.random.default_rng(3).standard_normal((1_200, 2))
     f1, f2 = L.cosh_field(0.8), L.log_linear([0.5, -0.3])

@@ -47,7 +47,7 @@ print(rep.spec["scheme"])
 """
 
 
-def _schemes_without_scipy(code: str) -> list[str]:
+def _stdout_without_scipy(code: str) -> list[str]:
     src = str(Path(L.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -58,9 +58,20 @@ def _schemes_without_scipy(code: str) -> list[str]:
 
 
 def test_gaussian_path_imports_no_scipy():
-    assert _schemes_without_scipy(_GAUSSIAN_PATH) == [
+    assert _stdout_without_scipy(_GAUSSIAN_PATH) == [
         "gauss_hermite", "tensor_trapezoid", "monte_carlo"]
 
 
 def test_closures_import_no_scipy():
-    assert _schemes_without_scipy(_CLOSURE_PATH) == ["adaptive_1d"]
+    assert _stdout_without_scipy(_CLOSURE_PATH) == ["adaptive_1d"]
+
+
+def test_regularity_search_imports_no_numpy_ma():
+    # np.unique imports numpy.ma, 16-26 ms of every fresh run; and a
+    # one-block sweep makes no sweep pool
+    code = _PRELUDE + """
+L.regularity_constant(L.gaussian(1), 0, 1.25, 0.3)
+L.convolve(f, L.mollifier(1, 4))(np.zeros((100, 1)))
+print("numpy.ma" in sys.modules, L.fields._sweep_pool is None)
+"""
+    assert _stdout_without_scipy(code) == ["False", "True"]
