@@ -734,8 +734,8 @@ def best_constant(
             hi = mid
         else:
             lo = mid
-    # snap the bracket midpoint to the resolution grid
-    return round(0.5 * (lo + hi) / BISECTION_RESOLUTION) * BISECTION_RESOLUTION
+    # snap the bracket midpoint to the double nearest k / 1000 (k * 0.001 can be 1 ulp off)
+    return round(0.5 * (lo + hi) / BISECTION_RESOLUTION) / round(1.0 / BISECTION_RESOLUTION)
 
 
 def default_battery(dim: int = 1,

@@ -499,17 +499,21 @@ def _mark_sweep_thread() -> None:
     _sweep_thread.in_pool = True
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _pool() -> ThreadPoolExecutor:
     """The sweep pool of this process: one worker per CPU it may run on."""
     global _sweep_pool
     with _sweep_pool_lock:
         if _sweep_pool is None or _sweep_pool[0] != os.getpid():
-            try:
-                workers = len(os.sched_getaffinity(0))
-            except AttributeError:  # no affinity call on this platform
-                workers = os.cpu_count() or 1
             _sweep_pool = (os.getpid(), ThreadPoolExecutor(
-                workers, thread_name_prefix="lshlab-sweep", initializer=_mark_sweep_thread))
+                _cpus(), thread_name_prefix="lshlab-sweep", initializer=_mark_sweep_thread))
         return _sweep_pool[1]
 
 
@@ -518,10 +522,12 @@ def _run_blocks(sweep: Callable[[int], None], starts: range) -> None:
 
     One block runs inline, and so does every block of a sweep called from a
     pool worker: a nested convolution's inner sweep would otherwise wait on
-    blocks queued behind its own.  NumPy's floating-point error state belongs
-    to the thread that set it, so each block runs under the caller's.
+    blocks queued behind its own; so does a sweep on one CPU, where a worker
+    only adds a thread hop per block (+6% under ``taskset -c 0``).  NumPy's
+    floating-point error state belongs to the thread that set it, so each
+    block runs under the caller's.
     """
-    if len(starts) <= 1 or getattr(_sweep_thread, "in_pool", False):
+    if len(starts) <= 1 or getattr(_sweep_thread, "in_pool", False) or _cpus() == 1:
         for lo in starts:
             sweep(lo)
         return
@@ -575,11 +581,11 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
     own rows of t and of the sums.  A sweep of more than one block runs its
     blocks on a process-wide thread pool, one worker per CPU the process may
     run on (NumPy's subtract, exp, max and matmul release the GIL); one block,
-    or a sweep called from a pool worker (the inner field of a nested
-    convolution), runs inline.  The block size does not depend on the worker
-    count, so the output is bit-identical on any number of CPUs.  A
-    log-linear inner field sweeps about 2e8 pairs/s in 2-D and 1.3e8 in 3-D
-    on two cores with one BLAS thread, against 1.1e8 and 0.8e8 on one.
+    a sweep called from a pool worker (the inner field of a nested
+    convolution), or a sweep on one CPU runs inline.  The block size does not
+    depend on the worker count, so the output is bit-identical on any number
+    of CPUs.  A log-linear inner field sweeps about 2e8 pairs/s in 2-D and
+    1.3e8 in 3-D on two cores with one BLAS thread (1.1e8 and 0.8e8 on one).
     """
     if f.dim != phi.dim:
         raise InvalidParameter("field and mollifier dimensions differ")

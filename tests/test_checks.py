@@ -639,6 +639,12 @@ class TestBestConstant:
         assert c_slsi == pytest.approx(1.425, abs=1e-9)
         assert c_shc >= c_slsi
 
+    def test_snapped_constant_is_the_grid_value(self):
+        # the bisection's midpoint snaps to the double nearest k / 1000, which
+        # reaches report.json as written: 1.642, not 1.6420000000000001
+        c = L.best_constant([L.log_linear([0.8])], L.gen_exponential(1.0, 1.0, 1), mode="shc")
+        assert repr(c) == "1.642"
+
     def test_constants_battery_vacuous(self, gauss1, gh_spec):
         c_star = L.best_constant([L.constant(2.0, 1)], gauss1, "slsi", spec=gh_spec)
         assert c_star == 0.25
@@ -703,7 +709,7 @@ def _reference_slsi_best_constant(battery, mu, c_range, spec, resolution=1e-3):
             hi = mid
         else:
             lo = mid
-    return round(0.5 * (lo + hi) / resolution) * resolution
+    return round(0.5 * (lo + hi) / resolution) / round(1.0 / resolution)
 
 
 def _inconclusive_member():
@@ -808,7 +814,7 @@ def _reference_shc_best_constant(battery, mu, c_range, spec, resolution=1e-3):
             hi = mid
         else:
             lo = mid
-    return round(0.5 * (lo + hi) / resolution) * resolution
+    return round(0.5 * (lo + hi) / resolution) / round(1.0 / resolution)
 
 
 def _reference_shc(f, mu, c, spec):

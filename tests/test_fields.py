@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -461,6 +462,27 @@ print(np.max(np.abs(lv - lam * xs[:, 0] - 2.0 * inner.log_value(np.zeros(1)))))
         lv, dlv = g.log_value(xs, grad=True)
         inline_lv, inline_dlv = L.fields._pool().submit(g.log_value, xs, True).result(timeout=60)
         assert np.array_equal(lv, inline_lv) and np.array_equal(dlv, inline_dlv)
+
+    def test_one_cpu_sweeps_inline_bit_for_bit(self, rng, monkeypatch):
+        # on one CPU the pool's one worker would only add a thread hop per
+        # block, so the seven blocks run on the calling thread, with the
+        # output of the same sweep on the pool of a 2-CPU process
+        threads, inner = set(), L.log_linear([0.5, -0.3])
+
+        def log(pts, grad):
+            threads.add(threading.get_ident())
+            return inner._log(pts, grad)
+
+        g = L.convolve(L.fields.ScalarField(dim=2, label="probe", _log=log), L.mollifier(2, 3))
+        xs = rng.standard_normal((1_200, 2))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pooled = g.log_value(xs, grad=True)
+        assert threading.get_ident() not in threads
+        threads.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        inline = g.log_value(xs, grad=True)
+        assert threads == {threading.get_ident()}
+        assert np.array_equal(pooled[0], inline[0]) and np.array_equal(pooled[1], inline[1])
 
 
 def _joint_cases():

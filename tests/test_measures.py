@@ -1,11 +1,13 @@
 import gc
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
-from scipy.special import gammainccinv
+import scipy.stats
+from scipy.special import gammainccinv, ive, log_ndtr
 
 import lshlab as L
 from lshlab import measures
@@ -376,7 +378,136 @@ class TestProduct:
             L.regularity_constant(prod, 0, 2.0, 0.0)
 
 
+def _gaussian_pair(dim):
+    """N(0, 1) * N(0, 0.7^2) = N(0, 1.49 I) on rays out to 1.5 T, T the
+    factors' truncation radii summed."""
+    first, second = L.gaussian(1.0, dim), L.gaussian(0.7, dim)
+    T = first.truncation_radius + second.truncation_radius
+    r = np.linspace(0.0, 1.5 * T, 601)
+    u = np.random.default_rng(dim).standard_normal((r.size, dim))
+    pts = r[:, None] * u / np.linalg.norm(u, axis=1, keepdims=True)
+    return first, second, pts, -r * r / 2.98 - dim / 2.0 * math.log(2.0 * math.pi * 1.49)
+
+
+def _narrow_gaussian():
+    first, second = L.gaussian(0.05), L.gaussian(1.0)
+    x = np.linspace(-1.5 * 8.4, 1.5 * 8.4, 2001)
+    return first, second, x[:, None], -x * x / 2.005 - 0.5 * math.log(2.0 * math.pi * 1.0025)
+
+
+def _laplace():
+    # e^{-|y|} / 2 * N(0, s^2): rho(x) = e^{s^2 / 2} (e^{-x} Phi(x / s - s) +
+    # e^{x} Phi(-x / s - s)) / 2
+    s, x = 0.5, np.linspace(-60.0, 60.0, 2001)
+    log_ref = (math.log(0.5) + s * s / 2.0
+               + np.logaddexp(-x + log_ndtr(x / s - s), x + log_ndtr(-x / s - s)))
+    return L.gen_exponential(1.0, 1.0, 1), L.gaussian(s), x[:, None], log_ref
+
+
+def _shifted():
+    first, second = L.shift(L.gaussian(0.5), [8.0]), L.gaussian(0.5)
+    x = np.linspace(8.0 - 24.0, 8.0 + 24.0, 2001)
+    return first, second, x[:, None], -(x - 8.0) ** 2 - 0.5 * math.log(math.pi)
+
+
+def _uniform():
+    x = np.linspace(-1.99, 1.99, 2001)
+    return L.uniform_ball(1.0), L.uniform_ball(1.0), x[:, None], np.log((2.0 - np.abs(x)) / 4.0)
+
+
+def _cusp_1d():
+    # QUADPACK on int e^{-sqrt|y|} / 4 phi(x - y) dy, split at y = 0 and y = x
+    first, second = L.gen_exponential(1.0, 0.5, 1), L.gaussian(1.0)
+    x = np.array([0.0, 1.0, 3.0])
+    ref = []
+    for xi in x:
+        f = lambda y: (math.exp(-math.sqrt(abs(y)) - (xi - y) ** 2 / 2.0)
+                       / (4.0 * math.sqrt(2.0 * math.pi)))
+        cuts = (-math.inf, 0.0, xi, math.inf)
+        ref.append(math.log(sum(scipy.integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13,
+                                                     limit=500)[0]
+                                for lo, hi in zip(cuts, cuts[1:]))))
+    return first, second, x[:, None], np.array(ref)
+
+
+def _cusp_2d():
+    # the angle integrated in closed form: rho(r) = int_0^inf s rho_1(s)
+    # e^{-(r - s)^2 / 2} ive(0, r s) ds for rho_1 = e^{-sqrt|y|} / (24 pi) on
+    # R^2 and N(0, I_2), by QUADPACK.  ln rho(0) = -5.355, where the FFT
+    # grid, spaced for the wide factor's radius (h = 6.9), read -4.488
+    first, second = L.gen_exponential(1.0, 0.5, 2), L.gaussian(1.0, 2)
+    r = np.array([0.0, 1.0, 3.0])
+    ref = [math.log(scipy.integrate.quad(
+        lambda s: s * math.exp(-math.sqrt(s) - (ri - s) ** 2 / 2.0) * ive(0, ri * s)
+        / (24.0 * math.pi),
+        0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)[0]) for ri in r]
+    assert round(ref[0], 3) == -5.355
+    return first, second, np.column_stack([r, np.zeros(3)]), np.array(ref)
+
+
 class TestConvolution:
+    @pytest.mark.parametrize("case", [
+        lambda: _gaussian_pair(1), lambda: _gaussian_pair(2), lambda: _gaussian_pair(3),
+        _narrow_gaussian, _laplace, _shifted, _uniform, _cusp_1d, _cusp_2d,
+    ], ids=["gauss-1d", "gauss-2d", "gauss-3d", "narrow-gauss", "laplace-to-60", "shifted",
+            "uniform", "cusp-1d", "cusp-2d"])
+    def test_reads_closed_forms_and_references(self, case):
+        # ln rho within 1e-8 of a closed form out to 1.5 T about the mode, T
+        # the factors' truncation radii summed (Laplace * N(0, 0.5^2) to |x| =
+        # 60, U[-1, 1] * U[-1, 1] = (2 - |x|) / 4 to |x| = 1.99), or of a
+        # QUADPACK reference for the cusped factor e^{-sqrt|y|}
+        first, second, pts, log_ref = case()
+        got = L.convolve_measures(first, second).log_pdf(pts)
+        np.testing.assert_allclose(got, log_ref, rtol=0, atol=1e-8)
+
+    def test_narrow_factor_beside_a_wide_one(self):
+        # gen_exponential(1, 1, 3) * N(0, I_3): ln rho(0) = ln E rho_1(Y), Y ~
+        # N(0, I_3), = ln 4 pi int s^2 e^{-s} / (8 pi) e^{-s^2 / 2} ds / (2
+        # pi)^{3/2} by QUADPACK.  The FFT grid, spaced for the wide factor's
+        # radius (h = 0.97), under-sampled the narrow one and read -4.554; the
+        # 2-D case is the cusp-2d reference above
+        ref = math.log(scipy.integrate.quad(
+            lambda s: s * s * math.exp(-s - s * s / 2.0), 0.0, math.inf, epsabs=0.0,
+            epsrel=1e-13)[0] / (2.0 * (2.0 * math.pi) ** 1.5))
+        got = L.convolve_measures(L.gen_exponential(1.0, 1.0, 3), L.gaussian(1.0, 3))
+        got = got.log_pdf(np.zeros(3))
+        assert got == pytest.approx(ref, abs=1e-8)
+        assert round(got, 3) == -4.617
+
+    def test_regularity_reads_the_density_where_it_searches(self):
+        # shift(N(0, 0.5^2), 8) * N(0, 0.5^2) = N(8, 0.5): C0(1.1, 0.5) =
+        # e^{7.75 + 0.25 / 0.84}, where the FFT's tangent lines read 2054.2.
+        # N(0, I) * N(0, 0.7^2 I) in 2-D = N(0, 1.49 I): C0(1.1, 0.5) =
+        # e^{0.25 / (0.21 * 2.98)}, of which the grid's maximum is a lower
+        # bound (the FFT's bulk error lifted it to 1.49182)
+        shifted = L.convolve_measures(L.shift(L.gaussian(0.5), [8.0]), L.gaussian(0.5))
+        assert L.regularity_constant(shifted, 0.0, 1.1, 0.5) == pytest.approx(
+            math.exp(7.75 + 0.25 / 0.84), rel=1e-3)
+        plane = L.convolve_measures(L.gaussian(1.0, 2), L.gaussian(0.7, 2))
+        c0, sharp = L.regularity_constant(plane, 0.0, 1.1, 0.5), math.exp(0.25 / (0.21 * 2.98))
+        assert sharp * (1.0 - 1e-5) <= c0 <= sharp
+
+    def test_concurrent_first_reads_build_one_table(self, monkeypatch):
+        # the table is built at the first read, once, under a lock: four
+        # threads reading at once partition each factor once and agree
+        calls = []
+        partition = measures._partition
+        monkeypatch.setattr(measures, "_partition",
+                            lambda *args: calls.append(args) or partition(*args))
+        conv = L.convolve_measures(L.gaussian(1.0), L.gaussian(0.7))
+        xs = np.linspace(-30.0, 30.0, 501).reshape(-1, 1)
+        out = [None] * 4
+
+        def read(i):
+            out[i] = conv.log_pdf(xs)
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(calls) == 2 and all(np.array_equal(out[0], o) for o in out)
+
     def test_gaussian_convolution_closed_form(self, gauss1):
         conv = L.convolve_measures(gauss1, gauss1)
         xs = np.linspace(-5, 5, 201).reshape(-1, 1)
@@ -390,68 +521,52 @@ class TestConvolution:
         (1, 1.0, 1.0, 2e-6), (1, 0.5, 1.5, 2e-6), (2, 0.7, 1.2, 2e-3),
     ])
     def test_gaussians_against_closed_form(self, dim, s1, s2, rtol):
-        # N(0, s1^2) * N(0, s2^2) = N(0, s1^2 + s2^2).  The bound is that of
-        # linear interpolation of the log-density, about h^2 / (8 v) per axis
-        # on the cache's spacing h (0.0025 in 1-D, 0.11 in 2-D).  The FFT's
-        # round-off is about 1e-16 of the peak, so on the whole grid box logs
-        # are compared only where the density is above 1e-10 of the peak
+        # N(0, s1^2) * N(0, s2^2) = N(0, s1^2 + s2^2): ln rho within 1e-8 of
+        # the closed form on the ball of radius 1.5 T, T the factors' radii
+        # summed (115 to 144 below the peak at its edge in 1-D); rtol of the
+        # peak in linear scale is the bound the FFT's reader met on its box
         first, second = L.gaussian(s1, dim), L.gaussian(s2, dim)
         conv = L.convolve_measures(first, second)
         v = s1**2 + s2**2
         T = first.truncation_radius + second.truncation_radius
         axis = np.linspace(-1.5 * T, 1.5 * T, 6001 if dim == 1 else 241)
         xs = L.quadrature.tensor_grid(axis, dim)
+        xs = xs[np.linalg.norm(xs, axis=1) <= 1.5 * T]
         log_exact = -np.sum(xs * xs, axis=1) / (2.0 * v) - dim / 2.0 * math.log(2.0 * math.pi * v)
         peak = (2.0 * math.pi * v) ** (-dim / 2.0)
-        got = conv.log_pdf(xs)
-        box = np.all(np.abs(xs) <= measures._CONV_EXTENT_FACTOR * T, axis=1)
-        assert np.max(np.abs(conv.pdf(xs[box]) - np.exp(log_exact[box]))) <= rtol * peak
-        near = log_exact >= math.log(1e-10 * peak)
-        assert np.max(np.abs(got[near] - log_exact[near])) <= rtol
-        # past the trusted level ln rho continues along its tangent line, which
-        # lies above a log-concave density: out to 1.5 T, T the factors' radii
-        # summed, it is finite and lies below the closed form by at most 1e-4
-        # more than the interpolant does in the bulk (1.2e-6 in 1-D; 5.1e-4 in
-        # 2-D, mid-cell)
-        assert np.all(np.isfinite(got))
-        bulk_low = min(0.0, float(np.min(got[near] - log_exact[near])))
-        assert np.min(got - log_exact) >= bulk_low - 1e-4
+        assert np.max(np.abs(conv.log_pdf(xs) - log_exact)) <= 1e-8
+        assert np.max(np.abs(conv.pdf(xs) - np.exp(log_exact))) <= rtol * peak
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_interpolation_against_scipy(self, dim, rng):
-        # the cache of N(0, 1) * N(0, 0.7^2), read back at its own nodes on
-        # the e_1 line: on the line's box the reader is the linear interpolant
-        # of those values, the cache's on trusted nodes and the lines past
-        # them, at x_1 in 1-D and, the pair being rotation-invariant, at |x|
-        # in 2-D and 3-D
+        # N(0, 1) * N(0, 0.7^2) = N(0, 1.49 I), whose log-density scipy gives:
+        # the table's cubic reads it to 1e-8 at random points, at the table's
+        # nodes (a Gaussian pair keeps the initial x = -2T + k h in 1-D, |x| =
+        # k h in 2-D and 3-D), and on both sides of its edge 2T, past which ln
+        # rho is summed directly
         first, second = L.gaussian(1.0, dim), L.gaussian(0.7, dim)
         conv = L.convolve_measures(first, second)
-        M = measures._CONV_CACHE_NODES[dim]
-        ext = measures._CONV_EXTENT_FACTOR * (first.truncation_radius + second.truncation_radius)
-        axis = np.linspace(-ext, ext, M)
-        logc = conv.log_pdf(np.pad(axis[:, None], ((0, 0), (0, dim - 1))))
-        pts = rng.uniform(-ext, ext, size=(3000, dim))
-        pts[:200] = axis[rng.integers(0, M, size=(200, dim))]
-        pts[200:300, 0] = axis[0]
-        pts[300:400, -1] = axis[-1]
-        if dim == 1:
-            want = np.interp(pts[:, 0], axis, logc)
-        else:
-            r = np.linalg.norm(pts, axis=1)
-            pts, want = pts[r <= ext], np.interp(r[r <= ext], axis, logc)
-        np.testing.assert_allclose(conv.log_pdf(pts), want, rtol=1e-12, atol=0)
-        # the table and the line read off the box are normalized alike
-        faces = np.zeros((2, dim))
-        faces[:, 0] = ext - 1e-9, ext + 1e-9
-        inside, outside = conv.log_pdf(faces)
-        assert outside == pytest.approx(inside, abs=1e-6)
-        # past the trusted level, 1e-12 of the peak, and past the grid, ln rho
-        # does not increase along any ray from the mode
-        u = rng.standard_normal((50, dim))
+        T = first.truncation_radius + second.truncation_radius
+        M = measures._CONV_TABLE_NODES[dim]
+        u = rng.standard_normal((1000, dim))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        radii = np.linspace(math.sqrt(2.0 * 1.49 * math.log(1e12)), 1.5 * ext, 400)
-        rays = conv.log_pdf((radii[None, :, None] * u[:, None, :]).reshape(-1, dim))
-        assert np.all(np.isfinite(rays))
+        r = rng.uniform(0.0, 2.0 * T, 1000)
+        if dim == 1:
+            r[:200] = np.abs(4.0 * T / (M - 1) * rng.integers(0, M, 200) - 2.0 * T)
+        else:
+            r[:200] = 2.0 * T / (M - 1) * rng.integers(0, M, 200)
+        r[200:210], r[210:220] = 2.0 * T - 1e-9, 2.0 * T + 1e-9
+        pts = r[:, None] * u
+        want = scipy.stats.multivariate_normal.logpdf(pts, np.zeros(dim), 1.49 * np.eye(dim))
+        np.testing.assert_allclose(conv.log_pdf(pts), want, rtol=0, atol=1e-8)
+        # past 1e-12 of the peak and past the table, out to 3T (e^-558 of the
+        # peak in 1-D), where the factors' spans leave a gap between them,
+        # ln rho keeps to the closed form and does not increase along a ray
+        radii = np.linspace(math.sqrt(2.0 * 1.49 * math.log(1e12)), 3.0 * T, 120)
+        pts = (radii[None, :, None] * u[:50, None, :]).reshape(-1, dim)
+        rays = conv.log_pdf(pts)
+        want = scipy.stats.multivariate_normal.logpdf(pts, np.zeros(dim), 1.49 * np.eye(dim))
+        np.testing.assert_allclose(rays, want, rtol=0, atol=1e-8)
         assert np.all(np.diff(rays.reshape(50, -1), axis=1) <= 0.0)
 
     @pytest.mark.parametrize("first, second", [
@@ -460,8 +575,8 @@ class TestConvolution:
         (L.gaussian(1.0, 2), L.gaussian(0.7, 2)),
     ])
     def test_evaluated_density_has_mass_one(self, first, second):
-        # e^{interpolated log} lies below the cache's nodes, so a node-sum
-        # normalization left 1 - 2.4e-7, 1 - 4.1e-5 and 1 - 1.07e-3 here
+        # rho is normalized as its factors are, with no mass of its own to
+        # divide by: the table's cubic and the direct sums keep it at 1
         conv = L.convolve_measures(first, second)
         m, err = L.integrate(lambda pts: np.ones(pts.shape[0]), conv, L.default_spec(conv))
         assert abs(m - 1.0) <= err
@@ -473,18 +588,18 @@ class TestConvolution:
     ])
     def test_constant_field_is_an_equality_case(self, first, second):
         # Ent(1.5) = int E 1.5 dmu = 0 and ||f_r||_q = 1.5 on a probability
-        # measure; on poly_tail(1) * N(0, 1) the tangent lines past the grid
-        # hold 2.2e-3 of the mass, so the normalization must count them
+        # measure; on poly_tail(1) * N(0, 1) about 3e-3 of the mass lies past
+        # the table, |x| > 2T = 216, where ln rho is summed directly
         conv = L.convolve_measures(first, second)
         f = L.constant(1.5, conv.dim)
         for rep in (L.check_slsi(f, conv, 1.0), L.check_shc(f, conv, 1.0)):
             assert rep.passed and not rep.inconclusive
 
     def test_compact_factors_keep_their_support(self):
-        # U[-1, 1] * U[-1, 1] has the density (2 - |x|) / 4 on [-2, 2].  Both
-        # factors lie inside the grid, so nothing caps the trusted cells short
-        # of the support's edge; past it the tangent of ln((2 - |x|) / 4) at
-        # the last trusted cell, of slope about -1 / h, drops to 0
+        # U[-1, 1] * U[-1, 1] has the density (2 - |x|) / 4 on [-2, 2].  The
+        # panels are cut at the factors' jumps, y = +-1 and y = x -+ 1; near
+        # the kinks at 0 and +-2 the cubic is not trusted and ln rho is summed
+        # directly, and past +-2 it is -inf
         conv = L.convolve_measures(L.uniform_ball(1.0), L.uniform_ball(1.0))
         xs = np.linspace(-1.99, 1.99, 4001).reshape(-1, 1)
         assert np.max(np.abs(conv.pdf(xs) - (2.0 - np.abs(xs[:, 0])) / 4.0)) <= 1e-4
@@ -494,8 +609,8 @@ class TestConvolution:
         assert abs(m - 1.0) <= err
 
     def test_shifted_factor_is_read_about_its_mode(self):
-        # shift(N(0, 0.5^2), 8) * N(0, 0.5^2) = N(8, 0.5).  Its cache is below
-        # 1e-12 of the peak at the origin, so the rays start at the mode, 8
+        # shift(N(0, 0.5^2), 8) * N(0, 0.5^2) = N(8, 0.5).  The table spans
+        # [-2T, 2T] about 0, not about the mode; past it ln rho is summed
         conv = L.convolve_measures(L.shift(L.gaussian(0.5), [8.0]), L.gaussian(0.5))
         T = conv.truncation_radius
         xs = np.linspace(8.0 - 1.5 * T, 8.0 + 1.5 * T, 6001).reshape(-1, 1)
@@ -506,10 +621,10 @@ class TestConvolution:
         assert np.min(got - log_exact) >= -1e-4
 
     def test_separated_modes_keep_the_outer_tail(self):
-        # (N(0, 0.1^2) + N(8, 0.1^2)) / 2 * N(0, 0.1^2): the cache falls below
-        # 1e-12 of the peak between the modes, so each ray's line starts at
-        # the outermost trusted point on it, past the second mode, and lies
-        # above the closed form there
+        # (N(0, 0.1^2) + N(8, 0.1^2)) / 2 * N(0, 0.1^2), the mixture of N(0,
+        # 0.02) and N(8, 0.02): each factor's panels resolve its own scale,
+        # not its truncation radius (8.8), so ln rho is read to 1e-8 at the
+        # modes and past them, 100 and 400 below the peak at x = -2 and 12
         mixed = L.mix(L.gaussian(0.1), L.shift(L.gaussian(0.1), [8.0]), 0.5)
         conv = L.convolve_measures(mixed, L.gaussian(0.1))
         xs = np.array([[0.0], [8.0], [9.0], [10.0], [12.0], [-2.0]])
@@ -517,9 +632,7 @@ class TestConvolution:
         log_exact = (np.log(0.5 * np.exp(-xs[:, 0] ** 2 / (2 * v))
                             + 0.5 * np.exp(-(xs[:, 0] - 8.0) ** 2 / (2 * v)))
                      - 0.5 * math.log(2 * math.pi * v))
-        got = conv.log_pdf(xs)
-        assert np.max(np.abs(got[:3] - log_exact[:3])) <= 1e-4
-        assert np.all(got[3:] >= log_exact[3:])
+        np.testing.assert_allclose(conv.log_pdf(xs), log_exact, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("first, second, lam", [
         (L.poly_tail(1.0), L.gaussian(1.0), 0.3),
@@ -529,18 +642,18 @@ class TestConvolution:
     ])
     def test_heavy_tail_tilt_stays_inconclusive(self, first, second, lam):
         # poly_tail(alpha) * N(0, s^2) decays like x^{-2 alpha}, so int e^{lam
-        # x} dmu diverges for every lam > 0.  A tangent line at the last
-        # trusted point (slope -2 alpha / x, -0.06 at x = 100 for alpha = 3)
-        # would make small tilts converge; past it ln rho decays as the heavy
-        # factor does, so every tilt still diverges
+        # x} dmu diverges for every lam > 0.  A linear tail model (slope -2
+        # alpha / x, -0.06 at x = 100 for alpha = 3) would make small tilts
+        # converge; the direct sums past the table decay as the heavy factor
+        # does, so every tilt still diverges
         conv = L.convolve_measures(first, second)
         rep = L.check_slsi(L.log_linear([lam]), conv, 1.0)
         assert rep.inconclusive and not rep.passed
 
     def test_heavy_tail_keeps_its_power_law(self):
-        # far out, poly_tail(alpha) * N(0, 1) is the poly_tail density; the
-        # grid holds two thirds of the mass of poly_tail(0.6) * N(0, 1), so
-        # the normalization counts the mass past it
+        # far out, poly_tail(alpha) * N(0, 1) is the poly_tail density; 30%
+        # of the mass of poly_tail(0.6) * N(0, 1) lies past the table, |x| >
+        # 2T = 216, where ln rho is summed directly
         conv = L.convolve_measures(L.poly_tail(0.6), L.gaussian(1.0))
         xs = np.array([[50.0], [500.0], [5e4]])
         np.testing.assert_allclose(conv.log_pdf(xs), L.poly_tail(0.6).log_pdf(xs), atol=1e-3)
@@ -552,13 +665,18 @@ class TestConvolution:
 
     def test_regularity_search_stays_on_trusted_cells(self):
         # on N(0, 0.02) the type-0 ratio with a = 1.1, s = 0.5 peaks at |x| =
-        # 2.62 (8.6e12), where the density is e^{-171} of its peak: far below
-        # the FFT's round-off.  The search stops at the trusted radius, about
-        # 1.05, where the ratio still increases: a violation, not C0 = 2e8
+        # 2.62 (8.6e12), where the density is e^{-171} of its peak.  The
+        # search stops at the truncation radius, the factors' 0.8 summed,
+        # where ln rho(x) and ln rho(1.1 x + 0.5) are read to 1e-8 and the
+        # ratio still increases: a violation at x = 1.6, not C0 = 2e8
         conv = L.convolve_measures(L.gaussian(0.1), L.gaussian(0.1))
-        assert conv.truncation_radius == pytest.approx(math.sqrt(0.04 * math.log(1e12)), abs=0.01)
+        assert conv.truncation_radius == pytest.approx(1.6, abs=1e-15)
+        xs = np.array([[1.6], [1.1 * 1.6 + 0.5]])
+        np.testing.assert_allclose(conv.log_pdf(xs), -xs[:, 0] ** 2 / 0.04
+                                   - 0.5 * math.log(0.04 * math.pi), rtol=0, atol=1e-8)
         rep = L.type_report(conv, 0.0, [1.1], [0.5])
         assert not rep.entries and len(rep.violations) == 1
+        assert abs(rep.violations[0][2][0]) == pytest.approx(1.6, abs=1e-12)
 
     def test_heavy_tail_is_not_type_one(self):
         # poly_tail(3) * N(0, 0.5^2): |x| rho(2x + y) / rho(x) grows like |x|
@@ -568,7 +686,7 @@ class TestConvolution:
 
     def test_tilted_gaussian_entropy_closed_form(self):
         # on N(0, v), v = 1 + 0.8^2, Ent(e^{lam x}) = (s^2 / 2) e^{s^2 / 2} with
-        # s^2 = lam^2 v; the adaptive loop reads ln rho far past the grid
+        # s^2 = lam^2 v; the adaptive loop reads ln rho far past the table
         conv = L.convolve_measures(L.gaussian(1.0), L.gaussian(0.8))
         rep = L.check_slsi(L.log_linear([0.9]), conv, 1.0)
         s2 = 0.81 * 1.64
@@ -612,12 +730,13 @@ class TestConvolution:
             L.convolve_measures(L.shift(L.gaussian(1.0, 2), [1.0, 0.0]), L.gaussian(1.0, 2))
 
     def test_build_keeps_only_line_tables(self):
-        # the 3-D build transforms 129^3 grids (a 51 MB point grid among
-        # them), but the Density keeps only tables on its e_1 line
+        # the first read sums ln rho at 193 radii in blocks of 2^18 node pairs
+        # (several MB each), but the Density keeps only its table of |x|
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             conv = L.convolve_measures(L.gaussian(1.0, 3), L.gen_exponential(1.0, 1.0, 3))
+            conv.log_pdf(np.zeros(3))
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
