@@ -45,6 +45,7 @@ from .functionals import (
     DEFAULT_R_GRID,
     INEQ_ABS,
     NOISE_FACTOR,
+    Q_GUARD,
     DilationNorms,
     entropy_energy_with_error,
     q_of_r,
@@ -231,13 +232,20 @@ def shc_rows(norms: DilationNorms, c: float,
     Yields (row, slack), where slack is how far the row's alpha falls below
     the previous live row's beyond that row's tolerance (0.0 for a skipped
     row and for the first live one).  A row whose norms fail to integrate, or
-    whose q(r) exceeds Q_GUARD, is skipped.  Raises QuadratureFailure when
-    ||f||_1 cannot be computed.
+    whose q(r) exceeds Q_GUARD, is skipped unintegrated.  Raises
+    QuadratureFailure when ||f||_1 cannot be computed.
+
+    Every norm is integrated before the first row is yielded, in two
+    batches (:meth:`DilationNorms.fill`): ||f||_1 with alpha(r) at every
+    q(r) <= Q_GUARD, then ||f_r||_1 wherever alpha(r) is live.
     """
-    base, e_base = norms(1.0, 1.0)
     # an r outside (0, 1] raises here, before any row, so it raises whether
     # or not a verdict stops early
     q_list = [q_of_r(r, c) for r in r_grid]
+    reach = [(r, q) for r, q in zip(r_grid, q_list) if q <= Q_GUARD]
+    live = norms.fill([(1.0, 1.0)] + reach)[1:]
+    base, e_base = norms(1.0, 1.0)
+    norms.fill([(r, 1.0) for (r, _), ok in zip(reach, live) if ok])
     prev = None
     for r, q in zip(r_grid, q_list):
         row = {"r": float(r), "q_of_r": q}
@@ -271,8 +279,9 @@ def shc_passed(rows: Iterable[tuple[dict, float]]) -> bool:
 
     The r = 1 row alone is no evidence: alpha(1) = ||f||_1 meets it by
     construction at every c.  The verdict stops at the first failing row or
-    monotonicity break, so on the generator :func:`shc_rows` no later norm is
-    integrated.
+    monotonicity break; on the generator :func:`shc_rows` every row's norms
+    are integrated by then, in one batch, so stopping saves only the rows'
+    bookkeeping.
     """
     live = False
     for row, slack in rows:
@@ -303,11 +312,10 @@ def check_shc(
     inputs = {"field": f.label, "measure": mu.label, "c": c, "r_grid": list(r_grid)}
     norms = _shc_norms(f, mu, spec)
     try:
-        base, _ = norms(1.0, 1.0)
-    except QuadratureFailure as exc:
+        pairs = list(shc_rows(norms, c, r_grid))
+    except QuadratureFailure as exc:  # only ||f||_1 fails the generator
         return _inconclusive(check_id, "shc", inputs, spec, exc)
-
-    pairs = list(shc_rows(norms, c, r_grid))
+    base, _ = norms(1.0, 1.0)
     rows = [row for row, _ in pairs]
     worst_drop = max([0.0] + [slack for _, slack in pairs])
     return CheckReport(
@@ -346,13 +354,15 @@ def check_general_shc(
     inputs = {"field": f.label, "measure": mu.label, "c": c, "p": p, "q": q}
     r_star = r_of_pq(p, q, c)
     norms = _shc_norms(f, mu, spec)
+    r_rows = (r_star, 0.9 * r_star, 0.75 * r_star)
+    norms.fill([(1.0, p)] + [(r, q) for r in r_rows])  # one batch for every norm
     try:
         base, e_base = norms(1.0, p)
     except QuadratureFailure as exc:
         return _inconclusive(check_id, "general_shc", inputs, spec, exc)
     rows = []
     ok = True
-    for r in (r_star, 0.9 * r_star, 0.75 * r_star):
+    for r in r_rows:
         try:
             lhs, e_lhs = norms(r, q)
         except QuadratureFailure as exc:
@@ -691,8 +701,9 @@ def best_constant(
     reaches it: the deficit is affine in c, so later steps only re-run
     :func:`slsi_verdict` on the cached (Ent, EE) terms.  In sHC mode each
     member keeps one :class:`DilationNorms` for the whole search, so ||f||_1
-    and the ||f_r||_1 are integrated once; a step integrates only the
-    alpha(r) at its new q(r), and :func:`shc_passed` stops a member at its
+    and the ||f_r||_1 are integrated once.  A step that reaches a member
+    integrates alpha(r) at the new q(r) of every row in one batch
+    (:func:`shc_rows`), and :func:`shc_passed` stops the verdict at the
     first failing row or monotonicity break.  The verdict is the one
     :func:`check_shc` reports.
     """

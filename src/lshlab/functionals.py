@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import InvalidParameter, QuadratureFailure
 from .fields import ScalarField, dilate, power
-from .quadrature import LOG_MAX, QuadratureSpec, lp_norm_with_error, weighted_moments
+from .quadrature import (LOG_MAX, QuadratureSpec, adaptive_lp_norms, lp_norm_with_error,
+                         weighted_moments)
 
 #: q(r) values beyond this guard are rejected (integrands would overflow)
 Q_GUARD = 1e4
@@ -136,26 +137,52 @@ def _checked_q(r: float, c: float) -> float:
     return q
 
 
+def _norm_or_failure(f: ScalarField, mu, q: float, spec: QuadratureSpec):
+    try:
+        return lp_norm_with_error(f, mu, q, spec)
+    except QuadratureFailure as exc:
+        return exc
+
+
 class DilationNorms:
     """||f_r||_{L^q(mu)} of one field with its error estimate, memoised on (r, q).
 
-    ``norms(r, q)`` is ``lp_norm_with_error(dilate(f, r), mu, q, spec)``,
-    integrated the first time it is asked for; a QuadratureFailure is memoised
-    as well and raised again.  ``norms(1, 1)`` is ||f||_1, which is also
-    alpha(1) at every c, since q(1) = 1.
+    ``fill(keys)`` integrates every (r, q) of ``keys`` not yet memoised.  On
+    ``adaptive_1d`` that is one ``adaptive_lp_norms`` batch: one adaptive
+    loop carries every key, each integral refined, stopped and failed on its
+    own, and each result is bit for bit ``lp_norm_with_error(dilate(f, r),
+    mu, q, spec)`` wherever the field's log map is pointwise (a convolved
+    field agrees to about 1e-15).  Node schemes have no loop to share and
+    integrate the keys one after another.  ``norms(r, q)`` fills its one key
+    and returns it; a QuadratureFailure is memoised as well and raised
+    again.  ``norms(1, 1)`` is ||f||_1, which is also alpha(1) at every c,
+    since q(1) = 1.
     """
 
     def __init__(self, f: ScalarField, mu, spec: QuadratureSpec):
         self.f, self.mu, self.spec = f, mu, spec
         self._memo = {}
 
+    def fill(self, keys) -> list[bool]:
+        """Integrate the keys not yet memoised; whether each key's norm is available."""
+        keys = [(float(r), float(q)) for r, q in keys]
+        missing = [key for key in dict.fromkeys(keys) if key not in self._memo]
+        # refuses an r outside (0, 1], and r < 1 on an uncertified f, before any norm
+        dilated = [dilate(self.f, r) for r, _ in missing]
+        if missing and self.spec.scheme == "adaptive_1d":
+            # one batch; its column map q ln f(r x) is dilate's log map times q
+            r_of = np.array([r for r, _ in missing])
+            found = adaptive_lp_norms(lambda pts, k: self.f.log_value(r_of[k][:, None] * pts),
+                                      self.mu, [q for _, q in missing])
+        else:  # a node scheme has no adaptive loop to share
+            found = [_norm_or_failure(g, self.mu, q, self.spec)
+                     for g, (_, q) in zip(dilated, missing)]
+        self._memo.update(zip(missing, found))
+        return [not isinstance(self._memo[key], QuadratureFailure) for key in keys]
+
     def __call__(self, r: float, q: float) -> tuple[float, float]:
         key = (float(r), float(q))
-        if key not in self._memo:
-            try:
-                self._memo[key] = lp_norm_with_error(dilate(self.f, r), self.mu, q, self.spec)
-            except QuadratureFailure as exc:
-                self._memo[key] = exc
+        self.fill([key])
         hit = self._memo[key]
         if isinstance(hit, QuadratureFailure):
             raise hit

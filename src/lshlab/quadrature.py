@@ -14,17 +14,21 @@ adaptive_1d       full-line adaptive quadrature via the x = tan(theta)
                   substitution (handles algebraic tails); dim 1 only.  One
                   globally adaptive 21-point Gauss-Kronrod loop (QUADPACK's
                   qk21) for the weight and every factor, summed in log
-                  space with a running shift; see ``adaptive_weighted``.
+                  space with a running shift; one loop carries K >= 1
+                  independent integrals in lockstep, each bit for bit as
+                  alone, the rule and every sum being row-invariant; see
+                  ``_adaptive_batch``.
 monte_carlo       importance sampling with the measure itself as sampler;
                   streams are keyed by the spec seed (counter-based), so
                   parallel and serial runs agree bit for bit.
 
 Every integral is one call to ``weighted_moments`` with one column map:
 points to the columns [ln g | factors], evaluated once per node set (or per
-adaptive round).  For the weight g = e^{ln g} it forms ln int g dmu and the
-means of the factors under g dmu / int g dmu in log space, so large powers
-never overflow, and returns a function ``fn`` of them with an error estimate
-from one rule: |fn(spec) - fn(spec.halved())| (half the nodes per axis,
+adaptive round); on ``adaptive_1d`` an L^p norm is one call to
+``adaptive_lp_norms``, which integrates several norms in one batch.  For
+the weight g = e^{ln g} it forms ln int g dmu and the means of the factors
+under g dmu / int g dmu in log space, so large powers never overflow, and
+returns a function ``fn`` of them with an error estimate from one rule: |fn(spec) - fn(spec.halved())| (half the nodes per axis,
 which on gauss_hermite halves the radii and the angles together, or the
 first half of the samples) on node schemes, and on ``adaptive_1d`` the
 first-order change of fn when each column's integral moves by its own error
@@ -298,15 +302,22 @@ def weighted_moments(columns, mu, spec: QuadratureSpec, fn):
 def _weighted_moments(columns, mu, spec: QuadratureSpec, fn):
     """``weighted_moments`` and the node of largest weight."""
     if spec.scheme == "adaptive_1d":
-        shift, values, errors, peak = adaptive_weighted(mu, spec, columns)
-        at = lambda v: fn(shift + math.log(v[0]), v[1:] / v[0])
-        # each column's integral moved by its own error estimate
-        moved = values + np.diag(errors)
-    else:
-        spec = spec.resolved(mu.dim)
-        *values, peak = _node_moments(columns, mu, spec)
-        at = lambda v: fn(v[0], v[1])
-        moved = [_node_moments(columns, mu, spec.halved())]
+        return _adaptive_moments(fn, *adaptive_weighted(mu, spec, columns))
+    spec = spec.resolved(mu.dim)
+    *values, peak = _node_moments(columns, mu, spec)
+    return _with_error(lambda v: fn(v[0], v[1]), values,
+                       [_node_moments(columns, mu, spec.halved())], peak)
+
+
+def _adaptive_moments(fn, shift, values, errors, peak):
+    """``_weighted_moments`` of one adaptive result: each column's integral
+    moved by its own error estimate."""
+    return _with_error(lambda v: fn(shift + math.log(v[0]), v[1:] / v[0]), values,
+                       values + np.diag(errors), peak)
+
+
+def _with_error(at, values, moved, peak):
+    """(at(values), the summed change of at over ``moved``, peak)."""
     try:
         value = at(values)
         return value, sum(np.abs(at(v) - value) for v in moved), peak
@@ -376,16 +387,32 @@ _PEAK_KEPT = 1e-6
 def _gk21(f: Array) -> tuple[Array, Array]:
     """qk21 from an integrand's values at the 21 abscissae (last axis) of
     intervals, each times its interval's half-width: (integrals, QUADPACK
-    error estimates), of shape f.shape[:-1]."""
-    shape, f = f.shape[:-1], f.reshape(-1, _GK_X.size)
-    resk = f @ _GK_WK
-    resabs = np.abs(f) @ _GK_WK
-    resasc = np.abs(f - resk[:, None] / 2.0) @ _GK_WK
-    err = np.abs(resk - f @ _GK_WG)
+    error estimates), of shape f.shape[:-1].  Each sum runs along its own
+    row, so an interval's result does not depend on the others in f."""
+    fw = f * _GK_WK
+    resk = np.add.reduce(fw, axis=-1)
+    resabs = np.add.reduce(np.abs(fw), axis=-1)  # |f| w_k, the weights being > 0
+    resasc = np.add.reduce(np.abs(f - resk[..., None] / 2.0) * _GK_WK, axis=-1)
+    err = np.abs(resk - np.add.reduce(f * _GK_WG, axis=-1))
     scaled = resasc * np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5)
     err = np.where((resasc != 0) & (err != 0), scaled, err)
     err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
-    return resk.reshape(shape), err.reshape(shape)
+    return resk, err
+
+
+def _by_integral(x: Array, owner: Array, count: int) -> Array:
+    """(rows, count) sums of x's (rows, n) entries by their integral
+    ``owner``: each integral's terms added in order, whatever else x holds."""
+    return np.array([np.bincount(owner, weights=row, minlength=count) for row in x])
+
+
+def _first_of(mask: Array, owner: Array, count: int) -> Array:
+    """For each integral, the index of its first entry where ``mask`` holds
+    (mask.size where none does)."""
+    first = np.full(count, mask.size)
+    hits = mask.nonzero()[0]
+    np.minimum.at(first, owner[hits], hits)
+    return first
 
 
 def adaptive_weighted(mu, spec: QuadratureSpec, columns):
@@ -394,83 +421,150 @@ def adaptive_weighted(mu, spec: QuadratureSpec, columns):
     alone), e^shift errors[j] its error, and peak the node of largest
     weight.  ``spec`` sets nothing; the benchmark tracer reads it.
 
-    On x = tan(theta), each round of one globally adaptive 21-point
-    Gauss-Kronrod loop calls the column map once, at the nodes of all new
-    intervals, and sums e^{expo - shift} times each column: expo is ln g
-    plus the log-density and log-Jacobian, the shift the largest expo so
-    far.  It bisects where any column's error is above its share (by
-    length) of max(1e-12, 1e-8 |value|) in unshifted units, until all meet
-    it or 300 intervals (then the worst error over tolerance goes first).
-    A node whose shifted weight underflows adds 0 whatever its factors; a
-    NaN or +inf expo, or a non-finite factor of positive weight, fails, and
-    so do a weight that is 0 at every node and a peak lost between the final
-    nodes (no final interval's mean weight within ``_PEAK_KEPT`` of the
-    largest weight sampled), which every sum would understate.
+    This is the K = 1 call of the K-integral loop ``_adaptive_batch``.  Its
+    rule and its sums are row-invariant (each interval's 21 products summed
+    along its own row, each integral's terms added in its own order), so the
+    same integral carried in a batch with others returns the same bits
+    wherever the column map and the log-density are pointwise.
+    """
+    out, = _adaptive_batch(mu, lambda pts, k: columns(pts), 1)
+    if isinstance(out, QuadratureFailure):
+        raise out
+    return out
+
+
+def _adaptive_batch(mu, columns, count: int) -> list:
+    """One globally adaptive 21-point Gauss-Kronrod loop on x = tan(theta)
+    for ``count`` integrals at once: for each, what ``adaptive_weighted``
+    returns, or the QuadratureFailure it raises.
+
+    ``columns(pts, k)`` maps (m, 1) points and the integral k[i] of each
+    point to the (m, 1 + C) columns [ln g | factors] of that integral.  Each
+    round calls it once, at the nodes of every integral's new intervals, and
+    sums e^{expo - shift} times each column: expo is ln g plus the
+    log-density and log-Jacobian, the shift the integral's largest expo so
+    far.  Each integral bisects where any column's error is above its share
+    (by length) of max(1e-12, 1e-8 |value|) in unshifted units, until all
+    meet it or it holds 300 intervals (then the worst error over tolerance
+    goes first).  A node whose shifted weight underflows adds 0 whatever its
+    factors; a NaN or +inf expo, or a non-finite factor of positive weight,
+    fails the integral, and so do a weight that is 0 at every node and a
+    peak lost between the final nodes (no final interval's mean weight
+    within ``_PEAK_KEPT`` of the largest weight sampled), which every sum
+    would understate.  A failed integral leaves the loop; the others go on.
+
+    Every decision is the integral's own, and every sum and rule runs along
+    one integral's entries in the order it holds them alone, so each result
+    is bit for bit that of the integral run alone wherever the column map
+    and the log-density are pointwise.
     """
     if mu.dim != 1:
         raise InvalidParameter("adaptive_1d requires a one-dimensional measure")
-    # the lowest double, so that weights are 0 while every expo is -inf;
+    # per integral: the lowest double as shift, so that weights are 0 while
+    # every expo is -inf, and the node of largest weight
+    shift, peak = np.full(count, -float(np.finfo(float).max)), np.zeros((count, 1))
     # eps_abs is the absolute tolerance in shifted units, at least _TINY
-    shift, peak, eps_abs = -float(np.finfo(float).max), None, math.inf
+    eps_abs = np.full(count, math.inf)
+    failed, out = np.zeros(count, dtype=bool), [None] * count  # out: each failure
+    nonfinite_value = "non-finite integrand value inside the truncation region"
 
-    def round_(lo: Array, hi: Array) -> tuple[Array, Array]:
-        # the K columns' integrals on [lo_i, hi_i] and their errors, (K, n) each
-        nonlocal shift, peak, eps_abs
+    def fail(which: Array, points: Array, at: Array, message: str):
+        # each integral of ``which`` fails, its witness points[at[j]]
+        for j in which.nonzero()[0]:
+            failed[j], out[j] = True, QuadratureFailure(message, witness=points[at[j]].copy())
+
+    def round_(lo: Array, hi: Array, owner: Array, first: bool = False):
+        # the columns' integrals on [lo_i, hi_i] and their errors, (C, n)
+        # each, and, when a shift grew, each integral's factor from its old
+        # shift to its new one (1 where it stayed)
         half = (hi - lo) / 2.0
         pts = np.tan(((lo + hi) / 2.0)[:, None] + half[:, None] * _GK_X).reshape(-1, 1)
-        cols = _columns_at(columns, pts)
+        k = owner.repeat(_GK_X.size)
+        cols = np.asarray(columns(pts, k), dtype=float).reshape(k.size, -1)
         expo = (cols[:, 0] + np.asarray(mu._log_density(pts), dtype=float)
                 + np.log1p(pts[:, 0] * pts[:, 0]))  # dx = (1 + x^2) dtheta
-        if not (top := expo.max()) < math.inf:
-            _fail_at_first(np.isnan(expo) | (expo == math.inf), pts)
-        if peak is None or top > shift:
-            shift, peak = max(shift, float(top)), pts[np.argmax(expo)].copy()
-            eps_abs = max(_ADAPTIVE_EPSABS * float(np.exp(-shift)), _TINY)
-        w = np.exp(expo - shift)
+        top = np.full(count, -math.inf)  # -inf also where an integral has no new node
+        np.maximum.at(top, k, expo)
+        bad = ~(top < math.inf)  # fails at its first NaN or +inf expo
+        if bad.any():
+            fail(bad, pts, _first_of(np.isnan(expo) | (expo == math.inf), k, count),
+                 nonfinite_value)
+        # a failed integral takes no new peak: a NaN top matches no expo
+        grow, rescale = ((top > shift) | first) & ~failed, None
+        if grow.any():
+            peak[grow] = pts[_first_of(expo == top[k], k, count)[grow]]
+            new_shift = np.where(grow, np.maximum(shift, top), shift)
+            rescale, shift[:] = np.exp(shift - new_shift), new_shift
+            eps_abs[:] = np.maximum(_ADAPTIVE_EPSABS * np.exp(-shift), _TINY)
+        w = np.exp(expo - shift[k])
         f = w[None]
         if cols.shape[1] > 1:
             f = np.multiply(cols.T, w, order="C")
             f[0] = w
-            bad = ~np.isfinite(f)
-            if np.any(bad):
-                _fail_at_first(bad.any(axis=0) & (w > 0.0), pts)
-                f[bad] = 0.0
-        return _gk21(f.reshape(len(f), half.size, -1) * half[:, None])
+            nonfinite = ~np.isfinite(f)
+            if nonfinite.any():
+                hit = nonfinite.any(axis=0) & (w > 0.0)  # a bad factor of positive weight
+                fail((np.bincount(k[hit], minlength=count) > 0) & ~failed, pts,
+                     _first_of(hit, k, count), nonfinite_value)
+                f[nonfinite] = 0.0
+        return (*_gk21(f.reshape(len(f), half.size, -1) * half[:, None]), rescale)
 
-    lo, hi = np.array([-math.pi / 2]), np.array([math.pi / 2])
+    lo, hi = np.full(count, -math.pi / 2), np.full(count, math.pi / 2)
+    owner = np.arange(count)
     with np.errstate(over="ignore", invalid="ignore"):
-        res, err = round_(lo, hi)
+        res, err, _ = round_(lo, hi, owner, first=True)
         while True:
-            ratio = err / np.maximum(eps_abs, _ADAPTIVE_RTOL * np.abs(res.sum(axis=1)))[:, None]
-            room = _ADAPTIVE_LIMIT - lo.size
-            if ratio.sum(axis=1).max() <= 1.0 or room <= 0:
-                break
+            if failed[owner].any():  # a failed integral's intervals leave the loop
+                live = ~failed[owner]
+                lo, hi, res, err = lo[live], hi[live], res[:, live], err[:, live]
+                owner = owner[live]
+            tol = np.maximum(eps_abs, _ADAPTIVE_RTOL * np.abs(_by_integral(res, owner, count)))
+            ratio = err / tol[:, owner]
+            room = _ADAPTIVE_LIMIT - np.bincount(owner, minlength=count)
+            done = (_by_integral(ratio, owner, count).max(axis=0) <= 1.0) | (room <= 0)
             worst = ratio.max(axis=0)
             mid = (lo + hi) / 2.0
             # QUADPACK's round-off guard: a bisection must leave both halves
             # wider than about 100 ulps of the midpoint
             ulp_floor = (1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _TINY)
-            split = (worst > (hi - lo) / math.pi) & (np.maximum(np.abs(lo), np.abs(hi)) > ulp_floor)
-            idx = np.flatnonzero(split)
+            split = ((worst > (hi - lo) / math.pi) & ~done[owner]
+                     & (np.maximum(np.abs(lo), np.abs(hi)) > ulp_floor))
+            idx = split.nonzero()[0]
             if idx.size == 0:
                 break
-            if idx.size > room:
-                idx = idx[np.argsort(-worst[idx], kind="stable")[:room]]
-            keep = np.flatnonzero(np.bincount(idx, minlength=lo.size) == 0)  # not split
-            lo = np.concatenate([lo[keep], lo[idx], mid[idx]])
-            hi = np.concatenate([hi[keep], mid[idx], hi[idx]])
-            old_shift = shift
-            new = round_(lo[-2 * idx.size:], hi[-2 * idx.size:])
-            res, err = res.take(keep, axis=1), err.take(keep, axis=1)
-            if shift > old_shift:  # rescale the kept intervals to the new shift
-                res, err = res * math.exp(old_shift - shift), err * math.exp(old_shift - shift)
-            res, err = (np.concatenate([a, b], axis=1) for a, b in zip((res, err), new))
+            by = owner[idx]
+            if (np.bincount(by, minlength=count) > room).any():
+                # an integral short of room splits its worst intervals first
+                order = np.lexsort((-worst[idx], by))
+                ranked = by[order]
+                fits = np.arange(idx.size) - np.searchsorted(ranked, ranked) < room[ranked]
+                idx = np.sort(idx[order][fits])
+                by = owner[idx]
+            keep = np.ones(lo.size, dtype=bool)
+            keep[idx] = False
+            # each integral's new intervals in the order it holds them alone:
+            # its left halves, then its right ones
+            cut = mid[idx]
+            new_lo, new_hi = np.concatenate([lo[idx], cut]), np.concatenate([cut, hi[idx]])
+            new_owner = np.concatenate([by, by])
+            new_res, new_err, rescale = round_(new_lo, new_hi, new_owner)
+            res, err = res[:, keep], err[:, keep]
+            if rescale is not None:  # the kept intervals in their integral's new shift
+                res, err = res * rescale[owner[keep]], err * rescale[owner[keep]]
+            res = np.concatenate([res, new_res], axis=1)
+            err = np.concatenate([err, new_err], axis=1)
+            lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+            owner = np.concatenate([owner[keep], new_owner])
     # the weight is >= 0, so res[0] / (hi - lo), an interval's mean weight, is
     # at least 1/171 of the largest weight of its nodes
-    if (res[0] / (hi - lo)).max() < _PEAK_KEPT:
-        raise QuadratureFailure("the weight integrates to 0 or its peak was lost", witness=peak)
-    values = res.sum(axis=1)
-    return shift, values, np.maximum(err.sum(axis=1), np.abs(values) * 1e-15), peak
+    mean_top = np.full(count, -math.inf)
+    np.maximum.at(mean_top, owner, res[0] / (hi - lo))
+    fail((mean_top < _PEAK_KEPT) & ~failed, peak, np.arange(count),
+         "the weight integrates to 0 or its peak was lost")
+    values = _by_integral(res, owner, count)
+    errors = np.maximum(_by_integral(err, owner, count), np.abs(values) * 1e-15)
+    return [out[j] or (float(shift[j]), values[:, j], errors[:, j], peak[j].copy())
+            for j in range(count)]
 
 
 def integrate(h, mu, spec: QuadratureSpec):
@@ -502,10 +596,14 @@ def integrate(h, mu, spec: QuadratureSpec):
     return value, err
 
 
+def _log_mass(log_mass, means):
+    return log_mass
+
+
 def integrate_log(logh, mu, spec: QuadratureSpec) -> tuple[float, float]:
     """(ln of the integral of exp(logh) against mu, its error on the log
     scale), the error being about the integral's relative error."""
-    logv, err = weighted_moments(logh, mu, spec, lambda log_mass, _: log_mass)
+    logv, err = weighted_moments(logh, mu, spec, _log_mass)
     return logv, max(float(err), 1e-15)
 
 
@@ -515,10 +613,44 @@ def lp_norm(f, mu, p: float, spec: QuadratureSpec) -> float:
 
 
 def lp_norm_with_error(f, mu, p: float, spec: QuadratureSpec) -> tuple[float, float]:
+    if spec.scheme == "adaptive_1d":  # the one-integral batch
+        norm, = adaptive_lp_norms(lambda pts, k: f.log_value(pts), mu, [p])
+        if isinstance(norm, QuadratureFailure):
+            raise norm
+        return norm
     if p <= 0:
         raise InvalidParameter("lp_norm requires p > 0")
-    logv, logerr, peak = _weighted_moments(lambda pts: p * f.log_value(pts), mu, spec,
-                                           lambda log_mass, _: log_mass)
+    return _lp_norm(p, *_weighted_moments(lambda pts: p * f.log_value(pts), mu, spec, _log_mass))
+
+
+def adaptive_lp_norms(log_f, mu, ps) -> list:
+    """For each k, (||f_k||_{p_k}, its error) on ``adaptive_1d``, or the
+    QuadratureFailure that this norm raises; ``lp_norm_with_error`` is its
+    call with one norm.
+
+    ``log_f(pts, k)`` is ln f_{k[i]}(pts[i]) at (m, 1) points, k being the
+    integer array of the integral each point belongs to.  One adaptive loop
+    (``_adaptive_batch``) integrates every f_k^{p_k}, and a failing integral
+    fails alone.
+    """
+    if min(ps) <= 0:
+        raise InvalidParameter("lp_norm requires p > 0")
+    p_of = np.asarray(ps, dtype=float)
+    found = _adaptive_batch(mu, lambda pts, k: p_of[k] * log_f(pts, k), len(ps))
+
+    def norm(p, res):
+        if isinstance(res, QuadratureFailure):
+            return res
+        try:
+            return _lp_norm(p, *_adaptive_moments(_log_mass, *res))
+        except QuadratureFailure as exc:
+            return exc
+
+    return [norm(p, res) for p, res in zip(ps, found)]
+
+
+def _lp_norm(p: float, logv: float, logerr: float, peak) -> tuple[float, float]:
+    """(||f||_p, its error) from ln int f^p dmu, its error and its witness."""
     # on the reported value only, not on the halved or moved ones of its error
     if logv / p > LOG_MAX:
         raise QuadratureFailure(f"L^{p:g} norm overflows (log value {logv / p:.3g})", witness=peak)

@@ -852,16 +852,27 @@ def _reference_shc(f, mu, c, spec):
 
 @pytest.fixture
 def norm_calls(monkeypatch):
-    """(field label, p) of every lp_norm_with_error call, in call order."""
+    """(field label, p) of every norm integrated, in call order: each
+    lp_norm_with_error call outside DilationNorms, and each (label of
+    dilate(f, r), q) that a DilationNorms.fill integrates and memoises."""
     calls = []
     orig = quadrature.lp_norm_with_error
+    orig_fill = functionals.DilationNorms.fill
 
     def counting(f, mu, p, spec):
         calls.append((f.label, p))
         return orig(f, mu, p, spec)
 
-    for mod in (quadrature, functionals, checks):
+    def counting_fill(self, keys):
+        before = len(self._memo)
+        try:
+            return orig_fill(self, keys)
+        finally:
+            calls.extend((L.dilate(self.f, r).label, q) for r, q in list(self._memo)[before:])
+
+    for mod in (quadrature, checks):
         monkeypatch.setattr(mod, "lp_norm_with_error", counting, raising=False)
+    monkeypatch.setattr(functionals.DilationNorms, "fill", counting_fill)
     return calls
 
 
@@ -921,6 +932,21 @@ class TestBestConstantShcNorms:
         raw = L.raw_field(lambda pts: np.exp(pts[:, 0]), 1, label="raw")
         with pytest.raises(InvalidParameter):
             L.best_constant([L.cosh_field(0.8), raw], gauss1, "shc", spec=gh_spec)
+
+
+class TestShcSlsiSandwich:
+    # sHC(c) and sLSI(c) are equivalent on the LSH cone, so a finite battery's
+    # constants satisfy c_sLSI(B) <~ c_sHC(B): each c* is within one bisection
+    # step of its own threshold, so they may cross by two steps at most
+    @pytest.mark.parametrize("mu", [
+        L.mix(L.gaussian(0.8), L.gaussian(1.25), 0.7),  # 1.037 against 1.058
+        L.gen_exponential(1.0, 4.0, 1),  # 0.997 against 0.996
+    ], ids=["mixture", "gen_exponential_a4"])
+    def test_slsi_constant_at_most_shc_constant(self, mu):
+        battery = L.default_battery(1)
+        c_slsi = L.best_constant(battery, mu, "slsi")
+        c_shc = L.best_constant(battery, mu, "shc")
+        assert c_slsi <= c_shc + 2 * checks.BISECTION_RESOLUTION
 
 
 class TestWitness:

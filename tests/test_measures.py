@@ -790,6 +790,15 @@ class TestPerturbation:
             L.perturb(gauss1, lambda pts: np.where(pts[:, 0] > 1.0, np.nan, 0.0))
         assert err.value.witness[0] > 1.0
 
+    def test_adaptive_normalizer_failure_carries_witness(self):
+        # the same NaN weight on the adaptive_1d path fails the first round
+        # of its Gauss-Kronrod loop, at a node beyond x = 1
+        mu = L.gen_exponential(0.5, 2.0, 1)
+        assert L.default_spec(mu).scheme == "adaptive_1d"
+        with pytest.raises(EvaluationFailure, match="non-finite integrand value") as err:
+            L.perturb(mu, lambda pts: np.where(pts[:, 0] > 1.0, np.nan, 0.0))
+        assert err.value.witness[0] > 1.0
+
     def test_bounded_weight_controls_constants(self, gauss1):
         # w(x) = 1 + 0.5 cos(x) has bounds C = 0.5, D = 1.5
         weighted = L.perturb(

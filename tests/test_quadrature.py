@@ -363,6 +363,150 @@ class TestAdaptiveRule:
                 assert L.lp_norm(f, mu, 2.0, spec) ** 2 == pytest.approx(
                     L.integrate(L.log_linear(2.0 * lam * e1), mu, spec)[0], rel=1e-8)
 
+
+def _same_outcome(got, want):
+    """Bit-equal norms, or failures of the same type, message and witness."""
+    if isinstance(want, QuadratureFailure):
+        assert type(got) is type(want) and str(got) == str(want)
+        assert np.array_equal(got.witness, want.witness)
+    else:
+        assert got == want
+
+
+def _alone(f, mu, r, q, spec):
+    try:
+        return quadrature.lp_norm_with_error(L.dilate(f, r), mu, q, spec)
+    except QuadratureFailure as exc:
+        return exc
+
+
+_BATCH_MEASURES = {
+    "gen_gauss": lambda: L.gen_exponential(0.5, 2.0, 1),
+    "laplace": lambda: L.gen_exponential(1.0, 1.0, 1),
+    "mixture": lambda: L.mix(L.gaussian(0.8), L.gaussian(1.25), 0.7),
+}
+
+
+class TestAdaptiveBatch:
+    def test_gk21_rows_do_not_depend_on_the_batch(self):
+        # an interval's rule reads the same whatever else shares its round
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal((3, 300, 21)) * np.exp(rng.uniform(-30.0, 30.0, (3, 300, 1)))
+        res, err = quadrature._gk21(f)
+        for _ in range(300):
+            rows = np.sort(rng.choice(300, size=rng.integers(1, 300), replace=False))
+            sub_res, sub_err = quadrature._gk21(np.ascontiguousarray(f[:, rows]))
+            assert np.array_equal(sub_res, res[:, rows]) and np.array_equal(sub_err, err[:, rows])
+
+    @pytest.mark.parametrize("measure", sorted(_BATCH_MEASURES))
+    def test_batched_norms_equal_norms_integrated_alone(self, measure):
+        # every alpha(r) and ||f_r||_1 key of the default r-grid in one batch,
+        # failures included (e^{lam q r x} outgrows the Laplace density)
+        mu = _BATCH_MEASURES[measure]()
+        spec = L.default_spec(mu)
+        assert spec.scheme == "adaptive_1d"
+        fields = [L.log_linear([lam]) for lam in (0.4, 0.8, 1.2)] + [L.cosh_field(0.8)]
+        for f in fields:
+            for c in (0.25, 0.7, 1.0, 1.6):
+                keys = [(r, L.q_of_r(r, c)) for r in L.functionals.DEFAULT_R_GRID]
+                keys += [(r, 1.0) for r in L.functionals.DEFAULT_R_GRID]
+                norms = L.functionals.DilationNorms(f, mu, spec)
+                norms.fill(keys)
+                for r, q in keys:
+                    _same_outcome(norms._memo[(r, q)], _alone(f, mu, r, q, spec))
+
+    def test_batched_convolved_norms_agree_with_norms_alone(self):
+        # the mollified field's log map sums by matrix products, not point by
+        # point, so a batch is held to 1e-15 rather than to the last bit
+        f = L.convolve(L.log_linear([0.8]), L.mollifier(1, 4))
+        mu = _BATCH_MEASURES["mixture"]()
+        spec = L.default_spec(mu)
+        keys = [(r, L.q_of_r(r, 0.7)) for r in L.functionals.DEFAULT_R_GRID]
+        norms = L.functionals.DilationNorms(f, mu, spec)
+        assert all(norms.fill(keys))
+        for r, q in keys:
+            norm, err = _alone(f, mu, r, q, spec)
+            assert norms(r, q)[0] == pytest.approx(norm, rel=1e-15, abs=0)
+            assert norms(r, q)[1] == pytest.approx(err, rel=1e-6, abs=0)
+
+    def test_capped_integral_in_a_batch_equals_it_alone(self):
+        # sign(sin 40x) runs out of its 300 intervals, and must split the same
+        # worst ones in a batch as alone; x^2 and e^{0.5x} stop early
+        mu = L.shift(L.gaussian(1.0, 1), [0.1])
+        factors = [lambda x: np.sign(np.sin(40.0 * x)), lambda x: x * x, lambda x: np.exp(0.5 * x)]
+
+        def columns(pts, k):
+            x = pts[:, 0]
+            picked = np.choose(k, [g(x) for g in factors])
+            return np.column_stack([0.3 * x, picked])
+
+        batch = quadrature._adaptive_batch(mu, columns, len(factors))
+        for j, g in enumerate(factors):
+            alone = quadrature.adaptive_weighted(
+                mu, L.default_spec(mu), lambda pts, g=g: np.column_stack(
+                    [0.3 * pts[:, 0], g(pts[:, 0])]))
+            assert batch[j][0] == alone[0]
+            for got, want in zip(batch[j][1:], alone[1:]):
+                assert np.array_equal(got, want)
+
+    def test_first_round_failures_fail_alone(self):
+        # a NaN and a +inf ln g beyond x = 1 fail their integrals in the first
+        # round, each with the message and witness it raises alone; the
+        # integrals sharing that round are unmoved
+        mu = L.gen_exponential(0.5, 2.0, 1)
+        logs = [lambda x: 0.3 * x, lambda x: np.where(x > 1.0, np.nan, 0.0),
+                lambda x: np.where(x > 1.0, np.inf, 0.0), lambda x: -x * x]
+
+        def columns(pts, k):
+            return np.choose(k, [g(pts[:, 0]) for g in logs])[:, None]
+
+        batch = quadrature._adaptive_batch(mu, columns, len(logs))
+        assert [isinstance(b, QuadratureFailure) for b in batch] == [False, True, True, False]
+        for j, g in enumerate(logs):
+            try:
+                alone = quadrature.adaptive_weighted(mu, L.default_spec(mu),
+                                                     lambda pts, g=g: g(pts[:, 0])[:, None])
+            except QuadratureFailure as exc:
+                _same_outcome(batch[j], exc)
+                continue
+            assert batch[j][0] == alone[0]
+            for got, want in zip(batch[j][1:], alone[1:]):
+                assert np.array_equal(got, want)
+
+    def test_node_scheme_norms_equal_norms_integrated_alone(self, gauss1, gh_spec):
+        f = L.log_linear([0.8])
+        keys = [(0.5, 3.0), (0.8, 1.5), (1.0, 1.0)]
+        norms = L.functionals.DilationNorms(f, gauss1, gh_spec)
+        assert norms.fill(keys) == [True] * 3
+        for r, q in keys:
+            _same_outcome(norms._memo[(r, q)], _alone(f, gauss1, r, q, gh_spec))
+
+    def test_peak_lost_row_fails_alone(self):
+        # E e^{153.6x} loses its peak at r = 0.5 (q = 256); the other rows are live
+        f, mu = L.log_linear([1.2]), L.gen_exponential(0.5, 2.0, 1)
+        spec = L.default_spec(mu)
+        rep = L.check_shc(f, mu, 0.25, spec=spec)
+        rows = rep.quantities["rows"]
+        assert [row["skipped"] for row in rows] == [True] + [False] * 6
+        assert rows[0]["reason"] == "the weight integrates to 0 or its peak was lost"
+        for row in rows[1:]:
+            assert row["alpha"] == _alone(f, mu, row["r"], row["q_of_r"], spec)[0]
+            assert row["norm1"] == _alone(f, mu, row["r"], 1.0, spec)[0]
+
+    def test_overflowing_rows_fail_each_with_its_own_reason(self):
+        # e^{0.8 q r x} outgrows the Laplace density at every r < 1: each row
+        # overflows with its own exponent and log value, as it does alone
+        f, mu = L.log_linear([0.8]), L.gen_exponential(1.0, 1.0, 1)
+        spec = L.default_spec(mu)
+        rows = L.check_shc(f, mu, 0.25, spec=spec).quantities["rows"]
+        assert [row["skipped"] for row in rows] == [True] * 6 + [False]
+        for row in rows[:6]:
+            alone = _alone(f, mu, row["r"], row["q_of_r"], spec)
+            assert row["reason"] == str(alone)
+            assert row["reason"].startswith(f"L^{row['q_of_r']:g} norm overflows (log value ")
+        assert rows[6]["alpha"] == _alone(f, mu, 1.0, 1.0, spec)[0]
+
+
 def three_columns(pts):
     x = pts[:, 0]
     return np.stack([2.0 + np.cos(x), x * x, 1.0 / (1.0 + x * x)], axis=1)
