@@ -41,7 +41,7 @@ from typing import Callable
 from . import checks as checks_mod
 from . import fields as fields_mod
 from . import measures as measures_mod
-from .errors import ConfigError, LabError
+from .errors import ConfigError, InvalidParameter, LabError
 from .quadrature import SCHEMES, QuadratureSpec, default_spec
 
 # ---------------------------------------------------------------------------
@@ -219,6 +219,8 @@ class CampaignConfig:
             fnames = entry.get("fields", [])
             if not isinstance(fnames, list):
                 raise ConfigError(f"{where}: 'fields' must be a list of names, got {fnames!r}")
+            if not (fnames or row.over_battery):  # it would run no check at all
+                raise ConfigError(f"{where}: 'fields' must name at least one field")
             for fname in fnames:
                 if not (isinstance(fname, str) and fname in self.fields):
                     raise ConfigError(f"{where}: references undeclared field {fname!r}")
@@ -366,8 +368,9 @@ def resolve_spec(block: dict, mu, seed: int) -> QuadratureSpec:
 # ---------------------------------------------------------------------------
 
 def _check_jobs(config: CampaignConfig):
-    """Materialize one thunk per (check entry, field) pair, or per entry for a
-    kind that runs over its battery."""
+    """Materialize one (check id, dimension, thunk) per (check entry, field)
+    pair, or per entry for a kind that runs over its battery; the dimension
+    is the measure's, or the field's for a check with no measure."""
     measures = {name: build_measure(decl) for name, decl in config.measures.items()}
     fields = {name: build_field(decl) for name, decl in config.fields.items()}
     jobs = []
@@ -382,25 +385,40 @@ def _check_jobs(config: CampaignConfig):
         else:
             targets = [(f"{idx:03d}-{kind}-{entry.get('measure', 'nomeasure')}-{n}", fields[n])
                        for n in fnames]
-        jobs += [(check_id, partial(row, target, mu, spec, entry, check_id))
+        jobs += [(check_id, mu.dim if mu is not None else target.dim,
+                  partial(row, target, mu, spec, entry, check_id))
                  for check_id, target in targets]
     return jobs
 
 
 def run_campaign(config: CampaignConfig, jobs: int = 1):
-    """Run every declared check; returns (reports, summary dict, exit code)."""
+    """Run every declared check; returns (reports, summary dict, exit code).
+
+    With ``jobs`` > 1 the checks run on a pool of ``jobs`` threads: every
+    1-D check in config order inside one job, submitted first, and each
+    check of dimension >= 2 as a job of its own.  A 1-D check spends its
+    time in small-array NumPy calls that hold the GIL, so two of them on two
+    threads mostly wait for each other and run slower than one after the
+    other; a check of dimension >= 2 releases the GIL inside large node-set
+    calls, and those overlap.  Reports are the same at every ``jobs``.
+    """
+    if jobs < 1:
+        raise InvalidParameter(f"jobs must be at least 1, got {jobs}")
     thunks = _check_jobs(config)
 
     def _run(item):
-        check_id, thunk = item
+        check_id, _, thunk = item
         try:
             return thunk()
         except LabError as exc:
             return checks_mod._inconclusive(check_id, "error", {}, None, exc)
 
     if jobs > 1:
+        one_d = [item for item in thunks if item[1] == 1]
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run, thunks))
+            line = pool.submit(lambda: [_run(item) for item in one_d])  # in config order
+            rest = pool.map(_run, [item for item in thunks if item[1] != 1])
+            reports = line.result() + list(rest)
     else:
         reports = [_run(item) for item in thunks]
     reports.sort(key=lambda rep: rep.check_id)

@@ -48,6 +48,7 @@ from .functionals import (
     Q_GUARD,
     DilationNorms,
     entropy_energy_with_error,
+    fill_norms,
     q_of_r,
     r_of_pq,
 )
@@ -225,6 +226,16 @@ def _row_tol(e: float, e_base: float, base: float) -> float:
     return INEQ_ABS + NOISE_FACTOR * (e + e_base) / max(base, 1e-300)
 
 
+def _shc_reach(c: float, r_grid: Sequence[float]) -> tuple[list, list]:
+    """(q(r) of every r of the grid, the (r, q(r)) with q(r) <= Q_GUARD).
+
+    An r outside (0, 1] raises here, before any norm, so it raises whether
+    or not a verdict stops early.
+    """
+    q_list = [q_of_r(r, c) for r in r_grid]
+    return q_list, [(r, q) for r, q in zip(r_grid, q_list) if q <= Q_GUARD]
+
+
 def shc_rows(norms: DilationNorms, c: float,
              r_grid: Sequence[float]) -> Iterator[tuple[dict, float]]:
     """The r-grid rows of :func:`check_shc` at constant c, one at a time.
@@ -239,10 +250,7 @@ def shc_rows(norms: DilationNorms, c: float,
     batches (:meth:`DilationNorms.fill`): ||f||_1 with alpha(r) at every
     q(r) <= Q_GUARD, then ||f_r||_1 wherever alpha(r) is live.
     """
-    # an r outside (0, 1] raises here, before any row, so it raises whether
-    # or not a verdict stops early
-    q_list = [q_of_r(r, c) for r in r_grid]
-    reach = [(r, q) for r, q in zip(r_grid, q_list) if q <= Q_GUARD]
+    q_list, reach = _shc_reach(c, r_grid)
     live = norms.fill([(1.0, 1.0)] + reach)[1:]
     base, e_base = norms(1.0, 1.0)
     norms.fill([(r, 1.0) for (r, _), ok in zip(reach, live) if ok])
@@ -701,10 +709,15 @@ def best_constant(
     reaches it: the deficit is affine in c, so later steps only re-run
     :func:`slsi_verdict` on the cached (Ent, EE) terms.  In sHC mode each
     member keeps one :class:`DilationNorms` for the whole search, so ||f||_1
-    and the ||f_r||_1 are integrated once.  A step that reaches a member
-    integrates alpha(r) at the new q(r) of every row in one batch
-    (:func:`shc_rows`), and :func:`shc_passed` stops the verdict at the
-    first failing row or monotonicity break.  The verdict is the one
+    and the ||f_r||_1 are integrated once.  On ``adaptive_1d`` each step
+    first integrates, in one batch (:func:`fill_norms`), ||f||_1, alpha(r)
+    at every q(r) <= Q_GUARD and ||f_r||_1 of every member it can build,
+    those past the first failing one included; on node schemes a step
+    integrates alpha(r) of a member when it reaches it (:func:`shc_rows`).
+    The member-by-member verdict then runs on the memoised norms, and
+    :func:`shc_passed` stops it at the first failing row or monotonicity
+    break, so which member fails, and which failure is raised, are those of
+    a step that reaches the members one by one.  The verdict is the one
     :func:`check_shc` reports.
     """
     if mode not in ("slsi", "shc"):
@@ -724,7 +737,28 @@ def best_constant(
         build, verdict = _shc_norms, lambda norms, c: shc_passed(shc_rows(norms, c, r_grid))
     members = {}  # battery index -> its slsi_terms or DilationNorms, built once
 
+    batched = mode == "shc" and spec.scheme == "adaptive_1d"
+
+    def integrate_step(*cs: float):
+        # every norm the verdicts at each c of cs can read, of every member
+        # that can be built, in one adaptive batch; a member that cannot be
+        # built raises only when a verdict reaches it, as does an r outside (0, 1]
+        try:
+            reach = [key for c in cs for key in _shc_reach(c, r_grid)[1]]
+        except InvalidParameter:
+            return
+        for i, f in enumerate(battery):
+            if i not in members:
+                try:
+                    members[i] = build(f, mu, spec)
+                except InvalidParameter:
+                    pass
+        keys = [(1.0, 1.0)] + reach + [(r, 1.0) for r, _ in reach]
+        fill_norms([(norms, keys) for norms in members.values()])
+
     def passes(c: float) -> bool:
+        if batched:
+            integrate_step(c)
         for i, f in enumerate(battery):
             try:
                 if i not in members:
@@ -735,6 +769,8 @@ def best_constant(
                 raise QuadratureFailure(f"{f.label}: {exc}", witness=exc.witness) from exc
         return True
 
+    if batched:  # both ends of the range in one batch
+        integrate_step(lo, hi)
     if passes(lo):
         return lo
     if not passes(hi):

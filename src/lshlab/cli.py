@@ -134,6 +134,13 @@ def _cmd_list(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of ``--jobs``: an integer >= 1."""
+    if not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lshlab",
@@ -145,7 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a campaign config (path or preset name)")
     p_run.add_argument("config", help="path to a campaign JSON, or a preset name")
     p_run.add_argument("--output-dir", default=None, help="where to write reports")
-    p_run.add_argument("--jobs", type=int, default=1, help="check-level parallelism")
+    p_run.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="check-level parallelism: threads that run the checks; every 1-D "
+             "check runs on one of them, in config order, and each check of "
+             "dimension >= 2 on any (default 1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_check = sub.add_parser("check", help="run one check ad hoc from flags")

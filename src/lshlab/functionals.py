@@ -147,13 +147,9 @@ def _norm_or_failure(f: ScalarField, mu, q: float, spec: QuadratureSpec):
 class DilationNorms:
     """||f_r||_{L^q(mu)} of one field with its error estimate, memoised on (r, q).
 
-    ``fill(keys)`` integrates every (r, q) of ``keys`` not yet memoised.  On
-    ``adaptive_1d`` that is one ``adaptive_lp_norms`` batch: one adaptive
-    loop carries every key, each integral refined, stopped and failed on its
-    own, and each result is bit for bit ``lp_norm_with_error(dilate(f, r),
-    mu, q, spec)`` wherever the field's log map is pointwise (a convolved
-    field agrees to about 1e-15).  Node schemes have no loop to share and
-    integrate the keys one after another.  ``norms(r, q)`` fills its one key
+    ``fill(keys)`` integrates every (r, q) of ``keys`` not yet memoised; it
+    is the one-field call of :func:`fill_norms`, which fills the norms of
+    many fields on one measure together.  ``norms(r, q)`` fills its one key
     and returns it; a QuadratureFailure is memoised as well and raised
     again.  ``norms(1, 1)`` is ||f||_1, which is also alpha(1) at every c,
     since q(1) = 1.
@@ -165,24 +161,12 @@ class DilationNorms:
 
     def fill(self, keys) -> list[bool]:
         """Integrate the keys not yet memoised; whether each key's norm is available."""
-        keys = [(float(r), float(q)) for r, q in keys]
-        missing = [key for key in dict.fromkeys(keys) if key not in self._memo]
-        # refuses an r outside (0, 1], and r < 1 on an uncertified f, before any norm
-        dilated = [dilate(self.f, r) for r, _ in missing]
-        if missing and self.spec.scheme == "adaptive_1d":
-            # one batch; its column map q ln f(r x) is dilate's log map times q
-            r_of = np.array([r for r, _ in missing])
-            found = adaptive_lp_norms(lambda pts, k: self.f.log_value(r_of[k][:, None] * pts),
-                                      self.mu, [q for _, q in missing])
-        else:  # a node scheme has no adaptive loop to share
-            found = [_norm_or_failure(g, self.mu, q, self.spec)
-                     for g, (_, q) in zip(dilated, missing)]
-        self._memo.update(zip(missing, found))
-        return [not isinstance(self._memo[key], QuadratureFailure) for key in keys]
+        return fill_norms([(self, keys)])[0]
 
     def __call__(self, r: float, q: float) -> tuple[float, float]:
         key = (float(r), float(q))
-        self.fill([key])
+        if key not in self._memo:
+            self.fill([key])
         hit = self._memo[key]
         if isinstance(hit, QuadratureFailure):
             raise hit
@@ -191,6 +175,49 @@ class DilationNorms:
     def alpha(self, r: float, c: float) -> tuple[float, float]:
         """alpha(r) = ||f_r||_{q(r)}; InvalidParameter when q(r) exceeds Q_GUARD."""
         return self(r, _checked_q(r, c))
+
+
+def fill_norms(requests) -> list[list[bool]]:
+    """For each (norms, keys) of ``requests``, integrate the keys that
+    ``norms``, a :class:`DilationNorms`, has not memoised; for each request,
+    whether each of its keys' norms is available.
+
+    Every ``norms`` shares one measure and one spec.  On ``adaptive_1d``
+    every missing norm of every request is one ``adaptive_lp_norms`` batch:
+    one adaptive loop carries them all, each integral refined, stopped and
+    failed on its own, its column map q ln f(r x) sending each node to its
+    own field's log map.  Each result is bit for bit ``lp_norm_with_error(
+    dilate(f, r), mu, q, spec)`` wherever the field's log map is pointwise
+    (a convolved field agrees to about 1e-15).  Node schemes have no loop to
+    share and integrate the keys one after another.
+    """
+    norms_of = [norms for norms, _ in requests]
+    keys_of = [[(float(r), float(q)) for r, q in keys] for _, keys in requests]
+    # (request, key) of each norm not yet memoised, once
+    todo = list(dict.fromkeys((i, key) for i, keys in enumerate(keys_of)
+                              for key in keys if key not in norms_of[i]._memo))
+    # refuses an r outside (0, 1], and r < 1 on an uncertified f, before any norm
+    dilated = [dilate(norms_of[i].f, r) for i, (r, _) in todo]
+    if todo and norms_of[0].spec.scheme == "adaptive_1d":
+        owner = np.array([i for i, _ in todo])
+        r_of = np.array([r for _, (r, _) in todo])
+
+        def log_f(pts, k):  # ln f(r x), f and r those of each node's own norm
+            x, at = r_of[k][:, None] * pts, owner[k]
+            out = np.empty(len(k))
+            for i in np.bincount(at, minlength=len(norms_of)).nonzero()[0]:
+                mine = at == i
+                out[mine] = norms_of[i].f.log_value(x[mine])
+            return out
+
+        found = adaptive_lp_norms(log_f, norms_of[0].mu, [q for _, (_, q) in todo])
+    else:  # a node scheme has no adaptive loop to share
+        found = [_norm_or_failure(g, norms_of[i].mu, q, norms_of[i].spec)
+                 for g, (i, (_, q)) in zip(dilated, todo)]
+    for (i, key), res in zip(todo, found):
+        norms_of[i]._memo[key] = res
+    return [[not isinstance(norms._memo[key], QuadratureFailure) for key in keys]
+            for norms, keys in zip(norms_of, keys_of)]
 
 
 def alpha_with_error(f: ScalarField, mu, c: float, r: float,

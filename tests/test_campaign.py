@@ -1,7 +1,9 @@
 import argparse
 import csv
+import dataclasses
 import json
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,7 @@ from lshlab.campaign import (
     resolve_spec,
 )
 from lshlab.cli import build_parser, main
-from lshlab.errors import ConfigError
+from lshlab.errors import ConfigError, InvalidParameter
 
 
 #: the entry keys each check kind cannot run without
@@ -49,6 +51,47 @@ def minimal_config(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def mixed_dims_config():
+    """1-D and 2-D checks, with and without a measure, in one campaign."""
+    return minimal_config(
+        measures={"g1": {"family": "gaussian", "dim": 1},
+                  "gen": {"family": "gen_exponential", "c": 0.5, "a": 2.0, "dim": 1},
+                  "g2": {"family": "gaussian", "dim": 2}},
+        fields={"a": {"builder": "log_linear", "lam": [0.4]},
+                "b": {"builder": "log_linear", "lam": [0.8]},
+                "c": {"builder": "cosh", "lam": 0.8},
+                "p": {"builder": "log_linear", "lam": [0.8, 0.0]},
+                "q": {"builder": "exp_norm_sq", "lam": 0.05, "dim": 2}},
+        checks=[{"check": "slsi", "measure": "g1", "fields": ["a", "b"], "c": 1.0},
+                {"check": "slsi", "measure": "g2", "fields": ["p", "q"], "c": 1.0},
+                {"check": "shc", "measure": "gen", "fields": ["a", "b"], "c": 1.0},
+                {"check": "shc", "measure": "g2", "fields": ["p"], "c": 1.0},
+                {"check": "radial_euler_scaling", "fields": ["c"]},
+                {"check": "spherical_monotone", "fields": ["q"]}])
+
+
+#: the check ids of mixed_dims_config, by dimension, in config order
+MIXED_1D = ["000-slsi-g1-a", "000-slsi-g1-b", "002-shc-gen-a", "002-shc-gen-b",
+            "004-radial_euler_scaling-nomeasure-c"]
+MIXED_2D = ["001-slsi-g2-p", "001-slsi-g2-q", "003-shc-g2-p",
+            "005-spherical_monotone-nomeasure-q"]
+
+
+def adaptive_1d_config():
+    """A 1-D campaign on adaptive_1d: an sLSI entry, an sHC best_constant
+    search, and e^{1.2x} on the Laplace measure, which is inconclusive."""
+    return minimal_config(
+        measures={"gen": {"family": "gen_exponential", "c": 0.5, "a": 2.0, "dim": 1},
+                  "lap": {"family": "gen_exponential", "c": 1.0, "a": 1.0, "dim": 1}},
+        fields={"a": {"builder": "log_linear", "lam": [0.4]},
+                "b": {"builder": "log_linear", "lam": [0.8]},
+                "e": {"builder": "log_linear", "lam": [1.2]}},
+        checks=[{"check": "slsi", "measure": "gen", "fields": ["a", "b"], "c": 1.0},
+                {"check": "best_constant", "measure": "gen", "fields": ["a", "b"],
+                 "mode": "shc"},
+                {"check": "slsi", "measure": "lap", "fields": ["e"], "c": 1.0}])
 
 
 class TestConfig:
@@ -92,8 +135,21 @@ class TestConfig:
         entry = {"check": kind, "measure": "g", "fields": ["f"],
                  "c": 1.0, "p": 1.0, "q": 2.0, "r": 0.8}
         del entry[key]
-        raw = minimal_config(checks=[{"check": "slsi", "measure": "g", "c": 1.0}, entry])
+        raw = minimal_config(checks=[{"check": "slsi", "measure": "g", "fields": ["f"], "c": 1.0},
+                                     entry])
         with pytest.raises(ConfigError, match=rf"checks\[1\] \({kind}\): missing '{key}'"):
+            CampaignConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("fields", [None, []], ids=["absent", "empty"])
+    @pytest.mark.parametrize("kind", [k for k in CHECK_KINDS if not CHECKS[k].over_battery])
+    def test_per_field_check_without_fields_refused(self, kind, fields):
+        # such an entry would run no check, so a failing one would vanish
+        entry = {"check": kind, "measure": "g", "c": 1.0, "p": 1.0, "q": 2.0, "r": 0.8}
+        if fields is not None:
+            entry["fields"] = fields
+        raw = minimal_config(checks=[{"check": "slsi", "measure": "g", "fields": ["f"], "c": 1.0},
+                                     entry])
+        with pytest.raises(ConfigError, match=rf"checks\[1\] \({kind}\): 'fields'"):
             CampaignConfig.from_dict(raw)
 
     def test_validation_agrees_with_table(self):
@@ -155,7 +211,8 @@ class TestConfig:
                                      {"c_min": 0}, {"c_min": -1}, {"mode": "foo"}])
     def test_best_constant_range_and_mode_checked(self, bad):
         entry = {"check": "best_constant", "measure": "g", "fields": ["f"], **bad}
-        raw = minimal_config(checks=[{"check": "slsi", "measure": "g", "c": 1.0}, entry])
+        raw = minimal_config(checks=[{"check": "slsi", "measure": "g", "fields": ["f"], "c": 1.0},
+                                     entry])
         with pytest.raises(ConfigError, match=r"checks\[1\] \(best_constant\)"):
             CampaignConfig.from_dict(raw)
 
@@ -309,15 +366,43 @@ class TestRun:
         assert rep["notes"][0].startswith("inconclusive: log_linear([1.2]): ")
         assert "witness" in rep["quantities"]
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
+    @pytest.mark.parametrize("config, jobs", [
+        ("gaussian-sharp", 4),
+        (adaptive_1d_config(), 3),
+        (mixed_dims_config(), 3),
+    ], ids=["gaussian-sharp", "adaptive-1d", "mixed-dims"])
+    def test_parallel_jobs_match_serial(self, config, jobs, tmp_path):
+        if isinstance(config, dict):
+            config = CampaignConfig.from_dict(config)
         d1, d2 = tmp_path / "serial", tmp_path / "par"
-        L.run("gaussian-sharp", output_dir=d1, jobs=1)
-        L.run("gaussian-sharp", output_dir=d2, jobs=4)
+        L.run(config, output_dir=d1, jobs=1)
+        L.run(config, output_dir=d2, jobs=jobs)
         strip = lambda p: re.sub(
             r'"generated_at": "[^"]*"', '"generated_at": "X"',
             (p / "report.json").read_text(),
         )
         assert strip(d1) == strip(d2)
+
+    def test_one_dimensional_checks_share_one_pool_thread(self, monkeypatch):
+        config = CampaignConfig.from_dict(mixed_dims_config())
+        ran = []  # (check id, thread) in the order the checks start
+        for kind in ("slsi", "shc", "radial_euler_scaling", "spherical_monotone"):
+            def recording(target, mu, spec, e, check_id, run=CHECKS[kind].run):
+                ran.append((check_id, threading.current_thread()))
+                return run(target, mu, spec, e, check_id)
+
+            monkeypatch.setitem(CHECKS, kind, dataclasses.replace(CHECKS[kind], run=recording))
+        reports, _, _ = L.run_campaign(config, jobs=2)
+        assert [rep.check_id for rep in reports] == sorted(MIXED_1D + MIXED_2D)
+        thread_of = dict(ran)
+        assert [cid for cid, _ in ran if cid in MIXED_1D] == MIXED_1D
+        assert len({thread_of[cid] for cid in MIXED_1D}) == 1
+        assert threading.main_thread() not in thread_of.values()
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_refused(self, jobs):
+        with pytest.raises(InvalidParameter, match="jobs"):
+            L.run_campaign(CampaignConfig.from_dict(minimal_config()), jobs=jobs)
 
     def test_mollifier_scale_not_truncated(self, tmp_path):
         # k = 2.7 runs as 2.7, in the check row and in the mollified builder
@@ -555,6 +640,26 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "summary.txt").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2", "1.5", "two"])
+    def test_run_jobs_below_one_exits_two(self, jobs, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "gaussian-sharp", "--output-dir", str(tmp_path / "out"),
+                  "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fields", [None, []], ids=["absent", "empty"])
+    def test_run_per_field_check_without_fields_exits_two(self, fields, tmp_path, capsys):
+        entry = {"check": "shc", "measure": "g", "c": 0.5}
+        if fields is not None:
+            entry["fields"] = fields
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(minimal_config(checks=[entry])))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "checks[0] (shc): 'fields'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_preset_with_jobs(self, tmp_path):
         assert main(["run", "gaussian-sharp", "--output-dir", str(tmp_path),

@@ -854,25 +854,30 @@ def _reference_shc(f, mu, c, spec):
 def norm_calls(monkeypatch):
     """(field label, p) of every norm integrated, in call order: each
     lp_norm_with_error call outside DilationNorms, and each (label of
-    dilate(f, r), q) that a DilationNorms.fill integrates and memoises."""
+    dilate(f, r), q) that a fill_norms call, DilationNorms.fill's included,
+    integrates and memoises for any of its norms."""
     calls = []
     orig = quadrature.lp_norm_with_error
-    orig_fill = functionals.DilationNorms.fill
+    orig_fill = functionals.fill_norms
 
     def counting(f, mu, p, spec):
         calls.append((f.label, p))
         return orig(f, mu, p, spec)
 
-    def counting_fill(self, keys):
-        before = len(self._memo)
+    def counting_fill(requests):
+        requests = list(requests)
+        before = {id(norms): len(norms._memo) for norms, _ in requests}
         try:
-            return orig_fill(self, keys)
+            return orig_fill(requests)
         finally:
-            calls.extend((L.dilate(self.f, r).label, q) for r, q in list(self._memo)[before:])
+            for norms in {id(norms): norms for norms, _ in requests}.values():
+                calls.extend((L.dilate(norms.f, r).label, q)
+                             for r, q in list(norms._memo)[before[id(norms)]:])
 
     for mod in (quadrature, checks):
         monkeypatch.setattr(mod, "lp_norm_with_error", counting, raising=False)
-    monkeypatch.setattr(functionals.DilationNorms, "fill", counting_fill)
+    for mod in (functionals, checks):
+        monkeypatch.setattr(mod, "fill_norms", counting_fill)
     return calls
 
 
@@ -932,6 +937,31 @@ class TestBestConstantShcNorms:
         raw = L.raw_field(lambda pts: np.exp(pts[:, 0]), 1, label="raw")
         with pytest.raises(InvalidParameter):
             L.best_constant([L.cosh_field(0.8), raw], gauss1, "shc", spec=gh_spec)
+
+    def test_unreachable_uncertified_member_never_raises(self):
+        # log_linear([0.8]) fails the sHC at every c below 1, so no step
+        # reaches the uncertified member, and the search returns c_max; a
+        # step's batch integrates only the members it can build
+        raw = L.raw_field(lambda pts: np.exp(pts[:, 0]), 1, label="raw")
+        assert L.best_constant([L.log_linear([0.8]), raw], L.gen_exponential(0.5, 2, 1),
+                               "shc", c_range=(0.1, 0.5)) == 0.5
+
+    def test_one_adaptive_loop_per_bisection_step(self, monkeypatch):
+        loops = []
+        orig = quadrature._adaptive_batch
+
+        def counting(*args, **kwargs):
+            loops.append(args)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_adaptive_batch", counting)
+        battery = [L.log_linear([lam]) for lam in (0.45, 0.75, 1.05)]
+        assert L.best_constant(battery, L.gen_exponential(0.5, 2, 1), "shc") == 1.0
+        # c_min fails and c_max passes, then 12 halvings take the bracket
+        # (0.25, 4) below the resolution: 14 steps, each reaching every member
+        lo, hi = checks.DEFAULT_C_RANGE
+        steps = 2 + math.ceil(math.log2((hi - lo) / checks.BISECTION_RESOLUTION))
+        assert 0 < len(loops) <= steps
 
 
 class TestShcSlsiSandwich:
