@@ -188,12 +188,13 @@ class CampaignConfig:
         scheme = self.quadrature.get("scheme", "auto")
         if scheme != "auto" and scheme not in SCHEMES:
             raise ConfigError(f"quadrature.scheme {scheme!r} is not one of {SCHEMES + ('auto',)}")
-        for name, decl in self.measures.items():
-            if not isinstance(decl, dict):
-                raise ConfigError(f"measure {name!r} must be an object")
-        for name, decl in self.fields.items():
-            if not isinstance(decl, dict):
-                raise ConfigError(f"field {name!r} must be an object")
+        for section, decls in (("measure", self.measures), ("field", self.fields)):
+            for name, decl in decls.items():
+                # a name is part of output file names, so it may not leave the directory
+                if any(sep in str(name) for sep in ("/", "\\", "\0")):
+                    raise ConfigError(f"{section} name {name!r} contains '/', '\\' or NUL")
+                if not isinstance(decl, dict):
+                    raise ConfigError(f"{section} {name!r} must be an object")
         for idx, entry in enumerate(self.checks):
             if not isinstance(entry, dict):
                 raise ConfigError(f"checks[{idx}] must be an object, got {entry!r}")

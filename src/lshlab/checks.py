@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .fields import (
     cosh_field,
     default_probes,
     dilate,
-    dilated_convolve,
     euler,
     exp_norm_sq,
     is_subharmonic,
@@ -48,7 +47,6 @@ from .functionals import (
     Q_GUARD,
     DilationNorms,
     entropy_energy_with_error,
-    fill_norms,
     q_of_r,
     r_of_pq,
 )
@@ -215,10 +213,9 @@ def check_slsi(
     )
 
 
-def _shc_norms(f: ScalarField, mu: Density, spec: QuadratureSpec) -> DilationNorms:
+def _require_certified(f: ScalarField):
     if not f.certified:
         raise InvalidParameter("an sHC check requires a certified field")
-    return DilationNorms(f, mu, spec)
 
 
 def _row_tol(e: float, e_base: float, base: float) -> float:
@@ -236,33 +233,41 @@ def _shc_reach(c: float, r_grid: Sequence[float]) -> tuple[list, list]:
     return q_list, [(r, q) for r, q in zip(r_grid, q_list) if q <= Q_GUARD]
 
 
-def shc_rows(norms: DilationNorms, c: float,
-             r_grid: Sequence[float]) -> Iterator[tuple[dict, float]]:
-    """The r-grid rows of :func:`check_shc` at constant c, one at a time.
+def _shc_keys(cs: Iterable[float], r_grid: Sequence[float]) -> list:
+    """The (r, q) of every norm an sHC verdict at each c of ``cs`` can read:
+    ||f||_1, alpha(r) at every q(r) <= Q_GUARD and the ||f_r||_1 beside them."""
+    reach = [key for c in cs for key in _shc_reach(c, r_grid)[1]]
+    return [(1.0, 1.0)] + reach + [(r, 1.0) for r, _ in reach]
 
-    Yields (row, slack), where slack is how far the row's alpha falls below
-    the previous live row's beyond that row's tolerance (0.0 for a skipped
-    row and for the first live one).  A row whose norms fail to integrate, or
-    whose q(r) exceeds Q_GUARD, is skipped unintegrated.  Raises
-    QuadratureFailure when ||f||_1 cannot be computed.
 
-    Every norm is integrated before the first row is yielded, in two
-    batches (:meth:`DilationNorms.fill`): ||f||_1 with alpha(r) at every
-    q(r) <= Q_GUARD, then ||f_r||_1 wherever alpha(r) is live.
+def shc_rows(norms: DilationNorms, i: int, c: float,
+             r_grid: Sequence[float]) -> list[tuple[dict, float]]:
+    """The r-grid rows of :func:`check_shc` at constant c for member i of
+    ``norms``, as (row, slack) pairs.
+
+    The slack is how far the row's alpha falls below the previous live row's
+    beyond that row's tolerance (0.0 for a skipped row and for the first live
+    one).  A row whose norms fail to integrate, or whose q(r) exceeds
+    Q_GUARD, is skipped unintegrated.  Raises InvalidParameter for an
+    uncertified field, before the r-grid is read, and QuadratureFailure when
+    ||f||_1 cannot be computed.  The norms come in two fills: ||f||_1 with
+    alpha(r) at every q(r) <= Q_GUARD, then ||f_r||_1 wherever alpha(r) is
+    live.
     """
+    _require_certified(norms.fields[i])
     q_list, reach = _shc_reach(c, r_grid)
-    live = norms.fill([(1.0, 1.0)] + reach)[1:]
-    base, e_base = norms(1.0, 1.0)
-    norms.fill([(r, 1.0) for (r, _), ok in zip(reach, live) if ok])
-    prev = None
+    live = norms.fill(i, [(1.0, 1.0)] + reach)[1:]
+    base, e_base = norms(i, 1.0, 1.0)
+    norms.fill(i, [(r, 1.0) for (r, _), ok in zip(reach, live) if ok])
+    pairs, prev = [], None
     for r, q in zip(r_grid, q_list):
         row = {"r": float(r), "q_of_r": q}
         try:
-            a, e_a = norms.alpha(r, c)
-            n1, _ = norms(r, 1.0)
+            a, e_a = norms.alpha(i, r, c)
+            n1, _ = norms(i, r, 1.0)
         except (QuadratureFailure, InvalidParameter) as exc:
             row.update({"skipped": True, "reason": str(exc)})
-            yield row, 0.0
+            pairs.append((row, 0.0))
             continue
         tol_rel = _row_tol(e_a, e_base, base)
         row.update(
@@ -278,7 +283,8 @@ def shc_rows(norms: DilationNorms, c: float,
         )
         slack = 0.0 if prev is None else prev["alpha"] - a * (1.0 + prev["tol_rel"])
         prev = row
-        yield row, slack
+        pairs.append((row, slack))
+    return pairs
 
 
 def shc_passed(rows: Iterable[tuple[dict, float]]) -> bool:
@@ -286,10 +292,7 @@ def shc_passed(rows: Iterable[tuple[dict, float]]) -> bool:
     every live row passes, and no slack is positive (alpha is monotone).
 
     The r = 1 row alone is no evidence: alpha(1) = ||f||_1 meets it by
-    construction at every c.  The verdict stops at the first failing row or
-    monotonicity break; on the generator :func:`shc_rows` every row's norms
-    are integrated by then, in one batch, so stopping saves only the rows'
-    bookkeeping.
+    construction at every c.
     """
     live = False
     for row, slack in rows:
@@ -318,12 +321,12 @@ def check_shc(
         raise InvalidParameter("r_grid must be non-empty")
     spec = spec or default_spec(mu)
     inputs = {"field": f.label, "measure": mu.label, "c": c, "r_grid": list(r_grid)}
-    norms = _shc_norms(f, mu, spec)
+    norms = DilationNorms([f], mu, spec)
     try:
-        pairs = list(shc_rows(norms, c, r_grid))
-    except QuadratureFailure as exc:  # only ||f||_1 fails the generator
+        pairs = shc_rows(norms, 0, c, r_grid)
+    except QuadratureFailure as exc:  # only ||f||_1 fails the rows
         return _inconclusive(check_id, "shc", inputs, spec, exc)
-    base, _ = norms(1.0, 1.0)
+    base, _ = norms(0, 1.0, 1.0)
     rows = [row for row, _ in pairs]
     worst_drop = max([0.0] + [slack for _, slack in pairs])
     return CheckReport(
@@ -361,18 +364,19 @@ def check_general_shc(
     spec = spec or default_spec(mu)
     inputs = {"field": f.label, "measure": mu.label, "c": c, "p": p, "q": q}
     r_star = r_of_pq(p, q, c)
-    norms = _shc_norms(f, mu, spec)
+    _require_certified(f)
+    norms = DilationNorms([f], mu, spec)
     r_rows = (r_star, 0.9 * r_star, 0.75 * r_star)
-    norms.fill([(1.0, p)] + [(r, q) for r in r_rows])  # one batch for every norm
+    norms.fill(0, [(1.0, p)] + [(r, q) for r in r_rows])
     try:
-        base, e_base = norms(1.0, p)
+        base, e_base = norms(0, 1.0, p)
     except QuadratureFailure as exc:
         return _inconclusive(check_id, "general_shc", inputs, spec, exc)
     rows = []
     ok = True
     for r in r_rows:
         try:
-            lhs, e_lhs = norms(r, q)
+            lhs, e_lhs = norms(0, r, q)
         except QuadratureFailure as exc:
             rows.append({"r": r, "skipped": True, "reason": str(exc)})
             continue
@@ -404,13 +408,14 @@ def _operator_bound(kind, check_id, inputs, f, mu, p, r, spec, phi=None) -> Chec
         return _inconclusive(check_id, kind, inputs, spec, LabError(
             f"regularity constant unavailable: {exc}", witness=exc.witness))
     if phi is None:
-        tf, vol, phi_norm = dilate(f, r), 1.0, 1.0
+        norms, vol, phi_norm = DilationNorms([f], mu, spec), 1.0, 1.0
     else:
-        tf, vol = dilated_convolve(f, phi, r), phi.vol_support
+        norms, vol = DilationNorms([convolve(f, phi), f], mu, spec), phi.vol_support
         phi_norm = phi.sup_value if p == 1.0 else phi.lebesgue_norm(p / (p - 1.0))
+    norms.ahead([(r, p), (1.0, p)])
     try:
-        lhs, e_lhs = lp_norm_with_error(tf, mu, p, spec)
-        fnorm, e_f = lp_norm_with_error(f, mu, p, spec)
+        lhs, e_lhs = norms(0, r, p)
+        fnorm, e_f = norms(len(norms.fields) - 1, 1.0, p)
     except QuadratureFailure as exc:
         return _inconclusive(check_id, kind, inputs, spec, exc)
     factor = r ** (-mu.dim / p) * c_est ** (1.0 / p) * vol ** (1.0 / p) * phi_norm
@@ -707,18 +712,13 @@ def best_constant(
 
     In sLSI mode each member is integrated at most once, the first time a step
     reaches it: the deficit is affine in c, so later steps only re-run
-    :func:`slsi_verdict` on the cached (Ent, EE) terms.  In sHC mode each
-    member keeps one :class:`DilationNorms` for the whole search, so ||f||_1
-    and the ||f_r||_1 are integrated once.  On ``adaptive_1d`` each step
-    first integrates, in one batch (:func:`fill_norms`), ||f||_1, alpha(r)
-    at every q(r) <= Q_GUARD and ||f_r||_1 of every member it can build,
-    those past the first failing one included; on node schemes a step
-    integrates alpha(r) of a member when it reaches it (:func:`shc_rows`).
-    The member-by-member verdict then runs on the memoised norms, and
-    :func:`shc_passed` stops it at the first failing row or monotonicity
-    break, so which member fails, and which failure is raised, are those of
-    a step that reaches the members one by one.  The verdict is the one
-    :func:`check_shc` reports.
+    :func:`slsi_verdict` on the cached (Ent, EE) terms.  In sHC mode the
+    battery shares one :class:`DilationNorms` table for the whole search, so
+    no norm is integrated twice; each step hands the table every norm its
+    verdicts can read (:meth:`DilationNorms.ahead`), and the table decides
+    whether they share one loop.  The verdict is the one :func:`check_shc`
+    reports, member by member, so which member fails, and which failure is
+    raised, are those of a step that reaches the members one by one.
     """
     if mode not in ("slsi", "shc"):
         raise InvalidParameter("mode must be 'slsi' or 'shc'")
@@ -732,46 +732,31 @@ def best_constant(
     spec = spec or default_spec(mu)
 
     if mode == "slsi":
-        build, verdict = slsi_terms, lambda terms, c: slsi_verdict(terms, c)[2]
+        terms = {}  # battery index -> its slsi_terms, built once
+
+        def verdict(i: int, c: float) -> bool:
+            if i not in terms:
+                terms[i] = slsi_terms(battery[i], mu, spec)
+            return slsi_verdict(terms[i], c)[2]
     else:
-        build, verdict = _shc_norms, lambda norms, c: shc_passed(shc_rows(norms, c, r_grid))
-    members = {}  # battery index -> its slsi_terms or DilationNorms, built once
+        norms = DilationNorms(battery, mu, spec)
 
-    batched = mode == "shc" and spec.scheme == "adaptive_1d"
+        def verdict(i: int, c: float) -> bool:
+            return shc_passed(shc_rows(norms, i, c, r_grid))
 
-    def integrate_step(*cs: float):
-        # every norm the verdicts at each c of cs can read, of every member
-        # that can be built, in one adaptive batch; a member that cannot be
-        # built raises only when a verdict reaches it, as does an r outside (0, 1]
-        try:
-            reach = [key for c in cs for key in _shc_reach(c, r_grid)[1]]
-        except InvalidParameter:
-            return
-        for i, f in enumerate(battery):
-            if i not in members:
-                try:
-                    members[i] = build(f, mu, spec)
-                except InvalidParameter:
-                    pass
-        keys = [(1.0, 1.0)] + reach + [(r, 1.0) for r, _ in reach]
-        fill_norms([(norms, keys) for norms in members.values()])
-
-    def passes(c: float) -> bool:
-        if batched:
-            integrate_step(c)
+    def passes(c: float, *later: float) -> bool:
+        # the norms of the verdicts at c and at every c of later, ahead of them
+        if mode == "shc":
+            norms.ahead(_shc_keys((c,) + later, r_grid))
         for i, f in enumerate(battery):
             try:
-                if i not in members:
-                    members[i] = build(f, mu, spec)
-                if not verdict(members[i], c):
+                if not verdict(i, c):
                     return False
             except QuadratureFailure as exc:
                 raise QuadratureFailure(f"{f.label}: {exc}", witness=exc.witness) from exc
         return True
 
-    if batched:  # both ends of the range in one batch
-        integrate_step(lo, hi)
-    if passes(lo):
+    if passes(lo, hi):  # both ends of the range in one step's norms
         return lo
     if not passes(hi):
         return hi

@@ -20,6 +20,10 @@ of x . grad ln g under g / ||g||_1 and nothing divides by g.  Only what no
 double holds overflows (QuadratureFailure): ||g||_1 or alpha(r) above
 e^709.78, or an infinite Ent(g), int E g dmu or alpha'(r).  Functions come in
 plain and ``*_with_error`` forms, the latter with quadrature error estimates.
+
+The norms ||f_r||_q of a battery on one measure, alpha(r) among them, are
+read from one table, :class:`DilationNorms`, which integrates each norm once
+and alone decides when norms share an adaptive loop.
 """
 
 from __future__ import annotations
@@ -137,93 +141,102 @@ def _checked_q(r: float, c: float) -> float:
     return q
 
 
-def _norm_or_failure(f: ScalarField, mu, q: float, spec: QuadratureSpec):
-    try:
-        return lp_norm_with_error(f, mu, q, spec)
-    except QuadratureFailure as exc:
-        return exc
-
-
 class DilationNorms:
-    """||f_r||_{L^q(mu)} of one field with its error estimate, memoised on (r, q).
+    """||f_r||_{L^q(mu)} of each member f of a battery on one measure, with
+    its error estimate, memoised on (member, r, q); a QuadratureFailure is
+    memoised and raised again.  ``norms(i, 1, 1)`` is ||f_i||_1, also
+    alpha(1) at every c, since q(1) = 1.
 
-    ``fill(keys)`` integrates every (r, q) of ``keys`` not yet memoised; it
-    is the one-field call of :func:`fill_norms`, which fills the norms of
-    many fields on one measure together.  ``norms(r, q)`` fills its one key
-    and returns it; a QuadratureFailure is memoised as well and raised
-    again.  ``norms(1, 1)`` is ||f||_1, which is also alpha(1) at every c,
-    since q(1) = 1.
+    The table alone decides when norms share an adaptive loop.
+    ``fill(i, keys)`` integrates member i's missing norms, in one
+    ``adaptive_lp_norms`` batch on ``adaptive_1d`` and one
+    ``lp_norm_with_error`` per key on node schemes.  ``ahead(keys)``
+    integrates them for every member in one batch on ``adaptive_1d`` and does
+    nothing on node schemes, which have no loop to share: there it would only
+    add norms that no verdict reads, and the sHC search measured slower.  A
+    batched norm is bit for bit the norm alone wherever the field's log map
+    is pointwise (a convolved field agrees to about 1e-15).
     """
 
-    def __init__(self, f: ScalarField, mu, spec: QuadratureSpec):
-        self.f, self.mu, self.spec = f, mu, spec
+    def __init__(self, fields, mu, spec: QuadratureSpec):
+        self.fields, self.mu, self.spec = list(fields), mu, spec
         self._memo = {}
 
-    def fill(self, keys) -> list[bool]:
-        """Integrate the keys not yet memoised; whether each key's norm is available."""
-        return fill_norms([(self, keys)])[0]
+    def _missing(self, i: int, keys) -> dict:
+        """Member i's keys not yet memoised, each with f_r; ``dilate`` refuses
+        an r outside (0, 1], and r < 1 on an uncertified field, before any norm."""
+        todo = {}
+        for r, q in keys:
+            key = (i, float(r), float(q))
+            if key not in self._memo and key not in todo:
+                todo[key] = dilate(self.fields[i], r)
+        return todo
 
-    def __call__(self, r: float, q: float) -> tuple[float, float]:
-        key = (float(r), float(q))
+    def _integrate(self, todo: dict):
+        keys = list(todo)
+        if not keys:
+            return
+        if self.spec.scheme == "adaptive_1d":
+            owner = np.array([i for i, _, _ in keys])
+            r_of = np.array([r for _, r, _ in keys])
+
+            def log_f(pts, k):  # ln f(r x), f and r those of each node's own norm
+                x, at = r_of[k][:, None] * pts, owner[k]
+                out = np.empty(len(k))
+                # not np.unique, which imports numpy.ma (about 1.7 MB)
+                for i in np.bincount(at).nonzero()[0]:
+                    mine = at == i
+                    out[mine] = self.fields[i].log_value(x[mine])
+                return out
+
+            found = adaptive_lp_norms(log_f, self.mu, [q for _, _, q in keys])
+        else:
+            found = []
+            for (_, _, q), g in todo.items():
+                try:
+                    found.append(lp_norm_with_error(g, self.mu, q, self.spec))
+                except QuadratureFailure as exc:
+                    found.append(exc)
+        self._memo.update(zip(keys, found))
+
+    def fill(self, i: int, keys) -> list[bool]:
+        """Integrate member i's keys not yet memoised; whether each key's norm is available."""
+        self._integrate(self._missing(i, keys))
+        return [not isinstance(self._memo[(i, float(r), float(q))], QuadratureFailure)
+                for r, q in keys]
+
+    def ahead(self, keys):
+        """On ``adaptive_1d``, integrate ``keys`` for every member that
+        ``dilate`` accepts, in one batch; a member it refuses raises when a
+        verdict reaches it.  On node schemes, nothing."""
+        if self.spec.scheme != "adaptive_1d":
+            return
+        todo = {}
+        for i in range(len(self.fields)):
+            try:
+                todo.update(self._missing(i, keys))
+            except InvalidParameter:
+                pass
+        self._integrate(todo)
+
+    def __call__(self, i: int, r: float, q: float) -> tuple[float, float]:
+        key = (i, float(r), float(q))
         if key not in self._memo:
-            self.fill([key])
+            self.fill(i, [(r, q)])
         hit = self._memo[key]
         if isinstance(hit, QuadratureFailure):
             raise hit
         return hit
 
-    def alpha(self, r: float, c: float) -> tuple[float, float]:
-        """alpha(r) = ||f_r||_{q(r)}; InvalidParameter when q(r) exceeds Q_GUARD."""
-        return self(r, _checked_q(r, c))
-
-
-def fill_norms(requests) -> list[list[bool]]:
-    """For each (norms, keys) of ``requests``, integrate the keys that
-    ``norms``, a :class:`DilationNorms`, has not memoised; for each request,
-    whether each of its keys' norms is available.
-
-    Every ``norms`` shares one measure and one spec.  On ``adaptive_1d``
-    every missing norm of every request is one ``adaptive_lp_norms`` batch:
-    one adaptive loop carries them all, each integral refined, stopped and
-    failed on its own, its column map q ln f(r x) sending each node to its
-    own field's log map.  Each result is bit for bit ``lp_norm_with_error(
-    dilate(f, r), mu, q, spec)`` wherever the field's log map is pointwise
-    (a convolved field agrees to about 1e-15).  Node schemes have no loop to
-    share and integrate the keys one after another.
-    """
-    norms_of = [norms for norms, _ in requests]
-    keys_of = [[(float(r), float(q)) for r, q in keys] for _, keys in requests]
-    # (request, key) of each norm not yet memoised, once
-    todo = list(dict.fromkeys((i, key) for i, keys in enumerate(keys_of)
-                              for key in keys if key not in norms_of[i]._memo))
-    # refuses an r outside (0, 1], and r < 1 on an uncertified f, before any norm
-    dilated = [dilate(norms_of[i].f, r) for i, (r, _) in todo]
-    if todo and norms_of[0].spec.scheme == "adaptive_1d":
-        owner = np.array([i for i, _ in todo])
-        r_of = np.array([r for _, (r, _) in todo])
-
-        def log_f(pts, k):  # ln f(r x), f and r those of each node's own norm
-            x, at = r_of[k][:, None] * pts, owner[k]
-            out = np.empty(len(k))
-            for i in np.bincount(at, minlength=len(norms_of)).nonzero()[0]:
-                mine = at == i
-                out[mine] = norms_of[i].f.log_value(x[mine])
-            return out
-
-        found = adaptive_lp_norms(log_f, norms_of[0].mu, [q for _, (_, q) in todo])
-    else:  # a node scheme has no adaptive loop to share
-        found = [_norm_or_failure(g, norms_of[i].mu, q, norms_of[i].spec)
-                 for g, (i, (_, q)) in zip(dilated, todo)]
-    for (i, key), res in zip(todo, found):
-        norms_of[i]._memo[key] = res
-    return [[not isinstance(norms._memo[key], QuadratureFailure) for key in keys]
-            for norms, keys in zip(norms_of, keys_of)]
+    def alpha(self, i: int, r: float, c: float) -> tuple[float, float]:
+        """alpha(r) = ||f_r||_{q(r)} of member i; InvalidParameter when q(r) exceeds Q_GUARD."""
+        return self(i, r, _checked_q(r, c))
 
 
 def alpha_with_error(f: ScalarField, mu, c: float, r: float,
                      spec: QuadratureSpec) -> tuple[float, float]:
     """alpha(r) = ||f_r||_{q(r)} with its quadrature error estimate."""
-    return DilationNorms(f, mu, spec).alpha(r, c)
+    return DilationNorms([f], mu, spec).alpha(0, r, c)
 
 
 def alpha(f: ScalarField, mu, c: float, r: float, spec: QuadratureSpec) -> float:

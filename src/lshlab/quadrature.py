@@ -24,16 +24,17 @@ monte_carlo       importance sampling with the measure itself as sampler;
 
 Every integral is one call to ``weighted_moments`` with one column map:
 points to the columns [ln g | factors], evaluated once per node set (or per
-adaptive round); on ``adaptive_1d`` an L^p norm is one call to
-``adaptive_lp_norms``, which integrates several norms in one batch.  For
-the weight g = e^{ln g} it forms ln int g dmu and the means of the factors
-under g dmu / int g dmu in log space, so large powers never overflow, and
-returns a function ``fn`` of them with an error estimate from one rule: |fn(spec) - fn(spec.halved())| (half the nodes per axis,
-which on gauss_hermite halves the radii and the angles together, or the
-first half of the samples) on node schemes, and on ``adaptive_1d`` the
+adaptive round).  For the weight g = e^{ln g} it forms ln int g dmu and the
+means of the factors under g dmu / int g dmu in log space, so large powers
+never overflow, and returns a function ``fn`` of them with an error
+estimate from one rule: |fn(spec) - fn(spec.halved())| (half the nodes per
+axis, which on gauss_hermite halves the radii and the angles together, or
+the first half of the samples) on node schemes, and on ``adaptive_1d`` the
 first-order change of fn when each column's integral moves by its own error
 estimate.  ``integrate`` is the weight ln g = 0 with the integrand as its
-factors.
+factors, ``lp_norm_with_error`` the weight f^p alone.  The one exception
+is ``adaptive_lp_norms``, which carries several L^p norms through one
+adaptive loop, each bit for bit ``lp_norm_with_error``.
 """
 
 from __future__ import annotations
@@ -613,11 +614,6 @@ def lp_norm(f, mu, p: float, spec: QuadratureSpec) -> float:
 
 
 def lp_norm_with_error(f, mu, p: float, spec: QuadratureSpec) -> tuple[float, float]:
-    if spec.scheme == "adaptive_1d":  # the one-integral batch
-        norm, = adaptive_lp_norms(lambda pts, k: f.log_value(pts), mu, [p])
-        if isinstance(norm, QuadratureFailure):
-            raise norm
-        return norm
     if p <= 0:
         raise InvalidParameter("lp_norm requires p > 0")
     return _lp_norm(p, *_weighted_moments(lambda pts: p * f.log_value(pts), mu, spec, _log_mass))
@@ -625,8 +621,7 @@ def lp_norm_with_error(f, mu, p: float, spec: QuadratureSpec) -> tuple[float, fl
 
 def adaptive_lp_norms(log_f, mu, ps) -> list:
     """For each k, (||f_k||_{p_k}, its error) on ``adaptive_1d``, or the
-    QuadratureFailure that this norm raises; ``lp_norm_with_error`` is its
-    call with one norm.
+    QuadratureFailure that ``lp_norm_with_error`` raises for this norm.
 
     ``log_f(pts, k)`` is ln f_{k[i]}(pts[i]) at (m, 1) points, k being the
     integer array of the integral each point belongs to.  One adaptive loop

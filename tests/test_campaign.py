@@ -117,6 +117,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="nope"):
             CampaignConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("name", ["a/b", "../../escaped", "a\\b", "a\0b"])
+    def test_field_name_with_path_separator_refused(self, name):
+        raw = minimal_config(fields={name: {"builder": "log_linear", "lam": [0.8]}})
+        raw["checks"][0]["fields"] = [name]
+        with pytest.raises(ConfigError, match="field name .* contains"):
+            CampaignConfig.from_dict(raw)
+
+    def test_measure_name_with_path_separator_refused(self):
+        raw = minimal_config(measures={"a/b": {"family": "gaussian", "dim": 1}})
+        raw["checks"][0]["measure"] = "a/b"
+        with pytest.raises(ConfigError, match=r"measure name 'a/b' contains"):
+            CampaignConfig.from_dict(raw)
+
+    def test_names_without_separators_accepted(self):
+        names = ("f.v2", "f-1", "fé")
+        raw = minimal_config(
+            measures={"g.1-é": {"family": "gaussian", "dim": 1}},
+            fields={n: {"builder": "log_linear", "lam": [0.8]} for n in names},
+            checks=[{"check": "slsi", "measure": "g.1-é", "fields": list(names), "c": 1.0}])
+        CampaignConfig.from_dict(raw)
+
     def test_unknown_check_kind(self):
         raw = minimal_config()
         raw["checks"] = [{"check": "frobnicate", "measure": "g", "fields": ["f"]}]
@@ -659,6 +680,16 @@ class TestCli:
         cfg.write_text(json.dumps(minimal_config(checks=[entry])))
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert "checks[0] (shc): 'fields'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_field_name_with_path_separator_exits_two(self, tmp_path, capsys):
+        raw = minimal_config(fields={"a/b": {"builder": "log_linear", "lam": [0.8]}})
+        raw["checks"] = [{"check": "shc", "measure": "g", "fields": ["a/b"], "c": 1.0}]
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "field name 'a/b' contains" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_run_preset_with_jobs(self, tmp_path):

@@ -283,6 +283,23 @@ class TestDilationBound:
             json.dumps(rep.to_dict(), allow_nan=False)
 
 
+    @pytest.mark.parametrize("mu", [L.gaussian(1.0, 1), L.gen_exponential(0.5, 2.0, 1)],
+                             ids=["gauss_hermite", "adaptive"])
+    def test_uncertified_field_integrated_only_undilated(self, mu):
+        # r = 1 needs no composition, so the norms are integrated; r < 1 is
+        # refused by dilate, in both bounds
+        raw = L.raw_field(lambda pts: 1.0 + pts[:, 0] ** 2, 1, label="raw")
+        rep = L.check_dilation_bound(raw, mu, 2.0, 1.0)
+        assert rep.passed and not rep.inconclusive
+        assert rep.quantities["lhs"] == rep.quantities["norm_p"] == L.lp_norm(
+            raw, mu, 2.0, L.default_spec(mu))
+        for check in (lambda: L.check_dilation_bound(raw, mu, 2.0, 0.8),
+                      lambda: L.check_dilated_convolution_bound(
+                          raw, mu, 2.0, L.mollifier(1, 4), 0.8)):
+            with pytest.raises(InvalidParameter, match="compositions need a certified field"):
+                check()
+
+
 class TestDilatedConvolutionBound:
     def test_holds_with_measured_slack(self, gauss1, gh_spec):
         phi = L.mollifier(1, 4)
@@ -854,30 +871,30 @@ def _reference_shc(f, mu, c, spec):
 def norm_calls(monkeypatch):
     """(field label, p) of every norm integrated, in call order: each
     lp_norm_with_error call outside DilationNorms, and each (label of
-    dilate(f, r), q) that a fill_norms call, DilationNorms.fill's included,
-    integrates and memoises for any of its norms."""
+    dilate(f, r), q) that a DilationNorms.fill or .ahead call integrates and
+    memoises for any member of its table."""
     calls = []
     orig = quadrature.lp_norm_with_error
-    orig_fill = functionals.fill_norms
 
     def counting(f, mu, p, spec):
         calls.append((f.label, p))
         return orig(f, mu, p, spec)
 
-    def counting_fill(requests):
-        requests = list(requests)
-        before = {id(norms): len(norms._memo) for norms, _ in requests}
-        try:
-            return orig_fill(requests)
-        finally:
-            for norms in {id(norms): norms for norms, _ in requests}.values():
-                calls.extend((L.dilate(norms.f, r).label, q)
-                             for r, q in list(norms._memo)[before[id(norms)]:])
+    def counting_method(method):
+        def wrapped(norms, *args):
+            before = len(norms._memo)
+            try:
+                return method(norms, *args)
+            finally:
+                calls.extend((L.dilate(norms.fields[i], r).label, q)
+                             for i, r, q in list(norms._memo)[before:])
+        return wrapped
 
     for mod in (quadrature, checks):
         monkeypatch.setattr(mod, "lp_norm_with_error", counting, raising=False)
-    for mod in (functionals, checks):
-        monkeypatch.setattr(mod, "fill_norms", counting_fill)
+    for name in ("fill", "ahead"):
+        monkeypatch.setattr(functionals.DilationNorms, name,
+                            counting_method(getattr(functionals.DilationNorms, name)))
     return calls
 
 
@@ -927,10 +944,10 @@ class TestBestConstantShcNorms:
 
     def test_failure_memoised_and_raised_again(self, norm_calls):
         mu = L.gen_exponential(0.5, 2, 1)
-        norms = functionals.DilationNorms(_inconclusive_member(), mu, L.default_spec(mu))
+        norms = functionals.DilationNorms([_inconclusive_member()], mu, L.default_spec(mu))
         for _ in range(2):
             with pytest.raises(QuadratureFailure):
-                norms(1.0, 1.0)
+                norms(0, 1.0, 1.0)
         assert len(norm_calls) == 1
 
     def test_uncertified_member_rejected(self, gauss1, gh_spec):
@@ -945,6 +962,55 @@ class TestBestConstantShcNorms:
         raw = L.raw_field(lambda pts: np.exp(pts[:, 0]), 1, label="raw")
         assert L.best_constant([L.log_linear([0.8]), raw], L.gen_exponential(0.5, 2, 1),
                                "shc", c_range=(0.1, 0.5)) == 0.5
+
+    @pytest.mark.parametrize("mu, ahead", [
+        (L.gaussian(1.0, 1), False), (L.gen_exponential(0.5, 2, 1), True),
+    ], ids=["gauss_hermite", "adaptive"])
+    def test_failing_step_reads_no_later_member(self, mu, ahead, norm_calls):
+        # log_linear([0.8]) fails the sHC at every c below 1, so no verdict
+        # reaches cosh_field(0.8): node schemes integrate none of its norms,
+        # adaptive_1d integrates them ahead, in each step's one loop
+        battery = [L.log_linear([0.8]), L.cosh_field(0.8)]
+        assert L.best_constant(battery, mu, "shc", c_range=(0.25, 0.5)) == 0.5
+        assert any(battery[1].label in label for label, _ in norm_calls) == ahead
+
+    @pytest.mark.parametrize("mu", [L.gaussian(1.0, 1), L.gen_exponential(0.5, 2, 1)],
+                             ids=["gauss_hermite", "adaptive"])
+    def test_ahead_is_one_loop_on_adaptive_and_nothing_on_node_schemes(self, mu, monkeypatch):
+        loops = []
+        orig = quadrature._adaptive_batch
+
+        def counting(*args, **kwargs):
+            loops.append(args)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_adaptive_batch", counting)
+        raw = L.raw_field(lambda pts: np.exp(pts[:, 0]), 1, label="raw")
+        battery = [L.log_linear([0.4]), raw, L.cosh_field(0.8),
+                   L.convolve(L.log_linear([0.8]), L.mollifier(1, 4))]
+        spec = L.default_spec(mu)
+        norms = functionals.DilationNorms(battery, mu, spec)
+        keys = checks._shc_keys((0.7, 1.0), functionals.DEFAULT_R_GRID)
+        for _ in range(2):  # the second call finds every norm memoised
+            norms.ahead(keys)
+        if spec.scheme == "adaptive_1d":
+            assert len(loops) == 1
+            # every member but the uncertified one, which dilate refuses
+            assert {i for i, _, _ in norms._memo} == {0, 2, 3}
+            assert len(norms._memo) == 3 * len(set(keys))
+        else:
+            assert loops == [] and norms._memo == {}
+
+    @pytest.mark.parametrize("mu", [L.gaussian(1.0, 1), L.gen_exponential(0.5, 2, 1)],
+                             ids=["gauss_hermite", "adaptive"])
+    def test_uncertified_member_raises_when_a_verdict_reaches_it(self, mu):
+        raw = L.raw_field(lambda pts: np.exp(pts[:, 0]), 1, label="raw")
+        with pytest.raises(InvalidParameter, match="requires a certified field"):
+            L.best_constant([L.cosh_field(0.8), raw], mu, "shc")
+        assert L.best_constant([L.log_linear([0.8]), raw], mu, "shc", c_range=(0.1, 0.5)) == 0.5
+        # check_shc refuses the field before it reads the r-grid
+        with pytest.raises(InvalidParameter, match="requires a certified field"):
+            L.check_shc(raw, mu, 1.0, r_grid=(0.5, 1.5))
 
     def test_one_adaptive_loop_per_bisection_step(self, monkeypatch):
         loops = []

@@ -182,6 +182,27 @@ class TestAlphaPrime:
             alpha_prime_with_error(f, gauss1, 1.0, 1.0, gh_spec)
 
 
+class TestShcSlopeIsSlsiDeficit:
+    # at r = 1, q = 1 and alpha'(1) = (2/c) ((c/2) int E f dmu - Ent(f)): the
+    # slope of the sHC curve is 2/c times the sLSI deficit, the equivalence
+    # sHC(c) <=> sLSI(c) in infinitesimal form, here on a non-Gaussian measure
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("field", [
+        L.log_linear([0.8]),
+        L.cosh_field(0.8),
+        L.convolve(L.log_linear([0.8]), L.mollifier(1, 4)),
+    ], ids=("log_linear", "cosh", "mollified"))
+    def test_slope_at_one_is_two_over_c_deficit(self, field, c):
+        mu = L.mix(L.gaussian(0.8), L.gaussian(1.25), 0.7)
+        spec = L.default_spec(mu)
+        assert spec.scheme == "adaptive_1d"
+        deficit = L.check_slsi(field, mu, c, spec).quantities["deficit"]
+        assert hc_bracket_with_error(field, mu, c, 1.0, spec)[0] == deficit
+        slope, _ = alpha_prime_with_error(field, mu, c, 1.0, spec)
+        assert slope * c / 2.0 == pytest.approx(deficit, rel=1e-12, abs=0)
+        assert slope == pytest.approx(L.alpha_prime_fd(field, mu, c, 1.0, spec), rel=1e-6, abs=0)
+
+
 class TestHcBracket:
     def test_r_one_is_slsi_deficit(self, gauss1, gh_spec):
         f = L.cosh_field(0.8)

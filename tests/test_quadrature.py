@@ -410,10 +410,10 @@ class TestAdaptiveBatch:
             for c in (0.25, 0.7, 1.0, 1.6):
                 keys = [(r, L.q_of_r(r, c)) for r in L.functionals.DEFAULT_R_GRID]
                 keys += [(r, 1.0) for r in L.functionals.DEFAULT_R_GRID]
-                norms = L.functionals.DilationNorms(f, mu, spec)
-                norms.fill(keys)
+                norms = L.functionals.DilationNorms([f], mu, spec)
+                norms.fill(0, keys)
                 for r, q in keys:
-                    _same_outcome(norms._memo[(r, q)], _alone(f, mu, r, q, spec))
+                    _same_outcome(norms._memo[(0, r, q)], _alone(f, mu, r, q, spec))
 
     def test_batched_convolved_norms_agree_with_norms_alone(self):
         # the mollified field's log map sums by matrix products, not point by
@@ -422,12 +422,12 @@ class TestAdaptiveBatch:
         mu = _BATCH_MEASURES["mixture"]()
         spec = L.default_spec(mu)
         keys = [(r, L.q_of_r(r, 0.7)) for r in L.functionals.DEFAULT_R_GRID]
-        norms = L.functionals.DilationNorms(f, mu, spec)
-        assert all(norms.fill(keys))
+        norms = L.functionals.DilationNorms([f], mu, spec)
+        assert all(norms.fill(0, keys))
         for r, q in keys:
             norm, err = _alone(f, mu, r, q, spec)
-            assert norms(r, q)[0] == pytest.approx(norm, rel=1e-15, abs=0)
-            assert norms(r, q)[1] == pytest.approx(err, rel=1e-6, abs=0)
+            assert norms(0, r, q)[0] == pytest.approx(norm, rel=1e-15, abs=0)
+            assert norms(0, r, q)[1] == pytest.approx(err, rel=1e-6, abs=0)
 
     def test_capped_integral_in_a_batch_equals_it_alone(self):
         # sign(sin 40x) runs out of its 300 intervals, and must split the same
@@ -476,10 +476,10 @@ class TestAdaptiveBatch:
     def test_node_scheme_norms_equal_norms_integrated_alone(self, gauss1, gh_spec):
         f = L.log_linear([0.8])
         keys = [(0.5, 3.0), (0.8, 1.5), (1.0, 1.0)]
-        norms = L.functionals.DilationNorms(f, gauss1, gh_spec)
-        assert norms.fill(keys) == [True] * 3
+        norms = L.functionals.DilationNorms([f], gauss1, gh_spec)
+        assert norms.fill(0, keys) == [True] * 3
         for r, q in keys:
-            _same_outcome(norms._memo[(r, q)], _alone(f, gauss1, r, q, gh_spec))
+            _same_outcome(norms._memo[(0, r, q)], _alone(f, gauss1, r, q, gh_spec))
 
     def test_peak_lost_row_fails_alone(self):
         # E e^{153.6x} loses its peak at r = 0.5 (q = 256); the other rows are live
