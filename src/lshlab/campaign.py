@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -246,22 +247,23 @@ def _require(decl: dict, keys, where: str):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float, not a bool: json and argparse read NaN and inf."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < math.inf
 
 
 def _check_types(entry: dict, row: CheckKind, where: str):
     """ConfigError naming ``where`` and the first key of ``entry`` of the wrong
-    type: required keys and keys with numeric defaults take a number, keys
-    with a null default a number or null, keys with list defaults a non-empty
-    list of numbers.  Other keys are not checked here."""
+    type: required keys and keys with numeric defaults take a finite number,
+    keys with a null default a finite number or null, keys with list defaults
+    a non-empty list of finite numbers.  Other keys are not checked here."""
     for key, value in entry.items():
         default = row.defaults.get(key, "unchecked")
         if key in row.required or _is_number(default):
-            want, ok = "a number", _is_number(value)
+            want, ok = "a finite number", _is_number(value)
         elif default is None:
-            want, ok = "a number or null", value is None or _is_number(value)
+            want, ok = "a finite number or null", value is None or _is_number(value)
         elif isinstance(default, list):
-            want = "a non-empty list of numbers"
+            want = "a non-empty list of finite numbers"
             ok = isinstance(value, list) and bool(value) and all(map(_is_number, value))
         else:
             continue

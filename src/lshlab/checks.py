@@ -256,9 +256,9 @@ def shc_rows(norms: DilationNorms, i: int, c: float,
     """
     _require_certified(norms.fields[i])
     q_list, reach = _shc_reach(c, r_grid)
-    live = norms.fill(i, [(1.0, 1.0)] + reach)[1:]
+    live = norms.fill([(i, 1.0, 1.0)] + [(i, r, q) for r, q in reach])[1:]
     base, e_base = norms(i, 1.0, 1.0)
-    norms.fill(i, [(r, 1.0) for (r, _), ok in zip(reach, live) if ok])
+    norms.fill([(i, r, 1.0) for (r, _), ok in zip(reach, live) if ok])
     pairs, prev = [], None
     for r, q in zip(r_grid, q_list):
         row = {"r": float(r), "q_of_r": q}
@@ -367,7 +367,7 @@ def check_general_shc(
     _require_certified(f)
     norms = DilationNorms([f], mu, spec)
     r_rows = (r_star, 0.9 * r_star, 0.75 * r_star)
-    norms.fill(0, [(1.0, p)] + [(r, q) for r in r_rows])
+    norms.fill([(0, 1.0, p)] + [(0, r, q) for r in r_rows])
     try:
         base, e_base = norms(0, 1.0, p)
     except QuadratureFailure as exc:
@@ -412,10 +412,10 @@ def _operator_bound(kind, check_id, inputs, f, mu, p, r, spec, phi=None) -> Chec
     else:
         norms, vol = DilationNorms([convolve(f, phi), f], mu, spec), phi.vol_support
         phi_norm = phi.sup_value if p == 1.0 else phi.lebesgue_norm(p / (p - 1.0))
-    norms.ahead([(r, p), (1.0, p)])
+    keys = [(0, r, p), (len(norms.fields) - 1, 1.0, p)]
+    norms.fill(keys)
     try:
-        lhs, e_lhs = norms(0, r, p)
-        fnorm, e_f = norms(len(norms.fields) - 1, 1.0, p)
+        (lhs, e_lhs), (fnorm, e_f) = [norms(*key) for key in keys]
     except QuadratureFailure as exc:
         return _inconclusive(check_id, kind, inputs, spec, exc)
     factor = r ** (-mu.dim / p) * c_est ** (1.0 / p) * vol ** (1.0 / p) * phi_norm

@@ -22,8 +22,8 @@ e^709.78, or an infinite Ent(g), int E g dmu or alpha'(r).  Functions come in
 plain and ``*_with_error`` forms, the latter with quadrature error estimates.
 
 The norms ||f_r||_q of a battery on one measure, alpha(r) among them, are
-read from one table, :class:`DilationNorms`, which integrates each norm once
-and alone decides when norms share an adaptive loop.
+read from one table, :class:`DilationNorms`, which integrates each norm once,
+the missing norms of each fill in one ``lp_norms`` call.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ import numpy as np
 
 from .errors import InvalidParameter, QuadratureFailure
 from .fields import ScalarField, dilate, power
-from .quadrature import (LOG_MAX, QuadratureSpec, adaptive_lp_norms, lp_norm_with_error,
-                         weighted_moments)
+from .quadrature import LOG_MAX, QuadratureSpec, lp_norms, weighted_moments
 
 #: q(r) values beyond this guard are rejected (integrands would overflow)
 Q_GUARD = 1e4
@@ -147,74 +146,65 @@ class DilationNorms:
     memoised and raised again.  ``norms(i, 1, 1)`` is ||f_i||_1, also
     alpha(1) at every c, since q(1) = 1.
 
-    The table alone decides when norms share an adaptive loop.
-    ``fill(i, keys)`` integrates member i's missing norms, in one
-    ``adaptive_lp_norms`` batch on ``adaptive_1d`` and one
-    ``lp_norm_with_error`` per key on node schemes.  ``ahead(keys)``
-    integrates them for every member in one batch on ``adaptive_1d`` and does
-    nothing on node schemes, which have no loop to share: there it would only
-    add norms that no verdict reads, and the sHC search measured slower.  A
-    batched norm is bit for bit the norm alone wherever the field's log map
-    is pointwise (a convolved field agrees to about 1e-15).
+    ``fill(keys)`` integrates the missing (member, r, q) keys in one
+    ``lp_norms`` call.  ``ahead(keys)`` does so for the (r, q) keys of every
+    member that ``dilate`` accepts on ``adaptive_1d``, where they share a loop,
+    and does nothing on node schemes: there it would only add norms that no
+    verdict reads, and the sHC search measured slower.  A norm filled with
+    others is bit for bit the norm alone wherever the field's log map is
+    pointwise (a convolved field agrees to about 1e-15 on ``adaptive_1d``).
     """
 
     def __init__(self, fields, mu, spec: QuadratureSpec):
         self.fields, self.mu, self.spec = list(fields), mu, spec
         self._memo = {}
 
-    def _missing(self, i: int, keys) -> dict:
-        """Member i's keys not yet memoised, each with f_r; ``dilate`` refuses
-        an r outside (0, 1], and r < 1 on an uncertified field, before any norm."""
+    def _missing(self, keys) -> dict:
+        """The keys not yet memoised, each with f_r; ``dilate`` refuses an r
+        outside (0, 1], and r < 1 on an uncertified field, before any norm."""
         todo = {}
-        for r, q in keys:
+        for i, r, q in keys:
             key = (i, float(r), float(q))
             if key not in self._memo and key not in todo:
                 todo[key] = dilate(self.fields[i], r)
         return todo
 
     def _integrate(self, todo: dict):
-        keys = list(todo)
-        if not keys:
+        """Integrate the norms of ``todo`` (from ``_missing``) in one ``lp_norms`` call."""
+        if not todo:
             return
-        if self.spec.scheme == "adaptive_1d":
-            owner = np.array([i for i, _, _ in keys])
-            r_of = np.array([r for _, r, _ in keys])
+        owner, r_of = np.array([i for i, _, _ in todo]), np.array([r for _, r, _ in todo])
+        dilated = list(todo.values())
 
-            def log_f(pts, k):  # ln f(r x), f and r those of each node's own norm
-                x, at = r_of[k][:, None] * pts, owner[k]
-                out = np.empty(len(k))
-                # not np.unique, which imports numpy.ma (about 1.7 MB)
-                for i in np.bincount(at).nonzero()[0]:
-                    mine = at == i
-                    out[mine] = self.fields[i].log_value(x[mine])
-                return out
+        def log_f(pts, k):  # ln f(r x), f and r those of each node's own norm
+            if isinstance(k, int):  # every node is norm k's
+                return dilated[k].log_value(pts)
+            x, at = r_of[k][:, None] * pts, owner[k]
+            out = np.empty(len(at))
+            # not np.unique, which imports numpy.ma (about 1.7 MB)
+            for i in np.bincount(at).nonzero()[0]:
+                mine = at == i
+                out[mine] = self.fields[i].log_value(x[mine])
+            return out
 
-            found = adaptive_lp_norms(log_f, self.mu, [q for _, _, q in keys])
-        else:
-            found = []
-            for (_, _, q), g in todo.items():
-                try:
-                    found.append(lp_norm_with_error(g, self.mu, q, self.spec))
-                except QuadratureFailure as exc:
-                    found.append(exc)
-        self._memo.update(zip(keys, found))
+        self._memo.update(zip(todo, lp_norms(log_f, self.mu, [q for _, _, q in todo], self.spec)))
 
-    def fill(self, i: int, keys) -> list[bool]:
-        """Integrate member i's keys not yet memoised; whether each key's norm is available."""
-        self._integrate(self._missing(i, keys))
+    def fill(self, keys) -> list[bool]:
+        """Integrate the keys not yet memoised; whether each key's norm is available."""
+        self._integrate(self._missing(keys))
         return [not isinstance(self._memo[(i, float(r), float(q))], QuadratureFailure)
-                for r, q in keys]
+                for i, r, q in keys]
 
     def ahead(self, keys):
-        """On ``adaptive_1d``, integrate ``keys`` for every member that
-        ``dilate`` accepts, in one batch; a member it refuses raises when a
+        """On ``adaptive_1d``, integrate the (r, q) ``keys`` of every member
+        that ``dilate`` accepts, in one loop; a member it refuses raises when a
         verdict reaches it.  On node schemes, nothing."""
         if self.spec.scheme != "adaptive_1d":
             return
         todo = {}
         for i in range(len(self.fields)):
             try:
-                todo.update(self._missing(i, keys))
+                todo.update(self._missing([(i, r, q) for r, q in keys]))
             except InvalidParameter:
                 pass
         self._integrate(todo)
@@ -222,7 +212,7 @@ class DilationNorms:
     def __call__(self, i: int, r: float, q: float) -> tuple[float, float]:
         key = (i, float(r), float(q))
         if key not in self._memo:
-            self.fill(i, [(r, q)])
+            self.fill([key])
         hit = self._memo[key]
         if isinstance(hit, QuadratureFailure):
             raise hit

@@ -22,19 +22,20 @@ monte_carlo       importance sampling with the measure itself as sampler;
                   streams are keyed by the spec seed (counter-based), so
                   parallel and serial runs agree bit for bit.
 
-Every integral is one call to ``weighted_moments`` with one column map:
-points to the columns [ln g | factors], evaluated once per node set (or per
-adaptive round).  For the weight g = e^{ln g} it forms ln int g dmu and the
-means of the factors under g dmu / int g dmu in log space, so large powers
-never overflow, and returns a function ``fn`` of them with an error
-estimate from one rule: |fn(spec) - fn(spec.halved())| (half the nodes per
-axis, which on gauss_hermite halves the radii and the angles together, or
-the first half of the samples) on node schemes, and on ``adaptive_1d`` the
-first-order change of fn when each column's integral moves by its own error
-estimate.  ``integrate`` is the weight ln g = 0 with the integrand as its
-factors, ``lp_norm_with_error`` the weight f^p alone.  The one exception
-is ``adaptive_lp_norms``, which carries several L^p norms through one
-adaptive loop, each bit for bit ``lp_norm_with_error``.
+Every integral runs through one primitive, ``_moments``, with one column
+map: points and the integral's index to the columns [ln g | factors],
+evaluated once per node set (or per adaptive round).  For the weight g =
+e^{ln g} it forms ln int g dmu and the means of the factors under g dmu /
+int g dmu in log space, so large powers never overflow, and returns a
+function ``fn`` of them with an error estimate from one rule: |fn(spec) -
+fn(spec.halved())| (half the nodes per axis, which on gauss_hermite halves
+the radii and the angles together, or the first half of the samples) on
+node schemes, and on ``adaptive_1d`` the first-order change of fn when each
+column's integral moves by its own error estimate.  One call carries K >= 1
+integrals, each failing alone: one node set and its halved companion, or
+one adaptive loop, serve them all.  ``weighted_moments`` is its one-integral
+call, ``integrate`` the weight ln g = 0 with the integrand as its factors,
+``lp_norms`` the weights f_k^{p_k} alone and ``lp_norm_with_error`` one.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -79,10 +81,13 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise InvalidParameter(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if self.nodes_per_axis is not None and self.nodes_per_axis < 3:
-            raise InvalidParameter("nodes_per_axis must be at least 3")
-        if self.mc_samples < 2:
-            raise InvalidParameter("mc_samples must be at least 2")
+        for name, least in (("nodes_per_axis", 3), ("mc_samples", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if value is None and name == "nodes_per_axis":
+                continue
+            # numpy's integers are Integral too, a bool is not a count
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise InvalidParameter(f"{name} must be an integer >= {least}, got {value!r}")
 
     def resolved(self, dim: int) -> "QuadratureSpec":
         """This spec with a grid scheme's default node count on R^dim filled in."""
@@ -297,24 +302,46 @@ def weighted_moments(columns, mu, spec: QuadratureSpec, fn):
     weight integrating to 0, a norm beyond the double range) carries the
     node of largest weight as its witness.
     """
-    return _weighted_moments(columns, mu, spec, fn)[:2]
+    return _raised(_moments(lambda pts, k: columns(pts), mu, spec, fn, 1)[0])[:2]
 
 
-def _weighted_moments(columns, mu, spec: QuadratureSpec, fn):
-    """``weighted_moments`` and the node of largest weight."""
+def _moments(columns, mu, spec: QuadratureSpec, fn, count: int) -> list:
+    """For each of ``count`` integrals k, what ``weighted_moments`` gives for
+    the column map ``columns(pts, k)`` and the node of largest weight, or the
+    QuadratureFailure it raises.  ``k`` is a plain int on node schemes, where
+    a whole node set is integral k's, and on ``adaptive_1d`` the integer
+    array of each point's integral."""
     if spec.scheme == "adaptive_1d":
-        return _adaptive_moments(fn, *adaptive_weighted(mu, spec, columns))
-    spec = spec.resolved(mu.dim)
-    *values, peak = _node_moments(columns, mu, spec)
-    return _with_error(lambda v: fn(v[0], v[1]), values,
-                       [_node_moments(columns, mu, spec.halved())], peak)
+        found = _adaptive_batch(mu, columns, count)
+
+        def one(k):  # each column's integral moved by its own error estimate
+            shift, values, errors, peak = _raised(found[k])
+            return _with_error(lambda v: fn(shift + math.log(v[0]), v[1:] / v[0]), values,
+                               values + np.diag(errors), peak)
+    else:
+        spec = spec.resolved(mu.dim)
+        full, half = measure_nodes(mu, spec), measure_nodes(mu, spec.halved())
+
+        def one(k):
+            at = lambda pts: columns(pts, k)
+            *values, peak = _node_moments(at, *full)
+            return _with_error(lambda v: fn(v[0], v[1]), values, [_node_moments(at, *half)], peak)
+    return [_caught(one, k) for k in range(count)]
 
 
-def _adaptive_moments(fn, shift, values, errors, peak):
-    """``_weighted_moments`` of one adaptive result: each column's integral
-    moved by its own error estimate."""
-    return _with_error(lambda v: fn(shift + math.log(v[0]), v[1:] / v[0]), values,
-                       values + np.diag(errors), peak)
+def _caught(fn, *args):
+    """fn(*args), or the QuadratureFailure it raises."""
+    try:
+        return fn(*args)
+    except QuadratureFailure as exc:
+        return exc
+
+
+def _raised(out):
+    """``out``, unless it is a QuadratureFailure, which is raised."""
+    if isinstance(out, QuadratureFailure):
+        raise out
+    return out
 
 
 def _with_error(at, values, moved, peak):
@@ -334,9 +361,8 @@ def _columns_at(columns, pts: Array) -> Array:
         return np.asarray(columns(pts), dtype=float).reshape(pts.shape[0], -1)
 
 
-def _node_moments(columns, mu, spec: QuadratureSpec):
-    """(ln int g dmu, the factors' means, the node of largest weight)."""
-    pts, logw = measure_nodes(mu, spec)
+def _node_moments(columns, pts: Array, logw: Array):
+    """(ln int g dmu, the factors' means, the node of largest weight) on pts."""
     cols = _columns_at(columns, pts)
     _fail_at_first(np.isnan(cols[:, 0]) | (cols[:, 0] == math.inf), pts)
     s = logw + cols[:, 0]
@@ -417,21 +443,13 @@ def _first_of(mask: Array, owner: Array, count: int) -> Array:
 
 
 def adaptive_weighted(mu, spec: QuadratureSpec, columns):
-    """(shift, values, errors, peak): e^shift values[j] is the integral
-    against mu of g = exp(ln g) times column j of ``columns`` (column 0: g
-    alone), e^shift errors[j] its error, and peak the node of largest
-    weight.  ``spec`` sets nothing; the benchmark tracer reads it.
-
-    This is the K = 1 call of the K-integral loop ``_adaptive_batch``.  Its
-    rule and its sums are row-invariant (each interval's 21 products summed
-    along its own row, each integral's terms added in its own order), so the
-    same integral carried in a batch with others returns the same bits
-    wherever the column map and the log-density are pointwise.
+    """(shift, values, errors, peak) of ``_adaptive_batch`` for the one
+    integral ``columns``: e^shift values[j] is the integral against mu of g =
+    exp(ln g) times column j (column 0: g alone), e^shift errors[j] its
+    error, and peak the node of largest weight.  ``spec`` sets nothing; the
+    benchmark tracer reads it.
     """
-    out, = _adaptive_batch(mu, lambda pts, k: columns(pts), 1)
-    if isinstance(out, QuadratureFailure):
-        raise out
-    return out
+    return _raised(_adaptive_batch(mu, lambda pts, k: columns(pts), 1)[0])
 
 
 def _adaptive_batch(mu, columns, count: int) -> list:
@@ -614,34 +632,21 @@ def lp_norm(f, mu, p: float, spec: QuadratureSpec) -> float:
 
 
 def lp_norm_with_error(f, mu, p: float, spec: QuadratureSpec) -> tuple[float, float]:
-    if p <= 0:
-        raise InvalidParameter("lp_norm requires p > 0")
-    return _lp_norm(p, *_weighted_moments(lambda pts: p * f.log_value(pts), mu, spec, _log_mass))
+    return _raised(lp_norms(lambda pts, k: f.log_value(pts), mu, [p], spec)[0])
 
 
-def adaptive_lp_norms(log_f, mu, ps) -> list:
-    """For each k, (||f_k||_{p_k}, its error) on ``adaptive_1d``, or the
-    QuadratureFailure that ``lp_norm_with_error`` raises for this norm.
-
-    ``log_f(pts, k)`` is ln f_{k[i]}(pts[i]) at (m, 1) points, k being the
-    integer array of the integral each point belongs to.  One adaptive loop
-    (``_adaptive_batch``) integrates every f_k^{p_k}, and a failing integral
-    fails alone.
+def lp_norms(log_f, mu, ps, spec: QuadratureSpec) -> list:
+    """For each k, (||f_k||_{p_k}, its error), or the QuadratureFailure this
+    norm raises alone, all from one ``_moments`` call.  ``log_f(pts, k)`` is
+    ln f_k at (m, dim) points, ``k`` as in ``_moments``: a plain int on node
+    schemes, on ``adaptive_1d`` the integer array of each point's norm.
     """
     if min(ps) <= 0:
         raise InvalidParameter("lp_norm requires p > 0")
     p_of = np.asarray(ps, dtype=float)
-    found = _adaptive_batch(mu, lambda pts, k: p_of[k] * log_f(pts, k), len(ps))
-
-    def norm(p, res):
-        if isinstance(res, QuadratureFailure):
-            return res
-        try:
-            return _lp_norm(p, *_adaptive_moments(_log_mass, *res))
-        except QuadratureFailure as exc:
-            return exc
-
-    return [norm(p, res) for p, res in zip(ps, found)]
+    found = _moments(lambda pts, k: p_of[k] * log_f(pts, k), mu, spec, _log_mass, len(ps))
+    return [res if isinstance(res, QuadratureFailure) else _caught(_lp_norm, p, *res)
+            for p, res in zip(ps, found)]
 
 
 def _lp_norm(p: float, logv: float, logerr: float, peak) -> tuple[float, float]:

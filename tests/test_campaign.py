@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import re
 import threading
 from pathlib import Path
@@ -137,6 +138,18 @@ class TestConfig:
             fields={n: {"builder": "log_linear", "lam": [0.8]} for n in names},
             checks=[{"check": "slsi", "measure": "g.1-é", "fields": list(names), "c": 1.0}])
         CampaignConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [
+        {"check": "slsi", "measure": "g", "fields": ["f"], "c": "VALUE"},
+        {"check": "shc", "measure": "g", "fields": ["f"], "c": 1.0, "r_grid": [0.5, "VALUE"]},
+        {"check": "dilation_bound", "measure": "g", "fields": ["f"], "p": 1.0, "r": "VALUE"},
+    ], ids=["required", "list", "required_r"])
+    def test_non_finite_check_parameter_refused(self, entry, value):
+        # json and argparse both read NaN and +-inf; no check takes them
+        entry = json.loads(json.dumps(entry).replace('"VALUE"', json.dumps(value)))
+        with pytest.raises(ConfigError, match="finite number"):
+            CampaignConfig.from_dict(minimal_config(checks=[entry]))
 
     def test_unknown_check_kind(self):
         raw = minimal_config()
@@ -346,6 +359,25 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1 and "rotation-invariant" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"quadrature": {"scheme": "tensor_trapezoid", "nodes_per_axis": 101.5}},
+         "nodes_per_axis must be an integer"),
+        ({"quadrature": {"scheme": "monte_carlo", "mc_samples": 1000.0}},
+         "mc_samples must be an integer"),
+        ({"quadrature": {"scheme": "monte_carlo", "seed": -1}}, "seed must be an integer >= 0"),
+        ({"seed": -1}, "seed must be an integer >= 0"),
+        ({"checks": [{"check": "slsi", "measure": "g", "fields": ["f"], "c": math.nan}]},
+         "'c' must be a finite number, got nan"),
+    ], ids=["nodes_per_axis", "mc_samples", "block_seed", "top_level_seed", "nan_c"])
+    def test_malformed_config_exits_two(self, overrides, named, tmp_path, capsys):
+        # refused before any check runs: no traceback, no report
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(minimal_config(**overrides)))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not (tmp_path / "out").exists()
+
     def test_shc_csv_columns(self, tmp_path):
         L.run("gaussian-sharp", output_dir=tmp_path)
         csv_files = sorted(tmp_path.glob("*.csv"))
@@ -491,6 +523,19 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_check_non_finite_constant_exits_two(self, value, capsys):
+        # refused before the check runs, so no report carries a NaN or Infinity token
+        assert main(["check", "--check", "slsi", f"--c={value}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "'c' must be a finite number" in err
+
+    def test_check_negative_seed_exits_two(self, capsys):
+        assert main(["check", "--check", "slsi", "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "seed must be an integer >= 0, got -1" in err
 
     def test_check_offers_only_handled_kinds(self, capsys):
         # best_constant is a campaign check kind but has its own subcommand

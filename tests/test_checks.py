@@ -317,6 +317,26 @@ class TestDilatedConvolutionBound:
         assert rep.passed
         assert rep.quantities["mollifier_norm"] == pytest.approx(phi.sup_value, rel=1e-12)
 
+    @pytest.mark.parametrize("bound", ["dilation", "convolution"])
+    def test_one_loop_of_the_two_norms_read(self, bound, monkeypatch):
+        # ||(f * phi)_r||_p or ||f_r||_p, and ||f||_p: one adaptive loop of 2
+        # integrals (the convolution bound's used to hold 4)
+        counts = []
+        orig = quadrature._adaptive_batch
+
+        def counting(mu, columns, count):
+            counts.append(count)
+            return orig(mu, columns, count)
+
+        mu, f = L.mix(L.gaussian(0.8), L.gaussian(1.25), 0.7), L.log_linear([0.8])
+        monkeypatch.setattr(quadrature, "_adaptive_batch", counting)
+        if bound == "dilation":
+            rep = L.check_dilation_bound(f, mu, 1.0, 0.8)
+        else:
+            rep = L.check_dilated_convolution_bound(f, mu, 1.0, L.mollifier(1, 4), 0.8)
+        assert rep.passed and not rep.inconclusive
+        assert counts == [2]
+
     def test_p_below_one_rejected(self, gauss1, gh_spec):
         with pytest.raises(InvalidParameter):
             L.check_dilated_convolution_bound(

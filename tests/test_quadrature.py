@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,6 +143,27 @@ class TestSpecValidation:
             QuadratureSpec(scheme="monte_carlo", mc_samples=1)
         with pytest.raises(InvalidParameter):
             QuadratureSpec(scheme="tensor_trapezoid", nodes_per_axis=2)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(scheme="tensor_trapezoid", nodes_per_axis=101.5), "nodes_per_axis must be an"),
+        (dict(scheme="gauss_hermite", nodes_per_axis=True), "nodes_per_axis must be an integer"),
+        (dict(scheme="monte_carlo", mc_samples=1000.0), "mc_samples must be an integer"),
+        (dict(scheme="monte_carlo", mc_samples=np.True_), "mc_samples must be an integer"),
+        (dict(scheme="monte_carlo", seed=1.0), "seed must be an integer"),
+        (dict(scheme="monte_carlo", seed=False), "seed must be an integer"),
+        (dict(scheme="monte_carlo", seed=-1), "seed must be an integer >= 0"),
+        (dict(scheme="adaptive_1d", seed=np.int64(-3)), "seed must be an integer >= 0"),
+    ])
+    def test_non_integer_counts_and_negative_seeds_refused(self, kwargs, match):
+        # numpy would raise a TypeError or ValueError only when the nodes are built
+        with pytest.raises(InvalidParameter, match=match):
+            QuadratureSpec(**kwargs)
+
+    def test_numpy_integers_accepted(self, gauss1):
+        spec = QuadratureSpec(scheme="monte_carlo", nodes_per_axis=np.int32(5),
+                              mc_samples=np.int64(4000), seed=np.uint8(7))
+        plain = QuadratureSpec(scheme="monte_carlo", nodes_per_axis=5, mc_samples=4000, seed=7)
+        assert L.integrate(ones, gauss1, spec) == L.integrate(ones, gauss1, plain)
 
     @pytest.mark.parametrize("scheme, n", [("gauss_hermite", 101), ("tensor_trapezoid", 2049)])
     def test_default_node_count_resolved_before_halving(self, gauss1, scheme, n):
@@ -411,7 +433,7 @@ class TestAdaptiveBatch:
                 keys = [(r, L.q_of_r(r, c)) for r in L.functionals.DEFAULT_R_GRID]
                 keys += [(r, 1.0) for r in L.functionals.DEFAULT_R_GRID]
                 norms = L.functionals.DilationNorms([f], mu, spec)
-                norms.fill(0, keys)
+                norms.fill([(0, r, q) for r, q in keys])
                 for r, q in keys:
                     _same_outcome(norms._memo[(0, r, q)], _alone(f, mu, r, q, spec))
 
@@ -423,7 +445,7 @@ class TestAdaptiveBatch:
         spec = L.default_spec(mu)
         keys = [(r, L.q_of_r(r, 0.7)) for r in L.functionals.DEFAULT_R_GRID]
         norms = L.functionals.DilationNorms([f], mu, spec)
-        assert all(norms.fill(0, keys))
+        assert all(norms.fill([(0, r, q) for r, q in keys]))
         for r, q in keys:
             norm, err = _alone(f, mu, r, q, spec)
             assert norms(0, r, q)[0] == pytest.approx(norm, rel=1e-15, abs=0)
@@ -477,7 +499,7 @@ class TestAdaptiveBatch:
         f = L.log_linear([0.8])
         keys = [(0.5, 3.0), (0.8, 1.5), (1.0, 1.0)]
         norms = L.functionals.DilationNorms([f], gauss1, gh_spec)
-        assert norms.fill(0, keys) == [True] * 3
+        assert norms.fill([(0, r, q) for r, q in keys]) == [True] * 3
         for r, q in keys:
             _same_outcome(norms._memo[(0, r, q)], _alone(f, gauss1, r, q, gh_spec))
 
@@ -505,6 +527,82 @@ class TestAdaptiveBatch:
             assert row["reason"] == str(alone)
             assert row["reason"].startswith(f"L^{row['q_of_r']:g} norm overflows (log value ")
         assert rows[6]["alpha"] == _alone(f, mu, 1.0, 1.0, spec)[0]
+
+
+@pytest.fixture
+def built_node_sets(monkeypatch):
+    """The spec of every node set that measure_nodes builds, in order."""
+    built = []
+    orig = quadrature.measure_nodes
+
+    def counting(mu, spec):
+        built.append(spec)
+        return orig(mu, spec)
+
+    monkeypatch.setattr(quadrature, "measure_nodes", counting)
+    return built
+
+
+_NODE_SPECS = {
+    "gauss_hermite_1d": (lambda: L.gaussian(1.0, 1), QuadratureSpec(scheme="gauss_hermite")),
+    "gauss_hermite_2d": (lambda: L.gaussian(0.9, 2), QuadratureSpec(scheme="gauss_hermite")),
+    "tensor_trapezoid_2d": (lambda: L.gen_exponential(1.0, 4.0, 2),
+                            QuadratureSpec(scheme="tensor_trapezoid", nodes_per_axis=129)),
+    "monte_carlo_2d": (lambda: L.gaussian(1.0, 2),
+                       QuadratureSpec(scheme="monte_carlo", mc_samples=20_000, seed=5)),
+}
+
+
+class TestLpNorms:
+    # ln f of each norm: a NaN beyond x_1 = 1 fails at its first bad node, a
+    # norm e^{800} overflows once formed (witness: the node of largest weight),
+    # and a weight that is 0 everywhere integrates to 0
+    LOGS = [lambda pts: 0.8 * pts[:, 0],
+            lambda pts: np.where(pts[:, 0] > 1.0, np.nan, 0.3 * pts[:, 0]),
+            lambda pts: np.full(len(pts), 800.0) - pts[:, 0] ** 2,
+            lambda pts: np.full(len(pts), -np.inf),
+            lambda pts: np.log1p(np.sum(pts * pts, axis=1))]
+    PS = [1.0, 2.0, 1.5, 1.0, 3.0]
+
+    @pytest.mark.parametrize("name", sorted(_NODE_SPECS))
+    def test_node_scheme_norms_equal_norms_alone(self, name):
+        mk, spec = _NODE_SPECS[name]
+        mu = mk()
+        batch = quadrature.lp_norms(lambda pts, k: self.LOGS[k](pts), mu, self.PS, spec)
+        assert [isinstance(b, QuadratureFailure) for b in batch] == [False, True, True, True, False]
+        for got, log, p in zip(batch, self.LOGS, self.PS):
+            try:
+                want = quadrature.lp_norm_with_error(SimpleNamespace(log_value=log), mu, p, spec)
+            except QuadratureFailure as exc:
+                want = exc
+            _same_outcome(got, want)
+        assert batch[1].witness[0] > 1.0
+        assert str(batch[2]).startswith("L^1.5 norm overflows")
+
+    @pytest.mark.parametrize("name", sorted(_NODE_SPECS))
+    def test_one_node_set_pair_per_call(self, name, built_node_sets):
+        # the column map gets the norm's index as a plain int
+        mk, spec = _NODE_SPECS[name]
+        seen = []
+
+        def log_f(pts, k):
+            seen.append(k)
+            return self.LOGS[k](pts)
+
+        quadrature.lp_norms(log_f, mk(), self.PS, spec)
+        assert len(built_node_sets) == 2
+        assert all(type(k) is int for k in seen) and set(seen) == set(range(len(self.PS)))
+
+    def test_shc_check_builds_four_node_sets(self, built_node_sets):
+        # two fills, ||f||_1 with every alpha(r) and then every ||f_r||_1, each
+        # on one node set and its halved companion (26 sets, 2 per norm, before)
+        rep = L.check_shc(L.log_linear([0.8, 0.0]), L.gen_exponential(1.0, 4.0, 2), 1.0)
+        assert rep.spec["scheme"] == "tensor_trapezoid" and not rep.inconclusive
+        assert len(built_node_sets) == 4
+
+    def test_non_positive_exponent_refused(self, gauss1, gh_spec):
+        with pytest.raises(InvalidParameter, match="p > 0"):
+            quadrature.lp_norms(lambda pts, k: pts[:, 0], gauss1, [1.0, 0.0], gh_spec)
 
 
 def three_columns(pts):
