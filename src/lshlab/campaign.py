@@ -36,6 +36,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 from functools import partial
+from numbers import Integral
 from pathlib import Path
 from typing import Callable
 
@@ -158,14 +159,16 @@ class CampaignConfig:
             if key in raw and not isinstance(raw[key], kind):
                 what = "an object" if kind is dict else "a list"
                 raise ConfigError(f"{key!r} must be {what}, got {raw[key]!r}")
-        with config_errors("seed"):
-            seed = int(raw.get("seed", 0))
+        seed = raw.get("seed", 0)
+        # JSON's true is an int to Python; neither it, 1.5 nor "7" is a seed
+        if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
         # null, like "", means the default output directory
         output_dir = raw.get("output_dir") or ""
         if not isinstance(output_dir, str):
             raise ConfigError(f"'output_dir' must be a string, got {output_dir!r}")
         cfg = cls(
-            seed=seed,
+            seed=int(seed),
             output_dir=output_dir,
             quadrature=dict(raw.get("quadrature", {"scheme": "auto"})),
             measures=dict(raw.get("measures", {})),

@@ -223,20 +223,13 @@ def _row_tol(e: float, e_base: float, base: float) -> float:
     return INEQ_ABS + NOISE_FACTOR * (e + e_base) / max(base, 1e-300)
 
 
-def _shc_reach(c: float, r_grid: Sequence[float]) -> tuple[list, list]:
-    """(q(r) of every r of the grid, the (r, q(r)) with q(r) <= Q_GUARD).
-
-    An r outside (0, 1] raises here, before any norm, so it raises whether
-    or not a verdict stops early.
-    """
-    q_list = [q_of_r(r, c) for r in r_grid]
-    return q_list, [(r, q) for r, q in zip(r_grid, q_list) if q <= Q_GUARD]
-
-
 def _shc_keys(cs: Iterable[float], r_grid: Sequence[float]) -> list:
     """The (r, q) of every norm an sHC verdict at each c of ``cs`` can read:
-    ||f||_1, alpha(r) at every q(r) <= Q_GUARD and the ||f_r||_1 beside them."""
-    reach = [key for c in cs for key in _shc_reach(c, r_grid)[1]]
+    ||f||_1, alpha(r) at every q(r) <= Q_GUARD and the ||f_r||_1 beside them.
+    An r outside (0, 1] raises here, before any norm, whether or not a
+    verdict stops early."""
+    every = [(r, q_of_r(r, c)) for c in cs for r in r_grid]
+    reach = [(r, q) for r, q in every if q <= Q_GUARD]
     return [(1.0, 1.0)] + reach + [(r, 1.0) for r, _ in reach]
 
 
@@ -248,20 +241,17 @@ def shc_rows(norms: DilationNorms, i: int, c: float,
     The slack is how far the row's alpha falls below the previous live row's
     beyond that row's tolerance (0.0 for a skipped row and for the first live
     one).  A row whose norms fail to integrate, or whose q(r) exceeds
-    Q_GUARD, is skipped unintegrated.  Raises InvalidParameter for an
-    uncertified field, before the r-grid is read, and QuadratureFailure when
-    ||f||_1 cannot be computed.  The norms come in two fills: ||f||_1 with
-    alpha(r) at every q(r) <= Q_GUARD, then ||f_r||_1 wherever alpha(r) is
-    live.
+    Q_GUARD, is skipped.  Raises InvalidParameter for an uncertified field,
+    before the r-grid is read, and QuadratureFailure when ||f||_1 cannot be
+    computed.  The norms come in one fill: ||f||_1, and alpha(r) and
+    ||f_r||_1 at every q(r) <= Q_GUARD.
     """
     _require_certified(norms.fields[i])
-    q_list, reach = _shc_reach(c, r_grid)
-    live = norms.fill([(i, 1.0, 1.0)] + [(i, r, q) for r, q in reach])[1:]
+    norms.fill([(i, r, q) for r, q in _shc_keys((c,), r_grid)])
     base, e_base = norms(i, 1.0, 1.0)
-    norms.fill([(i, r, 1.0) for (r, _), ok in zip(reach, live) if ok])
     pairs, prev = [], None
-    for r, q in zip(r_grid, q_list):
-        row = {"r": float(r), "q_of_r": q}
+    for r in r_grid:
+        row = {"r": float(r), "q_of_r": q_of_r(r, c)}
         try:
             a, e_a = norms.alpha(i, r, c)
             n1, _ = norms(i, r, 1.0)
@@ -714,11 +704,11 @@ def best_constant(
     reaches it: the deficit is affine in c, so later steps only re-run
     :func:`slsi_verdict` on the cached (Ent, EE) terms.  In sHC mode the
     battery shares one :class:`DilationNorms` table for the whole search, so
-    no norm is integrated twice; each step hands the table every norm its
-    verdicts can read (:meth:`DilationNorms.ahead`), and the table decides
-    whether they share one loop.  The verdict is the one :func:`check_shc`
-    reports, member by member, so which member fails, and which failure is
-    raised, are those of a step that reaches the members one by one.
+    no norm is integrated twice; each step first fills every norm its
+    verdicts can read, for every certified member, in one call.  The
+    verdict is the one :func:`check_shc` reports, member by member, so which
+    member fails, and which failure is raised, are those of a step that
+    reaches the members one by one.
     """
     if mode not in ("slsi", "shc"):
         raise InvalidParameter("mode must be 'slsi' or 'shc'")
@@ -747,7 +737,9 @@ def best_constant(
     def passes(c: float, *later: float) -> bool:
         # the norms of the verdicts at c and at every c of later, ahead of them
         if mode == "shc":
-            norms.ahead(_shc_keys((c,) + later, r_grid))
+            keys = _shc_keys((c,) + later, r_grid)
+            norms.fill([(i, r, q) for i, f in enumerate(battery) if f.certified
+                        for r, q in keys])
         for i, f in enumerate(battery):
             try:
                 if not verdict(i, c):

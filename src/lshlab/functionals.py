@@ -22,8 +22,8 @@ e^709.78, or an infinite Ent(g), int E g dmu or alpha'(r).  Functions come in
 plain and ``*_with_error`` forms, the latter with quadrature error estimates.
 
 The norms ||f_r||_q of a battery on one measure, alpha(r) among them, are
-read from one table, :class:`DilationNorms`, which integrates each norm once,
-the missing norms of each fill in one ``lp_norms`` call.
+read from one table, :class:`DilationNorms`: each norm integrated once, each
+fill in one ``lp_norms`` call, each ln f_r evaluated once per node set.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ Q_GUARD = 1e4
 INEQ_ABS = 1e-6
 NOISE_FACTOR = 3.0
 DEFAULT_R_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0)
+#: bytes of ln f_r values one DilationNorms table keeps on its node sets: the
+#: 3-D Gauss-Hermite default sHC search keeps about 15 MB
+LOG_MEMO_BYTES = 64 * 2**20
 
 
 def q_of_r(r: float, c: float) -> float:
@@ -147,17 +150,17 @@ class DilationNorms:
     alpha(1) at every c, since q(1) = 1.
 
     ``fill(keys)`` integrates the missing (member, r, q) keys in one
-    ``lp_norms`` call.  ``ahead(keys)`` does so for the (r, q) keys of every
-    member that ``dilate`` accepts on ``adaptive_1d``, where they share a loop,
-    and does nothing on node schemes: there it would only add norms that no
-    verdict reads, and the sHC search measured slower.  A norm filled with
-    others is bit for bit the norm alone wherever the field's log map is
-    pointwise (a convolved field agrees to about 1e-15 on ``adaptive_1d``).
+    ``lp_norms`` call.  On a node set, which its node count names (the
+    measure and spec are fixed), ln f_r is kept per (member, r) while the
+    kept values fit ``LOG_MEMO_BYTES``, and evaluated again past it, with the
+    same bits.  A norm filled with others is bit for bit the norm alone
+    wherever the field's log map is pointwise (a convolved field agrees to
+    about 1e-15 on ``adaptive_1d``).
     """
 
     def __init__(self, fields, mu, spec: QuadratureSpec):
         self.fields, self.mu, self.spec = list(fields), mu, spec
-        self._memo = {}
+        self._memo, self._logs = {}, {}
 
     def _missing(self, keys) -> dict:
         """The keys not yet memoised, each with f_r; ``dilate`` refuses an r
@@ -169,16 +172,26 @@ class DilationNorms:
                 todo[key] = dilate(self.fields[i], r)
         return todo
 
+    def _log_on_nodes(self, i: int, r: float, f_r: ScalarField, pts) -> np.ndarray:
+        """ln f_r of member i on one of the table's two node sets, kept while
+        the kept values fit ``LOG_MEMO_BYTES``."""
+        out = self._logs.get((i, r, len(pts)))
+        if out is None:
+            out = f_r.log_value(pts)
+            if sum(v.nbytes for v in self._logs.values()) + out.nbytes <= LOG_MEMO_BYTES:
+                self._logs[(i, r, len(pts))] = out
+        return out
+
     def _integrate(self, todo: dict):
         """Integrate the norms of ``todo`` (from ``_missing``) in one ``lp_norms`` call."""
         if not todo:
             return
-        owner, r_of = np.array([i for i, _, _ in todo]), np.array([r for _, r, _ in todo])
-        dilated = list(todo.values())
+        keys, dilated = list(todo), list(todo.values())
+        owner, r_of = np.array([i for i, _, _ in keys]), np.array([r for _, r, _ in keys])
 
         def log_f(pts, k):  # ln f(r x), f and r those of each node's own norm
-            if isinstance(k, int):  # every node is norm k's
-                return dilated[k].log_value(pts)
+            if isinstance(k, int):  # every node is norm k's: a node set
+                return self._log_on_nodes(*keys[k][:2], dilated[k], pts)
             x, at = r_of[k][:, None] * pts, owner[k]
             out = np.empty(len(at))
             # not np.unique, which imports numpy.ma (about 1.7 MB)
@@ -194,20 +207,6 @@ class DilationNorms:
         self._integrate(self._missing(keys))
         return [not isinstance(self._memo[(i, float(r), float(q))], QuadratureFailure)
                 for i, r, q in keys]
-
-    def ahead(self, keys):
-        """On ``adaptive_1d``, integrate the (r, q) ``keys`` of every member
-        that ``dilate`` accepts, in one loop; a member it refuses raises when a
-        verdict reaches it.  On node schemes, nothing."""
-        if self.spec.scheme != "adaptive_1d":
-            return
-        todo = {}
-        for i in range(len(self.fields)):
-            try:
-                todo.update(self._missing([(i, r, q) for r, q in keys]))
-            except InvalidParameter:
-                pass
-        self._integrate(todo)
 
     def __call__(self, i: int, r: float, q: float) -> tuple[float, float]:
         key = (i, float(r), float(q))

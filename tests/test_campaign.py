@@ -7,6 +7,7 @@ import re
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lshlab as L
@@ -105,6 +106,18 @@ class TestConfig:
         config = preset("gaussian-sharp")
         again = CampaignConfig.from_dict(json.loads(dump_config(config)))
         assert again == config
+
+    @pytest.mark.parametrize("seed", [1.5, True, "7", -1, None, 1.0])
+    def test_non_integer_seed_refused(self, seed):
+        # int() would run 1.5 and true as seed 1 and "7" as seed 7
+        with pytest.raises(ConfigError, match=re.escape(
+                f"seed must be an integer >= 0, got {seed!r}")):
+            CampaignConfig.from_dict(minimal_config(seed=seed))
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(3)])
+    def test_integer_seed_accepted(self, seed):
+        config = CampaignConfig.from_dict(minimal_config(seed=seed))
+        assert config.seed == seed and type(config.seed) is int
 
     def test_undeclared_field_reference_named(self):
         raw = minimal_config()
@@ -365,10 +378,14 @@ class TestRun:
         ({"quadrature": {"scheme": "monte_carlo", "mc_samples": 1000.0}},
          "mc_samples must be an integer"),
         ({"quadrature": {"scheme": "monte_carlo", "seed": -1}}, "seed must be an integer >= 0"),
-        ({"seed": -1}, "seed must be an integer >= 0"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
+        ({"seed": "7"}, "seed must be an integer >= 0, got '7'"),
         ({"checks": [{"check": "slsi", "measure": "g", "fields": ["f"], "c": math.nan}]},
          "'c' must be a finite number, got nan"),
-    ], ids=["nodes_per_axis", "mc_samples", "block_seed", "top_level_seed", "nan_c"])
+    ], ids=["nodes_per_axis", "mc_samples", "block_seed", "top_level_seed", "float_seed",
+            "bool_seed", "string_seed", "nan_c"])
     def test_malformed_config_exits_two(self, overrides, named, tmp_path, capsys):
         # refused before any check runs: no traceback, no report
         cfg = tmp_path / "campaign.json"

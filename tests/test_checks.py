@@ -891,8 +891,8 @@ def _reference_shc(f, mu, c, spec):
 def norm_calls(monkeypatch):
     """(field label, p) of every norm integrated, in call order: each
     lp_norm_with_error call outside DilationNorms, and each (label of
-    dilate(f, r), q) that a DilationNorms.fill or .ahead call integrates and
-    memoises for any member of its table."""
+    dilate(f, r), q) that a DilationNorms.fill call integrates and memoises
+    for any member of its table."""
     calls = []
     orig = quadrature.lp_norm_with_error
 
@@ -900,21 +900,19 @@ def norm_calls(monkeypatch):
         calls.append((f.label, p))
         return orig(f, mu, p, spec)
 
-    def counting_method(method):
-        def wrapped(norms, *args):
-            before = len(norms._memo)
-            try:
-                return method(norms, *args)
-            finally:
-                calls.extend((L.dilate(norms.fields[i], r).label, q)
-                             for i, r, q in list(norms._memo)[before:])
-        return wrapped
+    fill = functionals.DilationNorms.fill
+
+    def counting_fill(norms, *args):
+        before = len(norms._memo)
+        try:
+            return fill(norms, *args)
+        finally:
+            calls.extend((L.dilate(norms.fields[i], r).label, q)
+                         for i, r, q in list(norms._memo)[before:])
 
     for mod in (quadrature, checks):
         monkeypatch.setattr(mod, "lp_norm_with_error", counting, raising=False)
-    for name in ("fill", "ahead"):
-        monkeypatch.setattr(functionals.DilationNorms, name,
-                            counting_method(getattr(functionals.DilationNorms, name)))
+    monkeypatch.setattr(functionals.DilationNorms, "fill", counting_fill)
     return calls
 
 
@@ -959,8 +957,11 @@ class TestBestConstantShcNorms:
         del norm_calls[:]
         rep = L.check_shc(f, mu, c, spec=spec)
         assert (rep.quantities, rep.passed) == expected
-        # the r = 1 row is alpha(1) = ||f_1||_1 = ||f||_1, already integrated
-        assert len(norm_calls) == reference_calls - 2
+        # the r = 1 row is alpha(1) = ||f_1||_1 = ||f||_1, already integrated;
+        # ||f_r||_1 is integrated also where alpha(r) failed, in the one fill
+        failed = sum(row["skipped"] and row["q_of_r"] <= checks.Q_GUARD
+                     for row in rep.quantities["rows"])
+        assert len(norm_calls) == reference_calls - 2 + failed
 
     def test_failure_memoised_and_raised_again(self, norm_calls):
         mu = L.gen_exponential(0.5, 2, 1)
@@ -983,43 +984,44 @@ class TestBestConstantShcNorms:
         assert L.best_constant([L.log_linear([0.8]), raw], L.gen_exponential(0.5, 2, 1),
                                "shc", c_range=(0.1, 0.5)) == 0.5
 
-    @pytest.mark.parametrize("mu, ahead", [
-        (L.gaussian(1.0, 1), False), (L.gen_exponential(0.5, 2, 1), True),
-    ], ids=["gauss_hermite", "adaptive"])
-    def test_failing_step_reads_no_later_member(self, mu, ahead, norm_calls):
+    @pytest.mark.parametrize("mu", [L.gaussian(1.0, 1), L.gen_exponential(0.5, 2, 1)],
+                             ids=["gauss_hermite", "adaptive"])
+    def test_failing_step_reads_no_later_member(self, mu, norm_calls):
         # log_linear([0.8]) fails the sHC at every c below 1, so no verdict
-        # reaches cosh_field(0.8): node schemes integrate none of its norms,
-        # adaptive_1d integrates them ahead, in each step's one loop
+        # reaches cosh_field(0.8); each step's one fill integrates its norms
+        # all the same, on every scheme
         battery = [L.log_linear([0.8]), L.cosh_field(0.8)]
         assert L.best_constant(battery, mu, "shc", c_range=(0.25, 0.5)) == 0.5
-        assert any(battery[1].label in label for label, _ in norm_calls) == ahead
+        assert any(battery[1].label in label for label, _ in norm_calls)
 
     @pytest.mark.parametrize("mu", [L.gaussian(1.0, 1), L.gen_exponential(0.5, 2, 1)],
                              ids=["gauss_hermite", "adaptive"])
-    def test_ahead_is_one_loop_on_adaptive_and_nothing_on_node_schemes(self, mu, monkeypatch):
-        loops = []
-        orig = quadrature._adaptive_batch
+    def test_one_moments_call_per_bisection_step(self, mu, monkeypatch, norm_calls):
+        calls = []
+        orig = quadrature._moments
 
         def counting(*args, **kwargs):
-            loops.append(args)
+            calls.append(args)
             return orig(*args, **kwargs)
 
-        monkeypatch.setattr(quadrature, "_adaptive_batch", counting)
-        raw = L.raw_field(lambda pts: np.exp(pts[:, 0]), 1, label="raw")
-        battery = [L.log_linear([0.4]), raw, L.cosh_field(0.8),
+        monkeypatch.setattr(quadrature, "_moments", counting)
+        battery = [L.log_linear([0.4]), L.cosh_field(0.8),
                    L.convolve(L.log_linear([0.8]), L.mollifier(1, 4))]
-        spec = L.default_spec(mu)
-        norms = functionals.DilationNorms(battery, mu, spec)
-        keys = checks._shc_keys((0.7, 1.0), functionals.DEFAULT_R_GRID)
-        for _ in range(2):  # the second call finds every norm memoised
-            norms.ahead(keys)
-        if spec.scheme == "adaptive_1d":
-            assert len(loops) == 1
-            # every member but the uncertified one, which dilate refuses
-            assert {i for i, _, _ in norms._memo} == {0, 2, 3}
-            assert len(norms._memo) == 3 * len(set(keys))
-        else:
-            assert loops == [] and norms._memo == {}
+        assert L.best_constant(battery, mu, "shc") == pytest.approx(1.0, abs=1e-3)
+        # c_min fails and c_max passes, then 12 halvings: 14 steps, of which
+        # passes(c_max) finds its norms filled by passes(c_min, c_max)
+        lo, hi = checks.DEFAULT_C_RANGE
+        steps = 2 + math.ceil(math.log2((hi - lo) / checks.BISECTION_RESOLUTION))
+        assert len(calls) == steps - 1
+        # the uncertified member is left out of every fill, and raises only
+        # when the verdict at c_max reaches it
+        del calls[:], norm_calls[:]
+        raw = L.raw_field(lambda pts: np.exp(pts[:, 0]), 1, label="raw")
+        with pytest.raises(InvalidParameter, match="requires a certified field"):
+            L.best_constant([L.log_linear([0.4]), raw, L.cosh_field(0.8)], mu, "shc")
+        assert len(calls) == 1
+        assert {label for label, _ in norm_calls if "raw" in label} == set()
+        assert any("cosh" in label for label, _ in norm_calls)
 
     @pytest.mark.parametrize("mu", [L.gaussian(1.0, 1), L.gen_exponential(0.5, 2, 1)],
                              ids=["gauss_hermite", "adaptive"])
@@ -1048,6 +1050,62 @@ class TestBestConstantShcNorms:
         lo, hi = checks.DEFAULT_C_RANGE
         steps = 2 + math.ceil(math.log2((hi - lo) / checks.BISECTION_RESOLUTION))
         assert 0 < len(loops) <= steps
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Every DilationNorms table that ``checks`` builds, in order."""
+    built = []
+
+    class Recorded(functionals.DilationNorms):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(checks, "DilationNorms", Recorded)
+    return built
+
+
+class TestNodeSetLogs:
+    def test_2d_search_sweeps_the_mollified_member_once_per_r_and_node_set(self):
+        battery = L.default_battery(2)
+        sweeps = []
+        log = battery[-1]._log
+
+        def counting(pts, grad):
+            if len(pts) >= 450:  # a node set: 1,700 nodes, or 450 halved
+                sweeps.append(len(pts))
+            return log(pts, grad)
+
+        battery[-1] = dataclasses.replace(battery[-1], _log=counting)
+        assert L.best_constant(battery, L.gaussian(1.0, 2), "shc") == pytest.approx(1.0, abs=1e-3)
+        # each radius of the r-grid on both node sets; 98 when every
+        # (r, q) key swept its node set afresh
+        assert len(sweeps) == 2 * len(functionals.DEFAULT_R_GRID) == 14
+
+    def test_kept_logs_change_no_bit(self, monkeypatch, tables):
+        def run():
+            c_star = L.best_constant(L.default_battery(1), L.gaussian(1.0, 1), "shc")
+            reps = [L.check_shc(L.default_battery(2)[-1], L.gaussian(1.0, 2), 0.9),
+                    L.check_shc(L.log_linear([0.8, 0.0]), L.gen_exponential(1.0, 4.0, 2), 1.0)]
+            return c_star, [json.dumps(rep.to_dict()) for rep in reps]
+
+        kept = run()
+        assert len(tables) == 3 and all(table._logs for table in tables)
+        del tables[:]
+        monkeypatch.setattr(functionals, "LOG_MEMO_BYTES", 0)
+        assert run() == kept
+        assert len(tables) == 3 and all(table._logs == {} for table in tables)
+
+    def test_at_most_two_logs_per_member_and_r_on_gauss_hermite(self, tables):
+        L.best_constant(L.default_battery(2), L.gaussian(1.0, 2), "shc")
+        (table,) = tables
+        per_pair = {}
+        for i, r, _ in table._logs:
+            per_pair[(i, r)] = per_pair.get((i, r), 0) + 1
+        assert len(per_pair) == 8 * len(functionals.DEFAULT_R_GRID)
+        assert max(per_pair.values()) == 2
+        assert {count for _, _, count in table._logs} == {1700, 450}
 
 
 class TestShcSlsiSandwich:

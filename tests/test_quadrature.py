@@ -593,12 +593,25 @@ class TestLpNorms:
         assert len(built_node_sets) == 2
         assert all(type(k) is int for k in seen) and set(seen) == set(range(len(self.PS)))
 
-    def test_shc_check_builds_four_node_sets(self, built_node_sets):
-        # two fills, ||f||_1 with every alpha(r) and then every ||f_r||_1, each
-        # on one node set and its halved companion (26 sets, 2 per norm, before)
+    def test_shc_check_builds_two_node_sets(self, built_node_sets):
+        # one fill, ||f||_1 with every alpha(r) and ||f_r||_1, on one node set
+        # and its halved companion (26 sets, 2 per norm, before norms shared)
         rep = L.check_shc(L.log_linear([0.8, 0.0]), L.gen_exponential(1.0, 4.0, 2), 1.0)
         assert rep.spec["scheme"] == "tensor_trapezoid" and not rep.inconclusive
-        assert len(built_node_sets) == 4
+        assert len(built_node_sets) == 2
+
+    def test_shc_check_runs_one_adaptive_loop(self, monkeypatch):
+        loops = []
+        orig = quadrature._adaptive_batch
+
+        def counting(*args, **kwargs):
+            loops.append(args)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_adaptive_batch", counting)
+        rep = L.check_shc(L.log_linear([0.8]), L.gen_exponential(0.5, 2.0, 1), 1.0)
+        assert rep.spec["scheme"] == "adaptive_1d" and rep.passed
+        assert len(loops) == 1
 
     def test_non_positive_exponent_refused(self, gauss1, gh_spec):
         with pytest.raises(InvalidParameter, match="p > 0"):
