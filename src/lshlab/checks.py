@@ -717,8 +717,8 @@ def best_constant(
     if mode == "shc" and len(r_grid) == 0:
         raise InvalidParameter("r_grid must be non-empty")
     lo, hi = float(c_range[0]), float(c_range[1])
-    if not 0.0 < lo < hi:
-        raise InvalidParameter(f"c_range must satisfy 0 < c_min < c_max, got {tuple(c_range)}")
+    if not 0.0 < lo < hi < math.inf:
+        raise InvalidParameter(f"c_range must satisfy 0 < c_min < c_max < inf, got {tuple(c_range)}")
     spec = spec or default_spec(mu)
 
     if mode == "slsi":

@@ -28,7 +28,8 @@ radial sums.  The sweep is one log-sum-exp per point: it reads the inner
 log map, unfloored, at the shifted nodes x - y_i, subtracts the row's largest
 value t(x) and sums e^{ln f - t} against the weights, so ln(f * phi) = t +
 ln sum_i c_i e^{ln f(x - y_i) - t} keeps full precision where f itself
-would overflow or be subnormal.
+would overflow or be subnormal.  It runs on the thread that calls it, in row
+blocks of a fixed size.
 
 Point convention: a single point is a 1-D array of shape (dim,); a batch is a
 2-D array of shape (m, dim).  All maps are vectorized over batches.  Fields
@@ -39,9 +40,6 @@ contexts.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -472,77 +470,18 @@ def mollifier(dim: int, k: float) -> Mollifier:
     return replace(unit, amplitude=1.0 / unit.mass())
 
 
-#: point-node pairs per row block of a convolution sweep: the block's shifted
-#: points (16 bytes a pair in 2-D) stay a couple of MB, within cache reach.
-#: Fixed, not scaled by the worker count, so the block boundaries, and with
-#: them every output bit, are the same on any number of CPUs
+#: point-node pairs per row block of a convolution sweep: the block's buffers
+#: (shifted points, 16 bytes a pair in 2-D, and ln f) stay a couple of MB,
+#: within cache reach, however many points are swept.  The block boundaries
+#: reach the last bits of the output, so a new value changes results
 _CONV_BLOCK_PAIRS = 100_000
-#: point-node pairs one convolution sweep may take (1-1.5 s at the 2e8 and
-#: 1.3e8 pairs/s of a log-linear inner field in 2-D and 3-D on a 2-core
-#: machine with one BLAS thread, its row blocks on both cores).  The polar
-#: Gauss-Hermite defaults fit: 1,700 points x 512 nodes = 8.7e5 in 2-D and
-#: 28,900 x 1,600 = 4.6e7 in 3-D; so does the 2-D trapezoid default,
-#: 257^2 x 512 = 3.4e7, while the 3-D trapezoid default (65^3 x 1,600 =
-#: 4.4e8) is refused before any work
+#: point-node pairs one convolution sweep may take (about 2 s at the 1.2e8
+#: and 0.9e8 pairs/s of a log-linear inner field in 2-D and 3-D with one BLAS
+#: thread).  The polar Gauss-Hermite defaults fit: 1,700 points x 512 nodes =
+#: 8.7e5 in 2-D and 28,900 x 1,600 = 4.6e7 in 3-D; so does the 2-D trapezoid
+#: default, 257^2 x 512 = 3.4e7, while the 3-D trapezoid default (65^3 x
+#: 1,600 = 4.4e8) is refused before any work
 CONV_MAX_PAIRS = 200_000_000
-
-#: the process's sweep pool as (pid, executor), made by the first sweep with
-#: more than one block; a forked child sees another pid and makes its own,
-#: since the parent's worker threads do not exist in it
-_sweep_pool: Optional[tuple[int, ThreadPoolExecutor]] = None
-_sweep_pool_lock = threading.Lock()
-#: ``in_pool`` is set in the pool's own worker threads
-_sweep_thread = threading.local()
-
-
-def _mark_sweep_thread() -> None:
-    _sweep_thread.in_pool = True
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _pool() -> ThreadPoolExecutor:
-    """The sweep pool of this process: one worker per CPU it may run on."""
-    global _sweep_pool
-    with _sweep_pool_lock:
-        if _sweep_pool is None or _sweep_pool[0] != os.getpid():
-            _sweep_pool = (os.getpid(), ThreadPoolExecutor(
-                _cpus(), thread_name_prefix="lshlab-sweep", initializer=_mark_sweep_thread))
-        return _sweep_pool[1]
-
-
-def _run_blocks(sweep: Callable[[int], None], starts: range) -> None:
-    """Call ``sweep(lo)`` for every block start, each block on the sweep pool.
-
-    One block runs inline, and so does every block of a sweep called from a
-    pool worker: a nested convolution's inner sweep would otherwise wait on
-    blocks queued behind its own; so does a sweep on one CPU, where a worker
-    only adds a thread hop per block (+6% under ``taskset -c 0``).  NumPy's
-    floating-point error state belongs to the thread that set it, so each
-    block runs under the caller's.
-    """
-    if len(starts) <= 1 or getattr(_sweep_thread, "in_pool", False) or _cpus() == 1:
-        for lo in starts:
-            sweep(lo)
-        return
-    err = np.geterr()
-
-    def block(lo):
-        with np.errstate(**err):
-            sweep(lo)
-
-    futures = [_pool().submit(block, lo) for lo in starts]
-    # every block finishes before any exception is raised, so none still
-    # writes to the caller's arrays after it returns
-    wait(futures)
-    for fut in futures:
-        fut.result()
 
 
 def _ball_nodes(phi: Mollifier) -> tuple[Array, Array, Array]:
@@ -577,15 +516,9 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
     point-node pairs is refused before any work.
 
     The points are swept in row blocks of ``_CONV_BLOCK_PAIRS`` point-node
-    pairs, each with its own buffer of shifted points and writing only its
-    own rows of t and of the sums.  A sweep of more than one block runs its
-    blocks on a process-wide thread pool, one worker per CPU the process may
-    run on (NumPy's subtract, exp, max and matmul release the GIL); one block,
-    a sweep called from a pool worker (the inner field of a nested
-    convolution), or a sweep on one CPU runs inline.  The block size does not
-    depend on the worker count, so the output is bit-identical on any number
-    of CPUs.  A log-linear inner field sweeps about 2e8 pairs/s in 2-D and
-    1.3e8 in 3-D on two cores with one BLAS thread (1.1e8 and 0.8e8 on one).
+    pairs, one after another on the calling thread, so a sweep's memory does
+    not grow with its point count.  A log-linear inner field sweeps about
+    1.2e8 pairs/s in 2-D and 0.9e8 in 3-D with one BLAS thread.
     """
     if f.dim != phi.dim:
         raise InvalidParameter("field and mollifier dimensions differ")
@@ -619,7 +552,10 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
             lf -= top[lo : lo + rows, None]
             sums[lo : lo + rows] = np.exp(lf, out=lf) @ weights
 
-        _run_blocks(sweep, range(0, pts.shape[0], block))
+        # a block's buffers are freed when its call returns, so the next
+        # block reuses their memory while it is still in cache
+        for lo in range(0, pts.shape[0], block):
+            sweep(lo)
         return top + np.log(sums[:, 0]), (sums[:, 1:] / sums[:, :1] if grad else None)
 
     return _certified(f"convolve({f.label}, k={phi.scale_index:g})", f.dim, log)

@@ -693,10 +693,10 @@ def regularity_constant(
     :class:`TypeConditionViolation` (with the witness point) when the ratio
     exceeds the overflow guard or is still increasing at the grid boundary.
     """
-    if a < 1.0:
-        raise InvalidParameter("regularity constants are defined for a >= 1")
-    if s < 0 or p < 0:
-        raise InvalidParameter("require s >= 0 and p >= 0")
+    for name, value, low in (("p", p, 0.0), ("a", a, 1.0), ("s", s, 0.0)):
+        if not low <= value < math.inf:
+            raise InvalidParameter(
+                f"regularity constants need a finite {name} >= {low:g}, got {name} = {value}")
     if not mu.strictly_positive:
         raise InvalidParameter(
             f"{mu.label!r} vanishes on part of space; regularity estimation "

@@ -62,9 +62,10 @@ _GH_DEFAULT = 101
 _MC_DEFAULT = 200_000
 #: ln of the largest double: a value whose log exceeds it overflows
 LOG_MAX = math.log(np.finfo(float).max)
-#: nodes one node set may hold: 48 MB of points in 3-D, each column the
-#: integrand evaluates 16 MB more.  The largest defaults fit, the 65^3 =
-#: 274,625-node trapezoid and 200,000 Monte Carlo samples
+#: nodes one node set may hold, with at most three times as many coordinates:
+#: 48 MB of points at most, each column the integrand evaluates 16 MB more.
+#: The largest defaults fit, the 65^3 = 274,625-node trapezoid and 200,000
+#: Monte Carlo samples up to dimension 30
 MAX_NODES = 2_000_000
 
 #: unused here; benchmarks/tracer.py reads and replaces it when it installs
@@ -237,17 +238,20 @@ def _trap_nodes(R: float, n: int, dim: int):
     return tensor_grid(axis, dim, np.log(w))
 
 
-def _bounded(count: int, spec: QuadratureSpec):
-    """Refuse a node set of more than ``MAX_NODES`` before it is built."""
-    if count > MAX_NODES:
+def _bounded(count: int, dim: int, spec: QuadratureSpec):
+    """Refuse a node set of more than ``MAX_NODES`` nodes, or of more than
+    3 x ``MAX_NODES`` coordinates, before it is built."""
+    if count > MAX_NODES or count * dim > 3 * MAX_NODES:
         raise InvalidParameter(
-            f"{spec.scheme} node set of {count:,} nodes exceeds MAX_NODES = {MAX_NODES:,}; "
-            "integrate on fewer nodes")
+            f"{spec.scheme} node set of {count:,} nodes exceeds MAX_NODES = {MAX_NODES:,} "
+            f"nodes of at most 3 coordinates: {count:,} x {dim} = {count * dim:,} "
+            "coordinates; integrate on fewer nodes")
 
 
 def measure_nodes(mu, spec: QuadratureSpec):
     """Nodes and log-weights such that int h dmu ~= sum exp(logw) h(pts); a
-    set of more than ``MAX_NODES`` is refused before any array is built."""
+    set over ``MAX_NODES`` nodes or 3 x ``MAX_NODES`` coordinates is refused
+    before any array is built."""
     if spec.scheme == "gauss_hermite":
         if mu.family != "gaussian":
             raise InvalidParameter(
@@ -259,18 +263,18 @@ def measure_nodes(mu, spec: QuadratureSpec):
                 "use monte_carlo")
         m = spec.resolved(mu.dim).nodes_per_axis // 2
         k = math.ceil(m / 3)  # the sphere rule's directions: 2, 2k, k x 2k
-        _bounded(m * (2, 2 * k, 2 * k * k)[mu.dim - 1], spec)
+        _bounded(m * (2, 2 * k, 2 * k * k)[mu.dim - 1], mu.dim, spec)
         pts, logw = _polar_gauss_rule(mu.dim, m)
         return mu.params[0] * pts, logw
     if spec.scheme == "tensor_trapezoid":
         if mu.dim > 3:
             raise InvalidParameter("tensor_trapezoid caps at dim 3")
         n = spec.resolved(mu.dim).nodes_per_axis
-        _bounded(n**mu.dim, spec)
+        _bounded(n**mu.dim, mu.dim, spec)
         pts, logw_leb = _trap_nodes(mu.truncation_radius, n, mu.dim)
         return pts, logw_leb + mu.log_pdf(pts)
     if spec.scheme == "monte_carlo":
-        _bounded(spec.mc_samples, spec)
+        _bounded(spec.mc_samples, mu.dim, spec)
         rng = np.random.Generator(np.random.Philox(key=spec.seed))
         pts = mu.sample(rng, spec.mc_samples)
         return pts, np.full(spec.mc_samples, -math.log(spec.mc_samples))

@@ -525,6 +525,22 @@ class TestCli:
         assert "c_range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["slsi", "shc"])
+    def test_best_c_infinite_c_max_exits_two(self, mode, capsys):
+        assert main(["best-c", "--measure", "gaussian", "--mode", mode, "--c-max", "inf"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: c_range") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--p", "nan", "--a", "2"], ["--a", "nan"], ["--a", "inf"],
+        ["--a", "1.1", "--s", "inf"], ["--a", "1.1", "--s", "nan"],
+    ], ids=["p-nan", "a-nan", "a-inf", "s-inf", "s-nan"])
+    def test_constants_non_finite_parameter_exits_two(self, flags, capsys):
+        assert main(["constants", "--measure", "gaussian", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: regularity constants need a finite ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["slsi", "shc"])
     def test_best_c_inconclusive_battery_exits_two(self, mode, capsys):
         # e^{1.2x} is not integrable against the Laplace measure e^{-|x|}: the
         # search is inconclusive, not the range maximum 4.000

@@ -702,6 +702,17 @@ class TestBestConstant:
         with pytest.raises(InvalidParameter):
             L.best_constant([L.log_linear([0.5])], gauss1, c_range=c_range)
 
+    @pytest.mark.parametrize("mode", ["slsi", "shc"])
+    @pytest.mark.parametrize("c_range", [(0.25, math.inf), (math.inf, math.inf),
+                                         (0.25, math.nan), (math.nan, 4.0)],
+                             ids=["inf-max", "inf-both", "nan-max", "nan-min"])
+    def test_non_finite_c_range_rejected(self, gauss1, mode, c_range):
+        # an infinite c_max would bisect forever in sLSI mode (the midpoint
+        # stays inf) and come back as c* in sHC mode (the constant's deficit
+        # is inf * 0 = NaN)
+        with pytest.raises(InvalidParameter, match="c_range must satisfy"):
+            L.best_constant([L.log_linear([0.5])], gauss1, mode, c_range=c_range)
+
     def test_default_battery_composition(self):
         battery = L.default_battery(1)
         assert all(f.certified for f in battery)

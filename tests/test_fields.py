@@ -394,16 +394,31 @@ class TestConvolve:
         assert rep.passed and not rep.inconclusive
 
 
-class TestSweepPool:
-    # a sweep of more than one row block runs its blocks on the sweep pool
+class TestOneThreadSweep:
+    # a sweep runs its row blocks one after another on the thread that calls it
+
+    def test_blocks_sweep_on_the_calling_thread(self, rng):
+        # 1,200 2-D points are seven blocks of 195 rows: each reads the inner
+        # log map on this thread, and no thread outlives the sweep
+        threads, inner = [], L.log_linear([0.5, -0.3])
+
+        def log(pts, grad):
+            threads.append(threading.get_ident())
+            return inner._log(pts, grad)
+
+        g = L.convolve(L.fields.ScalarField(dim=2, label="probe", _log=log), L.mollifier(2, 3))
+        xs = rng.standard_normal((1_200, 2))
+        before = threading.active_count()
+        _, dlv = g.log_value(xs, grad=True)
+        assert threads == [threading.get_ident()] * 7
+        assert threading.active_count() == before
+        np.testing.assert_allclose(dlv, np.tile([0.5, -0.3], (1_200, 1)), rtol=1e-8, atol=0)
 
     def test_nested_convolution_finishes(self):
         # each of the outer sweep's 6 blocks (1,562 rows) sweeps 100,000 inner
-        # points in 64 blocks; in a pool worker those run inline, where
-        # queued behind the outer blocks they would wait forever.  A fresh
-        # interpreter with a timeout, so that a deadlocked pool cannot stall
-        # the later sweeps of this one.  (f * phi) * phi = M^2 e^{lam x}, with
-        # M = (f * phi)(0)
+        # points in 64 blocks.  A fresh interpreter with a timeout, so that a
+        # sweep that never returns fails here instead of stalling the suite.
+        # (f * phi) * phi = M^2 e^{lam x}, with M = (f * phi)(0)
         code = """
 import numpy as np
 import lshlab as L
@@ -423,7 +438,7 @@ print(np.max(np.abs(lv - lam * xs[:, 0] - 2.0 * inner.log_value(np.zeros(1)))))
 
     def test_blocks_run_under_the_callers_error_state(self):
         # ln f = 1e306 x^2 overflows for |x| > 13.4: silenced by the caller in
-        # each of the three blocks, where a worker's own state would warn
+        # each of the three blocks, and warned about without that
         g = L.convolve(L.exp_norm_sq(1e306, 1), L.mollifier(1, 4))
         xs = np.linspace(10.0, 20.0, 4_000).reshape(-1, 1)
         with warnings.catch_warnings():
@@ -434,8 +449,9 @@ print(np.max(np.abs(lv - lam * xs[:, 0] - 2.0 * inner.log_value(np.zeros(1)))))
                 g.log_value(xs)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_makes_its_own_pool(self):
-        # the parent's pool has worker threads; a child has none of them
+    def test_forked_child_sweeps_bit_for_bit(self):
+        # a child forked after a sweep sweeps the same three blocks to the
+        # same bits as its parent
         g = L.convolve(L.cosh_field(0.8), L.mollifier(1, 4))
         xs = np.linspace(-3.0, 3.0, 4_000).reshape(-1, 1)
         want = g.log_value(xs)
@@ -453,36 +469,6 @@ print(np.max(np.abs(lv - lam * xs[:, 0] - 2.0 * inner.log_value(np.zeros(1)))))
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
-
-    def test_pooled_sweep_matches_inline_sweep_bit_for_bit(self, rng):
-        # 1,200 2-D points are seven blocks of 195 rows, on the pool here and
-        # inline inside a pool worker
-        g = L.convolve(L.log_linear([0.5, -0.3]), L.mollifier(2, 3))
-        xs = rng.standard_normal((1_200, 2))
-        lv, dlv = g.log_value(xs, grad=True)
-        inline_lv, inline_dlv = L.fields._pool().submit(g.log_value, xs, True).result(timeout=60)
-        assert np.array_equal(lv, inline_lv) and np.array_equal(dlv, inline_dlv)
-
-    def test_one_cpu_sweeps_inline_bit_for_bit(self, rng, monkeypatch):
-        # on one CPU the pool's one worker would only add a thread hop per
-        # block, so the seven blocks run on the calling thread, with the
-        # output of the same sweep on the pool of a 2-CPU process
-        threads, inner = set(), L.log_linear([0.5, -0.3])
-
-        def log(pts, grad):
-            threads.add(threading.get_ident())
-            return inner._log(pts, grad)
-
-        g = L.convolve(L.fields.ScalarField(dim=2, label="probe", _log=log), L.mollifier(2, 3))
-        xs = rng.standard_normal((1_200, 2))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        pooled = g.log_value(xs, grad=True)
-        assert threading.get_ident() not in threads
-        threads.clear()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        inline = g.log_value(xs, grad=True)
-        assert threads == {threading.get_ident()}
-        assert np.array_equal(pooled[0], inline[0]) and np.array_equal(pooled[1], inline[1])
 
 
 def _joint_cases():

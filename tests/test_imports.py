@@ -67,11 +67,10 @@ def test_closures_import_no_scipy():
 
 
 def test_regularity_search_imports_no_numpy_ma():
-    # np.unique imports numpy.ma, 16-26 ms of every fresh run; and a
-    # one-block sweep makes no sweep pool
+    # np.unique imports numpy.ma, 16-26 ms of every fresh run
     code = _PRELUDE + """
 L.regularity_constant(L.gaussian(1), 0, 1.25, 0.3)
 L.convolve(f, L.mollifier(1, 4))(np.zeros((100, 1)))
-print("numpy.ma" in sys.modules, L.fields._sweep_pool is None)
+print("numpy.ma" in sys.modules)
 """
-    assert _stdout_without_scipy(code) == ["False", "True"]
+    assert _stdout_without_scipy(code) == ["False"]

@@ -193,6 +193,18 @@ class TestRegularityConstant:
         expected = (2.0 / 3.0) * math.exp(-1.0)
         assert L.regularity_constant(gauss1, 2, 2.0, 0.0) == pytest.approx(expected, abs=1e-4)
 
+    @pytest.mark.parametrize("p, a, s, name", [
+        (math.nan, 2.0, 0.0, "p"), (math.inf, 2.0, 0.0, "p"), (-1.0, 2.0, 0.0, "p"),
+        (0.0, math.nan, 0.0, "a"), (0.0, math.inf, 0.0, "a"), (0.0, 0.5, 0.0, "a"),
+        (0.0, 1.1, math.nan, "s"), (0.0, 1.1, math.inf, "s"), (0.0, 1.1, -0.5, "s"),
+    ])
+    def test_parameters_must_be_finite_and_in_range(self, gauss1, p, a, s, name):
+        # NaN fails every comparison, so it must fail the one that admits a value
+        with pytest.raises(InvalidParameter, match=f"finite {name} >= "):
+            L.regularity_constant(gauss1, p, a, s)
+        with pytest.raises(InvalidParameter, match=f"finite {name} >= "):
+            L.type_report(gauss1, p, [a], [s])
+
     def test_poly_tail_type1_violation_with_witness(self):
         mu = L.poly_tail(1.0)
         with pytest.raises(TypeConditionViolation) as err:

@@ -200,6 +200,21 @@ class TestSpecValidation:
             tracemalloc.stop()
         assert peak < 100_000
 
+    def test_node_set_bound_counts_coordinates(self):
+        # 200,000 default Monte Carlo samples in 31-D are 6.2e6 coordinates,
+        # over 3 x MAX_NODES: refused before the 50 MB of points are drawn
+        mu = L.gaussian(1.0, 31)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameter, match="200,000 x 31 = 6,200,000 coordinates"):
+                measure_nodes(mu, quadrature.default_spec(mu))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        pts, logw = measure_nodes(mu, quadrature.default_spec(mu, mc_samples=1000))
+        assert pts.shape == (1000, 31) and logw.shape == (1000,)
+
 
 class TestIntegrate:
     @pytest.mark.parametrize(
