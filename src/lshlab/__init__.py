@@ -17,7 +17,6 @@ from .fields import (
     convolve,
     cosh_field,
     dilate,
-    dilated_convolve,
     euler,
     exp_norm_sq,
     exp_subharmonic,
@@ -34,12 +33,12 @@ from .fields import (
     squared_norm,
 )
 from .functionals import (
-    alpha,
-    alpha_prime_analytic,
     alpha_prime_fd,
-    entropy,
-    euler_energy,
-    hc_bracket,
+    alpha_prime_with_error,
+    alpha_with_error,
+    entropy_with_error,
+    euler_energy_with_error,
+    hc_bracket_with_error,
     q_of_r,
     r_of_pq,
 )
@@ -59,7 +58,7 @@ from .measures import (
     type_report,
     uniform_ball,
 )
-from .quadrature import QuadratureSpec, default_spec, integrate, lp_norm
+from .quadrature import QuadratureSpec, default_spec, integrate, lp_norm_with_error
 from .checks import (
     CheckReport,
     best_constant,

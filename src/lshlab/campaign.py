@@ -276,9 +276,12 @@ def _check_types(entry: dict, row: CheckKind, where: str):
 
 def load_config(path) -> CampaignConfig:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config {path}: {reason}") from exc
     return CampaignConfig.from_dict(raw)
 
 
@@ -304,6 +307,14 @@ _MEASURE_OPS = {
 MEASURE_OPS = tuple(_MEASURE_OPS)
 
 
+def _dim(decl: dict) -> int:
+    """A declaration's dim, 1 when unset; JSON's true, 1.5 and "2" are not one."""
+    dim = decl.get("dim", 1)
+    if isinstance(dim, bool) or not isinstance(dim, Integral) or dim < 1:
+        raise ValueError(f"'dim' must be an integer >= 1, got {dim!r}")
+    return int(dim)
+
+
 def _mollified(decl: dict) -> fields_mod.ScalarField:
     base = build_field(decl["base"])
     return fields_mod.convolve(base, fields_mod.mollifier(
@@ -313,12 +324,12 @@ def _mollified(decl: dict) -> fields_mod.ScalarField:
 #: field builder -> (required keys, build from the declaration)
 _FIELD_BUILDERS = {
     "constant": (("value",), lambda d: fields_mod.constant(
-        float(d["value"]), int(d.get("dim", 1)))),
+        float(d["value"]), _dim(d))),
     "cosh": (("lam",), lambda d: fields_mod.cosh_field(float(d["lam"]))),
     "dilate": (("base", "r"), lambda d: fields_mod.dilate(
         build_field(d["base"]), float(d["r"]))),
     "exp_norm_sq": (("lam",), lambda d: fields_mod.exp_norm_sq(
-        float(d["lam"]), int(d.get("dim", 1)))),
+        float(d["lam"]), _dim(d))),
     "log_linear": (("lam",), lambda d: fields_mod.log_linear(d["lam"])),
     "modulus_holomorphic": (("coeffs",), lambda d: fields_mod.modulus_holomorphic(
         [complex(re, im) for re, im in d["coeffs"]])),
@@ -327,7 +338,7 @@ _FIELD_BUILDERS = {
         build_field(d["base"]), float(d["exponent"]))),
     "product": (("first", "second"), lambda d: fields_mod.product_field(
         build_field(d["first"]), build_field(d["second"]))),
-    "squared_norm": ((), lambda d: fields_mod.squared_norm(int(d.get("dim", 1)))),
+    "squared_norm": ((), lambda d: fields_mod.squared_norm(_dim(d))),
 }
 FIELD_BUILDERS = tuple(sorted(_FIELD_BUILDERS))
 
@@ -337,7 +348,7 @@ def build_measure(decl: dict) -> measures_mod.Density:
     if "family" in decl:
         params = {k: v for k, v in decl.items() if k not in ("family", "dim")}
         with config_errors(where):
-            return measures_mod.make_builtin(decl["family"], params, int(decl.get("dim", 1)))
+            return measures_mod.make_builtin(decl["family"], params, _dim(decl))
     op = decl.get("op")
     if op not in MEASURE_OPS:
         raise ConfigError(f"measure declaration needs 'family' or 'op' in {MEASURE_OPS}: {decl}")
@@ -498,7 +509,10 @@ def run(config_or_path, output_dir=None, jobs: int = 1) -> int:
         config = load_config(config_or_path)
     reports, summary, exit_code = run_campaign(config, jobs=jobs)
     out_dir = Path(output_dir) if output_dir else default_output_dir(config)
-    write_outputs(config, reports, summary, out_dir)
+    try:
+        write_outputs(config, reports, summary, out_dir)
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to {out_dir}: {exc.strerror or exc}") from exc
     return exit_code
 
 

@@ -141,12 +141,8 @@ def _inconclusive(check_id, kind, inputs, spec, reason) -> CheckReport:
 # inequality checks
 # ---------------------------------------------------------------------------
 
-def slsi_terms(
-    g: ScalarField,
-    mu: Density,
-    spec: QuadratureSpec,
-    allow_non_rotation_invariant: bool = False,
-) -> tuple[float, float, float, float]:
+def slsi_terms(g: ScalarField, mu: Density,
+               spec: QuadratureSpec) -> tuple[float, float, float, float]:
     """The four numbers every sLSI verdict needs: (Ent, e_Ent, EE, e_EE).
 
     EE is the dilation energy int E g dmu; e_* are the quadrature error
@@ -156,11 +152,10 @@ def slsi_terms(
     """
     if not g.certified:
         raise InvalidParameter("check_slsi requires a certified field")
-    if not mu.rotation_invariant and not allow_non_rotation_invariant:
+    if not mu.rotation_invariant:
         raise InvalidParameter(
             "the dilation energy is only known positive on the cone for "
-            "rotation-invariant measures; pass allow_non_rotation_invariant=True "
-            "to override"
+            "rotation-invariant measures"
         )
     return entropy_energy_with_error(g, mu, spec)
 
@@ -185,13 +180,12 @@ def check_slsi(
     c: float,
     spec: Optional[QuadratureSpec] = None,
     check_id: str = "slsi",
-    allow_non_rotation_invariant: bool = False,
 ) -> CheckReport:
     """Strong log-Sobolev deficit (c/2) int E g dmu - Ent(g), passing iff >= -tol."""
     spec = spec or default_spec(mu)
     inputs = {"field": g.label, "measure": mu.label, "c": c}
     try:
-        terms = slsi_terms(g, mu, spec, allow_non_rotation_invariant)
+        terms = slsi_terms(g, mu, spec)
     except QuadratureFailure as exc:
         return _inconclusive(check_id, "slsi", inputs, spec, exc)
     deficit, tol, passed = slsi_verdict(terms, c)

@@ -39,4 +39,5 @@ class TypeConditionViolation(LabError):
 
 
 class ConfigError(LabError):
-    """Campaign configuration could not be parsed or validated."""
+    """Campaign configuration could not be read, parsed or validated, or its
+    outputs could not be written."""

@@ -561,14 +561,6 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
     return _certified(f"convolve({f.label}, k={phi.scale_index:g})", f.dim, log)
 
 
-def dilated_convolve(f: ScalarField, phi: Mollifier, r: float) -> ScalarField:
-    """Smooth-then-shrink: x -> (f * phi)(rx) for r in (0, 1)."""
-    r = float(r)
-    if not (0.0 < r < 1.0):
-        raise InvalidParameter(f"dilated convolution requires r in (0, 1), got {r}")
-    return dilate(convolve(f, phi), r)
-
-
 # ---------------------------------------------------------------------------
 # spherical averaging and the sub-mean scan
 # ---------------------------------------------------------------------------

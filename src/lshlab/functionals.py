@@ -18,8 +18,8 @@ x . grad ln g is a factor column next to ln g in one column map, which
 evaluates the field's log map once, so int E g dmu is ||g||_1 times the mean
 of x . grad ln g under g / ||g||_1 and nothing divides by g.  Only what no
 double holds overflows (QuadratureFailure): ||g||_1 or alpha(r) above
-e^709.78, or an infinite Ent(g), int E g dmu or alpha'(r).  Functions come in
-plain and ``*_with_error`` forms, the latter with quadrature error estimates.
+e^709.78, or an infinite Ent(g), int E g dmu or alpha'(r).  Each function
+returns its value with its quadrature error estimate.
 
 The norms ||f_r||_q of a battery on one measure, alpha(r) among them, are
 read from one table, :class:`DilationNorms`: each norm integrated once, each
@@ -117,17 +117,9 @@ def entropy_with_error(g: ScalarField, mu, spec: QuadratureSpec) -> tuple[float,
     return entropy_energy_with_error(g, mu, spec)[:2]
 
 
-def entropy(g: ScalarField, mu, spec: QuadratureSpec) -> float:
-    return entropy_with_error(g, mu, spec)[0]
-
-
 def euler_energy_with_error(g: ScalarField, mu, spec: QuadratureSpec) -> tuple[float, float]:
     """int E g dmu = ||g||_1 E[x . grad ln g], the dilation energy (no c/2 prefactor)."""
     return entropy_energy_with_error(g, mu, spec)[2:]
-
-
-def euler_energy(g: ScalarField, mu, spec: QuadratureSpec) -> float:
-    return euler_energy_with_error(g, mu, spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +154,6 @@ class DilationNorms:
         self.fields, self.mu, self.spec = list(fields), mu, spec
         self._memo, self._logs = {}, {}
 
-    def _missing(self, keys) -> dict:
-        """The keys not yet memoised, each with f_r; ``dilate`` refuses an r
-        outside (0, 1], and r < 1 on an uncertified field, before any norm."""
-        todo = {}
-        for i, r, q in keys:
-            key = (i, float(r), float(q))
-            if key not in self._memo and key not in todo:
-                todo[key] = dilate(self.fields[i], r)
-        return todo
-
     def _log_on_nodes(self, i: int, r: float, f_r: ScalarField, pts) -> np.ndarray:
         """ln f_r of member i on one of the table's two node sets, kept while
         the kept values fit ``LOG_MEMO_BYTES``."""
@@ -182,16 +164,22 @@ class DilationNorms:
                 self._logs[(i, r, len(pts))] = out
         return out
 
-    def _integrate(self, todo: dict):
-        """Integrate the norms of ``todo`` (from ``_missing``) in one ``lp_norms`` call."""
+    def fill(self, keys):
+        """Integrate the keys not yet memoised; ``dilate`` refuses an r outside
+        (0, 1], and r < 1 on an uncertified field, before any norm."""
+        todo = {}
+        for i, r, q in keys:
+            key = (i, float(r), float(q))
+            if key not in self._memo and key not in todo:
+                todo[key] = dilate(self.fields[i], r)
         if not todo:
             return
-        keys, dilated = list(todo), list(todo.values())
-        owner, r_of = np.array([i for i, _, _ in keys]), np.array([r for _, r, _ in keys])
+        new, dilated = list(todo), list(todo.values())
+        owner, r_of = np.array([i for i, _, _ in new]), np.array([r for _, r, _ in new])
 
         def log_f(pts, k):  # ln f(r x), f and r those of each node's own norm
             if isinstance(k, int):  # every node is norm k's: a node set
-                return self._log_on_nodes(*keys[k][:2], dilated[k], pts)
+                return self._log_on_nodes(*new[k][:2], dilated[k], pts)
             x, at = r_of[k][:, None] * pts, owner[k]
             out = np.empty(len(at))
             # not np.unique, which imports numpy.ma (about 1.7 MB)
@@ -201,12 +189,6 @@ class DilationNorms:
             return out
 
         self._memo.update(zip(todo, lp_norms(log_f, self.mu, [q for _, _, q in todo], self.spec)))
-
-    def fill(self, keys) -> list[bool]:
-        """Integrate the keys not yet memoised; whether each key's norm is available."""
-        self._integrate(self._missing(keys))
-        return [not isinstance(self._memo[(i, float(r), float(q))], QuadratureFailure)
-                for i, r, q in keys]
 
     def __call__(self, i: int, r: float, q: float) -> tuple[float, float]:
         key = (i, float(r), float(q))
@@ -228,10 +210,6 @@ def alpha_with_error(f: ScalarField, mu, c: float, r: float,
     return DilationNorms([f], mu, spec).alpha(0, r, c)
 
 
-def alpha(f: ScalarField, mu, c: float, r: float, spec: QuadratureSpec) -> float:
-    return alpha_with_error(f, mu, c, r, spec)[0]
-
-
 def alpha_prime_with_error(f: ScalarField, mu, c: float, r: float,
                            spec: QuadratureSpec) -> tuple[float, float]:
     """Analytic derivative of alpha at r, from the closed-form bracket.
@@ -249,16 +227,11 @@ def alpha_prime_with_error(f: ScalarField, mu, c: float, r: float,
     return float(val), max(float(err), 1e-15)
 
 
-def alpha_prime_analytic(f: ScalarField, mu, c: float, r: float,
-                         spec: QuadratureSpec) -> float:
-    return alpha_prime_with_error(f, mu, c, r, spec)[0]
-
-
 def alpha_prime_fd(f: ScalarField, mu, c: float, r: float, spec: QuadratureSpec,
                    step: float = 1e-4) -> float:
     """Finite-difference derivative of alpha: central inside (0, 1), one-sided
     (second order, from the left) at r = 1."""
-    a = lambda rr: alpha(f, mu, c, rr, spec)
+    a = lambda rr: alpha_with_error(f, mu, c, rr, spec)[0]
     if r + step <= 1.0:
         return (a(r + step) - a(r - step)) / (2.0 * step)
     return (3.0 * a(r) - 4.0 * a(r - step) + a(r - 2.0 * step)) / (2.0 * step)
@@ -271,7 +244,3 @@ def hc_bracket_with_error(f: ScalarField, mu, c: float, r: float,
     g = power(dilate(f, r), q) if q != 1.0 else dilate(f, r)
     ent, e1, ee, e2 = entropy_energy_with_error(g, mu, spec)
     return -ent + (c / 2.0) * ee, e1 + (c / 2.0) * e2
-
-
-def hc_bracket(f: ScalarField, mu, c: float, r: float, spec: QuadratureSpec) -> float:
-    return hc_bracket_with_error(f, mu, c, r, spec)[0]

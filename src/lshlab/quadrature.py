@@ -590,33 +590,19 @@ def _adaptive_batch(mu, columns, count: int) -> list:
             for j in range(count)]
 
 
-def integrate(h, mu, spec: QuadratureSpec):
-    """Integral of h against mu, with an error estimate.
+def integrate(h, mu, spec: QuadratureSpec) -> tuple[float, float]:
+    """(Integral of h against mu, its error estimate).
 
-    ``h`` is a ScalarField or any map vectorized over (m, dim) batches.  It
-    returns either m values, and the integral is (value, error) as floats, or
-    an (m, K) array of K integrands evaluated together, and the integral is
-    (values, errors) as arrays of shape (K,): on node schemes column by
-    column the same as integrating each column on its own, on
-    ``adaptive_1d`` refined until every column meets its tolerance.  This is
-    ``weighted_moments`` with the weight ln g = 0 and h as its factor
-    columns: h is evaluated at every node, once per node set on grids and
-    once per round of the adaptive loop, and an adaptive node where the
-    measure's density underflows contributes 0.
+    ``h`` is a ScalarField or any map vectorized over (m, dim) batches that
+    returns m values.  This is ``weighted_moments`` with the weight ln g = 0
+    and h as its one factor column: h is evaluated at every node, once per
+    node set on grids and once per round of the adaptive loop, and an
+    adaptive node where the measure's density underflows contributes 0.
     """
-    ndim = []
-
-    def columns(pts):
-        vals = np.asarray(h(pts), dtype=float)
-        ndim.append(vals.ndim)
-        return np.column_stack([np.zeros(pts.shape[0]), vals])
-
-    value, err = weighted_moments(columns, mu, spec,
-                                  lambda log_mass, means: math.exp(log_mass) * means)
-    err = np.maximum(err, np.abs(value) * 1e-15)
-    if ndim[0] == 1:
-        return float(value[0]), float(err[0])
-    return value, err
+    value, err = weighted_moments(
+        lambda pts: np.column_stack([np.zeros(pts.shape[0]), np.ravel(h(pts))]),
+        mu, spec, lambda log_mass, means: math.exp(log_mass) * means[0])
+    return float(value), max(float(err), abs(float(value)) * 1e-15)
 
 
 def _log_mass(log_mass, means):
@@ -630,12 +616,8 @@ def integrate_log(logh, mu, spec: QuadratureSpec) -> tuple[float, float]:
     return logv, max(float(err), 1e-15)
 
 
-def lp_norm(f, mu, p: float, spec: QuadratureSpec) -> float:
-    """(int f^p dmu)^(1/p) of a field, p > 0; for p < 1 only a quasi-norm."""
-    return lp_norm_with_error(f, mu, p, spec)[0]
-
-
 def lp_norm_with_error(f, mu, p: float, spec: QuadratureSpec) -> tuple[float, float]:
+    """((int f^p dmu)^(1/p) of a field, its error), p > 0; for p < 1 only a quasi-norm."""
     return _raised(lp_norms(lambda pts, k: f.log_value(pts), mu, [p], spec)[0])
 
 

@@ -119,6 +119,20 @@ class TestConfig:
         config = CampaignConfig.from_dict(minimal_config(seed=seed))
         assert config.seed == seed and type(config.seed) is int
 
+    @pytest.mark.parametrize("dim", [1.5, 2.0, True, "2", 0])
+    @pytest.mark.parametrize("build, decl", [
+        (build_measure, {"family": "gaussian"}),
+        (build_field, {"builder": "constant", "value": 1.5}),
+        (build_field, {"builder": "exp_norm_sq", "lam": 0.1}),
+        (build_field, {"builder": "squared_norm"}),
+    ], ids=["measure", "constant", "exp_norm_sq", "squared_norm"])
+    def test_non_integer_dim_refused(self, build, decl, dim):
+        # int() would build 1.5 and true as dimension 1 and "2" as dimension 2
+        decl = {**decl, "dim": dim}
+        with pytest.raises(ConfigError, match=re.escape(
+                f"declaration {decl}: 'dim' must be an integer >= 1, got {dim!r}")):
+            build(decl)
+
     def test_undeclared_field_reference_named(self):
         raw = minimal_config()
         raw["checks"] = [{"check": "slsi", "measure": "g", "fields": ["ghost"], "c": 1}]
@@ -488,6 +502,27 @@ class TestRun:
         assert bound["inputs"]["mollifier_scale"] == 2.7
         assert slsi["inputs"]["field"].endswith("k=2.7)")
 
+    def test_shc_csv_leaves_out_skipped_rows(self, tmp_path):
+        # at c = 0.25, q(0.3) = 0.3^-8 is beyond Q_GUARD: that row is skipped
+        # in the report and has no alpha to write
+        entry = {"check": "shc", "measure": "g", "fields": ["f"], "c": 0.25,
+                 "r_grid": [0.3, 0.6, 1.0]}
+        L.run(CampaignConfig.from_dict(minimal_config(checks=[entry])), output_dir=tmp_path)
+        rep, = json.loads((tmp_path / "report.json").read_text())["checks"]
+        assert [row["skipped"] for row in rep["quantities"]["rows"]] == [True, False, False]
+        with open(tmp_path / "000-shc-g-f.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert [float(row[1]) for row in rows[1:]] == [0.6, 1.0]
+
+    def test_config_output_dir_without_flag(self, tmp_path, monkeypatch):
+        # with no --output-dir the config's output_dir wins over LSHLAB_OUTPUT_DIR
+        monkeypatch.setenv("LSHLAB_OUTPUT_DIR", str(tmp_path / "env"))
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(minimal_config(checks=[], output_dir=str(tmp_path / "declared"))))
+        assert main(["run", str(cfg)]) == 0
+        assert (tmp_path / "declared" / "report.json").is_file()
+        assert not (tmp_path / "env").exists()
+
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LSHLAB_OUTPUT_DIR", str(tmp_path / "envout"))
         config = CampaignConfig.from_dict(minimal_config(checks=[]))
@@ -679,7 +714,10 @@ class TestCli:
         (["run", {"measures": {"g": {"family": "gaussian", "sigma": "x", "dim": 1}}}],
          "measure declaration"),
         (["check", "--check", "slsi", "--field", "log_linear:abc"], "--field"),
-    ], ids=["quadrature-key", "seed", "cosh-lam", "log_linear-lam", "sigma", "field-shorthand"])
+        (["run", {"measures": {"g": {"family": "gaussian", "dim": 1.5}}}],
+         "measure declaration"),
+    ], ids=["quadrature-key", "seed", "cosh-lam", "log_linear-lam", "sigma", "field-shorthand",
+            "dim"])
     def test_malformed_value_exits_two(self, argv, where, tmp_path, capsys):
         if argv[0] == "run":
             cfg = tmp_path / "campaign.json"
@@ -769,6 +807,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert "field name 'a/b' contains" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_exits_two(self, case, tmp_path, capsys):
+        # one line naming the path: no traceback, no report
+        cfg = tmp_path / "campaign.json"
+        if case == "directory":
+            cfg.mkdir()
+        elif case == "not_utf8":
+            cfg.write_bytes(json.dumps(minimal_config(output_dir="\xe9"), ensure_ascii=False)
+                            .encode("latin-1"))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {cfg}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_output_dir_naming_a_file_exits_two(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(minimal_config()))
+        assert main(["run", str(cfg), "--output-dir", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write outputs to {taken}: ")
+        assert err.count("\n") == 1 and taken.read_text() == ""
 
     def test_run_preset_with_jobs(self, tmp_path):
         assert main(["run", "gaussian-sharp", "--output-dir", str(tmp_path),

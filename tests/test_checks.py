@@ -42,7 +42,7 @@ class TestSlsi:
         shc = L.check_shc(f, gauss1, 1.0)
         assert shc.passed and not shc.inconclusive
         assert math.isfinite(rep.quantities["entropy"])
-        assert abs(L.alpha_prime_analytic(f, gauss1, 1.0, 0.8, L.default_spec(gauss1))) \
+        assert abs(L.alpha_prime_with_error(f, gauss1, 1.0, 0.8, L.default_spec(gauss1))[0]) \
             <= 1e-9 * value
 
     def test_below_sharp_constant_fails(self, gauss1, gh_spec):
@@ -109,10 +109,8 @@ class TestSlsi:
     def test_non_rotation_invariant_needs_override(self, gauss1, gh_spec):
         shifted = L.shift(gauss1, [0.4])
         f = L.cosh_field(0.5)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="rotation-invariant"):
             L.check_slsi(f, shifted, 2.0)
-        rep = L.check_slsi(f, shifted, 2.0, allow_non_rotation_invariant=True)
-        assert rep.kind == "slsi"
 
     def test_scale_covariance_of_outcome(self, gauss1, gh_spec):
         f = L.cosh_field(0.8)
@@ -291,8 +289,8 @@ class TestDilationBound:
         raw = L.raw_field(lambda pts: 1.0 + pts[:, 0] ** 2, 1, label="raw")
         rep = L.check_dilation_bound(raw, mu, 2.0, 1.0)
         assert rep.passed and not rep.inconclusive
-        assert rep.quantities["lhs"] == rep.quantities["norm_p"] == L.lp_norm(
-            raw, mu, 2.0, L.default_spec(mu))
+        assert rep.quantities["lhs"] == rep.quantities["norm_p"] == L.lp_norm_with_error(
+            raw, mu, 2.0, L.default_spec(mu))[0]
         for check in (lambda: L.check_dilation_bound(raw, mu, 2.0, 0.8),
                       lambda: L.check_dilated_convolution_bound(
                           raw, mu, 2.0, L.mollifier(1, 4), 0.8)):
@@ -431,6 +429,58 @@ class TestDensityApproximation:
         assert rep.inconclusive and not rep.passed
         assert rep.notes[0] == "inconclusive: L^1 norm overflows (log value 800)"
         assert "witness" in rep.quantities
+
+
+class TestDensityApproximationCells:
+    # e^{x/4} on N(0, 1) with k in (1, 4) and r in (0.9, 0.99): each cell is
+    # one checks.weighted_moments call, k outer and r inner
+    @staticmethod
+    def run(gauss1, gh_spec, monkeypatch, moments):
+        monkeypatch.setattr(checks, "weighted_moments", moments)
+        return L.check_density_approximation(L.log_linear([0.25]), gauss1, 1.0, k_list=(1, 4),
+                                             r_list=(0.9, 0.99), spec=gh_spec)
+
+    def test_cell_that_fails_to_integrate_is_skipped(self, gauss1, gh_spec, monkeypatch):
+        calls = []
+
+        def first_fails(columns, mu, spec, fn):
+            calls.append(None)
+            if len(calls) == 1:
+                raise QuadratureFailure("cell diverges")
+            return quadrature.weighted_moments(columns, mu, spec, fn)
+
+        rep = self.run(gauss1, gh_spec, monkeypatch, first_fails)
+        first, *rest = rep.quantities["cells"]
+        assert first == {"k": 1, "r": 0.9, "skipped": True, "reason": "cell diverges"}
+        assert not rep.inconclusive and not any(cell["skipped"] for cell in rest)
+        assert [(e["k"], e["r"]) for e in rep.quantities["energy_norms"]] == [
+            (1, 0.99), (4, 0.9), (4, 0.99)]
+
+    def test_every_cell_failing_is_inconclusive(self, gauss1, gh_spec, monkeypatch):
+        def fails(columns, mu, spec, fn):
+            raise QuadratureFailure("cell diverges")
+
+        rep = self.run(gauss1, gh_spec, monkeypatch, fails)
+        assert rep.inconclusive and not rep.passed
+        assert rep.notes == ["inconclusive: every cell failed to integrate"]
+
+    @pytest.mark.parametrize("rise, decreasing", [(0.5, False), (0.3, True)])
+    def test_split_error_rising_along_k_fails(self, gauss1, gh_spec, monkeypatch, rise,
+                                              decreasing):
+        # the split errors ||g - f_r||_1 read 1 at k = 1 and 1 + rise at k = 4,
+        # each with noise 0.1: a rise beyond 2 (0.1 + 0.1) is not decreasing
+        split = iter([1.0, 1.0 + rise])
+
+        def rising(columns, mu, spec, fn):
+            norms, noises = map(np.array, quadrature.weighted_moments(columns, mu, spec, fn))
+            if len(norms) > 2:  # the cell at the largest r
+                norms[2], noises[2] = next(split), 0.1
+            return norms, noises
+
+        rep = self.run(gauss1, gh_spec, monkeypatch, rising)
+        q = rep.quantities
+        assert q["split_errors_along_k"] == [{"k": 1, "error": 1.0}, {"k": 4, "error": 1.0 + rise}]
+        assert q["decreasing"] is rep.passed is decreasing
 
 
 def _reference_density_cells(f, mu, p, k_list, r_list, spec):

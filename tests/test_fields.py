@@ -131,7 +131,7 @@ def _log_gradient_cases():
         L.dilate(f2, 0.7),
         L.convolve(f1, L.mollifier(1, 3)),
         L.convolve(L.log_linear([0.5, -0.3]), L.mollifier(2, 3)),
-        L.dilated_convolve(f1, L.mollifier(1, 2), 0.8),
+        L.dilate(L.convolve(f1, L.mollifier(1, 2)), 0.8),
     ]
     return [pytest.param(f, id=f.label) for f in cases]
 
@@ -483,8 +483,8 @@ def _joint_cases():
         "convolve-2d": (L.convolve(f2, phi2), xs2),
         "dilate-convolve-1d": (L.dilate(L.convolve(f1, phi1), 0.9), xs1),
         "dilate-convolve-2d": (L.dilate(L.convolve(f2, phi2), 0.9), xs2),
-        "dilated_convolve-1d": (L.dilated_convolve(f1, phi1, 0.95), xs1),
-        "dilated_convolve-2d": (L.dilated_convolve(f2, phi2, 0.95), xs2),
+        "dilated_convolve-1d": (L.dilate(L.convolve(f1, phi1), 0.95), xs1),
+        "dilated_convolve-2d": (L.dilate(L.convolve(f2, phi2), 0.95), xs2),
         "cosh_field": (f1, xs1),
     }
     return [pytest.param(g, xs, id=name) for name, (g, xs) in cases.items()]
@@ -508,7 +508,7 @@ class TestValueAndGradient:
 
 class TestDilatedConvolve:
     def test_identity_on_constants(self):
-        g = L.dilated_convolve(L.constant(1.0, 1), L.mollifier(1, 3), 0.5)
+        g = L.dilate(L.convolve(L.constant(1.0, 1), L.mollifier(1, 3)), 0.5)
         xs = np.linspace(-2, 2, 7).reshape(-1, 1)
         assert g(xs) == pytest.approx(np.ones(7), rel=1e-10)
 
@@ -518,7 +518,7 @@ class TestDilatedConvolve:
         f = L.cosh_field(0.9)
         phi = L.mollifier(1, 4)
         r = 0.8
-        lhs = L.dilated_convolve(f, phi, r)
+        lhs = L.dilate(L.convolve(f, phi), r)
         rhs = L.convolve(L.dilate(f, r), L.mollifier(1, phi.scale_index * r))
         pts = rng.standard_normal((15, 1))
         assert lhs(pts) == pytest.approx(rhs(pts), rel=1e-9)
@@ -526,17 +526,13 @@ class TestDilatedConvolve:
     def test_closed_form_factor(self):
         lam, r = 0.6, 0.7
         phi = L.mollifier(1, 3)
-        g = L.dilated_convolve(L.log_linear([lam]), phi, r)
+        g = L.dilate(L.convolve(L.log_linear([lam]), phi), r)
         s = phi.support_radius
         factor, _ = scipy.integrate.quad(
             lambda y: math.exp(-lam * y) * phi(np.array([y])), -s, s
         )
         xs = np.array([[0.3], [1.1]])
         assert g(xs) == pytest.approx(factor * np.exp(lam * r * xs[:, 0]), rel=1e-6)
-
-    def test_r_range(self):
-        with pytest.raises(InvalidParameter):
-            L.dilated_convolve(L.log_linear([0.5]), L.mollifier(1, 2), 1.0)
 
 
 class TestSphericalAverage:

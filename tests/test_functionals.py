@@ -35,88 +35,91 @@ class TestExponentLaws:
 
 class TestEntropy:
     def test_constant_has_zero_entropy(self, gauss1, gh_spec):
-        assert L.entropy(L.constant(2.0, 1), gauss1, gh_spec) == pytest.approx(0.0, abs=1e-12)
+        ent, _ = L.entropy_with_error(L.constant(2.0, 1), gauss1, gh_spec)
+        assert ent == pytest.approx(0.0, abs=1e-12)
 
     def test_log_linear_closed_form(self, gauss1, gh_spec):
         # Ent(e^{lam x}) = (lam^2/2) e^{lam^2/2}
         lam = 0.8
         expected = (lam**2 / 2) * math.exp(lam**2 / 2)
-        assert L.entropy(L.log_linear([lam]), gauss1, gh_spec) == pytest.approx(
+        assert L.entropy_with_error(L.log_linear([lam]), gauss1, gh_spec)[0] == pytest.approx(
             expected, rel=1e-9
         )
         assert expected == pytest.approx(0.440681, abs=1e-6)
 
     def test_degree_one_homogeneity(self, gauss1, gh_spec):
         f = L.cosh_field(0.9)
-        base = L.entropy(f, gauss1, gh_spec)
+        base = L.entropy_with_error(f, gauss1, gh_spec)[0]
         for t in (0.5, 3.0):
-            assert L.entropy(L.scale(f, t), gauss1, gh_spec) == pytest.approx(
+            assert L.entropy_with_error(L.scale(f, t), gauss1, gh_spec)[0] == pytest.approx(
                 t * base, rel=1e-9
             )
 
     def test_non_negative_on_battery(self, gauss1, gh_spec):
         for f in L.default_battery(1):
-            assert L.entropy(f, gauss1, gh_spec) >= -1e-10
+            assert L.entropy_with_error(f, gauss1, gh_spec)[0] >= -1e-10
 
     def test_adaptive_scheme_path(self):
         mu = L.gen_exponential(1.0, 2.0, 1)  # gaussian-shaped, adaptive scheme
         spec = L.default_spec(mu)
-        ent = L.entropy(L.cosh_field(0.5), mu, spec)
+        ent = L.entropy_with_error(L.cosh_field(0.5), mu, spec)[0]
         assert ent >= 0.0
 
 
 class TestEulerEnergy:
     def test_constant_is_zero(self, gauss1, gh_spec):
-        assert L.euler_energy(L.constant(5.0, 1), gauss1, gh_spec) == pytest.approx(
+        assert L.euler_energy_with_error(L.constant(5.0, 1), gauss1, gh_spec)[0] == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_log_linear_closed_form(self, gauss1, gh_spec):
         lam = 0.8
         expected = lam**2 * math.exp(lam**2 / 2)
-        assert L.euler_energy(L.log_linear([lam]), gauss1, gh_spec) == pytest.approx(
+        assert L.euler_energy_with_error(L.log_linear([lam]), gauss1, gh_spec)[0] == pytest.approx(
             expected, rel=1e-9
         )
         assert expected == pytest.approx(0.881362, abs=1e-6)
 
     def test_positive_on_lsh_battery_rotation_invariant(self, gauss1, gh_spec):
         for f in L.default_battery(1):
-            assert L.euler_energy(f, gauss1, gh_spec) >= -1e-10
+            assert L.euler_energy_with_error(f, gauss1, gh_spec)[0] >= -1e-10
 
     def test_positive_on_dim2_battery(self, gauss2):
         spec = L.default_spec(gauss2)
         for f in L.default_battery(2):
-            assert L.euler_energy(f, gauss2, spec) >= -1e-10
+            assert L.euler_energy_with_error(f, gauss2, spec)[0] >= -1e-10
 
 
 class TestAlpha:
     def test_r_one_is_l1_norm(self, gauss1, gh_spec):
         f = L.cosh_field(0.8)
-        n1 = L.lp_norm(f, gauss1, 1.0, gh_spec)
-        assert L.alpha(f, gauss1, 1.0, 1.0, gh_spec) == pytest.approx(n1, rel=1e-12)
+        n1 = L.lp_norm_with_error(f, gauss1, 1.0, gh_spec)[0]
+        assert L.alpha_with_error(f, gauss1, 1.0, 1.0, gh_spec)[0] == pytest.approx(n1, rel=1e-12)
 
     def test_equality_family_constant_in_r(self, gauss1, gh_spec):
         lam = 0.8
         f = L.log_linear([lam])
         expected = math.exp(lam**2 / 2)
         for r in (0.5, 0.7, 0.9, 1.0):
-            assert L.alpha(f, gauss1, 1.0, r, gh_spec) == pytest.approx(expected, rel=1e-9)
+            a, _ = L.alpha_with_error(f, gauss1, 1.0, r, gh_spec)
+            assert a == pytest.approx(expected, rel=1e-9)
 
     def test_constant_field(self, gauss1, gh_spec):
         f = L.constant(1.0, 1)
         for r in (0.5, 0.8, 1.0):
-            assert L.alpha(f, gauss1, 1.0, r, gh_spec) == pytest.approx(1.0, rel=1e-12)
+            a, _ = L.alpha_with_error(f, gauss1, 1.0, r, gh_spec)
+            assert a == pytest.approx(1.0, rel=1e-12)
 
     def test_norm_homogeneity(self, gauss1, gh_spec):
         f = L.cosh_field(0.7)
-        a = L.alpha(f, gauss1, 1.0, 0.8, gh_spec)
-        assert L.alpha(L.scale(f, 2.0), gauss1, 1.0, 0.8, gh_spec) == pytest.approx(
+        a = L.alpha_with_error(f, gauss1, 1.0, 0.8, gh_spec)[0]
+        assert L.alpha_with_error(L.scale(f, 2.0), gauss1, 1.0, 0.8, gh_spec)[0] == pytest.approx(
             2.0 * a, rel=1e-10
         )
 
     def test_tiny_r_rejected_with_advice(self, gauss1, gh_spec):
         with pytest.raises(InvalidParameter, match="r-grid minimum"):
-            L.alpha(L.log_linear([1.0]), gauss1, 0.1, 0.5, gh_spec)
+            L.alpha_with_error(L.log_linear([1.0]), gauss1, 0.1, 0.5, gh_spec)
 
 
 def fd_reference(f, mu, c, r, spec, step=1e-4):
@@ -126,14 +129,14 @@ def fd_reference(f, mu, c, r, spec, step=1e-4):
 class TestAlphaPrime:
     def test_constant_field_zero(self, gauss1, gh_spec):
         for r in (0.6, 0.8, 1.0):
-            assert L.alpha_prime_analytic(
+            assert L.alpha_prime_with_error(
                 L.constant(2.0, 1), gauss1, 1.0, r, gh_spec
-            ) == pytest.approx(0.0, abs=1e-12)
+            )[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_equality_family_zero(self, gauss1, gh_spec):
         f = L.log_linear([0.8])
         for r in (0.6, 0.8, 1.0):
-            assert abs(L.alpha_prime_analytic(f, gauss1, 1.0, r, gh_spec)) <= 1e-10
+            assert abs(L.alpha_prime_with_error(f, gauss1, 1.0, r, gh_spec)[0]) <= 1e-10
 
     @pytest.mark.parametrize("r", [0.6, 0.7, 0.8, 0.9, 1.0])
     @pytest.mark.parametrize(
@@ -146,10 +149,10 @@ class TestAlphaPrime:
         ids=("log_linear", "cosh", "mollified"),
     )
     def test_matches_finite_differences(self, gauss1, gh_spec, field, r):
-        analytic = L.alpha_prime_analytic(field, gauss1, 1.0, r, gh_spec)
+        analytic = L.alpha_prime_with_error(field, gauss1, 1.0, r, gh_spec)[0]
         fd = fd_reference(field, gauss1, 1.0, r, gh_spec)
         denom = max(abs(analytic), abs(fd))
-        a_scale = L.alpha(field, gauss1, 1.0, r, gh_spec)
+        a_scale = L.alpha_with_error(field, gauss1, 1.0, r, gh_spec)[0]
         if denom < 1e-7 * max(1.0, a_scale):
             return  # both derivatives vanish to quadrature precision
         assert abs(analytic - fd) / denom <= 1e-3
@@ -158,7 +161,7 @@ class TestAlphaPrime:
         mu = L.gen_exponential(1.0, 2.0, 1)
         spec = L.default_spec(mu)
         f = L.cosh_field(0.8)
-        analytic = L.alpha_prime_analytic(f, mu, 1.0, 0.8, spec)
+        analytic = L.alpha_prime_with_error(f, mu, 1.0, 0.8, spec)[0]
         fd = fd_reference(f, mu, 1.0, 0.8, spec)
         assert analytic == pytest.approx(fd, rel=1e-3)
 
@@ -207,14 +210,15 @@ class TestHcBracket:
     def test_r_one_is_slsi_deficit(self, gauss1, gh_spec):
         f = L.cosh_field(0.8)
         c = 1.0
-        bracket = L.hc_bracket(f, gauss1, c, 1.0, gh_spec)
-        deficit = (c / 2) * L.euler_energy(f, gauss1, gh_spec) - L.entropy(f, gauss1, gh_spec)
+        bracket = L.hc_bracket_with_error(f, gauss1, c, 1.0, gh_spec)[0]
+        ee, _ = L.euler_energy_with_error(f, gauss1, gh_spec)
+        deficit = (c / 2) * ee - L.entropy_with_error(f, gauss1, gh_spec)[0]
         assert bracket == pytest.approx(deficit, rel=1e-10)
 
     def test_equality_family_zero(self, gauss1, gh_spec):
         f = L.log_linear([0.8])
         for r in (0.6, 0.8, 1.0):
-            assert abs(L.hc_bracket(f, gauss1, 1.0, r, gh_spec)) <= 1e-9
+            assert abs(L.hc_bracket_with_error(f, gauss1, 1.0, r, gh_spec)[0]) <= 1e-9
 
     @pytest.mark.parametrize("r", [0.6, 0.8, 0.95])
     def test_bracket_derivative_identity(self, gauss1, gh_spec, r):
@@ -222,16 +226,16 @@ class TestHcBracket:
         f = L.cosh_field(0.8)
         c = 1.0
         q = L.q_of_r(r, c)
-        bracket = L.hc_bracket(f, gauss1, c, r, gh_spec)
-        a_r = L.alpha(f, gauss1, c, r, gh_spec)
-        a_prime = L.alpha_prime_analytic(f, gauss1, c, r, gh_spec)
+        bracket = L.hc_bracket_with_error(f, gauss1, c, r, gh_spec)[0]
+        a_r = L.alpha_with_error(f, gauss1, c, r, gh_spec)[0]
+        a_prime = L.alpha_prime_with_error(f, gauss1, c, r, gh_spec)[0]
         rhs = (c * r * q / 2.0) * a_r ** (q - 1.0) * a_prime
         assert bracket == pytest.approx(rhs, rel=1e-6)
 
     def test_sign_scale_invariant(self, gauss1, gh_spec):
         f = L.cosh_field(0.8)
-        b1 = L.hc_bracket(f, gauss1, 1.0, 0.8, gh_spec)
-        b2 = L.hc_bracket(L.scale(f, 4.0), gauss1, 1.0, 0.8, gh_spec)
+        b1 = L.hc_bracket_with_error(f, gauss1, 1.0, 0.8, gh_spec)[0]
+        b2 = L.hc_bracket_with_error(L.scale(f, 4.0), gauss1, 1.0, 0.8, gh_spec)[0]
         assert math.copysign(1, b1) == math.copysign(1, b2)
 
     def test_zero_of_modulus_contributes_nothing(self, gauss2):
@@ -242,6 +246,6 @@ class TestHcBracket:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # E|z| = |z|: the Euler energy is the plain integral, zero node and all
-            ee = L.euler_energy(f, gauss2, spec)
+            ee = L.euler_energy_with_error(f, gauss2, spec)[0]
             assert ee == pytest.approx(L.integrate(f, gauss2, spec)[0], rel=1e-12)
-            assert math.isfinite(L.alpha_prime_analytic(f, gauss2, 1.0, 1.0, spec))
+            assert math.isfinite(L.alpha_prime_with_error(f, gauss2, 1.0, 1.0, spec)[0])

@@ -293,6 +293,13 @@ class TestIntegrate:
         assert err.value.witness is not None
         np.testing.assert_array_equal(err.value.witness, node)
 
+    def test_one_integrand(self, gauss1, gh_spec):
+        # one column is one integrand, returned as floats; two are refused
+        value, err = L.integrate(lambda pts: pts[:, :1] ** 2, gauss1, gh_spec)
+        assert type(value) is type(err) is float and value == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(ValueError):
+            L.integrate(lambda pts: np.ones((len(pts), 2)), gauss1, gh_spec)
+
     def test_adaptive_poly_tail_moment(self):
         mu = L.poly_tail(1.5)
         spec = L.default_spec(mu)
@@ -397,7 +404,7 @@ class TestAdaptiveRule:
                 assert spec.scheme == ("adaptive_1d" if dim == 1 else "tensor_trapezoid")
                 assert L.integrate(f, mu, spec)[0] == pytest.approx(want, rel=1e-8), mu.label
                 # lp_norm squares f, so lam doubles
-                assert L.lp_norm(f, mu, 2.0, spec) ** 2 == pytest.approx(
+                assert L.lp_norm_with_error(f, mu, 2.0, spec)[0] ** 2 == pytest.approx(
                     L.integrate(L.log_linear(2.0 * lam * e1), mu, spec)[0], rel=1e-8)
 
 
@@ -460,8 +467,8 @@ class TestAdaptiveBatch:
         spec = L.default_spec(mu)
         keys = [(r, L.q_of_r(r, 0.7)) for r in L.functionals.DEFAULT_R_GRID]
         norms = L.functionals.DilationNorms([f], mu, spec)
-        assert all(norms.fill([(0, r, q) for r, q in keys]))
-        for r, q in keys:
+        norms.fill([(0, r, q) for r, q in keys])
+        for r, q in keys:  # norms(0, r, q) raises a failed norm
             norm, err = _alone(f, mu, r, q, spec)
             assert norms(0, r, q)[0] == pytest.approx(norm, rel=1e-15, abs=0)
             assert norms(0, r, q)[1] == pytest.approx(err, rel=1e-6, abs=0)
@@ -514,9 +521,9 @@ class TestAdaptiveBatch:
         f = L.log_linear([0.8])
         keys = [(0.5, 3.0), (0.8, 1.5), (1.0, 1.0)]
         norms = L.functionals.DilationNorms([f], gauss1, gh_spec)
-        assert norms.fill([(0, r, q) for r, q in keys]) == [True] * 3
-        for r, q in keys:
-            _same_outcome(norms._memo[(0, r, q)], _alone(f, gauss1, r, q, gh_spec))
+        norms.fill([(0, r, q) for r, q in keys])
+        for r, q in keys:  # norms(0, r, q) raises a failed norm
+            assert norms(0, r, q) == _alone(f, gauss1, r, q, gh_spec)
 
     def test_peak_lost_row_fails_alone(self):
         # E e^{153.6x} loses its peak at r = 0.5 (q = 256); the other rows are live
@@ -633,48 +640,6 @@ class TestLpNorms:
             quadrature.lp_norms(lambda pts, k: pts[:, 0], gauss1, [1.0, 0.0], gh_spec)
 
 
-def three_columns(pts):
-    x = pts[:, 0]
-    return np.stack([2.0 + np.cos(x), x * x, 1.0 / (1.0 + x * x)], axis=1)
-
-
-class TestVectorIntegrate:
-    @pytest.mark.parametrize("mu, spec", [
-        (L.gaussian(1.0, 1), QuadratureSpec(scheme="gauss_hermite")),
-        (L.gaussian(0.7, 1), QuadratureSpec(scheme="tensor_trapezoid")),
-        (L.gaussian(1.0, 1), QuadratureSpec(scheme="monte_carlo", mc_samples=50_000, seed=4)),
-        (L.gen_exponential(0.5, 2.0, 1), QuadratureSpec(scheme="adaptive_1d")),
-    ], ids=lambda v: getattr(v, "scheme", None) or v.label)
-    def test_columns_match_scalar_integrals(self, mu, spec):
-        values, errs = L.integrate(three_columns, mu, spec)
-        assert values.shape == errs.shape == (3,)
-        for j in range(3):
-            v, e = L.integrate(lambda pts: three_columns(pts)[:, j], mu, spec)
-            assert isinstance(v, float) and isinstance(e, float)
-            np.testing.assert_allclose(values[j], v, rtol=1e-13, atol=0)
-            # a node-doubling error is a difference of close sums: compare it
-            # on the scale of the integral it belongs to
-            np.testing.assert_allclose(errs[j], e, rtol=1e-13, atol=1e-13 * abs(v))
-
-    def test_single_column_stays_an_array(self, gauss1, gh_spec):
-        values, errs = L.integrate(lambda pts: pts[:, :1] ** 2, gauss1, gh_spec)
-        assert values.shape == errs.shape == (1,)
-        assert values[0] == pytest.approx(1.0, rel=1e-12)
-
-    def test_witness_is_the_row_of_the_bad_column(self, gauss1, gh_spec):
-        pts, _ = measure_nodes(gauss1, gh_spec)
-        bad_row = 37
-
-        def h(x):
-            out = np.ones((x.shape[0], 2))
-            out[np.all(x == pts[bad_row], axis=1), 1] = np.nan
-            return out
-
-        with pytest.raises(QuadratureFailure) as err:
-            L.integrate(h, gauss1, gh_spec)
-        np.testing.assert_array_equal(err.value.witness, pts[bad_row])
-
-
 class TestWeightedMoments:
     # under g = e^{lam x} the Gaussian's mass is e^{lam^2 / 2} and x has mean lam
     @pytest.mark.parametrize("mu", [L.gaussian(1.0, 1), L.gen_exponential(0.5, 2.0, 1)],
@@ -697,6 +662,21 @@ class TestWeightedMoments:
             lambda pts: np.column_stack([np.zeros(len(pts)), pts[:, 0] ** 2]), gauss1, gh_spec,
             lambda log_mass, means: np.array([log_mass, means[0]]))
         assert abs(value[0]) <= 1e-15 and value[1] == pytest.approx(1.0, rel=1e-12)
+
+    def test_witness_is_the_row_of_the_bad_column(self, gauss1, gh_spec):
+        # a node is bad when any of its factors is: the second factor's NaN
+        pts, _ = measure_nodes(gauss1, gh_spec)
+        bad_row = 37
+
+        def columns(x):
+            out = np.zeros((x.shape[0], 3))
+            out[:, 1] = 1.0
+            out[np.all(x == pts[bad_row], axis=1), 2] = np.nan
+            return out
+
+        with pytest.raises(QuadratureFailure) as err:
+            weighted_moments(columns, gauss1, gh_spec, lambda log_mass, means: means)
+        np.testing.assert_array_equal(err.value.witness, pts[bad_row])
 
     def test_adaptive_error_is_first_order_change(self):
         # fn = means[0] * e^{log_mass} is int g x dmu; its error is that integral's own
@@ -762,23 +742,23 @@ class TestLpNorm:
     def test_constant_has_unit_norms(self, gauss1, gh_spec):
         f = L.constant(1.0, 1)
         for p in (0.5, 1.0, 2.0, 7.0):
-            assert L.lp_norm(f, gauss1, p, gh_spec) == pytest.approx(1.0, rel=1e-10)
+            assert L.lp_norm_with_error(f, gauss1, p, gh_spec)[0] == pytest.approx(1.0, rel=1e-10)
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.5])
     def test_log_linear_closed_form(self, gauss1, gh_spec, p):
         lam = 0.8
         f = L.log_linear([lam])
         # (int e^{p lam x} dmu)^{1/p} = e^{p lam^2 / 2}
-        assert L.lp_norm(f, gauss1, p, gh_spec) == pytest.approx(
+        assert L.lp_norm_with_error(f, gauss1, p, gh_spec)[0] == pytest.approx(
             math.exp(p * lam**2 / 2.0), rel=1e-9
         )
 
     def test_sub_unit_exponent_accepted(self, gauss1, gh_spec):
-        assert L.lp_norm(L.cosh_field(0.5), gauss1, 0.5, gh_spec) > 0
+        assert L.lp_norm_with_error(L.cosh_field(0.5), gauss1, 0.5, gh_spec)[0] > 0
 
     def test_p_must_be_positive(self, gauss1, gh_spec):
         with pytest.raises(InvalidParameter):
-            L.lp_norm(L.constant(1.0, 1), gauss1, 0.0, gh_spec)
+            L.lp_norm_with_error(L.constant(1.0, 1), gauss1, 0.0, gh_spec)
 
     def test_large_power_stays_finite_with_honest_error(self, gauss1):
         # the L^16 integrand of e^{3x} peaks at x = 48, outside any Hermite
@@ -831,5 +811,5 @@ class TestLpNorm:
     def test_large_power_accurate_in_check_regime(self, gauss1, gh_spec):
         # exponents the inequality checks actually reach (q(r) <= ~16)
         f = L.log_linear([0.5])
-        val = L.lp_norm(f, gauss1, 16.0, gh_spec)
+        val = L.lp_norm_with_error(f, gauss1, 16.0, gh_spec)[0]
         assert val == pytest.approx(math.exp(16.0 * 0.25 / 2.0), rel=1e-10)
