@@ -18,6 +18,7 @@ way ({"builder": "power", "base": {...}, "exponent": 2}).  ``scheme: "auto"``
 resolves per target measure; the resolved spec is echoed in every report.
 Check kinds live in one table, ``CHECKS``: validation, the run, ``lshlab
 check`` and ``lshlab list`` all read each kind's call and entry keys from it.
+Every config object refuses a key it does not read; no key sets a tolerance.
 
 Outputs: report.json (all check reports; deterministic apart from the
 ``generated_at`` field), summary.txt, and one CSV of (r, alpha) rows per
@@ -96,9 +97,9 @@ CHECKS = {
                   "r_grid": list(checks_mod.DEFAULT_R_GRID)}),
     "density_approx": CheckKind(
         lambda f, mu, spec, e, cid: checks_mod.check_density_approximation(
-            f, mu, float(e["p"]), e["k_list"], e["r_list"], spec, e["eps_target"], cid),
+            f, mu, float(e["p"]), e["k_list"], e["r_list"], spec, cid),
         defaults={"p": 1.0, "k_list": list(checks_mod.APPROX_K_LIST),
-                  "r_list": list(checks_mod.APPROX_R_LIST), "eps_target": None}),
+                  "r_list": list(checks_mod.APPROX_R_LIST)}),
     "dilated_convolution_bound": CheckKind(
         lambda f, mu, spec, e, cid: checks_mod.check_dilated_convolution_bound(
             f, mu, float(e["p"]), fields_mod.mollifier(mu.dim, e["k"]), float(e["r"]),
@@ -113,9 +114,8 @@ CHECKS = {
             f, mu, float(e["c"]), float(e["p"]), float(e["q"]), spec, cid),
         required=("c", "p", "q")),
     "radial_euler_scaling": CheckKind(
-        lambda f, mu, spec, e, cid: checks_mod.check_radial_euler_scaling(
-            f, tol=float(e["tol"]), check_id=cid),
-        defaults={"tol": checks_mod.LEMMA_TOL}, needs_measure=False),
+        lambda f, mu, spec, e, cid: checks_mod.check_radial_euler_scaling(f, cid),
+        needs_measure=False),
     "shc": CheckKind(
         lambda f, mu, spec, e, cid: checks_mod.check_shc(
             f, mu, float(e["c"]), e["r_grid"], spec, cid),
@@ -124,9 +124,8 @@ CHECKS = {
         lambda f, mu, spec, e, cid: checks_mod.check_slsi(f, mu, float(e["c"]), spec, cid),
         required=("c",)),
     "spherical_monotone": CheckKind(
-        lambda f, mu, spec, e, cid: checks_mod.check_spherical_monotonicity(
-            f, tol=float(e["tol"]), check_id=cid),
-        defaults={"tol": checks_mod.LEMMA_TOL}, needs_measure=False),
+        lambda f, mu, spec, e, cid: checks_mod.check_spherical_monotonicity(f, cid),
+        needs_measure=False),
 }
 CHECK_KINDS = tuple(sorted(CHECKS))
 
@@ -209,7 +208,8 @@ class CampaignConfig:
                 )
             row = CHECKS[kind]
             where = f"checks[{idx}] ({kind})"
-            _require(entry, (("measure",) if row.needs_measure else ()) + row.required, where)
+            _require(entry, (("measure",) if row.needs_measure else ()) + row.required,
+                     ("check", "measure", "fields", *row.defaults), where)
             _check_types(entry, row, where)
             if kind == "best_constant":
                 e = {**row.defaults, **entry}
@@ -241,12 +241,15 @@ def config_errors(where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _require(decl: dict, keys, where: str):
-    """ConfigError naming ``where`` and the first of ``keys`` that ``decl``
-    lacks or sets to null."""
-    for key in keys:
+def _require(decl: dict, required, optional, where: str):
+    """ConfigError naming ``where`` and the first of ``required`` that ``decl``
+    lacks or sets to null, else its first key in neither that nor ``optional``."""
+    for key in required:
         if decl.get(key) is None:
             raise ConfigError(f"{where}: missing {key!r}")
+    for key in decl:
+        if key not in required and key not in optional:
+            raise ConfigError(f"{where}: {key!r} is not one of its keys")
 
 
 def _is_number(value) -> bool:
@@ -257,14 +260,11 @@ def _is_number(value) -> bool:
 def _check_types(entry: dict, row: CheckKind, where: str):
     """ConfigError naming ``where`` and the first key of ``entry`` of the wrong
     type: required keys and keys with numeric defaults take a finite number,
-    keys with a null default a finite number or null, keys with list defaults
-    a non-empty list of finite numbers.  Other keys are not checked here."""
+    keys with list defaults a non-empty list of finite numbers; others any value."""
     for key, value in entry.items():
         default = row.defaults.get(key, "unchecked")
         if key in row.required or _is_number(default):
             want, ok = "a finite number", _is_number(value)
-        elif default is None:
-            want, ok = "a finite number or null", value is None or _is_number(value)
         elif isinstance(default, list):
             want = "a non-empty list of finite numbers"
             ok = isinstance(value, list) and bool(value) and all(map(_is_number, value))
@@ -321,24 +321,24 @@ def _mollified(decl: dict) -> fields_mod.ScalarField:
         base.dim, decl.get("k", checks_mod.DEFAULT_MOLLIFIER_SCALE)))
 
 
-#: field builder -> (required keys, build from the declaration)
+#: field builder -> (required keys, optional keys, build from the declaration)
 _FIELD_BUILDERS = {
-    "constant": (("value",), lambda d: fields_mod.constant(
+    "constant": (("value",), ("dim",), lambda d: fields_mod.constant(
         float(d["value"]), _dim(d))),
-    "cosh": (("lam",), lambda d: fields_mod.cosh_field(float(d["lam"]))),
-    "dilate": (("base", "r"), lambda d: fields_mod.dilate(
+    "cosh": (("lam",), (), lambda d: fields_mod.cosh_field(float(d["lam"]))),
+    "dilate": (("base", "r"), (), lambda d: fields_mod.dilate(
         build_field(d["base"]), float(d["r"]))),
-    "exp_norm_sq": (("lam",), lambda d: fields_mod.exp_norm_sq(
+    "exp_norm_sq": (("lam",), ("dim",), lambda d: fields_mod.exp_norm_sq(
         float(d["lam"]), _dim(d))),
-    "log_linear": (("lam",), lambda d: fields_mod.log_linear(d["lam"])),
-    "modulus_holomorphic": (("coeffs",), lambda d: fields_mod.modulus_holomorphic(
+    "log_linear": (("lam",), (), lambda d: fields_mod.log_linear(d["lam"])),
+    "modulus_holomorphic": (("coeffs",), (), lambda d: fields_mod.modulus_holomorphic(
         [complex(re, im) for re, im in d["coeffs"]])),
-    "mollified": (("base",), _mollified),
-    "power": (("base", "exponent"), lambda d: fields_mod.power(
+    "mollified": (("base",), ("k",), _mollified),
+    "power": (("base", "exponent"), (), lambda d: fields_mod.power(
         build_field(d["base"]), float(d["exponent"]))),
-    "product": (("first", "second"), lambda d: fields_mod.product_field(
+    "product": (("first", "second"), (), lambda d: fields_mod.product_field(
         build_field(d["first"]), build_field(d["second"]))),
-    "squared_norm": ((), lambda d: fields_mod.squared_norm(_dim(d))),
+    "squared_norm": ((), ("dim",), lambda d: fields_mod.squared_norm(_dim(d))),
 }
 FIELD_BUILDERS = tuple(sorted(_FIELD_BUILDERS))
 
@@ -353,7 +353,7 @@ def build_measure(decl: dict) -> measures_mod.Density:
     if op not in MEASURE_OPS:
         raise ConfigError(f"measure declaration needs 'family' or 'op' in {MEASURE_OPS}: {decl}")
     required, build = _MEASURE_OPS[op]
-    _require(decl, required, where)
+    _require(decl, required, ("op",), where)
     with config_errors(where):
         return build(decl)
 
@@ -362,9 +362,9 @@ def build_field(decl: dict) -> fields_mod.ScalarField:
     builder = decl.get("builder")
     if builder not in FIELD_BUILDERS:
         raise ConfigError(f"unknown field builder {builder!r}; choose from {FIELD_BUILDERS}")
-    required, build = _FIELD_BUILDERS[builder]
+    required, optional, build = _FIELD_BUILDERS[builder]
     where = f"field declaration {decl}"
-    _require(decl, required, where)
+    _require(decl, required, ("builder", *optional), where)
     with config_errors(where):
         return build(decl)
 
@@ -507,8 +507,12 @@ def run(config_or_path, output_dir=None, jobs: int = 1) -> int:
         config = preset(str(config_or_path))
     else:
         config = load_config(config_or_path)
-    reports, summary, exit_code = run_campaign(config, jobs=jobs)
     out_dir = Path(output_dir) if output_dir else default_output_dir(config)
+    # refused before any check runs, and without making a directory
+    found = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not found.is_dir():
+        raise ConfigError(f"cannot write outputs to {out_dir}: {found} is not a directory")
+    reports, summary, exit_code = run_campaign(config, jobs=jobs)
     try:
         write_outputs(config, reports, summary, out_dir)
     except OSError as exc:

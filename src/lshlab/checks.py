@@ -471,12 +471,11 @@ def check_density_approximation(
     k_list: Sequence[int] = APPROX_K_LIST,
     r_list: Sequence[float] = APPROX_R_LIST,
     spec: Optional[QuadratureSpec] = None,
-    eps_target: Optional[float] = None,
     check_id: str = "density_approx",
 ) -> CheckReport:
     """Dilated-convolution approximation errors e(k, r) = ||(f * phi_k)_r - f||_p.
 
-    Passes iff the best cell reaches the target and convergence is monotone
+    Passes iff the best cell is within 1% of ||f||_p and convergence is monotone
     within twice the quadrature noise: along r -> 1 (at the largest scale) on
     the total error, and along the mollifier scale on the k-controlled split
     term ||(f * phi_k)_r - f_r||_p.  (The total error saturates at the
@@ -505,7 +504,7 @@ def check_density_approximation(
         base, _ = lp_norm_with_error(f, mu, p, spec)
     except QuadratureFailure as exc:
         return _inconclusive(check_id, "density_approx", inputs, spec, exc)
-    target = eps_target if eps_target is not None else 0.01 * base
+    target = 0.01 * base
 
     k_max, r_max = max(k_list), max(r_list)
 
@@ -592,7 +591,7 @@ def check_density_approximation(
 # monotonicity lemmas
 # ---------------------------------------------------------------------------
 
-def _lemma_report(check_id, kind, inputs, probes, violations, tol) -> CheckReport:
+def _lemma_report(check_id, kind, inputs, probes, violations) -> CheckReport:
     """The report of a monotonicity lemma scanned at ``probes`` over LEMMA_R_GRID."""
     return CheckReport(
         check_id=check_id,
@@ -604,19 +603,18 @@ def _lemma_report(check_id, kind, inputs, probes, violations, tol) -> CheckRepor
             "violations": violations[:8],
             "violation_count": len(violations),
         },
-        tolerance=tol,
+        tolerance=LEMMA_TOL,
         passed=not violations,
     )
 
 
 def check_spherical_monotonicity(
     f: ScalarField,
-    tol: float = LEMMA_TOL,
     check_id: str = "spherical_monotone",
 ) -> CheckReport:
-    """r -> (spherical average of f)(r x) is non-decreasing for subharmonic f."""
+    """r -> (spherical average of f)(r x) is non-decreasing, to LEMMA_TOL, for subharmonic f."""
     kind = "spherical_monotone"
-    inputs = {"field": f.label, "tol": tol}
+    inputs = {"field": f.label, "tol": LEMMA_TOL}
     rep = is_subharmonic(f, seed=29)
     if not rep.passed:
         return _inconclusive(check_id, kind, inputs, None, LabError(
@@ -628,18 +626,17 @@ def check_spherical_monotonicity(
     low, high = vals[:, :-1], vals[:, 1:]
     # "not >=" so that a NaN is a drop; from an overflowed +inf it is none
     with np.errstate(invalid="ignore"):
-        bad = ~(high >= low - tol * np.maximum(1.0, np.abs(low))) & (low != np.inf)
+        bad = ~(high >= low - LEMMA_TOL * np.maximum(1.0, np.abs(low))) & (low != np.inf)
     violations = [{"x": probes[i], "r_low": LEMMA_R_GRID[j], "r_high": LEMMA_R_GRID[j + 1],
                    "drop": low[i, j] - high[i, j]} for i, j in np.argwhere(bad)]
-    return _lemma_report(check_id, kind, inputs, probes, violations, tol)
+    return _lemma_report(check_id, kind, inputs, probes, violations)
 
 
 def check_radial_euler_scaling(
     k: ScalarField,
-    tol: float = LEMMA_TOL,
     check_id: str = "radial_euler_scaling",
 ) -> CheckReport:
-    """E k(r x) <= r^(2 - n) E k(x) for smooth rotation-invariant subharmonic k.
+    """E k(r x) <= r^(2 - n) E k(x), to LEMMA_TOL, for smooth rotation-invariant subharmonic k.
 
     Invariance gate: at each of the first eight probes x, k must match k(x)
     to 1e-6 max(1, |k(x)|) on its :func:`orbit_values` (the sphere-rule orbit
@@ -648,7 +645,7 @@ def check_radial_euler_scaling(
     infinite k(x) is 1e-6, so it needs an orbit equal to it.
     """
     kind = "radial_euler_scaling"
-    inputs = {"field": k.label, "tol": tol}
+    inputs = {"field": k.label, "tol": LEMMA_TOL}
     n = k.dim
     probes = default_probes(n, count=64, seed=17)
     sample = probes[:8]
@@ -668,10 +665,10 @@ def check_radial_euler_scaling(
     lhs, rhs = e[1:], scales[1:, None] ** (2 - n) * e[0]
     # "not <=" so that a NaN is a violation; an overflowed -inf bound is none
     with np.errstate(invalid="ignore"):
-        bad = ~(lhs <= rhs + tol * np.maximum(1.0, np.abs(rhs))) & (rhs != -np.inf)
+        bad = ~(lhs <= rhs + LEMMA_TOL * np.maximum(1.0, np.abs(rhs))) & (rhs != -np.inf)
     violations = [{"x": probes[j], "r": LEMMA_R_GRID[i], "lhs": float(lhs[i, j]),
                    "rhs": float(rhs[i, j])} for i, j in np.argwhere(bad)]
-    return _lemma_report(check_id, kind, inputs, probes, violations, tol)
+    return _lemma_report(check_id, kind, inputs, probes, violations)
 
 
 # ---------------------------------------------------------------------------

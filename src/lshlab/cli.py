@@ -69,6 +69,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    row = campaign_mod.CHECKS[args.check]
     config = campaign_mod.CampaignConfig.from_dict(
         {
             "seed": args.seed,
@@ -76,13 +77,14 @@ def _cmd_check(args) -> int:
             "measures": {"m": _measure_decl(args.measure, args.dim)},
             "fields": {"f": _field_decl(args.field)},
             "checks": [{"check": args.check, "measure": "m", "fields": ["f"],
-                        **{key: getattr(args, key) for key in "cpqrk"}}],
+                        **{key: getattr(args, key) for key in "cpqrk"
+                           if key in row.required or key in row.defaults}}],
         }
     )
     mu = campaign_mod.build_measure(config.measures["m"])
     f = campaign_mod.build_field(config.fields["f"])
     spec = campaign_mod.resolve_spec(config.quadrature, mu, config.seed)
-    rep = campaign_mod.CHECKS[args.check](f, mu, spec, config.checks[0], args.check)
+    rep = row(f, mu, spec, config.checks[0], args.check)
     print(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
     if rep.inconclusive:
         print("status: INCONCLUSIVE", file=sys.stderr)

@@ -598,20 +598,20 @@ def perturb(
     default deterministic scheme, so dim is capped at 3.  The result is not
     taken to be rotation-invariant; its sampler accepts mu's samples against
     1.5 times the largest weight on a grid over the truncation ball, probed
-    when it samples.
+    when it samples, comparing logarithms so that no weight overflows.
     """
     if mu.dim > 3:
         raise InvalidParameter("normalization quadrature caps at dim 3")
 
     def sampler(rng, size):
         probe = _grid_points(mu.dim, mu.truncation_radius, {1: 4097, 2: 101, 3: 31}[mu.dim])
-        envelope = float(np.exp(np.max(log_weight(probe)))) * 1.5
+        log_envelope = float(np.max(log_weight(probe))) + math.log(1.5)
         out = np.empty((size, mu.dim))
         filled = 0
         while filled < size:
             m = max(2 * (size - filled), 256)
             xs = mu.sample(rng, m)
-            accept = rng.random(m) < np.exp(log_weight(xs)) / envelope
+            accept = np.log(rng.random(m)) < log_weight(xs) - log_envelope
             take = xs[accept][: size - filled]
             out[filled : filled + take.shape[0]] = take
             filled += take.shape[0]
@@ -623,7 +623,7 @@ def perturb(
     except QuadratureFailure as exc:
         raise EvaluationFailure(f"cannot normalize {label!r}: {exc}",
                                 witness=exc.witness) from exc
-    # the sampler's envelope, e^w in linear space, would overflow with it
+    # a normalizer beyond the double range is refused, as gen_exponential's is
     if not log_mass < LOG_MAX:
         raise EvaluationFailure(f"cannot normalize {label!r}: mass e^{log_mass:.4g}")
     return Density(

@@ -158,7 +158,7 @@ def test_07_monotonicity_lemmas():
             L.exp_norm_sq(0.2, 3),
         )
         for f in spherical_battery:
-            rep = L.check_spherical_monotonicity(f, tol=1e-7)
+            rep = L.check_spherical_monotonicity(f)
             assert rep.passed and not rep.inconclusive
             assert rep.quantities["probes"] == 64
             assert rep.quantities["grid_points"] == 10
@@ -169,7 +169,7 @@ def test_07_monotonicity_lemmas():
             L.exp_norm_sq(0.2, 3),
         )
         for k in radial_battery:
-            rep = L.check_radial_euler_scaling(k, tol=1e-7)
+            rep = L.check_radial_euler_scaling(k)
             assert rep.passed and not rep.inconclusive
 
 

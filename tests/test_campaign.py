@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import lshlab as L
+from lshlab import campaign
 from lshlab.campaign import (
     CHECK_KINDS,
     CHECKS,
@@ -34,6 +35,15 @@ REQUIRED_KEYS = {
     "slsi": ("c",),
 }
 MEASURELESS = {"radial_euler_scaling", "spherical_monotone"}
+#: a value for each entry key that ``lshlab check`` has a flag for
+FLAG_VALUES = {"c": 1.0, "p": 1.0, "q": 2.0, "r": 0.8, "k": 4}
+
+
+def flag_keys(kind):
+    """The FLAG_VALUES that an entry of ``kind`` reads."""
+    row = CHECKS[kind]
+    return {key: value for key, value in FLAG_VALUES.items()
+            if key in row.required or key in row.defaults}
 
 
 def check_choices():
@@ -205,7 +215,7 @@ class TestConfig:
     @pytest.mark.parametrize("kind", [k for k in CHECK_KINDS if not CHECKS[k].over_battery])
     def test_per_field_check_without_fields_refused(self, kind, fields):
         # such an entry would run no check, so a failing one would vanish
-        entry = {"check": kind, "measure": "g", "c": 1.0, "p": 1.0, "q": 2.0, "r": 0.8}
+        entry = {"check": kind, "measure": "g", **flag_keys(kind)}
         if fields is not None:
             entry["fields"] = fields
         raw = minimal_config(checks=[{"check": "slsi", "measure": "g", "fields": ["f"], "c": 1.0},
@@ -217,20 +227,13 @@ class TestConfig:
         assert CHECK_KINDS == tuple(sorted(CHECKS))
         assert {k: CHECKS[k].required for k in CHECK_KINDS if CHECKS[k].required} == REQUIRED_KEYS
         for kind in CHECK_KINDS:
-            params = {"c": 1.0, "p": 1.0, "q": 2.0, "r": 0.8}
-            raw = minimal_config(checks=[{"check": kind, "fields": ["f"], **params}])
+            raw = minimal_config(checks=[{"check": kind, "fields": ["f"], **flag_keys(kind)}])
             if kind in MEASURELESS:
                 assert not CHECKS[kind].needs_measure
                 CampaignConfig.from_dict(raw)
             else:
                 with pytest.raises(ConfigError, match=rf"\({kind}\): missing 'measure'"):
                     CampaignConfig.from_dict(raw)
-
-    def test_eps_target_takes_a_number_or_null(self):
-        for eps in (0.05, 1, None):
-            CampaignConfig.from_dict(minimal_config(checks=[
-                {"check": "density_approx", "measure": "g", "fields": ["f"],
-                 "eps_target": eps}]))
 
     @pytest.mark.parametrize("decl, key", [
         ({"builder": "log_linear"}, "lam"),
@@ -634,8 +637,7 @@ class TestCli:
         raw = minimal_config(
             seed=0, fields={"f": {"builder": "log_linear", "lam": [0.8]}},
             measures={"g": {"family": "gaussian", "dim": 1}},
-            checks=[{"check": kind, "measure": "g", "fields": ["f"],
-                     "c": 1.0, "p": 1.0, "q": 2.0, "r": 0.8, "k": 4}])
+            checks=[{"check": kind, "measure": "g", "fields": ["f"], **flag_keys(kind)}])
         reports, _, _ = L.run_campaign(CampaignConfig.from_dict(raw))
         want = json.loads(json.dumps(reports[0].to_dict()))
         assert out.pop("check_id") == kind and want.pop("check_id") == f"000-{kind}-g-f"
@@ -689,8 +691,8 @@ class TestCli:
         ({"check": "dilated_convolution_bound", "p": 1.0, "r": 0.8, "k": "4"}, "k"),
         ({"check": "shc", "c": 1.0, "r_grid": [0.5, "1"]}, "r_grid"),
         ({"check": "density_approx", "k_list": 4}, "k_list"),
-        ({"check": "spherical_monotone", "tol": None}, "tol"),
-        ({"check": "density_approx", "eps_target": "x"}, "eps_target"),
+        ({"check": "density_approx", "p": "1"}, "p"),
+        ({"check": "best_constant", "c_max": "4"}, "c_max"),
         ({"check": "density_approx", "k_list": []}, "k_list"),
         ({"check": "density_approx", "r_list": []}, "r_list"),
         ({"check": "shc", "c": 1.0, "r_grid": []}, "r_grid"),
@@ -704,6 +706,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"checks[0] ({entry['check']}): '{key}'" in err
+
+    @pytest.mark.parametrize("overrides, where, key", [
+        ({"checks": [{"check": "shc", "measure": "g", "fields": ["f"], "c": 1.0,
+                      "r_gird": [0.5, 1.0]}]}, "checks[0] (shc)", "r_gird"),
+        ({"checks": [{"check": "spherical_monotone", "fields": ["f"], "tol": None}]},
+         "checks[0] (spherical_monotone)", "tol"),
+        ({"checks": [{"check": "radial_euler_scaling", "fields": ["f"], "tol": 1e-7}]},
+         "checks[0] (radial_euler_scaling)", "tol"),
+        ({"checks": [{"check": "density_approx", "measure": "g", "fields": ["f"],
+                      "eps_target": "x"}]}, "checks[0] (density_approx)", "eps_target"),
+        ({"fields": {"f": {"builder": "mollified", "base": {"builder": "log_linear",
+                                                            "lam": [0.8]}, "kk": 8}}},
+         "field declaration", "kk"),
+        ({"fields": {"f": {"builder": "log_linear", "lam": [0.8], "dim": 1}}},
+         "field declaration", "dim"),
+        ({"measures": {"g": {"op": "shift", "base": {"family": "gaussian"}, "offset": [0.5],
+                             "scale": 2.0}}}, "measure declaration", "scale"),
+        ({"fields": {"f": {"builder": "mollified", "base": {"builder": "log_linear",
+                                                            "lam": [0.8]}, "kk": 8}},
+          "checks": [{"check": "shc", "measure": "g", "fields": ["f"], "c": 1.0,
+                      "r_gird": [0.5, 1.0]},
+                     {"check": "spherical_monotone", "fields": ["f"], "tol": 0.5}]},
+         "checks[0] (shc)", "r_gird"),
+    ], ids=["check-entry", "tol", "radial-tol", "eps_target", "mollified-k", "log_linear-dim",
+            "shift", "three-typos"])
+    def test_run_unknown_key_exits_two(self, overrides, where, key, tmp_path, capsys):
+        # a key nothing reads is refused before any check runs, with no output directory
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(minimal_config(**overrides)))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(where)}.*: '{key}' is not one of its keys\n", err)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, where", [
         (["run", {"quadrature": {"scheme": "auto", "nodes": 5}}], "quadrature block"),
@@ -822,7 +857,14 @@ class TestCli:
         assert err.startswith(f"error: cannot read config {cfg}: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    def test_output_dir_naming_a_file_exits_two(self, tmp_path, capsys):
+    @staticmethod
+    def no_check_runs(monkeypatch):
+        def run_campaign(*args, **kwargs):
+            raise AssertionError("a check ran before the output directory was refused")
+        monkeypatch.setattr(campaign, "run_campaign", run_campaign)
+
+    def test_output_dir_naming_a_file_exits_two(self, tmp_path, monkeypatch, capsys):
+        self.no_check_runs(monkeypatch)
         taken = tmp_path / "taken"
         taken.write_text("")
         cfg = tmp_path / "campaign.json"
@@ -831,6 +873,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write outputs to {taken}: ")
         assert err.count("\n") == 1 and taken.read_text() == ""
+
+    def test_output_dir_under_a_file_exits_two(self, tmp_path, monkeypatch, capsys):
+        self.no_check_runs(monkeypatch)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" / "out"
+        assert main(["run", "gaussian-sharp", "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write outputs to {out}: {taken} is not a directory\n"
+        assert taken.read_text() == ""
+
+    @pytest.mark.parametrize("text, label", [("cosh:0.8", "cosh_field(0.8)"),
+                                             ("constant:1.5", "constant(1.5)")])
+    def test_check_field_shorthand(self, text, label, capsys):
+        assert main(["check", "--check", "slsi", "--field", text]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["inputs"]["field"] == label and out["passed"] and not out["inconclusive"]
 
     def test_run_preset_with_jobs(self, tmp_path):
         assert main(["run", "gaussian-sharp", "--output-dir", str(tmp_path),

@@ -45,6 +45,14 @@ class TestSlsi:
         assert abs(L.alpha_prime_with_error(f, gauss1, 1.0, 0.8, L.default_spec(gauss1))[0]) \
             <= 1e-9 * value
 
+    def test_overflowing_entropy_is_inconclusive_with_witness(self):
+        # e^{37.6x} on N(0, 1): ||g||_1 = e^{706.9} is a double, but Ent(g) =
+        # 706.9 ||g||_1 is not
+        rep = L.check_slsi(L.log_linear([37.6]), L.gen_exponential(0.5, 2, 1), 1.0)
+        assert rep.inconclusive and not rep.passed
+        assert rep.notes == ["inconclusive: Ent(g) overflows"]
+        assert rep.quantities["witness"][0] == pytest.approx(37.69, abs=0.01)
+
     def test_below_sharp_constant_fails(self, gauss1, gh_spec):
         rep = L.check_slsi(L.log_linear([1.2]), gauss1, 0.9, gh_spec)
         assert not rep.passed

@@ -216,6 +216,13 @@ class TestRegularityConstant:
             vals = [L.regularity_constant(gauss1, 0, a, s) for s in (0.0, 0.3, 0.8, 1.5)]
             assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
 
+    def test_four_dimensional_grid_search_refused(self):
+        # the factors' sigmas differ, so the product is not rotation-invariant
+        # and its grid would span all four dimensions
+        mu = L.product(L.gaussian(1.0, 2), L.gaussian(2.0, 2))
+        with pytest.raises(InvalidParameter, match="dim <= 3"):
+            L.regularity_constant(mu, 0, 1.5, 0.0)
+
     def test_compact_support_rejected(self):
         mu = L.uniform_ball(1.0, dim=1)
         with pytest.raises(InvalidParameter):
@@ -781,6 +788,14 @@ def test_sampler_second_moment(build, want):
     assert abs(got - want) <= 5.0 * err
 
 
+def test_laplace_sampler_in_one_dimension():
+    # the 1-D gen_exponential sampler gives the radius a random sign: the
+    # Laplace law has E x = 0 and E|x| = 1, each read here to 5 standard errors
+    xs = L.gen_exponential(1.0, 1.0, 1).sample(np.random.default_rng(3), 40_000)
+    assert xs.shape == (40_000, 1)
+    assert abs(xs.mean()) <= 0.035 and abs(np.abs(xs).mean() - 1.0) <= 0.025
+
+
 def test_closures_of_a_samplerless_density_build_and_refuse_to_sample(gauss1):
     # closures compose their factors' samplers, so a factor without one is
     # refused when the closure samples, not when it is built
@@ -849,6 +864,15 @@ class TestPerturbation:
         base = L.gen_exponential(1.0, 1.0, 1)
         mu = L.perturb(base, lambda pts: 0.5 * np.abs(pts[:, 0]))
         assert math.exp(base.log_pdf([0.0]) - mu.log_pdf([0.0])) == pytest.approx(2.0, rel=1e-10)
+
+    def test_sampler_with_a_weight_beyond_the_double_range(self):
+        # w = 712 on |x| > 3: e^w is beyond the largest double, but the mass,
+        # e^706.1, is not; the sampler compares logarithms, so it draws from
+        # |x| > 3 alone
+        mu = L.perturb(L.gaussian(1.0, 1),
+                       lambda pts: np.where(np.abs(pts[:, 0]) > 3.0, 712.0, 0.0))
+        xs = mu.sample(np.random.default_rng(0), 200)
+        assert xs.shape == (200, 1) and np.all(np.abs(xs) > 3.0)
 
     def test_four_dimensional_perturbation_rejected(self):
         def weight(pts):
