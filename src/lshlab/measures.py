@@ -19,13 +19,13 @@ The regularity constant of exponential type p is
 
     C_p(a, s) = sup_x sup_{|y| <= s} |x|^p rho(a x + y) / rho(x),
 
-estimated by grid search over the ball of radius ``truncation_radius`` (so
-the estimate is a lower bound of the sup of the density as evaluated; a
-convolution is evaluated to about 1e-9 in ln): on the e_1 line for a
-rotation-invariant measure, in any dimension, else on a tensor grid (dim <=
-3).  If the log-ratio is still increasing at the
-grid boundary, or exceeds the overflow guard, the sup is reported as divergent
-with a witness.
+estimated on the nodes of a grid over the ball of radius ``truncation_radius``:
+the sup over x is a lower bound of that of the density as evaluated (a
+convolution is evaluated to about 1e-9 in ln).  A rotation-invariant measure is
+searched on the e_1 line in any dimension, its inner sup exact for the evaluated
+profile: rho((a|x| - s)+), read once per node.  Any other measure scans a grid
+of shifts y on a tensor grid (dim <= 3).  A log-ratio still increasing at the
+grid boundary, or over the overflow guard, is reported as divergent with a witness.
 
 Closure operations (bounded perturbation, mixture, product, convolution)
 build new densities whose constants obey explicit combination bounds; those
@@ -38,7 +38,7 @@ import inspect
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -68,7 +68,8 @@ _CONV_TABLE_NODES = {1: 1025, 2: 193, 3: 193}
 @dataclass(frozen=True)
 class Density:
     """A probability density on R^n: its normalized log-density map and,
-    optionally, a sampler."""
+    optionally, a sampler.  ``rotation_invariant`` means that rho depends on
+    |x| alone and does not increase along rays."""
 
     dim: int
     truncation_radius: float
@@ -162,9 +163,6 @@ def gen_exponential(c: float = 1.0, a: float = 1.0, dim: int = 1) -> Density:
     def sampler(rng, size):
         u = rng.gamma(dim / a, 1.0, size=size)
         t = (u / c) ** (1.0 / a)
-        if dim == 1:
-            sign = rng.choice([-1.0, 1.0], size=size)
-            return (t * sign).reshape(-1, 1)
         d = rng.standard_normal((size, dim))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         return d * t[:, None]
@@ -377,7 +375,7 @@ def convolve_measures(mu1: Density, mu2: Density) -> Density:
     on Gauss-Legendre panels (``_partition``), so normalized as its factors are.
     In 1-D y runs over one factor's panels, the other's mapped through x - y
     and any gap between them.  In 2-D and 3-D both factors must be
-    rotation-invariant (and, as all such built-ins, non-increasing along rays):
+    rotation-invariant, hence non-increasing along rays (``Density``):
     rho(|x|) = |S^(n-2)| int t^(n-1) rho_o(t) int_0^pi rho_i(|x e_1 - t (cos th,
     sin th)|) sin^(n-2) th dth dt, the factor of the larger radius outside, th
     on ``_angle_rule``, t-nodes below e^-45 of the largest term even at th = 0
@@ -623,8 +621,7 @@ def perturb(
     except QuadratureFailure as exc:
         raise EvaluationFailure(f"cannot normalize {label!r}: {exc}",
                                 witness=exc.witness) from exc
-    # a normalizer beyond the double range is refused, as gen_exponential's is
-    if not log_mass < LOG_MAX:
+    if not math.isfinite(log_mass):
         raise EvaluationFailure(f"cannot normalize {label!r}: mass e^{log_mass:.4g}")
     return Density(
         dim=mu.dim,
@@ -657,21 +654,27 @@ def _y_grid(dim: int, s: float, h: float) -> Array:
     return ys[np.linalg.norm(ys, axis=1) <= s * (1.0 + 1e-12)]
 
 
-def _ln_best_ratio(mu: Density, p: float, a: float, xs: Array, ys: Array) -> Array:
-    """max over y of p log|x| + log rho(a x + y) - log rho(x), per x row."""
-    log_x = np.full(xs.shape[0], -math.inf)
+def _ln_best_ratio(mu: Density, p: float, a: float, s: float, xs: Array, ys) -> Array:
+    """max over |y| <= s of p log|x| + log rho(a x + y) - log rho(x), per x row.
+
+    A rotation-invariant rho does not increase along rays, so the max is read
+    once, at (a|x| - s)+ on x's side of the e_1 line; ``xs`` is then that line,
+    on which ln rho must not rise outward.  Other measures scan the shifts ``ys``."""
     nrm = np.linalg.norm(xs, axis=1)
-    if p == 0:
-        log_x[:] = 0.0
-    else:
-        pos = nrm > 0
-        log_x[pos] = p * np.log(nrm[pos])
+    with np.errstate(divide="ignore"):
+        log_x = p * np.log(nrm) if p else 0.0
     base = mu.log_pdf(xs)
-    best = np.full(xs.shape[0], -math.inf)
-    for y in ys:
-        shifted = mu.log_pdf(a * xs + y[None, :])
-        np.maximum(best, shifted, out=best)
-    return log_x + best - base
+    if not mu.rotation_invariant:
+        return log_x + reduce(np.maximum, (mu.log_pdf(a * xs + y) for y in ys)) - base
+    out = nrm[1:] > nrm[:-1]  # node i + 1 is the farther of the pair
+    rise = np.flatnonzero(np.where(out, base[1:] > base[:-1], base[:-1] > base[1:]))
+    if rise.size:
+        x = xs[rise[0] + (not out[rise[0]])]
+        raise InvalidParameter(f"{mu.label!r} is flagged rotation-invariant, but ln rho "
+                               f"rises from x={x} to the next node outward", witness=x)
+    pts = np.zeros_like(xs)
+    pts[:, 0] = np.copysign(np.maximum(a * nrm - s, 0.0), xs[:, 0])
+    return log_x + mu.log_pdf(pts) - base
 
 
 def regularity_constant(
@@ -683,15 +686,17 @@ def regularity_constant(
     """Grid estimate of the type-p constant C_p(a, s).
 
     x runs over ``GRID_NODES[d]`` nodes per axis on the ball of radius
-    ``truncation_radius`` in R^d, y over the ball |y| <= s at the same spacing,
-    both zero-padded to R^dim.  d = 1 for a rotation-invariant measure: there
-    {|a x + y| : |y| <= s} = [(a|x| - s)+, a|x| + s] depends on |x| alone, so
-    the e_1 line with shifts along e_1 is exact in every dimension.  Any other
-    measure is searched on its own tensor grid, d = dim <= 3.  The estimate is
-    the maximum of the ratio over the grid, hence a lower bound of the sup of
-    the ratio of ``log_pdf`` as evaluated.  Raises
-    :class:`TypeConditionViolation` (with the witness point) when the ratio
-    exceeds the overflow guard or is still increasing at the grid boundary.
+    ``truncation_radius`` in R^d, zero-padded to R^dim.  d = 1 for a
+    rotation-invariant measure in every dimension: its rho does not increase
+    along rays (checked on the line with no tolerance: a rise of ln rho from a
+    node to the next one outward raises :class:`InvalidParameter`, that node
+    the witness), so the sup over |y| <= s of rho(a x + y) is rho((a|x| - s)+),
+    exact for the evaluated profile.  Any other measure is searched on its own
+    tensor grid, d = dim <= 3, y over |y| <= s at the x-grid's spacing.  The
+    sup over x is the maximum over the nodes, a lower bound of the sup of the
+    ratio of ``log_pdf`` as evaluated.  Raises :class:`TypeConditionViolation`
+    (with the witness point) when the ratio exceeds the overflow guard or is
+    still increasing at the grid boundary.
     """
     for name, value, low in (("p", p, 0.0), ("a", a, 1.0), ("s", s, 0.0)):
         if not low <= value < math.inf:
@@ -706,32 +711,24 @@ def regularity_constant(
     if d > 3:
         raise InvalidParameter("regularity grid search is implemented for dim <= 3")
 
-    R = mu.truncation_radius
-    nax = GRID_NODES[d]
-    h = 2.0 * R / (nax - 1)
-    xs, ys = (np.pad(pts, ((0, 0), (0, mu.dim - d)))
-              for pts in (_grid_points(d, R, nax), _y_grid(d, s, h)))
+    R, nax = mu.truncation_radius, GRID_NODES[d]
+    xs = np.pad(_grid_points(d, R, nax), ((0, 0), (0, mu.dim - d)))
+    ys = None if mu.rotation_invariant else _y_grid(d, s, 2.0 * R / (nax - 1))
 
-    lr = _ln_best_ratio(mu, p, a, xs, ys)
+    lr = _ln_best_ratio(mu, p, a, s, xs, ys)
     top = float(np.max(lr))
     if top > LOG_RATIO_GUARD:
         x = xs[int(np.argmax(lr))]
         raise TypeConditionViolation(f"type-{p:g} condition violated at x={x}: "
                                      "ratio exceeds the overflow guard", witness=x)
 
-    nrm = np.linalg.norm(xs, axis=1)
-    boundary = nrm >= 0.9 * R
-    if np.any(boundary) and np.any(~boundary):
-        b_top = float(np.max(lr[boundary]))
-        if b_top >= float(np.max(lr[~boundary])):
-            idx = np.flatnonzero(boundary)[int(np.argmax(lr[boundary]))]
-            xb = xs[idx : idx + 1]
-            inner = 0.97 * xb
-            lr_in = float(_ln_best_ratio(mu, p, a, inner, ys)[0])
-            if lr[idx] > lr_in + 1e-9:
-                raise TypeConditionViolation(f"type-{p:g} condition violated at x={xb[0]}: "
-                                             "ratio increases toward the grid boundary",
-                                             witness=xb[0])
+    boundary = np.linalg.norm(xs, axis=1) >= 0.9 * R
+    if np.any(boundary) and np.any(~boundary) and np.max(lr[boundary]) >= np.max(lr[~boundary]):
+        idx = np.flatnonzero(boundary)[int(np.argmax(lr[boundary]))]
+        xb = xs[idx : idx + 1]
+        if lr[idx] > float(_ln_best_ratio(mu, p, a, s, 0.97 * xb, ys)[0]) + 1e-9:
+            raise TypeConditionViolation(f"type-{p:g} condition violated at x={xb[0]}: "
+                                         "ratio increases toward the grid boundary", witness=xb[0])
     return float(np.exp(top))
 
 

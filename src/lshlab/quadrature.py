@@ -125,7 +125,8 @@ def default_spec(mu, **overrides) -> QuadratureSpec:
     if mu.family == "gaussian" and mu.dim <= 3:
         base = dict(scheme="gauss_hermite", nodes_per_axis=_GH_DEFAULT)
     elif mu.family == "uniform_ball" and mu.dim <= 3:
-        # grid aligned to the support treats the boundary exactly
+        # the grid is aligned to the support's ends only in 1-D; a disc or
+        # ball boundary cuts the grid's cells
         base = dict(scheme="tensor_trapezoid", nodes_per_axis=_TRAP_DEFAULT[mu.dim])
     elif mu.dim == 1:
         base = dict(scheme="adaptive_1d")
