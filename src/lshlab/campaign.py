@@ -34,10 +34,9 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from datetime import datetime, timezone
 from functools import partial
-from numbers import Integral
 from pathlib import Path
 from typing import Callable
 
@@ -45,7 +44,7 @@ from . import checks as checks_mod
 from . import fields as fields_mod
 from . import measures as measures_mod
 from .errors import ConfigError, InvalidParameter, LabError
-from .quadrature import SCHEMES, QuadratureSpec, default_spec
+from .quadrature import SCHEMES, QuadratureSpec, default_spec, is_count
 
 # ---------------------------------------------------------------------------
 # check kinds
@@ -151,7 +150,7 @@ class CampaignConfig:
     def from_dict(cls, raw: dict) -> "CampaignConfig":
         if not isinstance(raw, dict):
             raise ConfigError("campaign config must be a JSON object")
-        unknown = set(raw) - {"seed", "output_dir", *_SECTIONS}
+        unknown = set(raw) - {f.name for f in dc_fields(cls)}
         if unknown:
             raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
         for key, kind in _SECTIONS.items():
@@ -160,32 +159,19 @@ class CampaignConfig:
                 raise ConfigError(f"{key!r} must be {what}, got {raw[key]!r}")
         seed = raw.get("seed", 0)
         # JSON's true is an int to Python; neither it, 1.5 nor "7" is a seed
-        if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        if not is_count(seed, 0):
             raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
         # null, like "", means the default output directory
         output_dir = raw.get("output_dir") or ""
         if not isinstance(output_dir, str):
             raise ConfigError(f"'output_dir' must be a string, got {output_dir!r}")
-        cfg = cls(
-            seed=int(seed),
-            output_dir=output_dir,
-            quadrature=dict(raw.get("quadrature", {"scheme": "auto"})),
-            measures=dict(raw.get("measures", {})),
-            fields=dict(raw.get("fields", {})),
-            checks=list(raw.get("checks", [])),
-        )
+        cfg = cls(seed=int(seed), output_dir=output_dir,
+                  **{key: kind(raw[key]) for key, kind in _SECTIONS.items() if key in raw})
         cfg.validate()
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "quadrature": self.quadrature,
-            "measures": self.measures,
-            "fields": self.fields,
-            "checks": self.checks,
-        }
+        return dict(vars(self))
 
     def validate(self):
         scheme = self.quadrature.get("scheme", "auto")
@@ -310,7 +296,7 @@ MEASURE_OPS = tuple(_MEASURE_OPS)
 def _dim(decl: dict) -> int:
     """A declaration's dim, 1 when unset; JSON's true, 1.5 and "2" are not one."""
     dim = decl.get("dim", 1)
-    if isinstance(dim, bool) or not isinstance(dim, Integral) or dim < 1:
+    if not is_count(dim):
         raise ValueError(f"'dim' must be an integer >= 1, got {dim!r}")
     return int(dim)
 

@@ -103,19 +103,7 @@ class CheckReport:
     spec: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return _jsonify(
-            {
-                "check_id": self.check_id,
-                "kind": self.kind,
-                "inputs": self.inputs,
-                "quantities": self.quantities,
-                "tolerance": self.tolerance,
-                "passed": self.passed,
-                "inconclusive": self.inconclusive,
-                "notes": list(self.notes),
-                "spec": self.spec,
-            }
-        )
+        return _jsonify(vars(self))
 
 
 def _inconclusive(check_id, kind, inputs, spec, reason) -> CheckReport:

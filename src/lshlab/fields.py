@@ -47,7 +47,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParameter, SubharmonicityError
-from .quadrature import _logsumexp, _unit_sphere_rule
+from .quadrature import _logsumexp, _unit_sphere_rule, is_count
 
 Array = np.ndarray
 #: (points, grad) -> (ln f, grad ln f or None): the map that defines a certified
@@ -103,7 +103,7 @@ class ScalarField:
     _gradient: Optional[Callable[[Array], Array]] = field(repr=False, default=None)
 
     def __post_init__(self):
-        if self.dim < 1:
+        if not is_count(self.dim):
             raise InvalidParameter("dim must be a positive integer")
         if (self._log is None) == (self._value is None):
             raise InvalidParameter(

@@ -298,7 +298,7 @@ def make_builtin(kind: str, params: dict, dim: int) -> Density:
 
 
 def _validate_dim(dim: int):
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
+    if not quadrature.is_count(dim):
         raise InvalidParameter("dim must be a positive integer")
 
 
@@ -384,7 +384,9 @@ def convolve_measures(mu1: Density, mu2: Density) -> Density:
     factors' radii summed (the truncation radius), halving the spacing at most
     twice while over 32 cells with finite ends fail ``_cubic_cells``.  A point
     on a cell that passes is read by the cubic through its four nearest nodes,
-    within 1e-9 in ln, else summed directly.  Dimensions above 3 are refused."""
+    within 1e-9 in ln, else summed directly.  Dimensions above 3 are refused.
+    The panels resolve a factor's ln rho only where it is continuous: on
+    uniform_ball(1, 2) * gaussian(0.5, 2), ln rho(0.5925, 0) is 4.7e-3 off."""
     if mu1.dim != mu2.dim:
         raise InvalidParameter("convolution components must share a dimension")
     n = mu1.dim
@@ -512,7 +514,8 @@ def _partition(logd: Callable[[Array], Array], T: float) -> Array:
     """Breakpoints on [-2T, 2T], 0 among them: from panels T/4 wide, a panel
     is halved while logd at its nodes strays from their chord by over 2 (0.25
     at the kink 0, for the mapped rule), unless 800 below its peak or 2^-40 T
-    wide.  On two factors' panels the strays add to 4 at most: 1e-14 relative."""
+    wide.  On two factors' panels the strays add to 4 at most: 1e-14 relative
+    where both ln rho are continuous; a support edge is not resolved."""
     b = np.linspace(-2.0 * T, 2.0 * T, 17)  # b[8] is exactly 0
     while b.size < 2000:
         y = _panel_nodes(b)[0].reshape(-1, 16)
@@ -621,8 +624,6 @@ def perturb(
     except QuadratureFailure as exc:
         raise EvaluationFailure(f"cannot normalize {label!r}: {exc}",
                                 witness=exc.witness) from exc
-    if not math.isfinite(log_mass):
-        raise EvaluationFailure(f"cannot normalize {label!r}: mass e^{log_mass:.4g}")
     return Density(
         dim=mu.dim,
         truncation_radius=mu.truncation_radius,
@@ -749,17 +750,10 @@ class RegularityConstants:
 
     def to_dict(self) -> dict:
         return {
-            "p": self.p,
-            "entries": [
-                {"a": a, "s": s, "estimate": v} for a, s, v in self.entries
-            ],
-            "violations": [
-                {"a": a, "s": s, "witness": list(np.atleast_1d(w))}
-                for a, s, w in self.violations
-            ],
-            "uniform_near_one": self.uniform_near_one,
-            "near_one_eps": self.near_one_eps,
-            "grid_spec": self.grid_spec,
+            **vars(self),
+            "entries": [{"a": a, "s": s, "estimate": v} for a, s, v in self.entries],
+            "violations": [{"a": a, "s": s, "witness": list(np.atleast_1d(w))}
+                           for a, s, w in self.violations],
             "numerically_type_p": self.numerically_type_p,
         }
 

@@ -9,7 +9,8 @@ gauss_hermite     Gaussian measures up to dim 3, one polar rule: m =
                   with 2m nodes; 2 ceil(m/3) angles in 2-D; ceil(m/3) polar
                   angles times twice as many azimuths in 3-D.  100, 1,700
                   and 28,900 nodes at the default 101.
-tensor_trapezoid  uniform tensor grid over the truncation box.
+tensor_trapezoid  uniform tensor grid over the truncation box; a weight whose
+                  mass reaches the box's edge fails (``EDGE_MASS_SHARE``).
 adaptive_1d       full-line adaptive quadrature via the x = tan(theta)
                   substitution (handles algebraic tails); dim 1 only.  One
                   globally adaptive 21-point Gauss-Kronrod loop (QUADPACK's
@@ -67,9 +68,19 @@ LOG_MAX = math.log(np.finfo(float).max)
 #: The largest defaults fit, the 65^3 = 274,625-node trapezoid and 200,000
 #: Monte Carlo samples up to dimension 30
 MAX_NODES = 2_000_000
+#: the largest share of a weight's mass that the trapezoid box's outer shell
+#: of nodes may hold on a strictly positive measure: more means that the box
+#: cuts off mass that the halved node set misses too, unseen by the estimate
+EDGE_MASS_SHARE = 1e-8
 
 #: unused here; benchmarks/tracer.py reads and replaces it when it installs
 sp_integrate = None
+
+
+def is_count(value, least: int = 1) -> bool:
+    """Whether ``value`` is an integer >= ``least``: numpy's integers are
+    Integral too, a bool is not a count."""
+    return not isinstance(value, bool) and isinstance(value, Integral) and value >= least
 
 
 @dataclass(frozen=True)
@@ -86,8 +97,7 @@ class QuadratureSpec:
             value = getattr(self, name)
             if value is None and name == "nodes_per_axis":
                 continue
-            # numpy's integers are Integral too, a bool is not a count
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+            if not is_count(value, least):
                 raise InvalidParameter(f"{name} must be an integer >= {least}, got {value!r}")
 
     def resolved(self, dim: int) -> "QuadratureSpec":
@@ -109,12 +119,7 @@ class QuadratureSpec:
         return replace(self, nodes_per_axis=max(3, (n - 1) // 2 + 1))
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "nodes_per_axis": self.nodes_per_axis,
-            "mc_samples": self.mc_samples,
-            "seed": self.seed,
-        }
+        return dict(vars(self))
 
 
 def default_spec(mu, **overrides) -> QuadratureSpec:
@@ -326,10 +331,13 @@ def _moments(columns, mu, spec: QuadratureSpec, fn, count: int) -> list:
     else:
         spec = spec.resolved(mu.dim)
         full, half = measure_nodes(mu, spec), measure_nodes(mu, spec.halved())
+        # a vanishing measure's box edge is its support
+        edge = (np.abs(full[0]).max(axis=1) >= mu.truncation_radius
+                if spec.scheme == "tensor_trapezoid" and mu.strictly_positive else None)
 
         def one(k):
             at = lambda pts: columns(pts, k)
-            *values, peak = _node_moments(at, *full)
+            *values, peak = _node_moments(at, *full, edge)
             return _with_error(lambda v: fn(v[0], v[1]), values, [_node_moments(at, *half)], peak)
     return [_caught(one, k) for k in range(count)]
 
@@ -366,8 +374,10 @@ def _columns_at(columns, pts: Array) -> Array:
         return np.asarray(columns(pts), dtype=float).reshape(pts.shape[0], -1)
 
 
-def _node_moments(columns, pts: Array, logw: Array):
-    """(ln int g dmu, the factors' means, the node of largest weight) on pts."""
+def _node_moments(columns, pts: Array, logw: Array, edge: Optional[Array] = None):
+    """(ln int g dmu, the factors' means, the node of largest weight) on pts;
+    it fails when the nodes of the mask ``edge`` hold more than
+    ``EDGE_MASS_SHARE`` of the mass, with the heaviest of them as witness."""
     cols = _columns_at(columns, pts)
     _fail_at_first(np.isnan(cols[:, 0]) | (cols[:, 0] == math.inf), pts)
     s = logw + cols[:, 0]
@@ -375,6 +385,10 @@ def _node_moments(columns, pts: Array, logw: Array):
     log_mass = _logsumexp(s)
     if not math.isfinite(log_mass):
         raise QuadratureFailure("the weight integrates to zero or diverges", witness=peak)
+    if edge is not None and _logsumexp(s[edge]) - log_mass > math.log(EDGE_MASS_SHARE):
+        raise QuadratureFailure(
+            f"more than {EDGE_MASS_SHARE:g} of the weight's mass lies on the edge of the "
+            "trapezoid's box", witness=pts[int(np.argmax(np.where(edge, s, -math.inf)))].copy())
     # a node is bad when any of its factors is
     _fail_at_first(~np.isfinite(cols[:, 1:]).all(axis=1), pts)
     return log_mass, np.exp(s - log_mass) @ cols[:, 1:], peak

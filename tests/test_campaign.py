@@ -280,6 +280,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"checks\[1\] \(best_constant\)"):
             CampaignConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda: CampaignConfig.from_dict([minimal_config()]), "must be a JSON object"),
+        (lambda: resolve_spec({"scheme": "auto"}, None, seed=0), "auto quadrature needs"),
+        (lambda: preset("gaussian-blunt"), "unknown preset 'gaussian-blunt'"),
+    ], ids=["config-list", "auto-without-measure", "preset"])
+    def test_refused(self, call, match):
+        with pytest.raises(ConfigError, match=match):
+            call()
+
     def test_auto_scheme_resolution(self, gauss1):
         spec = resolve_spec({"scheme": "auto"}, gauss1, seed=5)
         assert spec.scheme == "gauss_hermite" and spec.seed == 5
@@ -751,8 +760,12 @@ class TestCli:
         (["check", "--check", "slsi", "--field", "log_linear:abc"], "--field"),
         (["run", {"measures": {"g": {"family": "gaussian", "dim": 1.5}}}],
          "measure declaration"),
+        (["run", {"measures": {"g": {"dim": 1}}}], "measure declaration needs 'family' or 'op'"),
+        (["run", {"fields": {"f": {"builder": "log_cubic"}}}], "unknown field builder"),
+        (["check", "--check", "slsi", "--measure", "gauss"], "cannot parse measure 'gauss'"),
+        (["check", "--check", "slsi", "--field", "log_linear"], "cannot parse field"),
     ], ids=["quadrature-key", "seed", "cosh-lam", "log_linear-lam", "sigma", "field-shorthand",
-            "dim"])
+            "dim", "measure-no-family", "field-builder", "measure-name", "field-name"])
     def test_malformed_value_exits_two(self, argv, where, tmp_path, capsys):
         if argv[0] == "run":
             cfg = tmp_path / "campaign.json"
@@ -776,9 +789,14 @@ class TestCli:
          "checks[0] (slsi)"),
         ({"output_dir": 5}, "'output_dir'"),
         ({"output_dir": None}, None),
+        ({"sed": 3}, "unknown top-level config keys: ['sed']"),
+        ({"quadrature": {"scheme": "simpson"}}, "quadrature.scheme 'simpson'"),
+        ({"fields": {"f": [0.8]}}, "field 'f' must be an object"),
+        ({"measures": {"g": "gaussian"}}, "measure 'g' must be an object"),
     ], ids=["quadrature-null", "quadrature-list", "measures-list", "fields-null",
             "checks-object", "checks-null", "check-entry-number", "measure-list",
-            "fields-number", "output_dir-number", "output_dir-null"])
+            "fields-number", "output_dir-number", "output_dir-null", "unknown-key",
+            "scheme", "field-declaration", "measure-declaration"])
     def test_top_level_types(self, overrides, where, tmp_path, monkeypatch, capsys):
         # a malformed section is a ConfigError (exit 2); a null output_dir is the default
         monkeypatch.chdir(tmp_path)

@@ -109,6 +109,19 @@ class TestSlsi:
         # nodes of the half-resolution estimate
         assert sweeps == [(100 * 64, False), (50 * 64, False)]
 
+    @pytest.mark.parametrize("check", [L.check_slsi, L.check_shc])
+    def test_mass_at_the_box_edge_is_inconclusive(self, check):
+        # on N(0, I_2), read as gen_exponential(0.5, 2, 2) on the trapezoid,
+        # e^{6 x_1} has its mass near x_1 = 6, next to the box edge R = 7.43.
+        # The sLSI deficit at c = 0.99 is -0.005 * 36 e^{18} = -1.18e7 and
+        # read +1.27e7 with no edge rule, and the sHC passed with alpha(r) >
+        # ||f||_1: both conclusive PASSes
+        mu = L.gen_exponential(0.5, 2.0, 2)
+        rep = check(L.log_linear([6.0, 0.0]), mu, 0.99)
+        assert rep.inconclusive and not rep.passed
+        assert "edge of the trapezoid's box" in rep.notes[0]
+        np.testing.assert_array_equal(rep.quantities["witness"], [mu.truncation_radius, 0.0])
+
     def test_uncertified_field_rejected(self, gauss1, gh_spec):
         f = L.raw_field(lambda pts: np.exp(pts[:, 0]), 1, label="raw")
         with pytest.raises(InvalidParameter):
@@ -255,6 +268,20 @@ class TestGeneralShc:
         assert rep.inconclusive and not rep.passed
         assert rep.notes[0] == "inconclusive: L^1 norm overflows (log value 800)"
         assert "witness" in rep.quantities
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda mu: L.check_dilation_bound(L.cosh_field(0.5), mu, 1.0, 0.0), r"\(0, 1\]"),
+    (lambda mu: L.check_dilation_bound(L.cosh_field(0.5), mu, 1.0, 1.5), r"\(0, 1\]"),
+    (lambda mu: L.check_dilated_convolution_bound(
+        L.cosh_field(0.5), mu, 1.0, L.mollifier(1, 4), 1.0), r"\(0, 1\)"),
+    (lambda mu: L.best_constant([L.cosh_field(0.5)], mu, "lsi"), "mode must be"),
+    # the sphere rule stops at dim 3
+    (lambda mu: L.check_radial_euler_scaling(L.exp_norm_sq(0.05, 4)), "dim <= 3"),
+], ids=["dilation-r-0", "dilation-r-1.5", "convolution-r-1", "mode", "euler-4d"])
+def test_out_of_range_argument_refused(gauss1, call, match):
+    with pytest.raises(InvalidParameter, match=match):
+        call(gauss1)
 
 
 class TestDilationBound:
@@ -749,6 +776,11 @@ class TestBestConstant:
         c_star = L.best_constant(battery, gauss1, "slsi", c_range=(0.25, 0.5),
                                  spec=gh_spec)
         assert c_star == 0.5
+
+    def test_mass_at_the_box_edge_fails_the_search(self):
+        # the sharp constant of N(0, I_2) is 1; the trapezoid once read 0.976
+        with pytest.raises(QuadratureFailure, match=r"^log_linear\(\[6\.,0\.\]\): more than"):
+            L.best_constant([L.log_linear([6.0, 0.0])], L.gen_exponential(0.5, 2.0, 2))
 
     def test_empty_battery_rejected(self, gauss1):
         with pytest.raises(InvalidParameter):

@@ -82,6 +82,30 @@ class TestBuilders:
         with pytest.raises(InvalidParameter):
             L.constant(-1.0, 1)
 
+    @pytest.mark.parametrize("build, match", [
+        # a dimension of 2.5 once built and failed only when evaluated
+        (lambda: L.constant(1.5, 2.5), "dim must be a positive integer"),
+        (lambda: L.exp_norm_sq(0.1, 2.5), "dim must be a positive integer"),
+        (lambda: L.constant(1.5, True), "dim must be a positive integer"),
+        (lambda: L.squared_norm(0), "dim must be a positive integer"),
+        (lambda: L.exp_norm_sq(-0.1, 2), "lam >= 0"),
+        (lambda: L.modulus_holomorphic([]), "non-empty"),
+        (lambda: L.product_field(L.log_linear([0.5]), L.log_linear([0.5, 0.0])),
+         "share a dimension"),
+        (lambda: L.ScalarField(dim=1, label="both", _log=lambda pts, grad: (pts[:, 0], None),
+                               _value=lambda pts: pts[:, 0]), "either its log map"),
+        (lambda: L.ScalarField(dim=1, label="neither"), "either its log map"),
+        (lambda: L.log_linear([0.5])(np.zeros((2, 3))), r"expected shape \(m, 1\) or \(1,\)"),
+    ], ids=["constant-dim", "exp_norm_sq-dim", "bool-dim", "zero-dim", "exp_norm_sq-lam",
+            "no-coefficients", "product-dims", "both-maps", "no-map", "batch-shape"])
+    def test_malformed_field_refused(self, build, match):
+        with pytest.raises(InvalidParameter, match=match):
+            build()
+
+    def test_numpy_integer_dim_accepted(self):
+        f = L.constant(1.5, np.int64(2))
+        assert f(np.zeros((3, 2))).tolist() == [1.5] * 3
+
     def test_scale_homogeneity(self, rng):
         f = L.cosh_field(0.8)
         g = L.scale(f, 2.5)

@@ -14,6 +14,14 @@ from lshlab.functionals import (
 
 
 class TestExponentLaws:
+    @pytest.mark.parametrize("r, c, match", [(0.0, 1.0, r"r must lie in \(0, 1\]"),
+                                             (1.5, 1.0, r"r must lie in \(0, 1\]"),
+                                             (0.5, 0.0, "c must be positive"),
+                                             (0.5, -1.0, "c must be positive")])
+    def test_q_of_r_out_of_range_refused(self, r, c, match):
+        with pytest.raises(InvalidParameter, match=match):
+            L.q_of_r(r, c)
+
     def test_q_of_r_decreasing_with_unit_endpoint(self):
         c = 1.3
         grid = [0.5, 0.6, 0.8, 0.95, 1.0]

@@ -90,6 +90,10 @@ class TestBuiltins:
             ("gen_exponential", {"c": -2.0, "a": 1.0}, 1),
             ("uniform_ball", {"radius": 0.0}, 1),
             ("gen_exponential", {"c": 1.0, "a": 0.005}, 1),  # mass e^864
+            # a bool is not a dimension: these once built, labelled "dim=True"
+            ("gaussian", {"sigma": 1.0}, True),
+            ("gen_exponential", {"c": 1.0, "a": 1.0}, True),
+            ("uniform_ball", {"radius": 1.0}, 2.0),
         ],
     )
     def test_out_of_range_parameters_rejected(self, kind, params, dim):
@@ -119,6 +123,10 @@ class TestBuiltins:
         # double precision; the density's log_pdf would take ln 0
         with pytest.raises(InvalidParameter, match=r"c=1e\+300, a=0.5\) has mass e\^-1380"):
             L.gen_exponential(1e300, 0.5, 1)
+
+    def test_numpy_integer_dim_accepted(self):
+        mu = L.uniform_ball(1.0, np.int64(2))
+        assert mu.dim == 2 and mu.label == "uniform_ball(R=1, dim=2)"
 
     def test_make_builtin_dispatch(self):
         mu = L.make_builtin("gaussian", {"sigma": 2.0}, 1)
@@ -409,6 +417,10 @@ class TestMix:
     def test_weight_out_of_range(self, gauss1):
         with pytest.raises(InvalidParameter):
             L.mix(gauss1, gauss1, 1.5)
+
+    def test_shift_offset_of_wrong_length_refused(self, gauss2):
+        with pytest.raises(InvalidParameter, match="offset dimension mismatch"):
+            L.shift(gauss2, [0.5, 0.0, 1.0])
 
     def test_mix_and_shift_mass_is_exact(self, gauss1, rng):
         # the maps combine normalized log-densities and subtract no constant

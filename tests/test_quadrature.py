@@ -175,6 +175,18 @@ class TestSpecValidation:
         with pytest.raises(InvalidParameter, match="no node count"):
             QuadratureSpec(scheme=scheme).halved()
 
+    @pytest.mark.parametrize("dim, scheme, match", [
+        (1, "adaptive_1d", "adaptive_1d has no fixed node set"),
+        (4, "tensor_trapezoid", "tensor_trapezoid caps at dim 3"),
+    ])
+    def test_no_node_set_outside_a_scheme_refused(self, dim, scheme, match):
+        with pytest.raises(InvalidParameter, match=match):
+            measure_nodes(L.gaussian(1.0, dim), QuadratureSpec(scheme=scheme))
+
+    def test_adaptive_rule_needs_one_dimension(self, gauss2):
+        with pytest.raises(InvalidParameter, match="one-dimensional measure"):
+            L.integrate(ones, gauss2, QuadratureSpec(scheme="adaptive_1d"))
+
     def test_gauss_hermite_only_for_gaussians(self):
         mu = L.gen_exponential(1.0, 1.0, 1)
         with pytest.raises(InvalidParameter):
@@ -677,6 +689,23 @@ class TestWeightedMoments:
         with pytest.raises(QuadratureFailure) as err:
             weighted_moments(columns, gauss1, gh_spec, lambda log_mass, means: means)
         np.testing.assert_array_equal(err.value.witness, pts[bad_row])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_mass_on_the_trapezoid_box_edge_fails(self, dim):
+        # gen_exponential(0.5, 2, n) is N(0, I_n): e^{lam x_1} carries 4.5e-9
+        # of its mass to the 2-D box's outer shell of nodes at lam = 2, under
+        # EDGE_MASS_SHARE, and 6.2e-7 at lam = 3, whose ln E e^{3 x_1} is
+        # then off by 4.7e-6 with an estimate of 8.0e-8
+        mu = L.gen_exponential(0.5, 2.0, dim)
+        spec = L.default_spec(mu)
+        log_mass = lambda lam: weighted_moments(
+            lambda pts: lam * pts[:, 0], mu, spec, lambda log_mass, means: log_mass)
+        assert spec.scheme == "tensor_trapezoid"
+        assert log_mass(2.0)[0] == pytest.approx(2.0, rel=1e-7)
+        with pytest.raises(QuadratureFailure, match="edge of the trapezoid's box") as err:
+            log_mass(3.0)
+        R = mu.truncation_radius
+        np.testing.assert_array_equal(err.value.witness, [R] + [0.0] * (dim - 1))
 
     def test_adaptive_error_is_first_order_change(self):
         # fn = means[0] * e^{log_mass} is int g x dmu; its error is that integral's own
