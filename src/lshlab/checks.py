@@ -225,19 +225,21 @@ def shc_rows(norms: DilationNorms, i: int, c: float,
     one).  A row whose norms fail to integrate, or whose q(r) exceeds
     Q_GUARD, is skipped.  Raises InvalidParameter for an uncertified field,
     before the r-grid is read, and QuadratureFailure when ||f||_1 cannot be
-    computed.  The norms come in one fill: ||f||_1, and alpha(r) and
-    ||f_r||_1 at every q(r) <= Q_GUARD.
+    computed, or when a row failed to integrate (it may be the failing one)
+    and the live rows pass.  The norms come in one fill: ||f||_1, and
+    alpha(r) and ||f_r||_1 at every q(r) <= Q_GUARD.
     """
     _require_certified(norms.fields[i])
     norms.fill([(i, r, q) for r, q in _shc_keys((c,), r_grid)])
     base, e_base = norms(i, 1.0, 1.0)
-    pairs, prev = [], None
+    pairs, prev, failure = [], None, None
     for r in r_grid:
         row = {"r": float(r), "q_of_r": q_of_r(r, c)}
         try:
             a, e_a = norms.alpha(i, r, c)
             n1, _ = norms(i, r, 1.0)
         except (QuadratureFailure, InvalidParameter) as exc:
+            failure = failure or (exc if isinstance(exc, QuadratureFailure) else None)
             row.update({"skipped": True, "reason": str(exc)})
             pairs.append((row, 0.0))
             continue
@@ -256,6 +258,8 @@ def shc_rows(norms: DilationNorms, i: int, c: float,
         slack = 0.0 if prev is None else prev["alpha"] - a * (1.0 + prev["tol_rel"])
         prev = row
         pairs.append((row, slack))
+    if failure is not None and shc_passed(pairs):
+        raise failure
     return pairs
 
 
@@ -296,7 +300,7 @@ def check_shc(
     norms = DilationNorms([f], mu, spec)
     try:
         pairs = shc_rows(norms, 0, c, r_grid)
-    except QuadratureFailure as exc:  # only ||f||_1 fails the rows
+    except QuadratureFailure as exc:  # ||f||_1, or a row that could be the failing one
         return _inconclusive(check_id, "shc", inputs, spec, exc)
     base, _ = norms(0, 1.0, 1.0)
     rows = [row for row, _ in pairs]
@@ -481,13 +485,8 @@ def check_density_approximation(
     if len(k_list) == 0 or len(r_list) == 0:
         raise InvalidParameter("k_list and r_list must be non-empty")
     spec = spec or default_spec(mu)
-    inputs = {
-        "field": f.label,
-        "measure": mu.label,
-        "p": p,
-        "k_list": list(k_list),
-        "r_list": list(r_list),
-    }
+    inputs = {"field": f.label, "measure": mu.label, "p": p, "k_list": list(k_list),
+              "r_list": list(r_list)}
     try:
         base, _ = lp_norm_with_error(f, mu, p, spec)
     except QuadratureFailure as exc:
@@ -537,11 +536,7 @@ def check_density_approximation(
     best = min(cell["error"] for cell in live.values())
 
     def _monotone(seq):
-        ok = True
-        for (e1, n1), (e2, n2) in zip(seq, seq[1:]):
-            if e2 > e1 + 2.0 * (n1 + n2):
-                ok = False
-        return ok
+        return not any(e2 > e1 + 2.0 * (n1 + n2) for (e1, n1), (e2, n2) in zip(seq, seq[1:]))
 
     along_k = [split_k[k] for k in sorted(k_list) if k in split_k]
     along_r = [(live[(k_max, r)]["error"], live[(k_max, r)]["noise"])

@@ -114,15 +114,12 @@ def _cmd_best_c(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    print("measure families:")
-    for name in sorted(measures_mod._FAMILIES):
-        print(f"  {name}")
-    print("measure ops:")
-    for name in sorted(campaign_mod.MEASURE_OPS):
-        print(f"  {name}")
-    print("field builders:")
-    for name in sorted(campaign_mod.FIELD_BUILDERS):
-        print(f"  {name}")
+    for title, names in (("measure families", measures_mod._FAMILIES),
+                         ("measure ops", campaign_mod.MEASURE_OPS),
+                         ("field builders", campaign_mod.FIELD_BUILDERS)):
+        print(f"{title}:")
+        for name in sorted(names):
+            print(f"  {name}")
     print("checks:")
     for name in campaign_mod.CHECK_KINDS:
         row = campaign_mod.CHECKS[name]

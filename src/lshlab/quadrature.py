@@ -69,8 +69,8 @@ LOG_MAX = math.log(np.finfo(float).max)
 #: Monte Carlo samples up to dimension 30
 MAX_NODES = 2_000_000
 #: the largest share of a weight's mass that the trapezoid box's outer shell
-#: of nodes may hold on a strictly positive measure: more means that the box
-#: cuts off mass that the halved node set misses too, unseen by the estimate
+#: may hold where the measure goes on past the box: more means the box cuts
+#: off mass that the halved node set misses too, unseen by the estimate
 EDGE_MASS_SHARE = 1e-8
 
 #: unused here; benchmarks/tracer.py reads and replaces it when it installs
@@ -331,15 +331,24 @@ def _moments(columns, mu, spec: QuadratureSpec, fn, count: int) -> list:
     else:
         spec = spec.resolved(mu.dim)
         full, half = measure_nodes(mu, spec), measure_nodes(mu, spec.halved())
-        # a vanishing measure's box edge is its support
-        edge = (np.abs(full[0]).max(axis=1) >= mu.truncation_radius
-                if spec.scheme == "tensor_trapezoid" and mu.strictly_positive else None)
+        edge = (_cut_edge(mu, full[0], 2.0 * mu.truncation_radius / (spec.nodes_per_axis - 1))
+                if spec.scheme == "tensor_trapezoid" else None)
 
         def one(k):
             at = lambda pts: columns(pts, k)
             *values, peak = _node_moments(at, *full, edge)
             return _with_error(lambda v: fn(v[0], v[1]), values, [_node_moments(at, *half)], peak)
     return [_caught(one, k) for k in range(count)]
+
+
+def _cut_edge(mu, pts: Array, step: float) -> Array:
+    """The trapezoid nodes on the box's outer shell (max|x_i| = R), less those
+    where mu vanishes one grid step out: there the box edge is the support's."""
+    at = np.abs(pts) >= mu.truncation_radius
+    edge = at.any(axis=1)
+    if not mu.strictly_positive:
+        edge[edge] = np.isfinite(mu.log_pdf(pts[edge] + step * np.sign(pts[edge]) * at[edge]))
+    return edge
 
 
 def _caught(fn, *args):

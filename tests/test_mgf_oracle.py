@@ -108,15 +108,23 @@ def test_checks_match_closed_form_mgf(case):
                 assert abs(row["norm1"] - math.exp(mgf(r * t)[0])) <= err, (t, c, r)
 
 
-# The box-edge rule skips sHC rows of these Laplace-type tilts on the tensor
+# The box-edge rule fails sHC rows of these Laplace-type tilts on the tensor
 # trapezoid, rows whose alpha is finite and above ||f||_1, and every row left
-# passes: conclusive PASSes that the closed form contradicts.  A row skipped
-# for a QuadratureFailure does not block a PASS (ROADMAP item 12)
-@pytest.mark.xfail(strict=True, reason="an sHC row skipped at the box edge can fail")
-@pytest.mark.parametrize("n, t, c, r", [(2, 0.8, 1.0, 0.5), (3, 0.3, 0.5, 0.6)])
-def test_shc_pass_on_laplace_agrees_with_closed_form(n, t, c, r):
-    mgf = _laplace(n)
+# passes.  A row that failed to integrate may be the failing one, so the
+# report is inconclusive, with that row's witness, and best_constant raises
+@pytest.mark.parametrize("n, lam, c, r", [
+    (2, (0.8, 0.0), 1.0, 0.5),
+    (3, (0.3, 0.0, 0.0), 0.5, 0.6),
+    (3, (0.3 / math.sqrt(3),) * 3, 0.5, 0.6),
+    (3, (0.8 / math.sqrt(3),) * 3, 0.5, 0.6),
+])
+def test_shc_pass_on_laplace_agrees_with_closed_form(n, lam, c, r):
+    mgf, t = _laplace(n), math.hypot(*lam)
     q = r ** (-2.0 / c)
     assert mgf(q * r * t)[0] / q > mgf(t)[0]  # alpha(r) > ||f||_1: the sHC fails
-    rep = check_shc(L.log_linear(t * np.eye(n)[0]), L.gen_exponential(2, 1, n), c)
-    assert rep.inconclusive or not rep.passed
+    f, mu = L.log_linear(lam), L.gen_exponential(2, 1, n)
+    rep = check_shc(f, mu, c)
+    assert rep.inconclusive and not rep.passed
+    assert len(rep.quantities["witness"]) == n
+    with pytest.raises(L.QuadratureFailure, match="log_linear"):
+        L.best_constant([f], mu, mode="shc")

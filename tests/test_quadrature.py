@@ -707,6 +707,22 @@ class TestWeightedMoments:
         R = mu.truncation_radius
         np.testing.assert_array_equal(err.value.witness, [R] + [0.0] * (dim - 1))
 
+    def test_box_edge_beyond_a_support_is_exempt_only_there(self):
+        # the box of U[-1, 1] x N(0, 1) is [-R, R]^2 with R = 7.20: past the
+        # uniform factor's support its shell carries no mass, and e^{6 x_1}
+        # integrates within its estimate; the Gaussian axis reaches the box
+        # edge, where e^{2 x_2} puts more than EDGE_MASS_SHARE of its mass
+        mu = L.product(L.uniform_ball(1.0, 1), L.gen_exponential(0.5, 2.0, 1))
+        spec = L.default_spec(mu)
+        log_mass = lambda lam: weighted_moments(
+            lambda pts: pts @ np.array(lam), mu, spec, lambda log_mass, means: log_mass)
+        assert spec.scheme == "tensor_trapezoid" and not mu.strictly_positive
+        value, err = log_mass([6.0, 0.0])
+        assert abs(value - math.log(math.sinh(6.0) / 6.0)) <= err
+        with pytest.raises(QuadratureFailure, match="edge of the trapezoid's box") as exc:
+            log_mass([0.0, 2.0])
+        assert exc.value.witness[1] == mu.truncation_radius
+
     def test_adaptive_error_is_first_order_change(self):
         # fn = means[0] * e^{log_mass} is int g x dmu; its error is that integral's own
         mu = L.gen_exponential(0.5, 2.0, 1)
