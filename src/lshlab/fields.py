@@ -29,7 +29,7 @@ log map, unfloored, at the shifted nodes x - y_i, subtracts the row's largest
 value t(x) and sums e^{ln f - t} against the weights, so ln(f * phi) = t +
 ln sum_i c_i e^{ln f(x - y_i) - t} keeps full precision where f itself
 would overflow or be subnormal.  It runs on the thread that calls it, in row
-blocks of a fixed size.
+blocks of a fixed size that share one buffer of shifted points.
 
 Point convention: a single point is a 1-D array of shape (dim,); a batch is a
 2-D array of shape (m, dim).  All maps are vectorized over batches.  Fields
@@ -51,7 +51,8 @@ from .quadrature import _logsumexp, _unit_sphere_rule, is_count
 
 Array = np.ndarray
 #: (points, grad) -> (ln f, grad ln f or None): the map that defines a certified
-#: field.  It returns new arrays, which the caller may overwrite
+#: field.  It takes any (m, dim) float64 array, not necessarily C-contiguous,
+#: and returns new arrays, which the caller may overwrite
 LogMap = Callable[[Array, bool], tuple[Array, Optional[Array]]]
 
 #: values below this floor are treated as exact zeros (0 * ln 0 = 0 convention)
@@ -223,9 +224,10 @@ def exp_subharmonic(
 ) -> ScalarField:
     """f = exp(u) for a (numerically verified) subharmonic u.
 
-    ``u`` must be vectorized over (m, dim) batches and return an array the
-    caller may overwrite (see ``LogMap``); grad ln f = grad u comes
-    from ``grad_u``, or from central differences of u without it.
+    ``u`` must be vectorized over (m, dim) float64 batches, not necessarily
+    C-contiguous, and return an array the caller may overwrite (see
+    ``LogMap``); grad ln f = grad u comes from ``grad_u``, or from central
+    differences of u without it.
     Construction is rejected, with a witness point, when u fails the sphere
     sub-mean test at random probes.
     """
@@ -470,17 +472,17 @@ def mollifier(dim: int, k: float) -> Mollifier:
     return replace(unit, amplitude=1.0 / unit.mass())
 
 
-#: point-node pairs per row block of a convolution sweep: the block's buffers
-#: (shifted points, 16 bytes a pair in 2-D, and ln f) stay a couple of MB,
-#: within cache reach, however many points are swept.  The block boundaries
-#: reach the last bits of the output, so a new value changes results
-_CONV_BLOCK_PAIRS = 100_000
-#: point-node pairs one convolution sweep may take (about 2 s at the 1.2e8
-#: and 0.9e8 pairs/s of a log-linear inner field in 2-D and 3-D with one BLAS
-#: thread).  The polar Gauss-Hermite defaults fit: 1,700 points x 512 nodes =
-#: 8.7e5 in 2-D and 28,900 x 1,600 = 4.6e7 in 3-D; so does the 2-D trapezoid
-#: default, 257^2 x 512 = 3.4e7, while the 3-D trapezoid default (65^3 x
-#: 1,600 = 4.4e8) is refused before any work
+#: point-node pairs per row block of a convolution sweep, 32 rows of the 2-D
+#: rule and 10 of the 3-D one: the shifted points (in one buffer that every
+#: block reuses) and ln f take 0.4 MB in 2-D and 0.5 MB in 3-D, within cache
+#: reach.  The block boundaries reach the last bits of the output
+_CONV_BLOCK_PAIRS = 16_384
+#: point-node pairs one convolution sweep may take (about 1.5 s at the 1.6e8
+#: and 1.2e8 pairs/s of a log-linear inner field in 2-D and 3-D with one BLAS
+#: thread on 2 shared vCPUs).  The polar Gauss-Hermite defaults fit: 1,700
+#: points x 512 nodes = 8.7e5 in 2-D and 28,900 x 1,600 = 4.6e7 in 3-D; so
+#: does the 2-D trapezoid default, 257^2 x 512 = 3.4e7, while the 3-D
+#: trapezoid default (65^3 x 1,600 = 4.4e8) is refused before any work
 CONV_MAX_PAIRS = 200_000_000
 
 
@@ -516,9 +518,11 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
     point-node pairs is refused before any work.
 
     The points are swept in row blocks of ``_CONV_BLOCK_PAIRS`` point-node
-    pairs, one after another on the calling thread, so a sweep's memory does
-    not grow with its point count.  A log-linear inner field sweeps about
-    1.2e8 pairs/s in 2-D and 0.9e8 in 3-D with one BLAS thread.
+    pairs, one after another on the calling thread and through one buffer
+    of shifted points, so a sweep's memory does not grow with its point
+    count.  A log-linear inner field sweeps about 1.6e8 pairs/s in 2-D and
+    1.2e8 in 3-D with one BLAS thread.  Where f = 0 at every shifted node,
+    ln(f * phi) = -inf and its gradient is 0.
     """
     if f.dim != phi.dim:
         raise InvalidParameter("field and mollifier dimensions differ")
@@ -528,35 +532,35 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
     block = max(1, _CONV_BLOCK_PAIRS // y.shape[0])
 
     def log(pts, grad):
-        if pts.shape[0] * y.shape[0] > CONV_MAX_PAIRS:
+        m, nodes = pts.shape[0], y.shape[0]
+        if m * nodes > CONV_MAX_PAIRS:
             raise InvalidParameter(
-                f"convolution sweep of {pts.shape[0]} points x {y.shape[0]} nodes = "
-                f"{pts.shape[0] * y.shape[0]:.3g} pairs exceeds CONV_MAX_PAIRS = "
+                f"convolution sweep of {m} points x {nodes} nodes = "
+                f"{m * nodes:.3g} pairs exceeds CONV_MAX_PAIRS = "
                 f"{CONV_MAX_PAIRS:.3g}; integrate on fewer nodes")
         weights = c_cg if grad else c[:, None]
-        top = np.empty(pts.shape[0])
-        sums = np.empty((pts.shape[0], weights.shape[1]))
-
-        def sweep(lo):
-            # x - y for one row block of points, so no (points, nodes) matrix
-            # is kept
+        top = np.empty(m)
+        sums = np.empty((m, weights.shape[1]))
+        # x - y, one row block at a time, in one buffer that stays in cache
+        buf = np.empty(f.dim * min(block, m) * nodes)
+        for lo in range(0, m, block):
             chunk = pts[lo : lo + block]
             rows = chunk.shape[0]
-            shifted = np.empty((rows, y.shape[0], f.dim))
-            # one coordinate at a time: a broadcast over the length-dim last
-            # axis would run one short inner loop per point-node pair
+            # one contiguous row per coordinate: a broadcast over a length-dim
+            # last axis would run one short inner loop per point-node pair
+            shifted = buf[: f.dim * rows * nodes].reshape(f.dim, rows, nodes)
             for j in range(f.dim):
-                np.subtract(chunk[:, j, None], y[None, :, j], out=shifted[:, :, j])
-            lf = f._log(shifted.reshape(-1, f.dim), False)[0].reshape(rows, -1)
-            top[lo : lo + rows] = lf.max(axis=1)
-            lf -= top[lo : lo + rows, None]
-            sums[lo : lo + rows] = np.exp(lf, out=lf) @ weights
-
-        # a block's buffers are freed when its call returns, so the next
-        # block reuses their memory while it is still in cache
-        for lo in range(0, pts.shape[0], block):
-            sweep(lo)
-        return top + np.log(sums[:, 0]), (sums[:, 1:] / sums[:, :1] if grad else None)
+                np.subtract(chunk[:, j, None], y[None, :, j], out=shifted[j])
+            lf = f._log(shifted.reshape(f.dim, -1).T, False)[0].reshape(rows, nodes)
+            top[lo : lo + rows] = t = lf.max(axis=1)
+            # a row where f = 0 at every node keeps ln f = -inf, so its sums
+            # are 0, not the NaN of -inf - (-inf)
+            lf -= np.where(t == -np.inf, 0.0, t)[:, None]
+            np.matmul(np.exp(lf, out=lf), weights, out=sums[lo : lo + rows])
+        with np.errstate(divide="ignore"):
+            lv = top + np.log(sums[:, 0])
+        # gradient 0 where f * phi = 0, as modulus_holomorphic at its zeros
+        return lv, (sums[:, 1:] / np.where(sums[:, :1] == 0, 1.0, sums[:, :1]) if grad else None)
 
     return _certified(f"convolve({f.label}, k={phi.scale_index:g})", f.dim, log)
 

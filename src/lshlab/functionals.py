@@ -152,7 +152,7 @@ class DilationNorms:
 
     def __init__(self, fields, mu, spec: QuadratureSpec):
         self.fields, self.mu, self.spec = list(fields), mu, spec
-        self._memo, self._logs = {}, {}
+        self._memo, self._logs, self._dilated = {}, {}, {}
 
     def _log_on_nodes(self, i: int, r: float, f_r: ScalarField, pts) -> np.ndarray:
         """ln f_r of member i on one of the table's two node sets, kept while
@@ -166,12 +166,15 @@ class DilationNorms:
 
     def fill(self, keys):
         """Integrate the keys not yet memoised; ``dilate`` refuses an r outside
-        (0, 1], and r < 1 on an uncertified field, before any norm."""
+        (0, 1], and r < 1 on an uncertified field, before any norm.  f_r is
+        built once per (member, r), whatever its keys' q."""
         todo = {}
         for i, r, q in keys:
             key = (i, float(r), float(q))
-            if key not in self._memo and key not in todo:
-                todo[key] = dilate(self.fields[i], r)
+            if key not in self._memo:
+                if key[:2] not in self._dilated:
+                    self._dilated[key[:2]] = dilate(self.fields[i], r)
+                todo[key] = self._dilated[key[:2]]
         if not todo:
             return
         new, dilated = list(todo), list(todo.values())

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -388,6 +389,47 @@ class TestConvolve:
         np.testing.assert_allclose(lv - xs[:, 0], np.full(3, lv[0]), rtol=0, atol=1e-12)
         np.testing.assert_allclose(dlv, np.full((3, 1), dlv[0, 0]), rtol=0, atol=1e-12)
 
+    def test_zero_rows_read_minus_inf_without_warning(self):
+        # f = 0 at every shifted node: ln(f * phi) = -inf, floored, and its
+        # gradient 0, as at a zero of modulus_holomorphic; the sLSI check of
+        # the mollified zero field is as conclusive as the zero field's
+        zero = L.modulus_holomorphic([0.0])
+        g = L.convolve(zero, L.mollifier(2, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g._log(np.zeros((2, 2)), False)[0].tolist() == [-np.inf, -np.inf]
+            lv, dlv = g.log_value(np.zeros((2, 2)), grad=True)
+            rep = L.check_slsi(g, L.gaussian(1.0, 2), 1.0)
+        assert lv.tolist() == [L.fields.LOG_FLOOR] * 2 and dlv.tolist() == [[0.0, 0.0]] * 2
+        assert not rep.inconclusive
+        assert not L.check_slsi(zero, L.gaussian(1.0, 2), 1.0).inconclusive
+
+    def test_infinite_rows_read_nan(self):
+        # ln f = +inf at a node (1e306 x^2 overflows) gives NaN, not a value,
+        # so that an integral over the point fails with its witness
+        g = L.convolve(L.exp_norm_sq(1e306, 1), L.mollifier(1, 4))
+        with np.errstate(all="ignore"):
+            lv, dlv = g._log(np.array([[0.0], [20.0]]), True)
+        assert np.isfinite(lv[0]) and np.isfinite(dlv[0, 0])
+        assert np.isnan(lv[1]) and np.isnan(dlv[1, 0])
+
+    def test_sweep_working_set_stays_in_cache(self):
+        # one 2-D sweep with its gradient over the 1,700 Gauss-Hermite nodes
+        # of the standard Gaussian: one reused block buffer, not a fresh
+        # (rows, nodes, 2) array and ln f per block
+        mu = L.gaussian(1.0, 2)
+        pts = L.quadrature.measure_nodes(mu, L.default_spec(mu))[0]
+        g = L.convolve(L.log_linear([0.5, -0.3]), L.mollifier(2, 4))
+        g.log_value(pts[:10], grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g.log_value(pts, grad=True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(pts) == 1_700 and peak < 2**20
+
     def test_sweep_over_budget_is_refused(self, monkeypatch):
         g = L.convolve(L.cosh_field(0.8), L.mollifier(1, 4))  # 64 nodes
         monkeypatch.setattr(L.fields, "CONV_MAX_PAIRS", 64 * 100)
@@ -422,8 +464,9 @@ class TestOneThreadSweep:
     # a sweep runs its row blocks one after another on the thread that calls it
 
     def test_blocks_sweep_on_the_calling_thread(self, rng):
-        # 1,200 2-D points are seven blocks of 195 rows: each reads the inner
-        # log map on this thread, and no thread outlives the sweep
+        # 1,200 2-D points in row blocks of the 512-node rule: each block
+        # reads the inner log map on this thread, and no thread outlives the
+        # sweep
         threads, inner = [], L.log_linear([0.5, -0.3])
 
         def log(pts, grad):
@@ -434,12 +477,13 @@ class TestOneThreadSweep:
         xs = rng.standard_normal((1_200, 2))
         before = threading.active_count()
         _, dlv = g.log_value(xs, grad=True)
-        assert threads == [threading.get_ident()] * 7
+        blocks = -(-1_200 // (L.fields._CONV_BLOCK_PAIRS // 512))
+        assert threads == [threading.get_ident()] * blocks
         assert threading.active_count() == before
         np.testing.assert_allclose(dlv, np.tile([0.5, -0.3], (1_200, 1)), rtol=1e-8, atol=0)
 
     def test_nested_convolution_finishes(self):
-        # each of the outer sweep's 6 blocks (1,562 rows) sweeps 100,000 inner
+        # each of the outer sweep's 32 blocks (256 rows) sweeps 16,384 inner
         # points in 64 blocks.  A fresh interpreter with a timeout, so that a
         # sweep that never returns fails here instead of stalling the suite.
         # (f * phi) * phi = M^2 e^{lam x}, with M = (f * phi)(0)
@@ -462,7 +506,7 @@ print(np.max(np.abs(lv - lam * xs[:, 0] - 2.0 * inner.log_value(np.zeros(1)))))
 
     def test_blocks_run_under_the_callers_error_state(self):
         # ln f = 1e306 x^2 overflows for |x| > 13.4: silenced by the caller in
-        # each of the three blocks, and warned about without that
+        # each of the 16 blocks, and warned about without that
         g = L.convolve(L.exp_norm_sq(1e306, 1), L.mollifier(1, 4))
         xs = np.linspace(10.0, 20.0, 4_000).reshape(-1, 1)
         with warnings.catch_warnings():
@@ -474,8 +518,8 @@ print(np.max(np.abs(lv - lam * xs[:, 0] - 2.0 * inner.log_value(np.zeros(1)))))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_sweeps_bit_for_bit(self):
-        # a child forked after a sweep sweeps the same three blocks to the
-        # same bits as its parent
+        # a child forked after a sweep sweeps the same 16 blocks to the same
+        # bits as its parent
         g = L.convolve(L.cosh_field(0.8), L.mollifier(1, 4))
         xs = np.linspace(-3.0, 3.0, 4_000).reshape(-1, 1)
         want = g.log_value(xs)
@@ -496,8 +540,8 @@ print(np.max(np.abs(lv - lam * xs[:, 0] - 2.0 * inner.log_value(np.zeros(1)))))
 
 
 def _joint_cases():
-    # 4,000 1-D points span three row blocks of the 64-node rule and 1,200
-    # 2-D points seven of the 512-node rule (195 rows a block)
+    # 4,000 1-D points span 16 row blocks of the 64-node rule (256 rows a
+    # block) and 1,200 2-D points 38 of the 512-node rule (32 rows a block)
     xs1 = np.linspace(-3.0, 3.0, 4_000).reshape(-1, 1)
     xs2 = np.random.default_rng(3).standard_normal((1_200, 2))
     f1, f2 = L.cosh_field(0.8), L.log_linear([0.5, -0.3])

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import lshlab as L
+from lshlab import functionals
 from lshlab.errors import InvalidParameter, QuadratureFailure
 from lshlab.functionals import (
+    DilationNorms,
     alpha_prime_with_error,
     alpha_with_error,
     hc_bracket_with_error,
@@ -128,6 +130,29 @@ class TestAlpha:
     def test_tiny_r_rejected_with_advice(self, gauss1, gh_spec):
         with pytest.raises(InvalidParameter, match="r-grid minimum"):
             L.alpha_with_error(L.log_linear([1.0]), gauss1, 0.1, 0.5, gh_spec)
+
+
+class TestDilationNorms:
+    def test_one_dilated_field_per_member_and_r(self, gauss1, gh_spec, monkeypatch):
+        # a search step asks for new q over the same (member, r) pairs: f_r
+        # is built once a pair, and each norm is the bits of a table filled
+        # with its key alone
+        fields, calls = [L.cosh_field(0.8), L.log_linear([0.5])], []
+
+        def counting(f, r):
+            calls.append(r)
+            return L.dilate(f, r)
+
+        monkeypatch.setattr(functionals, "dilate", counting)
+        keys = [(i, r, q) for i in (0, 1) for r in (0.8, 0.9) for q in (1.5, 2.0)]
+        table = DilationNorms(fields, gauss1, gh_spec)
+        table.fill(keys[::2])
+        table.fill(keys)
+        assert sorted(calls) == [0.8, 0.8, 0.9, 0.9]
+        with pytest.raises(InvalidParameter, match="dilation factor"):
+            table.fill([(0, 1.5, 1.0)])
+        for key in keys:
+            assert table(*key) == DilationNorms(fields, gauss1, gh_spec)(*key)
 
 
 def fd_reference(f, mu, c, r, spec, step=1e-4):

@@ -7,13 +7,18 @@ lam . grad M / M.  The sHC row at r reads alpha(r) = ||g_r||_q = M(q r
 lam)^{1/q}, q = r^{-2/c}, beside ||g_r||_1 = M(r lam).  Every measure here is
 rotation-invariant or 1-D, so M depends on t = |lam| alone, and each MGF below
 maps t to (ln M, rho).
+
+A mollified g = e^{lam . x} * phi_k is K e^{lam . x}, with K = int e^{-lam . y}
+phi_k(y) dy, so on the Gaussian its sLSI deficit is K times g's, ||g||_1 =
+K e^{t^2/2}, and its sHC row at r reads alpha(r) = K e^{q r^2 t^2 / 2}.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import ive
+from scipy.integrate import quad
+from scipy.special import i0, ive
 
 import lshlab as L
 from lshlab.checks import check_shc, check_slsi
@@ -128,3 +133,43 @@ def test_shc_pass_on_laplace_agrees_with_closed_form(n, lam, c, r):
     assert len(rep.quantities["witness"]) == n
     with pytest.raises(L.QuadratureFailure, match="log_linear"):
         L.best_constant([f], mu, mode="shc")
+
+
+def _mollifier_factor(n, k, t):
+    """K = int e^{-lam . y} phi_k(y) dy for |lam| = t: the sphere average of
+    e^{-lam . y} at |y| = rho, cosh, I_0 or sinh(u)/u of u = t rho, against
+    the bump's radial mass rho^{n-1} e^{-1/(1 - (k rho)^2)} on [0, 1/k]."""
+    kernel = {1: math.cosh, 2: i0, 3: lambda u: math.sinh(u) / u}[n]
+    mass = lambda rho: rho ** (n - 1) * math.exp(-1.0 / (1.0 - (k * rho) ** 2))
+    return (quad(lambda rho: kernel(t * rho) * mass(rho), 0.0, 1.0 / k)[0]
+            / quad(mass, 0.0, 1.0 / k)[0])
+
+
+def _mollified_cases():
+    cases = [(n, k, t, c) for n in (1, 2) for k in (1, 4) for t in (0.5, 1.5)
+             for c in (0.5, 1.0)]
+    # a 3-D sHC search takes seconds; one 3-D sLSI check
+    return [pytest.param(*case, id=f"{case[0]}d-k{case[1]}-t{case[2]}-c{case[3]}")
+            for case in cases + [(3, 4, 1.5, 1.0)]]
+
+
+@pytest.mark.parametrize("n, k, t, c", _mollified_cases())
+def test_mollified_checks_match_closed_form(n, k, t, c):
+    mu, scale = L.gaussian(1.0, n), _mollifier_factor(n, k, t)
+    g = L.convolve(L.log_linear(t * np.eye(n)[0]), L.mollifier(n, k))
+    rep = check_slsi(g, mu, c)
+    want = scale * math.exp(t * t / 2.0) * (c - 1.0) * t * t / 2.0
+    assert not rep.inconclusive
+    assert abs(rep.quantities["deficit"] - want) <= rep.tolerance, want
+    if n == 3:
+        return
+    rep = check_shc(g, mu, c)
+    assert not rep.inconclusive
+    base = rep.quantities["norm1"]
+    for row in rep.quantities["rows"]:
+        if row["skipped"]:
+            continue
+        r, q = row["r"], row["q_of_r"]
+        err = row["tol_rel"] * base
+        assert abs(row["alpha"] - scale * math.exp(q * (r * t) ** 2 / 2.0)) <= err, r
+        assert abs(row["norm1"] - scale * math.exp((r * t) ** 2 / 2.0)) <= err, r
