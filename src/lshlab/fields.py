@@ -29,7 +29,10 @@ log map, unfloored, at the shifted nodes x - y_i, subtracts the row's largest
 value t(x) and sums e^{ln f - t} against the weights, so ln(f * phi) = t +
 ln sum_i c_i e^{ln f(x - y_i) - t} keeps full precision where f itself
 would overflow or be subnormal.  It runs on the thread that calls it, in row
-blocks of a fixed size that share one buffer of shifted points.
+blocks of a fixed size that share one buffer of shifted points, each
+coordinate of a block written by one BLAS product [x_j, 1] @ [1; -y_j] whose
+entries x_j * 1 + 1 * (-y_j) are rounded once: x - y in every bit but the
+sign of an exact zero.
 
 Point convention: a single point is a 1-D array of shape (dim,); a batch is a
 2-D array of shape (m, dim).  All maps are vectorized over batches.  Fields
@@ -463,11 +466,20 @@ class Mollifier:
         return math.exp(self._log_norm(p) / p)
 
 
+#: largest scale index of a mollifier: up to 1e6 a convolution's gradient keeps
+#: its k = 1 error (below 1e-9 on log-linear fields), past it the cancelling
+#: sum of cg_i f(x - y_i) loses digits (2e-8 at 1e8, 1e-4 at 1e12)
+MAX_SCALE_INDEX = 1e6
+
+
 def mollifier(dim: int, k: float) -> Mollifier:
-    """Scale-k member of the mollifier family, for any real k >= 1: the
-    unit-mass bump supported in the ball of radius 1 / k."""
-    if not k >= 1:
-        raise InvalidParameter(f"scale index k must be a number >= 1, got {k}")
+    """Scale-k member of the mollifier family, for any real k in [1,
+    ``MAX_SCALE_INDEX``]: the unit-mass bump supported in the ball of radius
+    1 / k.  A larger k is refused, as doubles cannot carry its convolution's
+    gradient."""
+    if not 1 <= k <= MAX_SCALE_INDEX:
+        raise InvalidParameter(
+            f"scale index k must be a number in [1, {MAX_SCALE_INDEX:g}], got {k}")
     unit = Mollifier(dim=dim, scale_index=float(k), support_radius=1.0 / k, amplitude=1.0)
     return replace(unit, amplitude=1.0 / unit.mass())
 
@@ -477,11 +489,11 @@ def mollifier(dim: int, k: float) -> Mollifier:
 #: block reuses) and ln f take 0.4 MB in 2-D and 0.5 MB in 3-D, within cache
 #: reach.  The block boundaries reach the last bits of the output
 _CONV_BLOCK_PAIRS = 16_384
-#: point-node pairs one convolution sweep may take (about 1.5 s at the 1.6e8
-#: and 1.2e8 pairs/s of a log-linear inner field in 2-D and 3-D with one BLAS
-#: thread on 2 shared vCPUs).  The polar Gauss-Hermite defaults fit: 1,700
-#: points x 512 nodes = 8.7e5 in 2-D and 28,900 x 1,600 = 4.6e7 in 3-D; so
-#: does the 2-D trapezoid default, 257^2 x 512 = 3.4e7, while the 3-D
+#: point-node pairs one convolution sweep may take (about 1.1 s at the 1.9e8
+#: and 1.7e8 pairs/s of a log-linear inner field with its gradient in 2-D and
+#: 3-D, one BLAS thread on 2 shared vCPUs).  The polar Gauss-Hermite defaults
+#: fit: 1,700 points x 512 nodes = 8.7e5 in 2-D and 28,900 x 1,600 = 4.6e7 in
+#: 3-D; so does the 2-D trapezoid default, 257^2 x 512 = 3.4e7, while the 3-D
 #: trapezoid default (65^3 x 1,600 = 4.4e8) is refused before any work
 CONV_MAX_PAIRS = 200_000_000
 
@@ -520,9 +532,12 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
     The points are swept in row blocks of ``_CONV_BLOCK_PAIRS`` point-node
     pairs, one after another on the calling thread and through one buffer
     of shifted points, so a sweep's memory does not grow with its point
-    count.  A log-linear inner field sweeps about 1.6e8 pairs/s in 2-D and
-    1.2e8 in 3-D with one BLAS thread.  Where f = 0 at every shifted node,
-    ln(f * phi) = -inf and its gradient is 0.
+    count.  Each block's shifted points are one exact product per
+    coordinate, [x_j, 1] @ [1; -y_j], which gives x - y in every bit but
+    the sign of an exact zero.  A log-linear inner field with its gradient
+    sweeps about 1.9e8 pairs/s in 2-D and 1.7e8 in 3-D with one BLAS
+    thread.  Where f = 0 at every shifted node, ln(f * phi) = -inf and its
+    gradient is 0.
     """
     if f.dim != phi.dim:
         raise InvalidParameter("field and mollifier dimensions differ")
@@ -530,6 +545,7 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
     y, c, cg = _ball_nodes(phi)
     c_cg = np.column_stack([c, cg])
     block = max(1, _CONV_BLOCK_PAIRS // y.shape[0])
+    ones_neg_y = np.stack([np.ones_like(y.T), -y.T], axis=1)
 
     def log(pts, grad):
         m, nodes = pts.shape[0], y.shape[0]
@@ -543,19 +559,20 @@ def convolve(f: ScalarField, phi: Mollifier) -> ScalarField:
         sums = np.empty((m, weights.shape[1]))
         # x - y, one row block at a time, in one buffer that stays in cache
         buf = np.empty(f.dim * min(block, m) * nodes)
+        x_one = np.ones((f.dim, min(block, m), 2))
         for lo in range(0, m, block):
             chunk = pts[lo : lo + block]
             rows = chunk.shape[0]
-            # one contiguous row per coordinate: a broadcast over a length-dim
-            # last axis would run one short inner loop per point-node pair
+            # one contiguous row per coordinate: [x_j, 1] @ [1; -y_j] = x_j - y_j
             shifted = buf[: f.dim * rows * nodes].reshape(f.dim, rows, nodes)
-            for j in range(f.dim):
-                np.subtract(chunk[:, j, None], y[None, :, j], out=shifted[j])
+            x_one[:, :rows, 0] = chunk.T
+            np.matmul(x_one[:, :rows], ones_neg_y, out=shifted)
             lf = f._log(shifted.reshape(f.dim, -1).T, False)[0].reshape(rows, nodes)
             top[lo : lo + rows] = t = lf.max(axis=1)
-            # a row where f = 0 at every node keeps ln f = -inf, so its sums
-            # are 0, not the NaN of -inf - (-inf)
-            lf -= np.where(t == -np.inf, 0.0, t)[:, None]
+            # a row where f = 0 at every node is shifted by the least double,
+            # so its ln f stays -inf and its sums are 0, not the NaN of
+            # -inf - (-inf)
+            lf -= np.maximum(t, np.finfo(float).min)[:, None]
             np.matmul(np.exp(lf, out=lf), weights, out=sums[lo : lo + rows])
         with np.errstate(divide="ignore"):
             lv = top + np.log(sums[:, 0])

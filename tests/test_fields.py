@@ -304,6 +304,29 @@ class TestMollifier:
         with pytest.raises(InvalidParameter):
             L.mollifier(1, 0)
 
+    @pytest.mark.parametrize("dim, k", [(2, 1e200), (3, 1e110), (2, 1e160), (2, 1e100),
+                                        (1, 1e120), (1, 1e8), (3, math.inf)])
+    def test_scale_index_past_the_double_range_refused(self, dim, k):
+        # these k once raised ZeroDivisionError, built an infinite amplitude
+        # or overflowed in the gradient weights; past MAX_SCALE_INDEX the
+        # convolution's gradient sum cancels, so k is refused, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter, match=r"k must be a number in \[1, 1e\+06\]"):
+                L.mollifier(dim, k)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_largest_scale_index_builds(self, dim):
+        # k = 1e6 keeps unit mass, and grad ln of the mollified e^{x_1 / 2}
+        # its k = 1 accuracy
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi = L.mollifier(dim, L.fields.MAX_SCALE_INDEX)
+            g = L.convolve(L.log_linear(0.5 * np.eye(dim)[0]), phi)
+            _, dlv = g.log_value(np.zeros((2, dim)), grad=True)
+        assert phi.mass() == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(dlv, np.tile(0.5 * np.eye(dim)[0], (2, 1)), rtol=0, atol=1e-8)
+
     def test_four_dimensions_refused(self):
         with pytest.raises(InvalidParameter, match="dim <= 3"):
             L.mollifier(4, 1)
@@ -336,6 +359,28 @@ class TestMollifier:
         h = 1e-7
         fd = (phi(xs + h) - phi(xs - h)) / (2 * h)
         assert phi.gradient(xs)[:, 0] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+def _subtract_sweep(f, phi, pts):
+    """(ln, grad) of f * phi from a row-block sweep that writes x - y with one
+    broadcast np.subtract per coordinate: the reference for the sweep's bits."""
+    y, c, cg = _ball_nodes(phi)
+    weights = np.column_stack([c, cg])
+    block = max(1, L.fields._CONV_BLOCK_PAIRS // y.shape[0])
+    m, nodes = pts.shape[0], y.shape[0]
+    top, sums = np.empty(m), np.empty((m, weights.shape[1]))
+    for lo in range(0, m, block):
+        chunk = pts[lo : lo + block]
+        rows = chunk.shape[0]
+        shifted = np.empty((f.dim, rows, nodes))
+        for j in range(f.dim):
+            np.subtract(chunk[:, j, None], y[None, :, j], out=shifted[j])
+        lf = f._log(shifted.reshape(f.dim, -1).T, False)[0].reshape(rows, nodes)
+        top[lo : lo + rows] = t = lf.max(axis=1)
+        lf -= np.where(t == -np.inf, 0.0, t)[:, None]
+        np.matmul(np.exp(lf, out=lf), weights, out=sums[lo : lo + rows])
+    lv = top + np.log(sums[:, 0])
+    return lv, sums[:, 1:] / np.where(sums[:, :1] == 0, 1.0, sums[:, :1])
 
 
 class TestConvolve:
@@ -436,6 +481,35 @@ class TestConvolve:
         assert g(np.zeros((100, 1))) == pytest.approx(np.full(100, g(np.zeros(1))))
         with pytest.raises(InvalidParameter, match="101 points x 64 nodes"):
             g.log_value(np.zeros((101, 1)), grad=True)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_shifted_points_are_exact(self, dim, rng):
+        # the sweep's shifted points are the product [x_j, 1] @ [1; -y_j], each
+        # entry rounded once: the inner map receives x - y (up to the sign of
+        # a zero), also on rows of -0.0, +-1e308, +-inf and NaN, Fortran-
+        # ordered, through a last block of one row; (ln, grad) keep the bits
+        # of a sweep that writes x - y with np.subtract
+        seen, inner = [], L.log_linear(np.linspace(0.5, -0.3, dim))
+
+        def log(pts, grad):
+            seen.append(pts.copy())
+            return inner._log(pts, grad)
+
+        phi = L.mollifier(dim, 3)
+        y = _ball_nodes(phi)[0]
+        g = L.convolve(L.fields.ScalarField(dim=dim, label="probe", _log=log), phi)
+        x = rng.standard_normal((2 * (L.fields._CONV_BLOCK_PAIRS // len(y)) + 1, dim))
+        x[0] = -0.0
+        x[1:7, 0] = x[7:13, -1] = [1e308, -1e308, np.inf, -np.inf, np.nan, -0.0]
+        x = np.asfortranarray(x)
+        with np.errstate(all="ignore"):
+            lv, dlv = g._log(x, True)
+            want_lv, want_dlv = _subtract_sweep(inner, phi, x)
+        got = np.concatenate(seen)
+        assert np.array_equal(got, (x[:, None, :] - y[None, :, :]).reshape(-1, dim),
+                              equal_nan=True)
+        assert lv.tobytes() == want_lv.tobytes() and dlv.tobytes() == want_dlv.tobytes()
+        assert np.isfinite(lv[13:]).all()
 
     @pytest.mark.parametrize("lam", [[0.5], [0.5, -0.3], [0.5, -0.3, 0.2]],
                              ids=["1d", "2d", "3d"])

@@ -4,9 +4,10 @@ For a measure mu with moment-generating function M(lam) = E_mu e^{lam . x},
 Ent(g) = lam . grad M - M ln M and int E g dmu = lam . grad M, so the sLSI
 deficit (c/2) int E g dmu - Ent(g) is M ((c/2 - 1) rho + ln M), with rho =
 lam . grad M / M.  The sHC row at r reads alpha(r) = ||g_r||_q = M(q r
-lam)^{1/q}, q = r^{-2/c}, beside ||g_r||_1 = M(r lam).  Every measure here is
-rotation-invariant or 1-D, so M depends on t = |lam| alone, and each MGF below
-maps t to (ln M, rho).
+lam)^{1/q}, q = r^{-2/c}, beside ||g_r||_1 = M(r lam).  Every measure of CASES
+is rotation-invariant or 1-D, so M depends on t = |lam| alone, and each MGF
+below maps t to (ln M, rho); the shifted and product measures of
+ORIENTED_CASES are tilted along e_1 alone, lam = t e_1.
 
 A mollified g = e^{lam . x} * phi_k is K e^{lam . x}, with K = int e^{-lam . y}
 phi_k(y) dy, so on the Gaussian its sLSI deficit is K times g's, ||g||_1 =
@@ -22,6 +23,7 @@ from scipy.special import i0, ive
 
 import lshlab as L
 from lshlab.checks import check_shc, check_slsi
+from lshlab.errors import InvalidParameter
 
 
 def _gaussian(s2):
@@ -110,6 +112,50 @@ def test_checks_match_closed_form_mgf(case):
                 assert math.isfinite(ln_alpha), (t, c, r, row["alpha"])
                 err = row["tol_rel"] * base
                 assert abs(row["alpha"] - math.exp(ln_alpha)) <= err, (t, c, r)
+                assert abs(row["norm1"] - math.exp(mgf(r * t)[0])) <= err, (t, c, r)
+
+
+def _shifted(mgf, m):
+    """A shift whose offset has first coordinate m: along lam = t e_1, ln M
+    and lam . grad M / M gain t m."""
+    def shifted(t):
+        ln_m, rho = mgf(t)
+        return ln_m + t * m, rho + t * m
+    return shifted
+
+
+# (measure, MGF along e_1) for measures that are not rotation-invariant: a
+# shift by m adds lam . m to ln M, and a product tilted along e_1 keeps its
+# first factor's M.  check_slsi refuses them, so the oracle reads the sHC rows
+ORIENTED_CASES = {
+    "shift-1": (lambda: L.shift(L.gaussian(1.0, 1), [0.5]), _shifted(_gaussian(1.0), 0.5)),
+    "shift-2": (lambda: L.shift(L.gaussian(1.0, 2), [0.5, -0.3]),
+                _shifted(_gaussian(1.0), 0.5)),
+    "product-gaussians": (lambda: L.product(L.gaussian(1.0, 1), L.gaussian(0.8, 1)),
+                          _gaussian(1.0)),
+    "product-mixture": (lambda: L.product(L.mix(L.gaussian(0.8), L.gaussian(1.25), 0.3),
+                                          L.gaussian(1.0, 1)), _mixture),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORIENTED_CASES))
+def test_shc_on_oriented_measures_matches_closed_form_mgf(case):
+    build, mgf = ORIENTED_CASES[case]
+    mu = build()
+    with pytest.raises(InvalidParameter, match="rotation-invariant"):
+        check_slsi(L.log_linear(np.eye(mu.dim)[0]), mu, 1.0)
+    for t in (0.5, 1.5, 3.0):
+        for c in (0.5, 1.0):
+            rep = check_shc(L.log_linear(t * np.eye(mu.dim)[0]), mu, c)
+            if rep.inconclusive:
+                continue
+            base = rep.quantities["norm1"]
+            for row in rep.quantities["rows"]:
+                if row["skipped"]:
+                    continue
+                r, q = row["r"], row["q_of_r"]
+                err = row["tol_rel"] * base
+                assert abs(row["alpha"] - math.exp(mgf(q * r * t)[0] / q)) <= err, (t, c, r)
                 assert abs(row["norm1"] - math.exp(mgf(r * t)[0])) <= err, (t, c, r)
 
 
