@@ -157,6 +157,8 @@ class CampaignConfig:
             if key in raw and not isinstance(raw[key], kind):
                 what = "an object" if kind is dict else "a list"
                 raise ConfigError(f"{key!r} must be {what}, got {raw[key]!r}")
+        # no integral reads the seed, every rule being deterministic; it is
+        # recorded in report.json's campaign block
         seed = raw.get("seed", 0)
         # JSON's true is an int to Python; neither it, 1.5 nor "7" is a seed
         if not is_count(seed, 0):
@@ -355,9 +357,8 @@ def build_field(decl: dict) -> fields_mod.ScalarField:
         return build(decl)
 
 
-def resolve_spec(block: dict, mu, seed: int) -> QuadratureSpec:
+def resolve_spec(block: dict, mu) -> QuadratureSpec:
     kwargs = {k: v for k, v in block.items() if k != "scheme"}
-    kwargs.setdefault("seed", seed)
     scheme = block.get("scheme", "auto")
     if scheme == "auto" and mu is None:
         raise ConfigError("auto quadrature needs a target measure")
@@ -381,7 +382,7 @@ def _check_jobs(config: CampaignConfig):
         kind = entry["check"]
         row = CHECKS[kind]
         mu = measures.get(entry.get("measure"))
-        spec = resolve_spec(config.quadrature, mu, config.seed) if mu is not None else None
+        spec = resolve_spec(config.quadrature, mu) if mu is not None else None
         fnames = entry.get("fields", [])
         if row.over_battery:
             targets = [(f"{idx:03d}-{kind}-{entry.get('measure')}", [fields[n] for n in fnames])]

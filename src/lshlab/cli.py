@@ -72,7 +72,6 @@ def _cmd_check(args) -> int:
     row = campaign_mod.CHECKS[args.check]
     config = campaign_mod.CampaignConfig.from_dict(
         {
-            "seed": args.seed,
             "quadrature": {"scheme": "auto"},
             "measures": {"m": _measure_decl(args.measure, args.dim)},
             "fields": {"f": _field_decl(args.field)},
@@ -83,7 +82,7 @@ def _cmd_check(args) -> int:
     )
     mu = campaign_mod.build_measure(config.measures["m"])
     f = campaign_mod.build_field(config.fields["f"])
-    spec = campaign_mod.resolve_spec(config.quadrature, mu, config.seed)
+    spec = campaign_mod.resolve_spec(config.quadrature, mu)
     rep = row(f, mu, spec, config.checks[0], args.check)
     print(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
     if rep.inconclusive:
@@ -172,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--q", type=float, default=2.0)
     p_check.add_argument("--r", type=float, default=0.8)
     p_check.add_argument("--k", type=float, default=checks_mod.DEFAULT_MOLLIFIER_SCALE)
-    p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=_cmd_check)
 
     p_const = sub.add_parser("constants", help="regularity constant estimate")

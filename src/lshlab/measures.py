@@ -1,8 +1,8 @@
 """Probability densities on R^n and their Euclidean-regularity constants.
 
-A :class:`Density` wraps its normalized log-density, a sampler, a truncation
-radius beyond which mass is negligible, and a label recording its
-construction.  Densities are immutable and safe to evaluate concurrently.
+A :class:`Density` wraps its normalized log-density, a truncation radius
+beyond which mass is negligible, and a label recording its construction.
+Densities are immutable and safe to evaluate concurrently.
 
 Every log map is normalized when it is built, and only a closure that changes
 the mass integrates anything: the built-in families fold their closed-form
@@ -11,9 +11,8 @@ log-densities, so their mass is exactly 1; ``perturb`` pays for one
 ``integrate_log`` of its weight against the normalized base;
 ``convolve_measures`` sums int rho_1(y) rho_2(x - y) dy in log space, so it
 is normalized as its factors are (at |x| in 2-D and 3-D, for rotation-invariant
-factors only).  Every closure composes its factors' samplers; sampling a
-Density built without one raises.  The module needs numpy only, SciPy serves
-the tests as an oracle.
+factors only).  The module needs numpy only, SciPy serves the tests as an
+oracle.
 
 The regularity constant of exponential type p is
 
@@ -67,9 +66,9 @@ _CONV_TABLE_NODES = {1: 1025, 2: 193, 3: 193}
 
 @dataclass(frozen=True)
 class Density:
-    """A probability density on R^n: its normalized log-density map and,
-    optionally, a sampler.  ``rotation_invariant`` means that rho depends on
-    |x| alone and does not increase along rays."""
+    """A probability density on R^n given by its normalized log-density map.
+    ``rotation_invariant`` means that rho depends on |x| alone and does not
+    increase along rays."""
 
     dim: int
     truncation_radius: float
@@ -79,7 +78,6 @@ class Density:
     family: Optional[str] = None
     params: tuple = ()
     _log_density: Callable[[Array], Array] = field(repr=False, default=None)
-    _sampler: Optional[Callable] = field(repr=False, default=None)
 
     def log_pdf(self, x):
         """Normalized log-density; -inf outside the support."""
@@ -97,11 +95,6 @@ class Density:
             raise EvaluationFailure("density evaluation overflows exp",
                                     witness=pts[np.argmax(lv)])
         return np.exp(lv)
-
-    def sample(self, rng: np.random.Generator, size: int) -> Array:
-        if self._sampler is None:
-            raise InvalidParameter(f"measure {self.label!r} has no direct sampler")
-        return self._sampler(rng, size)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +122,6 @@ def gaussian(sigma: float = 1.0, dim: int = 1) -> Density:
         family="gaussian",
         params=(sigma,),
         _log_density=logd,
-        _sampler=lambda rng, size: rng.normal(0.0, sigma, size=(size, dim)),
     )
 
 
@@ -160,13 +152,6 @@ def gen_exponential(c: float = 1.0, a: float = 1.0, dim: int = 1) -> Density:
     def logd(pts):
         return -c * np.linalg.norm(pts, axis=1) ** a - log_norm
 
-    def sampler(rng, size):
-        u = rng.gamma(dim / a, 1.0, size=size)
-        t = (u / c) ** (1.0 / a)
-        d = rng.standard_normal((size, dim))
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-        return d * t[:, None]
-
     return Density(
         dim=dim,
         truncation_radius=float(trunc),
@@ -176,7 +161,6 @@ def gen_exponential(c: float = 1.0, a: float = 1.0, dim: int = 1) -> Density:
         family="gen_exponential",
         params=(c, a),
         _log_density=logd,
-        _sampler=sampler,
     )
 
 
@@ -219,10 +203,6 @@ def poly_tail(alpha: float, dim: int = 1) -> Density:
     # large alpha
     log_norm = math.log(math.sqrt(math.pi)
                         * math.exp(math.lgamma(alpha - 0.5) - math.lgamma(alpha)))
-    nu = 2.0 * alpha - 1.0
-
-    def sampler(rng, size):
-        return (rng.standard_t(nu, size=size) / math.sqrt(nu)).reshape(-1, 1)
 
     return Density(
         dim=1,
@@ -234,7 +214,6 @@ def poly_tail(alpha: float, dim: int = 1) -> Density:
         family="poly_tail",
         params=(alpha,),
         _log_density=lambda pts: -alpha * np.log1p(pts[:, 0] ** 2) - log_norm,
-        _sampler=sampler,
     )
 
 
@@ -251,12 +230,6 @@ def uniform_ball(radius: float = 1.0, dim: int = 1) -> Density:
         out[np.linalg.norm(pts, axis=1) > radius] = -math.inf
         return out
 
-    def sampler(rng, size):
-        d = rng.standard_normal((size, dim))
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-        t = radius * rng.random(size) ** (1.0 / dim)
-        return d * t[:, None]
-
     return Density(
         dim=dim,
         truncation_radius=radius,
@@ -266,7 +239,6 @@ def uniform_ball(radius: float = 1.0, dim: int = 1) -> Density:
         family="uniform_ball",
         params=(radius,),
         _log_density=logd,
-        _sampler=sampler,
     )
 
 
@@ -324,14 +296,6 @@ def mix(mu1: Density, mu2: Density, t: float) -> Density:
             return parts[0]
         return np.logaddexp(parts[0], parts[1])
 
-    def sampler(rng, size):
-        pick = rng.random(size) < t
-        out = mu1.sample(rng, size)
-        n2 = int(np.count_nonzero(pick))
-        if n2:
-            out[pick] = mu2.sample(rng, n2)
-        return out
-
     return Density(
         dim=mu1.dim,
         truncation_radius=max(mu1.truncation_radius, mu2.truncation_radius),
@@ -340,7 +304,6 @@ def mix(mu1: Density, mu2: Density, t: float) -> Density:
         or (t > 0.0 and mu2.strictly_positive),
         label=f"mix({mu1.label}, {mu2.label}, t={t:g})",
         _log_density=logd,
-        _sampler=sampler,
     )
 
 
@@ -350,9 +313,6 @@ def product(mu1: Density, mu2: Density) -> Density:
 
     def logd(pts):
         return mu1.log_pdf(pts[:, :n1]) + mu2.log_pdf(pts[:, n1:])
-
-    def sampler(rng, size):
-        return np.concatenate([mu1.sample(rng, size), mu2.sample(rng, size)], axis=1)
 
     rot = (
         mu1.family == "gaussian"
@@ -366,7 +326,6 @@ def product(mu1: Density, mu2: Density) -> Density:
         strictly_positive=mu1.strictly_positive and mu2.strictly_positive,
         label=f"product({mu1.label}, {mu2.label})",
         _log_density=logd,
-        _sampler=sampler,
     )
 
 
@@ -391,8 +350,7 @@ def convolve_measures(mu1: Density, mu2: Density) -> Density:
         raise InvalidParameter("convolution components must share a dimension")
     n = mu1.dim
     if n > 3:
-        raise InvalidParameter("deterministic convolution quadrature caps at dim 3; "
-                               "use monte_carlo sampling of component sums instead")
+        raise InvalidParameter(f"convolution quadrature is implemented for dim <= 3, not dim {n}")
     if n > 1 and not (mu1.rotation_invariant and mu2.rotation_invariant):
         odd = mu2 if mu1.rotation_invariant else mu1
         raise InvalidParameter(f"convolution in dim {n} is read at |x| and needs "
@@ -477,7 +435,6 @@ def convolve_measures(mu1: Density, mu2: Density) -> Density:
         strictly_positive=mu1.strictly_positive or mu2.strictly_positive,
         label=f"convolve({mu1.label}, {mu2.label})",
         _log_density=logd,
-        _sampler=lambda rng, size: mu1.sample(rng, size) + mu2.sample(rng, size),
     )
 
 
@@ -581,7 +538,6 @@ def shift(mu: Density, offset) -> Density:
         strictly_positive=mu.strictly_positive,
         label=f"shift({mu.label}, {np.array2string(offset, separator=',')})",
         _log_density=lambda pts: mu.log_pdf(pts - offset[None, :]),
-        _sampler=lambda rng, size: mu.sample(rng, size) + offset[None, :],
     )
 
 
@@ -595,45 +551,27 @@ def perturb(
 
     When the weight is bounded (C <= w <= D), regularity constants of the
     result are controlled by (D/C) times those of the base measure.  The
-    normalizer Z = int e^w dmu is one ``integrate_log`` against mu with mu's
-    default deterministic scheme, so dim is capped at 3.  The result is not
-    taken to be rotation-invariant; its sampler accepts mu's samples against
-    1.5 times the largest weight on a grid over the truncation ball, probed
-    when it samples, comparing logarithms so that no weight overflows.
+    normalizer Z = int e^w dmu is one ``integrate_log`` against mu on the
+    rule that the result itself is integrated on by default (``adaptive_1d``
+    in 1-D, the trapezoid in 2-D and 3-D, refused above).  The result is not
+    taken to be rotation-invariant.
     """
-    if mu.dim > 3:
-        raise InvalidParameter("normalization quadrature caps at dim 3")
-
-    def sampler(rng, size):
-        probe = _grid_points(mu.dim, mu.truncation_radius, {1: 4097, 2: 101, 3: 31}[mu.dim])
-        log_envelope = float(np.max(log_weight(probe))) + math.log(1.5)
-        out = np.empty((size, mu.dim))
-        filled = 0
-        while filled < size:
-            m = max(2 * (size - filled), 256)
-            xs = mu.sample(rng, m)
-            accept = np.log(rng.random(m)) < log_weight(xs) - log_envelope
-            take = xs[accept][: size - filled]
-            out[filled : filled + take.shape[0]] = take
-            filled += take.shape[0]
-        return out
-
     label = f"perturb({mu.label}, {label})"
-    try:
-        log_mass, _ = quadrature.integrate_log(log_weight, mu, quadrature.default_spec(mu))
-    except QuadratureFailure as exc:
-        raise EvaluationFailure(f"cannot normalize {label!r}: {exc}",
-                                witness=exc.witness) from exc
-    return Density(
+    out = Density(
         dim=mu.dim,
         truncation_radius=mu.truncation_radius,
         rotation_invariant=False,
         strictly_positive=mu.strictly_positive,
-        label=label,
+        label=label,  # log_mass is bound below, before out is returned
         _log_density=lambda pts: (mu.log_pdf(pts) + np.asarray(log_weight(pts), dtype=float)
                                   - log_mass),
-        _sampler=sampler,
     )
+    try:
+        log_mass, _ = quadrature.integrate_log(log_weight, mu, quadrature.default_spec(out))
+    except QuadratureFailure as exc:
+        raise EvaluationFailure(f"cannot normalize {label!r}: {exc}",
+                                witness=exc.witness) from exc
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ adaptive_1d       full-line adaptive quadrature via the x = tan(theta)
                   independent integrals in lockstep, each bit for bit as
                   alone, the rule and every sum being row-invariant; see
                   ``_adaptive_batch``.
-monte_carlo       importance sampling with the measure itself as sampler;
-                  streams are keyed by the spec seed (counter-based), so
-                  parallel and serial runs agree bit for bit.
+
+Every scheme stops at dim 3: a node set above it is refused where it would be
+built, in ``measure_nodes``.
 
 Every integral runs through one primitive, ``_moments``, with one column
 map: points and the integral's index to the columns [ln g | factors],
@@ -30,9 +30,9 @@ e^{ln g} it forms ln int g dmu and the means of the factors under g dmu /
 int g dmu in log space, so large powers never overflow, and returns a
 function ``fn`` of them with an error estimate from one rule: |fn(spec) -
 fn(spec.halved())| (half the nodes per axis, which on gauss_hermite halves
-the radii and the angles together, or the first half of the samples) on
-node schemes, and on ``adaptive_1d`` the first-order change of fn when each
-column's integral moves by its own error estimate.  One call carries K >= 1
+the radii and the angles together) on node schemes, and on ``adaptive_1d``
+the first-order change of fn when each column's integral moves by its own
+error estimate.  One call carries K >= 1
 integrals, each failing alone: one node set and its halved companion, or
 one adaptive loop, serve them all.  ``weighted_moments`` is its one-integral
 call, ``integrate`` the weight ln g = 0 with the integrand as its factors,
@@ -56,17 +56,15 @@ from .errors import InvalidParameter, QuadratureFailure
 
 Array = np.ndarray
 
-SCHEMES = ("gauss_hermite", "tensor_trapezoid", "adaptive_1d", "monte_carlo")
+SCHEMES = ("gauss_hermite", "tensor_trapezoid", "adaptive_1d")
 
 _TRAP_DEFAULT = {1: 2049, 2: 257, 3: 65}
 _GH_DEFAULT = 101
-_MC_DEFAULT = 200_000
 #: ln of the largest double: a value whose log exceeds it overflows
 LOG_MAX = math.log(np.finfo(float).max)
-#: nodes one node set may hold, with at most three times as many coordinates:
-#: 48 MB of points at most, each column the integrand evaluates 16 MB more.
-#: The largest defaults fit, the 65^3 = 274,625-node trapezoid and 200,000
-#: Monte Carlo samples up to dimension 30
+#: nodes one node set may hold, of at most 3 coordinates each: 48 MB of
+#: points at most, each column the integrand evaluates 16 MB more.  The
+#: largest default, the 65^3 = 274,625-node trapezoid, fits
 MAX_NODES = 2_000_000
 #: the largest share of a weight's mass that the trapezoid box's outer shell
 #: may hold where the measure goes on past the box: more means the box cuts
@@ -87,18 +85,13 @@ def is_count(value, least: int = 1) -> bool:
 class QuadratureSpec:
     scheme: str
     nodes_per_axis: Optional[int] = None
-    mc_samples: int = _MC_DEFAULT
-    seed: int = 0
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise InvalidParameter(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        for name, least in (("nodes_per_axis", 3), ("mc_samples", 2), ("seed", 0)):
-            value = getattr(self, name)
-            if value is None and name == "nodes_per_axis":
-                continue
-            if not is_count(value, least):
-                raise InvalidParameter(f"{name} must be an integer >= {least}, got {value!r}")
+        n = self.nodes_per_axis
+        if n is not None and not is_count(n, 3):
+            raise InvalidParameter(f"nodes_per_axis must be an integer >= 3, got {n!r}")
 
     def resolved(self, dim: int) -> "QuadratureSpec":
         """This spec with a grid scheme's default node count on R^dim filled in."""
@@ -111,8 +104,6 @@ class QuadratureSpec:
     def halved(self) -> "QuadratureSpec":
         """Companion spec at roughly half resolution, for error estimates; a
         grid scheme's node count must be set (see ``resolved``)."""
-        if self.scheme == "monte_carlo":
-            return replace(self, mc_samples=max(2, self.mc_samples // 2))
         n = self.nodes_per_axis
         if n is None:
             raise InvalidParameter(f"{self.scheme} spec has no node count to halve")
@@ -126,19 +117,16 @@ def default_spec(mu, **overrides) -> QuadratureSpec:
     """Scheme selection per measure family: the polar Gauss-Hermite rule for
     Gaussians up to dim 3, batched adaptive Gauss-Kronrod on the whole line
     in one dimension (``adaptive_1d``, refined to ``_ADAPTIVE_RTOL``), tensor
-    trapezoid up to dim 3, Monte Carlo beyond."""
+    trapezoid otherwise (uniform balls in 1-D too).  Above dim 3 the trapezoid
+    has no default node count, and ``measure_nodes`` refuses it."""
     if mu.family == "gaussian" and mu.dim <= 3:
         base = dict(scheme="gauss_hermite", nodes_per_axis=_GH_DEFAULT)
-    elif mu.family == "uniform_ball" and mu.dim <= 3:
-        # the grid is aligned to the support's ends only in 1-D; a disc or
-        # ball boundary cuts the grid's cells
-        base = dict(scheme="tensor_trapezoid", nodes_per_axis=_TRAP_DEFAULT[mu.dim])
-    elif mu.dim == 1:
+    elif mu.dim == 1 and mu.family != "uniform_ball":
         base = dict(scheme="adaptive_1d")
-    elif mu.dim <= 3:
-        base = dict(scheme="tensor_trapezoid", nodes_per_axis=_TRAP_DEFAULT[mu.dim])
     else:
-        base = dict(scheme="monte_carlo")
+        # a uniform ball's grid is aligned to the support's ends only in 1-D;
+        # a disc or ball boundary cuts the grid's cells
+        base = dict(scheme="tensor_trapezoid", nodes_per_axis=_TRAP_DEFAULT.get(mu.dim))
     base.update(overrides)
     return QuadratureSpec(**base)
 
@@ -244,20 +232,18 @@ def _trap_nodes(R: float, n: int, dim: int):
     return tensor_grid(axis, dim, np.log(w))
 
 
-def _bounded(count: int, dim: int, spec: QuadratureSpec):
-    """Refuse a node set of more than ``MAX_NODES`` nodes, or of more than
-    3 x ``MAX_NODES`` coordinates, before it is built."""
-    if count > MAX_NODES or count * dim > 3 * MAX_NODES:
+def _bounded(count: int, spec: QuadratureSpec):
+    """Refuse a node set of more than ``MAX_NODES`` nodes before it is built."""
+    if count > MAX_NODES:
         raise InvalidParameter(
-            f"{spec.scheme} node set of {count:,} nodes exceeds MAX_NODES = {MAX_NODES:,} "
-            f"nodes of at most 3 coordinates: {count:,} x {dim} = {count * dim:,} "
-            "coordinates; integrate on fewer nodes")
+            f"{spec.scheme} node set of {count:,} nodes exceeds MAX_NODES = {MAX_NODES:,}; "
+            "integrate on fewer nodes")
 
 
 def measure_nodes(mu, spec: QuadratureSpec):
-    """Nodes and log-weights such that int h dmu ~= sum exp(logw) h(pts); a
-    set over ``MAX_NODES`` nodes or 3 x ``MAX_NODES`` coordinates is refused
-    before any array is built."""
+    """Nodes and log-weights such that int h dmu ~= sum exp(logw) h(pts) on
+    R^dim, dim <= 3; a set over ``MAX_NODES`` nodes is refused before any
+    array is built."""
     if spec.scheme == "gauss_hermite":
         if mu.family != "gaussian":
             raise InvalidParameter(
@@ -265,25 +251,20 @@ def measure_nodes(mu, spec: QuadratureSpec):
             )
         if mu.dim > 3:
             raise InvalidParameter(
-                f"gauss_hermite is implemented for dim <= 3, not dim {mu.dim}; "
-                "use monte_carlo")
+                f"gauss_hermite is implemented for dim <= 3, not dim {mu.dim}")
         m = spec.resolved(mu.dim).nodes_per_axis // 2
         k = math.ceil(m / 3)  # the sphere rule's directions: 2, 2k, k x 2k
-        _bounded(m * (2, 2 * k, 2 * k * k)[mu.dim - 1], mu.dim, spec)
+        _bounded(m * (2, 2 * k, 2 * k * k)[mu.dim - 1], spec)
         pts, logw = _polar_gauss_rule(mu.dim, m)
         return mu.params[0] * pts, logw
     if spec.scheme == "tensor_trapezoid":
         if mu.dim > 3:
-            raise InvalidParameter("tensor_trapezoid caps at dim 3")
+            raise InvalidParameter(
+                f"tensor_trapezoid caps at dim 3: it needs dim <= 3, not dim {mu.dim}")
         n = spec.resolved(mu.dim).nodes_per_axis
-        _bounded(n**mu.dim, mu.dim, spec)
+        _bounded(n**mu.dim, spec)
         pts, logw_leb = _trap_nodes(mu.truncation_radius, n, mu.dim)
         return pts, logw_leb + mu.log_pdf(pts)
-    if spec.scheme == "monte_carlo":
-        _bounded(spec.mc_samples, mu.dim, spec)
-        rng = np.random.Generator(np.random.Philox(key=spec.seed))
-        pts = mu.sample(rng, spec.mc_samples)
-        return pts, np.full(spec.mc_samples, -math.log(spec.mc_samples))
     raise InvalidParameter(f"{spec.scheme} has no fixed node set")
 
 

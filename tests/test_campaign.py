@@ -282,7 +282,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("call, match", [
         (lambda: CampaignConfig.from_dict([minimal_config()]), "must be a JSON object"),
-        (lambda: resolve_spec({"scheme": "auto"}, None, seed=0), "auto quadrature needs"),
+        (lambda: resolve_spec({"scheme": "auto"}, None), "auto quadrature needs"),
         (lambda: preset("gaussian-blunt"), "unknown preset 'gaussian-blunt'"),
     ], ids=["config-list", "auto-without-measure", "preset"])
     def test_refused(self, call, match):
@@ -290,8 +290,7 @@ class TestConfig:
             call()
 
     def test_auto_scheme_resolution(self, gauss1):
-        spec = resolve_spec({"scheme": "auto"}, gauss1, seed=5)
-        assert spec.scheme == "gauss_hermite" and spec.seed == 5
+        assert resolve_spec({"scheme": "auto"}, gauss1).scheme == "gauss_hermite"
 
     @pytest.mark.parametrize("block", [
         {"scheme": "tensor_trapezoid", "truncation_radius": 6.0},
@@ -302,7 +301,7 @@ class TestConfig:
         # adaptive tolerance is fixed, so neither key is a spec field
         key = next(k for k in block if k != "scheme")
         with pytest.raises(ConfigError, match=rf"quadrature block .*{key}"):
-            resolve_spec(block, gauss1, seed=0)
+            resolve_spec(block, gauss1)
 
 
 class TestRun:
@@ -368,21 +367,27 @@ class TestRun:
 
     def test_unbuildable_default_battery_fails_its_own_entry(self, tmp_path):
         # mollifiers stop at dim 3, so the 4-D default battery cannot be
-        # built: that best_constant entry is an inconclusive error, and the
-        # 1-D sLSI entry beside it still runs and is written out
+        # built, and every node rule stops there too: each 4-D entry is an
+        # inconclusive error, and the 1-D sLSI entry beside them still runs
+        # and is written out
         raw = minimal_config(
             measures={"g1": {"family": "gaussian", "dim": 1},
                       "g4": {"family": "gaussian", "dim": 4}},
+            fields={"f": {"builder": "log_linear", "lam": [0.8]},
+                    "f4": {"builder": "log_linear", "lam": [0.8, 0.0, 0.0, 0.0]}},
             checks=[{"check": "slsi", "measure": "g1", "fields": ["f"], "c": 1.0},
-                    {"check": "best_constant", "measure": "g4"}])
+                    {"check": "best_constant", "measure": "g4"},
+                    {"check": "slsi", "measure": "g4", "fields": ["f4"], "c": 1.0}])
         cfg = tmp_path / "campaign.json"
         cfg.write_text(json.dumps(raw))
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
         checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
         assert [(c["check_id"], c["kind"], c["passed"], c["inconclusive"]) for c in checks] == [
             ("000-slsi-g1-f", "slsi", True, False),
-            ("001-best_constant-g4", "error", False, True)]
+            ("001-best_constant-g4", "error", False, True),
+            ("002-slsi-g4-f4", "error", False, True)]
         assert "dim <= 3" in checks[1]["notes"][0]
+        assert "tensor_trapezoid caps at dim 3" in checks[2]["notes"][0]
 
     def test_non_invariant_convolution_exits_two(self, tmp_path, capsys):
         # in 2-D a convolution is read at |x|, so a shifted factor is refused
@@ -401,17 +406,17 @@ class TestRun:
     @pytest.mark.parametrize("overrides, named", [
         ({"quadrature": {"scheme": "tensor_trapezoid", "nodes_per_axis": 101.5}},
          "nodes_per_axis must be an integer"),
-        ({"quadrature": {"scheme": "monte_carlo", "mc_samples": 1000.0}},
-         "mc_samples must be an integer"),
-        ({"quadrature": {"scheme": "monte_carlo", "seed": -1}}, "seed must be an integer >= 0"),
+        ({"quadrature": {"scheme": "auto", "mc_samples": 1000}}, "'mc_samples'"),
+        ({"quadrature": {"scheme": "auto", "seed": 1}}, "'seed'"),
+        ({"quadrature": {"scheme": "monte_carlo"}}, "quadrature.scheme 'monte_carlo'"),
         ({"seed": -1}, "seed must be an integer >= 0, got -1"),
         ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
         ({"seed": True}, "seed must be an integer >= 0, got True"),
         ({"seed": "7"}, "seed must be an integer >= 0, got '7'"),
         ({"checks": [{"check": "slsi", "measure": "g", "fields": ["f"], "c": math.nan}]},
          "'c' must be a finite number, got nan"),
-    ], ids=["nodes_per_axis", "mc_samples", "block_seed", "top_level_seed", "float_seed",
-            "bool_seed", "string_seed", "nan_c"])
+    ], ids=["nodes_per_axis", "mc_samples", "block_seed", "monte_carlo", "top_level_seed",
+            "float_seed", "bool_seed", "string_seed", "nan_c"])
     def test_malformed_config_exits_two(self, overrides, named, tmp_path, capsys):
         # refused before any check runs: no traceback, no report
         cfg = tmp_path / "campaign.json"
@@ -611,11 +616,6 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert "'c' must be a finite number" in err
-
-    def test_check_negative_seed_exits_two(self, capsys):
-        assert main(["check", "--check", "slsi", "--seed", "-1"]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "seed must be an integer >= 0, got -1" in err
 
     def test_check_offers_only_handled_kinds(self, capsys):
         # best_constant is a campaign check kind but has its own subcommand

@@ -20,11 +20,11 @@ f = L.log_linear([0.5])
 g1 = L.gaussian(1, 1)
 """
 
-# the three fixed-rule schemes on a Gaussian, and a campaign through the CLI
+# the three schemes on a Gaussian, and a campaign through the CLI
 _GAUSSIAN_PATH = _PRELUDE + """
 for spec in [L.default_spec(g1),
              L.default_spec(g1, scheme="tensor_trapezoid"),
-             L.default_spec(g1, scheme="monte_carlo", seed=1)]:
+             L.default_spec(g1, scheme="adaptive_1d")]:
     rep = L.check_slsi(f, g1, 1.0, spec)
     assert not rep.inconclusive, rep
     print(rep.spec["scheme"])
@@ -59,7 +59,7 @@ def _stdout_without_scipy(code: str) -> list[str]:
 
 def test_gaussian_path_imports_no_scipy():
     assert _stdout_without_scipy(_GAUSSIAN_PATH) == [
-        "gauss_hermite", "tensor_trapezoid", "monte_carlo"]
+        "gauss_hermite", "tensor_trapezoid", "adaptive_1d"]
 
 
 def test_closures_import_no_scipy():

@@ -836,51 +836,14 @@ class TestConvolution:
             tracemalloc.stop()
         assert conv.dim == 3 and retained < 2**20
 
-    def test_dim_cap_advises_monte_carlo(self):
+    def test_dim_cap_names_dim_3(self):
         mu4 = L.product(L.gaussian(1.0, 2), L.gaussian(1.0, 2))
-        with pytest.raises(InvalidParameter, match="monte_carlo"):
+        with pytest.raises(InvalidParameter, match="dim <= 3, not dim 4"):
             L.convolve_measures(mu4, mu4)
 
     def test_dim_mismatch(self, gauss1, gauss2):
         with pytest.raises(InvalidParameter):
             L.convolve_measures(gauss1, gauss2)
-
-
-@pytest.mark.parametrize("build, want", [
-    (lambda: L.gen_exponential(1.0, 1.0, 4), 20.0),
-    (lambda: L.uniform_ball(1.0, 4), 2.0 / 3.0),
-    (lambda: L.poly_tail(3.0), 1.0 / 3.0),
-    (lambda: L.mix(L.gaussian(1.0, 4), L.gaussian(2.0, 4), 0.3), 7.6),
-    (lambda: L.product(L.gaussian(1.0, 2), L.gen_exponential(1.0, 1.0, 2)), 8.0),
-    (lambda: L.convolve_measures(L.gaussian(1.0), L.gaussian(0.5)), 1.25),
-], ids=["gen_exponential", "uniform_ball", "poly_tail", "mix", "product", "convolve"])
-def test_sampler_second_moment(build, want):
-    # Monte Carlo E|x|^2 from the measure's own sampler against its closed
-    # form, within 5 times the estimate's halving error
-    spec = L.QuadratureSpec(scheme="monte_carlo", mc_samples=200_000, seed=3)
-    got, err = L.integrate(lambda pts: np.sum(pts * pts, axis=1), build(), spec)
-    assert abs(got - want) <= 5.0 * err
-
-
-def test_laplace_sampler_in_one_dimension():
-    # the 1-D gen_exponential sampler gives the radius a random sign: the
-    # Laplace law has E x = 0 and E|x| = 1, each read here to 5 standard errors
-    xs = L.gen_exponential(1.0, 1.0, 1).sample(np.random.default_rng(3), 40_000)
-    assert xs.shape == (40_000, 1)
-    assert abs(xs.mean()) <= 0.035 and abs(np.abs(xs).mean() - 1.0) <= 0.025
-
-
-def test_closures_of_a_samplerless_density_build_and_refuse_to_sample(gauss1):
-    # closures compose their factors' samplers, so a factor without one is
-    # refused when the closure samples, not when it is built
-    bare = Density(dim=1, truncation_radius=8.0, rotation_invariant=True,
-                   strictly_positive=True, label="bare", _log_density=gauss1.log_pdf)
-    rng = np.random.default_rng(0)
-    for mu in (bare, L.mix(gauss1, bare, 0.5), L.product(bare, gauss1), L.shift(bare, [1.0]),
-               L.convolve_measures(gauss1, bare), L.perturb(bare, lambda pts: 0.1 * pts[:, 0])):
-        with pytest.raises(InvalidParameter, match="'bare' has no direct sampler"):
-            mu.sample(rng, 10)
-    assert L.mix(gauss1, bare, 0.0).sample(rng, 10).shape == (10, 1)
 
 
 class TestPerturbation:
@@ -939,30 +902,15 @@ class TestPerturbation:
         mu = L.perturb(base, lambda pts: 0.5 * np.abs(pts[:, 0]))
         assert math.exp(base.log_pdf([0.0]) - mu.log_pdf([0.0])) == pytest.approx(2.0, rel=1e-10)
 
-    def test_sampler_with_a_weight_beyond_the_double_range(self):
-        # w on |x| > 3: e^712 is beyond the largest double, but the mass,
-        # e^706.1, is not; at w = 800 the mass, e^794, is beyond it too.
-        # log_pdf subtracts ln Z and the sampler compares logarithms, so only
-        # a non-finite ln Z is refused, and the samples lie in |x| > 3 alone
-        for w in (712.0, 800.0):
-            mu = L.perturb(L.gaussian(1.0, 1),
-                           lambda pts: np.where(np.abs(pts[:, 0]) > 3.0, w, 0.0))
-            assert np.all(np.isfinite(mu.log_pdf(np.array([[0.0], [2.0], [4.0], [-5.0]]))))
-            xs = mu.sample(np.random.default_rng(0), 200)
-            assert xs.shape == (200, 1) and np.all(np.abs(xs) > 3.0)
-
-    @pytest.mark.parametrize("base", [
-        L.gen_exponential(0.5, 2.0, 1),
-        pytest.param(L.gaussian(1.0, 1), marks=pytest.mark.xfail(
-            strict=True, reason="Gauss-Hermite reads the step weight's ln Z 0.54 low, "
-                                "outside its error estimate")),
-    ], ids=["adaptive_1d", "gauss_hermite"])
+    @pytest.mark.parametrize("base", [L.gen_exponential(0.5, 2.0, 1), L.gaussian(1.0, 1)],
+                             ids=["adaptive_1d", "gauss_hermite"])
     def test_mass_beyond_the_double_range(self, base):
-        # both bases are N(0, 1); the perturbed measure integrates to 1 on its
-        # own adaptive rule, within that integral's error and the normalizer's
+        # both bases are N(0, 1), whose own rules differ; the normalizer and
+        # the perturbed measure are both integrated on the latter's adaptive
+        # rule, and its mass is 1 within that integral's error and Z's
         w = lambda pts: np.where(np.abs(pts[:, 0]) > 3.0, 800.0, 0.0)
-        _, z_err = L.quadrature.integrate_log(w, base, L.default_spec(base))
         mu = L.perturb(base, w)
+        _, z_err = L.quadrature.integrate_log(w, base, L.default_spec(mu))
         log_mass, err = L.quadrature.integrate_log(
             lambda pts: np.zeros(pts.shape[0]), mu, L.default_spec(mu))
         assert abs(log_mass) <= err + z_err
@@ -973,14 +921,3 @@ class TestPerturbation:
 
         with pytest.raises(InvalidParameter):
             L.perturb(L.gaussian(1.0, 4), weight)
-
-    def test_rejection_sampler_matches_density(self, gauss1):
-        weighted = L.perturb(
-            gauss1, lambda pts: np.log1p(0.5 * np.cos(pts[:, 0])), label="1+cos/2"
-        )
-        rng = np.random.default_rng(5)
-        xs = weighted.sample(rng, 40_000)
-        # first moment oracle by adaptive quadrature
-        spec = L.default_spec(weighted)
-        m1, _ = L.integrate(lambda pts: pts[:, 0], weighted, spec)
-        assert xs.mean() == pytest.approx(m1, abs=0.02)

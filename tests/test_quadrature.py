@@ -113,13 +113,14 @@ class TestPolarGaussRule:
         with pytest.raises(InvalidParameter, match="not dim 4"):
             measure_nodes(L.gaussian(1.0, 4), QuadratureSpec(scheme="gauss_hermite"))
 
-    def test_default_above_dim_3_is_monte_carlo(self, monkeypatch):
+    def test_default_above_dim_3_refused_before_any_node_rule(self, monkeypatch):
+        # every rule stops at dim 3: the default spec of a 4-D measure is
+        # built, and its node set refused where it would be built
         self._forbid_node_rules(monkeypatch)
         mu = L.gaussian(1.0, 4)
-        assert L.default_spec(mu).scheme == "monte_carlo"
-        rep = L.check_slsi(L.log_linear([0.8, 0.0, 0.0, 0.0]), mu, 1.0)
-        assert rep.spec["scheme"] == "monte_carlo"
-        assert rep.passed and not rep.inconclusive
+        assert L.default_spec(mu) == QuadratureSpec(scheme="tensor_trapezoid")
+        with pytest.raises(InvalidParameter, match="dim <= 3, not dim 4"):
+            L.check_slsi(L.log_linear([0.8, 0.0, 0.0, 0.0]), mu, 1.0)
 
 
 class TestLogSumExp:
@@ -140,29 +141,20 @@ class TestSpecValidation:
 
     def test_bad_counts(self):
         with pytest.raises(InvalidParameter):
-            QuadratureSpec(scheme="monte_carlo", mc_samples=1)
-        with pytest.raises(InvalidParameter):
             QuadratureSpec(scheme="tensor_trapezoid", nodes_per_axis=2)
 
     @pytest.mark.parametrize("kwargs, match", [
         (dict(scheme="tensor_trapezoid", nodes_per_axis=101.5), "nodes_per_axis must be an"),
         (dict(scheme="gauss_hermite", nodes_per_axis=True), "nodes_per_axis must be an integer"),
-        (dict(scheme="monte_carlo", mc_samples=1000.0), "mc_samples must be an integer"),
-        (dict(scheme="monte_carlo", mc_samples=np.True_), "mc_samples must be an integer"),
-        (dict(scheme="monte_carlo", seed=1.0), "seed must be an integer"),
-        (dict(scheme="monte_carlo", seed=False), "seed must be an integer"),
-        (dict(scheme="monte_carlo", seed=-1), "seed must be an integer >= 0"),
-        (dict(scheme="adaptive_1d", seed=np.int64(-3)), "seed must be an integer >= 0"),
     ])
-    def test_non_integer_counts_and_negative_seeds_refused(self, kwargs, match):
+    def test_non_integer_counts_refused(self, kwargs, match):
         # numpy would raise a TypeError or ValueError only when the nodes are built
         with pytest.raises(InvalidParameter, match=match):
             QuadratureSpec(**kwargs)
 
     def test_numpy_integers_accepted(self, gauss1):
-        spec = QuadratureSpec(scheme="monte_carlo", nodes_per_axis=np.int32(5),
-                              mc_samples=np.int64(4000), seed=np.uint8(7))
-        plain = QuadratureSpec(scheme="monte_carlo", nodes_per_axis=5, mc_samples=4000, seed=7)
+        spec = QuadratureSpec(scheme="tensor_trapezoid", nodes_per_axis=np.int32(65))
+        plain = QuadratureSpec(scheme="tensor_trapezoid", nodes_per_axis=65)
         assert L.integrate(ones, gauss1, spec) == L.integrate(ones, gauss1, plain)
 
     @pytest.mark.parametrize("scheme, n", [("gauss_hermite", 101), ("tensor_trapezoid", 2049)])
@@ -197,8 +189,8 @@ class TestSpecValidation:
          QuadratureSpec(scheme="tensor_trapezoid", nodes_per_axis=801), "513,922,401"),
         (L.gaussian(1.0, 3), QuadratureSpec(scheme="gauss_hermite", nodes_per_axis=801),
          "14,364,800"),
-        (L.gaussian(1.0, 2), QuadratureSpec(scheme="monte_carlo", mc_samples=10**10),
-         "10,000,000,000"),
+        (L.gen_exponential(1.0, 1.0, 2),
+         QuadratureSpec(scheme="tensor_trapezoid", nodes_per_axis=100_001), "10,000,200,001"),
     ])
     def test_oversized_node_set_refused_before_it_is_built(self, mu, spec, count):
         # a job too large for memory is a LabError naming its size, raised
@@ -211,21 +203,6 @@ class TestSpecValidation:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
-
-    def test_node_set_bound_counts_coordinates(self):
-        # 200,000 default Monte Carlo samples in 31-D are 6.2e6 coordinates,
-        # over 3 x MAX_NODES: refused before the 50 MB of points are drawn
-        mu = L.gaussian(1.0, 31)
-        tracemalloc.start()
-        try:
-            with pytest.raises(InvalidParameter, match="200,000 x 31 = 6,200,000 coordinates"):
-                measure_nodes(mu, quadrature.default_spec(mu))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
-        pts, logw = measure_nodes(mu, quadrature.default_spec(mu, mc_samples=1000))
-        assert pts.shape == (1000, 31) and logw.shape == (1000,)
 
 
 class TestIntegrate:
@@ -255,18 +232,10 @@ class TestIntegrate:
         assert value == pytest.approx(math.exp(0.32), rel=1e-10)
 
     def test_error_estimate_attached(self, gauss1):
-        for scheme in ("gauss_hermite", "tensor_trapezoid", "monte_carlo"):
-            spec = QuadratureSpec(scheme=scheme, mc_samples=5000)
+        for scheme in ("gauss_hermite", "tensor_trapezoid"):
+            spec = QuadratureSpec(scheme=scheme)
             value, err = L.integrate(lambda pts: pts[:, 0] ** 2, gauss1, spec)
             assert math.isfinite(err) and err >= 0
-
-    def test_scheme_agreement_within_combined_errors(self, gauss1):
-        h = L.log_linear([0.6])
-        v_gh, e_gh = L.integrate(h, gauss1, QuadratureSpec(scheme="gauss_hermite"))
-        v_mc, e_mc = L.integrate(
-            h, gauss1, QuadratureSpec(scheme="monte_carlo", mc_samples=200_000, seed=3)
-        )
-        assert abs(v_gh - v_mc) <= 3.0 * (e_gh + e_mc)
 
     def test_dilation_change_of_variables(self, gauss1):
         # int f(rx) dmu(x) = r^-n int f(u) rho(u/r)/rho(u) dmu(u)
@@ -281,21 +250,6 @@ class TestIntegrate:
 
         rhs, _ = L.integrate(rhs_map, gauss1, spec)
         assert lhs == pytest.approx(rhs, rel=1e-9)
-
-    def test_monte_carlo_bit_identical(self, gauss1):
-        spec = QuadratureSpec(scheme="monte_carlo", mc_samples=10_000, seed=42)
-        h = L.cosh_field(0.5)
-        v1, e1 = L.integrate(h, gauss1, spec)
-        v2, e2 = L.integrate(h, gauss1, spec)
-        assert v1 == v2 and e1 == e2
-
-    def test_monte_carlo_seed_changes_stream(self, gauss1):
-        h = L.cosh_field(0.5)
-        v1, _ = L.integrate(h, gauss1, QuadratureSpec(scheme="monte_carlo", seed=1,
-                                                      mc_samples=10_000))
-        v2, _ = L.integrate(h, gauss1, QuadratureSpec(scheme="monte_carlo", seed=2,
-                                                      mc_samples=10_000))
-        assert v1 != v2
 
     def test_non_finite_integrand_reports_witness(self, gauss1, gh_spec):
         # the pole sits on a node of the rule (0 is not one: the node count is even)
@@ -582,8 +536,6 @@ _NODE_SPECS = {
     "gauss_hermite_2d": (lambda: L.gaussian(0.9, 2), QuadratureSpec(scheme="gauss_hermite")),
     "tensor_trapezoid_2d": (lambda: L.gen_exponential(1.0, 4.0, 2),
                             QuadratureSpec(scheme="tensor_trapezoid", nodes_per_axis=129)),
-    "monte_carlo_2d": (lambda: L.gaussian(1.0, 2),
-                       QuadratureSpec(scheme="monte_carlo", mc_samples=20_000, seed=5)),
 }
 
 
