@@ -207,12 +207,10 @@ def _row_tol(e: float, e_base: float, base: float) -> float:
 
 def _shc_keys(cs: Iterable[float], r_grid: Sequence[float]) -> list:
     """The (r, q) of every norm an sHC verdict at each c of ``cs`` can read:
-    ||f||_1, alpha(r) at every q(r) <= Q_GUARD and the ||f_r||_1 beside them.
-    An r outside (0, 1] raises here, before any norm, whether or not a
-    verdict stops early."""
+    ||f||_1 and alpha(r) at every q(r) <= Q_GUARD.  An r outside (0, 1]
+    raises here, before any norm, whether or not a verdict stops early."""
     every = [(r, q_of_r(r, c)) for c in cs for r in r_grid]
-    reach = [(r, q) for r, q in every if q <= Q_GUARD]
-    return [(1.0, 1.0)] + reach + [(r, 1.0) for r, _ in reach]
+    return [(1.0, 1.0)] + [(r, q) for r, q in every if q <= Q_GUARD]
 
 
 def shc_rows(norms: DilationNorms, i: int, c: float,
@@ -227,7 +225,7 @@ def shc_rows(norms: DilationNorms, i: int, c: float,
     before the r-grid is read, and QuadratureFailure when ||f||_1 cannot be
     computed, or when a row failed to integrate (it may be the failing one)
     and the live rows pass.  The norms come in one fill: ||f||_1, and
-    alpha(r) and ||f_r||_1 at every q(r) <= Q_GUARD.
+    alpha(r) at every q(r) <= Q_GUARD.
     """
     _require_certified(norms.fields[i])
     norms.fill([(i, r, q) for r, q in _shc_keys((c,), r_grid)])
@@ -237,7 +235,6 @@ def shc_rows(norms: DilationNorms, i: int, c: float,
         row = {"r": float(r), "q_of_r": q_of_r(r, c)}
         try:
             a, e_a = norms.alpha(i, r, c)
-            n1, _ = norms(i, r, 1.0)
         except (QuadratureFailure, InvalidParameter) as exc:
             failure = failure or (exc if isinstance(exc, QuadratureFailure) else None)
             row.update({"skipped": True, "reason": str(exc)})
@@ -248,10 +245,8 @@ def shc_rows(norms: DilationNorms, i: int, c: float,
             {
                 "skipped": False,
                 "alpha": a,
-                "norm1": n1,
                 "deficit": base - a,
-                "row_passed": bool(a <= base * (1.0 + tol_rel))
-                and bool(n1 <= base * (1.0 + tol_rel)),
+                "row_passed": bool(a <= base * (1.0 + tol_rel)),
                 "tol_rel": tol_rel,
             }
         )
@@ -288,8 +283,9 @@ def check_shc(
     spec: Optional[QuadratureSpec] = None,
     check_id: str = "shc",
 ) -> CheckReport:
-    """Strong hypercontractivity in L^1 form: ||f_r||_{q(r)} <= ||f||_1 and
-    ||f_r||_1 <= ||f||_1 on the r-grid, plus monotonicity of alpha(r).
+    """Strong hypercontractivity in L^1 form: ||f_r||_{q(r)} <= ||f||_1 on
+    the r-grid, plus monotonicity of alpha(r).  Hoelder's ||f_r||_1 <=
+    ||f_r||_{q(r)} makes a passing row bound ||f_r||_1 by ||f||_1 too.
 
     Every row is evaluated; the r = 1 row reuses ||f||_1.
     """

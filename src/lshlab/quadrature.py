@@ -90,8 +90,8 @@ class QuadratureSpec:
         if self.scheme not in SCHEMES:
             raise InvalidParameter(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         n = self.nodes_per_axis
-        if n is not None and not is_count(n, 3):
-            raise InvalidParameter(f"nodes_per_axis must be an integer >= 3, got {n!r}")
+        if n is not None and not is_count(n, 4):
+            raise InvalidParameter(f"nodes_per_axis must be an integer >= 4, got {n!r}")
 
     def resolved(self, dim: int) -> "QuadratureSpec":
         """This spec with a grid scheme's default node count on R^dim filled in."""
@@ -103,11 +103,14 @@ class QuadratureSpec:
 
     def halved(self) -> "QuadratureSpec":
         """Companion spec at roughly half resolution, for error estimates; a
-        grid scheme's node count must be set (see ``resolved``)."""
+        grid scheme's node count must be set (see ``resolved``).  It always has
+        fewer nodes, 3 at least; a spec of 3 nodes would be its own companion."""
         n = self.nodes_per_axis
         if n is None:
             raise InvalidParameter(f"{self.scheme} spec has no node count to halve")
-        return replace(self, nodes_per_axis=max(3, (n - 1) // 2 + 1))
+        half = replace(self)  # its count may be 3, so set past __post_init__
+        object.__setattr__(half, "nodes_per_axis", max(3, (n - 1) // 2 + 1))
+        return half
 
     def to_dict(self) -> dict:
         return dict(vars(self))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lshlab as L
+from lshlab import checks, functionals
 
 
 @pytest.fixture(scope="session")
@@ -22,3 +23,17 @@ def gh_spec(gauss1):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240211)
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Every DilationNorms table that ``checks`` builds, in order."""
+    built = []
+
+    class Recorded(functionals.DilationNorms):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(checks, "DilationNorms", Recorded)
+    return built

@@ -406,6 +406,8 @@ class TestRun:
     @pytest.mark.parametrize("overrides, named", [
         ({"quadrature": {"scheme": "tensor_trapezoid", "nodes_per_axis": 101.5}},
          "nodes_per_axis must be an integer"),
+        ({"quadrature": {"scheme": "gauss_hermite", "nodes_per_axis": 3}},
+         "nodes_per_axis must be an integer >= 4, got 3"),
         ({"quadrature": {"scheme": "auto", "mc_samples": 1000}}, "'mc_samples'"),
         ({"quadrature": {"scheme": "auto", "seed": 1}}, "'seed'"),
         ({"quadrature": {"scheme": "monte_carlo"}}, "quadrature.scheme 'monte_carlo'"),
@@ -415,7 +417,7 @@ class TestRun:
         ({"seed": "7"}, "seed must be an integer >= 0, got '7'"),
         ({"checks": [{"check": "slsi", "measure": "g", "fields": ["f"], "c": math.nan}]},
          "'c' must be a finite number, got nan"),
-    ], ids=["nodes_per_axis", "mc_samples", "block_seed", "monte_carlo", "top_level_seed",
+    ], ids=["nodes_per_axis", "three_nodes", "mc_samples", "block_seed", "monte_carlo", "top_level_seed",
             "float_seed", "bool_seed", "string_seed", "nan_c"])
     def test_malformed_config_exits_two(self, overrides, named, tmp_path, capsys):
         # refused before any check runs: no traceback, no report
@@ -891,6 +893,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write outputs to {taken}: ")
         assert err.count("\n") == 1 and taken.read_text() == ""
+
+    def test_output_write_failure_exits_two(self, tmp_path, capsys):
+        # the checks run, then report.json cannot be written: a directory holds its name
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(minimal_config()))
+        assert main(["run", str(cfg), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write outputs to {out}: ") and err.count("\n") == 1
 
     def test_output_dir_under_a_file_exits_two(self, tmp_path, monkeypatch, capsys):
         self.no_check_runs(monkeypatch)

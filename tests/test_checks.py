@@ -956,24 +956,21 @@ def _reference_shc_best_constant(battery, mu, c_range, spec, resolution=1e-3):
 
 
 def _reference_shc(f, mu, c, spec):
-    """check_shc's (quantities, passed) with alpha and ||f_r||_1 integrated
-    afresh on every row of the default r-grid, r = 1 included."""
+    """check_shc's (quantities, passed) with alpha integrated afresh on
+    every row of the default r-grid, r = 1 included."""
     base, e_base = quadrature.lp_norm_with_error(f, mu, 1.0, spec)
     rows = []
     for r in functionals.DEFAULT_R_GRID:
         row = {"r": float(r), "q_of_r": L.q_of_r(r, c)}
         try:
             a, e_a = functionals.alpha_with_error(f, mu, c, r, spec)
-            n1, _ = quadrature.lp_norm_with_error(L.dilate(f, r), mu, 1.0, spec)
         except (QuadratureFailure, InvalidParameter) as exc:
             row.update({"skipped": True, "reason": str(exc)})
             rows.append(row)
             continue
         tol_rel = checks.INEQ_ABS + checks.NOISE_FACTOR * (e_a + e_base) / max(base, 1e-300)
-        row.update({"skipped": False, "alpha": a, "norm1": n1, "deficit": base - a,
-                    "row_passed": bool(a <= base * (1.0 + tol_rel))
-                    and bool(n1 <= base * (1.0 + tol_rel)),
-                    "tol_rel": tol_rel})
+        row.update({"skipped": False, "alpha": a, "deficit": base - a,
+                    "row_passed": bool(a <= base * (1.0 + tol_rel)), "tol_rel": tol_rel})
         rows.append(row)
     live = [row for row in rows if not row["skipped"]]
     monotone, worst_drop = True, 0.0
@@ -1058,11 +1055,28 @@ class TestBestConstantShcNorms:
         del norm_calls[:]
         rep = L.check_shc(f, mu, c, spec=spec)
         assert (rep.quantities, rep.passed) == expected
-        # the r = 1 row is alpha(1) = ||f_1||_1 = ||f||_1, already integrated;
-        # ||f_r||_1 is integrated also where alpha(r) failed, in the one fill
-        failed = sum(row["skipped"] and row["q_of_r"] <= checks.Q_GUARD
-                     for row in rep.quantities["rows"])
-        assert len(norm_calls) == reference_calls - 2 + failed
+        # the r = 1 row is alpha(1) = ||f_1||_1 = ||f||_1, already integrated
+        assert len(norm_calls) == reference_calls - 1
+
+    @pytest.mark.parametrize("f, mu, scheme", [
+        (L.log_linear([0.8]), L.gaussian(1.0, 1), "gauss_hermite"),
+        (L.default_battery(2)[-1], L.gaussian(1.0, 2), "gauss_hermite"),
+        (L.log_linear([0.8, 0.0]), L.gen_exponential(1.0, 4.0, 2), "tensor_trapezoid"),
+        (L.log_linear([0.4]), L.gen_exponential(0.5, 2, 1), "adaptive_1d"),
+    ], ids=["gauss_hermite", "mollified", "tensor_trapezoid", "adaptive_1d"])
+    def test_check_shc_integrates_one_norm_per_row(self, f, mu, scheme, monkeypatch):
+        # ||f||_1 and alpha(r) at each r < 1 of the r-grid, in one call; the
+        # r = 1 row is ||f||_1, and ||f_r||_1 <= alpha(r) needs no integral
+        counts, lp_norms = [], functionals.lp_norms
+
+        def counting(log_f, mu, ps, spec):
+            counts.append(len(ps))
+            return lp_norms(log_f, mu, ps, spec)
+
+        monkeypatch.setattr(functionals, "lp_norms", counting)
+        rep = L.check_shc(f, mu, 1.0)
+        assert rep.spec["scheme"] == scheme and rep.passed and not rep.inconclusive
+        assert counts == [7]
 
     def test_failure_memoised_and_raised_again(self, norm_calls):
         mu = L.gen_exponential(0.5, 2, 1)
@@ -1151,20 +1165,6 @@ class TestBestConstantShcNorms:
         lo, hi = checks.DEFAULT_C_RANGE
         steps = 2 + math.ceil(math.log2((hi - lo) / checks.BISECTION_RESOLUTION))
         assert 0 < len(loops) <= steps
-
-
-@pytest.fixture
-def tables(monkeypatch):
-    """Every DilationNorms table that ``checks`` builds, in order."""
-    built = []
-
-    class Recorded(functionals.DilationNorms):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-
-    monkeypatch.setattr(checks, "DilationNorms", Recorded)
-    return built
 
 
 class TestNodeSetLogs:

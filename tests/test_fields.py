@@ -97,8 +97,10 @@ class TestBuilders:
                                _value=lambda pts: pts[:, 0]), "either its log map"),
         (lambda: L.ScalarField(dim=1, label="neither"), "either its log map"),
         (lambda: L.log_linear([0.5])(np.zeros((2, 3))), r"expected shape \(m, 1\) or \(1,\)"),
+        (lambda: L.log_linear([0.5, 0.0])(np.zeros(3)), "point has 3 coordinates, expected 2"),
     ], ids=["constant-dim", "exp_norm_sq-dim", "bool-dim", "zero-dim", "exp_norm_sq-lam",
-            "no-coefficients", "product-dims", "both-maps", "no-map", "batch-shape"])
+            "no-coefficients", "product-dims", "both-maps", "no-map", "batch-shape",
+            "point-shape"])
     def test_malformed_field_refused(self, build, match):
         with pytest.raises(InvalidParameter, match=match):
             build()
@@ -712,6 +714,7 @@ class TestIsLsh:
     def test_log_linear_passes(self):
         rep = L.is_lsh(L.log_linear([0.8]))
         assert rep.passed and rep.checked > 0
+        assert rep.worst_violation() is None
 
     def test_gaussian_decay_fails_with_witness(self):
         f = L.raw_field(lambda pts: np.exp(-pts[:, 0] ** 2), 1, label="e^{-x^2}")

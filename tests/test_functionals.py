@@ -69,6 +69,14 @@ class TestEntropy:
         for f in L.default_battery(1):
             assert L.entropy_with_error(f, gauss1, gh_spec)[0] >= -1e-10
 
+    def test_negative_beyond_tolerance_is_a_quadrature_failure(self, gauss1, gh_spec,
+                                                               monkeypatch):
+        # Ent(g) >= 0 on a probability measure: a rule that reads -0.1 has broken down
+        monkeypatch.setattr(functionals, "weighted_moments",
+                            lambda *args: (np.array([-0.1, 1.0]), np.array([1e-12, 1e-12])))
+        with pytest.raises(QuadratureFailure, match="entropy -0.1 is negative beyond tolerance"):
+            L.entropy_with_error(L.cosh_field(0.8), gauss1, gh_spec)
+
     def test_adaptive_scheme_path(self):
         mu = L.gen_exponential(1.0, 2.0, 1)  # gaussian-shaped, adaptive scheme
         spec = L.default_spec(mu)
@@ -153,6 +161,39 @@ class TestDilationNorms:
             table.fill([(0, 1.5, 1.0)])
         for key in keys:
             assert table(*key) == DilationNorms(fields, gauss1, gh_spec)(*key)
+
+    @pytest.mark.parametrize("mu, scheme", [
+        (L.gaussian(1.0, 1), "gauss_hermite"),
+        (L.gaussian(1.0, 2), "gauss_hermite"),
+        (L.gaussian(1.0, 3), "gauss_hermite"),
+        (L.gen_exponential(1.0, 4.0, 2), "tensor_trapezoid"),
+        (L.gen_exponential(1.0, 4.0, 3), "tensor_trapezoid"),
+        (L.gen_exponential(0.5, 2.0, 1), "adaptive_1d"),
+        (L.gen_exponential(2.0, 1.0, 1), "adaptive_1d"),
+    ], ids=["gh-1", "gh-2", "gh-3", "trap-2", "trap-3", "adaptive-gauss", "adaptive-laplace"])
+    def test_l1_norm_at_most_alpha(self, mu, scheme):
+        # Hoelder on a probability measure: ||f_r||_1 <= ||f_r||_{q(r)}, q(r) >= 1,
+        # so an sHC row that bounds alpha(r) by ||f||_1 bounds ||f_r||_1 too
+        n = mu.dim
+        fields = [L.log_linear(0.8 * np.eye(n)[0]),
+                  L.cosh_field(0.8) if n == 1 else L.exp_norm_sq(0.05, n)]
+        if (scheme, n) == ("gauss_hermite", 2):
+            fields.append(L.default_battery(2)[-1])  # the mollified member
+        spec = L.default_spec(mu)
+        assert spec.scheme == scheme
+        rows = [(i, r, L.q_of_r(r, c)) for i in range(len(fields))
+                for r in functionals.DEFAULT_R_GRID if r < 1.0 for c in (0.5, 1.0)]
+        table = DilationNorms(fields, mu, spec)
+        table.fill([(i, r, q) for i, r, q_r in rows for q in (1.0, q_r)])
+        compared = 0
+        for i, r, q in rows:
+            try:
+                norm1, alpha = table(i, r, 1.0)[0], table(i, r, q)[0]
+            except QuadratureFailure:
+                continue
+            assert norm1 <= alpha, (fields[i].label, r, q)
+            compared += 1
+        assert compared >= len(rows) // 2
 
 
 def fd_reference(f, mu, c, r, spec, step=1e-4):

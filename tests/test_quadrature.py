@@ -140,8 +140,18 @@ class TestSpecValidation:
             QuadratureSpec(scheme="simpson")
 
     def test_bad_counts(self):
-        with pytest.raises(InvalidParameter):
-            QuadratureSpec(scheme="tensor_trapezoid", nodes_per_axis=2)
+        for scheme in ("gauss_hermite", "tensor_trapezoid"):
+            for n in (2, 3):
+                with pytest.raises(InvalidParameter, match=f"integer >= 4, got {n}"):
+                    QuadratureSpec(scheme=scheme, nodes_per_axis=n)
+
+    @pytest.mark.parametrize("n", [*range(4, 13), 101])
+    @pytest.mark.parametrize("scheme", ["gauss_hermite", "tensor_trapezoid"])
+    def test_halved_companion_has_fewer_nodes(self, gauss1, scheme, n):
+        # a 3-node spec would be its own companion, with an error estimate of 0
+        spec = QuadratureSpec(scheme=scheme, nodes_per_axis=n)
+        assert spec.halved() != spec
+        assert len(measure_nodes(gauss1, spec.halved())[0]) < len(measure_nodes(gauss1, spec)[0])
 
     @pytest.mark.parametrize("kwargs, match", [
         (dict(scheme="tensor_trapezoid", nodes_per_axis=101.5), "nodes_per_axis must be an"),
@@ -501,7 +511,6 @@ class TestAdaptiveBatch:
         assert rows[0]["reason"] == "the weight integrates to 0 or its peak was lost"
         for row in rows[1:]:
             assert row["alpha"] == _alone(f, mu, row["r"], row["q_of_r"], spec)[0]
-            assert row["norm1"] == _alone(f, mu, row["r"], 1.0, spec)[0]
 
     def test_overflowing_rows_fail_each_with_its_own_reason(self):
         # e^{0.8 q r x} outgrows the Laplace density at every r < 1: each row
