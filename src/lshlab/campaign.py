@@ -364,7 +364,7 @@ def resolve_spec(block: dict, mu) -> QuadratureSpec:
         raise ConfigError("auto quadrature needs a target measure")
     with config_errors(f"quadrature block {block}"):
         return default_spec(mu, **kwargs) if scheme == "auto" else \
-            QuadratureSpec(scheme=scheme, **kwargs)
+            QuadratureSpec(scheme=scheme, **kwargs).resolved(mu.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def check_slsi(
     check_id: str = "slsi",
 ) -> CheckReport:
     """Strong log-Sobolev deficit (c/2) int E g dmu - Ent(g), passing iff >= -tol."""
-    spec = spec or default_spec(mu)
+    spec = (spec or default_spec(mu)).resolved(mu.dim)
     inputs = {"field": g.label, "measure": mu.label, "c": c}
     try:
         terms = slsi_terms(g, mu, spec)
@@ -216,22 +216,23 @@ def _shc_keys(cs: Iterable[float], r_grid: Sequence[float]) -> list:
 def shc_rows(norms: DilationNorms, i: int, c: float,
              r_grid: Sequence[float]) -> list[tuple[dict, float]]:
     """The r-grid rows of :func:`check_shc` at constant c for member i of
-    ``norms``, as (row, slack) pairs.
+    ``norms``, as (row, slack) pairs in ascending r, whatever the order of
+    ``r_grid``: alpha's monotonicity is read along r, not along the grid.
 
-    The slack is how far the row's alpha falls below the previous live row's
-    beyond that row's tolerance (0.0 for a skipped row and for the first live
-    one).  A row whose norms fail to integrate, or whose q(r) exceeds
-    Q_GUARD, is skipped.  Raises InvalidParameter for an uncertified field,
-    before the r-grid is read, and QuadratureFailure when ||f||_1 cannot be
-    computed, or when a row failed to integrate (it may be the failing one)
-    and the live rows pass.  The norms come in one fill: ||f||_1, and
+    The slack is how far the row's alpha falls below the previous (smaller
+    r) live row's beyond that row's tolerance (0.0 for a skipped row and for
+    the first live one).  A row whose norms fail to integrate, or whose q(r)
+    exceeds Q_GUARD, is skipped.  Raises InvalidParameter for an uncertified
+    field, before the r-grid is read, and QuadratureFailure when ||f||_1
+    cannot be computed, or when a row failed to integrate (it may be the
+    failing one) and the live rows pass.  The norms come in one fill: ||f||_1, and
     alpha(r) at every q(r) <= Q_GUARD.
     """
     _require_certified(norms.fields[i])
     norms.fill([(i, r, q) for r, q in _shc_keys((c,), r_grid)])
     base, e_base = norms(i, 1.0, 1.0)
     pairs, prev, failure = [], None, None
-    for r in r_grid:
+    for r in sorted(r_grid):
         row = {"r": float(r), "q_of_r": q_of_r(r, c)}
         try:
             a, e_a = norms.alpha(i, r, c)
@@ -291,7 +292,7 @@ def check_shc(
     """
     if len(r_grid) == 0:
         raise InvalidParameter("r_grid must be non-empty")
-    spec = spec or default_spec(mu)
+    spec = (spec or default_spec(mu)).resolved(mu.dim)
     inputs = {"field": f.label, "measure": mu.label, "c": c, "r_grid": list(r_grid)}
     norms = DilationNorms([f], mu, spec)
     try:
@@ -333,7 +334,7 @@ def check_general_shc(
     It passes only when the row at r* is live: the rows below r* cannot stand
     in for the inequality at r*, where ||f_r||_q is largest.
     """
-    spec = spec or default_spec(mu)
+    spec = (spec or default_spec(mu)).resolved(mu.dim)
     inputs = {"field": f.label, "measure": mu.label, "c": c, "p": p, "q": q}
     r_star = r_of_pq(p, q, c)
     _require_certified(f)
@@ -372,7 +373,7 @@ def _operator_bound(kind, check_id, inputs, f, mu, p, r, spec, phi=None) -> Chec
     right-hand side of :func:`check_dilated_convolution_bound`, or, without
     ``phi``, ||f_r||_p against that of :func:`check_dilation_bound` (s = 0,
     the mollifier terms 1).  Inconclusive when C or a norm is unavailable."""
-    spec = spec or default_spec(mu)
+    spec = (spec or default_spec(mu)).resolved(mu.dim)
     s = 0.0 if phi is None else phi.support_radius
     try:
         c_est = regularity_constant(mu, 0.0, 1.0 / r, s / r)
@@ -480,7 +481,7 @@ def check_density_approximation(
     """
     if len(k_list) == 0 or len(r_list) == 0:
         raise InvalidParameter("k_list and r_list must be non-empty")
-    spec = spec or default_spec(mu)
+    spec = (spec or default_spec(mu)).resolved(mu.dim)
     inputs = {"field": f.label, "measure": mu.label, "p": p, "k_list": list(k_list),
               "r_list": list(r_list)}
     try:
@@ -689,7 +690,7 @@ def best_constant(
     lo, hi = float(c_range[0]), float(c_range[1])
     if not 0.0 < lo < hi < math.inf:
         raise InvalidParameter(f"c_range must satisfy 0 < c_min < c_max < inf, got {tuple(c_range)}")
-    spec = spec or default_spec(mu)
+    spec = (spec or default_spec(mu)).resolved(mu.dim)
 
     if mode == "slsi":
         terms = {}  # battery index -> its slsi_terms, built once

@@ -222,10 +222,8 @@ def exp_subharmonic(
     dim: int,
     grad_u: Optional[Callable[[Array], Array]] = None,
     label: str = "exp_subharmonic(u)",
-    *,
-    verify: bool = True,
 ) -> ScalarField:
-    """f = exp(u) for a (numerically verified) subharmonic u.
+    """f = exp(u) for a subharmonic u, certified by the sphere sub-mean test.
 
     ``u`` must be vectorized over (m, dim) float64 batches, not necessarily
     C-contiguous, and return an array the caller may overwrite (see
@@ -234,32 +232,26 @@ def exp_subharmonic(
     Construction is rejected, with a witness point, when u fails the sphere
     sub-mean test at random probes.
     """
-    if verify:
-        rep = _sub_mean_test(u, dim, seed=7)
-        if not rep.passed:
-            x, r, mean, center = rep.violations[0]
-            raise SubharmonicityError(
-                f"u fails the sphere-mean test at x={x}, radius {r:g}: "
-                f"mean {mean:.6g} < value {center:.6g}",
-                witness=x,
-            )
+    rep = _sub_mean_test(u, dim, seed=7)
+    if not rep.passed:
+        x, r, mean, center = rep.violations[0]
+        raise SubharmonicityError(
+            f"u fails the sphere-mean test at x={x}, radius {r:g}: "
+            f"mean {mean:.6g} < value {center:.6g}",
+            witness=x,
+        )
     du = grad_u or (lambda pts: _central_differences(u, pts))
     return _certified(label, dim, lambda pts, grad: (
         np.asarray(u(pts), dtype=float), np.asarray(du(pts), dtype=float) if grad else None))
 
 
 def exp_norm_sq(lam: float, dim: int) -> ScalarField:
-    """f(x) = exp(lam |x|^2) with lam >= 0; rotation-invariant and LSH."""
+    """f(x) = exp(lam |x|^2) with lam >= 0; rotation-invariant, LSH (ln f is convex)."""
     lam = float(lam)
     if lam < 0:
         raise InvalidParameter("exp_norm_sq requires lam >= 0")
-    return exp_subharmonic(
-        lambda pts: lam * np.sum(pts * pts, axis=1),
-        dim,
-        grad_u=lambda pts: 2.0 * lam * pts,
-        label=f"exp_norm_sq({lam:g})",
-        verify=False,
-    )
+    return _certified(f"exp_norm_sq({lam:g})", dim, lambda pts, grad: (
+        lam * np.sum(pts * pts, axis=1), 2.0 * lam * pts if grad else None))
 
 
 def modulus_holomorphic(coeffs: Sequence[complex]) -> ScalarField:

@@ -92,6 +92,8 @@ class QuadratureSpec:
         n = self.nodes_per_axis
         if n is not None and not is_count(n, 4):
             raise InvalidParameter(f"nodes_per_axis must be an integer >= 4, got {n!r}")
+        if n is not None and self.scheme == "adaptive_1d":
+            raise InvalidParameter(f"adaptive_1d takes no nodes_per_axis, got {n!r}")
 
     def resolved(self, dim: int) -> "QuadratureSpec":
         """This spec with a grid scheme's default node count on R^dim filled in."""
@@ -116,22 +118,25 @@ class QuadratureSpec:
         return dict(vars(self))
 
 
-def default_spec(mu, **overrides) -> QuadratureSpec:
+def default_spec(mu, nodes_per_axis: Optional[int] = None) -> QuadratureSpec:
     """Scheme selection per measure family: the polar Gauss-Hermite rule for
     Gaussians up to dim 3, batched adaptive Gauss-Kronrod on the whole line
     in one dimension (``adaptive_1d``, refined to ``_ADAPTIVE_RTOL``), tensor
-    trapezoid otherwise (uniform balls in 1-D too).  Above dim 3 the trapezoid
-    has no default node count, and ``measure_nodes`` refuses it."""
+    trapezoid otherwise (uniform balls in 1-D too).  ``nodes_per_axis`` is
+    the grid schemes' count, their default (``QuadratureSpec.resolved``) if
+    None; an ``adaptive_1d`` pick takes none.  Above dim 3 the trapezoid has
+    no default node count, and ``measure_nodes`` refuses it."""
     if mu.family == "gaussian" and mu.dim <= 3:
-        base = dict(scheme="gauss_hermite", nodes_per_axis=_GH_DEFAULT)
+        scheme = "gauss_hermite"
     elif mu.dim == 1 and mu.family != "uniform_ball":
-        base = dict(scheme="adaptive_1d")
+        # the pick drops the count, but a malformed one is refused here too
+        QuadratureSpec("tensor_trapezoid", nodes_per_axis)
+        return QuadratureSpec("adaptive_1d")
     else:
         # a uniform ball's grid is aligned to the support's ends only in 1-D;
         # a disc or ball boundary cuts the grid's cells
-        base = dict(scheme="tensor_trapezoid", nodes_per_axis=_TRAP_DEFAULT.get(mu.dim))
-    base.update(overrides)
-    return QuadratureSpec(**base)
+        scheme = "tensor_trapezoid"
+    return QuadratureSpec(scheme, nodes_per_axis).resolved(mu.dim)
 
 
 # ---------------------------------------------------------------------------

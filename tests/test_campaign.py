@@ -305,6 +305,24 @@ class TestConfig:
 
 
 class TestRun:
+    @pytest.mark.parametrize("scheme, measure, count", [
+        ("gauss_hermite", {"family": "gaussian", "dim": 1}, 101),
+        ("tensor_trapezoid", {"family": "gen_exponential", "c": 1.0, "a": 2.0, "dim": 1}, 2049),
+    ], ids=["gauss_hermite", "tensor_trapezoid"])
+    def test_grid_scheme_reports_name_their_count(self, scheme, measure, count):
+        # a block or spec without a count runs on the scheme's default, and
+        # the report echoes that count, from a campaign and from a check alike
+        kinds = [k for k in CHECK_KINDS if CHECKS[k].needs_measure]
+        config = CampaignConfig.from_dict(minimal_config(
+            quadrature={"scheme": scheme}, measures={"g": measure},
+            checks=[{"check": k, "measure": "g", "fields": ["f"], **flag_keys(k)} for k in kinds]))
+        reports, _, _ = campaign.run_campaign(config)
+        assert [rep.kind for rep in reports] == kinds
+        f, mu = build_field(config.fields["f"]), build_measure(measure)
+        reports += [CHECKS[k](f, mu, L.QuadratureSpec(scheme), flag_keys(k), k)
+                    for k in kinds if not CHECKS[k].over_battery]
+        assert all(rep.spec == {"scheme": scheme, "nodes_per_axis": count} for rep in reports)
+
     def test_empty_check_list_exits_zero(self, tmp_path):
         config = CampaignConfig.from_dict(minimal_config(checks=[]))
         code = L.run(config, output_dir=tmp_path)

@@ -169,6 +169,18 @@ class TestShc:
                 math.exp(lam**2 / (2 * r**2)), rel=1e-6
             )
 
+    @pytest.mark.parametrize("r_grid", [(1.0, 0.95, 0.9, 0.8, 0.7, 0.6, 0.5),
+                                        (0.9, 0.5, 1.0, 0.7, 0.95, 0.6, 0.8)],
+                             ids=["descending", "shuffled"])
+    def test_rows_read_in_ascending_r(self, gauss1, r_grid):
+        # alpha's monotonicity is read along r: the descending grid once read
+        # a drop of 0.026 between rows that each passed, and failed
+        f = L.log_linear([0.8])
+        rep = L.check_shc(f, gauss1, 1.3, r_grid=r_grid)
+        ascending = L.check_shc(f, gauss1, 1.3, r_grid=checks.DEFAULT_R_GRID)
+        assert rep.passed and rep.quantities == ascending.quantities
+        assert rep.inputs["r_grid"] == list(r_grid)
+
     def test_empty_r_grid_rejected(self, gauss1, gh_spec):
         # an empty grid has no live row, which best_constant would read as
         # "fails at every c" and report the range maximum
@@ -567,8 +579,8 @@ class TestDensityApproximationWork:
             batches.append(pts.shape[0])
             return 0.25 * pts[:, 0]
 
-        f = L.exp_subharmonic(u, 1, grad_u=lambda pts: np.full_like(pts, 0.25),
-                              verify=False)
+        f = L.exp_subharmonic(u, 1, grad_u=lambda pts: np.full_like(pts, 0.25))
+        batches.clear()  # the sub-mean test's batches
         rep = L.check_density_approximation(f, gauss1, 2.0, k_list=(1, 2),
                                             r_list=(0.9, 0.99), spec=gh_spec)
         assert rep.passed
@@ -745,6 +757,15 @@ class TestBestConstant:
         battery = [L.log_linear([lam]) for lam in (0.4, 0.8, 1.2)]
         c_star = L.best_constant(battery, gauss1, "shc", spec=gh_spec)
         assert c_star == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("dim, r_grid", [(1, checks.DEFAULT_R_GRID[::-1]),
+                                             (2, (0.9, 0.5, 1.0, 0.7))],
+                             ids=["descending-1d", "shuffled-2d"])
+    def test_shc_constant_does_not_depend_on_grid_order(self, dim, r_grid):
+        # both searches once returned c_max = 4.0
+        battery, mu = L.default_battery(dim), L.gaussian(1.0, dim)
+        c_star = L.best_constant(battery, mu, "shc", r_grid=r_grid)
+        assert c_star == L.best_constant(battery, mu, "shc", r_grid=sorted(r_grid)) == 1.0
 
     def test_shc_needs_a_live_row_below_r1(self):
         # on the Laplace measure at c = 0.25, ||f_r||_q(r) of e^{0.8x} diverges

@@ -61,13 +61,24 @@ class TestBuilders:
             assert dd > 0  # sech^2 > 0
 
     def test_exp_subharmonic_rejects_concave_log(self):
-        with pytest.raises(SubharmonicityError) as err:
-            L.exp_subharmonic(lambda pts: -pts[:, 0] ** 2, dim=1)
-        assert err.value.witness is not None
+        # no option skips the sub-mean test: a superharmonic u is refused
+        # with the point it fails at
+        for dim in (1, 2):
+            with pytest.raises(SubharmonicityError, match="sphere-mean test") as err:
+                L.exp_subharmonic(lambda pts: -np.sum(pts**2, axis=1), dim=dim)
+            assert np.shape(err.value.witness) == (dim,)
 
     def test_exp_subharmonic_accepts_convex_log(self):
         f = L.exp_subharmonic(lambda pts: pts[:, 0] ** 2, dim=1)
         assert f.certified
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_exp_norm_sq_log_map_is_its_closed_form(self, dim):
+        # certified by construction: ln f = lam |x|^2 and grad ln f = 2 lam x
+        lam, pts = 0.3, default_probes(dim)
+        log_f, grad_log_f = L.exp_norm_sq(lam, dim).log_value(pts, grad=True)
+        assert np.array_equal(log_f, lam * np.sum(pts * pts, axis=1))
+        assert np.array_equal(grad_log_f, 2.0 * lam * pts)
 
     def test_power_overflow_is_silent_inf(self):
         # e^{2 ln 1e300} overflows; an integral reports the inf with its point,
@@ -745,7 +756,8 @@ class TestIsLsh:
         # ln f = c - |x|^2 is superharmonic; e^{ln f} overflows (c = 1000) or
         # underflows below VALUE_FLOOR (c = -1000) at every probe, so only the
         # log map itself shows the violations
-        f = L.exp_subharmonic(lambda pts: c - np.sum(pts**2, axis=1), 2, verify=False)
+        f = L.fields._certified("superharmonic", 2, lambda pts, grad: (
+            c - np.sum(pts**2, axis=1), -2.0 * pts if grad else None))
         rep = L.is_lsh(f)
         assert (rep.passed, rep.checked, rep.skipped, len(rep.violations)) == (False, 256, 0, 256)
 

@@ -23,8 +23,8 @@ g1 = L.gaussian(1, 1)
 # the three schemes on a Gaussian, and a campaign through the CLI
 _GAUSSIAN_PATH = _PRELUDE + """
 for spec in [L.default_spec(g1),
-             L.default_spec(g1, scheme="tensor_trapezoid"),
-             L.default_spec(g1, scheme="adaptive_1d")]:
+             L.QuadratureSpec("tensor_trapezoid"),
+             L.QuadratureSpec("adaptive_1d")]:
     rep = L.check_slsi(f, g1, 1.0, spec)
     assert not rep.inconclusive, rep
     print(rep.spec["scheme"])

@@ -19,8 +19,8 @@ from lshlab.errors import (
 from lshlab.measures import Density
 
 
-def mass(mu, **spec_overrides):
-    spec = L.default_spec(mu, **spec_overrides)
+def mass(mu, spec=None):
+    spec = spec or L.default_spec(mu)
     value, _ = L.integrate(lambda pts: np.ones(pts.shape[0]), mu, spec)
     return value
 
@@ -606,7 +606,7 @@ class TestConvolution:
         xs = np.linspace(-5, 5, 201).reshape(-1, 1)
         exact = np.exp(-xs[:, 0] ** 2 / 4.0) / math.sqrt(4 * math.pi)
         assert np.max(np.abs(conv.pdf(xs) - exact)) <= 1e-6
-        assert mass(conv, scheme="tensor_trapezoid", nodes_per_axis=2049) == pytest.approx(
+        assert mass(conv, L.QuadratureSpec("tensor_trapezoid", 2049)) == pytest.approx(
             1.0, abs=1e-6
         )
 

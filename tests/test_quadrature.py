@@ -123,6 +123,43 @@ class TestPolarGaussRule:
             L.check_slsi(L.log_linear([0.8, 0.0, 0.0, 0.0]), mu, 1.0)
 
 
+class TestDefaultSpec:
+    # each measure is built when its case runs; perturb integrates on building
+    @pytest.mark.parametrize("build, scheme, n", [
+        (lambda: L.gaussian(1.0, 1), "gauss_hermite", 101),
+        (lambda: L.gaussian(1.0, 2), "gauss_hermite", 101),
+        (lambda: L.gaussian(1.0, 3), "gauss_hermite", 101),
+        (lambda: L.gaussian(1.0, 4), "tensor_trapezoid", None),
+        (lambda: L.gen_exponential(1.0, 2.0, 1), "adaptive_1d", None),
+        (lambda: L.gen_exponential(1.0, 2.0, 2), "tensor_trapezoid", 257),
+        (lambda: L.gen_exponential(1.0, 2.0, 3), "tensor_trapezoid", 65),
+        (lambda: L.uniform_ball(1.0, 1), "tensor_trapezoid", 2049),
+        (lambda: L.uniform_ball(1.0, 2), "tensor_trapezoid", 257),
+        (lambda: L.uniform_ball(1.0, 3), "tensor_trapezoid", 65),
+        (lambda: L.poly_tail(2.0), "adaptive_1d", None),
+        (lambda: L.mix(L.gaussian(0.8), L.gaussian(1.25), 0.3), "adaptive_1d", None),
+        (lambda: L.convolve_measures(L.gaussian(1.0), L.gaussian(0.8)), "adaptive_1d", None),
+        (lambda: L.shift(L.gaussian(1.0, 2), [0.5, 0.0]), "tensor_trapezoid", 257),
+        (lambda: L.product(L.gaussian(1.0), L.gaussian(1.0)), "tensor_trapezoid", 257),
+        (lambda: L.perturb(L.gaussian(1.0), lambda pts: 0.1 * np.tanh(pts[:, 0])),
+         "adaptive_1d", None),
+    ], ids=["gaussian-1", "gaussian-2", "gaussian-3", "gaussian-4", "gen_exponential-1",
+            "gen_exponential-2", "gen_exponential-3", "uniform_ball-1", "uniform_ball-2",
+            "uniform_ball-3", "poly_tail", "mix", "convolve", "shift-2", "product-2", "perturb"])
+    def test_scheme_and_count_per_measure(self, build, scheme, n):
+        mu = build()
+        assert L.default_spec(mu) == QuadratureSpec(scheme=scheme, nodes_per_axis=n)
+        # a count is for the grid schemes; an adaptive_1d pick takes none
+        want = QuadratureSpec(scheme=scheme, nodes_per_axis=None if scheme == "adaptive_1d" else 9)
+        assert L.default_spec(mu, 9) == want
+
+    @pytest.mark.parametrize("mu", [L.gaussian(1.0, 1), L.gen_exponential(1.0, 2.0, 1)],
+                             ids=["grid", "adaptive"])
+    def test_malformed_count_refused_on_every_pick(self, mu):
+        with pytest.raises(InvalidParameter, match="integer >= 4, got 3"):
+            L.default_spec(mu, 3)
+
+
 class TestLogSumExp:
     def test_shifted_sum(self):
         v = np.array([-1000.0, -1001.0, -np.inf])
@@ -184,6 +221,11 @@ class TestSpecValidation:
     def test_no_node_set_outside_a_scheme_refused(self, dim, scheme, match):
         with pytest.raises(InvalidParameter, match=match):
             measure_nodes(L.gaussian(1.0, dim), QuadratureSpec(scheme=scheme))
+
+    def test_adaptive_rule_takes_no_node_count(self):
+        # it refines to its own tolerance, so a count would be echoed unread
+        with pytest.raises(InvalidParameter, match="adaptive_1d takes no nodes_per_axis, got 101"):
+            QuadratureSpec(scheme="adaptive_1d", nodes_per_axis=101)
 
     def test_adaptive_rule_needs_one_dimension(self, gauss2):
         with pytest.raises(InvalidParameter, match="one-dimensional measure"):
