@@ -655,6 +655,26 @@ def check_radial_euler_scaling(
 # best-constant search
 # ---------------------------------------------------------------------------
 
+def _bisect(passes, lo: float, hi: float) -> tuple[float, float]:
+    """The bracket (largest failing c, smallest passing c) in which bisection
+    of [lo, hi] to BISECTION_RESOLUTION ends: (lo, lo) when lo passes, (hi,
+    hi) when hi fails.  ``passes(c, *later)`` is the verdict at c; ``later``
+    names the c that the next step reads, so that a step can fill their
+    norms with its own.  Every bracket end is a node of the one bisection
+    tree of [lo, hi], whatever the verdict."""
+    if passes(lo, hi):  # both ends of the range in one step's norms
+        return lo, lo
+    if not passes(hi):
+        return hi, hi
+    while hi - lo > BISECTION_RESOLUTION:
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def best_constant(
     battery: Sequence[ScalarField],
     mu: Density,
@@ -673,13 +693,26 @@ def best_constant(
 
     In sLSI mode each member is integrated at most once, the first time a step
     reaches it: the deficit is affine in c, so later steps only re-run
-    :func:`slsi_verdict` on the cached (Ent, EE) terms.  In sHC mode the
-    battery shares one :class:`DilationNorms` table for the whole search, so
-    no norm is integrated twice; each step first fills every norm its
-    verdicts can read, for every certified member, in one call.  The
-    verdict is the one :func:`check_shc` reports, member by member, so which
-    member fails, and which failure is raised, are those of a step that
-    reaches the members one by one.
+    :func:`slsi_verdict` on the cached (Ent, EE) terms.
+
+    In sHC mode the search is seeded with the sLSI answer, which the
+    equivalence sHC(c) <=> sLSI(c) makes the likely one.  The sLSI bisection
+    of the certified members runs first, over the same range, so both ends
+    of its bracket are nodes of the sHC bisection, and one fill integrates
+    the sHC norms at both.  The sHC bisection then runs with a monotone
+    memo: a c at or above the smallest c seen to pass passes, and a c at or
+    below the largest c seen to fail fails, with no integral and so no
+    failure to raise.  When the brackets agree no step integrates anything;
+    when they do not, the seed's verdicts settle the steps on their side.  Where the sLSI terms
+    cannot be computed (a measure that is not rotation-invariant, no
+    certified member, a failed integral) there is no seed; a failure in the
+    seed or in its sHC verdicts is never raised.  The battery shares one
+    :class:`DilationNorms` table, so no norm is integrated twice; a step the
+    memo does not settle first fills every norm its verdicts can read, for
+    every certified member, in one call.  The verdict is the one
+    :func:`check_shc` reports, member by member, so which member fails, and
+    which failure is raised, are those of a step that reaches the members
+    one by one.
     """
     if mode not in ("slsi", "shc"):
         raise InvalidParameter("mode must be 'slsi' or 'shc'")
@@ -690,47 +723,66 @@ def best_constant(
     lo, hi = float(c_range[0]), float(c_range[1])
     if not 0.0 < lo < hi < math.inf:
         raise InvalidParameter(f"c_range must satisfy 0 < c_min < c_max < inf, got {tuple(c_range)}")
+    if mode == "shc":
+        _shc_keys((lo,), r_grid)  # an r outside (0, 1] is refused before the seed's integrals
     spec = (spec or default_spec(mu)).resolved(mu.dim)
+    terms = {}  # battery index -> its slsi_terms, built once
 
-    if mode == "slsi":
-        terms = {}  # battery index -> its slsi_terms, built once
+    def slsi(i: int, c: float) -> bool:
+        if i not in terms:
+            terms[i] = slsi_terms(battery[i], mu, spec)
+        return slsi_verdict(terms[i], c)[2]
 
-        def verdict(i: int, c: float) -> bool:
-            if i not in terms:
-                terms[i] = slsi_terms(battery[i], mu, spec)
-            return slsi_verdict(terms[i], c)[2]
-    else:
-        norms = DilationNorms(battery, mu, spec)
-
-        def verdict(i: int, c: float) -> bool:
-            return shc_passed(shc_rows(norms, i, c, r_grid))
-
-    def passes(c: float, *later: float) -> bool:
-        # the norms of the verdicts at c and at every c of later, ahead of them
-        if mode == "shc":
-            keys = _shc_keys((c,) + later, r_grid)
-            norms.fill([(i, r, q) for i, f in enumerate(battery) if f.certified
-                        for r, q in keys])
-        for i, f in enumerate(battery):
+    def passes(verdict, c: float, members: Iterable[int] = range(len(battery))) -> bool:
+        for i in members:
             try:
                 if not verdict(i, c):
                     return False
             except QuadratureFailure as exc:
-                raise QuadratureFailure(f"{f.label}: {exc}", witness=exc.witness) from exc
+                raise QuadratureFailure(f"{battery[i].label}: {exc}", witness=exc.witness) from exc
         return True
 
-    if passes(lo, hi):  # both ends of the range in one step's norms
-        return lo
-    if not passes(hi):
-        return hi
-    while hi - lo > BISECTION_RESOLUTION:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    # snap the bracket midpoint to the double nearest k / 1000 (k * 0.001 can be 1 ulp off)
-    return round(0.5 * (lo + hi) / BISECTION_RESOLUTION) / round(1.0 / BISECTION_RESOLUTION)
+    def c_star(lo: float, hi: float) -> float:
+        if lo == hi:
+            return lo
+        # snap the bracket midpoint to the double nearest k / 1000 (k * 0.001 can be 1 ulp off)
+        return round(0.5 * (lo + hi) / BISECTION_RESOLUTION) / round(1.0 / BISECTION_RESOLUTION)
+
+    if mode == "slsi":
+        return c_star(*_bisect(lambda c, *later: passes(slsi, c), lo, hi))
+
+    norms = DilationNorms(battery, mu, spec)
+    certified = [i for i, f in enumerate(battery) if f.certified]
+    passed_at, failed_at = math.inf, -math.inf  # the smallest c seen to pass, the largest to fail
+
+    def shc(i: int, c: float) -> bool:
+        return shc_passed(shc_rows(norms, i, c, r_grid))
+
+    def shc_passes(c: float, *later: float) -> bool:
+        nonlocal passed_at, failed_at
+        if c >= passed_at:
+            return True
+        if c <= failed_at:
+            return False
+        # the norms of the verdicts at c and at every undecided c of later, ahead of them
+        keys = _shc_keys([c] + [x for x in later if failed_at < x < passed_at], r_grid)
+        norms.fill([(i, r, q) for i in certified for r, q in keys])
+        if passes(shc, c):
+            passed_at = c
+            return True
+        failed_at = c
+        return False
+
+    try:
+        seed = _bisect(lambda c, *later: passes(slsi, c, certified), lo, hi) if certified else ()
+    except LabError:
+        seed = ()
+    for c in seed:  # the first fills the sHC norms at both ends of the sLSI bracket
+        try:
+            shc_passes(c, *seed)
+        except LabError:
+            pass
+    return c_star(*_bisect(shc_passes, lo, hi))
 
 
 def default_battery(dim: int = 1,

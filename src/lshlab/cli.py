@@ -5,7 +5,10 @@ Subcommands
 run        execute a campaign config (path or preset name)
 check      run one check ad hoc from flags
 constants  print a regularity-constant estimate for a measure
-best-c     bisection search for the smallest passing constant
+best-c     bisection search for the smallest passing constant; in shc mode
+           seeded with the verdicts at both ends of the sLSI bracket, which
+           a monotone memo extends to every step they settle (unseeded
+           where the sLSI terms cannot be computed)
 list       enumerate builders, measure families, checks, and presets
 """
 

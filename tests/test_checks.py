@@ -9,7 +9,7 @@ import pytest
 import lshlab as L
 from lshlab import checks, functionals, quadrature
 from lshlab.checks import SHC_NOTE
-from lshlab.errors import InvalidParameter, QuadratureFailure
+from lshlab.errors import InvalidParameter, LabError, QuadratureFailure
 from lshlab.fields import _ball_nodes, default_probes
 from lshlab.quadrature import measure_nodes
 
@@ -847,16 +847,8 @@ def _outcome(search, *args, **kwargs):
         return str(exc), np.atleast_1d(exc.witness).tolist()
 
 
-def _reference_slsi_best_constant(battery, mu, c_range, spec, resolution=1e-3):
-    """Bisection that re-runs check_slsi on every member at every step."""
-    def passes(c):
-        for f in battery:
-            rep = L.check_slsi(f, mu, c, spec)
-            _raise_inconclusive(f, rep)
-            if not rep.passed:
-                return False
-        return True
-
+def _bisection(passes, c_range, resolution):
+    """Plain bisection of c_range on the verdict passes(c), snapped to the resolution."""
     lo, hi = float(c_range[0]), float(c_range[1])
     if passes(lo):
         return lo
@@ -869,6 +861,19 @@ def _reference_slsi_best_constant(battery, mu, c_range, spec, resolution=1e-3):
         else:
             lo = mid
     return round(0.5 * (lo + hi) / resolution) / round(1.0 / resolution)
+
+
+def _reference_slsi_best_constant(battery, mu, c_range, spec, resolution=1e-3):
+    """Bisection that re-runs check_slsi on every member at every step."""
+    def passes(c):
+        for f in battery:
+            rep = L.check_slsi(f, mu, c, spec)
+            _raise_inconclusive(f, rep)
+            if not rep.passed:
+                return False
+        return True
+
+    return _bisection(passes, c_range, resolution)
 
 
 def _inconclusive_member():
@@ -962,18 +967,7 @@ def _reference_shc_best_constant(battery, mu, c_range, spec, resolution=1e-3):
                 return False
         return True
 
-    lo, hi = float(c_range[0]), float(c_range[1])
-    if passes(lo):
-        return lo
-    if not passes(hi):
-        return hi
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return round(0.5 * (lo + hi) / resolution) / round(1.0 / resolution)
+    return _bisection(passes, c_range, resolution)
 
 
 def _reference_shc(f, mu, c, spec):
@@ -1144,18 +1138,18 @@ class TestBestConstantShcNorms:
         battery = [L.log_linear([0.4]), L.cosh_field(0.8),
                    L.convolve(L.log_linear([0.8]), L.mollifier(1, 4))]
         assert L.best_constant(battery, mu, "shc") == pytest.approx(1.0, abs=1e-3)
-        # c_min fails and c_max passes, then 12 halvings: 14 steps, of which
-        # passes(c_max) finds its norms filled by passes(c_min, c_max)
-        lo, hi = checks.DEFAULT_C_RANGE
-        steps = 2 + math.ceil(math.log2((hi - lo) / checks.BISECTION_RESOLUTION))
-        assert len(calls) == steps - 1
-        # the uncertified member is left out of every fill, and raises only
-        # when the verdict at c_max reaches it
+        # the sLSI seed integrates each member once; its bracket is the sHC
+        # one, so the probe's one fill at both ends decides all 14 bisection
+        # steps: ||f||_1 and the six rows r < 1 at each end, for 3 members
+        assert [call[-1] for call in calls] == [1, 1, 1, (1 + 2 * 6) * 3]
+        # the uncertified member is left out of the seed and of every fill;
+        # the probe's verdict at the bracket's top reaches it and is dropped,
+        # c_min fails by the memo, and the verdict at c_max raises
         del calls[:], norm_calls[:]
         raw = L.raw_field(lambda pts: np.exp(pts[:, 0]), 1, label="raw")
         with pytest.raises(InvalidParameter, match="requires a certified field"):
             L.best_constant([L.log_linear([0.4]), raw, L.cosh_field(0.8)], mu, "shc")
-        assert len(calls) == 1
+        assert [call[-1] for call in calls] == [1, 1, (1 + 2 * 6) * 2, 6 * 2]
         assert {label for label, _ in norm_calls if "raw" in label} == set()
         assert any("cosh" in label for label, _ in norm_calls)
 
@@ -1181,11 +1175,112 @@ class TestBestConstantShcNorms:
         monkeypatch.setattr(quadrature, "_adaptive_batch", counting)
         battery = [L.log_linear([lam]) for lam in (0.45, 0.75, 1.05)]
         assert L.best_constant(battery, L.gen_exponential(0.5, 2, 1), "shc") == 1.0
-        # c_min fails and c_max passes, then 12 halvings take the bracket
-        # (0.25, 4) below the resolution: 14 steps, each reaching every member
-        lo, hi = checks.DEFAULT_C_RANGE
-        steps = 2 + math.ceil(math.log2((hi - lo) / checks.BISECTION_RESOLUTION))
-        assert 0 < len(loops) <= steps
+        # one sLSI loop per member for the seed, then one loop for the probe
+        # at both ends of its bracket, which decides all 14 bisection steps
+        assert [loop[-1] for loop in loops] == [1, 1, 1, (1 + 2 * 6) * 3]
+
+
+def _plain_shc_best_constant(battery, mu, c_range=checks.DEFAULT_C_RANGE):
+    """Bisection with no seed and no memo: at each step, each member's
+    shc_rows and shc_passed in turn, up to the first failing member."""
+    norms = functionals.DilationNorms(battery, mu, L.default_spec(mu).resolved(mu.dim))
+
+    def passes(c):
+        for i, f in enumerate(battery):
+            try:
+                if not checks.shc_passed(checks.shc_rows(norms, i, c, functionals.DEFAULT_R_GRID)):
+                    return False
+            except QuadratureFailure as exc:
+                raise QuadratureFailure(f"{f.label}: {exc}", witness=exc.witness) from exc
+        return True
+
+    return _bisection(passes, c_range, checks.BISECTION_RESOLUTION)
+
+
+def _search_outcome(search, *args, **kwargs):
+    """c* of a search, or the type, message and witness of the LabError it raises."""
+    try:
+        return search(*args, **kwargs)
+    except LabError as exc:
+        witness = None if exc.witness is None else np.atleast_1d(exc.witness).tolist()
+        return type(exc).__name__, str(exc), witness
+
+
+_RAW = L.raw_field(lambda pts: np.exp(pts[:, 0]), 1, label="raw")
+
+
+class TestSeededShcSearch:
+    # (battery, measure, c_range, the sLSI seed of the certified members, c*)
+    @pytest.mark.parametrize("battery, mu, c_range, seed, c_star", [
+        (L.default_battery(1), L.gaussian(1.0, 1), checks.DEFAULT_C_RANGE, 1.0, 1.0),
+        (L.default_battery(1), L.gen_exponential(0.5, 2, 1), checks.DEFAULT_C_RANGE, 1.0, 1.0),
+        (L.default_battery(1), L.gen_exponential(1.0, 4, 1), checks.DEFAULT_C_RANGE,
+         0.997, 0.996),
+        (L.default_battery(1), L.mix(L.gaussian(0.8), L.gaussian(1.25), 0.3),
+         checks.DEFAULT_C_RANGE, 1.069, 1.141),
+        ([L.log_linear([12.0])], L.gaussian(1.0, 1), checks.DEFAULT_C_RANGE, 0.701, 0.25),
+        (L.default_battery(1), L.shift(L.gaussian(1.0, 1), [0.5]), checks.DEFAULT_C_RANGE,
+         "InvalidParameter", 0.846),
+        (L.default_battery(1), L.gen_exponential(1.0, 1.0, 1), checks.DEFAULT_C_RANGE,
+         "QuadratureFailure", "QuadratureFailure"),
+        ([L.log_linear([0.8, 0.0])], L.gen_exponential(2.0, 1.0, 2), checks.DEFAULT_C_RANGE,
+         1.046, "QuadratureFailure"),
+        ([L.cosh_field(0.8), _RAW], L.gaussian(1.0, 1), checks.DEFAULT_C_RANGE,
+         0.25, "InvalidParameter"),
+        ([L.log_linear([0.8]), _RAW], L.gaussian(1.0, 1), (0.1, 0.5), 0.5, 0.5),
+        (L.default_battery(1), L.gaussian(1.0, 1), (1.5, 4.0), 1.5, 1.5),
+        (L.default_battery(1), L.gaussian(1.0, 1), (0.25, 0.9), 0.9, 0.9),
+    ], ids=["seed_is_answer_gauss_hermite", "seed_is_answer_adaptive", "adjacent_bracket",
+            "mixture_far_off", "overflowing_member_far_off", "no_seed_shifted",
+            "raises_laplace", "raises_2d_rows", "uncertified_reached",
+            "uncertified_unreached", "c_min_passes", "c_max_fails"])
+    def test_same_outcome_as_plain_bisection(self, battery, mu, c_range, seed, c_star):
+        certified = [f for f in battery if f.certified]
+        slsi = _search_outcome(L.best_constant, certified, mu, "slsi", c_range=c_range)
+        assert (slsi if isinstance(slsi, float) else slsi[0]) == seed
+        got = _search_outcome(L.best_constant, battery, mu, "shc", c_range=c_range)
+        assert got == _search_outcome(_plain_shc_best_constant, battery, mu, c_range)
+        assert (got if isinstance(got, float) else got[0]) == c_star
+
+    def test_memo_decides_a_step_whose_first_member_is_inconclusive(self):
+        # on the Laplace measure both searches bisect through c = 0.71875,
+        # where cosh_field(0.3)'s row r = 0.5 (q = 6.88) overflows while its
+        # live rows pass, and log_linear([0.3]) fails conclusively.  With
+        # cosh_field first, the plain search raises there; the seeded one
+        # saw the battery fail at its sLSI bracket (1.0456, 1.0465) and so
+        # reads the step as a failure, which is what the plain search finds
+        # with the members the other way round
+        lap = L.gen_exponential(1.0, 1.0, 1)
+        battery = [L.cosh_field(0.3), L.log_linear([0.3])]
+        assert L.check_shc(battery[0], lap, 0.71875).inconclusive
+        assert not L.check_shc(battery[1], lap, 0.71875).passed
+        with pytest.raises(QuadratureFailure, match=r"^cosh_field\(0\.3\): L\^6\.88095 norm"):
+            _plain_shc_best_constant(battery, lap)
+        assert _plain_shc_best_constant(battery[::-1], lap) == 1.126
+        assert L.best_constant(battery, lap, "shc") == L.best_constant(battery[::-1], lap, "shc") == 1.126
+
+    @pytest.mark.parametrize("kwargs", [
+        {"r_grid": (0.5, 1.5)},
+        {"r_grid": (0.0, 1.0)},
+        {"r_grid": (math.nan,)},
+        {"c_range": (0.0, 1.0)},
+        {"c_range": (2.0, 1.0)},
+        {"c_range": (0.25, math.inf)},
+    ], ids=["r_above_1", "r_zero", "r_nan", "c_min_zero", "reversed", "c_max_inf"])
+    def test_refused_before_any_integral(self, kwargs, monkeypatch):
+        calls = []
+        orig = quadrature._moments
+
+        def counting(*args):
+            calls.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(quadrature, "_moments", counting)
+        with pytest.raises(InvalidParameter):
+            L.best_constant(L.default_battery(1), L.gaussian(1.0, 1), "shc", **kwargs)
+        with pytest.raises(InvalidParameter, match="battery must be non-empty"):
+            L.best_constant([], L.gaussian(1.0, 1), "shc", **kwargs)
+        assert calls == []
 
 
 class TestNodeSetLogs:
@@ -1201,9 +1296,10 @@ class TestNodeSetLogs:
 
         battery[-1] = dataclasses.replace(battery[-1], _log=counting)
         assert L.best_constant(battery, L.gaussian(1.0, 2), "shc") == pytest.approx(1.0, abs=1e-3)
-        # each radius of the r-grid on both node sets; 98 when every
-        # (r, q) key swept its node set afresh
-        assert len(sweeps) == 2 * len(functionals.DEFAULT_R_GRID) == 14
+        # the sLSI seed sweeps both node sets once, then the sHC norms each
+        # radius of the r-grid on both; 98 sHC sweeps when every (r, q) key
+        # swept its node set afresh
+        assert len(sweeps) == 2 + 2 * len(functionals.DEFAULT_R_GRID) == 16
 
     def test_kept_logs_change_no_bit(self, monkeypatch, tables):
         def run():
