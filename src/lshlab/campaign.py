@@ -73,18 +73,16 @@ class CheckKind:
 
 def _best_constant(battery, mu, spec, e, check_id):
     battery = battery or checks_mod.default_battery(mu.dim)
-    c_star = checks_mod.best_constant(
-        battery, mu, mode=e["mode"], c_range=(e["c_min"], e["c_max"]), spec=spec,
-        r_grid=e["r_grid"],
-    )
-    return checks_mod.CheckReport(
-        check_id=check_id, kind="best_constant",
-        inputs={"measure": mu.label, "mode": e["mode"],
-                "battery": [f.label for f in battery]},
-        quantities={"c_star": c_star},
-        tolerance=checks_mod.BISECTION_RESOLUTION,
-        passed=True, spec=spec.to_dict(),
-    )
+
+    def body(spec):
+        c_star = checks_mod.best_constant(
+            battery, mu, mode=e["mode"], c_range=(e["c_min"], e["c_max"]), spec=spec,
+            r_grid=e["r_grid"],
+        )
+        return {"c_star": c_star}, checks_mod.BISECTION_RESOLUTION, True
+
+    inputs = {"measure": mu.label, "mode": e["mode"], "battery": [f.label for f in battery]}
+    return checks_mod._report(check_id, "best_constant", inputs, mu, spec, body)
 
 
 #: every campaign check kind; ``lshlab check`` runs the same rows
@@ -271,10 +269,6 @@ def load_config(path) -> CampaignConfig:
         reason = getattr(exc, "strerror", None) or exc
         raise ConfigError(f"cannot read config {path}: {reason}") from exc
     return CampaignConfig.from_dict(raw)
-
-
-def dump_config(config: CampaignConfig) -> str:
-    return json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,22 @@ def _inconclusive(check_id, kind, inputs, spec, reason) -> CheckReport:
     )
 
 
+def _report(check_id, kind, inputs, mu, spec, body, notes=()) -> CheckReport:
+    """The one rule of an integral check: ``body(spec)`` gives (quantities,
+    tolerance, passed) on ``spec`` (``default_spec(mu)`` when None) resolved
+    for ``mu``, and the report echoes that spec.  A QuadratureFailure raised
+    in the body makes the report inconclusive, its witness kept; any other
+    error reaches the caller."""
+    spec = (spec or default_spec(mu)).resolved(mu.dim)
+    try:
+        quantities, tolerance, passed = body(spec)
+    except QuadratureFailure as exc:
+        return _inconclusive(check_id, kind, inputs, spec, exc)
+    return CheckReport(check_id=check_id, kind=kind, inputs=inputs, quantities=quantities,
+                       tolerance=tolerance, passed=passed, notes=list(notes),
+                       spec=spec.to_dict())
+
+
 # ---------------------------------------------------------------------------
 # inequality checks
 # ---------------------------------------------------------------------------
@@ -170,29 +186,15 @@ def check_slsi(
     check_id: str = "slsi",
 ) -> CheckReport:
     """Strong log-Sobolev deficit (c/2) int E g dmu - Ent(g), passing iff >= -tol."""
-    spec = (spec or default_spec(mu)).resolved(mu.dim)
-    inputs = {"field": g.label, "measure": mu.label, "c": c}
-    try:
+    def body(spec):
         terms = slsi_terms(g, mu, spec)
-    except QuadratureFailure as exc:
-        return _inconclusive(check_id, "slsi", inputs, spec, exc)
-    deficit, tol, passed = slsi_verdict(terms, c)
-    ent, _, ee, _ = terms
-    return CheckReport(
-        check_id=check_id,
-        kind="slsi",
-        inputs=inputs,
-        quantities={
-            "entropy": ent,
-            "euler_energy": ee,
-            "lhs": ent,
-            "rhs": c / 2.0 * ee,
-            "deficit": deficit,
-        },
-        tolerance=tol,
-        passed=passed,
-        spec=spec.to_dict(),
-    )
+        deficit, tol, passed = slsi_verdict(terms, c)
+        ent, _, ee, _ = terms
+        return ({"entropy": ent, "euler_energy": ee, "lhs": ent, "rhs": c / 2.0 * ee,
+                 "deficit": deficit}, tol, passed)
+
+    inputs = {"field": g.label, "measure": mu.label, "c": c}
+    return _report(check_id, "slsi", inputs, mu, spec, body)
 
 
 def _require_certified(f: ScalarField):
@@ -292,32 +294,18 @@ def check_shc(
     """
     if len(r_grid) == 0:
         raise InvalidParameter("r_grid must be non-empty")
-    spec = (spec or default_spec(mu)).resolved(mu.dim)
+    def body(spec):
+        norms = DilationNorms([f], mu, spec)
+        pairs = shc_rows(norms, 0, c, r_grid)  # raises for ||f||_1, or a row that could fail
+        rows = [row for row, _ in pairs]
+        worst_drop = max([0.0] + [slack for _, slack in pairs])
+        return ({"norm1": norms(0, 1.0, 1.0)[0], "rows": rows,
+                 "alpha_monotone": not worst_drop > 0, "worst_monotonicity_drop": worst_drop,
+                 "skipped_rows": sum(row["skipped"] for row in rows)},
+                INEQ_ABS, shc_passed(pairs))
+
     inputs = {"field": f.label, "measure": mu.label, "c": c, "r_grid": list(r_grid)}
-    norms = DilationNorms([f], mu, spec)
-    try:
-        pairs = shc_rows(norms, 0, c, r_grid)
-    except QuadratureFailure as exc:  # ||f||_1, or a row that could be the failing one
-        return _inconclusive(check_id, "shc", inputs, spec, exc)
-    base, _ = norms(0, 1.0, 1.0)
-    rows = [row for row, _ in pairs]
-    worst_drop = max([0.0] + [slack for _, slack in pairs])
-    return CheckReport(
-        check_id=check_id,
-        kind="shc",
-        inputs=inputs,
-        quantities={
-            "norm1": base,
-            "rows": rows,
-            "alpha_monotone": not worst_drop > 0,
-            "worst_monotonicity_drop": worst_drop,
-            "skipped_rows": sum(row["skipped"] for row in rows),
-        },
-        tolerance=INEQ_ABS,
-        passed=shc_passed(pairs),
-        notes=[SHC_NOTE],
-        spec=spec.to_dict(),
-    )
+    return _report(check_id, "shc", inputs, mu, spec, body, [SHC_NOTE])
 
 
 def check_general_shc(
@@ -334,38 +322,29 @@ def check_general_shc(
     It passes only when the row at r* is live: the rows below r* cannot stand
     in for the inequality at r*, where ||f_r||_q is largest.
     """
-    spec = (spec or default_spec(mu)).resolved(mu.dim)
-    inputs = {"field": f.label, "measure": mu.label, "c": c, "p": p, "q": q}
-    r_star = r_of_pq(p, q, c)
-    _require_certified(f)
-    norms = DilationNorms([f], mu, spec)
-    r_rows = (r_star, 0.9 * r_star, 0.75 * r_star)
-    norms.fill([(0, 1.0, p)] + [(0, r, q) for r in r_rows])
-    try:
+    def body(spec):
+        r_star = r_of_pq(p, q, c)
+        _require_certified(f)
+        norms = DilationNorms([f], mu, spec)
+        r_rows = (r_star, 0.9 * r_star, 0.75 * r_star)
+        norms.fill([(0, 1.0, p)] + [(0, r, q) for r in r_rows])
         base, e_base = norms(0, 1.0, p)
-    except QuadratureFailure as exc:
-        return _inconclusive(check_id, "general_shc", inputs, spec, exc)
-    rows = []
-    ok = True
-    for r in r_rows:
-        try:
-            lhs, e_lhs = norms(0, r, q)
-        except QuadratureFailure as exc:
-            rows.append({"r": r, "skipped": True, "reason": str(exc)})
-            continue
-        good = bool(lhs <= base * (1.0 + _row_tol(e_lhs, e_base, base)))
-        rows.append({"r": r, "skipped": False, "lhs": lhs, "rhs": base, "passed": good})
-        ok = ok and good
-    return CheckReport(
-        check_id=check_id,
-        kind="general_shc",
-        inputs=inputs,
-        quantities={"r_star": r_star, "norm_p": base, "rows": rows},
-        tolerance=INEQ_ABS,
-        passed=ok and not rows[0]["skipped"],
-        notes=[SHC_NOTE],
-        spec=spec.to_dict(),
-    )
+        rows = []
+        ok = True
+        for r in r_rows:
+            try:
+                lhs, e_lhs = norms(0, r, q)
+            except QuadratureFailure as exc:
+                rows.append({"r": r, "skipped": True, "reason": str(exc)})
+                continue
+            good = bool(lhs <= base * (1.0 + _row_tol(e_lhs, e_base, base)))
+            rows.append({"r": r, "skipped": False, "lhs": lhs, "rhs": base, "passed": good})
+            ok = ok and good
+        return ({"r_star": r_star, "norm_p": base, "rows": rows}, INEQ_ABS,
+                ok and not rows[0]["skipped"])
+
+    inputs = {"field": f.label, "measure": mu.label, "c": c, "p": p, "q": q}
+    return _report(check_id, "general_shc", inputs, mu, spec, body, [SHC_NOTE])
 
 
 def _operator_bound(kind, check_id, inputs, f, mu, p, r, spec, phi=None) -> CheckReport:
@@ -380,32 +359,25 @@ def _operator_bound(kind, check_id, inputs, f, mu, p, r, spec, phi=None) -> Chec
     except (InvalidParameter, TypeConditionViolation) as exc:
         return _inconclusive(check_id, kind, inputs, spec, LabError(
             f"regularity constant unavailable: {exc}", witness=exc.witness))
-    if phi is None:
-        norms, vol, phi_norm = DilationNorms([f], mu, spec), 1.0, 1.0
-    else:
-        norms, vol = DilationNorms([convolve(f, phi), f], mu, spec), phi.vol_support
-        phi_norm = phi.sup_value if p == 1.0 else phi.lebesgue_norm(p / (p - 1.0))
-    keys = [(0, r, p), (len(norms.fields) - 1, 1.0, p)]
-    norms.fill(keys)
-    try:
+
+    def body(spec):
+        if phi is None:
+            norms, vol, phi_norm = DilationNorms([f], mu, spec), 1.0, 1.0
+        else:
+            norms, vol = DilationNorms([convolve(f, phi), f], mu, spec), phi.vol_support
+            phi_norm = phi.sup_value if p == 1.0 else phi.lebesgue_norm(p / (p - 1.0))
+        keys = [(0, r, p), (len(norms.fields) - 1, 1.0, p)]
+        norms.fill(keys)
         (lhs, e_lhs), (fnorm, e_f) = [norms(*key) for key in keys]
-    except QuadratureFailure as exc:
-        return _inconclusive(check_id, kind, inputs, spec, exc)
-    factor = r ** (-mu.dim / p) * c_est ** (1.0 / p) * vol ** (1.0 / p) * phi_norm
-    rhs = factor * fnorm
-    tol = INEQ_ABS * rhs + NOISE_FACTOR * (e_lhs + factor * e_f)
-    terms = ({"norm_p": fnorm} if phi is None
-             else {"mollifier_norm": phi_norm, "vol_support": vol})
-    return CheckReport(
-        check_id=check_id,
-        kind=kind,
-        inputs=inputs,
-        quantities={"lhs": lhs, "rhs": rhs, "slack": rhs - lhs,
-                    "regularity_constant": c_est, **terms},
-        tolerance=tol,
-        passed=bool(lhs <= rhs + tol),
-        spec=spec.to_dict(),
-    )
+        factor = r ** (-mu.dim / p) * c_est ** (1.0 / p) * vol ** (1.0 / p) * phi_norm
+        rhs = factor * fnorm
+        tol = INEQ_ABS * rhs + NOISE_FACTOR * (e_lhs + factor * e_f)
+        terms = ({"norm_p": fnorm} if phi is None
+                 else {"mollifier_norm": phi_norm, "vol_support": vol})
+        return ({"lhs": lhs, "rhs": rhs, "slack": rhs - lhs, "regularity_constant": c_est,
+                 **terms}, tol, bool(lhs <= rhs + tol))
+
+    return _report(check_id, kind, inputs, mu, spec, body)
 
 
 def check_dilation_bound(
@@ -481,16 +453,6 @@ def check_density_approximation(
     """
     if len(k_list) == 0 or len(r_list) == 0:
         raise InvalidParameter("k_list and r_list must be non-empty")
-    spec = (spec or default_spec(mu)).resolved(mu.dim)
-    inputs = {"field": f.label, "measure": mu.label, "p": p, "k_list": list(k_list),
-              "r_list": list(r_list)}
-    try:
-        base, _ = lp_norm_with_error(f, mu, p, spec)
-    except QuadratureFailure as exc:
-        return _inconclusive(check_id, "density_approx", inputs, spec, exc)
-    target = 0.01 * base
-
-    k_max, r_max = max(k_list), max(r_list)
 
     def lp_norms(log_mass, means):
         # (int g^p * factor dmu)^(1/p), the p-th root taken in log space; a
@@ -498,73 +460,68 @@ def check_density_approximation(
         with np.errstate(divide="ignore", over="ignore"):
             return np.exp((log_mass + np.log(means)) / p)
 
-    cells = {}
-    energy_norms = {}
-    split_k = {}
-    f_rmax = dilate(f, r_max)
-    for k in k_list:
-        phi = mollifier(mu.dim, k)
-        smoothed = convolve(f, phi)
-        for r in r_list:
-            g = dilate(smoothed, r)
+    def body(spec):
+        base, _ = lp_norm_with_error(f, mu, p, spec)
+        target = 0.01 * base
+        k_max, r_max = max(k_list), max(r_list)
+        cells = {}
+        energy_norms = {}
+        split_k = {}
+        f_rmax = dilate(f, r_max)
+        for k in k_list:
+            phi = mollifier(mu.dim, k)
+            smoothed = convolve(f, phi)
+            for r in r_list:
+                g = dilate(smoothed, r)
 
-            def columns(pts, g=g, split=(r == r_max)):
-                lg, dlg = g.log_value(pts, grad=True)
-                factors = [np.expm1(f.log_value(pts) - lg), np.einsum("ij,ij->i", pts, dlg)]
-                if split:
-                    factors.append(np.expm1(f_rmax.log_value(pts) - lg))
-                return np.column_stack([p * lg, np.abs(np.column_stack(factors)) ** p])
+                def columns(pts, g=g, split=(r == r_max)):
+                    lg, dlg = g.log_value(pts, grad=True)
+                    factors = [np.expm1(f.log_value(pts) - lg),
+                               np.einsum("ij,ij->i", pts, dlg)]
+                    if split:
+                        factors.append(np.expm1(f_rmax.log_value(pts) - lg))
+                    return np.column_stack([p * lg, np.abs(np.column_stack(factors)) ** p])
 
-            try:
-                norms, noises = weighted_moments(columns, mu, spec, lp_norms)
-            except QuadratureFailure as exc:
-                cells[(k, r)] = {"skipped": True, "reason": str(exc)}
-                continue
-            cells[(k, r)] = {"skipped": False, "error": float(norms[0]),
-                             "noise": float(noises[0])}
-            energy_norms[(k, r)] = {"value": float(norms[1]), "noise": float(noises[1])}
-            if len(norms) > 2:
-                split_k[k] = (float(norms[2]), float(noises[2]))
+                try:
+                    norms, noises = weighted_moments(columns, mu, spec, lp_norms)
+                except QuadratureFailure as exc:
+                    cells[(k, r)] = {"skipped": True, "reason": str(exc)}
+                    continue
+                cells[(k, r)] = {"skipped": False, "error": float(norms[0]),
+                                 "noise": float(noises[0])}
+                energy_norms[(k, r)] = {"value": float(norms[1]), "noise": float(noises[1])}
+                if len(norms) > 2:
+                    split_k[k] = (float(norms[2]), float(noises[2]))
 
-    live = {key: cell for key, cell in cells.items() if not cell["skipped"]}
-    if not live:
-        return _inconclusive(check_id, "density_approx", inputs, spec,
-                             "every cell failed to integrate")
-    best = min(cell["error"] for cell in live.values())
+        live = {key: cell for key, cell in cells.items() if not cell["skipped"]}
+        if not live:
+            raise QuadratureFailure("every cell failed to integrate")
+        best = min(cell["error"] for cell in live.values())
 
-    def _monotone(seq):
-        return not any(e2 > e1 + 2.0 * (n1 + n2) for (e1, n1), (e2, n2) in zip(seq, seq[1:]))
+        def _monotone(seq):
+            return not any(e2 > e1 + 2.0 * (n1 + n2) for (e1, n1), (e2, n2) in zip(seq, seq[1:]))
 
-    along_k = [split_k[k] for k in sorted(k_list) if k in split_k]
-    along_r = [(live[(k_max, r)]["error"], live[(k_max, r)]["noise"])
-               for r in sorted(r_list) if (k_max, r) in live]
-    decreasing = _monotone(along_k) and _monotone(along_r)
-    energies_finite = all(math.isfinite(e["value"]) for e in energy_norms.values())
-
-    return CheckReport(
-        check_id=check_id,
-        kind="density_approx",
-        inputs=inputs,
-        quantities={
+        along_k = [split_k[k] for k in sorted(k_list) if k in split_k]
+        along_r = [(live[(k_max, r)]["error"], live[(k_max, r)]["noise"])
+                   for r in sorted(r_list) if (k_max, r) in live]
+        decreasing = _monotone(along_k) and _monotone(along_r)
+        energies_finite = all(math.isfinite(e["value"]) for e in energy_norms.values())
+        return ({
             "norm_p": base,
             "target": target,
             "best_error": best,
-            "cells": [
-                {"k": k, "r": r, **cell} for (k, r), cell in sorted(cells.items())
-            ],
-            "split_errors_along_k": [
-                {"k": k, "error": split_k[k][0]} for k in sorted(split_k)
-            ],
+            "cells": [{"k": k, "r": r, **cell} for (k, r), cell in sorted(cells.items())],
+            "split_errors_along_k": [{"k": k, "error": split_k[k][0]} for k in sorted(split_k)],
             "energy_norms": [
                 {"k": k, "r": r, **e} for (k, r), e in sorted(energy_norms.items())
             ],
             "decreasing": decreasing,
             "energies_finite": energies_finite,
-        },
-        tolerance=target,
-        passed=bool(best <= target and decreasing and energies_finite),
-        spec=spec.to_dict(),
-    )
+        }, target, bool(best <= target and decreasing and energies_finite))
+
+    inputs = {"field": f.label, "measure": mu.label, "p": p, "k_list": list(k_list),
+              "r_list": list(r_list)}
+    return _report(check_id, "density_approx", inputs, mu, spec, body)
 
 
 # ---------------------------------------------------------------------------
@@ -658,11 +615,9 @@ def check_radial_euler_scaling(
 def _bisect(passes, lo: float, hi: float) -> tuple[float, float]:
     """The bracket (largest failing c, smallest passing c) in which bisection
     of [lo, hi] to BISECTION_RESOLUTION ends: (lo, lo) when lo passes, (hi,
-    hi) when hi fails.  ``passes(c, *later)`` is the verdict at c; ``later``
-    names the c that the next step reads, so that a step can fill their
-    norms with its own.  Every bracket end is a node of the one bisection
-    tree of [lo, hi], whatever the verdict."""
-    if passes(lo, hi):  # both ends of the range in one step's norms
+    hi) when hi fails.  ``passes(c)`` is the verdict at c.  Every bracket end
+    is a node of the one bisection tree of [lo, hi], whatever the verdict."""
+    if passes(lo):
         return lo, lo
     if not passes(hi):
         return hi, hi
@@ -702,8 +657,10 @@ def best_constant(
     the sHC norms at both.  The sHC bisection then runs with a monotone
     memo: a c at or above the smallest c seen to pass passes, and a c at or
     below the largest c seen to fail fails, with no integral and so no
-    failure to raise.  When the brackets agree no step integrates anything;
-    when they do not, the seed's verdicts settle the steps on their side.  Where the sLSI terms
+    failure to raise.  Before it, a second fill integrates the norms at
+    whichever of c_min and c_max the memo leaves undecided.  When the
+    brackets agree no step integrates anything; when they do not, the
+    seed's verdicts settle the steps on their side.  Where the sLSI terms
     cannot be computed (a measure that is not rotation-invariant, no
     certified member, a failed integral) there is no seed; a failure in the
     seed or in its sHC verdicts is never raised.  The battery shares one
@@ -749,7 +706,7 @@ def best_constant(
         return round(0.5 * (lo + hi) / BISECTION_RESOLUTION) / round(1.0 / BISECTION_RESOLUTION)
 
     if mode == "slsi":
-        return c_star(*_bisect(lambda c, *later: passes(slsi, c), lo, hi))
+        return c_star(*_bisect(lambda c: passes(slsi, c), lo, hi))
 
     norms = DilationNorms(battery, mu, spec)
     certified = [i for i, f in enumerate(battery) if f.certified]
@@ -758,15 +715,18 @@ def best_constant(
     def shc(i: int, c: float) -> bool:
         return shc_passed(shc_rows(norms, i, c, r_grid))
 
-    def shc_passes(c: float, *later: float) -> bool:
+    def fill(cs: Iterable[float]):
+        # the norms of the verdicts at every c of cs that the memo leaves undecided
+        keys = _shc_keys([c for c in cs if failed_at < c < passed_at], r_grid)
+        norms.fill([(i, r, q) for i in certified for r, q in keys])
+
+    def shc_passes(c: float) -> bool:
         nonlocal passed_at, failed_at
         if c >= passed_at:
             return True
         if c <= failed_at:
             return False
-        # the norms of the verdicts at c and at every undecided c of later, ahead of them
-        keys = _shc_keys([c] + [x for x in later if failed_at < x < passed_at], r_grid)
-        norms.fill([(i, r, q) for i in certified for r, q in keys])
+        fill((c,))
         if passes(shc, c):
             passed_at = c
             return True
@@ -774,14 +734,16 @@ def best_constant(
         return False
 
     try:
-        seed = _bisect(lambda c, *later: passes(slsi, c, certified), lo, hi) if certified else ()
+        seed = _bisect(lambda c: passes(slsi, c, certified), lo, hi) if certified else ()
+        fill(seed)  # the sHC norms at both ends of the sLSI bracket
     except LabError:
         seed = ()
-    for c in seed:  # the first fills the sHC norms at both ends of the sLSI bracket
+    for c in seed:
         try:
-            shc_passes(c, *seed)
+            shc_passes(c)
         except LabError:
             pass
+    fill((lo, hi))
     return c_star(*_bisect(shc_passes, lo, hi))
 
 

@@ -18,7 +18,6 @@ from lshlab.campaign import (
     CampaignConfig,
     build_field,
     build_measure,
-    dump_config,
     preset,
     resolve_spec,
 )
@@ -109,12 +108,14 @@ def adaptive_1d_config():
 class TestConfig:
     def test_round_trip(self):
         config = CampaignConfig.from_dict(minimal_config())
-        again = CampaignConfig.from_dict(json.loads(dump_config(config)))
+        again = CampaignConfig.from_dict(json.loads(
+            json.dumps(config.to_dict(), indent=2, sort_keys=True)))
         assert again == config
 
     def test_preset_round_trips(self):
         config = preset("gaussian-sharp")
-        again = CampaignConfig.from_dict(json.loads(dump_config(config)))
+        again = CampaignConfig.from_dict(json.loads(
+            json.dumps(config.to_dict(), indent=2, sort_keys=True)))
         assert again == config
 
     @pytest.mark.parametrize("seed", [1.5, True, "7", -1, None, 1.0])
@@ -483,9 +484,23 @@ class TestRun:
             checks=[{"check": "best_constant", "measure": "lap", "fields": []}])
         L.run(CampaignConfig.from_dict(raw), output_dir=tmp_path)
         (rep,) = json.loads((tmp_path / "report.json").read_text())["checks"]
-        assert rep["inconclusive"] and not rep["passed"] and rep["kind"] == "error"
+        assert rep["inconclusive"] and not rep["passed"] and rep["kind"] == "best_constant"
         assert rep["notes"][0].startswith("inconclusive: log_linear([1.2]): ")
         assert "witness" in rep["quantities"]
+
+    def test_failed_search_keeps_its_inputs_and_spec(self, tmp_path):
+        # a search whose member fails to integrate is reported like any
+        # integral check: its kind, inputs and resolved spec stay
+        raw = minimal_config(
+            measures={"lap": {"family": "gen_exponential", "c": 1.0, "a": 1.0, "dim": 1}},
+            checks=[{"check": "best_constant", "measure": "lap", "fields": [], "mode": "shc"}])
+        L.run(CampaignConfig.from_dict(raw), output_dir=tmp_path)
+        (rep,) = json.loads((tmp_path / "report.json").read_text())["checks"]
+        assert rep["inputs"] == {"measure": "gen_exponential(c=1, a=1, dim=1)",
+                                 "mode": "shc",
+                                 "battery": [f.label for f in L.default_battery(1)]}
+        assert rep["spec"] == {"scheme": "adaptive_1d", "nodes_per_axis": None}
+        assert rep["tolerance"] is None and len(rep["quantities"]["witness"]) == 1
 
     @pytest.mark.parametrize("config, jobs", [
         ("gaussian-sharp", 4),
