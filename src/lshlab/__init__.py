@@ -28,7 +28,6 @@ from .fields import (
     power,
     product_field,
     raw_field,
-    scale,
     spherical_average,
     squared_norm,
 )

@@ -2,10 +2,19 @@
 
 Each check returns a :class:`CheckReport` carrying the full input echo, the
 computed quantities (lhs, rhs, deficits, witnesses), the tolerance used, and
-the verdict.  Tolerance hierarchy: inequality checks accept a deficit down to
--(INEQ_ABS * scale + NOISE_FACTOR * quadrature error estimate), so
-integration noise can never fail an inequality that holds with equality; the
-pointwise monotonicity lemmas, which integrate nothing, allow a drop of
+the verdict.  Every inequality takes its verdict from one rule,
+:func:`functionals.verdict`: a deficit that should be >= 0 passes down to
+-(INEQ_ABS scale + NOISE_FACTOR noise), the noise its quadrature error
+estimate, so integration noise can never fail an inequality that holds with
+equality.  Each check's (deficit, scale, noise):
+
+- sLSI: ((c/2) EE - Ent, max(1, |Ent|, |(c/2) EE|), e_Ent + (c/2) e_EE);
+- each row of the sHC and of the general sHC: (||f||_p - ||f_r||_q,
+  ||f||_p, e_r + e_p), p = 1 and q = q(r) in the sHC;
+- the dilation and dilated-convolution bounds: (rhs - lhs, rhs, e_lhs +
+  factor e_f), rhs = factor ||f||_p.
+
+The pointwise monotonicity lemmas, which integrate nothing, allow a drop of
 LEMMA_TOL relative to max(1, |value|).
 
 Reports never raise on a mathematical violation (that is a *failed* check,
@@ -43,12 +52,12 @@ from .fields import (
 from .functionals import (
     DEFAULT_R_GRID,
     INEQ_ABS,
-    NOISE_FACTOR,
     Q_GUARD,
     DilationNorms,
     entropy_energy_with_error,
     q_of_r,
     r_of_pq,
+    verdict,
 )
 from .measures import Density, regularity_constant
 from .quadrature import QuadratureSpec, default_spec, lp_norm_with_error, weighted_moments
@@ -173,9 +182,8 @@ def slsi_verdict(terms: tuple[float, float, float, float],
     """
     ent, e_ent, ee, e_ee = terms
     deficit = (c / 2.0) * ee - ent
-    scale = max(1.0, abs(ent), abs(c / 2.0 * ee))
-    tol = INEQ_ABS * scale + NOISE_FACTOR * (e_ent + (c / 2.0) * e_ee)
-    return deficit, tol, bool(deficit >= -tol)
+    return (deficit, *verdict(deficit, max(1.0, abs(ent), abs(c / 2.0 * ee)),
+                              e_ent + (c / 2.0) * e_ee))
 
 
 def check_slsi(
@@ -202,15 +210,13 @@ def _require_certified(f: ScalarField):
         raise InvalidParameter("an sHC check requires a certified field")
 
 
-def _row_tol(e: float, e_base: float, base: float) -> float:
-    """Relative tolerance of a norm with error ``e`` against ``base`` +- ``e_base``."""
-    return INEQ_ABS + NOISE_FACTOR * (e + e_base) / max(base, 1e-300)
-
-
 def _shc_keys(cs: Iterable[float], r_grid: Sequence[float]) -> list:
     """The (r, q) of every norm an sHC verdict at each c of ``cs`` can read:
-    ||f||_1 and alpha(r) at every q(r) <= Q_GUARD.  An r outside (0, 1]
-    raises here, before any norm, whether or not a verdict stops early."""
+    ||f||_1 and alpha(r) at every q(r) <= Q_GUARD.  An empty r-grid, or an r
+    outside (0, 1], raises here, before any norm, whether or not a verdict
+    stops early."""
+    if len(r_grid) == 0:
+        raise InvalidParameter("r_grid must be non-empty")
     every = [(r, q_of_r(r, c)) for c in cs for r in r_grid]
     return [(1.0, 1.0)] + [(r, q) for r, q in every if q <= Q_GUARD]
 
@@ -243,16 +249,10 @@ def shc_rows(norms: DilationNorms, i: int, c: float,
             row.update({"skipped": True, "reason": str(exc)})
             pairs.append((row, 0.0))
             continue
-        tol_rel = _row_tol(e_a, e_base, base)
-        row.update(
-            {
-                "skipped": False,
-                "alpha": a,
-                "deficit": base - a,
-                "row_passed": bool(a <= base * (1.0 + tol_rel)),
-                "tol_rel": tol_rel,
-            }
-        )
+        tol, passed = verdict(base - a, base, e_a + e_base)
+        tol_rel = tol / max(base, 1e-300)
+        row.update({"skipped": False, "alpha": a, "deficit": base - a,
+                    "row_passed": passed, "tol_rel": tol_rel})
         slack = 0.0 if prev is None else prev["alpha"] - a * (1.0 + prev["tol_rel"])
         prev = row
         pairs.append((row, slack))
@@ -292,8 +292,6 @@ def check_shc(
 
     Every row is evaluated; the r = 1 row reuses ||f||_1.
     """
-    if len(r_grid) == 0:
-        raise InvalidParameter("r_grid must be non-empty")
     def body(spec):
         norms = DilationNorms([f], mu, spec)
         pairs = shc_rows(norms, 0, c, r_grid)  # raises for ||f||_1, or a row that could fail
@@ -337,7 +335,7 @@ def check_general_shc(
             except QuadratureFailure as exc:
                 rows.append({"r": r, "skipped": True, "reason": str(exc)})
                 continue
-            good = bool(lhs <= base * (1.0 + _row_tol(e_lhs, e_base, base)))
+            good = verdict(base - lhs, base, e_lhs + e_base)[1]
             rows.append({"r": r, "skipped": False, "lhs": lhs, "rhs": base, "passed": good})
             ok = ok and good
         return ({"r_star": r_star, "norm_p": base, "rows": rows}, INEQ_ABS,
@@ -371,11 +369,11 @@ def _operator_bound(kind, check_id, inputs, f, mu, p, r, spec, phi=None) -> Chec
         (lhs, e_lhs), (fnorm, e_f) = [norms(*key) for key in keys]
         factor = r ** (-mu.dim / p) * c_est ** (1.0 / p) * vol ** (1.0 / p) * phi_norm
         rhs = factor * fnorm
-        tol = INEQ_ABS * rhs + NOISE_FACTOR * (e_lhs + factor * e_f)
+        tol, passed = verdict(rhs - lhs, rhs, e_lhs + factor * e_f)
         terms = ({"norm_p": fnorm} if phi is None
                  else {"mollifier_norm": phi_norm, "vol_support": vol})
         return ({"lhs": lhs, "rhs": rhs, "slack": rhs - lhs, "regularity_constant": c_est,
-                 **terms}, tol, bool(lhs <= rhs + tol))
+                 **terms}, tol, passed)
 
     return _report(check_id, kind, inputs, mu, spec, body)
 
@@ -675,13 +673,11 @@ def best_constant(
         raise InvalidParameter("mode must be 'slsi' or 'shc'")
     if not battery:
         raise InvalidParameter("battery must be non-empty")
-    if mode == "shc" and len(r_grid) == 0:
-        raise InvalidParameter("r_grid must be non-empty")
     lo, hi = float(c_range[0]), float(c_range[1])
     if not 0.0 < lo < hi < math.inf:
         raise InvalidParameter(f"c_range must satisfy 0 < c_min < c_max < inf, got {tuple(c_range)}")
     if mode == "shc":
-        _shc_keys((lo,), r_grid)  # an r outside (0, 1] is refused before the seed's integrals
+        _shc_keys((lo,), r_grid)  # a bad r-grid is refused before the seed's integrals
     spec = (spec or default_spec(mu)).resolved(mu.dim)
     terms = {}  # battery index -> its slsi_terms, built once
 
@@ -690,10 +686,10 @@ def best_constant(
             terms[i] = slsi_terms(battery[i], mu, spec)
         return slsi_verdict(terms[i], c)[2]
 
-    def passes(verdict, c: float, members: Iterable[int] = range(len(battery))) -> bool:
+    def passes(member_passes, c: float, members: Iterable[int] = range(len(battery))) -> bool:
         for i in members:
             try:
-                if not verdict(i, c):
+                if not member_passes(i, c):
                     return False
             except QuadratureFailure as exc:
                 raise QuadratureFailure(f"{battery[i].label}: {exc}", witness=exc.witness) from exc

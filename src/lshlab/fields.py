@@ -308,11 +308,6 @@ def product_field(f: ScalarField, g: ScalarField) -> ScalarField:
     return _certified(f"product({f.label}, {g.label})", f.dim, log)
 
 
-def scale(f: ScalarField, t: float) -> ScalarField:
-    """t * f for t > 0 (product with a constant field)."""
-    return product_field(constant(t, f.dim), f)
-
-
 def dilate(f: ScalarField, r: float) -> ScalarField:
     """Dilation f_r(x) = f(rx) for r in (0, 1]; r = 1 returns f itself."""
     r = float(r)

@@ -38,9 +38,7 @@ from .quadrature import LOG_MAX, QuadratureSpec, lp_norms, weighted_moments
 
 #: q(r) values beyond this guard are rejected (integrands would overflow)
 Q_GUARD = 1e4
-#: a deficit that should be >= 0 may reach -(INEQ_ABS * scale + NOISE_FACTOR
-#: * its quadrature error): the tolerance of every inequality in ``checks``
-#: and of the entropy's sign here
+#: the scale and noise factors of every inequality's tolerance (see ``verdict``)
 INEQ_ABS = 1e-6
 NOISE_FACTOR = 3.0
 DEFAULT_R_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0)
@@ -63,6 +61,15 @@ def r_of_pq(p: float, q: float, c: float) -> float:
     if not (0.0 < p <= q):
         raise InvalidParameter("require 0 < p <= q")
     return (p / q) ** (c / 2.0)
+
+
+def verdict(deficit: float, scale: float, noise: float) -> tuple[float, bool]:
+    """(tol, passed) of an inequality whose ``deficit`` should be >= 0: it
+    may reach -tol, tol = INEQ_ABS * scale + NOISE_FACTOR * noise, with
+    ``noise`` the deficit's quadrature error.  The one rule of every
+    inequality in ``checks`` and of the entropy's sign here."""
+    tol = INEQ_ABS * scale + NOISE_FACTOR * noise
+    return tol, bool(deficit >= -tol)
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +100,7 @@ def _times_exp(log_scale: float, value: float, scale: str, what: str) -> float:
 
 
 def _checked_entropy(val: float, err: float) -> tuple[float, float]:
-    scale = max(1.0, abs(val))
-    if val < -(INEQ_ABS * scale + NOISE_FACTOR * err):
+    if not verdict(val, max(1.0, abs(val)), err)[1]:
         raise QuadratureFailure(
             f"entropy {val:.3g} is negative beyond tolerance; quadrature breakdown"
         )
@@ -142,47 +148,44 @@ class DilationNorms:
     alpha(1) at every c, since q(1) = 1.
 
     ``fill(keys)`` integrates the missing (member, r, q) keys in one
-    ``lp_norms`` call.  On a node set, which its node count names (the
-    measure and spec are fixed), ln f_r is kept per (member, r) while the
-    kept values fit ``LOG_MEMO_BYTES``, and evaluated again past it, with the
-    same bits.  A norm filled with others is bit for bit the norm alone
-    wherever the field's log map is pointwise (a convolved field agrees to
-    about 1e-15 on ``adaptive_1d``).
+    ``lp_norms`` call, each reading ln f_r(x) as the member's ln f(r x).  On
+    a node set, which its node count names (the measure and spec are fixed),
+    ln f_r is kept per (member, r) while the kept values fit
+    ``LOG_MEMO_BYTES``, and evaluated again past it, with the same bits.  A
+    norm filled with others is bit for bit the norm alone wherever the
+    field's log map is pointwise (a convolved field agrees to about 1e-15 on
+    ``adaptive_1d``).
     """
 
     def __init__(self, fields, mu, spec: QuadratureSpec):
         self.fields, self.mu, self.spec = list(fields), mu, spec
-        self._memo, self._logs, self._dilated = {}, {}, {}
+        self._memo, self._logs = {}, {}
 
-    def _log_on_nodes(self, i: int, r: float, f_r: ScalarField, pts) -> np.ndarray:
-        """ln f_r of member i on one of the table's two node sets, kept while
-        the kept values fit ``LOG_MEMO_BYTES``."""
+    def _log_on_nodes(self, i: int, r: float, pts) -> np.ndarray:
+        """ln f(r x) of member i on one of the table's two node sets, kept
+        while the kept values fit ``LOG_MEMO_BYTES``."""
         out = self._logs.get((i, r, len(pts)))
         if out is None:
-            out = f_r.log_value(pts)
+            out = self.fields[i].log_value(r * pts)
             if sum(v.nbytes for v in self._logs.values()) + out.nbytes <= LOG_MEMO_BYTES:
                 self._logs[(i, r, len(pts))] = out
         return out
 
     def fill(self, keys):
-        """Integrate the keys not yet memoised; ``dilate`` refuses an r outside
-        (0, 1], and r < 1 on an uncertified field, before any norm.  f_r is
-        built once per (member, r), whatever its keys' q."""
-        todo = {}
-        for i, r, q in keys:
-            key = (i, float(r), float(q))
-            if key not in self._memo:
-                if key[:2] not in self._dilated:
-                    self._dilated[key[:2]] = dilate(self.fields[i], r)
-                todo[key] = self._dilated[key[:2]]
-        if not todo:
+        """Integrate the keys not yet memoised; ``dilate``'s refusals, of an r
+        outside (0, 1] and of r < 1 on an uncertified member, come before any
+        norm."""
+        new = [key for key in dict.fromkeys((i, float(r), float(q)) for i, r, q in keys)
+               if key not in self._memo]
+        for i, r, _ in new:
+            dilate(self.fields[i], r)
+        if not new:
             return
-        new, dilated = list(todo), list(todo.values())
         owner, r_of = np.array([i for i, _, _ in new]), np.array([r for _, r, _ in new])
 
         def log_f(pts, k):  # ln f(r x), f and r those of each node's own norm
             if isinstance(k, int):  # every node is norm k's: a node set
-                return self._log_on_nodes(*new[k][:2], dilated[k], pts)
+                return self._log_on_nodes(*new[k][:2], pts)
             x, at = r_of[k][:, None] * pts, owner[k]
             out = np.empty(len(at))
             # not np.unique, which imports numpy.ma (about 1.7 MB)
@@ -191,7 +194,7 @@ class DilationNorms:
                 out[mine] = self.fields[i].log_value(x[mine])
             return out
 
-        self._memo.update(zip(todo, lp_norms(log_f, self.mu, [q for _, _, q in todo], self.spec)))
+        self._memo.update(zip(new, lp_norms(log_f, self.mu, [q for _, _, q in new], self.spec)))
 
     def __call__(self, i: int, r: float, q: float) -> tuple[float, float]:
         key = (i, float(r), float(q))

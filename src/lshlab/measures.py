@@ -242,31 +242,27 @@ def uniform_ball(radius: float = 1.0, dim: int = 1) -> Density:
     )
 
 
-_FAMILIES = {
-    "gaussian": (gaussian, ("sigma",)),
-    "gen_exponential": (gen_exponential, ("c", "a")),
-    "poly_tail": (poly_tail, ("alpha",)),
-    "uniform_ball": (uniform_ball, ("radius",)),
-}
+_FAMILIES = {ctor.__name__: ctor for ctor in (gaussian, gen_exponential, poly_tail, uniform_ball)}
 
 
 def make_builtin(kind: str, params: dict, dim: int) -> Density:
-    """Construct a built-in density by family tag and parameter dict."""
+    """Construct a built-in density by family tag and parameter dict; a
+    family's parameters are its builder's, ``dim`` apart."""
     if kind not in _FAMILIES:
         raise InvalidParameter(
             f"unknown density family {kind!r}; choose from {sorted(_FAMILIES)}"
         )
-    ctor, names = _FAMILIES[kind]
+    ctor = _FAMILIES[kind]
+    sig = inspect.signature(ctor).parameters
+    names = [name for name in sig if name != "dim"]
     unknown = set(params) - set(names)
     if unknown:
         raise InvalidParameter(f"unexpected parameters {sorted(unknown)} for {kind}")
-    sig = inspect.signature(ctor).parameters
     missing = [name for name in names
                if name not in params and sig[name].default is sig[name].empty]
     if missing:
         raise InvalidParameter(f"{kind} needs parameter {missing[0]!r}")
-    kwargs = {name: params[name] for name in names if name in params}
-    return ctor(dim=dim, **kwargs)
+    return ctor(dim=dim, **params)
 
 
 def _validate_dim(dim: int):

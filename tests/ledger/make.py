@@ -13,8 +13,9 @@ moved are what it reports.
 Cases cover every integral check kind on each scheme (``gauss_hermite``,
 ``tensor_trapezoid``, ``adaptive_1d``), each inconclusive path (a failed
 integral with its witness, an unavailable regularity constant, every
-density cell failing), the two monotonicity lemmas, and the best-constant
-searches pinned in CI.
+density cell failing), the two monotonicity lemmas, a 3-D sLSI verdict that
+moves with the direction of the tilt, and the best-constant searches pinned
+in CI.
 
 Rewrite the file with ``PYTHONPATH=src python tests/ledger/make.py``.
 """
@@ -37,6 +38,7 @@ REL_TOL = 1e-9
 # the measures of the cases: each default scheme in 1-D and 2-D
 GAUSS1 = L.gaussian(1.0, 1)
 GAUSS2 = L.gaussian(1.0, 2)
+GAUSS3 = L.gaussian(1.0, 3)
 NORMAL1 = L.gen_exponential(0.5, 2, 1)  # N(0, 1) on adaptive_1d
 LAPLACE1 = L.gen_exponential(1.0, 1.0, 1)
 TRAP2 = L.gen_exponential(1.0, 4.0, 2)
@@ -122,6 +124,15 @@ CASES = {
     # the report reads FAIL where it should be inconclusive
     "known_wrong/shc/no_live_row_at_box_edge": lambda: L.check_shc(
         L.log_linear([2.0, 0.0]), NORMAL2_TRAP, 0.5),
+    # known wrong (item 20): e^{4u.x} on N(0, I_3) at c = 0.99 has the sLSI
+    # deficit (c - 1)/2 * 16 e^8 = -238.4766 in every direction u, read to 4
+    # decimals in each, but the tolerance moves with u: 381.6 along e_3 (the
+    # sphere rule's pole) and 239.5 along e_1 read PASS, 59.0 along
+    # (sqrt(3)/2, 1/2, 0) reads FAIL
+    "known_wrong/slsi/tilt_e3": lambda: L.check_slsi(L.log_linear([0.0, 0.0, 4.0]), GAUSS3, 0.99),
+    "known_wrong/slsi/tilt_e1": lambda: L.check_slsi(L.log_linear([4.0, 0.0, 0.0]), GAUSS3, 0.99),
+    "gauss_hermite-3d/slsi/tilt_azimuth_30deg": lambda: L.check_slsi(
+        L.log_linear([2.0 * math.sqrt(3.0), 2.0, 0.0]), GAUSS3, 0.99),
     # refusals raised before any integral
     "raises/slsi/uncertified": lambda: L.check_slsi(
         L.raw_field(lambda pts: 1.0 + pts[:, 0] ** 2, 1, label="raw"), GAUSS1, 1.0),

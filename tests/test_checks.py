@@ -137,7 +137,7 @@ class TestSlsi:
         f = L.cosh_field(0.8)
         for t in (0.25, 5.0):
             a = L.check_slsi(f, gauss1, 1.0, gh_spec).passed
-            b = L.check_slsi(L.scale(f, t), gauss1, 1.0, gh_spec).passed
+            b = L.check_slsi(L.product_field(L.constant(t), f), gauss1, 1.0, gh_spec).passed
             assert a == b
 
 
@@ -220,7 +220,7 @@ class TestShc:
         for c in (0.9, 1.0):
             base = L.check_shc(L.log_linear([1.0]), gauss1, c, spec=gh_spec).passed
             scaled = L.check_shc(
-                L.scale(L.log_linear([1.0]), 3.0), gauss1, c, spec=gh_spec
+                L.product_field(L.constant(3.0), L.log_linear([1.0])), gauss1, c, spec=gh_spec
             ).passed
             assert base == scaled
 
@@ -416,6 +416,45 @@ class TestDilatedConvolutionBound:
 
         q2, q8 = quantity(L.mollifier(1, 2)), quantity(L.mollifier(1, 8))
         assert abs(q2 - q8) / abs(q2) <= 1e-8
+
+
+class TestOneVerdictRule:
+    @staticmethod
+    def _deficits(rep):
+        """The deficits of a report's verdicts: one, or one per live row."""
+        q = rep.quantities
+        if rep.kind in ("shc", "general_shc"):
+            return [row["deficit"] if rep.kind == "shc" else row["rhs"] - row["lhs"]
+                    for row in q["rows"] if not row["skipped"]]
+        return [q["deficit"] if rep.kind == "slsi" else q["slack"]]
+
+    def test_every_inequality_calls_functionals_verdict(self, gauss1, monkeypatch):
+        # the rule -(INEQ_ABS * scale + NOISE_FACTOR * noise) lives in
+        # functionals.verdict alone: a check that writes it out again reads
+        # its deficits without a call here, and fails
+        calls = {}
+        rule = functionals.verdict
+
+        def counting(deficit, scale, noise):
+            calls[deficit] = rule(deficit, scale, noise)
+            return calls[deficit]
+
+        for mod in (functionals, checks):
+            monkeypatch.setattr(mod, "verdict", counting)
+        f = L.log_linear([0.5])
+        for run in (lambda: L.check_slsi(f, gauss1, 1.0),
+                    lambda: L.check_shc(f, gauss1, 1.0),
+                    lambda: L.check_general_shc(f, gauss1, 1.0, 1.5, 3.0),
+                    lambda: L.check_dilation_bound(f, gauss1, 2.0, 0.8),
+                    lambda: L.check_dilated_convolution_bound(
+                        f, gauss1, 1.0, L.mollifier(1, 4), 0.8)):
+            calls.clear()
+            rep = run()
+            deficits = self._deficits(rep)
+            assert not rep.inconclusive and deficits, rep.kind
+            assert all(d in calls for d in deficits), rep.kind
+            if rep.kind not in ("shc", "general_shc"):
+                assert calls[deficits[0]] == (rep.tolerance, rep.passed)
 
 
 class TestDensityApproximation:
@@ -983,9 +1022,9 @@ def _reference_shc(f, mu, c, spec):
             row.update({"skipped": True, "reason": str(exc)})
             rows.append(row)
             continue
-        tol_rel = checks.INEQ_ABS + checks.NOISE_FACTOR * (e_a + e_base) / max(base, 1e-300)
+        tol, passed = functionals.verdict(base - a, base, e_a + e_base)
         row.update({"skipped": False, "alpha": a, "deficit": base - a,
-                    "row_passed": bool(a <= base * (1.0 + tol_rel)), "tol_rel": tol_rel})
+                    "row_passed": passed, "tol_rel": tol / max(base, 1e-300)})
         rows.append(row)
     live = [row for row in rows if not row["skipped"]]
     monotone, worst_drop = True, 0.0

@@ -122,7 +122,7 @@ class TestBuilders:
 
     def test_scale_homogeneity(self, rng):
         f = L.cosh_field(0.8)
-        g = L.scale(f, 2.5)
+        g = L.product_field(L.constant(2.5), f)
         pts = rng.standard_normal((10, 1))
         assert g(pts) == pytest.approx(2.5 * f(pts), rel=1e-12)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import lshlab as L
-from lshlab import functionals
+from lshlab import functionals, quadrature
 from lshlab.errors import InvalidParameter, QuadratureFailure
 from lshlab.functionals import (
     DilationNorms,
@@ -61,7 +61,8 @@ class TestEntropy:
         f = L.cosh_field(0.9)
         base = L.entropy_with_error(f, gauss1, gh_spec)[0]
         for t in (0.5, 3.0):
-            assert L.entropy_with_error(L.scale(f, t), gauss1, gh_spec)[0] == pytest.approx(
+            tf = L.product_field(L.constant(t), f)
+            assert L.entropy_with_error(tf, gauss1, gh_spec)[0] == pytest.approx(
                 t * base, rel=1e-9
             )
 
@@ -131,7 +132,8 @@ class TestAlpha:
     def test_norm_homogeneity(self, gauss1, gh_spec):
         f = L.cosh_field(0.7)
         a = L.alpha_with_error(f, gauss1, 1.0, 0.8, gh_spec)[0]
-        assert L.alpha_with_error(L.scale(f, 2.0), gauss1, 1.0, 0.8, gh_spec)[0] == pytest.approx(
+        twice = L.product_field(L.constant(2.0), f)
+        assert L.alpha_with_error(twice, gauss1, 1.0, 0.8, gh_spec)[0] == pytest.approx(
             2.0 * a, rel=1e-10
         )
 
@@ -141,26 +143,29 @@ class TestAlpha:
 
 
 class TestDilationNorms:
-    def test_one_dilated_field_per_member_and_r(self, gauss1, gh_spec, monkeypatch):
-        # a search step asks for new q over the same (member, r) pairs: f_r
-        # is built once a pair, and each norm is the bits of a table filled
-        # with its key alone
-        fields, calls = [L.cosh_field(0.8), L.log_linear([0.5])], []
-
-        def counting(f, r):
-            calls.append(r)
-            return L.dilate(f, r)
-
-        monkeypatch.setattr(functionals, "dilate", counting)
+    def test_norms_are_those_of_the_dilated_field_alone(self, gauss1, gh_spec):
+        # a search step asks for new q over the same (member, r) pairs: each
+        # norm, read as ln f(r x), is the bits of a table filled with its key
+        # alone and of the dilated field's own norm
+        fields = [L.cosh_field(0.8), L.log_linear([0.5])]
         keys = [(i, r, q) for i in (0, 1) for r in (0.8, 0.9) for q in (1.5, 2.0)]
         table = DilationNorms(fields, gauss1, gh_spec)
         table.fill(keys[::2])
         table.fill(keys)
-        assert sorted(calls) == [0.8, 0.8, 0.9, 0.9]
-        with pytest.raises(InvalidParameter, match="dilation factor"):
-            table.fill([(0, 1.5, 1.0)])
-        for key in keys:
-            assert table(*key) == DilationNorms(fields, gauss1, gh_spec)(*key)
+        for i, r, q in keys:
+            assert table(i, r, q) == DilationNorms(fields, gauss1, gh_spec)(i, r, q)
+            assert table(i, r, q) == quadrature.lp_norm_with_error(
+                L.dilate(fields[i], r), gauss1, q, gh_spec)
+
+    def test_dilate_refusals_come_before_any_norm(self, gauss1, gh_spec):
+        table = DilationNorms([L.cosh_field(0.8)], gauss1, gh_spec)
+        with pytest.raises(InvalidParameter, match=r"dilation factor must lie in \(0, 1\]"):
+            table.fill([(0, 0.8, 1.0), (0, 1.5, 1.0)])
+        raw = DilationNorms([L.raw_field(lambda pts: 1.0 + pts[:, 0] ** 2, 1, label="raw")],
+                            gauss1, gh_spec)
+        with pytest.raises(InvalidParameter, match="'raw' is unverified"):
+            raw.fill([(0, 1.0, 1.0), (0, 0.8, 1.0)])
+        assert table._memo == raw._memo == {}
 
     @pytest.mark.parametrize("mu, scheme", [
         (L.gaussian(1.0, 1), "gauss_hermite"),
@@ -309,7 +314,8 @@ class TestHcBracket:
     def test_sign_scale_invariant(self, gauss1, gh_spec):
         f = L.cosh_field(0.8)
         b1 = L.hc_bracket_with_error(f, gauss1, 1.0, 0.8, gh_spec)[0]
-        b2 = L.hc_bracket_with_error(L.scale(f, 4.0), gauss1, 1.0, 0.8, gh_spec)[0]
+        b2 = L.hc_bracket_with_error(L.product_field(L.constant(4.0), f), gauss1, 1.0, 0.8,
+                                     gh_spec)[0]
         assert math.copysign(1, b1) == math.copysign(1, b2)
 
     def test_zero_of_modulus_contributes_nothing(self, gauss2):
