@@ -11,6 +11,10 @@ equality.  Each check's (deficit, scale, noise):
 - sLSI: ((c/2) EE - Ent, max(1, |Ent|, |(c/2) EE|), e_Ent + (c/2) e_EE);
 - each row of the sHC and of the general sHC: (||f||_p - ||f_r||_q,
   ||f||_p, e_r + e_p), p = 1 and q = q(r) in the sHC;
+- the sHC's monotonicity of alpha: a live row fails when the previous live
+  row's alpha exceeds alpha (1 + that row's tol_rel), and the largest excess
+  is worst_monotonicity_drop.  This is the one comparison not formed by
+  functionals.verdict; :func:`shc_rows` forms it;
 - the dilation and dilated-convolution bounds: (rhs - lhs, rhs, e_lhs +
   factor e_f), rhs = factor ||f||_p.
 
@@ -222,60 +226,48 @@ def _shc_keys(cs: Iterable[float], r_grid: Sequence[float]) -> list:
 
 
 def shc_rows(norms: DilationNorms, i: int, c: float,
-             r_grid: Sequence[float]) -> list[tuple[dict, float]]:
-    """The r-grid rows of :func:`check_shc` at constant c for member i of
-    ``norms``, as (row, slack) pairs in ascending r, whatever the order of
-    ``r_grid``: alpha's monotonicity is read along r, not along the grid.
+             r_grid: Sequence[float]) -> tuple[list[dict], float, bool]:
+    """The sHC verdict at constant c for member i of ``norms``, as (rows,
+    worst_drop, passed).  The rows are :func:`check_shc`'s, in ascending r
+    whatever the order of ``r_grid``: alpha's monotonicity is read along r,
+    not along the grid.  A row whose norms fail to integrate, or whose q(r)
+    exceeds Q_GUARD, is skipped.
 
-    The slack is how far the row's alpha falls below the previous (smaller
-    r) live row's beyond that row's tolerance (0.0 for a skipped row and for
-    the first live one).  A row whose norms fail to integrate, or whose q(r)
-    exceeds Q_GUARD, is skipped.  Raises InvalidParameter for an uncertified
-    field, before the r-grid is read, and QuadratureFailure when ||f||_1
-    cannot be computed, or when a row failed to integrate (it may be the
-    failing one) and the live rows pass.  The norms come in one fill: ||f||_1, and
-    alpha(r) at every q(r) <= Q_GUARD.
+    worst_drop is the largest prev_alpha - alpha (1 + prev_tol_rel) over
+    consecutive live rows, or 0.0.  passed: some row with r < 1 is live,
+    every live row passes, and worst_drop is not > 0.  The r = 1 row alone
+    is no evidence: alpha(1) = ||f||_1 meets it by construction at every c.
+
+    Raises InvalidParameter for an uncertified field, before the r-grid is
+    read, and QuadratureFailure when ||f||_1 cannot be computed, or when a
+    row failed to integrate (it may be the failing one) and the verdict is a
+    pass.  The norms come in one fill: ||f||_1, and alpha(r) at every q(r) <=
+    Q_GUARD.
     """
     _require_certified(norms.fields[i])
     norms.fill([(i, r, q) for r, q in _shc_keys((c,), r_grid)])
     base, e_base = norms(i, 1.0, 1.0)
-    pairs, prev, failure = [], None, None
+    rows, live, worst_drop, failure = [], [], 0.0, None
     for r in sorted(r_grid):
         row = {"r": float(r), "q_of_r": q_of_r(r, c)}
+        rows.append(row)
         try:
             a, e_a = norms.alpha(i, r, c)
         except (QuadratureFailure, InvalidParameter) as exc:
             failure = failure or (exc if isinstance(exc, QuadratureFailure) else None)
             row.update({"skipped": True, "reason": str(exc)})
-            pairs.append((row, 0.0))
             continue
-        tol, passed = verdict(base - a, base, e_a + e_base)
-        tol_rel = tol / max(base, 1e-300)
+        tol, row_passed = verdict(base - a, base, e_a + e_base)
         row.update({"skipped": False, "alpha": a, "deficit": base - a,
-                    "row_passed": passed, "tol_rel": tol_rel})
-        slack = 0.0 if prev is None else prev["alpha"] - a * (1.0 + prev["tol_rel"])
-        prev = row
-        pairs.append((row, slack))
-    if failure is not None and shc_passed(pairs):
+                    "row_passed": row_passed, "tol_rel": tol / max(base, 1e-300)})
+        if live:
+            worst_drop = max(worst_drop, live[-1]["alpha"] - a * (1.0 + live[-1]["tol_rel"]))
+        live.append(row)
+    passed = (any(row["r"] < 1.0 for row in live) and all(row["row_passed"] for row in live)
+              and not worst_drop > 0)
+    if failure is not None and passed:
         raise failure
-    return pairs
-
-
-def shc_passed(rows: Iterable[tuple[dict, float]]) -> bool:
-    """The sHC verdict on (row, slack) pairs: some row with r < 1 is live,
-    every live row passes, and no slack is positive (alpha is monotone).
-
-    The r = 1 row alone is no evidence: alpha(1) = ||f||_1 meets it by
-    construction at every c.
-    """
-    live = False
-    for row, slack in rows:
-        if row["skipped"]:
-            continue
-        if not row["row_passed"] or slack > 0:
-            return False
-        live = live or row["r"] < 1.0
-    return live
+    return rows, worst_drop, passed
 
 
 def check_shc(
@@ -294,13 +286,12 @@ def check_shc(
     """
     def body(spec):
         norms = DilationNorms([f], mu, spec)
-        pairs = shc_rows(norms, 0, c, r_grid)  # raises for ||f||_1, or a row that could fail
-        rows = [row for row, _ in pairs]
-        worst_drop = max([0.0] + [slack for _, slack in pairs])
+        # raises for ||f||_1, or a failed row that could be the failing one
+        rows, worst_drop, passed = shc_rows(norms, 0, c, r_grid)
         return ({"norm1": norms(0, 1.0, 1.0)[0], "rows": rows,
                  "alpha_monotone": not worst_drop > 0, "worst_monotonicity_drop": worst_drop,
                  "skipped_rows": sum(row["skipped"] for row in rows)},
-                INEQ_ABS, shc_passed(pairs))
+                INEQ_ABS, passed)
 
     inputs = {"field": f.label, "measure": mu.label, "c": c, "r_grid": list(r_grid)}
     return _report(check_id, "shc", inputs, mu, spec, body, [SHC_NOTE])
@@ -709,7 +700,7 @@ def best_constant(
     passed_at, failed_at = math.inf, -math.inf  # the smallest c seen to pass, the largest to fail
 
     def shc(i: int, c: float) -> bool:
-        return shc_passed(shc_rows(norms, i, c, r_grid))
+        return shc_rows(norms, i, c, r_grid)[2]
 
     def fill(cs: Iterable[float]):
         # the norms of the verdicts at every c of cs that the memo leaves undecided

@@ -13,9 +13,9 @@ moved are what it reports.
 Cases cover every integral check kind on each scheme (``gauss_hermite``,
 ``tensor_trapezoid``, ``adaptive_1d``), each inconclusive path (a failed
 integral with its witness, an unavailable regularity constant, every
-density cell failing), the two monotonicity lemmas, a 3-D sLSI verdict that
-moves with the direction of the tilt, and the best-constant searches pinned
-in CI.
+density cell failing), the two monotonicity lemmas, sLSI and sHC verdicts
+that move with the direction of the tilt, and the best-constant searches
+pinned in CI.
 
 Rewrite the file with ``PYTHONPATH=src python tests/ledger/make.py``.
 """
@@ -133,6 +133,19 @@ CASES = {
     "known_wrong/slsi/tilt_e1": lambda: L.check_slsi(L.log_linear([4.0, 0.0, 0.0]), GAUSS3, 0.99),
     "gauss_hermite-3d/slsi/tilt_azimuth_30deg": lambda: L.check_slsi(
         L.log_linear([2.0 * math.sqrt(3.0), 2.0, 0.0]), GAUSS3, 0.99),
+    # known wrong (item 20): the sHC rows of e^{6u.x} on N(0, I_n) at c < 1
+    # all fail in the closed form, since q(r) r^2 = r^{2 - 2/c} > 1 for every
+    # r < 1, but the verdict moves with u: on N(0, I_3) at c = 0.9, e_3 reads
+    # PASS with all 7 rows passing, and e_1 FAIL with 3 rows passing and a
+    # monotonicity drop of 2.44e8; on N(0, I_2) at c = 0.99, the angle 0
+    # reads PASS and 15 degrees FAIL
+    "known_wrong/shc/tilt_e3": lambda: L.check_shc(L.log_linear([0.0, 0.0, 6.0]), GAUSS3, 0.9),
+    "gauss_hermite-3d/shc/tilt_e1": lambda: L.check_shc(
+        L.log_linear([6.0, 0.0, 0.0]), GAUSS3, 0.9),
+    "known_wrong/shc/tilt_0deg": lambda: L.check_shc(L.log_linear([6.0, 0.0]), GAUSS2, 0.99),
+    "gauss_hermite-2d/shc/tilt_15deg": lambda: L.check_shc(
+        L.log_linear([6.0 * math.cos(math.radians(15.0)), 6.0 * math.sin(math.radians(15.0))]),
+        GAUSS2, 0.99),
     # refusals raised before any integral
     "raises/slsi/uncertified": lambda: L.check_slsi(
         L.raw_field(lambda pts: 1.0 + pts[:, 0] ** 2, 1, label="raw"), GAUSS1, 1.0),

@@ -1221,13 +1221,13 @@ class TestBestConstantShcNorms:
 
 def _plain_shc_best_constant(battery, mu, c_range=checks.DEFAULT_C_RANGE):
     """Bisection with no seed and no memo: at each step, each member's
-    shc_rows and shc_passed in turn, up to the first failing member."""
+    shc_rows verdict in turn, up to the first failing member."""
     norms = functionals.DilationNorms(battery, mu, L.default_spec(mu).resolved(mu.dim))
 
     def passes(c):
         for i, f in enumerate(battery):
             try:
-                if not checks.shc_passed(checks.shc_rows(norms, i, c, functionals.DEFAULT_R_GRID)):
+                if not checks.shc_rows(norms, i, c, functionals.DEFAULT_R_GRID)[2]:
                     return False
             except QuadratureFailure as exc:
                 raise QuadratureFailure(f"{f.label}: {exc}", witness=exc.witness) from exc
